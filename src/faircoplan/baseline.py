@@ -96,8 +96,7 @@ def _build_tfmp(
     now: int,
     horizon_end: int,
 ) -> tuple[milp.Model, dict[str, dict[tuple[int, int], str]]]:
-    model = milp.Model(name="fixed-route-schedule", sense="min",
-                       big_m=grid.horizon_steps + 1)
+    model = milp.Model(name="fixed-route-schedule", sense="min")
     wvars: dict[str, dict[tuple[int, int], str]] = {}
     objective: dict[str, float] = {}
     offset = 0.0

@@ -6,6 +6,11 @@ no MIP solver at all (capped at 30 binaries; meant for tiny cross-check
 models). Every accepted solution is independently re-checked by direct
 substitution before being returned.
 
+Both backends receive the constraint matrix as a sparse CSR array assembled
+from the constraints' own coefficients; no dense row is ever built. Planner
+models are very sparse (the full15x15 choice-setting model has about 8,000
+nonzeros in a 1,200 × 6,400 matrix), and HiGHS reads sparse input directly.
+
 Backend selection: pass one explicitly, or set FAIRCOPLAN_SOLVER to one of
 "highs" / "branch-bound".
 """
@@ -17,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -72,12 +77,11 @@ class SolveResult:
 class Model:
     """Immutable-after-construction linear model with binary/continuous vars."""
 
-    def __init__(self, name: str = "model", sense: str = "min", big_m: float | None = None):
+    def __init__(self, name: str = "model", sense: str = "min"):
         if sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
         self.name = name
         self.sense = sense
-        self.big_m = big_m
         self._vars: dict[str, _Var] = {}
         self._constraints: list[_Constraint] = []
         self._objective: dict[str, float] = {}
@@ -170,7 +174,12 @@ def check_solution(model: Model, values: dict[str, float], tol: float = FEASIBIL
 
 
 def _arrays(model: Model):
-    """Stable (insertion-order) matrix form of the model, minimization sense."""
+    """Stable (insertion-order) matrix form of the model, minimization sense.
+
+    The constraint matrix is a CSR array assembled from each row's
+    coefficients, with duplicates summed and zero coefficients dropped, so
+    it equals the CSR form of the dense matrix entry for entry.
+    """
     names = [v.name for v in model.variables]
     index = {n: i for i, n in enumerate(names)}
     n = len(names)
@@ -181,12 +190,13 @@ def _arrays(model: Model):
     lb = np.array([v.lb for v in model.variables], dtype=float)
     ub = np.array([v.ub for v in model.variables], dtype=float)
     integrality = np.array([1 if v.binary else 0 for v in model.variables])
-    rows, row_lb, row_ub = [], [], []
+    indptr, indices, data = [0], [], []
+    row_lb, row_ub = [], []
     for con in model.constraints:
-        row = np.zeros(n)
         for name, coeff in con.coeffs:
-            row[index[name]] += coeff
-        rows.append(row)
+            indices.append(index[name])
+            data.append(coeff)
+        indptr.append(len(data))
         if con.relation == "<=":
             row_lb.append(-np.inf)
             row_ub.append(con.rhs)
@@ -196,7 +206,13 @@ def _arrays(model: Model):
         else:
             row_lb.append(con.rhs)
             row_ub.append(con.rhs)
-    A = np.vstack(rows) if rows else np.zeros((0, n))
+    A = sparse.csr_array(
+        (np.array(data, dtype=float), np.array(indices, dtype=np.int32),
+         np.array(indptr, dtype=np.int32)),
+        shape=(len(row_lb), n),
+    )
+    A.sum_duplicates()
+    A.eliminate_zeros()
     return names, c, lb, ub, integrality, A, np.array(row_lb), np.array(row_ub), sign
 
 
@@ -286,24 +302,15 @@ class BranchAndBoundBackend:
                 f"model has {model.num_binaries}",
             )
         names, c, lb, ub, integrality, A, row_lb, row_ub, sign = _arrays(model)
-        # Split the box constraints into <= / >= / = blocks for linprog.
-        a_ub_rows, b_ub = [], []
-        a_eq_rows, b_eq = [], []
-        for i in range(A.shape[0]):
-            if row_lb[i] == row_ub[i]:
-                a_eq_rows.append(A[i])
-                b_eq.append(row_lb[i])
-            else:
-                if np.isfinite(row_ub[i]):
-                    a_ub_rows.append(A[i])
-                    b_ub.append(row_ub[i])
-                if np.isfinite(row_lb[i]):
-                    a_ub_rows.append(-A[i])
-                    b_ub.append(-row_lb[i])
-        a_ub = np.vstack(a_ub_rows) if a_ub_rows else None
-        b_ub = np.array(b_ub) if a_ub_rows else None
-        a_eq = np.vstack(a_eq_rows) if a_eq_rows else None
-        b_eq = np.array(b_eq) if a_eq_rows else None
+        # linprog takes "A_ub x <= b_ub" and "A_eq x = b_eq": equality rows
+        # go to A_eq, and each one-sided row to A_ub, negated if it is ">=".
+        eq = np.flatnonzero(row_lb == row_ub)
+        ineq = np.flatnonzero(row_lb != row_ub)
+        flip = np.where(np.isfinite(row_ub[ineq]), 1.0, -1.0)
+        a_ub = sparse.diags_array(flip) @ A[ineq] if len(ineq) else None
+        b_ub = flip * np.where(flip > 0, row_ub[ineq], row_lb[ineq]) if len(ineq) else None
+        a_eq = A[eq] if len(eq) else None
+        b_eq = row_lb[eq] if len(eq) else None
         binary_idx = [i for i, flag in enumerate(integrality) if flag]
 
         deadline = None

@@ -116,7 +116,7 @@ def solve_step1(
     if not modeled:
         return Step1Result(sets, tuple(unassigned), 0.0, 0.0, None, tuple(deferred))
 
-    model = milp.Model(name="choice-setting", sense="max", big_m=big_m)
+    model = milp.Model(name="choice-setting", sense="max")
 
     # One service unit outweighs every possible grant, so the solve is
     # lexicographic: serve as many flights as possible, then hand out as
@@ -129,21 +129,24 @@ def solve_step1(
     def vname(fid: str, rid: str, t: int) -> str:
         return f"c.{fid}.{rid}.{t}"
 
-    live: dict[tuple[str, str, int], str] = {}
+    # Choice variables by flight, then by (resource, timestep) cell.
+    live: dict[str, dict[tuple[str, int], str]] = {}
     for request in modeled:
         fid = request.flight_id
+        cells = live[fid] = {}
         for rid, span in domains[fid].items():
             for t in span:
                 if snapshot.remaining(rid, t) >= 1:
-                    live[(fid, rid, t)] = model.binary(vname(fid, rid, t))
+                    cells[(rid, t)] = model.binary(vname(fid, rid, t))
 
     def var(fid: str, rid: str, t: int) -> str | None:
-        return live.get((fid, rid, t))
+        return live[fid].get((rid, t))
 
     # Joint capacity per zone cell, only where it can actually bind.
     by_cell: dict[tuple[str, int], list[str]] = {}
-    for (fid, rid, t), name in live.items():
-        by_cell.setdefault((rid, t), []).append(name)
+    for cells in live.values():
+        for cell, name in cells.items():
+            by_cell.setdefault(cell, []).append(name)
     for (rid, t), names in sorted(by_cell.items()):
         rem = snapshot.remaining(rid, t)
         if len(names) > rem:
@@ -221,7 +224,7 @@ def solve_step1(
         model.add({y: -1.0, **{n: 1.0 for n in arr_vars}}, ">=", 0.0,
                   label=f"servearr.{fid}")
 
-    obj_coeffs = {name: 1.0 for name in live.values()}
+    obj_coeffs = {name: 1.0 for cells in live.values() for name in cells.values()}
     for y in served.values():
         obj_coeffs[y] = weight
     model.set_objective(obj_coeffs)
@@ -242,9 +245,8 @@ def solve_step1(
     for request in modeled:
         fid = request.flight_id
         chosen = frozenset(
-            (rid, t)
-            for (vfid, rid, t), name in live.items()
-            if vfid == fid and result.values.get(name, 0.0) >= 0.5
+            cell for cell, name in live[fid].items()
+            if result.values.get(name, 0.0) >= 0.5
         )
         chset = ChoiceSet(fid, request.origin, request.destination, chosen)
         if not chset.departure_slots or not chset.arrival_slots:

@@ -246,8 +246,7 @@ def solve_step2(
             "carried over, not planned"
         )
     horizon_end = now + grid.horizon_steps
-    model = milp.Model(name=f"trajectory.{request.flight_id}", sense="min",
-                       big_m=grid.horizon_steps + 1)
+    model = milp.Model(name=f"trajectory.{request.flight_id}", sense="min")
     block = add_presence_block(
         model, grid, snapshot, request, choices, params, now, horizon_end,
         prefix=f"u.{request.flight_id}",

@@ -154,8 +154,7 @@ def _build_joint(
     now: int,
     horizon_end: int,
 ) -> tuple[milp.Model, dict[str, PresenceBlock]]:
-    model = milp.Model(name="deconfliction", sense="min",
-                       big_m=grid.horizon_steps + 1)
+    model = milp.Model(name="deconfliction", sense="min")
     blocks: dict[str, PresenceBlock] = {}
     for fid in sorted(active):
         block = add_presence_block(

@@ -203,17 +203,41 @@ def test_criterion_3_gamma_dominance(gamma_pairs, verdict):
             f"{fairness_violations} fairness violations")
 
 
-def test_criterion_4_paired_fairness_improvement(desk_campaign, verdict):
+def test_criterion_4_paired_fairness_improvement(desk_config, desk_campaign,
+                                                gamma_pairs, verdict):
+    # As in criterion 5, the independent coplan lane would measure HiGHS's
+    # choice among tied optima, so each fair-coplan day is paired with the
+    # γ = 0 re-solves of its own periods.
     campaign, elapsed = desk_campaign
-    paired = campaign.summary()["paired_fairness"]
-    fraction = paired["improved_fraction"]
-    ok = (paired["eligible_days"] > 0 and fraction is not None
-          and fraction >= IMPROVED_FRACTION_MIN
+
+    def day_fairness(weight: str) -> list[float | None]:
+        # Mean rounded fairness over the periods that replanned, exactly as
+        # day_rows does.
+        by_day: list[list[float]] = [[] for _ in range(desk_config.days)]
+        for pair in gamma_pairs:
+            result = getattr(pair, weight)
+            if result.replanned:
+                by_day[pair.day].append(round(result.fairness, 9))
+        return [round(sum(day) / len(day), 9) if day else None
+                for day in by_day]
+
+    fair_days, plain_days = day_fairness("fair"), day_fairness("plain")
+    assert fair_days == [row["day_fairness"]
+                         for row in day_rows(campaign.records()["fair-coplan"])]
+    eligible = [(fair, plain) for fair, plain in zip(fair_days, plain_days)
+                if fair is not None]
+    improved = sum(1 for fair, plain in eligible
+                   if plain is not None and fair < plain)
+    fraction = round(improved / len(eligible), 9) if eligible else None
+    lanes = campaign.summary()["paired_fairness"]
+    ok = (fraction is not None and fraction >= IMPROVED_FRACTION_MIN
           and elapsed < CAMPAIGN_BUDGET_S)
     verdict(4, ok,
-            f"fairness improved on {paired['improved_days']} of "
-            f"{paired['eligible_days']} deconflicted days "
-            f"(fraction {fraction}), campaign ran {elapsed:.0f}s")
+            f"fairness improved on {improved} of {len(eligible)} deconflicted "
+            f"days (fraction {fraction}; γ = 0 on fair-coplan's period "
+            f"inputs), campaign ran {elapsed:.0f}s; independent coplan lane "
+            f"{lanes['improved_days']} of {lanes['eligible_days']} "
+            f"(fraction {lanes['improved_fraction']}, reported, not gated)")
 
 
 def test_criterion_5_mean_daily_tdc_ordering(desk_config, desk_campaign,

@@ -1,9 +1,14 @@
 """Model container and both solver backends on small known problems."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from faircoplan import milp
+from faircoplan.airspace import OccupancyLedger
+from faircoplan.baseline import solve_tfmp
+from faircoplan.flights import DelayCostParams
 from faircoplan.milp import (
     BranchAndBoundBackend,
     HighsBackend,
@@ -15,6 +20,11 @@ from faircoplan.milp import (
     solve,
     write_lp,
 )
+from faircoplan.step1 import solve_step1
+from faircoplan.step2 import solve_step2
+from faircoplan.step3 import solve_step3
+
+from helpers import blocked, make_grid, make_request
 
 BACKENDS = ["highs", "branch-bound"]
 
@@ -182,3 +192,93 @@ class TestHighsOptions:
         model.set_objective({x: 1.0})
         assert HighsBackend().solve(model, limits).status == milp.OPTIMAL
         assert [options["mip_rel_gap"] for options in seen] == [gap]
+
+    def test_constraint_matrix_is_passed_sparse(self, monkeypatch):
+        seen = []
+        real_milp = milp.optimize.milp
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["constraints"].A)
+            return real_milp(*args, **kwargs)
+
+        monkeypatch.setattr(milp.optimize, "milp", spy)
+        model = Model(name="sparse", sense="max")
+        x, y = model.binary("x"), model.binary("y")
+        model.add({x: 1.0, y: 1.0}, "<=", 1.0)
+        model.set_objective({x: 1.0, y: 2.0})
+        assert HighsBackend().solve(model).status == milp.OPTIMAL
+        assert len(seen) == 1 and sparse.issparse(seen[0])
+
+
+def dense_reference(model: Model) -> np.ndarray:
+    """The constraint matrix built one dense row per constraint."""
+    index = {v.name: i for i, v in enumerate(model.variables)}
+    dense = np.zeros((len(model.constraints), len(index)))
+    for i, con in enumerate(model.constraints):
+        for name, coeff in con.coeffs:
+            dense[i, index[name]] += coeff
+    return dense
+
+
+def assert_matches_dense(model: Model) -> None:
+    matrix = milp._arrays(model)[5]
+    want = sparse.csr_array(dense_reference(model))
+    assert matrix.format == "csr"
+    assert matrix.shape == want.shape
+    np.testing.assert_array_equal(matrix.indptr, want.indptr)
+    np.testing.assert_array_equal(matrix.indices, want.indices)
+    np.testing.assert_array_equal(matrix.data, want.data)
+
+
+class TestSparseAssembly:
+    def test_hand_built_model_matches_dense_rows(self):
+        model = Model(name="mixed", sense="max")
+        x, y = model.binary("x"), model.binary("y")
+        z = model.continuous("z", lb=-1.0, ub=4.0)
+        model.add({z: 2.0, x: 1.0}, "<=", 3.0)  # columns out of order
+        model.add({x: 1.0, y: 0.0, z: -1.5}, "=", 0.5)
+        model.add({y: 4.0}, ">=", 1.0)
+        model.set_objective({x: 1.0, z: 1.0})
+        assert_matches_dense(model)
+        names, _, _, _, _, matrix, row_lb, row_ub, _ = milp._arrays(model)
+        assert names == ["x", "y", "z"]
+        assert 0.0 not in matrix.data
+        assert matrix.nnz == 5
+        np.testing.assert_array_equal(row_lb, [-np.inf, 0.5, 1.0])
+        np.testing.assert_array_equal(row_ub, [3.0, 0.5, np.inf])
+
+    def test_model_without_constraints_has_no_rows(self):
+        model = Model(name="free", sense="min")
+        model.continuous("z", ub=1.0)
+        assert milp._arrays(model)[5].shape == (0, 1)
+
+    def test_planner_models_match_dense_rows(self, monkeypatch):
+        seen: list[Model] = []
+        real_solve = milp.solve
+
+        def spy(model, *args, **kwargs):
+            seen.append(model)
+            return real_solve(model, *args, **kwargs)
+
+        monkeypatch.setattr(milp, "solve", spy)
+        # Two flights through a capacity-one pinch: the proposals conflict,
+        # so every stage builds a model.
+        probe = make_grid(2, 4, ((0, 0), (1, 3)))
+        grid = make_grid(2, 4, ((0, 0), (1, 3)), vp_capacity=2,
+                         ring_capacity=2, overrides=blocked(probe, 0, 2))
+        params = DelayCostParams(alpha=0.3)
+        requests = [make_request(grid, f"f{i}", "r0000", "r0007", 0,
+                                 flexibility=2) for i in range(2)]
+        snap = OccupancyLedger(grid).snapshot()
+        s1 = solve_step1(grid, snap, requests, 0)
+        proposals = {r.flight_id: solve_step2(
+            grid, snap, r, s1.choice_sets[r.flight_id], params).plan
+            for r in requests}
+        solve_step3(grid, snap, requests, s1.choice_sets, proposals, params)
+        solve_tfmp(grid, snap, requests, params)
+
+        kinds = {model.name.split(".", 1)[0] for model in seen}
+        assert kinds == {"choice-setting", "trajectory", "deconfliction",
+                         "fixed-route-schedule"}
+        for model in seen:
+            assert_matches_dense(model)
