@@ -71,7 +71,6 @@ from .sim import (
     run_day,
     run_period,
     scenario_grid,
-    summarize,
 )
 from .step1 import Step1Result, choice_domains, solve_step1
 from .step2 import Step2Result, solve_step2
@@ -159,7 +158,6 @@ __all__ = [
     "solve_step2",
     "solve_step3",
     "solve_tfmp",
-    "summarize",
     "tdc",
     "write_campaign",
 ]

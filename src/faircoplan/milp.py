@@ -11,14 +11,28 @@ from the constraints' own coefficients; no dense row is ever built. Planner
 models are very sparse (the full15x15 choice-setting model has about 8,000
 nonzeros in a 1,200 × 6,400 matrix), and HiGHS reads sparse input directly.
 
+Inside a ``reuse_solves()`` context the HiGHS backend memoizes its solves.
+The key is a blake2b digest of exactly what HiGHS receives: the objective
+vector, variable bounds, integrality flags, the CSR matrix (shape, indptr,
+indices, data), the row bounds and the options (presolve, gap, time limit).
+Variable names and the objective offset never reach HiGHS, so they are left
+out: a hit returns the stored raw point, and values and objective are rebuilt
+against the model being solved, under its own names and offset. Only
+OPTIMAL and INFEASIBLE outcomes are stored; a time-limit result depends on
+the clock, not on the input. ``run_campaign`` opens one context per day, in
+which the coplan lane re-solves many of the fair-coplan lane's models.
+
 Backend selection: pass one explicitly, or set FAIRCOPLAN_SOLVER to one of
 "highs" / "branch-bound".
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,21 +146,11 @@ class Model:
     def num_binaries(self) -> int:
         return sum(1 for v in self._vars.values() if v.binary)
 
-    def has_var(self, name: str) -> bool:
-        return name in self._vars
-
     def var(self, name: str) -> _Var:
         return self._vars[name]
 
     def objective_coeffs(self) -> dict[str, float]:
         return dict(self._objective)
-
-
-def objective_value(model: Model, values: dict[str, float]) -> float:
-    total = model.objective_offset
-    for name, coeff in model.objective_coeffs().items():
-        total += coeff * values.get(name, 0.0)
-    return total
 
 
 def check_solution(model: Model, values: dict[str, float], tol: float = FEASIBILITY_TOL) -> list[str]:
@@ -227,6 +231,33 @@ def _finish(model: Model, names, raw_x, sign, c) -> tuple[dict[str, float], floa
     return values, obj
 
 
+# The memo of the innermost open ``reuse_solves()`` context, or None: digest
+# of the HiGHS input -> (scipy status, raw x, message).
+_MEMO: ContextVar[dict[bytes, tuple] | None] = ContextVar("milp_memo", default=None)
+
+
+@contextmanager
+def reuse_solves():
+    """Within the block, HiGHS solves an identical input only once.
+
+    The memo lives exactly as long as the block, exception or not.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _solve_key(options: dict, A, *arrays) -> bytes:
+    # ``_arrays`` fixes every dtype, and A.shape fixes every length (nnz is
+    # indptr[-1]), so the concatenated bytes decode one way only.
+    head = repr((sorted(options.items()), A.shape)).encode()
+    return hashlib.blake2b(b"".join(
+        [head, A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes(),
+         *(array.tobytes() for array in arrays)])).digest()
+
+
 class HighsBackend:
     """Exact MILP solves through scipy's HiGHS binding."""
 
@@ -245,28 +276,40 @@ class HighsBackend:
         }
         if limits.time_limit is not None:
             options["time_limit"] = float(limits.time_limit)
-        kwargs = {}
-        if A.shape[0]:
-            kwargs["constraints"] = optimize.LinearConstraint(A, row_lb, row_ub)
-        try:
-            res = optimize.milp(
-                c,
-                integrality=integrality,
-                bounds=optimize.Bounds(lb, ub),
-                options=options,
-                **kwargs,
-            )
-        except Exception as exc:  # malformed model or backend failure
-            return SolveResult(status=ERROR, detail=f"highs: {exc}")
-        if res.status == 0:
-            values, obj = _finish(model, names, res.x, sign, c)
+        memo = _MEMO.get()
+        key = hit = None
+        if memo is not None:
+            key = _solve_key(options, A, c, lb, ub, integrality, row_lb, row_ub)
+            hit = memo.get(key)
+        if hit is not None:
+            status, x, message = hit
+            gap = None  # only status 1 reads it, and status 1 is never stored
+        else:
+            kwargs = {}
+            if A.shape[0]:
+                kwargs["constraints"] = optimize.LinearConstraint(A, row_lb, row_ub)
+            try:
+                res = optimize.milp(
+                    c,
+                    integrality=integrality,
+                    bounds=optimize.Bounds(lb, ub),
+                    options=options,
+                    **kwargs,
+                )
+            except Exception as exc:  # malformed model or backend failure
+                return SolveResult(status=ERROR, detail=f"highs: {exc}")
+            status, x, message = res.status, res.x, res.message
+            gap = getattr(res, "mip_gap", None)
+            if memo is not None and status in (0, 2):
+                memo[key] = (status, x, message)
+        if status == 0:
+            values, obj = _finish(model, names, x, sign, c)
             return SolveResult(status=OPTIMAL, objective=obj, values=values, gap=0.0)
-        if res.status == 2:
-            return SolveResult(status=INFEASIBLE, detail=res.message)
-        if res.status == 1:
-            if res.x is not None:
-                values, obj = _finish(model, names, res.x, sign, c)
-                gap = getattr(res, "mip_gap", None)
+        if status == 2:
+            return SolveResult(status=INFEASIBLE, detail=message)
+        if status == 1:
+            if x is not None:
+                values, obj = _finish(model, names, x, sign, c)
                 return SolveResult(
                     status=TIME_LIMIT_FEASIBLE,
                     objective=obj,
@@ -277,7 +320,7 @@ class HighsBackend:
             return SolveResult(
                 status=ERROR, detail="time limit reached without incumbent", hit_time_limit=True
             )
-        return SolveResult(status=ERROR, detail=f"highs status {res.status}: {res.message}")
+        return SolveResult(status=ERROR, detail=f"highs status {status}: {message}")
 
 
 class BranchAndBoundBackend:

@@ -8,6 +8,10 @@ schedule baseline). Flights that cannot be served this period are resubmitted
 next period with shifted windows. Demand depends only on (seed, day, period),
 never on the mode, so runs across modes are paired by construction.
 
+A campaign runs day-major: all modes of a day, then the next day. Within a
+day identical MILPs are solved once (see ``run_campaign``); the memo is
+dropped when the day ends, so memory stays bounded by one day's solves.
+
 Metrics are pure functions of the serializable period records; anything
 wall-clock lives in separate timing rows so that repeated runs stay
 byte-identical everywhere else.
@@ -47,7 +51,6 @@ __all__ = [
     "run_day",
     "run_period",
     "scenario_grid",
-    "summarize",
 ]
 
 MODES = ("fair-coplan", "coplan", "tfmp")
@@ -401,19 +404,27 @@ def run_campaign(
     limits: milp.SolveLimits | None = None,
     backend: object = None,
 ) -> CampaignResult:
-    """Run every requested mode over the same days of identical demand."""
+    """Run every requested mode over the same days of identical demand.
+
+    The campaign runs day by day: each day runs every mode in turn under one
+    ``milp.reuse_solves()`` context, which ends with the day. Steps 1 and 2
+    never see γ, so until the lanes' ledgers diverge the coplan lane builds
+    exactly the MILPs the fair-coplan lane has just solved, and HiGHS solves
+    each of them once. The results are still gathered per mode in day order,
+    so they equal ``run_day`` per mode without the memo.
+    """
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     grid = scenario_grid(config)
-    periods: dict[str, tuple[PeriodResult, ...]] = {}
-    for mode in modes:
-        rows: list[PeriodResult] = []
-        for day in range(config.days):
-            rows.extend(run_day(grid, config, day, mode,
-                                limits=limits, backend=backend))
-        periods[mode] = tuple(rows)
-    return CampaignResult(config=config, periods=periods)
+    rows: dict[str, list[PeriodResult]] = {mode: [] for mode in modes}
+    for day in range(config.days):
+        with milp.reuse_solves():
+            for mode in rows:
+                rows[mode].extend(run_day(grid, config, day, mode,
+                                          limits=limits, backend=backend))
+    return CampaignResult(
+        config=config, periods={mode: tuple(results) for mode, results in rows.items()})
 
 
 def day_rows(records: Sequence[Mapping]) -> list[dict]:
@@ -485,7 +496,3 @@ def campaign_summary(records_by_mode: Mapping[str, Sequence[Mapping]]) -> dict:
         }
     return out
 
-
-def summarize(campaign: CampaignResult) -> dict:
-    """Convenience wrapper: summary straight from a finished campaign."""
-    return campaign.summary()

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import optimize, sparse
 
 from faircoplan import milp
 from faircoplan.airspace import OccupancyLedger
@@ -17,6 +17,7 @@ from faircoplan.milp import (
     SolveResult,
     check_solution,
     resolve_backend,
+    reuse_solves,
     solve,
     write_lp,
 )
@@ -208,6 +209,97 @@ class TestHighsOptions:
         model.set_objective({x: 1.0, y: 2.0})
         assert HighsBackend().solve(model).status == milp.OPTIMAL
         assert len(seen) == 1 and sparse.issparse(seen[0])
+
+
+def knapsack(names=("x0", "x1", "x2"), offset=0.0) -> Model:
+    model = Model(name="knapsack", sense="max")
+    x = [model.binary(name) for name in names]
+    model.add({x[0]: 3.0, x[1]: 2.0, x[2]: 2.0}, "<=", 4.0)
+    model.set_objective({x[0]: 6.0, x[1]: 5.0, x[2]: 4.0}, offset=offset)
+    return model
+
+
+class TestSolveMemo:
+    @pytest.fixture()
+    def highs_calls(self, monkeypatch):
+        calls = []
+        real_milp = milp.optimize.milp
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["options"])
+            return real_milp(*args, **kwargs)
+
+        monkeypatch.setattr(milp.optimize, "milp", spy)
+        return calls
+
+    def test_identical_model_is_solved_once(self, highs_calls):
+        with reuse_solves():
+            first = solve(knapsack())
+            second = solve(knapsack())
+        assert len(highs_calls) == 1
+        assert second.status == milp.OPTIMAL
+        assert second.values == first.values
+        assert second.objective == first.objective == pytest.approx(9.0)
+
+    def test_without_the_context_every_solve_calls_highs(self, highs_calls):
+        solve(knapsack())
+        solve(knapsack())
+        assert len(highs_calls) == 2
+
+    @pytest.mark.parametrize("limits", [SolveLimits(mip_gap=0.25),
+                                        SolveLimits(time_limit=30.0)])
+    def test_other_solve_options_miss(self, highs_calls, limits):
+        with reuse_solves():
+            solve(knapsack())
+            assert solve(knapsack(), limits).status == milp.OPTIMAL
+        assert len(highs_calls) == 2
+
+    def test_hit_is_read_under_the_new_names_and_offset(self, highs_calls):
+        with reuse_solves():
+            solve(knapsack())
+            result = solve(knapsack(names=("a", "b", "c"), offset=-2.5))
+        assert len(highs_calls) == 1
+        assert result.values == {"a": 0.0, "b": 1.0, "c": 1.0}
+        assert result.objective == pytest.approx(6.5)
+
+    def test_infeasible_is_stored(self, highs_calls):
+        model = Model(name="bad", sense="min")
+        x = model.binary("x")
+        model.add({x: 1.0}, ">=", 2.0)
+        model.set_objective({x: 1.0})
+        with reuse_solves():
+            assert solve(model).status == milp.INFEASIBLE
+            assert solve(model).status == milp.INFEASIBLE
+        assert len(highs_calls) == 1
+
+    @pytest.mark.parametrize("x, status", [
+        (np.array([0.0, 1.0, 1.0]), milp.TIME_LIMIT_FEASIBLE),
+        (None, milp.ERROR),
+    ])
+    def test_time_limit_results_are_never_stored(self, monkeypatch, x, status):
+        calls = []
+
+        def timed_out(*args, **kwargs):
+            calls.append(1)
+            return optimize.OptimizeResult(status=1, x=x, mip_gap=0.5,
+                                           message="time limit reached")
+
+        monkeypatch.setattr(milp.optimize, "milp", timed_out)
+        with reuse_solves():
+            for _ in range(2):
+                assert HighsBackend().solve(knapsack()).status == status
+        assert len(calls) == 2
+
+    def test_memo_ends_with_the_context(self, highs_calls):
+        with pytest.raises(RuntimeError):
+            with reuse_solves():
+                solve(knapsack())
+                raise RuntimeError("period failed")
+        solve(knapsack())
+        with reuse_solves():
+            solve(knapsack())
+        assert len(highs_calls) == 3
+        assert milp._MEMO.get() is None
 
 
 def dense_reference(model: Model) -> np.ndarray:

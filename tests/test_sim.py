@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from faircoplan import milp
 from faircoplan.airspace import (
     ConfigError,
     GridConfig,
@@ -243,6 +244,43 @@ class TestRunCampaign:
         rows = campaign.timing_rows()
         assert len(rows) == 4
         assert all("step2_max" in row for row in rows)
+
+
+class TestCampaignReuse:
+    @staticmethod
+    def records_by_run_day(config):
+        grid = scenario_grid(config)
+        return {mode: [p.to_dict() for day in range(config.days)
+                       for p in run_day(grid, config, day, mode)]
+                for mode in MODES}
+
+    @pytest.mark.parametrize("modes", [MODES, ("coplan", "fair-coplan", "tfmp")])
+    def test_records_equal_run_day_without_the_memo(self, modes):
+        config = corridor_config(days=2, periods_per_day=3, seed=3)
+        records = run_campaign(config, modes=modes).records()
+        assert list(records) == list(modes)
+        assert records == self.records_by_run_day(config)
+
+    def test_coplan_reuses_the_fair_lanes_solves(self, monkeypatch):
+        calls = []
+        real_milp = milp.optimize.milp
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real_milp(*args, **kwargs)
+
+        monkeypatch.setattr(milp.optimize, "milp", spy)
+        config = corridor_config(days=2, periods_per_day=3, seed=3)
+
+        def highs_calls(modes):
+            before = len(calls)
+            run_campaign(config, modes=modes)
+            return len(calls) - before
+
+        fair = highs_calls(("fair-coplan",))
+        coplan_alone = highs_calls(("coplan",))
+        coplan_after_fair = highs_calls(("fair-coplan", "coplan")) - fair
+        assert 0 <= coplan_after_fair < coplan_alone
 
 
 class TestSummaries:
