@@ -260,6 +260,9 @@ class OccupancySnapshot:
     def __init__(self, grid: AirspaceGrid, counts: dict[tuple[str, int], int]) -> None:
         self._grid = grid
         self._counts = counts
+        # The snapshot never changes, so each cell's remaining capacity is
+        # computed once; model building reads it thousands of times a period.
+        self._remaining: dict[tuple[str, int], int] = {}
 
     @property
     def counts(self) -> dict[tuple[str, int], int]:
@@ -269,7 +272,12 @@ class OccupancySnapshot:
         return self._counts.get((resource_id, t), 0)
 
     def remaining(self, resource_id: str, t: int) -> int:
-        return max(self._grid.capacity(resource_id, t) - self.occupancy(resource_id, t), 0)
+        key = (resource_id, t)
+        left = self._remaining.get(key)
+        if left is None:
+            left = max(self._grid.capacity(resource_id, t) - self._counts.get(key, 0), 0)
+            self._remaining[key] = left
+        return left
 
     def with_plans(self, plans: Iterable[FlightPlan]) -> OccupancySnapshot:
         """A new snapshot with the given plans' occupancy added on top."""

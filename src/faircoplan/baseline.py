@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
 from .checker import overlay_violations, plan_violations
-from .flights import DelayCostParams, FlightPlan, FlightRequest, tdc
+from .flights import DelayCostParams, FlightPlan, FlightRequest, pick_victim, tdc
 
 __all__ = [
     "BaselineResult",
@@ -219,11 +219,6 @@ def _extract(
     return FlightPlan(request.flight_id, tuple(steps))
 
 
-def _pick_victim(active: Sequence[str], requests: Mapping[str, FlightRequest]) -> str:
-    fewest = min(requests[fid].resubmissions for fid in active)
-    return max(fid for fid in active if requests[fid].resubmissions == fewest)
-
-
 def solve_tfmp(
     grid: AirspaceGrid,
     snapshot: OccupancySnapshot,
@@ -275,7 +270,7 @@ def solve_tfmp(
             break
         if result.status == milp.ERROR and not result.hit_time_limit:
             raise RuntimeError(f"fixed-route solve failed: {result.detail}")
-        victim = _pick_victim(included, by_id)
+        victim = pick_victim(included, by_id)
         dropped.append(victim)
         included.remove(victim)
         result = None

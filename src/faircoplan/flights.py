@@ -9,6 +9,7 @@ quantities the optimization objectives are built from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -179,3 +180,10 @@ def tdc(plan: FlightPlan, request: FlightRequest, params: DelayCostParams) -> fl
     arrival_delay = plan.a_prop - request.requested_arrival
     departure_delay = plan.d_prop - request.requested_departure
     return params.alpha * arrival_delay + (1.0 - params.alpha) * departure_delay
+
+
+def pick_victim(active: Sequence[str], requests: Mapping[str, FlightRequest]) -> str:
+    """The flight to drop when no joint plan exists: fewest resubmissions
+    first; among those, the newest (largest) id."""
+    fewest = min(requests[fid].resubmissions for fid in active)
+    return max(fid for fid in active if requests[fid].resubmissions == fewest)

@@ -6,10 +6,20 @@ no MIP solver at all (capped at 30 binaries; meant for tiny cross-check
 models). Every accepted solution is independently re-checked by direct
 substitution before being returned.
 
-Both backends receive the constraint matrix as a sparse CSR array assembled
-from the constraints' own coefficients; no dense row is ever built. Planner
-models are very sparse (the full15x15 choice-setting model has about 8,000
-nonzeros in a 1,200 × 6,400 matrix), and HiGHS reads sparse input directly.
+A model stores itself as arrays would: each variable is a column index with
+its bounds and integrality in flat per-column lists, and each constraint is
+turned into column indices and coefficients when it is added and appended to
+flat per-row lists (CSR order, plus relation, right-hand side and label).
+Assembly, unpacking a solver point and the substitution re-check are then
+numpy conversions and vectorized operations over those lists, not walks over
+per-row Python objects. ``Model.variables`` and ``Model.constraints`` are
+read-only views built on demand for callers that want one object per column
+or row; neither backend nor the re-check builds them.
+
+Both backends receive the constraint matrix as a sparse CSR array; no dense
+row is ever built. Planner models are very sparse (the full15x15
+choice-setting model has about 8,000 nonzeros in a 1,200 × 6,400 matrix),
+and HiGHS reads sparse input directly.
 
 Inside a ``reuse_solves()`` context the HiGHS backend memoizes its solves.
 The key is a blake2b digest of exactly what HiGHS receives: the objective
@@ -47,6 +57,7 @@ FEASIBILITY_TOL = 1e-6
 INTEGRALITY_TOL = 1e-6
 
 _RELATIONS = ("<=", "=", ">=")
+_LE, _GE = 0, 2  # positions in _RELATIONS
 
 
 @dataclass(frozen=True)
@@ -89,146 +100,214 @@ class SolveResult:
 
 
 class Model:
-    """Immutable-after-construction linear model with binary/continuous vars."""
+    """Linear model with binary/continuous variables, stored column- and row-wise.
+
+    Each variable gets its column index when it is declared, and its bounds
+    and integrality go to flat per-column lists. Each constraint is turned
+    into column indices when it is added, and its indices, coefficients,
+    relation, right-hand side and label go to flat per-row lists, so solving
+    converts lists to arrays instead of walking per-row objects.
+    ``variables`` and ``constraints`` are read-only views built on demand;
+    solving never builds them.
+    """
 
     def __init__(self, name: str = "model", sense: str = "min"):
         if sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
         self.name = name
         self.sense = sense
-        self._vars: dict[str, _Var] = {}
-        self._constraints: list[_Constraint] = []
-        self._objective: dict[str, float] = {}
+        self._column: dict[str, int] = {}
+        self._names: list[str] = []
+        self._lb: list[float] = []
+        self._ub: list[float] = []
+        self._integrality: list[int] = []
+        # Rows in CSR order: row i holds _indices/_coeffs[_indptr[i]:_indptr[i + 1]].
+        self._indptr: list[int] = [0]
+        self._indices: list[int] = []
+        self._coeffs: list[float] = []
+        self._relations: list[int] = []  # index into _RELATIONS
+        self._rhs: list[float] = []
+        self._labels: list[str] = []
+        self._objective_columns: list[int] = []
+        self._objective_coeffs: list[float] = []
         self.objective_offset = 0.0
 
-    def binary(self, name: str) -> str:
-        if name in self._vars:
-            raise ValueError(f"variable {name!r} declared twice")
-        self._vars[name] = _Var(name, True, 0.0, 1.0)
+    def _declare(self, name: str, binary: bool, lb: float, ub: float) -> str:
+        self._column[name] = len(self._names)
+        self._names.append(name)
+        self._lb.append(lb)
+        self._ub.append(ub)
+        self._integrality.append(1 if binary else 0)
         return name
 
+    def binary(self, name: str) -> str:
+        if name in self._column:
+            raise ValueError(f"variable {name!r} declared twice")
+        return self._declare(name, True, 0.0, 1.0)
+
     def continuous(self, name: str, lb: float = 0.0, ub: float = math.inf) -> str:
-        if name in self._vars:
+        if name in self._column:
             raise ValueError(f"variable {name!r} declared twice")
         if lb > ub:
             raise ValueError(f"variable {name!r} has lb > ub")
-        self._vars[name] = _Var(name, False, lb, ub)
-        return name
+        return self._declare(name, False, lb, ub)
 
     def add(self, coeffs: dict[str, float], relation: str, rhs: float, label: str = "") -> None:
         if relation not in _RELATIONS:
             raise ValueError(f"unknown relation {relation!r}")
         if not coeffs:
             raise ValueError(f"constraint {label!r} has no variables")
-        for name in coeffs:
-            if name not in self._vars:
-                raise ValueError(f"constraint {label!r} references unknown variable {name!r}")
-        self._constraints.append(
-            _Constraint(label, tuple(coeffs.items()), relation, float(rhs))
-        )
+        try:
+            columns = [self._column[name] for name in coeffs]
+        except KeyError as exc:
+            raise ValueError(
+                f"constraint {label!r} references unknown variable {exc.args[0]!r}"
+            ) from None
+        rhs = float(rhs)
+        self._indices += columns
+        self._coeffs += coeffs.values()
+        self._indptr.append(len(self._indices))
+        self._relations.append(_RELATIONS.index(relation))
+        self._rhs.append(rhs)
+        self._labels.append(label)
 
     def set_objective(self, coeffs: dict[str, float], offset: float = 0.0) -> None:
-        for name in coeffs:
-            if name not in self._vars:
-                raise ValueError(f"objective references unknown variable {name!r}")
-        self._objective = dict(coeffs)
+        try:
+            columns = [self._column[name] for name in coeffs]
+        except KeyError as exc:
+            raise ValueError(f"objective references unknown variable {exc.args[0]!r}") from None
+        self._objective_columns = columns
+        self._objective_coeffs = list(coeffs.values())
         self.objective_offset = float(offset)
 
     @property
     def variables(self) -> tuple[_Var, ...]:
-        return tuple(self._vars.values())
+        return tuple(
+            _Var(name, bool(flag), lb, ub)
+            for name, flag, lb, ub in zip(self._names, self._integrality, self._lb, self._ub)
+        )
 
     @property
     def constraints(self) -> tuple[_Constraint, ...]:
-        return tuple(self._constraints)
+        names, indptr = self._names, self._indptr
+        return tuple(
+            _Constraint(
+                self._labels[i],
+                tuple((names[j], coeff) for j, coeff in zip(
+                    self._indices[indptr[i]:indptr[i + 1]],
+                    self._coeffs[indptr[i]:indptr[i + 1]])),
+                _RELATIONS[self._relations[i]],
+                self._rhs[i],
+            )
+            for i in range(len(self._rhs))
+        )
+
+    @property
+    def num_vars(self) -> int:
+        return len(self._names)
 
     @property
     def num_binaries(self) -> int:
-        return sum(1 for v in self._vars.values() if v.binary)
-
-    def var(self, name: str) -> _Var:
-        return self._vars[name]
-
-    def objective_coeffs(self) -> dict[str, float]:
-        return dict(self._objective)
+        return sum(self._integrality)
 
 
 def check_solution(model: Model, values: dict[str, float], tol: float = FEASIBILITY_TOL) -> list[str]:
-    """All bound, integrality, and constraint violations by substitution."""
+    """All bound, integrality, and constraint violations by substitution.
+
+    The messages come in the order of a scan over the variables, then over
+    the rows. Each row's left-hand side is summed in the order its terms
+    were added.
+    """
+    names = model._names
+    given = [values.get(name) for name in names]
+    x = np.array(given, dtype=float)  # a missing value reads as nan here
+    missing = np.zeros(len(names), dtype=bool)
+    for i in np.flatnonzero(np.isnan(x)).tolist():
+        missing[i] = given[i] is None
+    x[missing] = 0.0
+    lb = np.array(model._lb, dtype=float)
+    ub = np.array(model._ub, dtype=float)
+    out_of_bounds = (x < lb - tol) | (x > ub + tol)
+    binary = np.array(model._integrality, dtype=bool)
+    fractional = binary & (np.abs(x - np.round(x)) > INTEGRALITY_TOL)
     violations = []
-    for var in model.variables:
-        if var.name not in values:
-            violations.append(f"missing value for {var.name}")
+    for i in np.flatnonzero(missing | out_of_bounds | fractional).tolist():
+        name = names[i]
+        if missing[i]:
+            violations.append(f"missing value for {name}")
             continue
-        x = values[var.name]
-        if x < var.lb - tol or x > var.ub + tol:
-            violations.append(f"{var.name}={x} outside [{var.lb}, {var.ub}]")
-        if var.binary and abs(x - round(x)) > INTEGRALITY_TOL:
-            violations.append(f"{var.name}={x} not integral")
-    for idx, con in enumerate(model.constraints):
-        lhs = sum(c * values.get(name, 0.0) for name, c in con.coeffs)
-        label = con.label or f"c{idx}"
-        if con.relation == "<=" and lhs > con.rhs + tol:
-            violations.append(f"{label}: {lhs} <= {con.rhs} violated")
-        elif con.relation == ">=" and lhs < con.rhs - tol:
-            violations.append(f"{label}: {lhs} >= {con.rhs} violated")
-        elif con.relation == "=" and abs(lhs - con.rhs) > tol:
-            violations.append(f"{label}: {lhs} = {con.rhs} violated")
+        if out_of_bounds[i]:
+            violations.append(f"{name}={given[i]} outside [{model._lb[i]}, {model._ub[i]}]")
+        if fractional[i]:
+            violations.append(f"{name}={given[i]} not integral")
+    if not model._rhs:
+        return violations
+    # scipy's CSR product sums each row's terms left to right, as the rows
+    # were added; A here is deliberately not put in canonical (sorted) form.
+    A = sparse.csr_array(
+        (np.array(model._coeffs, dtype=float), np.array(model._indices, dtype=np.int32),
+         np.array(model._indptr, dtype=np.int32)),
+        shape=(len(model._rhs), len(names)),
+    )
+    lhs = A @ x
+    rhs = np.array(model._rhs)
+    relation = np.array(model._relations)
+    broken = np.where(
+        relation == _LE, lhs > rhs + tol,
+        np.where(relation == _GE, lhs < rhs - tol, np.abs(lhs - rhs) > tol))
+    for idx in np.flatnonzero(broken).tolist():
+        label = model._labels[idx] or f"c{idx}"
+        violations.append(
+            f"{label}: {float(lhs[idx])} {_RELATIONS[model._relations[idx]]} "
+            f"{model._rhs[idx]} violated"
+        )
     return violations
 
 
 def _arrays(model: Model):
     """Stable (insertion-order) matrix form of the model, minimization sense.
 
-    The constraint matrix is a CSR array assembled from each row's
-    coefficients, with duplicates summed and zero coefficients dropped, so
-    it equals the CSR form of the dense matrix entry for entry.
+    The constraint matrix is a CSR array of the stored rows, with duplicates
+    summed and zero coefficients dropped, so it equals the CSR form of the
+    dense matrix entry for entry.
     """
-    names = [v.name for v in model.variables]
-    index = {n: i for i, n in enumerate(names)}
-    n = len(names)
+    n = len(model._names)
     sign = 1.0 if model.sense == "min" else -1.0
     c = np.zeros(n)
-    for name, coeff in model.objective_coeffs().items():
-        c[index[name]] = sign * coeff
-    lb = np.array([v.lb for v in model.variables], dtype=float)
-    ub = np.array([v.ub for v in model.variables], dtype=float)
-    integrality = np.array([1 if v.binary else 0 for v in model.variables])
-    indptr, indices, data = [0], [], []
-    row_lb, row_ub = [], []
-    for con in model.constraints:
-        for name, coeff in con.coeffs:
-            indices.append(index[name])
-            data.append(coeff)
-        indptr.append(len(data))
-        if con.relation == "<=":
-            row_lb.append(-np.inf)
-            row_ub.append(con.rhs)
-        elif con.relation == ">=":
-            row_lb.append(con.rhs)
-            row_ub.append(np.inf)
-        else:
-            row_lb.append(con.rhs)
-            row_ub.append(con.rhs)
+    c[model._objective_columns] = sign * np.array(model._objective_coeffs, dtype=float)
+    lb = np.array(model._lb, dtype=float)
+    ub = np.array(model._ub, dtype=float)
+    integrality = np.array(model._integrality, dtype=np.int64)
+    rhs = np.array(model._rhs, dtype=float)
+    relation = np.array(model._relations)
     A = sparse.csr_array(
-        (np.array(data, dtype=float), np.array(indices, dtype=np.int32),
-         np.array(indptr, dtype=np.int32)),
-        shape=(len(row_lb), n),
+        (np.array(model._coeffs, dtype=float), np.array(model._indices, dtype=np.int32),
+         np.array(model._indptr, dtype=np.int32)),
+        shape=(len(rhs), n),
     )
     A.sum_duplicates()
     A.eliminate_zeros()
-    return names, c, lb, ub, integrality, A, np.array(row_lb), np.array(row_ub), sign
+    row_lb = np.where(relation == _LE, -np.inf, rhs)
+    row_ub = np.where(relation == _GE, np.inf, rhs)
+    return model._names, c, lb, ub, integrality, A, row_lb, row_ub, sign
 
 
-def _finish(model: Model, names, raw_x, sign, c) -> tuple[dict[str, float], float]:
-    values = {}
-    for var, x in zip(model.variables, raw_x):
-        x = float(min(max(x, var.lb), var.ub))
-        if var.binary and abs(x - round(x)) <= 1e-4:
-            x = float(round(x))
-        values[var.name] = x
-    obj = sign * float(np.dot(c, [values[n] for n in names])) + model.objective_offset
-    return values, obj
+def _finish(model: Model, names, raw_x, lb, ub, integrality, sign, c) -> tuple[dict[str, float], float]:
+    """Values and objective of a raw solver point.
+
+    Each value is clipped into its bounds, and a binary within 1e-4 of an
+    integer is snapped to it. The result equals ``min(max(x, lb), ub)`` and
+    ``float(round(x))`` per variable: ``np.where`` keeps the operand that
+    Python's ``max``/``min`` keep, and adding 0.0 turns the ``-0.0`` that
+    ``np.round`` gives for small negatives into the ``0.0`` of ``round``.
+    """
+    x = np.asarray(raw_x, dtype=float)
+    x = np.where(lb > x, lb, x)
+    x = np.where(ub < x, ub, x)
+    snapped = np.round(x) + 0.0
+    x = np.where((integrality == 1) & (np.abs(x - snapped) <= 1e-4), snapped, x)
+    obj = sign * float(np.dot(c, x)) + model.objective_offset
+    return dict(zip(names, x.tolist())), obj
 
 
 # The memo of the innermost open ``reuse_solves()`` context, or None: digest
@@ -265,7 +344,7 @@ class HighsBackend:
 
     def solve(self, model: Model, limits: SolveLimits | None = None) -> SolveResult:
         limits = limits or SolveLimits()
-        if not model.variables:
+        if not model.num_vars:
             return SolveResult(status=OPTIMAL, objective=model.objective_offset, gap=0.0)
         names, c, lb, ub, integrality, A, row_lb, row_ub, sign = _arrays(model)
         # mip_rel_gap is always passed: left out, HiGHS stops at its own
@@ -303,13 +382,13 @@ class HighsBackend:
             if memo is not None and status in (0, 2):
                 memo[key] = (status, x, message)
         if status == 0:
-            values, obj = _finish(model, names, x, sign, c)
+            values, obj = _finish(model, names, x, lb, ub, integrality, sign, c)
             return SolveResult(status=OPTIMAL, objective=obj, values=values, gap=0.0)
         if status == 2:
             return SolveResult(status=INFEASIBLE, detail=message)
         if status == 1:
             if x is not None:
-                values, obj = _finish(model, names, x, sign, c)
+                values, obj = _finish(model, names, x, lb, ub, integrality, sign, c)
                 return SolveResult(
                     status=TIME_LIMIT_FEASIBLE,
                     objective=obj,
@@ -336,7 +415,7 @@ class BranchAndBoundBackend:
 
     def solve(self, model: Model, limits: SolveLimits | None = None) -> SolveResult:
         limits = limits or SolveLimits()
-        if not model.variables:
+        if not model.num_vars:
             return SolveResult(status=OPTIMAL, objective=model.objective_offset, gap=0.0)
         if model.num_binaries > self.max_binaries:
             return SolveResult(
@@ -405,7 +484,7 @@ class BranchAndBoundBackend:
                     hit_time_limit=True,
                 )
             return SolveResult(status=INFEASIBLE, detail="search exhausted, no incumbent")
-        values, obj = _finish(model, names, best_x, sign, c)
+        values, obj = _finish(model, names, best_x, lb, ub, integrality, sign, c)
         if timed_out:
             return SolveResult(
                 status=TIME_LIMIT_FEASIBLE, objective=obj, values=values,
@@ -452,57 +531,3 @@ def solve(model: Model, limits: SolveLimits | None = None, backend: object = Non
                 detail="backend returned an infeasible point: " + "; ".join(violations[:5]),
             )
     return result
-
-
-def _lp_safe_names(model: Model) -> dict[str, str]:
-    safe: dict[str, str] = {}
-    used: set[str] = set()
-    for var in model.variables:
-        name = "".join(ch if ch.isalnum() or ch in "_." else "_" for ch in var.name)
-        if not name or not (name[0].isalpha() or name[0] == "_"):
-            name = "v_" + name
-        base, k = name, 1
-        while name in used:
-            k += 1
-            name = f"{base}_{k}"
-        used.add(name)
-        safe[var.name] = name
-    return safe
-
-
-def write_lp(model: Model, path: str) -> None:
-    """Dump the model in LP interchange format for external debugging."""
-    safe = _lp_safe_names(model)
-
-    def term_str(coeffs) -> str:
-        parts = []
-        for name, coeff in coeffs:
-            sign = "-" if coeff < 0 else "+"
-            parts.append(f"{sign} {abs(coeff):.12g} {safe[name]}")
-        joined = " ".join(parts) if parts else "0"
-        return joined[2:] if joined.startswith("+ ") else joined
-
-    lines = [f"\\ model {model.name}"]
-    if model.objective_offset:
-        lines.append(f"\\ objective constant offset: {model.objective_offset!r}")
-    lines.append("Maximize" if model.sense == "max" else "Minimize")
-    lines.append(" obj: " + term_str(model.objective_coeffs().items()))
-    lines.append("Subject To")
-    for i, con in enumerate(model.constraints):
-        label = con.label or f"c{i}"
-        label = "".join(ch if ch.isalnum() or ch in "_." else "_" for ch in label)
-        lines.append(f" {label}_{i}: {term_str(con.coeffs)} {con.relation} {con.rhs:.12g}")
-    lines.append("Bounds")
-    for var in model.variables:
-        if not var.binary:
-            lo = f"{var.lb:.12g}" if math.isfinite(var.lb) else "-inf"
-            hi = f"{var.ub:.12g}" if math.isfinite(var.ub) else "+inf"
-            lines.append(f" {lo} <= {safe[var.name]} <= {hi}")
-    binaries = [safe[v.name] for v in model.variables if v.binary]
-    if binaries:
-        lines.append("Binaries")
-        for i in range(0, len(binaries), 8):
-            lines.append(" " + " ".join(binaries[i : i + 8]))
-    lines.append("End")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -17,7 +17,9 @@ from typing import Mapping, Sequence
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
 from .checker import overlay_violations, plan_violations
-from .flights import ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, path_length, tdc
+from .flights import (
+    ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, path_length, pick_victim, tdc,
+)
 from .step2 import PresenceBlock, add_presence_block, extract_plan
 
 __all__ = [
@@ -101,12 +103,6 @@ def fairness_value(
     if not ratios:
         return 0.0
     return max(ratios) - min(ratios)
-
-
-def _pick_victim(active: Sequence[str], requests: Mapping[str, FlightRequest]) -> str:
-    """Fewest resubmissions first; among those, the newest (largest) id."""
-    fewest = min(requests[fid].resubmissions for fid in active)
-    return max(fid for fid in active if requests[fid].resubmissions == fewest)
 
 
 def _add_fairness(
@@ -261,7 +257,7 @@ def solve_step3(
             break
         if result.status == milp.ERROR and not result.hit_time_limit:
             raise RuntimeError(f"deconfliction solve failed: {result.detail}")
-        victim = _pick_victim(active, by_id)
+        victim = pick_victim(active, by_id)
         dropped.append(victim)
         active.remove(victim)
         result = None

@@ -167,3 +167,23 @@ class TestLedger:
         grid = make_grid(1, 3, ((0, 0), (0, 2)))
         with pytest.raises(Exception):
             remaining_capacity(grid, OccupancyLedger(grid), "r9999", 0)
+
+    def test_remaining_matches_capacity_minus_occupancy_everywhere(self):
+        # Overrides raise, lower and close cells; the overlay's two plans
+        # overfill r0001 at t=1, which is closed.
+        overrides = (("r0001", 1, 0), ("r0001", 3, 3), ("r0000", 5, 0),
+                     ("r0002", 0, 5))
+        grid = make_grid(1, 3, ((0, 0), (0, 2)), vp_capacity=3,
+                         overrides=overrides)
+        ledger = OccupancyLedger(grid)
+        ledger.file_plan(FlightPlanRecord("f0", "op0", corridor_plan("f0", 2), 0))
+        snap = ledger.snapshot()
+        overlay = snap.with_plans([corridor_plan("f1"), corridor_plan("f2")])
+        for view in (snap, overlay, snap):  # the base snapshot is read twice
+            for res in grid.resources:
+                for t in range(grid.horizon_steps):
+                    want = max(grid.capacity(res.resource_id, t)
+                               - view.occupancy(res.resource_id, t), 0)
+                    assert view.remaining(res.resource_id, t) == want
+        assert snap.remaining("r0001", 3) == 2 and overlay.remaining("r0001", 1) == 0
+        assert snap.remaining("r0002", 2) == 3 and overlay.remaining("r0002", 2) == 1
