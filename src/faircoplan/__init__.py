@@ -21,8 +21,6 @@ from .airspace import (
     Resource,
     VertiportSpec,
     build_grid,
-    file_plan,
-    remaining_capacity,
 )
 from .baseline import BaselineResult, FixedRoute, fixed_route, solve_tfmp
 from .checker import (
@@ -39,7 +37,7 @@ from .flights import (
     path_length,
     tdc,
 )
-from .milp import Model, SolveLimits, SolveResult, resolve_backend, solve
+from .milp import Model, SolveLimits, SolveResult, solve
 from .oracle import (
     OracleSizeError,
     TinyInstance,
@@ -128,7 +126,6 @@ __all__ = [
     "enumerate_choice_families",
     "enumerate_feasible_plans",
     "fairness_value",
-    "file_plan",
     "fixed_route",
     "generate_demand",
     "joint_capacity_violations",
@@ -142,8 +139,6 @@ __all__ = [
     "path_length",
     "plan_violations",
     "read_campaign_records",
-    "remaining_capacity",
-    "resolve_backend",
     "run_campaign",
     "run_cli",
     "run_day",

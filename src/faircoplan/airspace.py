@@ -332,19 +332,3 @@ class OccupancyLedger:
                 counts[(rid, t)] = counts.get((rid, t), 0) + 1
         return counts
 
-
-def remaining_capacity(
-    grid: AirspaceGrid,
-    ledger: "OccupancyLedger | OccupancySnapshot",
-    resource_id: str,
-    t: int,
-) -> int:
-    """max(C(r,t) - O(r,t), 0) against a ledger or snapshot."""
-    grid.resource(resource_id)
-    return max(grid.capacity(resource_id, t) - ledger.occupancy(resource_id, t), 0)
-
-
-def file_plan(ledger: OccupancyLedger, record: FlightPlanRecord) -> OccupancyLedger:
-    """Functional-style wrapper over OccupancyLedger.file_plan."""
-    ledger.file_plan(record)
-    return ledger

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
 from .checker import overlay_violations, plan_violations
-from .flights import DelayCostParams, FlightPlan, FlightRequest, pick_victim, tdc
+from .flights import DelayCostParams, FlightPlan, FlightRequest, solve_dropping, tdc
 
 __all__ = [
     "BaselineResult",
@@ -227,7 +227,6 @@ def solve_tfmp(
     now: int = 0,
     *,
     limits: milp.SolveLimits | None = None,
-    backend: object = None,
 ) -> BaselineResult:
     by_id: dict[str, FlightRequest] = {}
     for req in requests:
@@ -253,32 +252,18 @@ def solve_tfmp(
                 and req.requested_arrival <= horizon_end - 1)
         (included if fits else deferred).append(fid)
 
-    dropped: list[str] = []
-    total_time = 0.0
-    attempts = 0
-    result: milp.SolveResult | None = None
-    wvars: dict[str, dict[tuple[int, int], str]] = {}
-
-    while included:
-        model, wvars = _build_tfmp(
-            grid, snapshot, included, by_id, routes, params, now, horizon_end,
-        )
-        result = milp.solve(model, limits=limits, backend=backend)
-        attempts += 1
-        total_time += result.wall_time
-        if result.status in (milp.OPTIMAL, milp.TIME_LIMIT_FEASIBLE):
-            break
-        if result.status == milp.ERROR and not result.hit_time_limit:
-            raise RuntimeError(f"fixed-route solve failed: {result.detail}")
-        victim = pick_victim(included, by_id)
-        dropped.append(victim)
-        included.remove(victim)
-        result = None
+    outcome = solve_dropping(
+        included, by_id,
+        lambda active: _build_tfmp(grid, snapshot, active, by_id, routes, params,
+                                   now, horizon_end),
+        limits,
+    )
+    result, wvars = outcome.result, outcome.built
 
     plans: dict[str, FlightPlan] = {}
     tdc_by_flight: dict[str, float] = {}
     if result is not None:
-        for fid in included:
+        for fid in outcome.kept:
             plan = _extract(by_id[fid], routes[fid], wvars[fid], result.values,
                             horizon_end)
             problems = plan_violations(grid, snapshot, by_id[fid], plan, now,
@@ -307,11 +292,11 @@ def solve_tfmp(
         plans=plans,
         routes={fid: routes[fid] for fid in sorted(routes)},
         deferred=tuple(deferred),
-        dropped=tuple(dropped),
+        dropped=outcome.dropped,
         tdc_by_flight=tdc_by_flight,
         total_tdc=sum(tdc_by_flight.values()),
         objective=result.objective if result is not None else None,
-        solve_time=total_time,
+        solve_time=outcome.solve_time,
         solver_status=result.status if result is not None else None,
-        attempts=attempts,
+        attempts=outcome.attempts,
     )

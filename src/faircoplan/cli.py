@@ -42,8 +42,6 @@ def _add_shared_run_args(parser: argparse.ArgumentParser) -> None:
                         help="override the demand seed")
     parser.add_argument("--time-limit", type=float, default=None,
                         help="per-solve time limit in seconds")
-    parser.add_argument("--solver", default=None,
-                        help="solver backend name (default: env or highs)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--cases", type=int, default=30,
                         help="number of instances (catalog first, then random)")
     oracle.add_argument("--seed", type=int, default=2024)
-    oracle.add_argument("--solver", default=None)
     return parser
 
 
@@ -93,13 +90,13 @@ def _configure(args: argparse.Namespace):
         config = dataclasses.replace(config, **overrides)
     limits = (milp.SolveLimits(time_limit=args.time_limit)
               if args.time_limit is not None else None)
-    return config, limits, args.solver
+    return config, limits
 
 
 def _run(args: argparse.Namespace, modes: tuple[str, ...]) -> int:
-    config, limits, backend = _configure(args)
+    config, limits = _configure(args)
     started = time.perf_counter()
-    campaign = run_campaign(config, modes, limits=limits, backend=backend)
+    campaign = run_campaign(config, modes, limits=limits)
     out = write_campaign(args.out, campaign)
     elapsed = time.perf_counter() - started
     summary = campaign.summary()
@@ -151,7 +148,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     instances += [random_instance(args.seed + i) for i in range(extra)]
     failures = 0
     for inst in instances:
-        for case in check_instance(inst, backend=args.solver):
+        for case in check_instance(inst):
             print(case.line())
             failures += 0 if case.passed else 1
     print(f"{len(instances)} instances checked, "

@@ -4,12 +4,17 @@ A flight is described by a FlightRequest (what the operator wants), receives a
 ChoiceSet (where the airspace authority permits it to be, restricted to
 vertiports and vertiport-adjacent sectors), and ends up with a FlightPlan (one
 resource per airborne timestep). Delay cost and path length are the two
-quantities the optimization objectives are built from.
+quantities the optimization objectives are built from. When a batch has no
+joint plan, ``solve_dropping`` drops flights by ``pick_victim`` until one
+exists.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from . import milp
 
 
 @dataclass(frozen=True)
@@ -187,3 +192,59 @@ def pick_victim(active: Sequence[str], requests: Mapping[str, FlightRequest]) ->
     first; among those, the newest (largest) id."""
     fewest = min(requests[fid].resubmissions for fid in active)
     return max(fid for fid in active if requests[fid].resubmissions == fewest)
+
+
+class DropOutcome(NamedTuple):
+    """What ``solve_dropping`` ends with.
+
+    ``result`` is the accepted solve, or None when every flight was dropped;
+    ``built`` is the extra value of the last build, and ``kept`` the flights
+    it was built for.
+    """
+
+    result: milp.SolveResult | None
+    built: Any
+    kept: tuple[str, ...]
+    dropped: tuple[str, ...]
+    attempts: int
+    solve_time: float
+
+
+def solve_dropping(
+    active: Sequence[str],
+    requests: Mapping[str, FlightRequest],
+    build: Callable[[list[str]], tuple[milp.Model, Any]],
+    limits: milp.SolveLimits | None = None,
+) -> DropOutcome:
+    """Build and solve a joint model over ``active``; while it has no
+    accepted solution, drop ``pick_victim`` and rebuild.
+
+    ``build(active)`` returns the model and an extra value (its variable
+    map). An optimal or time-limit-feasible solve is accepted. An infeasible
+    solve, or a time limit reached without an incumbent, drops a victim; any
+    other error raises, naming the model.
+    """
+    # Imported here, not at the top: airspace imports this module first, and
+    # loading scipy that early made a fresh `import faircoplan` spend about
+    # 0.1 s more in cyclic garbage collection (2-vCPU Xeon VM, Python 3.11).
+    from . import milp
+
+    active = list(active)
+    dropped: list[str] = []
+    attempts = 0
+    total_time = 0.0
+    built = None
+    while active:
+        model, built = build(active)
+        result = milp.solve(model, limits=limits)
+        attempts += 1
+        total_time += result.wall_time
+        if result.status in (milp.OPTIMAL, milp.TIME_LIMIT_FEASIBLE):
+            return DropOutcome(result, built, tuple(active), tuple(dropped),
+                               attempts, total_time)
+        if result.status == milp.ERROR and not result.hit_time_limit:
+            raise RuntimeError(f"{model.name} solve failed: {result.detail}")
+        victim = pick_victim(active, requests)
+        dropped.append(victim)
+        active.remove(victim)
+    return DropOutcome(None, built, (), tuple(dropped), attempts, total_time)

@@ -285,7 +285,7 @@ def _choice_domain_sizes(inst: TinyInstance) -> list[int]:
     return sizes
 
 
-def check_instance(inst: TinyInstance, *, backend: object = None) -> list[CaseResult]:
+def check_instance(inst: TinyInstance) -> list[CaseResult]:
     """Run planners against oracles; one CaseResult per comparison."""
     cases: list[CaseResult] = []
     grid, snap, now = inst.grid, inst.snapshot(), inst.now
@@ -296,7 +296,7 @@ def check_instance(inst: TinyInstance, *, backend: object = None) -> list[CaseRe
         cases.append(CaseResult(f"{inst.name}/{name}", passed, detail))
 
     try:
-        s1 = solve_step1(grid, snap, list(inst.requests), now, backend=backend)
+        s1 = solve_step1(grid, snap, list(inst.requests), now)
 
         if sum(2 ** size for size in _choice_domain_sizes(inst)) <= 40000:
             try:
@@ -312,7 +312,7 @@ def check_instance(inst: TinyInstance, *, backend: object = None) -> list[CaseRe
             if fid in skip:
                 continue
             got = solve_step2(grid, snap, by_id[fid], s1.choice_sets[fid],
-                              params, now, backend=backend)
+                              params, now)
             try:
                 want_tdc, _ = oracle_step2_optimum(grid, snap, by_id[fid],
                                                    s1.choice_sets[fid], params, now)
@@ -335,7 +335,7 @@ def check_instance(inst: TinyInstance, *, backend: object = None) -> list[CaseRe
             s3 = solve_step3(grid, snap,
                              [by_id[f] for f in sorted(proposals)],
                              s1.choice_sets, proposals, params, inst.gamma,
-                             now, backend=backend)
+                             now)
             if report.has_conflicts:
                 kept = {f: p for f, p in proposals.items()
                         if f not in report.conflicting_flights}
@@ -364,17 +364,14 @@ def check_instance(inst: TinyInstance, *, backend: object = None) -> list[CaseRe
                 if inst.gamma > 0.0:
                     s3_plain = solve_step3(
                         grid, snap, [by_id[f] for f in sorted(proposals)],
-                        s1.choice_sets, proposals, params, 0.0, now,
-                        backend=backend,
-                    )
+                        s1.choice_sets, proposals, params, 0.0, now)
                     if not s3.dropped and not s3_plain.dropped:
                         case("fairness-dominance",
                              s3.fairness <= s3_plain.fairness + _TOL,
                              f"weighted={s3.fairness:g} "
                              f"plain={s3_plain.fairness:g}")
 
-        baseline = solve_tfmp(grid, snap, list(inst.requests), params, now,
-                              backend=backend)
+        baseline = solve_tfmp(grid, snap, list(inst.requests), params, now)
         try:
             want_total, _ = oracle_tfmp_optimum(grid, snap, inst.requests,
                                                 params, now)
@@ -397,13 +394,11 @@ def check_instance(inst: TinyInstance, *, backend: object = None) -> list[CaseRe
 def run_selfcheck(
     random_count: int = 18,
     seed: int = 2024,
-    *,
-    backend: object = None,
 ) -> tuple[list[TinyInstance], list[CaseResult]]:
     """The full suite: hand-built catalog plus seeded random instances."""
     instances = build_catalog()
     instances += [random_instance(seed + i) for i in range(random_count)]
     cases: list[CaseResult] = []
     for inst in instances:
-        cases.extend(check_instance(inst, backend=backend))
+        cases.extend(check_instance(inst))
     return instances, cases

@@ -22,6 +22,7 @@ from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
 from .checker import choice_violations
 from .flights import ChoiceSet, FlightRequest
+from .step2 import add_dwell_linkage
 
 # Re-exported so the choice-step namespace carries its own input/output types.
 __all__ = [
@@ -85,7 +86,6 @@ def solve_step1(
     now: int = 0,
     *,
     limits: milp.SolveLimits | None = None,
-    backend: object = None,
 ) -> Step1Result:
     _validate(grid, requests)
     horizon_end = now + grid.horizon_steps
@@ -181,31 +181,9 @@ def solve_step1(
         # Dwell linkage on ring sectors: an offered step continues while the
         # trailing window holds fewer than l offered steps.
         for rid in sorted(grid.ring):
-            dwell = request.min_dwell(rid)
-            if dwell <= 1:
-                continue
             span = dom[rid]
-            if len(span) == 0:
-                continue
-            for t in range(span.start + 1, min(span.stop, horizon_end - 1) + 1):
-                prev = var(fid, rid, t - 1)
-                if prev is None:
-                    continue
-                aux = model.binary(f"A.{fid}.{rid}.{t}")
-                window = {}
-                for tt in range(t - dwell, t):
-                    w = var(fid, rid, tt)
-                    if w is not None:
-                        window[w] = 1.0
-                model.add({aux: float(big_m), **window}, ">=", float(dwell),
-                          label=f"dwlo.{fid}.{rid}.{t}")
-                model.add({aux: float(big_m), **window}, "<=", float(big_m + dwell - 1),
-                          label=f"dwhi.{fid}.{rid}.{t}")
-                cur = var(fid, rid, t)
-                coeffs = {prev: -1.0, aux: -1.0}
-                if cur is not None:
-                    coeffs[cur] = 1.0
-                model.add(coeffs, ">=", -1.0, label=f"dwrun.{fid}.{rid}.{t}")
+            add_dwell_linkage(model, live[fid], request, rid, span.start, span.stop - 1,
+                              horizon_end, big_m, aux_prefix=f"A.{fid}.{rid}")
 
     served: dict[str, str] = {}
     for request in modeled:
@@ -229,7 +207,7 @@ def solve_step1(
         obj_coeffs[y] = weight
     model.set_objective(obj_coeffs)
 
-    result = milp.solve(model, limits=limits, backend=backend)
+    result = milp.solve(model, limits=limits)
     if result.status == milp.INFEASIBLE:
         raise RuntimeError(
             "choice-setting model infeasible; the all-zero assignment is always "

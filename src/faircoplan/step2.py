@@ -12,6 +12,7 @@ The objective is the total delay cost against the requested times.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
@@ -23,6 +24,7 @@ __all__ = [
     "DelayCostParams",
     "PresenceBlock",
     "Step2Result",
+    "add_dwell_linkage",
     "add_presence_block",
     "extract_plan",
     "solve_step2",
@@ -53,6 +55,51 @@ class Step2Result:
     @property
     def infeasible(self) -> bool:
         return self.plan is None
+
+
+def add_dwell_linkage(
+    model: milp.Model,
+    presence: Mapping[tuple[str, int], str],
+    request: FlightRequest,
+    rid: str,
+    first: int,
+    last: int,
+    horizon_end: int,
+    big_m: int,
+    aux_prefix: str,
+) -> None:
+    """Big-M minimum dwell at ``rid``: a run may end at step t only once the
+    trailing window of ``request.min_dwell(rid)`` steps is full.
+
+    ``presence`` maps (resource, t) to the binary that marks the flight (or
+    its offered choice) in that cell; a missing key is a cell it cannot use.
+    For each t from first + 1 to min(last + 1, horizon_end - 1) that follows
+    a usable step, an auxiliary binary ``{aux_prefix}.{t}`` is 1 exactly
+    when the window is not yet full, and then the run must go on at t.
+    """
+    fid = request.flight_id
+    dwell = request.min_dwell(rid)
+    if dwell <= 1:
+        return
+    for t in range(first + 1, min(last + 1, horizon_end - 1) + 1):
+        prev = presence.get((rid, t - 1))
+        if prev is None:
+            continue
+        aux = model.binary(f"{aux_prefix}.{t}")
+        window = {}
+        for tt in range(t - dwell, t):
+            w = presence.get((rid, tt))
+            if w is not None:
+                window[w] = 1.0
+        model.add({aux: float(big_m), **window}, ">=", float(dwell),
+                  label=f"dwlo.{fid}.{rid}.{t}")
+        model.add({aux: float(big_m), **window}, "<=", float(big_m + dwell - 1),
+                  label=f"dwhi.{fid}.{rid}.{t}")
+        cur = presence.get((rid, t))
+        coeffs = {prev: -1.0, aux: -1.0}
+        if cur is not None:
+            coeffs[cur] = 1.0
+        model.add(coeffs, ">=", -1.0, label=f"dwrun.{fid}.{rid}.{t}")
 
 
 def add_presence_block(
@@ -155,31 +202,10 @@ def add_presence_block(
 
     # Minimum dwell per sector, Big-M linked.
     for rid in sorted(by_resource):
-        if grid.resource(rid).kind != "sector":
-            continue
-        dwell = request.min_dwell(rid)
-        if dwell <= 1:
-            continue
-        times = by_resource[rid]
-        for t in range(times[0] + 1, min(times[-1] + 1, horizon_end - 1) + 1):
-            prev = var(rid, t - 1)
-            if prev is None:
-                continue
-            aux = model.binary(f"{prefix}.dw.{rid}.{t}")
-            window = {}
-            for tt in range(t - dwell, t):
-                w = var(rid, tt)
-                if w is not None:
-                    window[w] = 1.0
-            model.add({aux: float(big_m), **window}, ">=", float(dwell),
-                      label=f"dwlo.{fid}.{rid}.{t}")
-            model.add({aux: float(big_m), **window}, "<=", float(big_m + dwell - 1),
-                      label=f"dwhi.{fid}.{rid}.{t}")
-            cur = var(rid, t)
-            coeffs = {prev: -1.0, aux: -1.0}
-            if cur is not None:
-                coeffs[cur] = 1.0
-            model.add(coeffs, ">=", -1.0, label=f"dwrun.{fid}.{rid}.{t}")
+        if grid.resource(rid).kind == "sector":
+            times = by_resource[rid]
+            add_dwell_linkage(model, uvars, request, rid, times[0], times[-1],
+                              horizon_end, big_m, aux_prefix=f"{prefix}.dw.{rid}")
 
     # At most one resource per timestep.
     by_time: dict[int, list[str]] = {}
@@ -238,7 +264,6 @@ def solve_step2(
     now: int = 0,
     *,
     limits: milp.SolveLimits | None = None,
-    backend: object = None,
 ) -> Step2Result:
     if choices.is_empty:
         raise ValueError(
@@ -255,7 +280,7 @@ def solve_step2(
         return Step2Result(plan=None, tdc=None, solve_time=0.0)
     model.set_objective(block.tdc_coeffs, offset=block.tdc_offset)
 
-    result = milp.solve(model, limits=limits, backend=backend)
+    result = milp.solve(model, limits=limits)
     if result.status == milp.INFEASIBLE:
         return Step2Result(plan=None, tdc=None, solve_time=result.wall_time, result=result)
     if result.status == milp.ERROR:

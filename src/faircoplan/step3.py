@@ -18,7 +18,7 @@ from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
 from .checker import overlay_violations, plan_violations
 from .flights import (
-    ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, path_length, pick_victim, tdc,
+    ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, path_length, solve_dropping, tdc,
 )
 from .step2 import PresenceBlock, add_presence_block, extract_plan
 
@@ -201,7 +201,6 @@ def solve_step3(
     now: int = 0,
     *,
     limits: milp.SolveLimits | None = None,
-    backend: object = None,
 ) -> DeconflictionResult:
     if gamma < 0.0:
         raise ValueError(f"gamma must be non-negative, got {gamma}")
@@ -238,29 +237,13 @@ def solve_step3(
             raise ValueError(f"conflicting flight {fid} lacks a usable choice set")
 
     base = snapshot.with_plans(kept.values())
-    active = sorted(report.conflicting_flights)
-    dropped: list[str] = []
-    total_time = 0.0
-    attempts = 0
-    result: milp.SolveResult | None = None
-    blocks: dict[str, PresenceBlock] = {}
-
-    while active:
-        model, blocks = _build_joint(
-            grid, base, active, by_id, choice_sets, proposals, params,
-            gamma, now, horizon_end,
-        )
-        result = milp.solve(model, limits=limits, backend=backend)
-        attempts += 1
-        total_time += result.wall_time
-        if result.status in (milp.OPTIMAL, milp.TIME_LIMIT_FEASIBLE):
-            break
-        if result.status == milp.ERROR and not result.hit_time_limit:
-            raise RuntimeError(f"deconfliction solve failed: {result.detail}")
-        victim = pick_victim(active, by_id)
-        dropped.append(victim)
-        active.remove(victim)
-        result = None
+    outcome = solve_dropping(
+        sorted(report.conflicting_flights), by_id,
+        lambda active: _build_joint(grid, base, active, by_id, choice_sets, proposals,
+                                    params, gamma, now, horizon_end),
+        limits,
+    )
+    result, blocks, active = outcome.result, outcome.built, outcome.kept
 
     final = dict(kept)
     ratios: dict[str, float] = {}
@@ -298,15 +281,15 @@ def solve_step3(
 
     return DeconflictionResult(
         plans=final,
-        replanned=tuple(active),
-        dropped=tuple(dropped),
+        replanned=active,
+        dropped=outcome.dropped,
         fairness=fairness,
         ratios=ratios,
         tdc_by_flight=tdc_by_flight,
         total_tdc=sum(tdc_by_flight.values()),
         objective=result.objective if result is not None else None,
-        solve_time=total_time,
+        solve_time=outcome.solve_time,
         report=report,
         solver_status=result.status if result is not None else None,
-        attempts=attempts,
+        attempts=outcome.attempts,
     )

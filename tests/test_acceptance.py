@@ -13,22 +13,13 @@ from typing import NamedTuple
 
 import pytest
 
-from faircoplan import milp
-from faircoplan.airspace import FlightPlanRecord, OccupancyLedger
+from faircoplan import milp, sim
 from faircoplan.checker import overlay_violations
 from faircoplan.flights import FlightPlan
 from faircoplan.selfcheck import run_selfcheck
 from faircoplan.serialize import load_scenario, write_campaign
-from faircoplan.sim import (
-    MODES,
-    day_rows,
-    generate_demand,
-    run_campaign,
-    scenario_grid,
-)
-from faircoplan.step1 import solve_step1
-from faircoplan.step2 import solve_step2
-from faircoplan.step3 import DeconflictionResult, solve_step3
+from faircoplan.sim import MODES, day_rows, run_campaign, scenario_grid
+from faircoplan.step3 import DeconflictionResult
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk8x8.yaml"
 
@@ -133,49 +124,26 @@ class GammaPair(NamedTuple):
 
 @pytest.fixture(scope="module")
 def gamma_pairs(desk_config):
-    """Replay the fair-coplan lane period by period. Each batch's joint
-    deconfliction is solved at the scenario's γ (those plans are filed, as
-    in the campaign) and again at γ = 0 on exactly the same inputs."""
+    """Run the fair-coplan lane day by day. Each batch's joint deconfliction
+    is solved at the scenario's γ (those plans are filed, as in the
+    campaign) and again at γ = 0 on exactly the same inputs."""
     grid = scenario_grid(desk_config)
-    params = desk_config.params()
-    cadence = desk_config.cadence_steps
+    solve_step3 = sim.solve_step3
     pairs: list[GammaPair] = []
 
-    for day in range(desk_config.days):
-        ledger = OccupancyLedger(grid)
-        pending: list = []
-        for period in range(desk_config.periods_per_day):
-            now = period * cadence
-            batch = list(pending) + list(
-                generate_demand(grid, desk_config, day, period))
-            by_id = {req.flight_id: req for req in batch}
-            snapshot = ledger.snapshot()
-            filed: dict[str, FlightPlan] = {}
-            if batch:
-                s1 = solve_step1(grid, snapshot, batch, now)
-                skip = set(s1.unassigned) | set(s1.deferred)
-                proposals: dict[str, FlightPlan] = {}
-                for fid in sorted(by_id):
-                    if fid in skip:
-                        continue
-                    out = solve_step2(grid, snapshot, by_id[fid],
-                                      s1.choice_sets[fid], params, now)
-                    if out.plan is not None:
-                        proposals[fid] = out.plan
-                if proposals:
-                    requests = [by_id[fid] for fid in sorted(proposals)]
-                    pair = GammaPair(day, *(
-                        solve_step3(grid, snapshot, requests, s1.choice_sets,
-                                    proposals, params, gamma, now)
-                        for gamma in (desk_config.gamma, 0.0)))
-                    pairs.append(pair)
-                    filed = dict(pair.fair.plans)
-            for fid in sorted(filed):
-                ledger.file_plan(FlightPlanRecord(
-                    flight_id=fid, operator_id=by_id[fid].operator_id,
-                    plan=filed[fid], filed_at=now))
-            pending = [by_id[fid].shifted(cadence)
-                       for fid in sorted(by_id) if fid not in filed]
+    def at_both_weights(grid, snapshot, requests, choice_sets, proposals,
+                        params, gamma, now, **kwargs):
+        assert gamma == desk_config.gamma
+        inputs = (grid, snapshot, requests, choice_sets, proposals, params)
+        fair = solve_step3(*inputs, gamma, now, **kwargs)
+        plain = solve_step3(*inputs, 0.0, now, **kwargs)
+        pairs.append(GammaPair(day, fair, plain))
+        return fair
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "solve_step3", at_both_weights)
+        for day in range(desk_config.days):
+            sim.run_day(grid, desk_config, day, "fair-coplan")
     return pairs
 
 

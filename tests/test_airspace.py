@@ -11,8 +11,6 @@ from faircoplan.airspace import (
     OccupancyLedger,
     VertiportSpec,
     build_grid,
-    file_plan,
-    remaining_capacity,
     resource_id_for,
 )
 from faircoplan.flights import FlightPlan
@@ -113,7 +111,8 @@ class TestLedger:
         ledger.file_plan(FlightPlanRecord("f0", "op0", corridor_plan(), 0))
         assert ledger.occupancy("r0001", 1) == 1
         assert ledger.occupancy("r0001", 0) == 0
-        assert remaining_capacity(grid, ledger, "r0001", 1) == 0
+        assert ledger.remaining("r0001", 1) == 0
+        assert ledger.snapshot().remaining("r0001", 1) == 0
 
     def test_overfiling_raises_before_mutation(self):
         grid = make_grid(1, 3, ((0, 0), (0, 2)))  # ring capacity 1
@@ -155,18 +154,10 @@ class TestLedger:
         assert doubled.occupancy("r0001", 1) == 2
         assert doubled.remaining("r0001", 1) == 0
 
-    def test_functional_file_plan_returns_ledger(self):
-        grid = make_grid(1, 3, ((0, 0), (0, 2)))
-        ledger = OccupancyLedger(grid)
-        out = file_plan(ledger, FlightPlanRecord("f0", "op0",
-                                                 corridor_plan(), 0))
-        assert out is ledger
-        assert out.occupancy("r0000", 0) == 1
-
     def test_unknown_resource_rejected(self):
         grid = make_grid(1, 3, ((0, 0), (0, 2)))
-        with pytest.raises(Exception):
-            remaining_capacity(grid, OccupancyLedger(grid), "r9999", 0)
+        with pytest.raises(KeyError):
+            OccupancyLedger(grid).remaining("r9999", 0)
 
     def test_remaining_matches_capacity_minus_occupancy_everywhere(self):
         # Overrides raise, lower and close cells; the overlay's two plans

@@ -4,6 +4,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from faircoplan import milp
+from faircoplan.airspace import OccupancyLedger
+from faircoplan.baseline import solve_tfmp
 from faircoplan.flights import (
     ChoiceSet,
     DelayCostParams,
@@ -12,6 +15,11 @@ from faircoplan.flights import (
     path_length,
     tdc,
 )
+from faircoplan.step1 import solve_step1
+from faircoplan.step2 import solve_step2
+from faircoplan.step3 import solve_step3
+
+from helpers import blocked, make_grid, make_request
 
 
 def req(**overrides) -> FlightRequest:
@@ -156,3 +164,77 @@ class TestCosts:
         plan = FlightPlan("f0", tuple(steps))
         got = tdc(plan, r, DelayCostParams(alpha=alpha))
         assert got == pytest.approx(alpha * arr + (1 - alpha) * dep)
+
+
+PARAMS = DelayCostParams(alpha=0.3)
+
+
+def pinch_deconfliction():
+    """Two proposals that collide in a capacity-one pinch but can be
+    deconflicted jointly; f1 was resubmitted, so f0 is the victim."""
+    probe = make_grid(2, 4, ((0, 0), (1, 3)))
+    grid = make_grid(2, 4, ((0, 0), (1, 3)), vp_capacity=2, ring_capacity=2,
+                     overrides=blocked(probe, 0, 2))
+    requests = [make_request(grid, f"f{i}", "r0000", "r0007", 0, flexibility=2,
+                             resubmissions=i) for i in range(2)]
+    snap = OccupancyLedger(grid).snapshot()
+    s1 = solve_step1(grid, snap, requests, 0)
+    proposals = {r.flight_id: solve_step2(grid, snap, r, s1.choice_sets[r.flight_id],
+                                          PARAMS).plan
+                 for r in requests}
+    return lambda: solve_step3(grid, snap, requests, s1.choice_sets, proposals,
+                               PARAMS)
+
+
+def corridor_schedule():
+    """Two fixed-route flights that fit one corridor together; f1 was
+    resubmitted, so f0 is the victim."""
+    grid = make_grid(1, 3, ((0, 0), (0, 2)))
+    requests = [make_request(grid, f"f{i}", "r0000", "r0002", 0, flexibility=1,
+                             resubmissions=i) for i in range(2)]
+    return lambda: solve_tfmp(grid, OccupancyLedger(grid).snapshot(), requests,
+                              PARAMS)
+
+
+class TestSolveDropping:
+    """The drop-until-feasible loop shared by joint deconfliction and the
+    fixed-route schedule, on its error paths."""
+
+    @pytest.fixture(params=[("deconfliction", pinch_deconfliction),
+                            ("fixed-route-schedule", corridor_schedule)],
+                    ids=["deconfliction", "fixed-route-schedule"])
+    def stage(self, request):
+        name, build = request.param
+        return name, build()
+
+    def test_solver_error_raises_naming_the_model(self, stage, monkeypatch):
+        name, run = stage
+
+        def broken(model, limits=None):
+            return milp.SolveResult(status=milp.ERROR, detail="highs status 4: boom")
+
+        monkeypatch.setattr(milp, "solve", broken)
+        with pytest.raises(RuntimeError, match=f"^{name} solve failed: highs status 4"):
+            run()
+
+    def test_timeout_without_incumbent_drops_the_victim(self, stage, monkeypatch):
+        # A time limit reached with no incumbent is handled like an
+        # infeasible batch: the victim is dropped and the rest re-solved.
+        name, run = stage
+        real_solve = milp.solve
+        seen = []
+
+        def first_times_out(model, limits=None):
+            seen.append(model.name)
+            if len(seen) == 1:
+                return milp.SolveResult(status=milp.ERROR, hit_time_limit=True,
+                                        detail="time limit reached without incumbent")
+            return real_solve(model, limits=limits)
+
+        monkeypatch.setattr(milp, "solve", first_times_out)
+        out = run()
+        assert seen == [name, name]
+        assert out.dropped == ("f0",)
+        assert out.attempts == 2
+        assert list(out.plans) == ["f1"]
+        assert out.solver_status == milp.OPTIMAL

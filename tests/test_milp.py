@@ -1,4 +1,4 @@
-"""Model container and both solver backends on small known problems."""
+"""Model container and the HiGHS engine on small known problems."""
 from __future__ import annotations
 
 import math
@@ -12,13 +12,10 @@ from faircoplan.airspace import OccupancyLedger
 from faircoplan.baseline import solve_tfmp
 from faircoplan.flights import DelayCostParams
 from faircoplan.milp import (
-    BranchAndBoundBackend,
     HighsBackend,
     Model,
     SolveLimits,
-    SolveResult,
     check_solution,
-    resolve_backend,
     reuse_solves,
     solve,
 )
@@ -28,54 +25,51 @@ from faircoplan.step3 import solve_step3
 
 from helpers import blocked, make_grid, make_request
 
-BACKENDS = ["highs", "branch-bound"]
 
-
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestBackends:
-    def test_knapsack_maximum(self, backend):
+class TestHighs:
+    def test_knapsack_maximum(self):
         # values 6,5,4 / weights 3,2,2 / budget 4 -> pick items 1 and 2
         model = Model(name="knapsack", sense="max")
         x = [model.binary(f"x{i}") for i in range(3)]
         model.add({x[0]: 3.0, x[1]: 2.0, x[2]: 2.0}, "<=", 4.0)
         model.set_objective({x[0]: 6.0, x[1]: 5.0, x[2]: 4.0})
-        result = solve(model, backend=backend)
+        result = solve(model)
         assert result.status == milp.OPTIMAL
         assert result.objective == pytest.approx(9.0)
         assert result.values["x1"] == 1.0 and result.values["x2"] == 1.0
 
-    def test_equality_with_continuous_variable(self, backend):
+    def test_equality_with_continuous_variable(self):
         model = Model(name="mix", sense="min")
         x = model.binary("x")
         y = model.continuous("y", lb=0.0, ub=10.0)
         model.add({x: 2.0, y: 1.0}, "=", 3.0)
         model.set_objective({x: 1.0, y: 1.0})
-        result = solve(model, backend=backend)
+        result = solve(model)
         assert result.status == milp.OPTIMAL
         # x=1, y=1 costs 2; x=0, y=3 costs 3
         assert result.objective == pytest.approx(2.0)
         assert result.values["x"] == 1.0
         assert result.values["y"] == pytest.approx(1.0)
 
-    def test_infeasible_reported(self, backend):
+    def test_infeasible_reported(self):
         model = Model(name="bad", sense="min")
         x = model.binary("x")
         model.add({x: 1.0}, ">=", 2.0)
         model.set_objective({x: 1.0})
-        assert solve(model, backend=backend).status == milp.INFEASIBLE
+        assert solve(model).status == milp.INFEASIBLE
 
-    def test_objective_offset_carried_through(self, backend):
+    def test_objective_offset_carried_through(self):
         model = Model(name="offset", sense="min")
         x = model.binary("x")
         model.add({x: 1.0}, ">=", 1.0)
         model.set_objective({x: 2.0}, offset=5.0)
-        result = solve(model, backend=backend)
+        result = solve(model)
         assert result.objective == pytest.approx(7.0)
 
-    def test_empty_model_is_trivially_optimal(self, backend):
+    def test_empty_model_is_trivially_optimal(self):
         model = Model(name="empty", sense="min")
         model.set_objective({}, offset=1.5)
-        result = solve(model, backend=backend)
+        result = solve(model)
         assert result.status == milp.OPTIMAL
         assert result.objective == pytest.approx(1.5)
 
@@ -107,67 +101,26 @@ class TestModelContainer:
         assert any("not integral" in v for v in check_solution(model, {x: 0.5}))
 
 
-class TestBranchBoundGuard:
-    def test_refuses_oversized_models(self):
-        model = Model(name="big", sense="max")
-        xs = [model.binary(f"x{i}") for i in range(31)]
-        model.set_objective({x: 1.0 for x in xs})
-        result = BranchAndBoundBackend().solve(model)
-        assert result.status == milp.ERROR
-        assert "31" in result.detail
-
-
-class TestResolveBackend:
-    def test_default_is_highs(self, monkeypatch):
-        monkeypatch.delenv(milp.ENV_BACKEND, raising=False)
-        assert isinstance(resolve_backend(), HighsBackend)
-
-    def test_env_variable_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(milp.ENV_BACKEND, "branch-bound")
-        assert isinstance(resolve_backend(), BranchAndBoundBackend)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            resolve_backend("simplex-9000")
-
-    def test_object_with_solve_passes_through(self):
-        class Fake:
-            def solve(self, model, limits=None):
-                return SolveResult(status=milp.OPTIMAL, objective=0.0)
-
-        fake = Fake()
-        assert resolve_backend(fake) is fake
-
-    def test_object_without_solve_rejected(self):
-        with pytest.raises(ValueError, match="not a solver backend"):
-            resolve_backend(42)
-
-
 class TestSolveRecheck:
-    def test_infeasible_point_from_backend_is_rejected(self):
-        class Liar:
-            def solve(self, model, limits=None):
-                return SolveResult(
-                    status=milp.OPTIMAL, objective=99.0,
-                    values={v.name: 1.0 for v in model.variables},
-                )
+    def test_infeasible_point_from_backend_is_rejected(self, monkeypatch):
+        def liar(c, **kwargs):
+            return optimize.OptimizeResult(status=0, x=np.ones(len(c)),
+                                           message="optimal")
 
+        monkeypatch.setattr(milp.optimize, "milp", liar)
         model = Model(name="liar-check", sense="max")
         x = model.binary("x")
         model.add({x: 1.0}, "<=", 0.0)
         model.set_objective({x: 1.0})
-        result = solve(model, backend=Liar())
+        result = solve(model)
         assert result.status == milp.ERROR
         assert "infeasible point" in result.detail
 
 
-
 class TestHighsOptions:
     # Without an explicit gap HiGHS stops at its own default relative gap
-    # and still reports "optimal", so the gap is always passed.
-    @pytest.mark.parametrize("limits, gap", [(SolveLimits(), 0.0),
-                                             (SolveLimits(mip_gap=0.25), 0.25)])
-    def test_gap_is_always_passed(self, monkeypatch, limits, gap):
+    # and still reports "optimal", so a zero gap is always passed.
+    def test_gap_is_always_passed(self, monkeypatch):
         seen = []
         real_milp = milp.optimize.milp
 
@@ -180,8 +133,9 @@ class TestHighsOptions:
         x = model.binary("x")
         model.add({x: 1.0}, "<=", 1.0)
         model.set_objective({x: 1.0})
-        assert HighsBackend().solve(model, limits).status == milp.OPTIMAL
-        assert [options["mip_rel_gap"] for options in seen] == [gap]
+        for limits in (None, SolveLimits(), SolveLimits(time_limit=30.0)):
+            assert HighsBackend().solve(model, limits).status == milp.OPTIMAL
+        assert [options["mip_rel_gap"] for options in seen] == [0.0, 0.0, 0.0]
 
     def test_constraint_matrix_is_passed_sparse(self, monkeypatch):
         seen = []
@@ -235,12 +189,11 @@ class TestSolveMemo:
         solve(knapsack())
         assert len(highs_calls) == 2
 
-    @pytest.mark.parametrize("limits", [SolveLimits(mip_gap=0.25),
-                                        SolveLimits(time_limit=30.0)])
-    def test_other_solve_options_miss(self, highs_calls, limits):
+    def test_other_solve_options_miss(self, highs_calls):
         with reuse_solves():
             solve(knapsack())
-            assert solve(knapsack(), limits).status == milp.OPTIMAL
+            result = solve(knapsack(), SolveLimits(time_limit=30.0))
+        assert result.status == milp.OPTIMAL
         assert len(highs_calls) == 2
 
     def test_hit_is_read_under_the_new_names_and_offset(self, highs_calls):
