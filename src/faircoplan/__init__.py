@@ -22,11 +22,12 @@ from .airspace import (
     VertiportSpec,
     build_grid,
 )
-from .baseline import BaselineResult, FixedRoute, fixed_route, solve_tfmp
+from .baseline import BaselineResult, FixedRoute, fixed_route, leg_dwells, solve_tfmp
 from .checker import (
+    Conflict,
+    ConflictReport,
     choice_violations,
-    joint_capacity_violations,
-    overlay_violations,
+    detect_conflicts,
     plan_violations,
 )
 from .flights import (
@@ -72,14 +73,7 @@ from .sim import (
 )
 from .step1 import Step1Result, choice_domains, solve_step1
 from .step2 import Step2Result, solve_step2
-from .step3 import (
-    Conflict,
-    ConflictReport,
-    DeconflictionResult,
-    detect_conflicts,
-    fairness_value,
-    solve_step3,
-)
+from .step3 import DeconflictionResult, fairness_value, solve_step3
 from .cli import main, run_cli
 
 __version__ = "0.1.0"
@@ -128,14 +122,13 @@ __all__ = [
     "fairness_value",
     "fixed_route",
     "generate_demand",
-    "joint_capacity_violations",
+    "leg_dwells",
     "load_scenario",
     "main",
     "oracle_joint_optimum",
     "oracle_step1_optimum",
     "oracle_step2_optimum",
     "oracle_tfmp_optimum",
-    "overlay_violations",
     "path_length",
     "plan_violations",
     "read_campaign_records",

@@ -144,10 +144,6 @@ class AirspaceGrid:
         except KeyError:
             raise KeyError(f"unknown resource {resource_id!r}") from None
 
-    def neighbors(self, resource_id: str) -> tuple[str, ...]:
-        self.resource(resource_id)
-        return self.adjacency[resource_id]
-
     def capacity(self, resource_id: str, t: int) -> int:
         override = self._overrides.get((resource_id, t))
         if override is not None:

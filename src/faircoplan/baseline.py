@@ -16,17 +16,18 @@ The objective is the same weighted delay cost the negotiated lane uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
-from .checker import overlay_violations, plan_violations
+from .checker import detect_conflicts, plan_violations
 from .flights import DelayCostParams, FlightPlan, FlightRequest, solve_dropping, tdc
 
 __all__ = [
     "BaselineResult",
     "FixedRoute",
     "fixed_route",
+    "leg_dwells",
     "solve_tfmp",
 ]
 
@@ -75,15 +76,14 @@ class BaselineResult:
     attempts: int = 0
 
 
-def _leg_dwells(grid: AirspaceGrid, request: FlightRequest, route: FixedRoute) -> list[int]:
-    """Minimum steps on each leg before the next entry; landing takes one."""
-    dwells = []
-    for rid in route.legs[:-1]:
-        if grid.resource(rid).kind == "sector":
-            dwells.append(request.min_dwell(rid))
-        else:
-            dwells.append(1)
-    return dwells
+def leg_dwells(
+    grid: AirspaceGrid, route: FixedRoute, dwell: Callable[[str], int]
+) -> list[int]:
+    """Minimum steps on each leg before the next entry, given each sector's
+    minimum dwell; a vertiport leg takes one. Their sum is the route's
+    travel time from departure to landing."""
+    return [dwell(rid) if grid.resource(rid).kind == "sector" else 1
+            for rid in route.legs[:-1]]
 
 
 def _build_tfmp(
@@ -104,7 +104,7 @@ def _build_tfmp(
     for fid in sorted(included):
         req = requests[fid]
         route = routes[fid]
-        dwells = _leg_dwells(grid, req, route)
+        dwells = leg_dwells(grid, route, req.min_dwell)
         d, a, eps = req.requested_departure, req.requested_arrival, req.flexibility
         last = len(route.legs) - 1
 
@@ -242,7 +242,7 @@ def solve_tfmp(
     included = []
     for fid in sorted(by_id):
         req = by_id[fid]
-        travel = sum(_leg_dwells(grid, req, routes[fid]))
+        travel = sum(leg_dwells(grid, routes[fid], req.min_dwell))
         depart_by = min(req.requested_departure + req.flexibility,
                         horizon_end - 1 - travel)
         # Unlike the negotiated lane, no arrival window has to fit: the
@@ -275,10 +275,11 @@ def solve_tfmp(
                 )
             plans[fid] = plan
             tdc_by_flight[fid] = tdc(plan, by_id[fid], params)
-        audit = overlay_violations(grid, list(plans.values()), base=snapshot.counts)
-        if audit:
+        audit = detect_conflicts(grid, snapshot, plans)
+        if audit.has_conflicts:
             raise RuntimeError(
-                "fixed-route batch breaks capacity: " + "; ".join(audit[:5])
+                "fixed-route batch breaks capacity: "
+                + "; ".join(map(str, audit.conflicts[:5]))
             )
         if result.status == milp.OPTIMAL:
             expected = sum(tdc_by_flight.values())

@@ -1,9 +1,20 @@
 """Solution-level constraint re-checks shared by planners, oracle, and audits.
 
-Every family of model constraints has exactly one substitution-level
-restatement here, so a disagreement between a solver and the enumeration
-oracle can only come from model construction, never from two diverging
-notions of feasibility.
+Each feasibility rule is stated here once:
+
+- ``plan_violations``: one plan against the trajectory families (known
+  cells inside the period, origin and destination slots, departure and
+  arrival windows, adjacent moves, minimum sector dwell, and remaining
+  capacity or choice-set conformance per step);
+- ``choice_violations``: a joint choice allocation against the
+  choice-setting families, including its joint capacity over zone cells;
+- ``detect_conflicts``: joint capacity over a set of plans, cell by cell
+  against a snapshot's remaining capacity. It finds the conflicts step 3
+  deconflicts and is also the audit after every joint solve and over a
+  day's flight database.
+
+So a disagreement between a solver and the enumeration oracle can only come
+from model construction, never from two diverging notions of feasibility.
 
 Conventions: a planning period covers absolute timesteps [now, horizon_end).
 ``choices=None`` in plan_violations means the plan is not governed by a
@@ -13,10 +24,43 @@ resource instead of en-route sectors only.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .airspace import AirspaceGrid, OccupancySnapshot
 from .flights import ChoiceSet, FlightPlan, FlightRequest
+
+__all__ = [
+    "Conflict",
+    "ConflictReport",
+    "choice_violations",
+    "detect_conflicts",
+    "plan_violations",
+]
+
+
+@dataclass(frozen=True)
+class Conflict:
+    """One overloaded cell: more plans than remaining capacity."""
+
+    resource_id: str
+    t: int
+    flight_ids: tuple[str, ...]
+    remaining: int
+
+    def __str__(self) -> str:
+        return (f"({self.resource_id}, t={self.t}): {len(self.flight_ids)} "
+                f"flights onto remaining {self.remaining}")
+
+
+@dataclass(frozen=True)
+class ConflictReport:
+    conflicts: tuple[Conflict, ...]
+    conflicting_flights: frozenset[str]
+
+    @property
+    def has_conflicts(self) -> bool:
+        return bool(self.conflicts)
 
 
 def _run_lengths(plan: FlightPlan) -> list[tuple[str, int, int]]:
@@ -179,42 +223,21 @@ def choice_violations(
     return out
 
 
-def joint_capacity_violations(
+def detect_conflicts(
     grid: AirspaceGrid,
     snapshot: OccupancySnapshot,
-    plans: Iterable[FlightPlan],
-) -> list[str]:
-    """Joint en-route capacity over a set of plans (zone cells are governed
-    by the per-flight choice sets and checked there)."""
-    demand: Counter[tuple[str, int]] = Counter()
-    for plan in plans:
-        for t, rid in plan.steps:
-            if not grid.is_zone(rid):
-                demand[(rid, t)] += 1
-    out = []
-    for (rid, t), count in sorted(demand.items()):
-        if count > snapshot.remaining(rid, t):
-            out.append(
-                f"en-route overload at ({rid}, t={t}): "
-                f"{count} flights onto remaining {snapshot.remaining(rid, t)}"
-            )
-    return out
-
-
-def overlay_violations(
-    grid: AirspaceGrid,
-    plans: Iterable[FlightPlan],
-    base: Mapping[tuple[str, int], int] | None = None,
-) -> list[str]:
-    """Audit-grade overlay: total occupancy within C(r,t) on every resource."""
-    counts: Counter[tuple[str, int]] = Counter(base or {})
-    for plan in plans:
-        for t, rid in plan.steps:
-            counts[(rid, t)] += 1
-    out = []
-    for (rid, t), count in sorted(counts.items()):
-        if count > grid.capacity(rid, t):
-            out.append(
-                f"overlay overload at ({rid}, t={t}): {count} > {grid.capacity(rid, t)}"
-            )
-    return out
+    plans: Mapping[str, FlightPlan],
+) -> ConflictReport:
+    """Find every cell where the plans jointly exceed remaining capacity."""
+    usage: dict[tuple[str, int], list[str]] = {}
+    for fid in sorted(plans):
+        for t, rid in plans[fid].steps:
+            usage.setdefault((rid, t), []).append(fid)
+    conflicts = []
+    involved: set[str] = set()
+    for (rid, t), fids in sorted(usage.items()):
+        remaining = snapshot.remaining(rid, t)
+        if len(fids) > remaining:
+            conflicts.append(Conflict(rid, t, tuple(fids), remaining))
+            involved.update(fids)
+    return ConflictReport(tuple(conflicts), frozenset(involved))

@@ -154,16 +154,6 @@ class FlightPlan:
     def destination(self) -> str:
         return self.steps[-1][1]
 
-    @property
-    def presence(self) -> frozenset[tuple[str, int]]:
-        return frozenset((rid, t) for t, rid in self.steps)
-
-    def resource_at(self, t: int) -> str | None:
-        lo = self.steps[0][0]
-        if lo <= t <= self.steps[-1][0]:
-            return self.steps[t - lo][1]
-        return None
-
     def entries(self) -> tuple[tuple[int, str], ...]:
         """The (timestep, resource) pairs where a new maximal run starts."""
         out = []

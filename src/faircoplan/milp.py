@@ -87,7 +87,6 @@ class SolveResult:
     objective: float | None = None
     values: dict[str, float] = field(default_factory=dict)
     wall_time: float = 0.0
-    gap: float | None = None
     detail: str = ""
     hit_time_limit: bool = False
 
@@ -336,7 +335,7 @@ class HighsBackend:
     def solve(self, model: Model, limits: SolveLimits | None = None) -> SolveResult:
         limits = limits or SolveLimits()
         if not model.num_vars:
-            return SolveResult(status=OPTIMAL, objective=model.objective_offset, gap=0.0)
+            return SolveResult(status=OPTIMAL, objective=model.objective_offset)
         names, c, lb, ub, integrality, A, row_lb, row_ub, sign = _arrays(model)
         # mip_rel_gap is always passed: left out, HiGHS stops at its own
         # default relative gap and still reports the incumbent as optimal.
@@ -350,7 +349,6 @@ class HighsBackend:
             hit = memo.get(key)
         if hit is not None:
             status, x, message = hit
-            gap = None  # only status 1 reads it, and status 1 is never stored
         else:
             kwargs = {}
             if A.shape[0]:
@@ -366,12 +364,11 @@ class HighsBackend:
             except Exception as exc:  # malformed model or HiGHS failure
                 return SolveResult(status=ERROR, detail=f"highs: {exc}")
             status, x, message = res.status, res.x, res.message
-            gap = getattr(res, "mip_gap", None)
             if memo is not None and status in (0, 2):
                 memo[key] = (status, x, message)
         if status == 0:
             values, obj = _finish(model, names, x, lb, ub, integrality, sign, c)
-            return SolveResult(status=OPTIMAL, objective=obj, values=values, gap=0.0)
+            return SolveResult(status=OPTIMAL, objective=obj, values=values)
         if status == 2:
             return SolveResult(status=INFEASIBLE, detail=message)
         if status == 1:
@@ -381,7 +378,6 @@ class HighsBackend:
                     status=TIME_LIMIT_FEASIBLE,
                     objective=obj,
                     values=values,
-                    gap=float(gap) if gap is not None else None,
                     hit_time_limit=True,
                 )
             return SolveResult(

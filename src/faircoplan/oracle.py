@@ -64,12 +64,24 @@ class TinyInstance:
             self.grid.resource(rid)
             if count < 1 or t < 0:
                 raise ValueError(f"{self.name}: bad base occupancy ({rid}, {t}, {count})")
+        # Every capacity check reads remaining capacity, which is clipped at
+        # zero; it matches occupancy + demand <= capacity only while the base
+        # itself fits, as the ledger guarantees for campaigns.
+        for (rid, t), count in sorted(self._counts().items()):
+            if count > self.grid.capacity(rid, t):
+                raise ValueError(
+                    f"{self.name}: bad base occupancy at ({rid}, {t}): "
+                    f"{count} > capacity {self.grid.capacity(rid, t)}"
+                )
 
-    def snapshot(self) -> OccupancySnapshot:
+    def _counts(self) -> dict[tuple[str, int], int]:
         counts: dict[tuple[str, int], int] = {}
         for rid, t, count in self.base:
             counts[(rid, t)] = counts.get((rid, t), 0) + count
-        return OccupancySnapshot(self.grid, counts)
+        return counts
+
+    def snapshot(self) -> OccupancySnapshot:
+        return OccupancySnapshot(self.grid, self._counts())
 
 
 class _Meter:
@@ -173,6 +185,24 @@ def oracle_step2_optimum(
     return tdc(best, request, params), best
 
 
+def _choice_domain(
+    grid: AirspaceGrid,
+    snapshot: OccupancySnapshot,
+    request: FlightRequest,
+    now: int,
+) -> list[tuple[str, int]]:
+    """Zone cells inside the flight's time window with spare capacity."""
+    end = now + grid.horizon_steps
+    d, a, eps = request.requested_departure, request.requested_arrival, request.flexibility
+    lo, hi = max(d, now), min(a + eps - 1, end - 1)
+    return sorted(
+        (rid, t)
+        for rid in sorted(grid.zone)
+        for t in range(lo, hi + 1)
+        if snapshot.remaining(rid, t) >= 1
+    )
+
+
 def enumerate_choice_families(
     grid: AirspaceGrid,
     snapshot: OccupancySnapshot,
@@ -188,14 +218,7 @@ def enumerate_choice_families(
     checker. The empty family (flight left unassigned) is always valid.
     """
     end = now + grid.horizon_steps
-    d, a, eps = request.requested_departure, request.requested_arrival, request.flexibility
-    lo, hi = max(d, now), min(a + eps - 1, end - 1)
-    domain = sorted(
-        (rid, t)
-        for rid in sorted(grid.zone)
-        for t in range(lo, hi + 1)
-        if snapshot.remaining(rid, t) >= 1
-    )
+    domain = _choice_domain(grid, snapshot, request, now)
     if len(domain) > 22:
         raise OracleSizeError(
             f"choice domain for {request.flight_id} has {len(domain)} cells; "
@@ -357,7 +380,23 @@ def oracle_joint_optimum(
                 f"joint plan space exceeds budget ({total_combos}+ combinations)"
             )
 
-    meter = _Meter(budget, "joint plan search")
+    return _joint_search(options, snapshot, params, gamma, proposals,
+                         _Meter(budget, "joint plan search"))
+
+
+def _joint_search(
+    options: Sequence[tuple[FlightRequest, Sequence[FlightPlan]]],
+    snapshot: OccupancySnapshot,
+    params: DelayCostParams,
+    gamma: float,
+    proposals: Mapping[str, FlightPlan] | None,
+    meter: _Meter,
+) -> tuple[float, dict[str, FlightPlan]] | tuple[None, dict[str, FlightPlan]]:
+    """Branch and bound over one plan per flight under joint capacity.
+
+    Partial delay cost prunes; ties go to the lexicographically smallest
+    tuple of plans in option order.
+    """
     best_obj: float | None = None
     best_key: tuple | None = None
     best_pick: list[FlightPlan] = []
@@ -414,7 +453,8 @@ def oracle_tfmp_optimum(
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[float, dict[str, FlightPlan]] | tuple[None, dict[str, FlightPlan]]:
-    """True optimum of the fixed-route timing problem, by entry-time search."""
+    """True optimum of the fixed-route timing problem: each flight's
+    entry-time schedules, combined by the joint plan search at gamma = 0."""
     end = now + grid.horizon_steps
     ordered = sorted(requests, key=lambda r: r.flight_id)
     meter = _Meter(budget, "fixed-route schedule search")
@@ -427,41 +467,7 @@ def oracle_tfmp_optimum(
         if not plans:
             return None, {}
         options.append((req, plans))
-
-    best_obj: float | None = None
-    best_key: tuple | None = None
-    best_pick: list[FlightPlan] = []
-    counts: Counter[tuple[str, int]] = Counter()
-    pick: list[FlightPlan] = []
-
-    def search(i: int, partial_cost: float) -> None:
-        nonlocal best_obj, best_key, best_pick
-        meter.tick()
-        if best_obj is not None and partial_cost > best_obj + 1e-9:
-            return
-        if i == len(options):
-            key = (round(partial_cost, 9), tuple(p.steps for p in pick))
-            if best_key is None or key < best_key:
-                best_obj, best_key, best_pick = partial_cost, key, list(pick)
-            return
-        req, plans = options[i]
-        for plan in plans:
-            ok = True
-            for t, rid in plan.steps:
-                counts[(rid, t)] += 1
-                if counts[(rid, t)] > snapshot.remaining(rid, t):
-                    ok = False
-            if ok:
-                pick.append(plan)
-                search(i + 1, partial_cost + tdc(plan, req, params))
-                pick.pop()
-            for t, rid in plan.steps:
-                counts[(rid, t)] -= 1
-
-    search(0, 0.0)
-    if best_obj is None:
-        return None, {}
-    return best_obj, {p.flight_id: p for p in best_pick}
+    return _joint_search(options, snapshot, params, 0.0, None, meter)
 
 
 def _route_dwells(grid: AirspaceGrid, request: FlightRequest, route: FixedRoute) -> list[int]:

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airspace import AirspaceGrid, GridConfig, VertiportSpec, build_grid
-from .baseline import fixed_route, solve_tfmp
+from .baseline import fixed_route, leg_dwells, solve_tfmp
 from .flights import FlightRequest
 from .oracle import (
     OracleSizeError,
     TinyInstance,
+    _choice_domain,
     oracle_joint_optimum,
     oracle_step1_optimum,
     oracle_step2_optimum,
@@ -26,7 +27,8 @@ from .oracle import (
 )
 from .step1 import solve_step1
 from .step2 import solve_step2
-from .step3 import detect_conflicts, solve_step3
+from .checker import detect_conflicts
+from .step3 import solve_step3
 
 __all__ = ["CaseResult", "build_catalog", "check_instance", "random_instance",
            "run_selfcheck"]
@@ -105,9 +107,7 @@ def _request(
     route = fixed_route(grid, origin, destination)
     probe = FlightRequest(fid, operator, origin, destination, depart,
                           depart + 1, flexibility=flexibility, dwell=dwell)
-    travel = 1
-    for rid in route.legs[1:-1]:
-        travel += probe.min_dwell(rid) if grid.resource(rid).kind == "sector" else 1
+    travel = sum(leg_dwells(grid, route, probe.min_dwell))
     return FlightRequest(
         fid, operator, origin, destination, depart, depart + travel,
         flexibility=flexibility, dwell=dwell, resubmissions=resubmissions,
@@ -271,18 +271,11 @@ def random_instance(seed: int) -> TinyInstance:
 def _choice_domain_sizes(inst: TinyInstance) -> list[int]:
     grid, snap = inst.grid, inst.snapshot()
     end = inst.now + grid.horizon_steps
-    sizes = []
-    for req in inst.requests:
-        if req.requested_arrival + req.flexibility > end:
-            sizes.append(0)
-            continue
-        lo = max(req.requested_departure, inst.now)
-        hi = min(req.requested_arrival + req.flexibility - 1, end - 1)
-        sizes.append(sum(
-            1 for rid in grid.zone for t in range(lo, hi + 1)
-            if snap.remaining(rid, t) >= 1
-        ))
-    return sizes
+    return [
+        0 if req.requested_arrival + req.flexibility > end
+        else len(_choice_domain(grid, snap, req, inst.now))
+        for req in inst.requests
+    ]
 
 
 def check_instance(inst: TinyInstance) -> list[CaseResult]:

@@ -30,10 +30,11 @@ from .airspace import (
     FlightPlanRecord,
     GridConfig,
     OccupancyLedger,
+    OccupancySnapshot,
     build_grid,
 )
-from .baseline import fixed_route, solve_tfmp
-from .checker import overlay_violations
+from .baseline import fixed_route, leg_dwells, solve_tfmp
+from .checker import detect_conflicts
 from .flights import DelayCostParams, FlightPlan, FlightRequest
 from .step1 import solve_step1
 from .step2 import solve_step2
@@ -112,10 +113,8 @@ def scenario_grid(config: ScenarioConfig) -> AirspaceGrid:
             if dest == origin:
                 continue
             route = fixed_route(grid, origin, dest)
-            worst = 0
-            for rid in route.legs[:-1]:
-                sector = grid.resource(rid).kind == "sector"
-                worst += 2 if sector and rid in grid.ring else 1
+            worst = sum(leg_dwells(grid, route,
+                                   lambda rid: 2 if rid in grid.ring else 1))
             need = config.cadence_steps + worst + config.flexibility
             if need > grid.horizon_steps:
                 raise ConfigError(
@@ -150,18 +149,9 @@ def generate_demand(
         for _ in range(count):
             dest = others[int(rng.integers(len(others)))]
             route = fixed_route(grid, hub, dest)
-            dwell = []
-            travel = 1  # the departure step at the origin pad
-            for rid in route.legs[1:-1]:
-                if grid.resource(rid).kind != "sector":
-                    travel += 1
-                    continue
-                if rid in grid.ring:
-                    steps = int(rng.integers(1, 3))
-                    dwell.append((rid, steps))
-                    travel += steps
-                else:
-                    travel += 1
+            dwell = {rid: int(rng.integers(1, 3))
+                     for rid in route.legs[1:-1] if rid in grid.ring}
+            travel = sum(leg_dwells(grid, route, lambda rid: dwell.get(rid, 1)))
             requests.append(FlightRequest(
                 flight_id=f"d{day:02d}p{period:03d}n{seq:02d}",
                 operator_id=hub,
@@ -170,7 +160,7 @@ def generate_demand(
                 requested_departure=depart,
                 requested_arrival=depart + travel,
                 flexibility=config.flexibility,
-                dwell=tuple(dwell),
+                dwell=tuple(dwell.items()),
             ))
             seq += 1
     return tuple(requests)
@@ -329,9 +319,11 @@ def run_period(
             plan=filed[fid],
             filed_at=now,
         ))
-    audit = overlay_violations(grid, [rec.plan for rec in ledger.filed_plans])
-    if audit:
-        raise RuntimeError("flight database broke capacity: " + "; ".join(audit[:5]))
+    audit = detect_conflicts(grid, OccupancySnapshot(grid, {}),
+                             {rec.flight_id: rec.plan for rec in ledger.filed_plans})
+    if audit.has_conflicts:
+        raise RuntimeError("flight database broke capacity: "
+                           + "; ".join(map(str, audit.conflicts[:5])))
 
     carryover = tuple(
         by_id[fid].shifted(cadence_steps)

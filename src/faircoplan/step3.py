@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
-from .checker import overlay_violations, plan_violations
+from .checker import Conflict, ConflictReport, detect_conflicts, plan_violations
 from .flights import (
     ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, path_length, solve_dropping, tdc,
 )
@@ -30,26 +30,6 @@ __all__ = [
     "fairness_value",
     "solve_step3",
 ]
-
-
-@dataclass(frozen=True)
-class Conflict:
-    """One overloaded cell: more proposals than remaining capacity."""
-
-    resource_id: str
-    t: int
-    flight_ids: tuple[str, ...]
-    remaining: int
-
-
-@dataclass(frozen=True)
-class ConflictReport:
-    conflicts: tuple[Conflict, ...]
-    conflicting_flights: frozenset[str]
-
-    @property
-    def has_conflicts(self) -> bool:
-        return bool(self.conflicts)
 
 
 @dataclass
@@ -68,26 +48,6 @@ class DeconflictionResult:
     report: ConflictReport
     solver_status: str | None = None
     attempts: int = 0
-
-
-def detect_conflicts(
-    grid: AirspaceGrid,
-    snapshot: OccupancySnapshot,
-    plans: Mapping[str, FlightPlan],
-) -> ConflictReport:
-    """Find every cell where the plans jointly exceed remaining capacity."""
-    usage: dict[tuple[str, int], list[str]] = {}
-    for fid in sorted(plans):
-        for t, rid in plans[fid].steps:
-            usage.setdefault((rid, t), []).append(fid)
-    conflicts = []
-    involved: set[str] = set()
-    for (rid, t), fids in sorted(usage.items()):
-        remaining = snapshot.remaining(rid, t)
-        if len(fids) > remaining:
-            conflicts.append(Conflict(rid, t, tuple(fids), remaining))
-            involved.update(fids)
-    return ConflictReport(tuple(conflicts), frozenset(involved))
 
 
 def fairness_value(
@@ -263,10 +223,11 @@ def solve_step3(
             ratios[fid] = path_length(plan) / path_length(proposals[fid])
             tdc_by_flight[fid] = tdc(plan, by_id[fid], params)
 
-    audit = overlay_violations(grid, list(final.values()), base=snapshot.counts)
-    if audit:
+    audit = detect_conflicts(grid, snapshot, final)
+    if audit.has_conflicts:
         raise RuntimeError(
-            "deconflicted batch breaks capacity: " + "; ".join(audit[:5])
+            "deconflicted batch breaks capacity: "
+            + "; ".join(map(str, audit.conflicts[:5]))
         )
 
     fairness = max(ratios.values()) - min(ratios.values()) if ratios else 0.0

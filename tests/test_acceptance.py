@@ -14,7 +14,8 @@ from typing import NamedTuple
 import pytest
 
 from faircoplan import milp, sim
-from faircoplan.checker import overlay_violations
+from faircoplan.airspace import OccupancySnapshot
+from faircoplan.checker import detect_conflicts
 from faircoplan.flights import FlightPlan
 from faircoplan.selfcheck import run_selfcheck
 from faircoplan.serialize import load_scenario, write_campaign
@@ -90,28 +91,29 @@ def test_criterion_2_feasibility_audit(desk_config, desk_campaign, verdict):
     assert grid_cfg.horizon_steps == 14
 
     grid = scenario_grid(desk_config)
+    empty = OccupancySnapshot(grid, {})
     records = campaign.records()
     period_count = sum(len(rows) for rows in records.values())
-    audit: list[str] = []
+    audit = []
     for rows in records.values():
         by_day: dict[int, list[dict]] = {}
         for rec in rows:
             by_day.setdefault(rec["day"], []).append(rec)
         for recs in by_day.values():
-            plans = [
-                FlightPlan(fid, tuple((t, rid) for t, rid in steps))
+            plans = {
+                fid: FlightPlan(fid, tuple((t, rid) for t, rid in steps))
                 for rec in recs
                 for fid, steps in rec["filed"].items()
-            ]
-            audit.extend(overlay_violations(grid, plans))
+            }
+            audit.extend(detect_conflicts(grid, empty, plans).conflicts)
     # Every returned plan was already re-checked inside the solvers, which
     # raise on any failure, so a completed campaign means zero re-check
-    # failures; the overlay audit above re-verifies the filed days from the
+    # failures; the capacity audit above re-verifies the filed days from the
     # serialized records alone.
     ok = period_count >= 200 and not audit
     verdict(2, ok,
-            f"{period_count} desk periods planned, {len(audit)} overlay "
-            "violations, 0 re-check failures")
+            f"{period_count} desk periods planned, {len(audit)} overloaded "
+            "cells, 0 re-check failures")
 
 
 class GammaPair(NamedTuple):

@@ -1,0 +1,50 @@
+"""Guards on the public surface: exported names resolve, and the
+benchmark's hooks still find every attribute they wrap.
+
+perfbench wraps module attributes by name and raises ``KeyError`` on a
+missing one, so deleting or renaming a hooked function fails here first.
+"""
+from __future__ import annotations
+
+import importlib
+import pkgutil
+from pathlib import Path
+
+import scipy.optimize
+
+import faircoplan
+from faircoplan import airspace, baseline, milp, serialize, sim, step1, step2, step3
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_every_exported_name_resolves():
+    modules = [faircoplan] + [
+        importlib.import_module(f"faircoplan.{info.name}")
+        for info in pkgutil.iter_modules(faircoplan.__path__)
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert missing == []
+
+
+def test_benchmark_hooks_install_and_unpatch(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from layers import install_period_probe, install_tracing
+    from spans import SpanRecorder
+
+    owners = (airspace.OccupancyLedger, airspace.OccupancySnapshot, baseline,
+              milp, milp.HighsBackend, scipy.optimize, serialize, sim, step1,
+              step2, step3)
+    before = [dict(vars(owner)) for owner in owners]
+    original = sim.run_period
+    for install in (install_period_probe, install_tracing):
+        recorder = SpanRecorder("api-guard")
+        install(recorder)
+        assert sim.run_period is not original
+        recorder.unpatch()
+        assert [dict(vars(owner)) for owner in owners] == before

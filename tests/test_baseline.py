@@ -3,10 +3,10 @@ from __future__ import annotations
 
 import pytest
 
-from faircoplan import milp
+from faircoplan import baseline, milp
 from faircoplan.airspace import OccupancyLedger, OccupancySnapshot
 from faircoplan.baseline import FixedRoute, fixed_route, solve_tfmp
-from faircoplan.flights import DelayCostParams
+from faircoplan.flights import DelayCostParams, FlightPlan
 from faircoplan.oracle import oracle_tfmp_optimum
 
 from helpers import make_grid, make_request
@@ -95,6 +95,24 @@ class TestSchedule:
             rids = [rid for _, rid in plan.steps]
             assert rids.count("r0000") == 1
             assert rids.count("r0002") == 1
+
+
+class TestCapacityAudit:
+    def test_overloading_extraction_breaks_capacity(self, monkeypatch):
+        grid = make_grid(1, 3, ((0, 0), (0, 2)))
+        requests = [make_request(grid, f"f{i}", "r0000", "r0002", 0)
+                    for i in range(2)]
+
+        def on_time(request, route, flight_vars, values, horizon_end):
+            return FlightPlan(request.flight_id, tuple(
+                (request.requested_departure + i, rid)
+                for i, rid in enumerate(route.legs)))
+
+        # Both flights fly on time: each plan alone fits, but together they
+        # put two flights on the capacity-one ring cell.
+        monkeypatch.setattr(baseline, "_extract", on_time)
+        with pytest.raises(RuntimeError, match="fixed-route batch breaks capacity"):
+            solve_tfmp(grid, OccupancyLedger(grid).snapshot(), requests, PARAMS)
 
 
 class TestDeferral:

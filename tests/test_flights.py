@@ -108,15 +108,6 @@ class TestFlightPlan:
         with pytest.raises(ValueError):
             FlightPlan("f0", ())
 
-    def test_presence_and_resource_at(self):
-        plan = FlightPlan("f0", ((0, "r0000"), (1, "r0001"), (2, "r0001"),
-                                 (3, "r0002")))
-        assert plan.resource_at(1) == "r0001"
-        assert plan.resource_at(9) is None
-        assert plan.presence == frozenset({
-            ("r0000", 0), ("r0001", 1), ("r0001", 2), ("r0002", 3),
-        })
-
     def test_entries_collapse_holds(self):
         plan = FlightPlan("f0", ((0, "r0000"), (1, "r0001"), (2, "r0001"),
                                  (3, "r0002")))

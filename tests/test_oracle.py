@@ -161,9 +161,13 @@ class TestTinyInstance:
         grid = self.grid()
         with pytest.raises(ValueError, match="bad base occupancy"):
             TinyInstance("neg", grid, (), base=(("r0001", 0, 0),))
+        # r0001 is a capacity-one ring cell: two entries on one step overfill it.
+        with pytest.raises(ValueError, match="bad base occupancy.*2 > capacity 1"):
+            TinyInstance("over", grid, (),
+                         base=(("r0001", 1, 1), ("r0001", 1, 1)))
 
     def test_base_occupancy_accumulates(self):
-        grid = self.grid()
+        grid = make_grid(2, 3, ((0, 0), (0, 2)), ring_capacity=2)
         inst = TinyInstance("stack", grid, (),
                             base=(("r0001", 1, 1), ("r0001", 1, 1)))
         assert inst.snapshot().remaining("r0001", 1) == 0

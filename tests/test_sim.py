@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import re
+from types import SimpleNamespace
 
 import pytest
 
-from faircoplan import milp
+from faircoplan import milp, sim
 from faircoplan.airspace import (
     ConfigError,
     GridConfig,
@@ -14,7 +15,7 @@ from faircoplan.airspace import (
     build_grid,
 )
 from faircoplan.baseline import fixed_route
-from faircoplan.flights import DelayCostParams
+from faircoplan.flights import DelayCostParams, FlightPlan
 from faircoplan.sim import (
     MODES,
     ScenarioConfig,
@@ -66,6 +67,20 @@ class TestScenarioConfig:
         grid = make_grid(1, 3, ((0, 0), (0, 2)), horizon=5)
         with pytest.raises(ConfigError, match="lookahead"):
             scenario_grid(corridor_config(grid=grid.config))
+
+    @pytest.mark.parametrize("horizon, fits", [(10, True), (9, False)])
+    def test_horizon_fits_the_slowest_trip_exactly(self, horizon, fits):
+        # r0001 and r0003 are ring sectors (worst dwell 2), r0002 a plain
+        # sector (1): 1 + 2 + 1 + 2 steps of travel, plus cadence 1 and
+        # flexibility 3, need a horizon of 10.
+        grid = make_grid(1, 5, ((0, 0), (0, 4)), horizon=horizon)
+        assert grid.ring == {"r0001", "r0003"}
+        config = corridor_config(grid=grid.config)
+        if fits:
+            assert scenario_grid(config).horizon_steps == 10
+        else:
+            with pytest.raises(ConfigError, match="needs up to 10 steps"):
+                scenario_grid(config)
 
     def test_scenario_needs_a_hub(self):
         config = GridConfig(
@@ -164,6 +179,24 @@ class TestRunPeriod:
         assert carried.requested_departure == original.requested_departure + 2
         assert carried.requested_arrival == original.requested_arrival + 2
         assert carried.resubmissions == 1
+
+    def test_audit_catches_what_the_ledger_let_through(self, monkeypatch):
+        def on_time(grid, snapshot, requests, params, now, *, limits=None):
+            plans = {r.flight_id: FlightPlan(r.flight_id, ((1, "r0000"), (2, "r0001"),
+                                                           (3, "r0002")))
+                     for r in requests}
+            return SimpleNamespace(plans=plans, tdc_by_flight=dict.fromkeys(plans, 0.0),
+                                   deferred=(), dropped=(), solve_time=0.0)
+
+        def unchecked(ledger, record):
+            ledger._records.append(record)
+
+        # With the ledger's own check bypassed, only the audit over the
+        # day's filed plans sees both flights on the capacity-one ring cell.
+        monkeypatch.setattr(sim, "solve_tfmp", on_time)
+        monkeypatch.setattr(OccupancyLedger, "file_plan", unchecked)
+        with pytest.raises(RuntimeError, match="flight database broke capacity"):
+            self.plan_one("tfmp")
 
     def test_empty_batch_is_a_quiet_period(self):
         _, ledger, _, result = self.plan_one("fair-coplan", requests=[])

@@ -70,7 +70,7 @@ class TestDelays:
                           granted(grid, snap, request), PARAMS)
         assert out.plan.a_prop == 4
         assert out.tdc == pytest.approx(0.6)  # alpha * 2 steps late
-        assert ("r0001", 2) not in out.plan.presence
+        assert (2, "r0001") not in out.plan.steps
 
     @pytest.mark.parametrize("case", ["occupied", "detour", "dwell"])
     def test_matches_plan_enumeration_oracle(self, case, corridor):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from faircoplan import milp
+from faircoplan import milp, step3
 from faircoplan.airspace import OccupancyLedger, OccupancySnapshot
 from faircoplan.flights import DelayCostParams, FlightPlan
 from faircoplan.oracle import oracle_joint_optimum
@@ -71,6 +71,30 @@ class TestDetectConflicts:
         report = detect_conflicts(grid, snap, plans)
         assert report.conflicts[0].remaining == 0
         assert report.conflicts[0].flight_ids == ("f0",)
+
+    def test_closed_cell_rejects_a_single_plan(self):
+        grid = make_grid(1, 3, ((0, 0), (0, 2)), overrides=(("r0001", 1, 0),))
+        snap = OccupancyLedger(grid).snapshot()
+        plans = {"f0": chain("f0", ["r0000", "r0001", "r0002"])}
+        report = detect_conflicts(grid, snap, plans)
+        assert [(c.resource_id, c.t, c.flight_ids, c.remaining)
+                for c in report.conflicts] == [("r0001", 1, ("f0",), 0)]
+        assert report.conflicting_flights == {"f0"}
+        later = {"f0": chain("f0", ["r0000", "r0001", "r0002"], start=1)}
+        assert not detect_conflicts(grid, snap, later).has_conflicts
+
+    def test_empty_snapshot_measures_full_capacity(self):
+        grid = make_grid(1, 3, ((0, 0), (0, 2)), vp_capacity=3,
+                         ring_capacity=2)
+        snap = OccupancySnapshot(grid, {})
+        plans = {f"f{i}": chain(f"f{i}", ["r0000", "r0001", "r0002"])
+                 for i in range(3)}
+        pair = {fid: plans[fid] for fid in ("f0", "f1")}
+        assert not detect_conflicts(grid, snap, pair).has_conflicts
+        report = detect_conflicts(grid, snap, plans)
+        assert [(c.resource_id, c.t, c.flight_ids, c.remaining)
+                for c in report.conflicts] == [("r0001", 1, ("f0", "f1", "f2"), 2)]
+        assert str(report.conflicts[0]) == "(r0001, t=1): 3 flights onto remaining 2"
 
 
 class TestFairnessValue:
@@ -178,6 +202,23 @@ class TestVictimDrops:
                           PARAMS, gamma=0.0)
         assert out.dropped == ("f0",)
         assert "f1" in out.plans
+
+
+class TestCapacityAudit:
+    def test_overloading_extraction_breaks_capacity(self, monkeypatch):
+        grid = pinch_grid()
+        requests = [
+            make_request(grid, "f0", "r0000", "r0007", 0, flexibility=2),
+            make_request(grid, "f1", "r0000", "r0007", 0, flexibility=2),
+        ]
+        snap, choice_sets, proposals = plan_batch(grid, requests)
+        # Each flight alone passes its re-check against the snapshot; only
+        # the joint audit sees both proposals on the one-flight pinch cell.
+        monkeypatch.setattr(step3, "extract_plan",
+                            lambda block, values: proposals[block.request.flight_id])
+        with pytest.raises(RuntimeError, match="deconflicted batch breaks capacity"):
+            solve_step3(grid, snap, requests, choice_sets, proposals,
+                        PARAMS, gamma=0.0)
 
 
 class TestGuards:
