@@ -14,7 +14,6 @@ from .airspace import (
     AirspaceGrid,
     CapacityViolation,
     ConfigError,
-    FlightPlanRecord,
     GridConfig,
     OccupancyLedger,
     OccupancySnapshot,
@@ -92,7 +91,6 @@ __all__ = [
     "DelayCostParams",
     "FixedRoute",
     "FlightPlan",
-    "FlightPlanRecord",
     "FlightRequest",
     "GridConfig",
     "MODES",

@@ -3,8 +3,11 @@
 The airspace is a rows x cols grid. Every cell is exactly one resource, either
 a sector or a vertiport. Sectors adjacent to any vertiport form the approach
 ring and get their own (higher) capacity. The occupancy ledger is the public
-flight database: filed plans are append-only and the per-(resource, timestep)
-occupancy index is kept consistent with them.
+flight database: it files ``FlightPlan``s append-only, refuses any filing that
+would exceed a cell's capacity, and keeps the per-(resource, timestep)
+occupancy index consistent with them. Planners read occupancy only through an
+``OccupancySnapshot`` taken at the start of a period; its ``remaining`` is the
+one remaining-capacity rule.
 """
 from __future__ import annotations
 
@@ -240,18 +243,12 @@ def build_grid(config: GridConfig) -> AirspaceGrid:
     )
 
 
-@dataclass(frozen=True)
-class FlightPlanRecord:
-    """One filed plan in the public flight database. Immutable once filed."""
-
-    flight_id: str
-    operator_id: str
-    plan: FlightPlan
-    filed_at: int
-
-
 class OccupancySnapshot:
-    """Frozen view of occupancy taken at the start of a planning period."""
+    """Frozen view of occupancy taken at the start of a planning period.
+
+    ``remaining`` is the one remaining-capacity rule: grid capacity minus
+    occupancy, clipped at zero.
+    """
 
     def __init__(self, grid: AirspaceGrid, counts: dict[tuple[str, int], int]) -> None:
         self._grid = grid
@@ -259,13 +256,6 @@ class OccupancySnapshot:
         # The snapshot never changes, so each cell's remaining capacity is
         # computed once; model building reads it thousands of times a period.
         self._remaining: dict[tuple[str, int], int] = {}
-
-    @property
-    def counts(self) -> dict[tuple[str, int], int]:
-        return dict(self._counts)
-
-    def occupancy(self, resource_id: str, t: int) -> int:
-        return self._counts.get((resource_id, t), 0)
 
     def remaining(self, resource_id: str, t: int) -> int:
         key = (resource_id, t)
@@ -290,41 +280,24 @@ class OccupancyLedger:
     def __init__(self, grid: AirspaceGrid) -> None:
         self.grid = grid
         self._counts: dict[tuple[str, int], int] = {}
-        self._records: list[FlightPlanRecord] = []
+        self._plans: list[FlightPlan] = []
 
     @property
-    def filed_plans(self) -> tuple[FlightPlanRecord, ...]:
-        return tuple(self._records)
-
-    def occupancy(self, resource_id: str, t: int) -> int:
-        return self._counts.get((resource_id, t), 0)
-
-    def remaining(self, resource_id: str, t: int) -> int:
-        return max(self.grid.capacity(resource_id, t) - self.occupancy(resource_id, t), 0)
+    def filed_plans(self) -> tuple[FlightPlan, ...]:
+        return tuple(self._plans)
 
     def snapshot(self) -> OccupancySnapshot:
         return OccupancySnapshot(self.grid, dict(self._counts))
 
-    def file_plan(self, record: FlightPlanRecord) -> None:
+    def file_plan(self, plan: FlightPlan) -> None:
         """Append a plan, rejecting any capacity excess before mutation."""
-        offending = []
-        for t, rid in record.plan.steps:
-            if self.occupancy(rid, t) + 1 > self.grid.capacity(rid, t):
-                offending.append((rid, t))
+        offending = [(rid, t) for t, rid in plan.steps
+                     if self._counts.get((rid, t), 0) + 1 > self.grid.capacity(rid, t)]
         if offending:
             raise CapacityViolation(
-                f"filing {record.flight_id} exceeds capacity at "
+                f"filing {plan.flight_id} exceeds capacity at "
                 + ", ".join(f"({rid}, t={t})" for rid, t in offending)
             )
-        for t, rid in record.plan.steps:
+        for t, rid in plan.steps:
             self._counts[(rid, t)] = self._counts.get((rid, t), 0) + 1
-        self._records.append(record)
-
-    def recompute_counts(self) -> dict[tuple[str, int], int]:
-        """Occupancy rebuilt from the filed plans; must equal the index."""
-        counts: dict[tuple[str, int], int] = {}
-        for record in self._records:
-            for t, rid in record.plan.steps:
-                counts[(rid, t)] = counts.get((rid, t), 0) + 1
-        return counts
-
+        self._plans.append(plan)

@@ -20,8 +20,9 @@ from typing import Callable, Mapping, Sequence
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
-from .checker import detect_conflicts, plan_violations
+from .checker import audit_batch
 from .flights import DelayCostParams, FlightPlan, FlightRequest, solve_dropping, tdc
+from .step2 import add_capacity_rows
 
 __all__ = [
     "BaselineResult",
@@ -65,7 +66,6 @@ def fixed_route(grid: AirspaceGrid, origin: str, destination: str) -> FixedRoute
 @dataclass
 class BaselineResult:
     plans: dict[str, FlightPlan]
-    routes: dict[str, FixedRoute]
     deferred: tuple[str, ...]
     dropped: tuple[str, ...]
     tdc_by_flight: dict[str, float]
@@ -183,11 +183,7 @@ def _build_tfmp(
                 prev = flight_vars.get((i, t - 1))
                 if prev is not None:
                     cell[prev] = cell.get(prev, 0.0) - 1.0
-    for (rid, t), coeffs in sorted(usage.items()):
-        ones = sum(1 for c in coeffs.values() if c > 0)
-        remaining = snapshot.remaining(rid, t)
-        if ones > remaining:
-            model.add(coeffs, "<=", float(remaining), label=f"cap.{rid}.{t}")
+    add_capacity_rows(model, snapshot, usage)
 
     model.set_objective(objective, offset=offset)
     return model, wvars
@@ -263,24 +259,11 @@ def solve_tfmp(
     plans: dict[str, FlightPlan] = {}
     tdc_by_flight: dict[str, float] = {}
     if result is not None:
-        for fid in outcome.kept:
-            plan = _extract(by_id[fid], routes[fid], wvars[fid], result.values,
-                            horizon_end)
-            problems = plan_violations(grid, snapshot, by_id[fid], plan, now,
-                                       horizon_end)
-            if problems:
-                raise RuntimeError(
-                    f"{fid}: fixed-route plan failed re-check: "
-                    + "; ".join(problems[:5])
-                )
-            plans[fid] = plan
-            tdc_by_flight[fid] = tdc(plan, by_id[fid], params)
-        audit = detect_conflicts(grid, snapshot, plans)
-        if audit.has_conflicts:
-            raise RuntimeError(
-                "fixed-route batch breaks capacity: "
-                + "; ".join(map(str, audit.conflicts[:5]))
-            )
+        plans = {fid: _extract(by_id[fid], routes[fid], wvars[fid], result.values,
+                               horizon_end)
+                 for fid in outcome.kept}
+        audit_batch(grid, snapshot, by_id, plans, now, horizon_end, "fixed-route")
+        tdc_by_flight = {fid: tdc(plan, by_id[fid], params) for fid, plan in plans.items()}
         if result.status == milp.OPTIMAL:
             expected = sum(tdc_by_flight.values())
             if abs(expected - result.objective) > 1e-6 * max(1.0, abs(expected)):
@@ -291,7 +274,6 @@ def solve_tfmp(
 
     return BaselineResult(
         plans=plans,
-        routes={fid: routes[fid] for fid in sorted(routes)},
         deferred=tuple(deferred),
         dropped=outcome.dropped,
         tdc_by_flight=tdc_by_flight,

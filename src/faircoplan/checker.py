@@ -10,8 +10,11 @@ Each feasibility rule is stated here once:
   choice-setting families, including its joint capacity over zone cells;
 - ``detect_conflicts``: joint capacity over a set of plans, cell by cell
   against a snapshot's remaining capacity. It finds the conflicts step 3
-  deconflicts and is also the audit after every joint solve and over a
-  day's flight database.
+  deconflicts and audits each period's new plans before they are filed.
+
+``audit_batch`` is the one re-check after a joint solve (deconfliction and
+the fixed-route schedule): ``plan_violations`` on every plan, then
+``detect_conflicts`` on the batch; any problem raises.
 
 So a disagreement between a solver and the enumeration oracle can only come
 from model construction, never from two diverging notions of feasibility.
@@ -33,6 +36,7 @@ from .flights import ChoiceSet, FlightPlan, FlightRequest
 __all__ = [
     "Conflict",
     "ConflictReport",
+    "audit_batch",
     "choice_violations",
     "detect_conflicts",
     "plan_violations",
@@ -241,3 +245,37 @@ def detect_conflicts(
             conflicts.append(Conflict(rid, t, tuple(fids), remaining))
             involved.update(fids)
     return ConflictReport(tuple(conflicts), frozenset(involved))
+
+
+def audit_batch(
+    grid: AirspaceGrid,
+    snapshot: OccupancySnapshot,
+    requests: Mapping[str, FlightRequest],
+    plans: Mapping[str, FlightPlan],
+    now: int,
+    horizon_end: int,
+    what: str,
+    *,
+    choice_sets: Mapping[str, ChoiceSet] | None = None,
+) -> None:
+    """Re-check a solved batch: each plan on its own, then joint capacity.
+
+    ``what`` names the batch in the error ("deconflicted", "fixed-route").
+    With ``choice_sets`` each plan is held to its own choice set on zone
+    cells; without, capacity is checked on every cell.
+    """
+    for fid in sorted(plans):
+        problems = plan_violations(
+            grid, snapshot, requests[fid], plans[fid], now, horizon_end,
+            choices=None if choice_sets is None else choice_sets[fid],
+        )
+        if problems:
+            raise RuntimeError(
+                f"{fid}: {what} plan failed re-check: " + "; ".join(problems[:5])
+            )
+    report = detect_conflicts(grid, snapshot, plans)
+    if report.has_conflicts:
+        raise RuntimeError(
+            f"{what} batch breaks capacity: "
+            + "; ".join(map(str, report.conflicts[:5]))
+        )

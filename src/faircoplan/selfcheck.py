@@ -300,9 +300,8 @@ def check_instance(inst: TinyInstance) -> list[CaseResult]:
                 pass
 
         proposals = {}
-        skip = set(s1.unassigned) | set(s1.deferred)
         for fid in sorted(by_id):
-            if fid in skip:
+            if fid in s1.unassigned:
                 continue
             got = solve_step2(grid, snap, by_id[fid], s1.choice_sets[fid],
                               params, now)

@@ -27,10 +27,8 @@ from . import milp
 from .airspace import (
     AirspaceGrid,
     ConfigError,
-    FlightPlanRecord,
     GridConfig,
     OccupancyLedger,
-    OccupancySnapshot,
     build_grid,
 )
 from .baseline import fixed_route, leg_dwells, solve_tfmp
@@ -279,12 +277,11 @@ def run_period(
         stage_times["step1"] = s1.solve_time
         unassigned = tuple(sorted(s1.unassigned))
         deferred = tuple(sorted(s1.deferred))
-        skip = set(unassigned) | set(deferred)
 
         proposals: dict[str, FlightPlan] = {}
         s2_total = 0.0
         for fid in ordered:
-            if fid in skip:
+            if fid in unassigned:
                 continue
             outcome = solve_step2(grid, snapshot, by_id[fid],
                                   s1.choice_sets[fid], params, now,
@@ -312,18 +309,16 @@ def run_period(
             replanned = s3.replanned
             dropped = s3.dropped
 
-    for fid in sorted(filed):
-        ledger.file_plan(FlightPlanRecord(
-            flight_id=fid,
-            operator_id=by_id[fid].operator_id,
-            plan=filed[fid],
-            filed_at=now,
-        ))
-    audit = detect_conflicts(grid, OccupancySnapshot(grid, {}),
-                             {rec.flight_id: rec.plan for rec in ledger.filed_plans})
+    # The period's plans against the snapshot they were planned on. The
+    # ledger never holds more than capacity, so remaining capacity there is
+    # capacity minus occupancy, and this equals auditing the whole day's
+    # database after filing.
+    audit = detect_conflicts(grid, snapshot, filed)
     if audit.has_conflicts:
         raise RuntimeError("flight database broke capacity: "
                            + "; ".join(map(str, audit.conflicts[:5])))
+    for fid in sorted(filed):
+        ledger.file_plan(filed[fid])
 
     carryover = tuple(
         by_id[fid].shifted(cadence_steps)

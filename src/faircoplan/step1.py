@@ -22,7 +22,7 @@ from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
 from .checker import choice_violations
 from .flights import ChoiceSet, FlightRequest
-from .step2 import add_dwell_linkage
+from .step2 import add_capacity_rows, add_dwell_linkage
 
 # Re-exported so the choice-step namespace carries its own input/output types.
 __all__ = [
@@ -143,41 +143,29 @@ def solve_step1(
         return live[fid].get((rid, t))
 
     # Joint capacity per zone cell, only where it can actually bind.
-    by_cell: dict[tuple[str, int], list[str]] = {}
+    usage: dict[tuple[str, int], dict[str, float]] = {}
     for cells in live.values():
         for cell, name in cells.items():
-            by_cell.setdefault(cell, []).append(name)
-    for (rid, t), names in sorted(by_cell.items()):
-        rem = snapshot.remaining(rid, t)
-        if len(names) > rem:
-            model.add({n: 1.0 for n in names}, "<=", rem, label=f"cap.{rid}.{t}")
+            usage.setdefault(cell, {})[name] = 1.0
+    add_capacity_rows(model, snapshot, usage)
 
     for request in modeled:
         fid = request.flight_id
         dom = domains[fid]
-        s, e = request.origin, request.destination
-        # Departure support: a slot at t needs an adjacent choice at t+1.
-        for t in dom[s]:
-            name = var(fid, s, t)
-            if name is None:
-                continue
-            coeffs = {name: -float(big_m)}
-            for nb in grid.adjacency[s]:
-                nb_name = var(fid, nb, t + 1)
-                if nb_name is not None:
-                    coeffs[nb_name] = coeffs.get(nb_name, 0.0) + 1.0
-            model.add(coeffs, ">=", 1.0 - big_m, label=f"dep.{fid}.{t}")
-        # Arrival support: a slot at t needs an adjacent choice at t-1.
-        for t in dom[e]:
-            name = var(fid, e, t)
-            if name is None:
-                continue
-            coeffs = {name: -float(big_m)}
-            for nb in grid.adjacency[e]:
-                nb_name = var(fid, nb, t - 1)
-                if nb_name is not None:
-                    coeffs[nb_name] = coeffs.get(nb_name, 0.0) + 1.0
-            model.add(coeffs, ">=", 1.0 - big_m, label=f"arr.{fid}.{t}")
+        # Slot support: a departure slot at t needs an adjacent choice at
+        # t+1, an arrival slot one at t-1.
+        for slot, step, kind in ((request.origin, 1, "dep"),
+                                 (request.destination, -1, "arr")):
+            for t in dom[slot]:
+                name = var(fid, slot, t)
+                if name is None:
+                    continue
+                coeffs = {name: -float(big_m)}
+                for nb in grid.adjacency[slot]:
+                    nb_name = var(fid, nb, t + step)
+                    if nb_name is not None:
+                        coeffs[nb_name] = coeffs.get(nb_name, 0.0) + 1.0
+                model.add(coeffs, ">=", 1.0 - big_m, label=f"{kind}.{fid}.{t}")
         # Dwell linkage on ring sectors: an offered step continues while the
         # trailing window holds fewer than l offered steps.
         for rid in sorted(grid.ring):

@@ -24,6 +24,7 @@ __all__ = [
     "DelayCostParams",
     "PresenceBlock",
     "Step2Result",
+    "add_capacity_rows",
     "add_dwell_linkage",
     "add_presence_block",
     "extract_plan",
@@ -100,6 +101,23 @@ def add_dwell_linkage(
         if cur is not None:
             coeffs[cur] = 1.0
         model.add(coeffs, ">=", -1.0, label=f"dwrun.{fid}.{rid}.{t}")
+
+
+def add_capacity_rows(
+    model: milp.Model,
+    snapshot: OccupancySnapshot,
+    usage: Mapping[tuple[str, int], Mapping[str, float]],
+) -> None:
+    """Joint capacity: for each (resource, t) cell in sorted order, the row
+    ``cap.{rid}.{t}``, the sum of ``usage[cell]`` at most the snapshot's
+    remaining capacity. A row is added only where more coefficients are
+    positive than the cell has remaining capacity, since elsewhere it
+    cannot bind.
+    """
+    for (rid, t), coeffs in sorted(usage.items()):
+        remaining = snapshot.remaining(rid, t)
+        if sum(1 for c in coeffs.values() if c > 0) > remaining:
+            model.add(coeffs, "<=", float(remaining), label=f"cap.{rid}.{t}")
 
 
 def add_presence_block(

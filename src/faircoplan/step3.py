@@ -16,11 +16,11 @@ from typing import Mapping, Sequence
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
-from .checker import Conflict, ConflictReport, detect_conflicts, plan_violations
+from .checker import Conflict, ConflictReport, audit_batch, detect_conflicts
 from .flights import (
     ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, path_length, solve_dropping, tdc,
 )
-from .step2 import PresenceBlock, add_presence_block, extract_plan
+from .step2 import PresenceBlock, add_capacity_rows, add_presence_block, extract_plan
 
 __all__ = [
     "Conflict",
@@ -40,7 +40,6 @@ class DeconflictionResult:
     replanned: tuple[str, ...]
     dropped: tuple[str, ...]
     fairness: float
-    ratios: dict[str, float]
     tdc_by_flight: dict[str, float]
     total_tdc: float
     objective: float | None
@@ -127,16 +126,12 @@ def _build_joint(
     # Shared en-route capacity. Vertiport and ring cells need no rows here:
     # each flight is confined to its granted choices and the choice-setting
     # step already capped the joint grant per cell.
-    shared: dict[tuple[str, int], list[str]] = {}
+    shared: dict[tuple[str, int], dict[str, float]] = {}
     for fid in sorted(blocks):
         for (rid, t), name in blocks[fid].vars.items():
             if not grid.is_zone(rid):
-                shared.setdefault((rid, t), []).append(name)
-    for (rid, t), names in sorted(shared.items()):
-        remaining = base.remaining(rid, t)
-        if len(names) > remaining:
-            model.add({n: 1.0 for n in names}, "<=", float(remaining),
-                      label=f"cap.{rid}.{t}")
+                shared.setdefault((rid, t), {})[name] = 1.0
+    add_capacity_rows(model, base, shared)
 
     objective: dict[str, float] = {}
     offset = 0.0
@@ -187,7 +182,7 @@ def solve_step3(
     if not report.has_conflicts:
         return DeconflictionResult(
             plans=dict(kept), replanned=(), dropped=(), fairness=0.0,
-            ratios={}, tdc_by_flight=tdc_by_flight,
+            tdc_by_flight=tdc_by_flight,
             total_tdc=sum(tdc_by_flight.values()), objective=None,
             solve_time=0.0, report=report,
         )
@@ -205,32 +200,17 @@ def solve_step3(
     )
     result, blocks, active = outcome.result, outcome.built, outcome.kept
 
-    final = dict(kept)
-    ratios: dict[str, float] = {}
-    if result is not None:
-        for fid in active:
-            plan = extract_plan(blocks[fid], result.values)
-            problems = plan_violations(
-                grid, base, by_id[fid], plan, now, horizon_end,
-                choices=choice_sets[fid],
-            )
-            if problems:
-                raise RuntimeError(
-                    f"{fid}: deconflicted plan failed re-check: "
-                    + "; ".join(problems[:5])
-                )
-            final[fid] = plan
-            ratios[fid] = path_length(plan) / path_length(proposals[fid])
-            tdc_by_flight[fid] = tdc(plan, by_id[fid], params)
+    replans = ({fid: extract_plan(blocks[fid], result.values) for fid in active}
+               if result is not None else {})
+    final = {**kept, **replans}
+    # Every final plan against the period snapshot, then jointly: a replan
+    # onto a cell the kept plans fill breaks joint capacity.
+    audit_batch(grid, snapshot, by_id, final, now, horizon_end, "deconflicted",
+                choice_sets=choice_sets)
+    for fid, plan in replans.items():
+        tdc_by_flight[fid] = tdc(plan, by_id[fid], params)
 
-    audit = detect_conflicts(grid, snapshot, final)
-    if audit.has_conflicts:
-        raise RuntimeError(
-            "deconflicted batch breaks capacity: "
-            + "; ".join(map(str, audit.conflicts[:5]))
-        )
-
-    fairness = max(ratios.values()) - min(ratios.values()) if ratios else 0.0
+    fairness = fairness_value(proposals, replans)
     active_tdc = sum(tdc_by_flight[fid] for fid in active)
     if result is not None and result.status == milp.OPTIMAL:
         expected = active_tdc + (gamma * fairness if gamma > 0.0 else 0.0)
@@ -245,7 +225,6 @@ def solve_step3(
         replanned=active,
         dropped=outcome.dropped,
         fairness=fairness,
-        ratios=ratios,
         tdc_by_flight=tdc_by_flight,
         total_tdc=sum(tdc_by_flight.values()),
         objective=result.objective if result is not None else None,

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from faircoplan.airspace import GridConfig, VertiportSpec, build_grid
-from faircoplan.baseline import fixed_route
+from faircoplan.baseline import fixed_route, leg_dwells
 from faircoplan.flights import FlightRequest
 
 
@@ -68,13 +68,8 @@ def make_request(
         flexibility=flexibility,
         dwell=dwell,
     )
-    route = fixed_route(grid, origin, destination)
-    travel = 1
-    for cell in route.legs[1:-1]:
-        if grid.resource(cell).kind == "sector":
-            travel += probe.min_dwell(cell)
-        else:
-            travel += 1
+    travel = sum(leg_dwells(grid, fixed_route(grid, origin, destination),
+                            probe.min_dwell))
     return FlightRequest(
         flight_id=flight_id,
         operator_id=operator_id,

@@ -1,12 +1,13 @@
 """Grid construction, capacities, and the occupancy ledger."""
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from faircoplan.airspace import (
     CapacityViolation,
     ConfigError,
-    FlightPlanRecord,
     GridConfig,
     OccupancyLedger,
     VertiportSpec,
@@ -108,56 +109,49 @@ class TestLedger:
     def test_file_plan_updates_occupancy(self):
         grid = make_grid(1, 3, ((0, 0), (0, 2)))
         ledger = OccupancyLedger(grid)
-        ledger.file_plan(FlightPlanRecord("f0", "op0", corridor_plan(), 0))
-        assert ledger.occupancy("r0001", 1) == 1
-        assert ledger.occupancy("r0001", 0) == 0
-        assert ledger.remaining("r0001", 1) == 0
-        assert ledger.snapshot().remaining("r0001", 1) == 0
+        plan = corridor_plan()
+        ledger.file_plan(plan)
+        assert ledger.filed_plans == (plan,)
+        snap = ledger.snapshot()
+        assert snap.remaining("r0001", 1) == 0
+        assert snap.remaining("r0001", 0) == 1
+        assert snap.remaining("r0000", 0) == 1  # pad capacity 2
 
     def test_overfiling_raises_before_mutation(self):
         grid = make_grid(1, 3, ((0, 0), (0, 2)))  # ring capacity 1
         ledger = OccupancyLedger(grid)
-        ledger.file_plan(FlightPlanRecord("f0", "op0", corridor_plan("f0"), 0))
-        before = ledger.snapshot().counts
+        ledger.file_plan(corridor_plan("f0"))
         with pytest.raises(CapacityViolation, match="r0001"):
-            ledger.file_plan(
-                FlightPlanRecord("f1", "op1", corridor_plan("f1"), 0))
-        assert ledger.snapshot().counts == before
+            ledger.file_plan(corridor_plan("f1"))
+        # f1's pad steps fit; none of them was counted before the refusal.
+        assert ledger.snapshot().remaining("r0000", 0) == 1
+        assert [plan.flight_id for plan in ledger.filed_plans] == ["f0"]
 
     def test_snapshot_is_isolated_from_later_filings(self):
         grid = make_grid(1, 3, ((0, 0), (0, 2)))
         ledger = OccupancyLedger(grid)
         snap = ledger.snapshot()
-        ledger.file_plan(FlightPlanRecord("f0", "op0", corridor_plan(), 0))
-        assert snap.occupancy("r0001", 1) == 0
-        assert ledger.occupancy("r0001", 1) == 1
-
-    def test_recompute_counts_matches_index(self):
-        grid = make_grid(1, 3, ((0, 0), (0, 2)), vp_capacity=3)
-        ledger = OccupancyLedger(grid)
-        ledger.file_plan(FlightPlanRecord("f0", "op0", corridor_plan("f0"), 0))
-        ledger.file_plan(
-            FlightPlanRecord("f1", "op1", corridor_plan("f1", 2), 0))
-        assert ledger.recompute_counts() == ledger.snapshot().counts
+        ledger.file_plan(corridor_plan())
+        assert snap.remaining("r0001", 1) == 1
+        assert ledger.snapshot().remaining("r0001", 1) == 0
 
     def test_with_plans_overlays_without_mutating(self):
         grid = make_grid(1, 3, ((0, 0), (0, 2)))
         snap = OccupancyLedger(grid).snapshot()
         overlay = snap.with_plans([corridor_plan()])
-        assert overlay.occupancy("r0001", 1) == 1
-        assert snap.occupancy("r0001", 1) == 0
+        assert overlay.remaining("r0001", 1) == 0
+        assert snap.remaining("r0001", 1) == 1
 
     def test_remaining_is_clamped_at_zero(self):
         grid = make_grid(1, 3, ((0, 0), (0, 2)))
         snap = OccupancyLedger(grid).snapshot()
         doubled = snap.with_plans([corridor_plan("f0"), corridor_plan("f1")])
-        assert doubled.occupancy("r0001", 1) == 2
-        assert doubled.remaining("r0001", 1) == 0
+        assert doubled.remaining("r0001", 1) == 0  # capacity 1, two plans
 
     def test_unknown_resource_rejected(self):
         grid = make_grid(1, 3, ((0, 0), (0, 2)))
         with pytest.raises(KeyError):
-            OccupancyLedger(grid).remaining("r9999", 0)
+            OccupancyLedger(grid).snapshot().remaining("r9999", 0)
 
     def test_remaining_matches_capacity_minus_occupancy_everywhere(self):
         # Overrides raise, lower and close cells; the overlay's two plans
@@ -167,14 +161,22 @@ class TestLedger:
         grid = make_grid(1, 3, ((0, 0), (0, 2)), vp_capacity=3,
                          overrides=overrides)
         ledger = OccupancyLedger(grid)
-        ledger.file_plan(FlightPlanRecord("f0", "op0", corridor_plan("f0", 2), 0))
+        filed = corridor_plan("f0", 2)
+        ledger.file_plan(filed)
         snap = ledger.snapshot()
-        overlay = snap.with_plans([corridor_plan("f1"), corridor_plan("f2")])
-        for view in (snap, overlay, snap):  # the base snapshot is read twice
+        extra = [corridor_plan("f1"), corridor_plan("f2")]
+        overlay = snap.with_plans(extra)
+
+        def occupancy(plans):
+            return Counter((rid, t) for plan in plans for t, rid in plan.steps)
+
+        views = ((snap, occupancy([filed])), (overlay, occupancy([filed, *extra])),
+                 (snap, occupancy([filed])))  # the base snapshot is read twice
+        for view, counts in views:
             for res in grid.resources:
                 for t in range(grid.horizon_steps):
                     want = max(grid.capacity(res.resource_id, t)
-                               - view.occupancy(res.resource_id, t), 0)
+                               - counts[(res.resource_id, t)], 0)
                     assert view.remaining(res.resource_id, t) == want
         assert snap.remaining("r0001", 3) == 2 and overlay.remaining("r0001", 1) == 0
         assert snap.remaining("r0002", 2) == 3 and overlay.remaining("r0002", 2) == 1

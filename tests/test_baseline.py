@@ -114,6 +114,14 @@ class TestCapacityAudit:
         with pytest.raises(RuntimeError, match="fixed-route batch breaks capacity"):
             solve_tfmp(grid, OccupancyLedger(grid).snapshot(), requests, PARAMS)
 
+    def test_extraction_that_skips_a_cell_fails_recheck(self, monkeypatch):
+        grid = make_grid(1, 3, ((0, 0), (0, 2)))
+        request = make_request(grid, "f0", "r0000", "r0002", 0)
+        monkeypatch.setattr(baseline, "_extract", lambda request, *_: FlightPlan(
+            request.flight_id, ((0, "r0000"), (1, "r0002"))))
+        with pytest.raises(RuntimeError, match="f0: fixed-route plan failed re-check"):
+            solve_tfmp(grid, OccupancyLedger(grid).snapshot(), [request], PARAMS)
+
 
 class TestDeferral:
     def test_departure_window_past_the_horizon_defers(self):

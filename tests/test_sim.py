@@ -140,6 +140,20 @@ class TestGenerateDemand:
         assert len(draws) > 1
 
 
+def corridor_lane(grid, snapshot, requests, params, now, *, limits=None):
+    """Stands in for ``solve_tfmp``: every flight takes the corridor at t=1..3."""
+    plans = {r.flight_id: FlightPlan(r.flight_id, ((1, "r0000"), (2, "r0001"),
+                                                   (3, "r0002")))
+             for r in requests}
+    return SimpleNamespace(plans=plans, tdc_by_flight=dict.fromkeys(plans, 0.0),
+                           deferred=(), dropped=(), solve_time=0.0)
+
+
+def file_unchecked(ledger, plan):
+    """Stands in for ``OccupancyLedger.file_plan`` without its capacity check."""
+    ledger._plans.append(plan)
+
+
 class TestRunPeriod:
     def plan_one(self, mode, requests=None):
         grid = make_grid(1, 3, ((0, 0), (0, 2)))
@@ -161,8 +175,7 @@ class TestRunPeriod:
     @pytest.mark.parametrize("mode", MODES)
     def test_filed_plans_land_in_the_ledger(self, mode):
         _, ledger, _, result = self.plan_one(mode)
-        assert {rec.flight_id for rec in ledger.filed_plans} == set(
-            result.filed)
+        assert {plan.flight_id: plan for plan in ledger.filed_plans} == result.filed
 
     def test_carryover_shifts_windows_and_counts_resubmission(self):
         grid = make_grid(1, 3, ((0, 0), (0, 2)))
@@ -181,22 +194,30 @@ class TestRunPeriod:
         assert carried.resubmissions == 1
 
     def test_audit_catches_what_the_ledger_let_through(self, monkeypatch):
-        def on_time(grid, snapshot, requests, params, now, *, limits=None):
-            plans = {r.flight_id: FlightPlan(r.flight_id, ((1, "r0000"), (2, "r0001"),
-                                                           (3, "r0002")))
-                     for r in requests}
-            return SimpleNamespace(plans=plans, tdc_by_flight=dict.fromkeys(plans, 0.0),
-                                   deferred=(), dropped=(), solve_time=0.0)
-
-        def unchecked(ledger, record):
-            ledger._records.append(record)
-
         # With the ledger's own check bypassed, only the audit over the
-        # day's filed plans sees both flights on the capacity-one ring cell.
-        monkeypatch.setattr(sim, "solve_tfmp", on_time)
-        monkeypatch.setattr(OccupancyLedger, "file_plan", unchecked)
+        # period's plans sees both flights on the capacity-one ring cell.
+        monkeypatch.setattr(sim, "solve_tfmp", corridor_lane)
+        monkeypatch.setattr(OccupancyLedger, "file_plan", file_unchecked)
         with pytest.raises(RuntimeError, match="flight database broke capacity"):
             self.plan_one("tfmp")
+
+    def test_audit_counts_what_earlier_periods_filed(self, monkeypatch):
+        grid = make_grid(1, 3, ((0, 0), (0, 2)))
+        ledger = OccupancyLedger(grid)
+        params = DelayCostParams(0.3)
+
+        monkeypatch.setattr(sim, "solve_tfmp", corridor_lane)
+        first = [make_request(grid, "f0", "r0000", "r0002", 1)]
+        run_period(grid, ledger, first, "tfmp", params, 0.0, 0, 0, 0)
+        assert len(ledger.filed_plans) == 1
+
+        # Period 1's one plan fits on its own, but f0 already fills the
+        # capacity-one ring cell at t=2; with the ledger's check bypassed
+        # only an audit against the period's snapshot sees it.
+        monkeypatch.setattr(OccupancyLedger, "file_plan", file_unchecked)
+        second = [make_request(grid, "f1", "r0000", "r0002", 1)]
+        with pytest.raises(RuntimeError, match="flight database broke capacity"):
+            run_period(grid, ledger, second, "tfmp", params, 0.0, 0, 1, 1)
 
     def test_empty_batch_is_a_quiet_period(self):
         _, ledger, _, result = self.plan_one("fair-coplan", requests=[])

@@ -138,6 +138,7 @@ class TestUnassignedAndDeferred:
         ok = make_request(corridor, "f1", "r0000", "r0002", 0)
         s1 = solve_step1(corridor, empty, [late, ok], 0)
         assert s1.deferred == ("f0",)
+        assert set(s1.deferred) <= set(s1.unassigned)
         assert not s1.choice_sets["f1"].is_empty
 
 

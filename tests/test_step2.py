@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import pytest
 
+from faircoplan import milp
 from faircoplan.airspace import OccupancyLedger, OccupancySnapshot
 from faircoplan.checker import plan_violations
 from faircoplan.flights import ChoiceSet, DelayCostParams
 from faircoplan.oracle import oracle_step2_optimum
 from faircoplan.step1 import solve_step1
-from faircoplan.step2 import solve_step2
+from faircoplan.step2 import add_capacity_rows, solve_step2
 
 from helpers import blocked, make_grid, make_request
 
@@ -24,6 +25,23 @@ def granted(grid, snapshot, request, now=0):
 @pytest.fixture()
 def corridor():
     return make_grid(1, 3, ((0, 0), (0, 2)))
+
+
+class TestCapacityRows:
+    def test_row_only_where_positive_terms_exceed_remaining(self, corridor):
+        # Pads hold 2, the ring cell 1.
+        snap = OccupancyLedger(corridor).snapshot()
+        model = milp.Model()
+        a, b, c, d, e, f, g, h = (model.binary(n) for n in "abcdefgh")
+        add_capacity_rows(model, snap, {
+            ("r0002", 1): {e: 1.0, f: -1.0, g: 1.0, h: -1.0},  # over only with negatives
+            ("r0001", 0): {c: 1.0, d: 1.0},  # over
+            ("r0000", 0): {a: 1.0, b: 1.0},  # exactly at remaining
+        })
+        (row,) = model.constraints
+        assert row.label == "cap.r0001.0"
+        assert row.coeffs == (("c", 1.0), ("d", 1.0))
+        assert (row.relation, row.rhs) == ("<=", 1.0)
 
 
 class TestOnTime:
