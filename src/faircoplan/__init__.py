@@ -37,7 +37,7 @@ from .flights import (
     path_length,
     tdc,
 )
-from .milp import Model, SolveLimits, SolveResult, solve
+from .milp import Model, SolveResult, solve
 from .oracle import (
     OracleSizeError,
     TinyInstance,
@@ -101,7 +101,6 @@ __all__ = [
     "PeriodResult",
     "Resource",
     "ScenarioConfig",
-    "SolveLimits",
     "SolveResult",
     "Step1Result",
     "Step2Result",

@@ -275,22 +275,18 @@ class OccupancySnapshot:
 
 
 class OccupancyLedger:
-    """Append-only flight database plus the occupancy index over it."""
+    """The flight database as its occupancy index: how many filed plans
+    hold each cell at each step."""
 
     def __init__(self, grid: AirspaceGrid) -> None:
         self.grid = grid
         self._counts: dict[tuple[str, int], int] = {}
-        self._plans: list[FlightPlan] = []
-
-    @property
-    def filed_plans(self) -> tuple[FlightPlan, ...]:
-        return tuple(self._plans)
 
     def snapshot(self) -> OccupancySnapshot:
         return OccupancySnapshot(self.grid, dict(self._counts))
 
     def file_plan(self, plan: FlightPlan) -> None:
-        """Append a plan, rejecting any capacity excess before mutation."""
+        """Count a plan in, rejecting any capacity excess before mutation."""
         offending = [(rid, t) for t, rid in plan.steps
                      if self._counts.get((rid, t), 0) + 1 > self.grid.capacity(rid, t)]
         if offending:
@@ -300,4 +296,3 @@ class OccupancyLedger:
             )
         for t, rid in plan.steps:
             self._counts[(rid, t)] = self._counts.get((rid, t), 0) + 1
-        self._plans.append(plan)

@@ -221,8 +221,6 @@ def solve_tfmp(
     requests: Sequence[FlightRequest],
     params: DelayCostParams,
     now: int = 0,
-    *,
-    limits: milp.SolveLimits | None = None,
 ) -> BaselineResult:
     by_id: dict[str, FlightRequest] = {}
     for req in requests:
@@ -252,7 +250,6 @@ def solve_tfmp(
         included, by_id,
         lambda active: _build_tfmp(grid, snapshot, active, by_id, routes, params,
                                    now, horizon_end),
-        limits,
     )
     result, wvars = outcome.result, outcome.built
 
@@ -264,13 +261,12 @@ def solve_tfmp(
                  for fid in outcome.kept}
         audit_batch(grid, snapshot, by_id, plans, now, horizon_end, "fixed-route")
         tdc_by_flight = {fid: tdc(plan, by_id[fid], params) for fid, plan in plans.items()}
-        if result.status == milp.OPTIMAL:
-            expected = sum(tdc_by_flight.values())
-            if abs(expected - result.objective) > 1e-6 * max(1.0, abs(expected)):
-                raise RuntimeError(
-                    f"fixed-route objective {result.objective} disagrees with "
-                    f"recomputed cost {expected}"
-                )
+        expected = sum(tdc_by_flight.values())
+        if abs(expected - result.objective) > 1e-6 * max(1.0, abs(expected)):
+            raise RuntimeError(
+                f"fixed-route objective {result.objective} disagrees with "
+                f"recomputed cost {expected}"
+            )
 
     return BaselineResult(
         plans=plans,

@@ -15,8 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import milp
-from .selfcheck import build_catalog, random_instance, check_instance
+from .selfcheck import run_selfcheck
 from .serialize import (
     load_scenario,
     read_campaign_records,
@@ -40,8 +39,6 @@ def _add_shared_run_args(parser: argparse.ArgumentParser) -> None:
                         help="override the number of days")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the demand seed")
-    parser.add_argument("--time-limit", type=float, default=None,
-                        help="per-solve time limit in seconds")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,15 +85,13 @@ def _configure(args: argparse.Namespace):
         overrides["seed"] = args.seed
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    limits = (milp.SolveLimits(time_limit=args.time_limit)
-              if args.time_limit is not None else None)
-    return config, limits
+    return config
 
 
 def _run(args: argparse.Namespace, modes: tuple[str, ...]) -> int:
-    config, limits = _configure(args)
+    config = _configure(args)
     started = time.perf_counter()
-    campaign = run_campaign(config, modes, limits=limits)
+    campaign = run_campaign(config, modes)
     out = write_campaign(args.out, campaign)
     elapsed = time.perf_counter() - started
     summary = campaign.summary()
@@ -143,14 +138,11 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.cases < 1:
         print("--cases must be >= 1", file=sys.stderr)
         return 2
-    instances = build_catalog()[:args.cases]
-    extra = args.cases - len(instances)
-    instances += [random_instance(args.seed + i) for i in range(extra)]
+    instances, cases = run_selfcheck(args.cases, args.seed)
     failures = 0
-    for inst in instances:
-        for case in check_instance(inst):
-            print(case.line())
-            failures += 0 if case.passed else 1
+    for case in cases:
+        print(case.line())
+        failures += 0 if case.passed else 1
     print(f"{len(instances)} instances checked, "
           f"{failures} failing case(s)")
     return 0 if failures == 0 else 2

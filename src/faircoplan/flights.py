@@ -204,15 +204,14 @@ def solve_dropping(
     active: Sequence[str],
     requests: Mapping[str, FlightRequest],
     build: Callable[[list[str]], tuple[milp.Model, Any]],
-    limits: milp.SolveLimits | None = None,
 ) -> DropOutcome:
     """Build and solve a joint model over ``active``; while it has no
     accepted solution, drop ``pick_victim`` and rebuild.
 
     ``build(active)`` returns the model and an extra value (its variable
-    map). An optimal or time-limit-feasible solve is accepted. An infeasible
-    solve, or a time limit reached without an incumbent, drops a victim; any
-    other error raises, naming the model.
+    map). Only an optimal solve is accepted. Only an infeasible solve drops
+    a victim: no solve has a time limit, so infeasibility is always proven.
+    Any error raises, naming the model.
     """
     # Imported here, not at the top: airspace imports this module first, and
     # loading scipy that early made a fresh `import faircoplan` spend about
@@ -226,13 +225,13 @@ def solve_dropping(
     built = None
     while active:
         model, built = build(active)
-        result = milp.solve(model, limits=limits)
+        result = milp.solve(model)
         attempts += 1
         total_time += result.wall_time
-        if result.status in (milp.OPTIMAL, milp.TIME_LIMIT_FEASIBLE):
+        if result.status == milp.OPTIMAL:
             return DropOutcome(result, built, tuple(active), tuple(dropped),
                                attempts, total_time)
-        if result.status == milp.ERROR and not result.hit_time_limit:
+        if result.status == milp.ERROR:
             raise RuntimeError(f"{model.name} solve failed: {result.detail}")
         victim = pick_victim(active, requests)
         dropped.append(victim)

@@ -24,13 +24,15 @@ sparse input directly.
 Inside a ``reuse_solves()`` context the solves are memoized. The key is a
 blake2b digest of exactly what HiGHS receives: the objective vector,
 variable bounds, integrality flags, the CSR matrix (shape, indptr, indices,
-data), the row bounds and the options (presolve, gap, time limit).
+data), the row bounds and the options (presolve and gap).
 Variable names and the objective offset never reach HiGHS, so they are left
 out: a hit returns the stored raw point, and values and objective are rebuilt
 against the model being solved, under its own names and offset. Only
-OPTIMAL and INFEASIBLE outcomes are stored; a time-limit result depends on
-the clock, not on the input. ``run_campaign`` opens one context per day, in
-which the coplan lane re-solves many of the fair-coplan lane's models.
+OPTIMAL and INFEASIBLE outcomes are stored. No solve has a time limit, so
+each runs to its proven optimum or infeasibility, and the outcome depends on
+the input alone, never on the clock. ``run_campaign`` opens one context per
+day, in which the coplan lane re-solves many of the fair-coplan lane's
+models.
 """
 from __future__ import annotations
 
@@ -46,7 +48,6 @@ from scipy import optimize, sparse
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-TIME_LIMIT_FEASIBLE = "time-limit-feasible"
 ERROR = "error"
 
 FEASIBILITY_TOL = 1e-6
@@ -54,15 +55,6 @@ INTEGRALITY_TOL = 1e-6
 
 _RELATIONS = ("<=", "=", ">=")
 _LE, _GE = 0, 2  # positions in _RELATIONS
-
-
-@dataclass(frozen=True)
-class SolveLimits:
-    time_limit: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
 
 
 @dataclass(frozen=True)
@@ -88,6 +80,7 @@ class SolveResult:
     values: dict[str, float] = field(default_factory=dict)
     wall_time: float = 0.0
     detail: str = ""
+    # Set only on the ERROR for HiGHS status 1 ("a limit was reached").
     hit_time_limit: bool = False
 
 
@@ -332,16 +325,13 @@ class HighsBackend:
     ``HighsBackend.solve`` as a layer of its own, so it stays a method.
     """
 
-    def solve(self, model: Model, limits: SolveLimits | None = None) -> SolveResult:
-        limits = limits or SolveLimits()
+    def solve(self, model: Model) -> SolveResult:
         if not model.num_vars:
             return SolveResult(status=OPTIMAL, objective=model.objective_offset)
         names, c, lb, ub, integrality, A, row_lb, row_ub, sign = _arrays(model)
         # mip_rel_gap is always passed: left out, HiGHS stops at its own
         # default relative gap and still reports the incumbent as optimal.
-        options: dict[str, object] = {"presolve": True, "mip_rel_gap": 0.0}
-        if limits.time_limit is not None:
-            options["time_limit"] = float(limits.time_limit)
+        options = {"presolve": True, "mip_rel_gap": 0.0}
         memo = _MEMO.get()
         key = hit = None
         if memo is not None:
@@ -371,27 +361,18 @@ class HighsBackend:
             return SolveResult(status=OPTIMAL, objective=obj, values=values)
         if status == 2:
             return SolveResult(status=INFEASIBLE, detail=message)
-        if status == 1:
-            if x is not None:
-                values, obj = _finish(model, names, x, lb, ub, integrality, sign, c)
-                return SolveResult(
-                    status=TIME_LIMIT_FEASIBLE,
-                    objective=obj,
-                    values=values,
-                    hit_time_limit=True,
-                )
-            return SolveResult(
-                status=ERROR, detail="time limit reached without incumbent", hit_time_limit=True
-            )
-        return SolveResult(status=ERROR, detail=f"highs status {status}: {message}")
+        # Status 1, "a limit was reached", cannot be asked for: no limit is
+        # set. Like any other status it is a solver failure.
+        return SolveResult(status=ERROR, detail=f"highs status {status}: {message}",
+                           hit_time_limit=status == 1)
 
 
-def solve(model: Model, limits: SolveLimits | None = None) -> SolveResult:
-    """Solve and, for accepted statuses, re-verify the point by substitution."""
+def solve(model: Model) -> SolveResult:
+    """Solve and, for an optimal point, re-verify it by substitution."""
     start = time.perf_counter()
-    result = HighsBackend().solve(model, limits)
+    result = HighsBackend().solve(model)
     result.wall_time = time.perf_counter() - start
-    if result.status in (OPTIMAL, TIME_LIMIT_FEASIBLE):
+    if result.status == OPTIMAL:
         violations = check_solution(model, result.values)
         if violations:
             return SolveResult(

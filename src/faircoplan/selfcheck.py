@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airspace import AirspaceGrid, GridConfig, VertiportSpec, build_grid
+from .airspace import AirspaceGrid, GridConfig, VertiportSpec, build_grid, resource_id_for
 from .baseline import fixed_route, leg_dwells, solve_tfmp
 from .flights import FlightRequest
 from .oracle import (
@@ -57,7 +57,7 @@ class CaseResult:
             f"  ({self.detail})" if self.detail else "")
 
 
-def _grid(
+def make_grid(
     rows: int,
     cols: int,
     vertiports: tuple[tuple[int, int], ...],
@@ -69,6 +69,7 @@ def _grid(
     connectivity: str = "orthogonal-4",
     overrides: tuple[tuple[str, int, int], ...] = (),
 ) -> AirspaceGrid:
+    """A tiny grid; the first vertiport is the hub, the rest vertistops."""
     specs = tuple(
         VertiportSpec(row=row, col=col, kind="hub" if i == 0 else "vertistop",
                       ops_capacity=vp_capacity)
@@ -82,16 +83,17 @@ def _grid(
     ))
 
 
-def _rid(grid: AirspaceGrid, row: int, col: int) -> str:
-    return f"r{row * grid.config.cols + col:04d}"
+def rid(grid: AirspaceGrid, row: int, col: int) -> str:
+    return resource_id_for(grid.config.cols, row, col)
 
 
-def _blocked(grid: AirspaceGrid, row: int, col: int) -> tuple[tuple[str, int, int], ...]:
-    rid = _rid(grid, row, col)
-    return tuple((rid, t, 0) for t in range(grid.horizon_steps))
+def blocked(grid: AirspaceGrid, row: int, col: int) -> tuple[tuple[str, int, int], ...]:
+    """Capacity-zero overrides closing one cell for the whole horizon."""
+    cell = rid(grid, row, col)
+    return tuple((cell, t, 0) for t in range(grid.horizon_steps))
 
 
-def _request(
+def make_request(
     grid: AirspaceGrid,
     fid: str,
     origin: str,
@@ -100,16 +102,15 @@ def _request(
     *,
     flexibility: int = 3,
     dwell: tuple[tuple[str, int], ...] = (),
-    operator: str = "op",
     resubmissions: int = 0,
 ) -> FlightRequest:
     """Request whose arrival assumes the shortest route at the given dwells."""
     route = fixed_route(grid, origin, destination)
-    probe = FlightRequest(fid, operator, origin, destination, depart,
+    probe = FlightRequest(fid, "op", origin, destination, depart,
                           depart + 1, flexibility=flexibility, dwell=dwell)
     travel = sum(leg_dwells(grid, route, probe.min_dwell))
     return FlightRequest(
-        fid, operator, origin, destination, depart, depart + travel,
+        fid, "op", origin, destination, depart, depart + travel,
         flexibility=flexibility, dwell=dwell, resubmissions=resubmissions,
     )
 
@@ -118,57 +119,56 @@ def build_catalog() -> list[TinyInstance]:
     """Hand-built instances covering every planner path."""
     out = []
 
-    corridor = _grid(1, 3, ((0, 0), (0, 2)))
-    v0, v2 = _rid(corridor, 0, 0), _rid(corridor, 0, 2)
+    corridor = make_grid(1, 3, ((0, 0), (0, 2)))
+    v0, v2 = rid(corridor, 0, 0), rid(corridor, 0, 2)
     out.append(TinyInstance(
         "corridor", corridor,
-        (_request(corridor, "f0", v0, v2, 0),),
+        (make_request(corridor, "f0", v0, v2, 0),),
     ))
     out.append(TinyInstance(
         "corridor-dwell", corridor,
-        (_request(corridor, "f0", v0, v2, 0,
-                  dwell=((_rid(corridor, 0, 1), 2),)),),
+        (make_request(corridor, "f0", v0, v2, 0,
+                      dwell=((rid(corridor, 0, 1), 2),)),),
     ))
     out.append(TinyInstance(
         "corridor-pair", corridor,
-        (_request(corridor, "f0", v0, v2, 0, flexibility=2),
-         _request(corridor, "f1", v0, v2, 1, flexibility=2)),
+        (make_request(corridor, "f0", v0, v2, 0, flexibility=2),
+         make_request(corridor, "f1", v0, v2, 1, flexibility=2)),
     ))
     out.append(TinyInstance(
         "corridor-pair-weighted", corridor,
-        (_request(corridor, "f0", v0, v2, 0, flexibility=2),
-         _request(corridor, "f1", v0, v2, 1, flexibility=2)),
+        (make_request(corridor, "f0", v0, v2, 0, flexibility=2),
+         make_request(corridor, "f1", v0, v2, 1, flexibility=2)),
         gamma=1.0,
     ))
     out.append(TinyInstance(
         "corridor-opposed", corridor,
-        (_request(corridor, "f0", v0, v2, 0, flexibility=2),
-         _request(corridor, "f1", v2, v0, 0, flexibility=2)),
+        (make_request(corridor, "f0", v0, v2, 0, flexibility=2),
+         make_request(corridor, "f1", v2, v0, 0, flexibility=2)),
     ))
     out.append(TinyInstance(
         "corridor-busy", corridor,
-        (_request(corridor, "f0", v0, v2, 0, flexibility=2),),
-        base=((_rid(corridor, 0, 1), 1, 1), (_rid(corridor, 0, 1), 2, 1)),
+        (make_request(corridor, "f0", v0, v2, 0, flexibility=2),),
+        base=((rid(corridor, 0, 1), 1, 1), (rid(corridor, 0, 1), 2, 1)),
     ))
     out.append(TinyInstance(
         "corridor-late-window", corridor,
-        (_request(corridor, "f0", v0, v2, 0, flexibility=2),
-         _request(corridor, "f1", v0, v2, 5)),
+        (make_request(corridor, "f0", v0, v2, 0, flexibility=2),
+         make_request(corridor, "f1", v0, v2, 5)),
     ))
     # Planning starts mid-horizon: f0's requested departure is already in
     # the past and every window must truncate at the current step.
     out.append(TinyInstance(
         "corridor-midstream", corridor,
-        (_request(corridor, "f0", v0, v2, 1, flexibility=2),
-         _request(corridor, "f1", v0, v2, 3, flexibility=2)),
+        (make_request(corridor, "f0", v0, v2, 1, flexibility=2),
+         make_request(corridor, "f1", v0, v2, 3, flexibility=2)),
         now=2,
     ))
 
-    blocked = _grid(1, 3, ((0, 0), (0, 2)))
     out.append(TinyInstance(
         "corridor-blocked",
-        _grid(1, 3, ((0, 0), (0, 2)), overrides=_blocked(blocked, 0, 1)),
-        (_request(blocked, "f0", v0, v2, 0),),
+        make_grid(1, 3, ((0, 0), (0, 2)), overrides=blocked(corridor, 0, 1)),
+        (make_request(corridor, "f0", v0, v2, 0),),
     ))
 
     # A 2x4 grid with one corner-to-corner pair and the upper of the two
@@ -176,54 +176,54 @@ def build_catalog() -> list[TinyInstance]:
     # open plain cell, which holds capacity one while the zone around it
     # has room for two, so identical proposals collide and the joint
     # deconfliction step has real work to do.
-    pinch_probe = _grid(2, 4, ((0, 0), (1, 3)))
-    pinch = _grid(2, 4, ((0, 0), (1, 3)), vp_capacity=2, ring_capacity=2,
-                  overrides=_blocked(pinch_probe, 0, 2))
-    p0, p7 = _rid(pinch, 0, 0), _rid(pinch, 1, 3)
+    pinch_probe = make_grid(2, 4, ((0, 0), (1, 3)))
+    pinch = make_grid(2, 4, ((0, 0), (1, 3)), vp_capacity=2, ring_capacity=2,
+                      overrides=blocked(pinch_probe, 0, 2))
+    p0, p7 = rid(pinch, 0, 0), rid(pinch, 1, 3)
     for gamma, tag in ((0.0, ""), (1.0, "-weighted"), (5.0, "-heavyweight")):
         out.append(TinyInstance(
             f"pinch-pair{tag}", pinch,
-            (_request(pinch, "f0", p0, p7, 0, flexibility=2),
-             _request(pinch, "f1", p0, p7, 0, flexibility=2)),
+            (make_request(pinch, "f0", p0, p7, 0, flexibility=2),
+             make_request(pinch, "f1", p0, p7, 0, flexibility=2)),
             gamma=gamma,
         ))
     out.append(TinyInstance(
         "pinch-opposed", pinch,
-        (_request(pinch, "f0", p0, p7, 0, flexibility=2),
-         _request(pinch, "f1", p7, p0, 0, flexibility=2)),
+        (make_request(pinch, "f0", p0, p7, 0, flexibility=2),
+         make_request(pinch, "f1", p7, p0, 0, flexibility=2)),
         gamma=1.0,
     ))
 
-    detour = _grid(2, 3, ((0, 0), (0, 2)), vp_capacity=2)
-    detour_blocked = _grid(2, 3, ((0, 0), (0, 2)), vp_capacity=2,
-                           overrides=_blocked(detour, 0, 1))
+    detour = make_grid(2, 3, ((0, 0), (0, 2)), vp_capacity=2)
+    detour_blocked = make_grid(2, 3, ((0, 0), (0, 2)), vp_capacity=2,
+                               overrides=blocked(detour, 0, 1))
     out.append(TinyInstance(
         "detour", detour_blocked,
-        (_request(detour, "f0", _rid(detour, 0, 0), _rid(detour, 0, 2), 0),),
+        (make_request(detour, "f0", rid(detour, 0, 0), rid(detour, 0, 2), 0),),
     ))
     out.append(TinyInstance(
         "detour-contest", detour,
-        (_request(detour, "f0", _rid(detour, 0, 0), _rid(detour, 0, 2), 1),
-         _request(detour, "f1", _rid(detour, 0, 0), _rid(detour, 0, 2), 1)),
+        (make_request(detour, "f0", rid(detour, 0, 0), rid(detour, 0, 2), 1),
+         make_request(detour, "f1", rid(detour, 0, 0), rid(detour, 0, 2), 1)),
         gamma=1.0,
     ))
 
-    diag = _grid(3, 3, ((0, 0), (2, 2)), connectivity="diagonal-8",
-                 ring_capacity=1)
+    diag = make_grid(3, 3, ((0, 0), (2, 2)), connectivity="diagonal-8",
+                     ring_capacity=1)
     out.append(TinyInstance(
         "diagonal", diag,
-        (_request(diag, "f0", _rid(diag, 0, 0), _rid(diag, 2, 2), 0,
-                  flexibility=2),),
+        (make_request(diag, "f0", rid(diag, 0, 0), rid(diag, 2, 2), 0,
+                      flexibility=2),),
     ))
 
-    cross = _grid(3, 3, ((0, 0), (2, 2), (0, 2), (2, 0)), vp_capacity=1,
-                  horizon=9)
+    cross = make_grid(3, 3, ((0, 0), (2, 2), (0, 2), (2, 0)), vp_capacity=1,
+                      horizon=9)
     out.append(TinyInstance(
         "crossing", cross,
-        (_request(cross, "f0", _rid(cross, 0, 0), _rid(cross, 2, 2), 1,
-                  flexibility=2),
-         _request(cross, "f1", _rid(cross, 0, 2), _rid(cross, 2, 0), 1,
-                  flexibility=2)),
+        (make_request(cross, "f0", rid(cross, 0, 0), rid(cross, 2, 2), 1,
+                      flexibility=2),
+         make_request(cross, "f1", rid(cross, 0, 2), rid(cross, 2, 0), 1,
+                      flexibility=2)),
         gamma=1.0,
     ))
     return out
@@ -236,9 +236,9 @@ def random_instance(seed: int) -> TinyInstance:
     horizon = int(rng.integers(8, 11))
     ring_cap = int(rng.integers(1, 3))
     vp_cap = int(rng.integers(1, 3))
-    grid = _grid(rows, cols, ((0, 0), (0, cols - 1)), horizon,
-                 vp_capacity=vp_cap, ring_capacity=ring_cap)
-    ends = (_rid(grid, 0, 0), _rid(grid, 0, cols - 1))
+    grid = make_grid(rows, cols, ((0, 0), (0, cols - 1)), horizon,
+                     vp_capacity=vp_cap, ring_capacity=ring_cap)
+    ends = (rid(grid, 0, 0), rid(grid, 0, cols - 1))
 
     n_flights = 1 + int(rng.integers(2))
     requests = []
@@ -248,16 +248,16 @@ def random_instance(seed: int) -> TinyInstance:
         eps = int(rng.integers(2, 4))
         dwell = ()
         route = fixed_route(grid, origin, dest)
-        ring_legs = [rid for rid in route.legs[1:-1] if rid in grid.ring]
+        ring_legs = [cell for cell in route.legs[1:-1] if cell in grid.ring]
         if ring_legs and rng.integers(2):
             dwell = ((ring_legs[int(rng.integers(len(ring_legs)))], 2),)
-        probe = _request(grid, f"f{i}", origin, dest, 0, flexibility=eps,
-                         dwell=dwell)
+        probe = make_request(grid, f"f{i}", origin, dest, 0, flexibility=eps,
+                             dwell=dwell)
         travel = probe.requested_arrival - probe.requested_departure
         latest = max(0, horizon - travel - eps - 1)
         depart = int(rng.integers(0, min(latest, 2) + 1))
-        requests.append(_request(grid, f"f{i}", origin, dest, depart,
-                                 flexibility=eps, dwell=dwell))
+        requests.append(make_request(grid, f"f{i}", origin, dest, depart,
+                                     flexibility=eps, dwell=dwell))
 
     base = ()
     if rng.integers(3) == 0:
@@ -384,12 +384,13 @@ def check_instance(inst: TinyInstance) -> list[CaseResult]:
 
 
 def run_selfcheck(
-    random_count: int = 18,
+    cases: int = 35,
     seed: int = 2024,
 ) -> tuple[list[TinyInstance], list[CaseResult]]:
-    """The full suite: hand-built catalog plus seeded random instances."""
-    instances = build_catalog()
-    instances += [random_instance(seed + i) for i in range(random_count)]
+    """The first ``cases`` instances of the hand-built catalog, then seeded
+    random instances ``seed``, ``seed + 1``, ... until there are ``cases``."""
+    instances = build_catalog()[:cases]
+    instances += [random_instance(seed + i) for i in range(cases - len(instances))]
     cases: list[CaseResult] = []
     for inst in instances:
         cases.extend(check_instance(inst))

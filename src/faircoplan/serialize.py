@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -37,20 +37,19 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_SCENARIO_KEYS = {
-    "schema_version", "name", "grid", "demand_per_hub_per_hour", "days",
-    "periods_per_day", "cadence_steps", "flexibility", "alpha", "gamma",
-    "seed",
-}
-_SCENARIO_REQUIRED = {"schema_version", "name", "grid",
-                      "demand_per_hub_per_hour"}
-_GRID_KEYS = {
-    "rows", "cols", "vertiports", "connectivity", "cell_size_km",
-    "horizon_steps", "step_minutes", "sector_capacity", "ring_capacity",
-    "capacity_overrides",
-}
-_GRID_REQUIRED = {"rows", "cols", "vertiports"}
-_VERTIPORT_KEYS = {"row", "col", "kind", "ops_capacity"}
+
+def _keys(cls) -> tuple[set[str], set[str]]:
+    """A config dataclass's keys, and those without a default."""
+    return ({f.name for f in fields(cls)},
+            {f.name for f in fields(cls)
+             if f.default is MISSING and f.default_factory is MISSING})
+
+
+# The schema is the config dataclasses' fields, plus the version stamp.
+_SCENARIO_KEYS, _SCENARIO_REQUIRED = (
+    keys | {"schema_version"} for keys in _keys(ScenarioConfig))
+_GRID_KEYS, _GRID_REQUIRED = _keys(GridConfig)
+_VERTIPORT_KEYS, _VERTIPORT_REQUIRED = _keys(VertiportSpec)
 
 DAY_COLUMNS = ("mode", "day", "served", "unserved_end", "total_tdc",
                "mean_tdc", "deconfliction_periods", "day_fairness",
@@ -70,23 +69,7 @@ def _check_keys(data: Mapping, allowed: set[str], required: set[str],
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
-    grid = asdict(config.grid)
-    grid["vertiports"] = [asdict(vp) for vp in config.grid.vertiports]
-    grid["capacity_overrides"] = [list(row)
-                                  for row in config.grid.capacity_overrides]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": config.name,
-        "grid": grid,
-        "demand_per_hub_per_hour": config.demand_per_hub_per_hour,
-        "days": config.days,
-        "periods_per_day": config.periods_per_day,
-        "cadence_steps": config.cadence_steps,
-        "flexibility": config.flexibility,
-        "alpha": config.alpha,
-        "gamma": config.gamma,
-        "seed": config.seed,
-    }
+    return {"schema_version": SCHEMA_VERSION, **asdict(config)}
 
 
 def scenario_from_dict(data: Mapping) -> ScenarioConfig:
@@ -99,7 +82,7 @@ def scenario_from_dict(data: Mapping) -> ScenarioConfig:
     _check_keys(raw_grid, _GRID_KEYS, _GRID_REQUIRED, "grid")
     vertiports = []
     for raw_vp in raw_grid["vertiports"]:
-        _check_keys(raw_vp, _VERTIPORT_KEYS, _VERTIPORT_KEYS, "vertiport")
+        _check_keys(raw_vp, _VERTIPORT_KEYS, _VERTIPORT_REQUIRED, "vertiport")
         vertiports.append(VertiportSpec(**raw_vp))
     grid_kwargs = {k: v for k, v in raw_grid.items() if k != "vertiports"}
     overrides = grid_kwargs.pop("capacity_overrides", [])

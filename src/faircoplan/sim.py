@@ -239,8 +239,6 @@ def run_period(
     period: int,
     now: int,
     cadence_steps: int = 1,
-    *,
-    limits: milp.SolveLimits | None = None,
 ) -> PeriodResult:
     """Plan one period's batch, file what fits, and shift the rest forward."""
     if mode not in MODES:
@@ -266,14 +264,14 @@ def run_period(
     if not requests:
         pass
     elif mode == "tfmp":
-        base = solve_tfmp(grid, snapshot, list(requests), params, now, limits=limits)
+        base = solve_tfmp(grid, snapshot, list(requests), params, now)
         filed = dict(base.plans)
         tdc_by_flight = dict(base.tdc_by_flight)
         deferred = base.deferred
         dropped = base.dropped
         stage_times["tfmp"] = base.solve_time
     else:
-        s1 = solve_step1(grid, snapshot, list(requests), now, limits=limits)
+        s1 = solve_step1(grid, snapshot, list(requests), now)
         stage_times["step1"] = s1.solve_time
         unassigned = tuple(sorted(s1.unassigned))
         deferred = tuple(sorted(s1.deferred))
@@ -284,8 +282,7 @@ def run_period(
             if fid in unassigned:
                 continue
             outcome = solve_step2(grid, snapshot, by_id[fid],
-                                  s1.choice_sets[fid], params, now,
-                                  limits=limits)
+                                  s1.choice_sets[fid], params, now)
             s2_total += outcome.solve_time
             step2_max = max(step2_max, outcome.solve_time)
             if outcome.plan is None:
@@ -299,7 +296,6 @@ def run_period(
                 grid, snapshot,
                 [by_id[fid] for fid in sorted(proposals)],
                 s1.choice_sets, proposals, params, gamma, now,
-                limits=limits,
             )
             stage_times["step3"] = s3.solve_time
             filed = dict(s3.plans)
@@ -340,8 +336,6 @@ def run_day(
     config: ScenarioConfig,
     day: int,
     mode: str,
-    *,
-    limits: milp.SolveLimits | None = None,
 ) -> tuple[PeriodResult, ...]:
     """One day on a fresh flight database; carryovers chain between periods."""
     gamma = config.gamma if mode == "fair-coplan" else 0.0
@@ -354,7 +348,7 @@ def run_day(
         batch = list(pending) + list(generate_demand(grid, config, day, period))
         result = run_period(
             grid, ledger, batch, mode, params, gamma, day, period, now,
-            config.cadence_steps, limits=limits,
+            config.cadence_steps,
         )
         periods.append(result)
         pending = list(result.carryover)
@@ -383,8 +377,6 @@ class CampaignResult:
 def run_campaign(
     config: ScenarioConfig,
     modes: Sequence[str] = MODES,
-    *,
-    limits: milp.SolveLimits | None = None,
 ) -> CampaignResult:
     """Run every requested mode over the same days of identical demand.
 
@@ -403,7 +395,7 @@ def run_campaign(
     for day in range(config.days):
         with milp.reuse_solves():
             for mode in rows:
-                rows[mode].extend(run_day(grid, config, day, mode, limits=limits))
+                rows[mode].extend(run_day(grid, config, day, mode))
     return CampaignResult(
         config=config, periods={mode: tuple(results) for mode, results in rows.items()})
 

@@ -84,8 +84,6 @@ def solve_step1(
     snapshot: OccupancySnapshot,
     requests: list[FlightRequest],
     now: int = 0,
-    *,
-    limits: milp.SolveLimits | None = None,
 ) -> Step1Result:
     _validate(grid, requests)
     horizon_end = now + grid.horizon_steps
@@ -195,7 +193,7 @@ def solve_step1(
         obj_coeffs[y] = weight
     model.set_objective(obj_coeffs)
 
-    result = milp.solve(model, limits=limits)
+    result = milp.solve(model)
     if result.status == milp.INFEASIBLE:
         raise RuntimeError(
             "choice-setting model infeasible; the all-zero assignment is always "

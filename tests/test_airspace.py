@@ -111,7 +111,6 @@ class TestLedger:
         ledger = OccupancyLedger(grid)
         plan = corridor_plan()
         ledger.file_plan(plan)
-        assert ledger.filed_plans == (plan,)
         snap = ledger.snapshot()
         assert snap.remaining("r0001", 1) == 0
         assert snap.remaining("r0001", 0) == 1
@@ -123,9 +122,11 @@ class TestLedger:
         ledger.file_plan(corridor_plan("f0"))
         with pytest.raises(CapacityViolation, match="r0001"):
             ledger.file_plan(corridor_plan("f1"))
-        # f1's pad steps fit; none of them was counted before the refusal.
-        assert ledger.snapshot().remaining("r0000", 0) == 1
-        assert [plan.flight_id for plan in ledger.filed_plans] == ["f0"]
+        # f1's pad steps fit; none of them was counted before the refusal,
+        # and f0 stays counted.
+        snap = ledger.snapshot()
+        assert snap.remaining("r0000", 0) == 1 and snap.remaining("r0002", 2) == 1
+        assert snap.remaining("r0001", 1) == 0
 
     def test_snapshot_is_isolated_from_later_filings(self):
         grid = make_grid(1, 3, ((0, 0), (0, 2)))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, strategies as st
+from scipy import optimize
 
 from faircoplan import milp
 from faircoplan.airspace import OccupancyLedger
@@ -201,31 +202,22 @@ class TestSolveDropping:
     def test_solver_error_raises_naming_the_model(self, stage, monkeypatch):
         name, run = stage
 
-        def broken(model, limits=None):
+        def broken(model):
             return milp.SolveResult(status=milp.ERROR, detail="highs status 4: boom")
 
         monkeypatch.setattr(milp, "solve", broken)
         with pytest.raises(RuntimeError, match=f"^{name} solve failed: highs status 4"):
             run()
 
-    def test_timeout_without_incumbent_drops_the_victim(self, stage, monkeypatch):
-        # A time limit reached with no incumbent is handled like an
-        # infeasible batch: the victim is dropped and the rest re-solved.
+    def test_limit_status_raises_like_any_error(self, stage, monkeypatch):
+        # No solve has a time limit, so HiGHS status 1 ("a limit was
+        # reached") is a solver failure, never a reason to drop a victim.
         name, run = stage
-        real_solve = milp.solve
-        seen = []
 
-        def first_times_out(model, limits=None):
-            seen.append(model.name)
-            if len(seen) == 1:
-                return milp.SolveResult(status=milp.ERROR, hit_time_limit=True,
-                                        detail="time limit reached without incumbent")
-            return real_solve(model, limits=limits)
+        def hits_a_limit(*args, **kwargs):
+            return optimize.OptimizeResult(status=1, x=None,
+                                           message="Time limit reached.")
 
-        monkeypatch.setattr(milp, "solve", first_times_out)
-        out = run()
-        assert seen == [name, name]
-        assert out.dropped == ("f0",)
-        assert out.attempts == 2
-        assert list(out.plans) == ["f1"]
-        assert out.solver_status == milp.OPTIMAL
+        monkeypatch.setattr(milp.optimize, "milp", hits_a_limit)
+        with pytest.raises(RuntimeError, match=f"^{name} solve failed: highs status 1"):
+            run()

@@ -14,7 +14,6 @@ from faircoplan.flights import DelayCostParams
 from faircoplan.milp import (
     HighsBackend,
     Model,
-    SolveLimits,
     check_solution,
     reuse_solves,
     solve,
@@ -119,7 +118,8 @@ class TestSolveRecheck:
 
 class TestHighsOptions:
     # Without an explicit gap HiGHS stops at its own default relative gap
-    # and still reports "optimal", so a zero gap is always passed.
+    # and still reports "optimal", so a zero gap is always passed; no time
+    # limit ever is.
     def test_gap_is_always_passed(self, monkeypatch):
         seen = []
         real_milp = milp.optimize.milp
@@ -133,9 +133,8 @@ class TestHighsOptions:
         x = model.binary("x")
         model.add({x: 1.0}, "<=", 1.0)
         model.set_objective({x: 1.0})
-        for limits in (None, SolveLimits(), SolveLimits(time_limit=30.0)):
-            assert HighsBackend().solve(model, limits).status == milp.OPTIMAL
-        assert [options["mip_rel_gap"] for options in seen] == [0.0, 0.0, 0.0]
+        assert HighsBackend().solve(model).status == milp.OPTIMAL
+        assert seen == [{"presolve": True, "mip_rel_gap": 0.0}]
 
     def test_constraint_matrix_is_passed_sparse(self, monkeypatch):
         seen = []
@@ -189,13 +188,6 @@ class TestSolveMemo:
         solve(knapsack())
         assert len(highs_calls) == 2
 
-    def test_other_solve_options_miss(self, highs_calls):
-        with reuse_solves():
-            solve(knapsack())
-            result = solve(knapsack(), SolveLimits(time_limit=30.0))
-        assert result.status == milp.OPTIMAL
-        assert len(highs_calls) == 2
-
     def test_hit_is_read_under_the_new_names_and_offset(self, highs_calls):
         with reuse_solves():
             solve(knapsack())
@@ -214,11 +206,11 @@ class TestSolveMemo:
             assert solve(model).status == milp.INFEASIBLE
         assert len(highs_calls) == 1
 
-    @pytest.mark.parametrize("x, status", [
-        (np.array([0.0, 1.0, 1.0]), milp.TIME_LIMIT_FEASIBLE),
-        (None, milp.ERROR),
-    ])
-    def test_time_limit_results_are_never_stored(self, monkeypatch, x, status):
+    # No limit is ever set, so HiGHS status 1 ("a limit was reached") is a
+    # solver failure, with or without an incumbent point.
+    @pytest.mark.parametrize("x", [np.array([0.0, 1.0, 1.0]), None],
+                             ids=["x0-error", "None-error"])
+    def test_time_limit_results_are_never_stored(self, monkeypatch, x):
         calls = []
 
         def timed_out(*args, **kwargs):
@@ -229,7 +221,9 @@ class TestSolveMemo:
         monkeypatch.setattr(milp.optimize, "milp", timed_out)
         with reuse_solves():
             for _ in range(2):
-                assert HighsBackend().solve(knapsack()).status == status
+                result = HighsBackend().solve(knapsack())
+                assert result.status == milp.ERROR and result.hit_time_limit
+                assert result.values == {} and result.objective is None
         assert len(calls) == 2
 
     def test_memo_ends_with_the_context(self, highs_calls):

@@ -140,7 +140,7 @@ class TestGenerateDemand:
         assert len(draws) > 1
 
 
-def corridor_lane(grid, snapshot, requests, params, now, *, limits=None):
+def corridor_lane(grid, snapshot, requests, params, now):
     """Stands in for ``solve_tfmp``: every flight takes the corridor at t=1..3."""
     plans = {r.flight_id: FlightPlan(r.flight_id, ((1, "r0000"), (2, "r0001"),
                                                    (3, "r0002")))
@@ -151,7 +151,15 @@ def corridor_lane(grid, snapshot, requests, params, now, *, limits=None):
 
 def file_unchecked(ledger, plan):
     """Stands in for ``OccupancyLedger.file_plan`` without its capacity check."""
-    ledger._plans.append(plan)
+    for t, rid in plan.steps:
+        ledger._counts[(rid, t)] = ledger._counts.get((rid, t), 0) + 1
+
+
+def assert_same_remaining(grid, got, want):
+    """Two snapshots agree on every cell at every step of the horizon."""
+    for res in grid.resources:
+        for t in range(grid.horizon_steps):
+            assert got.remaining(res.resource_id, t) == want.remaining(res.resource_id, t)
 
 
 class TestRunPeriod:
@@ -174,8 +182,11 @@ class TestRunPeriod:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_filed_plans_land_in_the_ledger(self, mode):
-        _, ledger, _, result = self.plan_one(mode)
-        assert {plan.flight_id: plan for plan in ledger.filed_plans} == result.filed
+        grid, ledger, _, result = self.plan_one(mode)
+        assert result.filed
+        empty = OccupancyLedger(grid).snapshot()
+        assert_same_remaining(grid, ledger.snapshot(),
+                              empty.with_plans(result.filed.values()))
 
     def test_carryover_shifts_windows_and_counts_resubmission(self):
         grid = make_grid(1, 3, ((0, 0), (0, 2)))
@@ -209,7 +220,7 @@ class TestRunPeriod:
         monkeypatch.setattr(sim, "solve_tfmp", corridor_lane)
         first = [make_request(grid, "f0", "r0000", "r0002", 1)]
         run_period(grid, ledger, first, "tfmp", params, 0.0, 0, 0, 0)
-        assert len(ledger.filed_plans) == 1
+        assert ledger.snapshot().remaining("r0001", 2) == 0
 
         # Period 1's one plan fits on its own, but f0 already fills the
         # capacity-one ring cell at t=2; with the ledger's check bypassed
@@ -220,10 +231,10 @@ class TestRunPeriod:
             run_period(grid, ledger, second, "tfmp", params, 0.0, 0, 1, 1)
 
     def test_empty_batch_is_a_quiet_period(self):
-        _, ledger, _, result = self.plan_one("fair-coplan", requests=[])
+        grid, ledger, _, result = self.plan_one("fair-coplan", requests=[])
         assert result.filed == {} and result.carryover == ()
         assert result.stage_times == {}
-        assert ledger.filed_plans == ()
+        assert_same_remaining(grid, ledger.snapshot(), OccupancyLedger(grid).snapshot())
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode"):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import pytest
+from scipy import optimize
 
 from faircoplan import milp
 from faircoplan.airspace import OccupancyLedger, OccupancySnapshot
@@ -144,6 +145,22 @@ class TestInfeasible:
         assert out.infeasible
         assert out.result is None
         assert out.solve_time == 0.0
+
+    def test_limit_status_raises_instead_of_returning_no_plan(self, corridor,
+                                                              monkeypatch):
+        # No solve has a time limit, so HiGHS status 1 ("a limit was
+        # reached") is a solver failure, not an infeasible trajectory.
+        request = make_request(corridor, "f0", "r0000", "r0002", 0)
+        snap = OccupancyLedger(corridor).snapshot()
+        choices = granted(corridor, snap, request)
+
+        def hits_a_limit(*args, **kwargs):
+            return optimize.OptimizeResult(status=1, x=None,
+                                           message="Time limit reached.")
+
+        monkeypatch.setattr(milp.optimize, "milp", hits_a_limit)
+        with pytest.raises(RuntimeError, match="^trajectory solve failed: highs status 1"):
+            solve_step2(corridor, snap, request, choices, PARAMS)
 
 
 class TestAudit:
