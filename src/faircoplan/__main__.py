@@ -1,0 +1,5 @@
+"""``python -m faircoplan``: the command-line interface of ``cli``."""
+from .cli import main
+
+if __name__ == "__main__":
+    main()

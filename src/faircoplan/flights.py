@@ -170,11 +170,18 @@ def path_length(plan: FlightPlan) -> int:
     return len(plan.entries())
 
 
-def tdc(plan: FlightPlan, request: FlightRequest, params: DelayCostParams) -> float:
-    """Total delay cost: alpha * arrival delay + (1 - alpha) * departure delay."""
-    arrival_delay = plan.a_prop - request.requested_arrival
-    departure_delay = plan.d_prop - request.requested_departure
+def slot_tdc(request: FlightRequest, params: DelayCostParams, departure: int,
+             arrival: int) -> float:
+    """Total delay cost of departing and arriving at the given steps:
+    alpha * arrival delay + (1 - alpha) * departure delay."""
+    arrival_delay = arrival - request.requested_arrival
+    departure_delay = departure - request.requested_departure
     return params.alpha * arrival_delay + (1.0 - params.alpha) * departure_delay
+
+
+def tdc(plan: FlightPlan, request: FlightRequest, params: DelayCostParams) -> float:
+    """Total delay cost of a plan; it depends on its two end slots only."""
+    return slot_tdc(request, params, plan.d_prop, plan.a_prop)
 
 
 def pick_victim(active: Sequence[str], requests: Mapping[str, FlightRequest]) -> str:

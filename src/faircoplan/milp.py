@@ -32,7 +32,7 @@ OPTIMAL and INFEASIBLE outcomes are stored. No solve has a time limit, so
 each runs to its proven optimum or infeasibility, and the outcome depends on
 the input alone, never on the clock. ``run_campaign`` opens one context per
 day, in which the coplan lane re-solves many of the fair-coplan lane's
-models.
+choice-setting models.
 """
 from __future__ import annotations
 

@@ -176,7 +176,11 @@ def oracle_step2_optimum(
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[float, FlightPlan] | tuple[None, None]:
-    """Cheapest single-flight plan by enumeration; (None, None) if none exist."""
+    """Cheapest single-flight plan by enumeration; (None, None) if none exist.
+
+    Tie rule: least TDC, then the lexicographically smallest ``steps``
+    tuple, the rule ``step2.solve_step2`` applies.
+    """
     plans = enumerate_feasible_plans(grid, snapshot, request, now,
                                      choices=choices, budget=budget)
     if not plans:

@@ -1,9 +1,10 @@
 """Cross-checks of every optimizer against brute force on tiny instances.
 
 Each instance runs the full negotiated pipeline and the fixed-route baseline,
-then compares the achieved objectives with the exhaustive-search oracles:
-granted-choice totals, per-flight delay costs, joint deconfliction cost (and
-the no-worse-fairness property of the weighted run), and baseline schedule
+then compares the achieved results with the exhaustive-search oracles:
+granted-choice totals, per-flight plans (the plan itself, since step 2 and
+its oracle share one tie rule), joint deconfliction cost (and the
+no-worse-fairness property of the weighted run), and baseline schedule
 cost. A case fails loudly with both numbers in the detail string. Searches
 that would outgrow their node budgets are skipped, never silently trusted.
 """
@@ -306,21 +307,25 @@ def check_instance(inst: TinyInstance) -> list[CaseResult]:
             got = solve_step2(grid, snap, by_id[fid], s1.choice_sets[fid],
                               params, now)
             try:
-                want_tdc, _ = oracle_step2_optimum(grid, snap, by_id[fid],
-                                                   s1.choice_sets[fid], params, now)
+                want_tdc, want_plan = oracle_step2_optimum(
+                    grid, snap, by_id[fid], s1.choice_sets[fid], params, now)
             except OracleSizeError:
                 want_tdc = "skip"
             if got.plan is not None:
                 proposals[fid] = got.plan
             if want_tdc == "skip":
                 continue
+            # Both sides break ties by the smallest steps tuple, so the
+            # plans themselves must agree, not only their costs.
             if got.plan is None:
-                case(f"trajectory-{fid}", want_tdc is None,
-                     f"milp=infeasible oracle={want_tdc}")
+                case(f"trajectory-{fid}", want_plan is None,
+                     f"search=infeasible oracle={want_tdc}")
             else:
-                case(f"trajectory-{fid}",
-                     want_tdc is not None and _same(got.tdc, want_tdc),
-                     f"milp={got.tdc:g} oracle={want_tdc}")
+                same = got.plan == want_plan
+                case(f"trajectory-{fid}", same,
+                     f"search={got.tdc:g} oracle={want_tdc}"
+                     + ("" if same else f" plans {got.plan.steps} vs "
+                        f"{want_plan.steps if want_plan else None}"))
 
         if proposals:
             report = detect_conflicts(grid, snap, proposals)

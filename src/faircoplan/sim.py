@@ -381,11 +381,12 @@ def run_campaign(
     """Run every requested mode over the same days of identical demand.
 
     The campaign runs day by day: each day runs every mode in turn under one
-    ``milp.reuse_solves()`` context, which ends with the day. Steps 1 and 2
-    never see γ, so until the lanes' ledgers diverge the coplan lane builds
-    exactly the MILPs the fair-coplan lane has just solved, and HiGHS solves
-    each of them once. The results are still gathered per mode in day order,
-    so they equal ``run_day`` per mode without the memo.
+    ``milp.reuse_solves()`` context, which ends with the day. Step 1 never
+    sees γ, so until the lanes' ledgers diverge the coplan lane builds
+    exactly the choice-setting MILPs the fair-coplan lane has just solved,
+    and HiGHS solves each of them once. (Step 2 is a search and builds no
+    MILP.) The results are still gathered per mode in day order, so they
+    equal ``run_day`` per mode without the memo.
     """
     for mode in modes:
         if mode not in MODES:

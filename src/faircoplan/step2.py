@@ -1,32 +1,44 @@
-"""Trajectory MILP: one operator planning one flight under granted choices.
+"""Trajectory step: one operator planning one flight under granted choices.
 
-Binary presence variables u[r,t] ("the flight is in r at t") are created only
-where a presence could appear in some optimal plan: zone resources are gated
-by the choice set, en-route sectors by remaining capacity, and everything by
-hop-distance reachability cones between the first departure slot and the
-last arrival slot. The cones only cut assignments that no plan (after
-dropping post-arrival idling) can contain, so the optimum is unchanged.
+A plan is a path through the time-expanded grid, one cell per step from a
+departure slot at the origin to an arrival slot at the destination. The
+cells it may use are the flight's ``cell_domain``: hop-distance cones
+between the first departure slot and the last arrival slot, with zone
+cells gated by the choice set and en-route cells by remaining capacity.
+The total delay cost depends on the two end slots only, so ``solve_step2``
+finds the optimum exactly by a label search over (resource, t, run) states,
+where run is the length of the current minimum-dwell run (label setting
+for resource-constrained shortest paths, Irnich & Desaulniers 2005). Ties
+go to the lexicographically smallest plan, so the plan does not depend on
+any solver.
 
-The objective is the total delay cost against the requested times.
+The same domain, written as binary presence variables with Big-M dwell
+linkage (``add_presence_block``), is each flight's block in step 3's joint
+deconfliction MILP.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Mapping
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
 from .checker import plan_violations
-from .flights import ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, path_length, tdc
+from .flights import (
+    ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, path_length, slot_tdc, tdc,
+)
 
 __all__ = [
     "FlightPlan",
+    "CellDomain",
     "DelayCostParams",
     "PresenceBlock",
     "Step2Result",
     "add_capacity_rows",
     "add_dwell_linkage",
     "add_presence_block",
+    "cell_domain",
     "extract_plan",
     "solve_step2",
     "path_length",
@@ -46,12 +58,24 @@ class PresenceBlock:
     tdc_offset: float
 
 
+@dataclass(frozen=True)
+class CellDomain:
+    """The (resource, t) cells one flight's trajectory may use.
+
+    ``times`` maps each usable resource to its usable steps in order; the
+    origin's are the departure slots, the destination's the arrival slots.
+    """
+
+    times: dict[str, tuple[int, ...]]
+    departure_slots: tuple[int, ...]
+    arrival_slots: tuple[int, ...]
+
+
 @dataclass
 class Step2Result:
     plan: FlightPlan | None
     tdc: float | None
     solve_time: float
-    result: milp.SolveResult | None = None
 
     @property
     def infeasible(self) -> bool:
@@ -120,22 +144,26 @@ def add_capacity_rows(
             model.add(coeffs, "<=", float(remaining), label=f"cap.{rid}.{t}")
 
 
-def add_presence_block(
-    model: milp.Model,
+def cell_domain(
     grid: AirspaceGrid,
     snapshot: OccupancySnapshot,
     request: FlightRequest,
     choices: ChoiceSet,
-    params: DelayCostParams,
     now: int,
     horizon_end: int,
-    prefix: str,
-) -> PresenceBlock | None:
-    """Add one flight's trajectory constraints; None if trivially infeasible."""
-    fid = request.flight_id
+) -> CellDomain | None:
+    """The cells one flight's trajectory may use; None if it cannot fly.
+
+    Departure and arrival slots are the granted ones inside the request's
+    windows and the period, trimmed to pairs far enough apart for the hop
+    distance between origin and destination. Every other resource keeps the
+    steps inside its reachability cone (reachable from the first departure
+    slot, able to reach the last arrival slot); zone cells are further gated
+    by the choice set, en-route cells by remaining capacity. The cones only
+    cut cells no plan can use, so the optimum is unchanged.
+    """
     s, e = request.origin, request.destination
     d, a, eps = request.requested_departure, request.requested_arrival, request.flexibility
-    big_m = grid.horizon_steps + 1
 
     dist_s = grid.hop_distances(s)
     dist_e = grid.hop_distances(e)
@@ -163,7 +191,7 @@ def add_presence_block(
         return None
     last_arr = max(arr_slots)
 
-    by_resource: dict[str, list[int]] = {s: dep_slots, e: arr_slots}
+    times: dict[str, tuple[int, ...]] = {s: tuple(dep_slots), e: tuple(arr_slots)}
     choice_times: dict[str, set[int]] = {}
     for rid, t in choices.choices:
         choice_times.setdefault(rid, set()).add(t)
@@ -174,11 +202,36 @@ def add_presence_block(
         lo = max(now, first_dep + dist_s[rid])
         hi = min(horizon_end - 1, last_arr - dist_e[rid])
         if grid.is_zone(rid):
-            times = sorted(t for t in choice_times.get(rid, ()) if lo <= t <= hi)
+            cells = sorted(t for t in choice_times.get(rid, ()) if lo <= t <= hi)
         else:
-            times = [t for t in range(lo, hi + 1) if snapshot.remaining(rid, t) >= 1]
-        if times:
-            by_resource[rid] = times
+            cells = [t for t in range(lo, hi + 1) if snapshot.remaining(rid, t) >= 1]
+        if cells:
+            times[rid] = tuple(cells)
+    return CellDomain(times, tuple(dep_slots), tuple(arr_slots))
+
+
+def add_presence_block(
+    model: milp.Model,
+    grid: AirspaceGrid,
+    snapshot: OccupancySnapshot,
+    request: FlightRequest,
+    choices: ChoiceSet,
+    params: DelayCostParams,
+    now: int,
+    horizon_end: int,
+    prefix: str,
+) -> PresenceBlock | None:
+    """Add one flight's trajectory constraints over its ``cell_domain``;
+    None if it cannot fly."""
+    domain = cell_domain(grid, snapshot, request, choices, now, horizon_end)
+    if domain is None:
+        return None
+    fid = request.flight_id
+    s, e = request.origin, request.destination
+    d, a = request.requested_departure, request.requested_arrival
+    big_m = grid.horizon_steps + 1
+    by_resource = domain.times
+    dep_slots, arr_slots = domain.departure_slots, domain.arrival_slots
 
     uvars: dict[tuple[str, int], str] = {}
     for rid in sorted(by_resource):
@@ -244,8 +297,8 @@ def add_presence_block(
     return PresenceBlock(
         request=request,
         vars=uvars,
-        departure_slots=tuple(dep_slots),
-        arrival_slots=tuple(arr_slots),
+        departure_slots=dep_slots,
+        arrival_slots=arr_slots,
         tdc_coeffs=tdc_coeffs,
         tdc_offset=tdc_offset,
     )
@@ -273,6 +326,101 @@ def extract_plan(block: PresenceBlock, values: dict[str, float]) -> FlightPlan:
     return FlightPlan(request.flight_id, tuple(steps))
 
 
+def _search(
+    grid: AirspaceGrid,
+    request: FlightRequest,
+    domain: CellDomain,
+    params: DelayCostParams,
+) -> tuple[float, FlightPlan] | None:
+    """The least-cost plan over ``domain`` under the tie rule, or None.
+
+    A state is (resource, t, run): the cell the flight is in and the length
+    of its current run there, capped at the resource's minimum dwell. The
+    flight may leave a resource only once the run has reached that dwell;
+    it never returns to the origin, and reaching the destination ends the
+    plan. The forward pass marks, for every state, which departure slots
+    reach it, so it yields every feasible (departure, arrival) pair and
+    with them the least cost. The second pass is a depth-first search from
+    the chosen departure that tries successors in resource-id order and
+    remembers every state from which no arrival at that cost can be
+    reached, so it visits each state once; the first plan it completes is
+    the lexicographically smallest.
+    """
+    s, e = request.origin, request.destination
+    usable = {(rid, t) for rid, times in domain.times.items() for t in times}
+    dwell = {rid: request.min_dwell(rid) if grid.resource(rid).kind == "sector" else 1
+             for rid in domain.times}
+    # Next resources in id order; a resource's own id means staying put.
+    moves = {rid: sorted(nb for nb in (*grid.adjacency[rid], rid)
+                         if nb in domain.times and nb != s)
+             for rid in domain.times}
+
+    def successors(rid: str, t: int, run: int) -> list[tuple[str, int]]:
+        out = []
+        for nb in moves[rid]:
+            if (nb, t + 1) not in usable:
+                continue
+            if nb == rid:
+                out.append((rid, min(run + 1, dwell[rid])))
+            elif run >= dwell[rid]:
+                out.append((nb, 1))
+        return out
+
+    dep_bit = {t: 1 << i for i, t in enumerate(domain.departure_slots)}
+    arrived: dict[int, int] = {}
+    layer: dict[tuple[str, int], int] = {}
+    for t in range(domain.departure_slots[0], domain.arrival_slots[-1]):
+        if t in dep_bit:
+            layer[(s, 1)] = dep_bit[t]
+        after: dict[tuple[str, int], int] = {}
+        for (rid, run), mask in layer.items():
+            for state in successors(rid, t, run):
+                if state[0] == e:
+                    arrived[t + 1] = arrived.get(t + 1, 0) | mask
+                else:
+                    after[state] = after.get(state, 0) | mask
+        layer = after
+
+    best: tuple[float, int] | None = None
+    for arrival, mask in arrived.items():
+        for departure, bit in dep_bit.items():
+            if mask & bit:
+                key = (slot_tdc(request, params, departure, arrival), departure)
+                if best is None or key < best:
+                    best = key
+    if best is None:
+        return None
+    cost, departure = best
+    targets = {
+        arrival for arrival, mask in arrived.items()
+        if mask & dep_bit[departure]
+        and slot_tdc(request, params, departure, arrival) == cost
+    }
+
+    steps = [(departure, s)]
+    dead: set[tuple[str, int, int]] = set()
+
+    def extend(rid: str, t: int, run: int) -> bool:
+        for nb, nb_run in successors(rid, t, run):
+            if nb == e:
+                if t + 1 in targets:
+                    steps.append((t + 1, e))
+                    return True
+            elif (nb, t + 1, nb_run) not in dead:
+                steps.append((t + 1, nb))
+                if extend(nb, t + 1, nb_run):
+                    return True
+                steps.pop()
+                dead.add((nb, t + 1, nb_run))
+        return False
+
+    if not extend(s, departure, 1):
+        raise RuntimeError(
+            f"{request.flight_id}: no path to the arrival the forward pass reached"
+        )
+    return cost, FlightPlan(request.flight_id, tuple(steps))
+
+
 def solve_step2(
     grid: AirspaceGrid,
     snapshot: OccupancySnapshot,
@@ -281,39 +429,38 @@ def solve_step2(
     params: DelayCostParams,
     now: int = 0,
 ) -> Step2Result:
+    """The flight's least-delay plan inside its granted choices, or no plan.
+
+    Tie rule: least TDC, then the lexicographically smallest ``steps``
+    tuple, the key ``oracle.oracle_step2_optimum`` ranks by. The plan is
+    re-checked by ``plan_violations``, and its TDC must equal the search's
+    optimum. ``solve_time`` is the wall time of the domain and the search.
+    """
     if choices.is_empty:
         raise ValueError(
             f"{request.flight_id}: empty choice set; unassigned flights are "
             "carried over, not planned"
         )
+    start = time.perf_counter()
     horizon_end = now + grid.horizon_steps
-    model = milp.Model(name=f"trajectory.{request.flight_id}", sense="min")
-    block = add_presence_block(
-        model, grid, snapshot, request, choices, params, now, horizon_end,
-        prefix=f"u.{request.flight_id}",
-    )
-    if block is None:
-        return Step2Result(plan=None, tdc=None, solve_time=0.0)
-    model.set_objective(block.tdc_coeffs, offset=block.tdc_offset)
+    domain = cell_domain(grid, snapshot, request, choices, now, horizon_end)
+    found = None if domain is None else _search(grid, request, domain, params)
+    elapsed = time.perf_counter() - start
+    if found is None:
+        return Step2Result(plan=None, tdc=None, solve_time=elapsed)
 
-    result = milp.solve(model)
-    if result.status == milp.INFEASIBLE:
-        return Step2Result(plan=None, tdc=None, solve_time=result.wall_time, result=result)
-    if result.status == milp.ERROR:
-        raise RuntimeError(f"trajectory solve failed: {result.detail}")
-
-    plan = extract_plan(block, result.values)
+    optimum, plan = found
     problems = plan_violations(
         grid, snapshot, request, plan, now, horizon_end, choices=choices
     )
     if problems:
         raise RuntimeError(
-            f"trajectory solution failed re-check: " + "; ".join(problems[:5])
+            "trajectory search result failed re-check: " + "; ".join(problems[:5])
         )
     cost = tdc(plan, request, params)
-    if abs(cost - result.objective) > 1e-6:
+    if cost != optimum:
         raise RuntimeError(
-            f"{request.flight_id}: extracted delay cost {cost} disagrees with "
-            f"objective {result.objective}"
+            f"{request.flight_id}: plan delay cost {cost} disagrees with the "
+            f"search optimum {optimum}"
         )
-    return Step2Result(plan=plan, tdc=cost, solve_time=result.wall_time, result=result)
+    return Step2Result(plan=plan, tdc=cost, solve_time=elapsed)

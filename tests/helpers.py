@@ -1,7 +1,24 @@
 """Shared builders for compact test airspaces and flights: the self-check's
-own tiny-instance builders, so tests and the oracle suite build alike."""
+own tiny-instance builders, so tests and the oracle suite build alike, and
+the single-flight trajectory MILP."""
 from __future__ import annotations
 
+from faircoplan import milp
 from faircoplan.selfcheck import blocked, make_grid, make_request, rid
+from faircoplan.step2 import add_presence_block
 
-__all__ = ["blocked", "make_grid", "make_request", "rid"]
+__all__ = ["blocked", "make_grid", "make_request", "rid", "trajectory_model"]
+
+
+def trajectory_model(grid, snapshot, request, choices, params, now=0):
+    """One flight's presence block with its delay cost as the objective: the
+    trajectory as a MILP, for checking step 2's search and for exercising the
+    block step 3 builds on. None when the block cannot be built."""
+    model = milp.Model(name=f"trajectory.{request.flight_id}", sense="min")
+    block = add_presence_block(model, grid, snapshot, request, choices, params,
+                               now, now + grid.horizon_steps,
+                               prefix=f"u.{request.flight_id}")
+    if block is None:
+        return None
+    model.set_objective(block.tdc_coeffs, offset=block.tdc_offset)
+    return model

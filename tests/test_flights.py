@@ -188,13 +188,22 @@ def corridor_schedule():
                               PARAMS)
 
 
+def corridor_choices():
+    """The choice-setting solve, the one HiGHS caller outside the drop loop."""
+    grid = make_grid(1, 3, ((0, 0), (0, 2)))
+    requests = [make_request(grid, "f0", "r0000", "r0002", 0)]
+    return lambda: solve_step1(grid, OccupancyLedger(grid).snapshot(), requests, 0)
+
+
 class TestSolveDropping:
     """The drop-until-feasible loop shared by joint deconfliction and the
-    fixed-route schedule, on its error paths."""
+    fixed-route schedule, on its error paths; with the choice-setting solve,
+    these are every HiGHS caller."""
 
     @pytest.fixture(params=[("deconfliction", pinch_deconfliction),
-                            ("fixed-route-schedule", corridor_schedule)],
-                    ids=["deconfliction", "fixed-route-schedule"])
+                            ("fixed-route-schedule", corridor_schedule),
+                            ("choice-setting", corridor_choices)],
+                    ids=["deconfliction", "fixed-route-schedule", "choice-setting"])
     def stage(self, request):
         name, build = request.param
         return name, build()

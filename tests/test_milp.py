@@ -22,7 +22,7 @@ from faircoplan.step1 import solve_step1
 from faircoplan.step2 import solve_step2
 from faircoplan.step3 import solve_step3
 
-from helpers import blocked, make_grid, make_request
+from helpers import blocked, make_grid, make_request, trajectory_model
 
 
 class TestHighs:
@@ -260,8 +260,9 @@ def assert_matches_dense(model: Model) -> None:
 
 @pytest.fixture(scope="module")
 def pinch_models() -> list[Model]:
-    """Every model the four planner stages build for two flights through a
-    capacity-one pinch: the proposals conflict, so every stage builds one."""
+    """Every model the three MILP stages build for two flights through a
+    capacity-one pinch (the proposals conflict, so every stage builds one),
+    and each flight's trajectory model built from its presence block."""
     seen: list[Model] = []
     real_solve = milp.solve
 
@@ -282,6 +283,9 @@ def pinch_models() -> list[Model]:
         proposals = {r.flight_id: solve_step2(
             grid, snap, r, s1.choice_sets[r.flight_id], params).plan
             for r in requests}
+        for r in requests:  # step 2 searches; its MILP form is built here
+            milp.solve(trajectory_model(grid, snap, r,
+                                        s1.choice_sets[r.flight_id], params))
         solve_step3(grid, snap, requests, s1.choice_sets, proposals, params)
         solve_tfmp(grid, snap, requests, params)
     kinds = {model.name.split(".", 1)[0] for model in seen}

@@ -2,17 +2,17 @@
 from __future__ import annotations
 
 import pytest
-from scipy import optimize
 
 from faircoplan import milp
 from faircoplan.airspace import OccupancyLedger, OccupancySnapshot
 from faircoplan.checker import plan_violations
 from faircoplan.flights import ChoiceSet, DelayCostParams
 from faircoplan.oracle import oracle_step2_optimum
+from faircoplan.selfcheck import random_instance
 from faircoplan.step1 import solve_step1
-from faircoplan.step2 import add_capacity_rows, solve_step2
+from faircoplan.step2 import add_capacity_rows, cell_domain, solve_step2
 
-from helpers import blocked, make_grid, make_request
+from helpers import blocked, make_grid, make_request, trajectory_model
 
 PARAMS = DelayCostParams(alpha=0.3)
 
@@ -109,8 +109,9 @@ class TestDelays:
                                    dwell=(("r0001", 3),))
         choices = granted(grid, snap, request)
         out = solve_step2(grid, snap, request, choices, PARAMS)
-        want, _ = oracle_step2_optimum(grid, snap, request, choices, PARAMS)
+        want, plan = oracle_step2_optimum(grid, snap, request, choices, PARAMS)
         assert out.tdc == pytest.approx(want)
+        assert out.plan == plan
 
 
 class TestInfeasible:
@@ -131,36 +132,27 @@ class TestInfeasible:
                           request, pads_only, PARAMS)
         assert out.infeasible
         assert out.plan is None and out.tdc is None
-        assert out.result is not None
 
-    def test_slots_too_close_for_the_distance_skip_the_solver(self, corridor):
+    def test_slots_too_close_for_the_distance_skip_the_solver(self, corridor,
+                                                              monkeypatch):
         # Departing at 3 cannot reach the far pad by 4 (two hops away), so
-        # the model is never built.
+        # the flight has no cell domain and nothing is searched; no MILP is
+        # built either.
         request = make_request(corridor, "f0", "r0000", "r0002", 0)
         cramped = ChoiceSet(
             "f0", "r0000", "r0002",
             frozenset({("r0000", 3), ("r0001", 4), ("r0002", 4)}))
-        out = solve_step2(corridor, OccupancyLedger(corridor).snapshot(),
-                          request, cramped, PARAMS)
-        assert out.infeasible
-        assert out.result is None
-        assert out.solve_time == 0.0
-
-    def test_limit_status_raises_instead_of_returning_no_plan(self, corridor,
-                                                              monkeypatch):
-        # No solve has a time limit, so HiGHS status 1 ("a limit was
-        # reached") is a solver failure, not an infeasible trajectory.
-        request = make_request(corridor, "f0", "r0000", "r0002", 0)
         snap = OccupancyLedger(corridor).snapshot()
-        choices = granted(corridor, snap, request)
 
-        def hits_a_limit(*args, **kwargs):
-            return optimize.OptimizeResult(status=1, x=None,
-                                           message="Time limit reached.")
+        def refuse(*args, **kwargs):
+            raise AssertionError("step 2 built a MILP")
 
-        monkeypatch.setattr(milp.optimize, "milp", hits_a_limit)
-        with pytest.raises(RuntimeError, match="^trajectory solve failed: highs status 1"):
-            solve_step2(corridor, snap, request, choices, PARAMS)
+        monkeypatch.setattr(milp.Model, "__init__", refuse)
+        monkeypatch.setattr(milp, "solve", refuse)
+        assert cell_domain(corridor, snap, request, cramped, 0,
+                           corridor.horizon_steps) is None
+        out = solve_step2(corridor, snap, request, cramped, PARAMS)
+        assert out.infeasible
 
 
 class TestAudit:
@@ -171,3 +163,97 @@ class TestAudit:
         out = solve_step2(corridor, snap, request, choices, PARAMS)
         assert plan_violations(corridor, snap, request, out.plan, 0,
                                corridor.horizon_steps, choices=choices) == []
+
+
+def every_free_zone_cell(grid, snap, request, now=0):
+    """A choice set offering every zone cell of the period with remaining
+    capacity: the richest grant step 1 could make."""
+    return ChoiceSet(request.flight_id, request.origin, request.destination,
+                     frozenset((rid, t) for rid in grid.zone
+                               for t in range(now, now + grid.horizon_steps)
+                               if snap.remaining(rid, t) >= 1))
+
+
+def assert_search_is_exact(grid, snap, request, choices, params, now=0):
+    """The search against the trajectory MILP (feasibility and TDC) and the
+    enumeration oracle (the plan itself, under the same tie rule)."""
+    out = solve_step2(grid, snap, request, choices, params, now)
+    model = trajectory_model(grid, snap, request, choices, params, now)
+    result = None if model is None else milp.solve(model)
+    if result is None or result.status == milp.INFEASIBLE:
+        assert out.plan is None
+    else:
+        assert result.status == milp.OPTIMAL
+        assert out.plan is not None
+        assert round(out.tdc, 9) == round(result.objective, 9)
+    want_tdc, want_plan = oracle_step2_optimum(grid, snap, request, choices,
+                                               params, now)
+    assert out.plan == want_plan
+    assert out.tdc == want_tdc
+    return out
+
+
+class TestExactSearch:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_tiny_instances_match_milp_and_oracle(self, seed):
+        inst = random_instance(500 + seed)
+        grid, snap = inst.grid, inst.snapshot()
+        s1 = solve_step1(grid, snap, list(inst.requests), inst.now)
+        for request in inst.requests:
+            # The step-1 grant, and the richest grant, where ties abound.
+            grants = [every_free_zone_cell(grid, snap, request, inst.now)]
+            if request.flight_id not in s1.unassigned:
+                grants.append(s1.choice_sets[request.flight_id])
+            for choices in grants:
+                assert_search_is_exact(grid, snap, request, choices,
+                                       inst.params, inst.now)
+
+    def test_dwell_applies_to_each_run_of_a_revisited_sector(self):
+        # The ring cell r0001 is not offered at t=3, so the flight steps
+        # aside into the en-route cell r0004 and comes back; with a dwell
+        # of 2 at r0001 both runs there must last two steps.
+        grid = make_grid(2, 3, ((0, 0), (0, 2)))
+        snap = OccupancyLedger(grid).snapshot()
+        offered = frozenset({("r0000", 0), ("r0001", 1), ("r0001", 2),
+                             ("r0001", 4), ("r0001", 5), ("r0002", 6)})
+        request = make_request(grid, "f0", "r0000", "r0002", 0,
+                               dwell=(("r0001", 2),))
+        choices = ChoiceSet("f0", "r0000", "r0002", offered)
+        out = assert_search_is_exact(grid, snap, request, choices, PARAMS)
+        assert out.plan.steps == (
+            (0, "r0000"), (1, "r0001"), (2, "r0001"), (3, "r0004"),
+            (4, "r0001"), (5, "r0001"), (6, "r0002"))
+        # A dwell of 3 fits neither run, though each is long enough for 2.
+        longer = make_request(grid, "f0", "r0000", "r0002", 0,
+                              dwell=(("r0001", 3),))
+        out = assert_search_is_exact(grid, snap, longer, choices, PARAMS)
+        assert out.infeasible
+
+    @pytest.mark.parametrize("now", [0, 2])
+    def test_arrival_on_the_last_step_of_the_period(self, corridor, now):
+        # The ring is taken at now + 5, so the flight leaves at now + 5 and
+        # lands on now + 7, the period's last step; with now + 6 taken too
+        # the landing would fall outside the period.
+        request = make_request(corridor, "f0", "r0000", "r0002", now + 4)
+        snap = OccupancySnapshot(corridor, {("r0001", now + 5): 1})
+        out = assert_search_is_exact(
+            corridor, snap, request,
+            every_free_zone_cell(corridor, snap, request, now), PARAMS, now)
+        assert out.plan.steps == ((now + 5, "r0000"), (now + 6, "r0001"),
+                                  (now + 7, "r0002"))
+        assert out.plan.a_prop == now + corridor.horizon_steps - 1
+        blocked_too = OccupancySnapshot(corridor, {("r0001", now + 5): 1,
+                                                   ("r0001", now + 6): 1})
+        out = assert_search_is_exact(
+            corridor, blocked_too, request,
+            every_free_zone_cell(corridor, blocked_too, request, now), PARAMS, now)
+        assert out.infeasible
+
+    def test_ties_go_to_the_smallest_steps(self):
+        # Two equally short routes around the square; r0001 sorts first.
+        grid = make_grid(2, 2, ((0, 0), (1, 1)))
+        snap = OccupancyLedger(grid).snapshot()
+        request = make_request(grid, "f0", "r0000", "r0003", 0)
+        out = assert_search_is_exact(
+            grid, snap, request, every_free_zone_cell(grid, snap, request), PARAMS)
+        assert out.plan.steps == ((0, "r0000"), (1, "r0001"), (2, "r0003"))
