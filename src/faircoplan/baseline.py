@@ -20,9 +20,9 @@ from typing import Callable, Mapping, Sequence
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
+from .blocks import add_capacity_rows
 from .checker import audit_batch
 from .flights import DelayCostParams, FlightPlan, FlightRequest, solve_dropping, tdc
-from .step2 import add_capacity_rows
 
 __all__ = [
     "BaselineResult",

@@ -1,0 +1,297 @@
+"""Time-expanded model blocks: one flight's encoding in the (resource, t)
+grid, shared by every planner MILP.
+
+``cell_domain`` gives the cells one flight's trajectory may use; step 2
+searches it and ``add_presence_block`` writes it as binary presence
+variables, each flight's block in step 3's joint deconfliction MILP.
+``add_dwell_linkage`` holds runs at their minimum dwell, over step 1's ring
+choices and over presence blocks, and ``add_capacity_rows`` caps joint use
+of a cell in steps 1 and 3 and the fixed-route baseline. ``extract_plan``
+reads a solved presence block back as a plan.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Mapping
+
+from . import milp
+from .airspace import AirspaceGrid, OccupancySnapshot
+from .flights import ChoiceSet, DelayCostParams, FlightPlan, FlightRequest
+
+__all__ = [
+    "CellDomain",
+    "PresenceBlock",
+    "add_capacity_rows",
+    "add_dwell_linkage",
+    "add_presence_block",
+    "cell_domain",
+    "extract_plan",
+]
+
+
+@dataclass
+class PresenceBlock:
+    """One flight's presence variables and bookkeeping inside a model."""
+
+    request: FlightRequest
+    vars: dict[tuple[str, int], str]
+    departure_slots: tuple[int, ...]
+    arrival_slots: tuple[int, ...]
+    tdc_coeffs: dict[str, float]
+    tdc_offset: float
+
+
+@dataclass(frozen=True)
+class CellDomain:
+    """The (resource, t) cells one flight's trajectory may use.
+
+    ``times`` maps each usable resource to its usable steps in order; the
+    origin's are the departure slots, the destination's the arrival slots.
+    """
+
+    times: dict[str, tuple[int, ...]]
+    departure_slots: tuple[int, ...]
+    arrival_slots: tuple[int, ...]
+
+
+def add_dwell_linkage(
+    model: milp.Model,
+    presence: Mapping[tuple[str, int], str],
+    request: FlightRequest,
+    rid: str,
+    first: int,
+    last: int,
+    horizon_end: int,
+) -> None:
+    """Minimum dwell at ``rid``: a run may end at step t only once the
+    trailing window of ``request.min_dwell(rid)`` steps is full.
+
+    ``presence`` maps (resource, t) to the binary that marks the flight (or
+    its offered choice) in that cell; a missing key is a cell it cannot use.
+    For each t from first + 1 to min(last + 1, horizon_end - 1) that follows
+    a usable step, an auxiliary binary ``dw.{fid}.{rid}.{t}`` is 1 exactly
+    when the window is not yet full, and then the run must go on at t. The
+    window has ``dwell`` terms, so ``dwell`` is a tight constant for both
+    indicator rows.
+    """
+    fid = request.flight_id
+    dwell = request.min_dwell(rid)
+    if dwell <= 1:
+        return
+    for t in range(first + 1, min(last + 1, horizon_end - 1) + 1):
+        prev = presence.get((rid, t - 1))
+        if prev is None:
+            continue
+        aux = model.binary(f"dw.{fid}.{rid}.{t}")
+        window = {}
+        for tt in range(t - dwell, t):
+            w = presence.get((rid, tt))
+            if w is not None:
+                window[w] = 1.0
+        model.add({aux: float(dwell), **window}, ">=", float(dwell),
+                  label=f"dwlo.{fid}.{rid}.{t}")
+        model.add({aux: float(dwell), **window}, "<=", float(2 * dwell - 1),
+                  label=f"dwhi.{fid}.{rid}.{t}")
+        cur = presence.get((rid, t))
+        coeffs = {prev: -1.0, aux: -1.0}
+        if cur is not None:
+            coeffs[cur] = 1.0
+        model.add(coeffs, ">=", -1.0, label=f"dwrun.{fid}.{rid}.{t}")
+
+
+def add_capacity_rows(
+    model: milp.Model,
+    snapshot: OccupancySnapshot,
+    usage: Mapping[tuple[str, int], Mapping[str, float]],
+) -> None:
+    """Joint capacity: for each (resource, t) cell in sorted order, the row
+    ``cap.{rid}.{t}``, the sum of ``usage[cell]`` at most the snapshot's
+    remaining capacity. A row is added only where more coefficients are
+    positive than the cell has remaining capacity, since elsewhere it
+    cannot bind.
+    """
+    for (rid, t), coeffs in sorted(usage.items()):
+        remaining = snapshot.remaining(rid, t)
+        if sum(1 for c in coeffs.values() if c > 0) > remaining:
+            model.add(coeffs, "<=", float(remaining), label=f"cap.{rid}.{t}")
+
+
+def cell_domain(
+    grid: AirspaceGrid,
+    snapshot: OccupancySnapshot,
+    request: FlightRequest,
+    choices: ChoiceSet,
+    now: int,
+    horizon_end: int,
+) -> CellDomain | None:
+    """The cells one flight's trajectory may use; None if it cannot fly.
+
+    Departure and arrival slots are the granted ones inside the request's
+    windows and the period, trimmed to pairs far enough apart for the hop
+    distance between origin and destination. Every other resource keeps the
+    steps inside its reachability cone (reachable from the first departure
+    slot, able to reach the last arrival slot); zone cells are further gated
+    by the choice set, en-route cells by remaining capacity. The cones only
+    cut cells no plan can use, so the optimum is unchanged.
+    """
+    s, e = request.origin, request.destination
+    d, a, eps = request.requested_departure, request.requested_arrival, request.flexibility
+
+    dist_s = grid.hop_distances(s)
+    dist_e = grid.hop_distances(e)
+    if e not in dist_s:
+        return None
+    sep = dist_s[e]
+
+    dep_slots = [
+        t for t in choices.departure_slots
+        if max(d, now) <= t <= min(d + eps, horizon_end - 2)
+    ]
+    arr_slots = [
+        t for t in choices.arrival_slots
+        if max(a, now + 1) <= t <= horizon_end - 1
+    ]
+    if not dep_slots or not arr_slots:
+        return None
+    last_arr = max(arr_slots)
+    dep_slots = [t for t in dep_slots if t + sep <= last_arr]
+    if not dep_slots:
+        return None
+    first_dep = min(dep_slots)
+    arr_slots = [t for t in arr_slots if t >= first_dep + sep]
+    if not arr_slots:
+        return None
+    last_arr = max(arr_slots)
+
+    times: dict[str, tuple[int, ...]] = {s: tuple(dep_slots), e: tuple(arr_slots)}
+    choice_times: dict[str, set[int]] = {}
+    for rid, t in choices.choices:
+        choice_times.setdefault(rid, set()).add(t)
+    for res in grid.resources:
+        rid = res.resource_id
+        if rid in (s, e) or rid not in dist_s or rid not in dist_e:
+            continue
+        lo = max(now, first_dep + dist_s[rid])
+        hi = min(horizon_end - 1, last_arr - dist_e[rid])
+        if grid.is_zone(rid):
+            cells = sorted(t for t in choice_times.get(rid, ()) if lo <= t <= hi)
+        else:
+            cells = [t for t in range(lo, hi + 1) if snapshot.remaining(rid, t) >= 1]
+        if cells:
+            times[rid] = tuple(cells)
+    return CellDomain(times, tuple(dep_slots), tuple(arr_slots))
+
+
+def add_presence_block(
+    model: milp.Model,
+    grid: AirspaceGrid,
+    snapshot: OccupancySnapshot,
+    request: FlightRequest,
+    choices: ChoiceSet,
+    params: DelayCostParams,
+    now: int,
+    horizon_end: int,
+    prefix: str,
+) -> PresenceBlock | None:
+    """Add one flight's trajectory constraints over its ``cell_domain``;
+    None if it cannot fly."""
+    domain = cell_domain(grid, snapshot, request, choices, now, horizon_end)
+    if domain is None:
+        return None
+    fid = request.flight_id
+    s, e = request.origin, request.destination
+    d, a = request.requested_departure, request.requested_arrival
+    by_resource = domain.times
+    dep_slots, arr_slots = domain.departure_slots, domain.arrival_slots
+
+    uvars: dict[tuple[str, int], str] = {}
+    for rid in sorted(by_resource):
+        for t in by_resource[rid]:
+            uvars[(rid, t)] = model.binary(f"{prefix}.{rid}.{t}")
+
+    def var(rid: str, t: int) -> str | None:
+        return uvars.get((rid, t))
+
+    # Exactly one departure slot and one arrival slot.
+    model.add({var(s, t): 1.0 for t in dep_slots}, "=", 1.0, label=f"dep1.{fid}")
+    model.add({var(e, t): 1.0 for t in arr_slots}, "=", 1.0, label=f"arr1.{fid}")
+
+    # Presence must extend presence in the same or an adjacent resource one
+    # step earlier, except at the origin.
+    for rid in sorted(by_resource):
+        if rid == s:
+            continue
+        for t in by_resource[rid]:
+            coeffs = {uvars[(rid, t)]: 1.0}
+            for nb in (*grid.adjacency[rid], rid):
+                prev = var(nb, t - 1)
+                if prev is not None:
+                    coeffs[prev] = coeffs.get(prev, 0.0) - 1.0
+            model.add(coeffs, "<=", 0.0, label=f"link.{fid}.{rid}.{t}")
+
+    # Arrival ends the flight: no presence anywhere else after the chosen
+    # arrival slot. A lone flight only loses cost-free idling to this, but in
+    # the joint deconfliction model the path length feeds the fairness term,
+    # so idling must not be able to pad it.
+    for rid in sorted(by_resource):
+        if rid == e:
+            continue
+        for t in by_resource[rid]:
+            before = {uvars[(e, ta)]: 1.0 for ta in arr_slots if ta < t}
+            if before:
+                model.add({uvars[(rid, t)]: 1.0, **before}, "<=", 1.0,
+                          label=f"end.{fid}.{rid}.{t}")
+
+    # Minimum dwell per sector.
+    for rid in sorted(by_resource):
+        if grid.resource(rid).kind == "sector":
+            times = by_resource[rid]
+            add_dwell_linkage(model, uvars, request, rid, times[0], times[-1],
+                              horizon_end)
+
+    # At most one resource per timestep.
+    by_time: dict[int, list[str]] = {}
+    for (rid, t), name in uvars.items():
+        by_time.setdefault(t, []).append(name)
+    for t, names in sorted(by_time.items()):
+        if len(names) > 1:
+            model.add({n: 1.0 for n in names}, "<=", 1.0, label=f"one.{fid}.{t}")
+
+    alpha = params.alpha
+    tdc_coeffs: dict[str, float] = {}
+    for t in dep_slots:
+        tdc_coeffs[uvars[(s, t)]] = (1.0 - alpha) * t
+    for t in arr_slots:
+        tdc_coeffs[uvars[(e, t)]] = tdc_coeffs.get(uvars[(e, t)], 0.0) + alpha * t
+    tdc_offset = -(alpha * a + (1.0 - alpha) * d)
+
+    return PresenceBlock(
+        request=request,
+        vars=uvars,
+        departure_slots=dep_slots,
+        arrival_slots=arr_slots,
+        tdc_coeffs=tdc_coeffs,
+        tdc_offset=tdc_offset,
+    )
+
+
+def extract_plan(block: PresenceBlock, values: dict[str, float]) -> FlightPlan:
+    """Read the chosen presences, dropping any idling past the arrival slot.
+
+    Post-arrival presences are objective-free and constraint-slack, so
+    removing them keeps the plan optimal and feasible.
+    """
+    request = block.request
+    arrival = None
+    for t in block.arrival_slots:
+        if values.get(block.vars[(request.destination, t)], 0.0) >= 0.5:
+            arrival = t
+            break
+    if arrival is None:
+        raise RuntimeError(f"{request.flight_id}: no arrival slot chosen")
+    steps = sorted(
+        (t, rid)
+        for (rid, t), name in block.vars.items()
+        if t <= arrival and values.get(name, 0.0) >= 0.5
+    )
+    return FlightPlan(request.flight_id, tuple(steps))

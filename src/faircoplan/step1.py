@@ -8,11 +8,13 @@ than every grant combined, and each granted cell adds one on top. Without
 the service weight a congested period can reach its grant-count optimum
 while starving every departure slot, which would strand the whole batch.
 
-Capacity is budgeted jointly; departure and arrival slots must be supported
-by an adjacent choice on the following and preceding step; minimum-dwell
-linkage keeps offered ring runs long enough to be usable. Flights that end
-up without a departure or an arrival slot are returned unassigned with all
-choices stripped.
+Capacity is budgeted jointly. A departure slot at t needs an adjacent
+choice at t+1 and an arrival slot one at t-1: the sum of those choices minus
+the slot is at least zero. On ring sectors an offered run may end only once
+it has lasted the flight's minimum dwell (``blocks.add_dwell_linkage``,
+whose indicator rows take the dwell itself as their constant). Flights that
+end up without a departure or an arrival slot are returned unassigned with
+all choices stripped.
 """
 from __future__ import annotations
 
@@ -20,18 +22,11 @@ from dataclasses import dataclass
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
+from .blocks import add_capacity_rows, add_dwell_linkage
 from .checker import choice_violations
 from .flights import ChoiceSet, FlightRequest
-from .step2 import add_capacity_rows, add_dwell_linkage
 
-# Re-exported so the choice-step namespace carries its own input/output types.
-__all__ = [
-    "FlightRequest",
-    "ChoiceSet",
-    "Step1Result",
-    "solve_step1",
-    "choice_domains",
-]
+__all__ = ["Step1Result", "solve_step1", "choice_domains"]
 
 
 @dataclass
@@ -40,7 +35,6 @@ class Step1Result:
     unassigned: tuple[str, ...]
     objective: float
     solve_time: float
-    result: milp.SolveResult | None = None
     deferred: tuple[str, ...] = ()
 
 
@@ -87,7 +81,6 @@ def solve_step1(
 ) -> Step1Result:
     _validate(grid, requests)
     horizon_end = now + grid.horizon_steps
-    big_m = grid.horizon_steps + 1
 
     sets: dict[str, ChoiceSet] = {}
     unassigned: list[str] = []
@@ -112,7 +105,7 @@ def solve_step1(
             )
 
     if not modeled:
-        return Step1Result(sets, tuple(unassigned), 0.0, 0.0, None, tuple(deferred))
+        return Step1Result(sets, tuple(unassigned), 0.0, 0.0, tuple(deferred))
 
     model = milp.Model(name="choice-setting", sense="max")
 
@@ -151,25 +144,25 @@ def solve_step1(
         fid = request.flight_id
         dom = domains[fid]
         # Slot support: a departure slot at t needs an adjacent choice at
-        # t+1, an arrival slot one at t-1.
+        # t+1, an arrival slot one at t-1 (sum of those choices >= slot).
         for slot, step, kind in ((request.origin, 1, "dep"),
                                  (request.destination, -1, "arr")):
             for t in dom[slot]:
                 name = var(fid, slot, t)
                 if name is None:
                     continue
-                coeffs = {name: -float(big_m)}
+                coeffs = {name: -1.0}
                 for nb in grid.adjacency[slot]:
                     nb_name = var(fid, nb, t + step)
                     if nb_name is not None:
                         coeffs[nb_name] = coeffs.get(nb_name, 0.0) + 1.0
-                model.add(coeffs, ">=", 1.0 - big_m, label=f"{kind}.{fid}.{t}")
+                model.add(coeffs, ">=", 0.0, label=f"{kind}.{fid}.{t}")
         # Dwell linkage on ring sectors: an offered step continues while the
         # trailing window holds fewer than l offered steps.
         for rid in sorted(grid.ring):
             span = dom[rid]
             add_dwell_linkage(model, live[fid], request, rid, span.start, span.stop - 1,
-                              horizon_end, big_m, aux_prefix=f"A.{fid}.{rid}")
+                              horizon_end)
 
     served: dict[str, str] = {}
     for request in modeled:
@@ -226,5 +219,5 @@ def solve_step1(
             "choice-setting solution failed re-check: " + "; ".join(problems[:5])
         )
     return Step1Result(
-        sets, tuple(unassigned), objective, result.wall_time, result, tuple(deferred)
+        sets, tuple(unassigned), objective, result.wall_time, tuple(deferred)
     )

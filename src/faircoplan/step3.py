@@ -16,20 +16,13 @@ from typing import Mapping, Sequence
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
-from .checker import Conflict, ConflictReport, audit_batch, detect_conflicts
+from .blocks import PresenceBlock, add_capacity_rows, add_presence_block, extract_plan
+from .checker import ConflictReport, audit_batch, detect_conflicts
 from .flights import (
     ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, path_length, solve_dropping, tdc,
 )
-from .step2 import PresenceBlock, add_capacity_rows, add_presence_block, extract_plan
 
-__all__ = [
-    "Conflict",
-    "ConflictReport",
-    "DeconflictionResult",
-    "detect_conflicts",
-    "fairness_value",
-    "solve_step3",
-]
+__all__ = ["DeconflictionResult", "fairness_value", "solve_step3"]
 
 
 @dataclass

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from faircoplan import milp
 from faircoplan.selfcheck import blocked, make_grid, make_request, rid
-from faircoplan.step2 import add_presence_block
+from faircoplan.blocks import add_presence_block
 
 __all__ = ["blocked", "make_grid", "make_request", "rid", "trajectory_model"]
 

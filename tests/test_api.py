@@ -1,5 +1,6 @@
-"""Guards on the public surface: exported names resolve, and the
-benchmark's hooks still find every attribute they wrap.
+"""Guards on the public surface: exported names resolve, each submodule
+exports only what it defines, and the benchmark's hooks still find every
+attribute they wrap.
 
 perfbench wraps module attributes by name and raises ``KeyError`` on a
 missing one, so deleting or renaming a hooked function fails here first.
@@ -7,6 +8,7 @@ missing one, so deleting or renaming a hooked function fails here first.
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -16,20 +18,34 @@ import faircoplan
 from faircoplan import airspace, baseline, milp, serialize, sim, step1, step2, step3
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SUBMODULES = [
+    importlib.import_module(f"faircoplan.{info.name}")
+    for info in pkgutil.iter_modules(faircoplan.__path__)
+]
 
 
 def test_every_exported_name_resolves():
-    modules = [faircoplan] + [
-        importlib.import_module(f"faircoplan.{info.name}")
-        for info in pkgutil.iter_modules(faircoplan.__path__)
-    ]
     missing = [
         f"{module.__name__}.{name}"
-        for module in modules
+        for module in [faircoplan, *SUBMODULES]
         for name in getattr(module, "__all__", ())
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_submodules_export_only_their_own_definitions():
+    # The package re-exports; a submodule names each class or function in
+    # one home, so callers import it from there.
+    borrowed = [
+        f"{module.__name__}.{name}"
+        for module in SUBMODULES
+        for name in getattr(module, "__all__", ())
+        if (inspect.isclass(obj := getattr(module, name, None))
+            or inspect.isfunction(obj))
+        and obj.__module__ != module.__name__
+    ]
+    assert borrowed == []
 
 
 def test_benchmark_hooks_install_and_unpatch(monkeypatch):

@@ -104,6 +104,23 @@ class TestContention:
         want, _ = oracle_step1_optimum(grid, snap, requests, 0)
         assert s1.objective == pytest.approx(want)
 
+    @pytest.mark.parametrize("closed, ring", [
+        (1, (2, 3, 4)),  # the run after the closure is exactly 3 long
+        (3, ()),         # the one arrival slot, 4, needs the closed step
+        (4, (0, 1, 2, 3)),
+    ])
+    def test_ring_dwell_of_three_matches_oracle(self, closed, ring):
+        # One ring step closed; a dwell of 3 decides which runs may be granted.
+        grid = make_grid(1, 3, ((0, 0), (0, 2)), overrides=(("r0001", closed, 0),))
+        snap = OccupancyLedger(grid).snapshot()
+        request = make_request(grid, "f0", "r0000", "r0002", 0, flexibility=1,
+                               dwell=(("r0001", 3),))
+        s1 = solve_step1(grid, snap, [request], 0)
+        want, _ = oracle_step1_optimum(grid, snap, [request], 0)
+        assert s1.objective == pytest.approx(want)
+        granted = sorted(t for rid, t in s1.choice_sets["f0"].choices if rid == "r0001")
+        assert tuple(granted) == ring
+
     def test_wider_ring_never_scores_worse(self, corridor, empty):
         requests = [
             make_request(corridor, "f0", "r0000", "r0002", 0),

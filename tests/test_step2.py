@@ -5,12 +5,13 @@ import pytest
 
 from faircoplan import milp
 from faircoplan.airspace import OccupancyLedger, OccupancySnapshot
+from faircoplan.blocks import add_capacity_rows, cell_domain
 from faircoplan.checker import plan_violations
 from faircoplan.flights import ChoiceSet, DelayCostParams
 from faircoplan.oracle import oracle_step2_optimum
 from faircoplan.selfcheck import random_instance
 from faircoplan.step1 import solve_step1
-from faircoplan.step2 import add_capacity_rows, cell_domain, solve_step2
+from faircoplan.step2 import solve_step2
 
 from helpers import blocked, make_grid, make_request, trajectory_model
 

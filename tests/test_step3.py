@@ -5,11 +5,12 @@ import pytest
 
 from faircoplan import milp, step3
 from faircoplan.airspace import OccupancyLedger, OccupancySnapshot
+from faircoplan.checker import detect_conflicts
 from faircoplan.flights import DelayCostParams, FlightPlan
 from faircoplan.oracle import oracle_joint_optimum
 from faircoplan.step1 import solve_step1
 from faircoplan.step2 import solve_step2
-from faircoplan.step3 import detect_conflicts, fairness_value, solve_step3
+from faircoplan.step3 import fairness_value, solve_step3
 
 from helpers import blocked, make_grid, make_request
 
