@@ -4,7 +4,12 @@ Proposals that fit together are filed untouched. The flights involved in at
 least one overloaded cell are re-planned together in a single MILP that
 reuses the per-flight trajectory block, adds shared en-route capacity rows,
 and (for gamma > 0) penalises the spread of detour ratios: each flight's
-final path length over its proposed path length. When no joint solution
+final path length over its proposed path length. Path length counts entries
+into resources (runs), and a plan holds one cell per step and moves only
+between adjacent cells, so its runs walk from origin to destination in at
+least hop-distance moves: each flight's entry count is bounded below by its
+hop distance + 1. That row cuts no plan, and it keeps the LP relaxation
+from shrinking the spread with fractional entries. When no joint solution
 exists, victims are removed one at a time — fewest resubmissions first,
 newest flight id on ties — and carried over to the next period.
 """
@@ -59,12 +64,22 @@ def fairness_value(
 
 def _add_fairness(
     model: milp.Model,
+    grid: AirspaceGrid,
     blocks: Mapping[str, PresenceBlock],
     proposals: Mapping[str, FlightPlan],
     gamma: float,
 ) -> dict[str, float]:
     """Entry-count linearisation of the detour-ratio spread; returns the
-    gamma-weighted objective coefficients (on the spread bound variables)."""
+    gamma-weighted objective coefficients (on the spread bound variables).
+
+    Row ``lmin.{fid}`` bounds each flight's entry count below by its hop
+    distance from origin to destination + 1. It is valid: a plan holds one
+    cell per step and moves only to adjacent cells, so consecutive runs sit
+    in adjacent resources and walk from origin to destination in at least
+    hop-distance moves, and each run has one entry. It cuts no integer
+    point, and it keeps the LP relaxation from shrinking the spread with
+    fractional entries.
+    """
     f_max = model.continuous("ratio.max", 0.0, math.inf)
     f_min = model.continuous("ratio.min", 0.0, math.inf)
     for fid in sorted(blocks):
@@ -82,6 +97,10 @@ def _add_fairness(
                 model.add({entry: 1.0, name: -1.0}, "<=", 0.0)
                 model.add({entry: 1.0, prev: 1.0}, "<=", 1.0)
             entries[entry] = 1.0
+        request = block.request
+        model.add(entries, ">=",
+                  grid.hop_distances(request.origin)[request.destination] + 1,
+                  label=f"lmin.{fid}")
         # ratio.max >= L(final)/L(proposed) >= ratio.min for every flight.
         model.add({f_max: 1.0, **{n: -1.0 / proposed_len for n in entries}},
                   ">=", 0.0, label=f"rmax.{fid}")
@@ -133,7 +152,7 @@ def _build_joint(
             objective[name] = objective.get(name, 0.0) + coeff
         offset += blocks[fid].tdc_offset
     if gamma > 0.0:
-        objective.update(_add_fairness(model, blocks, proposals, gamma))
+        objective.update(_add_fairness(model, grid, blocks, proposals, gamma))
     model.set_objective(objective, offset=offset)
     return model, blocks
 

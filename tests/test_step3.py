@@ -1,13 +1,16 @@
 """Joint deconfliction: conflict detection, fairness spread, victim drops."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
-from faircoplan import milp, step3
+from faircoplan import milp, sim, step3
 from faircoplan.airspace import OccupancyLedger, OccupancySnapshot
 from faircoplan.checker import detect_conflicts
 from faircoplan.flights import DelayCostParams, FlightPlan
 from faircoplan.oracle import oracle_joint_optimum
+from faircoplan.serialize import load_scenario
 from faircoplan.step1 import solve_step1
 from faircoplan.step2 import solve_step2
 from faircoplan.step3 import fairness_value, solve_step3
@@ -15,6 +18,7 @@ from faircoplan.step3 import fairness_value, solve_step3
 from helpers import blocked, make_grid, make_request
 
 PARAMS = DelayCostParams(alpha=0.3)
+DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk8x8.yaml"
 
 
 def chain(fid, rids, start=0):
@@ -26,6 +30,33 @@ def pinch_grid():
     probe = make_grid(2, 4, ((0, 0), (1, 3)))
     return make_grid(2, 4, ((0, 0), (1, 3)), vp_capacity=2, ring_capacity=2,
                      overrides=blocked(probe, 0, 2))
+
+
+def head_on():
+    """One flight east and two west over a grid where every cell but the
+    pads holds one flight: the cheapest replans detour one flight more than
+    another, so the spread term prices a real trade-off."""
+    grid = make_grid(2, 4, ((0, 0), (1, 3)), vp_capacity=2, ring_capacity=1)
+    requests = [
+        make_request(grid, "f0", "r0000", "r0007", 0, flexibility=2),
+        make_request(grid, "f1", "r0007", "r0000", 0, flexibility=3),
+        make_request(grid, "f2", "r0007", "r0000", 0, flexibility=2),
+    ]
+    return grid, requests
+
+
+def deconfliction_models(monkeypatch):
+    """Spy on ``milp.solve``; the list fills with each deconfliction model."""
+    models = []
+    solve = milp.solve
+
+    def spy(model):
+        if model.name == "deconfliction":
+            models.append(model)
+        return solve(model)
+
+    monkeypatch.setattr(milp, "solve", spy)
+    return models
 
 
 def plan_batch(grid, requests):
@@ -161,18 +192,92 @@ class TestPinchDeconfliction:
         assert out.solver_status == milp.OPTIMAL
         assert out.objective == pytest.approx(0.3)
 
-    def test_matches_the_joint_enumeration_oracle(self):
-        grid = pinch_grid()
-        requests = [
-            make_request(grid, "f0", "r0000", "r0007", 0, flexibility=2),
-            make_request(grid, "f1", "r0000", "r0007", 0, flexibility=2),
-        ]
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 5.0])
+    def test_matches_the_joint_enumeration_oracle(self, gamma):
+        grid, requests = head_on()
         snap, choice_sets, proposals = plan_batch(grid, requests)
         out = solve_step3(grid, snap, requests, choice_sets, proposals,
-                          PARAMS, gamma=0.0)
+                          PARAMS, gamma=gamma)
+        assert out.dropped == ()
+        assert out.replanned == ("f0", "f1", "f2")
+        # Replans that differ in path length: the spread is priced, and at
+        # gamma = 5 it is worth more delay to remove.
+        assert out.fairness == pytest.approx(0.0 if gamma == 5.0 else 0.4)
         want, _ = oracle_joint_optimum(grid, snap, requests, choice_sets,
-                                       PARAMS, gamma=0.0)
-        assert out.total_tdc == pytest.approx(want)
+                                       PARAMS, gamma=gamma, proposals=proposals)
+        assert out.objective == pytest.approx(want)
+
+
+class TestEntryCountBound:
+    def test_one_row_per_flight_at_its_hop_distance(self, monkeypatch):
+        grid, requests = head_on()
+        snap, choice_sets, proposals = plan_batch(grid, requests)
+        models = deconfliction_models(monkeypatch)
+        out = solve_step3(grid, snap, requests, choice_sets, proposals,
+                          PARAMS, gamma=1.0)
+        assert out.replanned == ("f0", "f1", "f2")
+        [model] = models
+        by_id = {r.flight_id: r for r in requests}
+        rows = [c for c in model.constraints if c.label.startswith("lmin.")]
+        assert [c.label for c in rows] == ["lmin.f0", "lmin.f1", "lmin.f2"]
+        for row in rows:
+            fid = row.label.removeprefix("lmin.")
+            request = by_id[fid]
+            entries = {v.name for v in model.variables
+                       if v.name.startswith(f"en.{fid}.")}
+            assert entries
+            assert {name for name, _ in row.coeffs} == entries
+            assert {coeff for _, coeff in row.coeffs} == {1.0}
+            assert row.relation == ">="
+            hops = grid.hop_distances(request.origin)[request.destination]
+            assert hops == 4
+            assert row.rhs == hops + 1
+
+    def test_no_row_without_the_spread(self, monkeypatch):
+        grid, requests = head_on()
+        snap, choice_sets, proposals = plan_batch(grid, requests)
+        models = deconfliction_models(monkeypatch)
+        solve_step3(grid, snap, requests, choice_sets, proposals,
+                    PARAMS, gamma=0.0)
+        [model] = models
+        assert not [c for c in model.constraints if c.label.startswith("lmin.")]
+
+    def test_cuts_no_optimum_on_a_desk_day(self, monkeypatch):
+        # Every fair-coplan deconfliction model of desk day 0, drop attempts
+        # included, solved with and without its lmin rows.
+        config = load_scenario(DESK_CONFIG)
+        assert config.gamma > 0.0
+        calls = []
+        build = step3._build_joint
+
+        def capture(*args):
+            calls.append(args)
+            return build(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(step3, "_build_joint", capture)
+            sim.run_day(sim.scenario_grid(config), config, 0, "fair-coplan")
+        assert calls
+
+        add = milp.Model.add
+
+        def add_without_bound(model, coeffs, relation, rhs, label=""):
+            if not label.startswith("lmin."):
+                add(model, coeffs, relation, rhs, label)
+
+        for args in calls:
+            bounded, _ = build(*args)
+            with monkeypatch.context() as patch:
+                patch.setattr(milp.Model, "add", add_without_bound)
+                plain, _ = build(*args)
+            active = args[2]
+            assert sum(c.label.startswith("lmin.") for c in bounded.constraints) == len(active)
+            assert not [c for c in plain.constraints if c.label.startswith("lmin.")]
+            with_row, without_row = milp.solve(bounded), milp.solve(plain)
+            assert with_row.status == without_row.status
+            if with_row.status == milp.OPTIMAL:
+                assert with_row.objective == pytest.approx(
+                    without_row.objective, rel=1e-9, abs=1e-9)
 
 
 class TestVictimDrops:
