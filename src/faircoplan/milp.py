@@ -6,6 +6,19 @@ independently re-checked by direct substitution before being returned. The
 ground truth that no engine can bias is the brute-force oracles in
 ``oracle.py``, not a second MIP solver.
 
+HiGHS always runs with one fixed option set, ``HIGHS_OPTIONS``: an engine
+setting like the zero gap, not a knob. It turns off the feasibility-jump
+primal heuristic (Luteberget & Sartor, "Feasibility Jump: an LP-free
+Lagrangian MIP heuristic", Math. Prog. Computation 2023), which HiGHS runs
+before the root LP. Every optimal planner model closes at the root: over the
+unique models of two desk8x8 days, the first full15x15 period and the first
+eight, HiGHS needed 0 or 1 branch-and-bound node on each. There the
+heuristic only finds incumbents the root LP reaches anyway, and its run is
+fixed per-solve cost; without it the desk models' HiGHS time falls by about
+a third. Turning off a primal heuristic changes no optimum (status and
+optimal objective were equal on all of those models, solved both ways),
+though HiGHS may return another of several tied optimal points.
+
 A model stores itself as arrays would: each variable is a column index with
 its bounds and integrality in flat per-column lists, and each constraint is
 turned into column indices and coefficients when it is added and appended to
@@ -24,7 +37,7 @@ sparse input directly.
 Inside a ``reuse_solves()`` context the solves are memoized. The key is a
 blake2b digest of exactly what HiGHS receives: the objective vector,
 variable bounds, integrality flags, the CSR matrix (shape, indptr, indices,
-data), the row bounds and the options (presolve and gap).
+data), the row bounds and the options.
 Variable names and the objective offset never reach HiGHS, so they are left
 out: a hit returns the stored raw point, and values and objective are rebuilt
 against the model being solved, under its own names and offset. Only
@@ -39,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -52,6 +66,13 @@ ERROR = "error"
 
 FEASIBILITY_TOL = 1e-6
 INTEGRALITY_TOL = 1e-6
+
+# What every solve passes to HiGHS. The gap is always given: left out, HiGHS
+# stops at its own default relative gap and still reports the incumbent as
+# optimal. Feasibility jump is off because planner models close at the root
+# (see the module docstring).
+HIGHS_OPTIONS = {"presolve": True, "mip_rel_gap": 0.0,
+                 "mip_heuristic_run_feasibility_jump": False}
 
 _RELATIONS = ("<=", "=", ">=")
 _LE, _GE = 0, 2  # positions in _RELATIONS
@@ -191,6 +212,15 @@ class Model:
     def num_vars(self) -> int:
         return len(self._names)
 
+    @property
+    def num_rows(self) -> int:
+        return len(self._rhs)
+
+    @property
+    def num_nonzeros(self) -> int:
+        """Stored coefficients, as added (before duplicates are summed)."""
+        return self._indptr[-1]
+
 
 def check_solution(model: Model, values: dict[str, float], tol: float = FEASIBILITY_TOL) -> list[str]:
     """All bound, integrality, and constraint violations by substitution.
@@ -319,7 +349,8 @@ def _solve_key(options: dict, A, *arrays) -> bytes:
 
 
 class HighsBackend:
-    """Exact MILP solves through scipy's HiGHS binding.
+    """Exact MILP solves through scipy's HiGHS binding, always with
+    ``HIGHS_OPTIONS``.
 
     ``solve`` below adds the substitution re-check on top; perfbench times
     ``HighsBackend.solve`` as a layer of its own, so it stays a method.
@@ -329,13 +360,10 @@ class HighsBackend:
         if not model.num_vars:
             return SolveResult(status=OPTIMAL, objective=model.objective_offset)
         names, c, lb, ub, integrality, A, row_lb, row_ub, sign = _arrays(model)
-        # mip_rel_gap is always passed: left out, HiGHS stops at its own
-        # default relative gap and still reports the incumbent as optimal.
-        options = {"presolve": True, "mip_rel_gap": 0.0}
         memo = _MEMO.get()
         key = hit = None
         if memo is not None:
-            key = _solve_key(options, A, c, lb, ub, integrality, row_lb, row_ub)
+            key = _solve_key(HIGHS_OPTIONS, A, c, lb, ub, integrality, row_lb, row_ub)
             hit = memo.get(key)
         if hit is not None:
             status, x, message = hit
@@ -344,13 +372,21 @@ class HighsBackend:
             if A.shape[0]:
                 kwargs["constraints"] = optimize.LinearConstraint(A, row_lb, row_ub)
             try:
-                res = optimize.milp(
-                    c,
-                    integrality=integrality,
-                    bounds=optimize.Bounds(lb, ub),
-                    options=options,
-                    **kwargs,
-                )
+                with warnings.catch_warnings():
+                    # scipy names only some HiGHS options and warns that it
+                    # passes the others verbatim; only that warning is
+                    # silenced. An option HiGHS rejects still raises an
+                    # OptimizeWarning. scipy pops keys from the options it
+                    # is given, hence the copy.
+                    warnings.filterwarnings(
+                        "ignore", "Unrecognized options detected", RuntimeWarning)
+                    res = optimize.milp(
+                        c,
+                        integrality=integrality,
+                        bounds=optimize.Bounds(lb, ub),
+                        options=dict(HIGHS_OPTIONS),
+                        **kwargs,
+                    )
             except Exception as exc:  # malformed model or HiGHS failure
                 return SolveResult(status=ERROR, detail=f"highs: {exc}")
             status, x, message = res.status, res.x, res.message

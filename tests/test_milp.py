@@ -2,15 +2,18 @@
 from __future__ import annotations
 
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import optimize, sparse
 
-from faircoplan import milp
+from faircoplan import milp, sim
 from faircoplan.airspace import OccupancyLedger
 from faircoplan.baseline import solve_tfmp
 from faircoplan.flights import DelayCostParams
+from faircoplan.serialize import load_scenario
 from faircoplan.milp import (
     HighsBackend,
     Model,
@@ -91,6 +94,17 @@ class TestModelContainer:
         with pytest.raises(ValueError):
             model.add({}, "<=", 1.0)
 
+    def test_counts_match_the_constraint_view(self):
+        model = Model(name="counts")
+        x, y, z = model.binary("x"), model.binary("y"), model.continuous("z")
+        assert (model.num_rows, model.num_nonzeros) == (0, 0)
+        model.add({x: 1.0, y: 1.0}, "<=", 1.0)
+        model.add({y: 2.0, z: -1.0, x: 0.0}, ">=", 0.0)
+        model.add({z: 1.0}, "=", 0.5)
+        rows = model.constraints
+        assert model.num_rows == len(rows) == 3
+        assert model.num_nonzeros == sum(len(row.coeffs) for row in rows) == 6
+
     def test_check_solution_flags_violations(self):
         model = Model(name="check")
         x = model.binary("x")
@@ -116,10 +130,15 @@ class TestSolveRecheck:
         assert "infeasible point" in result.detail
 
 
+FEASIBILITY_JUMP_ON = {"presolve": True, "mip_rel_gap": 0.0}
+DESK = Path(__file__).resolve().parent.parent / "configs" / "desk8x8.yaml"
+
+
 class TestHighsOptions:
     # Without an explicit gap HiGHS stops at its own default relative gap
     # and still reports "optimal", so a zero gap is always passed; no time
-    # limit ever is.
+    # limit ever is. Feasibility jump is always off: every planner model
+    # closes at the root, where the heuristic only costs time.
     def test_gap_is_always_passed(self, monkeypatch):
         seen = []
         real_milp = milp.optimize.milp
@@ -134,7 +153,51 @@ class TestHighsOptions:
         model.add({x: 1.0}, "<=", 1.0)
         model.set_objective({x: 1.0})
         assert HighsBackend().solve(model).status == milp.OPTIMAL
-        assert seen == [{"presolve": True, "mip_rel_gap": 0.0}]
+        assert seen == [{"presolve": True, "mip_rel_gap": 0.0,
+                         "mip_heuristic_run_feasibility_jump": False}]
+
+    def test_solve_emits_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve(knapsack())
+        assert (result.status, result.objective) == (milp.OPTIMAL, 9.0)
+
+    def test_option_highs_rejects_still_warns(self, monkeypatch):
+        monkeypatch.setattr(milp, "HIGHS_OPTIONS",
+                            dict(milp.HIGHS_OPTIONS, no_such_option=1))
+        with pytest.warns(optimize.OptimizeWarning, match="no_such_option"):
+            solve(knapsack())
+
+    def test_same_optima_as_with_feasibility_jump(self, monkeypatch):
+        # Every model of desk day 0, in all three lanes, re-solved with the
+        # heuristic on (HiGHS's default): same status, same optimal value.
+        solved = []
+        real_solve = milp.solve
+
+        def spy(model):
+            result = real_solve(model)
+            solved.append((milp._arrays(model), model.objective_offset, result))
+            return result
+
+        monkeypatch.setattr(milp, "solve", spy)
+        config = load_scenario(DESK)
+        grid = sim.scenario_grid(config)
+        for mode in sim.MODES:
+            sim.run_day(grid, config, 0, mode)
+        statuses = []
+        for (names, c, lb, ub, integrality, A, row_lb, row_ub, sign), offset, result \
+                in solved:
+            kwargs = {}
+            if A.shape[0]:
+                kwargs["constraints"] = optimize.LinearConstraint(A, row_lb, row_ub)
+            ref = optimize.milp(c, integrality=integrality, bounds=optimize.Bounds(lb, ub),
+                                options=dict(FEASIBILITY_JUMP_ON), **kwargs)
+            statuses.append(result.status)
+            assert ref.status == {milp.OPTIMAL: 0, milp.INFEASIBLE: 2}[result.status]
+            if ref.status == 0:
+                assert result.objective == pytest.approx(sign * ref.fun + offset, abs=1e-9)
+        # 48 choice-setting, 7 deconfliction and 57 fixed-route models.
+        assert len(solved) > 100 and set(statuses) == {milp.OPTIMAL, milp.INFEASIBLE}
 
     def test_constraint_matrix_is_passed_sparse(self, monkeypatch):
         seen = []
