@@ -6,6 +6,21 @@ independently re-checked by direct substitution before being returned. The
 ground truth that no engine can bias is the brute-force oracles in
 ``oracle.py``, not a second MIP solver.
 
+``run_highs`` reaches HiGHS through the binding scipy bundles and itself
+uses, ``scipy.optimize._highspy._core``: the same HiGHS library, no other
+dependency. It fills in the model and options as scipy's public ``milp``
+does, minus the per-solve wrapper work a planner never reads: input
+validation, a per-option check that builds a fresh options manager, a
+per-column loop for bound multipliers, a type object made per variable.
+Planner models are tiny (desk8x8's have about 170 to 570 columns), and
+there that wrapper cost about half as much as HiGHS itself: over the 174
+unique models of two desk8x8 days, solving through the binding took
+1.06-1.18 s against 1.51-1.62 s through ``milp`` (2-vCPU Xeon VM). The
+binding is private to scipy, so ``tests/test_milp.py`` solves every model
+of a desk day both ways and requires the same status and, bit for bit, the
+same point: a scipy release that changes it fails the tests instead of
+silently changing which tied optimum is filed.
+
 HiGHS always runs with one fixed option set, ``HIGHS_OPTIONS``: an engine
 setting like the zero gap, not a knob. It turns off the feasibility-jump
 primal heuristic (Luteberget & Sartor, "Feasibility Jump: an LP-free
@@ -29,7 +44,7 @@ per-row Python objects. ``Model.variables`` and ``Model.constraints`` are
 read-only views built on demand for callers that want one object per column
 or row; neither the solve nor the re-check builds them.
 
-HiGHS receives the constraint matrix as a sparse CSR array; no dense row is
+HiGHS receives the constraint matrix sparse, column-wise; no dense row is
 ever built. Planner models are very sparse (the full15x15 choice-setting
 model has about 8,000 nonzeros in a 1,200 × 6,400 matrix), and HiGHS reads
 sparse input directly.
@@ -52,13 +67,13 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import sparse
+from scipy.optimize._highspy import _core as highs
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -67,11 +82,12 @@ ERROR = "error"
 FEASIBILITY_TOL = 1e-6
 INTEGRALITY_TOL = 1e-6
 
-# What every solve passes to HiGHS. The gap is always given: left out, HiGHS
-# stops at its own default relative gap and still reports the incumbent as
-# optimal. Feasibility jump is off because planner models close at the root
-# (see the module docstring).
-HIGHS_OPTIONS = {"presolve": True, "mip_rel_gap": 0.0,
+# What every solve sets in HiGHS, in HiGHS's own option names and values. The
+# console log goes first, so nothing a later setting reports reaches stdout.
+# The gap is always given: left out, HiGHS stops at its own default relative
+# gap and still reports the incumbent as optimal. Feasibility jump is off
+# because planner models close at the root (see the module docstring).
+HIGHS_OPTIONS = {"log_to_console": False, "presolve": "on", "mip_rel_gap": 0.0,
                  "mip_heuristic_run_feasibility_jump": False}
 
 _RELATIONS = ("<=", "=", ">=")
@@ -322,7 +338,7 @@ def _finish(model: Model, names, raw_x, lb, ub, integrality, sign, c) -> tuple[d
 
 
 # The memo of the innermost open ``reuse_solves()`` context, or None: digest
-# of the HiGHS input -> (scipy status, raw x, message).
+# of the HiGHS input -> (``run_highs`` status, raw x, message).
 _MEMO: ContextVar[dict[bytes, tuple] | None] = ContextVar("milp_memo", default=None)
 
 
@@ -348,9 +364,55 @@ def _solve_key(options: dict, A, *arrays) -> bytes:
          *(array.tobytes() for array in arrays)])).digest()
 
 
+# HiGHS model status -> the status ``run_highs`` returns. Any other model
+# status is 4, "some other outcome".
+_STATUS = {highs.HighsModelStatus.kOptimal: 0,
+           highs.HighsModelStatus.kTimeLimit: 1,
+           highs.HighsModelStatus.kIterationLimit: 1,
+           highs.HighsModelStatus.kInfeasible: 2}
+_VAR_TYPES = (highs.HighsVarType.kContinuous, highs.HighsVarType.kInteger)
+
+
+def run_highs(c, lb, ub, integrality, A, row_lb, row_ub):
+    """Minimize ``c @ x`` subject to ``row_lb <= A @ x <= row_ub`` and
+    ``lb <= x <= ub``, with the columns flagged 1 in ``integrality`` integer.
+
+    HiGHS runs once, with ``HIGHS_OPTIONS``, and receives the model as
+    scipy's public ``milp`` hands it over: the CSC form of ``A``, infinite
+    bounds as they are. Returns ``(status, x, message)``: status 0 (optimal,
+    and ``x`` is HiGHS's point), 1 (a limit was reached), 2 (infeasible) or
+    4 (anything else); ``x`` is None unless the status is 0. Raises if HiGHS
+    rejects an option or the model.
+    """
+    A = A.tocsc()
+    lp = highs.HighsLp()
+    lp.num_row_, lp.num_col_ = A.shape
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = A.shape
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = A.indptr
+    lp.a_matrix_.index_ = A.indices
+    lp.a_matrix_.value_ = A.data
+    lp.col_cost_ = c
+    lp.col_lower_ = lb
+    lp.col_upper_ = ub
+    lp.row_lower_ = row_lb
+    lp.row_upper_ = row_ub
+    lp.integrality_ = [_VAR_TYPES[flag] for flag in integrality.tolist()]
+    solver = highs._Highs()
+    for option, value in HIGHS_OPTIONS.items():
+        if solver.setOptionValue(option, value) != highs.HighsStatus.kOk:
+            raise ValueError(f"HiGHS rejects option {option}={value!r}")
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        raise ValueError("HiGHS rejects the model")
+    solver.run()
+    model_status = solver.getModelStatus()
+    status = _STATUS.get(model_status, 4)
+    x = np.array(solver.getSolution().col_value) if status == 0 else None
+    return status, x, solver.modelStatusToString(model_status)
+
+
 class HighsBackend:
-    """Exact MILP solves through scipy's HiGHS binding, always with
-    ``HIGHS_OPTIONS``.
+    """Exact MILP solves through ``run_highs``, always with ``HIGHS_OPTIONS``.
 
     ``solve`` below adds the substitution re-check on top; perfbench times
     ``HighsBackend.solve`` as a layer of its own, so it stays a method.
@@ -368,28 +430,10 @@ class HighsBackend:
         if hit is not None:
             status, x, message = hit
         else:
-            kwargs = {}
-            if A.shape[0]:
-                kwargs["constraints"] = optimize.LinearConstraint(A, row_lb, row_ub)
             try:
-                with warnings.catch_warnings():
-                    # scipy names only some HiGHS options and warns that it
-                    # passes the others verbatim; only that warning is
-                    # silenced. An option HiGHS rejects still raises an
-                    # OptimizeWarning. scipy pops keys from the options it
-                    # is given, hence the copy.
-                    warnings.filterwarnings(
-                        "ignore", "Unrecognized options detected", RuntimeWarning)
-                    res = optimize.milp(
-                        c,
-                        integrality=integrality,
-                        bounds=optimize.Bounds(lb, ub),
-                        options=dict(HIGHS_OPTIONS),
-                        **kwargs,
-                    )
+                status, x, message = run_highs(c, lb, ub, integrality, A, row_lb, row_ub)
             except Exception as exc:  # malformed model or HiGHS failure
                 return SolveResult(status=ERROR, detail=f"highs: {exc}")
-            status, x, message = res.status, res.x, res.message
             if memo is not None and status in (0, 2):
                 memo[key] = (status, x, message)
         if status == 0:

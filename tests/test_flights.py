@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, strategies as st
-from scipy import optimize
 
 from faircoplan import milp
 from faircoplan.airspace import OccupancyLedger
@@ -223,10 +222,9 @@ class TestSolveDropping:
         # reached") is a solver failure, never a reason to drop a victim.
         name, run = stage
 
-        def hits_a_limit(*args, **kwargs):
-            return optimize.OptimizeResult(status=1, x=None,
-                                           message="Time limit reached.")
+        def hits_a_limit(*args):
+            return 1, None, "Time limit reached"
 
-        monkeypatch.setattr(milp.optimize, "milp", hits_a_limit)
+        monkeypatch.setattr(milp, "run_highs", hits_a_limit)
         with pytest.raises(RuntimeError, match=f"^{name} solve failed: highs status 1"):
             run()

@@ -116,11 +116,10 @@ class TestModelContainer:
 
 class TestSolveRecheck:
     def test_infeasible_point_from_backend_is_rejected(self, monkeypatch):
-        def liar(c, **kwargs):
-            return optimize.OptimizeResult(status=0, x=np.ones(len(c)),
-                                           message="optimal")
+        def liar(c, *args):
+            return 0, np.ones(len(c)), "Optimal"
 
-        monkeypatch.setattr(milp.optimize, "milp", liar)
+        monkeypatch.setattr(milp, "run_highs", liar)
         model = Model(name="liar-check", sense="max")
         x = model.binary("x")
         model.add({x: 1.0}, "<=", 0.0)
@@ -130,31 +129,74 @@ class TestSolveRecheck:
         assert "infeasible point" in result.detail
 
 
+# HIGHS_OPTIONS in scipy.optimize.milp's terms, and the same with HiGHS's
+# default feasibility jump.
+SCIPY_OPTIONS = {"presolve": True, "mip_rel_gap": 0.0,
+                 "mip_heuristic_run_feasibility_jump": False}
 FEASIBILITY_JUMP_ON = {"presolve": True, "mip_rel_gap": 0.0}
 DESK = Path(__file__).resolve().parent.parent / "configs" / "desk8x8.yaml"
 
 
+def scipy_milp(arrays, options):
+    """One model from ``milp._arrays`` solved through the public
+    ``scipy.optimize.milp``, which forwards options it does not name to
+    HiGHS verbatim and warns that it does."""
+    names, c, lb, ub, integrality, A, row_lb, row_ub, sign = arrays
+    kwargs = {}
+    if A.shape[0]:
+        kwargs["constraints"] = optimize.LinearConstraint(A, row_lb, row_ub)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Unrecognized options detected", RuntimeWarning)
+        return optimize.milp(c, integrality=integrality, bounds=optimize.Bounds(lb, ub),
+                             options=dict(options), **kwargs)
+
+
+@pytest.fixture(scope="module")
+def desk_day_solves() -> list[tuple]:
+    """``(milp._arrays(model), objective offset, result)`` for every model
+    solved on desk day 0, in all three lanes: 48 choice-setting, 7
+    deconfliction and 57 fixed-route models."""
+    solved = []
+    real_solve = milp.solve
+
+    def spy(model):
+        result = real_solve(model)
+        solved.append((milp._arrays(model), model.objective_offset, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(milp, "solve", spy)
+        config = load_scenario(DESK)
+        grid = sim.scenario_grid(config)
+        for mode in sim.MODES:
+            sim.run_day(grid, config, 0, mode)
+    return solved
+
+
 class TestHighsOptions:
     # Without an explicit gap HiGHS stops at its own default relative gap
-    # and still reports "optimal", so a zero gap is always passed; no time
+    # and still reports "optimal", so a zero gap is always set; no time
     # limit ever is. Feasibility jump is always off: every planner model
     # closes at the root, where the heuristic only costs time.
     def test_gap_is_always_passed(self, monkeypatch):
         seen = []
-        real_milp = milp.optimize.milp
 
-        def spy(*args, **kwargs):
-            seen.append(dict(kwargs["options"]))
-            return real_milp(*args, **kwargs)
+        class Recording(milp.highs._Highs):
+            def run(self):
+                seen.append({option: self.getOptionValue(option)[1] for option in (
+                    "log_to_console", "presolve", "mip_rel_gap",
+                    "mip_heuristic_run_feasibility_jump", "time_limit")})
+                return super().run()
 
-        monkeypatch.setattr(milp.optimize, "milp", spy)
+        monkeypatch.setattr(milp.highs, "_Highs", Recording)
         model = Model(name="gap", sense="max")
         x = model.binary("x")
         model.add({x: 1.0}, "<=", 1.0)
         model.set_objective({x: 1.0})
         assert HighsBackend().solve(model).status == milp.OPTIMAL
-        assert seen == [{"presolve": True, "mip_rel_gap": 0.0,
-                         "mip_heuristic_run_feasibility_jump": False}]
+        assert seen == [{"log_to_console": False, "presolve": "on", "mip_rel_gap": 0.0,
+                         "mip_heuristic_run_feasibility_jump": False,
+                         "time_limit": math.inf}]
 
     def test_solve_emits_no_warning(self):
         with warnings.catch_warnings():
@@ -162,52 +204,62 @@ class TestHighsOptions:
             result = solve(knapsack())
         assert (result.status, result.objective) == (milp.OPTIMAL, 9.0)
 
-    def test_option_highs_rejects_still_warns(self, monkeypatch):
+    def test_option_highs_rejects_is_an_error_naming_it(self, monkeypatch):
         monkeypatch.setattr(milp, "HIGHS_OPTIONS",
                             dict(milp.HIGHS_OPTIONS, no_such_option=1))
-        with pytest.warns(optimize.OptimizeWarning, match="no_such_option"):
-            solve(knapsack())
+        result = solve(knapsack())
+        assert result.status == milp.ERROR
+        assert "no_such_option" in result.detail
 
-    def test_same_optima_as_with_feasibility_jump(self, monkeypatch):
+    def test_solves_write_nothing_to_the_console(self, capfd, monkeypatch):
+        # perfbench's worker reports through its last line of stdout, and
+        # HiGHS logs to the console unless told not to.
+        infeasible = Model(name="bad", sense="min")
+        x = infeasible.binary("x")
+        infeasible.add({x: 1.0}, ">=", 2.0)
+        infeasible.set_objective({x: 1.0})
+        assert solve(knapsack()).status == milp.OPTIMAL
+        assert solve(infeasible).status == milp.INFEASIBLE
+        monkeypatch.setattr(milp, "HIGHS_OPTIONS",
+                            dict(milp.HIGHS_OPTIONS, no_such_option=1))
+        assert solve(knapsack()).status == milp.ERROR
+        assert capfd.readouterr() == ("", "")
+
+    def test_same_points_as_scipy_milp(self, desk_day_solves):
+        # run_highs reaches HiGHS through scipy's private binding; the
+        # public scipy.optimize.milp with the same options must give the
+        # same status and, bit for bit, the same point, so a scipy upgrade
+        # cannot silently change which tied optimum is filed.
+        for arrays, _, _ in desk_day_solves:
+            names, c, lb, ub, integrality, A, row_lb, row_ub, sign = arrays
+            status, x, _ = milp.run_highs(c, lb, ub, integrality, A, row_lb, row_ub)
+            ref = scipy_milp(arrays, SCIPY_OPTIONS)
+            assert status == ref.status
+            assert (x is None and ref.x is None) or np.array_equal(x, ref.x)
+        statuses = {result.status for _, _, result in desk_day_solves}
+        assert len(desk_day_solves) > 100 and statuses == {milp.OPTIMAL, milp.INFEASIBLE}
+
+    def test_same_optima_as_with_feasibility_jump(self, desk_day_solves):
         # Every model of desk day 0, in all three lanes, re-solved with the
         # heuristic on (HiGHS's default): same status, same optimal value.
-        solved = []
-        real_solve = milp.solve
-
-        def spy(model):
-            result = real_solve(model)
-            solved.append((milp._arrays(model), model.objective_offset, result))
-            return result
-
-        monkeypatch.setattr(milp, "solve", spy)
-        config = load_scenario(DESK)
-        grid = sim.scenario_grid(config)
-        for mode in sim.MODES:
-            sim.run_day(grid, config, 0, mode)
-        statuses = []
-        for (names, c, lb, ub, integrality, A, row_lb, row_ub, sign), offset, result \
-                in solved:
-            kwargs = {}
-            if A.shape[0]:
-                kwargs["constraints"] = optimize.LinearConstraint(A, row_lb, row_ub)
-            ref = optimize.milp(c, integrality=integrality, bounds=optimize.Bounds(lb, ub),
-                                options=dict(FEASIBILITY_JUMP_ON), **kwargs)
-            statuses.append(result.status)
+        for arrays, offset, result in desk_day_solves:
+            ref = scipy_milp(arrays, FEASIBILITY_JUMP_ON)
             assert ref.status == {milp.OPTIMAL: 0, milp.INFEASIBLE: 2}[result.status]
             if ref.status == 0:
+                sign = arrays[-1]
                 assert result.objective == pytest.approx(sign * ref.fun + offset, abs=1e-9)
-        # 48 choice-setting, 7 deconfliction and 57 fixed-route models.
-        assert len(solved) > 100 and set(statuses) == {milp.OPTIMAL, milp.INFEASIBLE}
+        statuses = {result.status for _, _, result in desk_day_solves}
+        assert len(desk_day_solves) > 100 and statuses == {milp.OPTIMAL, milp.INFEASIBLE}
 
     def test_constraint_matrix_is_passed_sparse(self, monkeypatch):
         seen = []
-        real_milp = milp.optimize.milp
+        real_run_highs = milp.run_highs
 
-        def spy(*args, **kwargs):
-            seen.append(kwargs["constraints"].A)
-            return real_milp(*args, **kwargs)
+        def spy(c, lb, ub, integrality, A, row_lb, row_ub):
+            seen.append(A)
+            return real_run_highs(c, lb, ub, integrality, A, row_lb, row_ub)
 
-        monkeypatch.setattr(milp.optimize, "milp", spy)
+        monkeypatch.setattr(milp, "run_highs", spy)
         model = Model(name="sparse", sense="max")
         x, y = model.binary("x"), model.binary("y")
         model.add({x: 1.0, y: 1.0}, "<=", 1.0)
@@ -228,13 +280,13 @@ class TestSolveMemo:
     @pytest.fixture()
     def highs_calls(self, monkeypatch):
         calls = []
-        real_milp = milp.optimize.milp
+        real_run_highs = milp.run_highs
 
-        def spy(*args, **kwargs):
-            calls.append(kwargs["options"])
-            return real_milp(*args, **kwargs)
+        def spy(*args):
+            calls.append(args)
+            return real_run_highs(*args)
 
-        monkeypatch.setattr(milp.optimize, "milp", spy)
+        monkeypatch.setattr(milp, "run_highs", spy)
         return calls
 
     def test_identical_model_is_solved_once(self, highs_calls):
@@ -276,12 +328,11 @@ class TestSolveMemo:
     def test_time_limit_results_are_never_stored(self, monkeypatch, x):
         calls = []
 
-        def timed_out(*args, **kwargs):
+        def timed_out(*args):
             calls.append(1)
-            return optimize.OptimizeResult(status=1, x=x, mip_gap=0.5,
-                                           message="time limit reached")
+            return 1, x, "Time limit reached"
 
-        monkeypatch.setattr(milp.optimize, "milp", timed_out)
+        monkeypatch.setattr(milp, "run_highs", timed_out)
         with reuse_solves():
             for _ in range(2):
                 result = HighsBackend().solve(knapsack())

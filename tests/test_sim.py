@@ -328,13 +328,13 @@ class TestCampaignReuse:
 
     def test_coplan_reuses_the_fair_lanes_solves(self, monkeypatch):
         calls = []
-        real_milp = milp.optimize.milp
+        real_run_highs = milp.run_highs
 
-        def spy(*args, **kwargs):
+        def spy(*args):
             calls.append(1)
-            return real_milp(*args, **kwargs)
+            return real_run_highs(*args)
 
-        monkeypatch.setattr(milp.optimize, "milp", spy)
+        monkeypatch.setattr(milp, "run_highs", spy)
         config = corridor_config(days=2, periods_per_day=3, seed=3)
 
         def highs_calls(modes):
