@@ -54,7 +54,6 @@ class GridConfig:
     cols: int
     vertiports: tuple[VertiportSpec, ...]
     connectivity: str = "orthogonal-4"
-    cell_size_km: float = 4.0
     horizon_steps: int = 18
     step_minutes: int = 5
     sector_capacity: int = 1
@@ -70,8 +69,6 @@ class GridConfig:
             raise ConfigError("horizon_steps must be >= 1")
         if self.step_minutes < 1:
             raise ConfigError("step_minutes must be >= 1")
-        if self.cell_size_km <= 0:
-            raise ConfigError("cell_size_km must be positive")
         if self.connectivity not in CONNECTIVITIES:
             raise ConfigError(f"unknown connectivity {self.connectivity!r}")
         if self.sector_capacity < 0 or self.ring_capacity < 0:

@@ -71,7 +71,6 @@ class BaselineResult:
     tdc_by_flight: dict[str, float]
     total_tdc: float
     objective: float | None
-    solve_time: float
     solver_status: str | None = None
     attempts: int = 0
 
@@ -275,7 +274,6 @@ def solve_tfmp(
         tdc_by_flight=tdc_by_flight,
         total_tdc=sum(tdc_by_flight.values()),
         objective=result.objective if result is not None else None,
-        solve_time=outcome.solve_time,
         solver_status=result.status if result is not None else None,
         attempts=outcome.attempts,
     )

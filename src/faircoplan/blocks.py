@@ -276,22 +276,18 @@ def add_presence_block(
 
 
 def extract_plan(block: PresenceBlock, values: dict[str, float]) -> FlightPlan:
-    """Read the chosen presences, dropping any idling past the arrival slot.
+    """Read the chosen presences as the plan's steps.
 
-    Post-arrival presences are objective-free and constraint-slack, so
-    removing them keeps the plan optimal and feasible.
+    ``arr1`` picks one destination cell and the ``end`` rows forbid presence
+    anywhere else after it, so nothing follows the arrival slot.
     """
     request = block.request
-    arrival = None
-    for t in block.arrival_slots:
-        if values.get(block.vars[(request.destination, t)], 0.0) >= 0.5:
-            arrival = t
-            break
-    if arrival is None:
+    if not any(values.get(block.vars[(request.destination, t)], 0.0) >= 0.5
+               for t in block.arrival_slots):
         raise RuntimeError(f"{request.flight_id}: no arrival slot chosen")
     steps = sorted(
         (t, rid)
         for (rid, t), name in block.vars.items()
-        if t <= arrival and values.get(name, 0.0) >= 0.5
+        if values.get(name, 0.0) >= 0.5
     )
     return FlightPlan(request.flight_id, tuple(steps))

@@ -204,7 +204,6 @@ class DropOutcome(NamedTuple):
     kept: tuple[str, ...]
     dropped: tuple[str, ...]
     attempts: int
-    solve_time: float
 
 
 def solve_dropping(
@@ -228,19 +227,16 @@ def solve_dropping(
     active = list(active)
     dropped: list[str] = []
     attempts = 0
-    total_time = 0.0
     built = None
     while active:
         model, built = build(active)
         result = milp.solve(model)
         attempts += 1
-        total_time += result.wall_time
         if result.status == milp.OPTIMAL:
-            return DropOutcome(result, built, tuple(active), tuple(dropped),
-                               attempts, total_time)
+            return DropOutcome(result, built, tuple(active), tuple(dropped), attempts)
         if result.status == milp.ERROR:
             raise RuntimeError(f"{model.name} solve failed: {result.detail}")
         victim = pick_victim(active, requests)
         dropped.append(victim)
         active.remove(victim)
-    return DropOutcome(None, built, (), tuple(dropped), attempts, total_time)
+    return DropOutcome(None, built, (), tuple(dropped), attempts)

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -115,7 +114,6 @@ class SolveResult:
     status: str
     objective: float | None = None
     values: dict[str, float] = field(default_factory=dict)
-    wall_time: float = 0.0
     detail: str = ""
     # Set only on the ERROR for HiGHS status 1 ("a limit was reached").
     hit_time_limit: bool = False
@@ -449,15 +447,12 @@ class HighsBackend:
 
 def solve(model: Model) -> SolveResult:
     """Solve and, for an optimal point, re-verify it by substitution."""
-    start = time.perf_counter()
     result = HighsBackend().solve(model)
-    result.wall_time = time.perf_counter() - start
     if result.status == OPTIMAL:
         violations = check_solution(model, result.values)
         if violations:
             return SolveResult(
                 status=ERROR,
-                wall_time=result.wall_time,
                 detail="solver returned an infeasible point: " + "; ".join(violations[:5]),
             )
     return result

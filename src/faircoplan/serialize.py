@@ -162,7 +162,8 @@ def write_campaign(out_dir: str | Path, campaign: CampaignResult) -> Path:
           scenario.yaml     the exact configuration that ran
           summary.json      campaign metrics (derived from records)
           days.csv          per-day aggregates
-          timing.csv        wall-clock only; excluded from reproducibility
+          timing.csv        wall time of each period's stage calls (build,
+                            solve, re-check); excluded from reproducibility
           <mode>/periods.jsonl
     """
     out = Path(out_dir)

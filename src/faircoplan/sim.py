@@ -18,6 +18,7 @@ byte-identical everywhere else.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -228,6 +229,14 @@ class PeriodResult:
         return row
 
 
+def _timed(stage, *args):
+    """``stage(*args)`` and its wall time: model build, solve and re-check,
+    the one definition of a stage's time in ``timing.csv``."""
+    started = time.perf_counter()
+    out = stage(*args)
+    return out, time.perf_counter() - started
+
+
 def run_period(
     grid: AirspaceGrid,
     ledger: OccupancyLedger,
@@ -264,15 +273,15 @@ def run_period(
     if not requests:
         pass
     elif mode == "tfmp":
-        base = solve_tfmp(grid, snapshot, list(requests), params, now)
+        base, stage_times["tfmp"] = _timed(
+            solve_tfmp, grid, snapshot, list(requests), params, now)
         filed = dict(base.plans)
         tdc_by_flight = dict(base.tdc_by_flight)
         deferred = base.deferred
         dropped = base.dropped
-        stage_times["tfmp"] = base.solve_time
     else:
-        s1 = solve_step1(grid, snapshot, list(requests), now)
-        stage_times["step1"] = s1.solve_time
+        s1, stage_times["step1"] = _timed(
+            solve_step1, grid, snapshot, list(requests), now)
         unassigned = tuple(sorted(s1.unassigned))
         deferred = tuple(sorted(s1.deferred))
 
@@ -281,10 +290,10 @@ def run_period(
         for fid in ordered:
             if fid in unassigned:
                 continue
-            outcome = solve_step2(grid, snapshot, by_id[fid],
-                                  s1.choice_sets[fid], params, now)
-            s2_total += outcome.solve_time
-            step2_max = max(step2_max, outcome.solve_time)
+            outcome, took = _timed(solve_step2, grid, snapshot, by_id[fid],
+                                   s1.choice_sets[fid], params, now)
+            s2_total += took
+            step2_max = max(step2_max, took)
             if outcome.plan is None:
                 infeasible.append(fid)
             else:
@@ -292,12 +301,11 @@ def run_period(
         stage_times["step2"] = s2_total
 
         if proposals:
-            s3 = solve_step3(
-                grid, snapshot,
+            s3, stage_times["step3"] = _timed(
+                solve_step3, grid, snapshot,
                 [by_id[fid] for fid in sorted(proposals)],
                 s1.choice_sets, proposals, params, gamma, now,
             )
-            stage_times["step3"] = s3.solve_time
             filed = dict(s3.plans)
             tdc_by_flight = dict(s3.tdc_by_flight)
             fairness = s3.fairness

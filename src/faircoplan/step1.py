@@ -34,7 +34,6 @@ class Step1Result:
     choice_sets: dict[str, ChoiceSet]
     unassigned: tuple[str, ...]
     objective: float
-    solve_time: float
     deferred: tuple[str, ...] = ()
 
 
@@ -105,7 +104,7 @@ def solve_step1(
             )
 
     if not modeled:
-        return Step1Result(sets, tuple(unassigned), 0.0, 0.0, tuple(deferred))
+        return Step1Result(sets, tuple(unassigned), 0.0, tuple(deferred))
 
     model = milp.Model(name="choice-setting", sense="max")
 
@@ -218,6 +217,4 @@ def solve_step1(
         raise RuntimeError(
             "choice-setting solution failed re-check: " + "; ".join(problems[:5])
         )
-    return Step1Result(
-        sets, tuple(unassigned), objective, result.wall_time, tuple(deferred)
-    )
+    return Step1Result(sets, tuple(unassigned), objective, tuple(deferred))

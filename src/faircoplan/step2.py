@@ -14,7 +14,6 @@ any solver.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .airspace import AirspaceGrid, OccupancySnapshot
@@ -29,7 +28,6 @@ __all__ = ["Step2Result", "solve_step2"]
 class Step2Result:
     plan: FlightPlan | None
     tdc: float | None
-    solve_time: float
 
     @property
     def infeasible(self) -> bool:
@@ -144,20 +142,19 @@ def solve_step2(
     Tie rule: least TDC, then the lexicographically smallest ``steps``
     tuple, the key ``oracle.oracle_step2_optimum`` ranks by. The plan is
     re-checked by ``plan_violations``, and its TDC must equal the search's
-    optimum. ``solve_time`` is the wall time of the domain and the search.
+    optimum. It carries no timer: ``sim.run_period`` times the whole call,
+    domain, search and re-check, as the period's step-2 time.
     """
     if choices.is_empty:
         raise ValueError(
             f"{request.flight_id}: empty choice set; unassigned flights are "
             "carried over, not planned"
         )
-    start = time.perf_counter()
     horizon_end = now + grid.horizon_steps
     domain = cell_domain(grid, snapshot, request, choices, now, horizon_end)
     found = None if domain is None else _search(grid, request, domain, params)
-    elapsed = time.perf_counter() - start
     if found is None:
-        return Step2Result(plan=None, tdc=None, solve_time=elapsed)
+        return Step2Result(plan=None, tdc=None)
 
     optimum, plan = found
     problems = plan_violations(
@@ -173,4 +170,4 @@ def solve_step2(
             f"{request.flight_id}: plan delay cost {cost} disagrees with the "
             f"search optimum {optimum}"
         )
-    return Step2Result(plan=plan, tdc=cost, solve_time=elapsed)
+    return Step2Result(plan=plan, tdc=cost)

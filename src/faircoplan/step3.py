@@ -41,7 +41,6 @@ class DeconflictionResult:
     tdc_by_flight: dict[str, float]
     total_tdc: float
     objective: float | None
-    solve_time: float
     report: ConflictReport
     solver_status: str | None = None
     attempts: int = 0
@@ -193,8 +192,7 @@ def solve_step3(
         return DeconflictionResult(
             plans=dict(kept), replanned=(), dropped=(), fairness=0.0,
             tdc_by_flight=tdc_by_flight,
-            total_tdc=sum(tdc_by_flight.values()), objective=None,
-            solve_time=0.0, report=report,
+            total_tdc=sum(tdc_by_flight.values()), objective=None, report=report,
         )
 
     for fid in report.conflicting_flights:
@@ -237,7 +235,6 @@ def solve_step3(
         tdc_by_flight=tdc_by_flight,
         total_tdc=sum(tdc_by_flight.values()),
         objective=result.objective if result is not None else None,
-        solve_time=outcome.solve_time,
         report=report,
         solver_status=result.status if result is not None else None,
         attempts=outcome.attempts,

@@ -72,6 +72,12 @@ class TestStrictKeys:
         with pytest.raises(ConfigError, match="unknown grid keys"):
             scenario_from_dict(data)
 
+    def test_retired_cell_size_key_rejected(self):
+        data = scenario_to_dict(corridor_config())
+        data["grid"]["cell_size_km"] = 4.0
+        with pytest.raises(ConfigError, match="unknown grid keys: cell_size_km"):
+            scenario_from_dict(data)
+
     def test_vertiport_keys_are_exact(self):
         data = scenario_to_dict(corridor_config())
         del data["grid"]["vertiports"][0]["kind"]

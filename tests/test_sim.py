@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import re
+import time
 from types import SimpleNamespace
 
 import pytest
 
-from faircoplan import milp, sim
+from faircoplan import baseline, milp, sim, step1
 from faircoplan.airspace import (
     ConfigError,
     GridConfig,
@@ -146,7 +147,7 @@ def corridor_lane(grid, snapshot, requests, params, now):
                                                    (3, "r0002")))
              for r in requests}
     return SimpleNamespace(plans=plans, tdc_by_flight=dict.fromkeys(plans, 0.0),
-                           deferred=(), dropped=(), solve_time=0.0)
+                           deferred=(), dropped=())
 
 
 def file_unchecked(ledger, plan):
@@ -229,6 +230,24 @@ class TestRunPeriod:
         second = [make_request(grid, "f1", "r0000", "r0002", 1)]
         with pytest.raises(RuntimeError, match="flight database broke capacity"):
             run_period(grid, ledger, second, "tfmp", params, 0.0, 0, 1, 1)
+
+    @pytest.mark.parametrize("mode, stage, module, name", [
+        ("tfmp", "tfmp", baseline, "_build_tfmp"),
+        ("fair-coplan", "step1", step1, "choice_violations"),
+    ], ids=["tfmp-build", "step1-recheck"])
+    def test_stage_time_covers_the_whole_stage_call(self, monkeypatch, mode,
+                                                    stage, module, name):
+        # A stage's time is the whole call: a slow model build or re-check
+        # counts as much as a slow solve.
+        inner = getattr(module, name)
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, slow)
+        _, _, _, result = self.plan_one(mode)
+        assert result.stage_times[stage] >= 0.05
 
     def test_empty_batch_is_a_quiet_period(self):
         grid, ledger, _, result = self.plan_one("fair-coplan", requests=[])
