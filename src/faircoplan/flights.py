@@ -11,10 +11,9 @@ exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
-if TYPE_CHECKING:
-    from . import milp
+from . import milp
 
 
 @dataclass(frozen=True)
@@ -219,11 +218,6 @@ def solve_dropping(
     a victim: no solve has a time limit, so infeasibility is always proven.
     Any error raises, naming the model.
     """
-    # Imported here, not at the top: airspace imports this module first, and
-    # loading scipy that early made a fresh `import faircoplan` spend about
-    # 0.1 s more in cyclic garbage collection (2-vCPU Xeon VM, Python 3.11).
-    from . import milp
-
     active = list(active)
     dropped: list[str] = []
     attempts = 0

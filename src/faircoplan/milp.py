@@ -21,6 +21,21 @@ of a desk day both ways and requires the same status and, bit for bit, the
 same point: a scipy release that changes it fails the tests instead of
 silently changing which tied optimum is filed.
 
+The binding is loaded by path, from ``optimize/_highspy/_core`` plus the
+interpreter's extension suffix under scipy's package directory, and
+registered under its import name, so neither ``scipy.optimize`` nor
+``scipy.sparse`` is imported; numpy does the rest. A later ``import
+scipy.optimize`` reuses that module, and a binding already in
+``sys.modules`` is reused in turn, since the extension cannot be executed
+twice. Importing ``scipy.optimize`` only to reach the binding cost about
+0.6 s of a fresh ``import faircoplan`` (``python -X importtime``, 2-vCPU
+Xeon VM: 0.90-1.0 s in all, ``scipy.optimize`` 0.35-0.41 s of it, against
+0.31-0.34 s for ``import faircoplan`` now, the binding 0.01 s). This ties
+the program to scipy's file layout as well as to its private binding: a
+scipy release that moves the file makes every import fail with an
+``ImportError`` naming the directory searched, and
+``test_same_points_as_scipy_milp`` still guards what the binding does.
+
 HiGHS always runs with one fixed option set, ``HIGHS_OPTIONS``: an engine
 setting like the zero gap, not a knob. It turns off the feasibility-jump
 primal heuristic (Luteberget & Sartor, "Feasibility Jump: an LP-free
@@ -44,15 +59,17 @@ per-row Python objects. ``Model.variables`` and ``Model.constraints`` are
 read-only views built on demand for callers that want one object per column
 or row; neither the solve nor the re-check builds them.
 
-HiGHS receives the constraint matrix sparse, column-wise; no dense row is
-ever built. Planner models are very sparse (the full15x15 choice-setting
-model has about 8,000 nonzeros in a 1,200 × 6,400 matrix), and HiGHS reads
-sparse input directly.
+HiGHS receives the constraint matrix sparse, column-wise, as the arrays
+``start``, ``index`` and ``value``; no dense row is ever built. Planner
+models are very sparse (the full15x15 choice-setting model has about 8,000
+nonzeros in a 1,200 × 6,400 matrix), and HiGHS reads sparse input directly.
+A stable sort of the stored entries by column gives those arrays straight
+from the row lists.
 
 Inside a ``reuse_solves()`` context the solves are memoized. The key is a
-blake2b digest of exactly what HiGHS receives: the objective vector,
-variable bounds, integrality flags, the CSR matrix (shape, indptr, indices,
-data), the row bounds and the options.
+blake2b digest of exactly what HiGHS receives: the options, the row and
+column counts, the column-wise matrix (``start``, ``index``, ``value``),
+the objective vector, variable bounds, integrality flags and row bounds.
 Variable names and the objective offset never reach HiGHS, so they are left
 out: a hit returns the stored raw point, and values and objective are rebuilt
 against the model being solved, under its own names and offset. Only
@@ -65,14 +82,56 @@ choice-setting models.
 from __future__ import annotations
 
 import hashlib
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize._highspy import _core as highs
+
+# The import name of scipy's HiGHS binding, under which it is registered.
+_BINDING = "scipy.optimize._highspy._core"
+
+
+def _highs_binding(scipy_dir: str):
+    """scipy's HiGHS binding, loaded from its file under ``scipy_dir``.
+
+    Importing ``scipy.optimize`` to reach it would also import all of
+    ``scipy.optimize`` and ``scipy.sparse``. The module is registered under
+    its own import name, so a later ``import scipy.optimize`` finds and
+    reuses it; if ``sys.modules`` already holds it, it is returned as is,
+    since the extension cannot be executed twice in one process. Raises
+    ``ImportError``, naming the directory searched, if the file is not there.
+    """
+    loaded = sys.modules.get(_BINDING)
+    if loaded is not None:
+        return loaded
+    folder = os.path.join(scipy_dir, "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"scipy's HiGHS binding _core not found in {folder}", name=_BINDING)
+    spec = importlib.util.spec_from_file_location(_BINDING, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_BINDING] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_BINDING]
+        raise
+    return module
+
+
+_SCIPY = importlib.util.find_spec("scipy")
+if _SCIPY is None:
+    raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+highs = _highs_binding(_SCIPY.submodule_search_locations[0])
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -232,7 +291,7 @@ class Model:
 
     @property
     def num_nonzeros(self) -> int:
-        """Stored coefficients, as added (before duplicates are summed)."""
+        """Stored coefficients, as added (zero coefficients included)."""
         return self._indptr[-1]
 
 
@@ -267,14 +326,11 @@ def check_solution(model: Model, values: dict[str, float], tol: float = FEASIBIL
             violations.append(f"{name}={given[i]} not integral")
     if not model._rhs:
         return violations
-    # scipy's CSR product sums each row's terms left to right, as the rows
-    # were added; A here is deliberately not put in canonical (sorted) form.
-    A = sparse.csr_array(
-        (np.array(model._coeffs, dtype=float), np.array(model._indices, dtype=np.int32),
-         np.array(model._indptr, dtype=np.int32)),
-        shape=(len(model._rhs), len(names)),
-    )
-    lhs = A @ x
+    # bincount adds each row's terms from 0.0, left to right in the order
+    # they were added, zero coefficients included, as scipy's CSR product
+    # over the stored rows does.
+    products = np.array(model._coeffs, dtype=float) * x[model._indices]
+    lhs = np.bincount(_row_of_entry(model), weights=products, minlength=len(model._rhs))
     rhs = np.array(model._rhs)
     relation = np.array(model._relations)
     broken = np.where(
@@ -289,12 +345,21 @@ def check_solution(model: Model, values: dict[str, float], tol: float = FEASIBIL
     return violations
 
 
+def _row_of_entry(model: Model) -> np.ndarray:
+    """The row of each stored coefficient, in the order they were added."""
+    return np.repeat(np.arange(len(model._rhs)), np.diff(model._indptr))
+
+
 def _arrays(model: Model):
     """Stable (insertion-order) matrix form of the model, minimization sense.
 
-    The constraint matrix is a CSR array of the stored rows, with duplicates
-    summed and zero coefficients dropped, so it equals the CSR form of the
-    dense matrix entry for entry.
+    The constraint matrix goes to HiGHS column-wise, as ``(start, index,
+    value)``: column j holds rows ``index[start[j]:start[j + 1]]`` in
+    ascending order, with coefficients ``value[...]``, and no zero is
+    stored. A stable sort of the stored entries by column gives that
+    order, since rows are stored in order. A row never holds a column
+    twice (its terms come from a dict), so no entry needs summing, and the
+    arrays equal the CSC form of the dense matrix entry for entry.
     """
     n = len(model._names)
     sign = 1.0 if model.sense == "min" else -1.0
@@ -305,16 +370,17 @@ def _arrays(model: Model):
     integrality = np.array(model._integrality, dtype=np.int64)
     rhs = np.array(model._rhs, dtype=float)
     relation = np.array(model._relations)
-    A = sparse.csr_array(
-        (np.array(model._coeffs, dtype=float), np.array(model._indices, dtype=np.int32),
-         np.array(model._indptr, dtype=np.int32)),
-        shape=(len(rhs), n),
-    )
-    A.sum_duplicates()
-    A.eliminate_zeros()
+    coeffs = np.array(model._coeffs, dtype=float)
+    columns = np.array(model._indices, dtype=np.int32)
+    stored = np.flatnonzero(coeffs)
+    stored_columns = columns[stored]
+    order = stored[np.argsort(stored_columns, kind="stable")]
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(stored_columns, minlength=n), out=start[1:])
+    matrix = (start, _row_of_entry(model)[order].astype(np.int32), coeffs[order])
     row_lb = np.where(relation == _LE, -np.inf, rhs)
     row_ub = np.where(relation == _GE, np.inf, rhs)
-    return model._names, c, lb, ub, integrality, A, row_lb, row_ub, sign
+    return model._names, c, lb, ub, integrality, matrix, row_lb, row_ub, sign
 
 
 def _finish(model: Model, names, raw_x, lb, ub, integrality, sign, c) -> tuple[dict[str, float], float]:
@@ -353,13 +419,15 @@ def reuse_solves():
         _MEMO.reset(token)
 
 
-def _solve_key(options: dict, A, *arrays) -> bytes:
-    # ``_arrays`` fixes every dtype, and A.shape fixes every length (nnz is
-    # indptr[-1]), so the concatenated bytes decode one way only.
-    head = repr((sorted(options.items()), A.shape)).encode()
+def _solve_key(options: dict, c, lb, ub, integrality, matrix, row_lb, row_ub) -> bytes:
+    # Hashes the column-wise matrix's start, index and value, then c, lb, ub,
+    # integrality, row_lb and row_ub. ``_arrays`` fixes every dtype, and the
+    # row and column counts in the head fix every length (nnz is start[-1]),
+    # so the concatenated bytes decode one way only.
+    head = repr((sorted(options.items()), len(row_lb), len(c))).encode()
     return hashlib.blake2b(b"".join(
-        [head, A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes(),
-         *(array.tobytes() for array in arrays)])).digest()
+        [head, *(array.tobytes() for array in (*matrix, c, lb, ub, integrality, row_lb, row_ub))]
+    )).digest()
 
 
 # HiGHS model status -> the status ``run_highs`` returns. Any other model
@@ -371,25 +439,27 @@ _STATUS = {highs.HighsModelStatus.kOptimal: 0,
 _VAR_TYPES = (highs.HighsVarType.kContinuous, highs.HighsVarType.kInteger)
 
 
-def run_highs(c, lb, ub, integrality, A, row_lb, row_ub):
+def run_highs(c, lb, ub, integrality, matrix, row_lb, row_ub):
     """Minimize ``c @ x`` subject to ``row_lb <= A @ x <= row_ub`` and
     ``lb <= x <= ub``, with the columns flagged 1 in ``integrality`` integer.
 
-    HiGHS runs once, with ``HIGHS_OPTIONS``, and receives the model as
-    scipy's public ``milp`` hands it over: the CSC form of ``A``, infinite
-    bounds as they are. Returns ``(status, x, message)``: status 0 (optimal,
-    and ``x`` is HiGHS's point), 1 (a limit was reached), 2 (infeasible) or
-    4 (anything else); ``x`` is None unless the status is 0. Raises if HiGHS
-    rejects an option or the model.
+    ``matrix`` is ``A`` column-wise, ``(start, index, value)`` as
+    ``_arrays`` builds it. HiGHS runs once, with ``HIGHS_OPTIONS``, and
+    receives the model as scipy's public ``milp`` hands it over: the CSC
+    form of ``A``, infinite bounds as they are. Returns ``(status, x,
+    message)``: status 0 (optimal, and ``x`` is HiGHS's point), 1 (a limit
+    was reached), 2 (infeasible) or 4 (anything else); ``x`` is None unless
+    the status is 0. Raises if HiGHS rejects an option or the model.
     """
-    A = A.tocsc()
+    start, index, value = matrix
+    shape = len(row_lb), len(c)
     lp = highs.HighsLp()
-    lp.num_row_, lp.num_col_ = A.shape
-    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = A.shape
+    lp.num_row_, lp.num_col_ = shape
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = shape
     lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = A.indptr
-    lp.a_matrix_.index_ = A.indices
-    lp.a_matrix_.value_ = A.data
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
     lp.col_cost_ = c
     lp.col_lower_ = lb
     lp.col_upper_ = ub
@@ -419,17 +489,17 @@ class HighsBackend:
     def solve(self, model: Model) -> SolveResult:
         if not model.num_vars:
             return SolveResult(status=OPTIMAL, objective=model.objective_offset)
-        names, c, lb, ub, integrality, A, row_lb, row_ub, sign = _arrays(model)
+        names, c, lb, ub, integrality, matrix, row_lb, row_ub, sign = _arrays(model)
         memo = _MEMO.get()
         key = hit = None
         if memo is not None:
-            key = _solve_key(HIGHS_OPTIONS, A, c, lb, ub, integrality, row_lb, row_ub)
+            key = _solve_key(HIGHS_OPTIONS, c, lb, ub, integrality, matrix, row_lb, row_ub)
             hit = memo.get(key)
         if hit is not None:
             status, x, message = hit
         else:
             try:
-                status, x, message = run_highs(c, lb, ub, integrality, A, row_lb, row_ub)
+                status, x, message = run_highs(c, lb, ub, integrality, matrix, row_lb, row_ub)
             except Exception as exc:  # malformed model or HiGHS failure
                 return SolveResult(status=ERROR, detail=f"highs: {exc}")
             if memo is not None and status in (0, 2):

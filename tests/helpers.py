@@ -3,11 +3,28 @@ own tiny-instance builders, so tests and the oracle suite build alike, and
 the single-flight trajectory MILP."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from faircoplan import milp
 from faircoplan.selfcheck import blocked, make_grid, make_request, rid
 from faircoplan.blocks import add_presence_block
 
-__all__ = ["blocked", "make_grid", "make_request", "rid", "trajectory_model"]
+__all__ = ["blocked", "make_grid", "make_request", "rid", "run_python",
+           "trajectory_model"]
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports faircoplan from
+    this checkout, with its output captured as text."""
+    env = dict(os.environ)
+    src = str(Path(milp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 def trajectory_model(grid, snapshot, request, choices, params, now=0):

@@ -2,18 +2,14 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import faircoplan
 from faircoplan.airspace import ConfigError
 from faircoplan.cli import run_cli
 from faircoplan.serialize import load_scenario, save_scenario
 
+from helpers import run_python
 from test_sim import corridor_config
 
 
@@ -124,14 +120,8 @@ class TestOracleCheck:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_cli_without_warnings(self):
-        env = dict(os.environ)
-        src = str(Path(faircoplan.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        done = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "faircoplan",
-             "oracle-check", "--cases", "1"],
-            env=env, capture_output=True, text=True, timeout=120)
+        done = run_python("-W", "error::RuntimeWarning", "-m", "faircoplan",
+                          "oracle-check", "--cases", "1")
         assert done.returncode == 0, done.stderr
         assert "1 instances checked, 0 failing case(s)" in done.stdout
         assert done.stderr == ""

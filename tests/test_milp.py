@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from faircoplan.step1 import solve_step1
 from faircoplan.step2 import solve_step2
 from faircoplan.step3 import solve_step3
 
-from helpers import blocked, make_grid, make_request, trajectory_model
+from helpers import blocked, make_grid, make_request, run_python, trajectory_model
 
 
 class TestHighs:
@@ -141,7 +143,8 @@ def scipy_milp(arrays, options):
     """One model from ``milp._arrays`` solved through the public
     ``scipy.optimize.milp``, which forwards options it does not name to
     HiGHS verbatim and warns that it does."""
-    names, c, lb, ub, integrality, A, row_lb, row_ub, sign = arrays
+    names, c, lb, ub, integrality, (start, index, value), row_lb, row_ub, sign = arrays
+    A = sparse.csc_array((value, index, start), shape=(len(row_lb), len(c)))
     kwargs = {}
     if A.shape[0]:
         kwargs["constraints"] = optimize.LinearConstraint(A, row_lb, row_ub)
@@ -153,15 +156,15 @@ def scipy_milp(arrays, options):
 
 @pytest.fixture(scope="module")
 def desk_day_solves() -> list[tuple]:
-    """``(milp._arrays(model), objective offset, result)`` for every model
-    solved on desk day 0, in all three lanes: 48 choice-setting, 7
-    deconfliction and 57 fixed-route models."""
+    """``(model, milp._arrays(model), result)`` for every model solved on
+    desk day 0, in all three lanes: 48 choice-setting, 7 deconfliction and
+    57 fixed-route models."""
     solved = []
     real_solve = milp.solve
 
     def spy(model):
         result = real_solve(model)
-        solved.append((milp._arrays(model), model.objective_offset, result))
+        solved.append((model, milp._arrays(model), result))
         return result
 
     with pytest.MonkeyPatch.context() as patch:
@@ -230,9 +233,9 @@ class TestHighsOptions:
         # public scipy.optimize.milp with the same options must give the
         # same status and, bit for bit, the same point, so a scipy upgrade
         # cannot silently change which tied optimum is filed.
-        for arrays, _, _ in desk_day_solves:
-            names, c, lb, ub, integrality, A, row_lb, row_ub, sign = arrays
-            status, x, _ = milp.run_highs(c, lb, ub, integrality, A, row_lb, row_ub)
+        for _, arrays, _ in desk_day_solves:
+            names, c, lb, ub, integrality, matrix, row_lb, row_ub, sign = arrays
+            status, x, _ = milp.run_highs(c, lb, ub, integrality, matrix, row_lb, row_ub)
             ref = scipy_milp(arrays, SCIPY_OPTIONS)
             assert status == ref.status
             assert (x is None and ref.x is None) or np.array_equal(x, ref.x)
@@ -242,12 +245,13 @@ class TestHighsOptions:
     def test_same_optima_as_with_feasibility_jump(self, desk_day_solves):
         # Every model of desk day 0, in all three lanes, re-solved with the
         # heuristic on (HiGHS's default): same status, same optimal value.
-        for arrays, offset, result in desk_day_solves:
+        for model, arrays, result in desk_day_solves:
             ref = scipy_milp(arrays, FEASIBILITY_JUMP_ON)
             assert ref.status == {milp.OPTIMAL: 0, milp.INFEASIBLE: 2}[result.status]
             if ref.status == 0:
                 sign = arrays[-1]
-                assert result.objective == pytest.approx(sign * ref.fun + offset, abs=1e-9)
+                assert result.objective == pytest.approx(
+                    sign * ref.fun + model.objective_offset, abs=1e-9)
         statuses = {result.status for _, _, result in desk_day_solves}
         assert len(desk_day_solves) > 100 and statuses == {milp.OPTIMAL, milp.INFEASIBLE}
 
@@ -255,17 +259,23 @@ class TestHighsOptions:
         seen = []
         real_run_highs = milp.run_highs
 
-        def spy(c, lb, ub, integrality, A, row_lb, row_ub):
-            seen.append(A)
-            return real_run_highs(c, lb, ub, integrality, A, row_lb, row_ub)
+        def spy(c, lb, ub, integrality, matrix, row_lb, row_ub):
+            seen.append(matrix)
+            return real_run_highs(c, lb, ub, integrality, matrix, row_lb, row_ub)
 
         monkeypatch.setattr(milp, "run_highs", spy)
         model = Model(name="sparse", sense="max")
-        x, y = model.binary("x"), model.binary("y")
-        model.add({x: 1.0, y: 1.0}, "<=", 1.0)
-        model.set_objective({x: 1.0, y: 2.0})
+        x, y, z = model.binary("x"), model.binary("y"), model.binary("z")
+        model.add({x: 1.0, z: 1.0}, "<=", 1.0)
+        model.add({y: 1.0}, "<=", 1.0)
+        model.set_objective({x: 1.0, y: 2.0, z: 1.0})
         assert HighsBackend().solve(model).status == milp.OPTIMAL
-        assert len(seen) == 1 and sparse.issparse(seen[0])
+        # Column-wise arrays of length columns + 1 and nnz, not a 2 x 3 matrix.
+        assert len(seen) == 1
+        start, index, value = seen[0]
+        np.testing.assert_array_equal(start, [0, 1, 2, 3])
+        np.testing.assert_array_equal(index, [0, 1, 0])
+        np.testing.assert_array_equal(value, [1.0, 1.0, 1.0])
 
 
 def knapsack(names=("x0", "x1", "x2"), offset=0.0) -> Model:
@@ -363,13 +373,26 @@ def dense_reference(model: Model) -> np.ndarray:
 
 
 def assert_matches_dense(model: Model) -> None:
-    matrix = milp._arrays(model)[5]
-    want = sparse.csr_array(dense_reference(model))
-    assert matrix.format == "csr"
-    assert matrix.shape == want.shape
-    np.testing.assert_array_equal(matrix.indptr, want.indptr)
-    np.testing.assert_array_equal(matrix.indices, want.indices)
-    np.testing.assert_array_equal(matrix.data, want.data)
+    start, index, value = milp._arrays(model)[5]
+    want = sparse.csc_array(dense_reference(model))
+    assert (start.dtype, index.dtype, value.dtype) == (np.int32, np.int32, np.float64)
+    assert len(start) == model.num_vars + 1
+    np.testing.assert_array_equal(start, want.indptr)
+    np.testing.assert_array_equal(index, want.indices)
+    np.testing.assert_array_equal(value, want.data)
+
+
+def mixed_model() -> Model:
+    """Three rows, one with its columns out of order and one with an
+    explicit zero coefficient."""
+    model = Model(name="mixed", sense="max")
+    x, y = model.binary("x"), model.binary("y")
+    z = model.continuous("z", lb=-1.0, ub=4.0)
+    model.add({z: 2.0, x: 1.0}, "<=", 3.0)  # columns out of order
+    model.add({x: 1.0, y: 0.0, z: -1.5}, "=", 0.5)
+    model.add({y: 4.0}, ">=", 1.0)
+    model.set_objective({x: 1.0, z: 1.0})
+    return model
 
 
 @pytest.fixture(scope="module")
@@ -410,25 +433,22 @@ def pinch_models() -> list[Model]:
 
 class TestSparseAssembly:
     def test_hand_built_model_matches_dense_rows(self):
-        model = Model(name="mixed", sense="max")
-        x, y = model.binary("x"), model.binary("y")
-        z = model.continuous("z", lb=-1.0, ub=4.0)
-        model.add({z: 2.0, x: 1.0}, "<=", 3.0)  # columns out of order
-        model.add({x: 1.0, y: 0.0, z: -1.5}, "=", 0.5)
-        model.add({y: 4.0}, ">=", 1.0)
-        model.set_objective({x: 1.0, z: 1.0})
+        model = mixed_model()
         assert_matches_dense(model)
-        names, _, _, _, _, matrix, row_lb, row_ub, _ = milp._arrays(model)
+        names, _, _, _, _, (start, index, value), row_lb, row_ub, _ = milp._arrays(model)
         assert names == ["x", "y", "z"]
-        assert 0.0 not in matrix.data
-        assert matrix.nnz == 5
+        np.testing.assert_array_equal(start, [0, 2, 3, 5])
+        np.testing.assert_array_equal(index, [0, 1, 2, 0, 1])
+        np.testing.assert_array_equal(value, [1.0, 1.0, 4.0, 2.0, -1.5])
         np.testing.assert_array_equal(row_lb, [-np.inf, 0.5, 1.0])
         np.testing.assert_array_equal(row_ub, [3.0, 0.5, np.inf])
 
     def test_model_without_constraints_has_no_rows(self):
         model = Model(name="free", sense="min")
         model.continuous("z", ub=1.0)
-        assert milp._arrays(model)[5].shape == (0, 1)
+        _, _, _, _, _, (start, index, value), row_lb, _, _ = milp._arrays(model)
+        np.testing.assert_array_equal(start, [0, 0])
+        assert len(index) == len(value) == len(row_lb) == 0
 
     def test_planner_models_match_dense_rows(self, pinch_models):
         for model in pinch_models:
@@ -559,6 +579,25 @@ class TestVectorizedAgainstReference:
             assert_finish_matches_reference(model, raw)
         assert flagged > 0
 
+    def test_row_sums_equal_scipys_csr_product(self, desk_day_solves):
+        # At tol -1e300 every row reads as violated, so check_solution
+        # reports each row's left-hand side, and its repr shows every bit.
+        mixed = mixed_model()
+        solved = [(model, result) for model, _, result in desk_day_solves]
+        for seed, (model, result) in enumerate(solved + [(mixed, solve(mixed))]):
+            A = sparse.csr_array(
+                (np.array(model._coeffs), np.array(model._indices, dtype=np.int32),
+                 np.array(model._indptr, dtype=np.int32)),
+                shape=(model.num_rows, model.num_vars))
+            for point in (result.values, awkward_point(model, result.values, seed)):
+                x = np.array([point.get(name, 0.0) for name in model._names])
+                want = [f"{con.label or f'c{i}'}: {lhs} {con.relation} {con.rhs} violated"
+                        for i, (con, lhs) in enumerate(zip(model.constraints,
+                                                           (A @ x).tolist()))]
+                got = check_solution(model, point, tol=-1e300)
+                assert [m for m in got if m.endswith(" violated")] == want
+        assert len(solved) > 100
+
     def test_finish_on_awkward_raw_points(self):
         model = Model(name="raw", sense="max")
         bins = [model.binary(f"b{i}") for i in range(8)]
@@ -592,3 +631,40 @@ class TestHighsPathBuildsNoViews:
             assert [(r.status, r.objective, r.values) for r in got] == \
                 [(r.status, r.objective, r.values) for r in want]
         assert {r.status for r in want} == {milp.OPTIMAL, milp.INFEASIBLE}
+
+
+class TestHighsBinding:
+    # pytest itself has imported scipy.optimize, so these start a fresh
+    # interpreter.
+    def test_import_leaves_out_scipy_optimize_and_sparse(self):
+        done = run_python(
+            "-c", "import sys, faircoplan\n"
+            "print(sorted({'scipy.optimize', 'scipy.sparse'} & set(sys.modules)))")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+    def test_scipy_optimize_reuses_the_binding(self):
+        done = run_python(
+            "-c", "import numpy as np\n"
+            "from faircoplan import milp\n"
+            "import scipy.optimize\n"
+            "from scipy.optimize._highspy import _core\n"
+            "assert _core is milp.highs\n"
+            "r = scipy.optimize.milp(-np.array([6.0, 5.0, 4.0]), integrality=np.ones(3),\n"
+            "    bounds=scipy.optimize.Bounds(0, 1),\n"
+            "    constraints=scipy.optimize.LinearConstraint([[3.0, 2.0, 2.0]], -np.inf, 4.0))\n"
+            "print(r.status, r.fun, r.x.tolist())")
+        assert (done.returncode, done.stdout, done.stderr) == \
+            (0, "0 -9.0 [0.0, 1.0, 1.0]\n", "")
+
+    def test_binding_in_sys_modules_is_reused(self):
+        assert milp.highs is sys.modules["scipy.optimize._highspy._core"]
+        assert milp._highs_binding("no such directory") is milp.highs
+
+    def test_missing_binding_is_an_import_error_naming_the_folder(self, tmp_path,
+                                                                  monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+        folder = tmp_path / "optimize" / "_highspy"
+        folder.mkdir(parents=True)
+        with pytest.raises(ImportError, match=re.escape(str(folder))):
+            milp._highs_binding(str(tmp_path))
+        assert "scipy.optimize._highspy._core" not in sys.modules
