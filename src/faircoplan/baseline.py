@@ -71,7 +71,6 @@ class BaselineResult:
     tdc_by_flight: dict[str, float]
     total_tdc: float
     objective: float | None
-    solver_status: str | None = None
     attempts: int = 0
 
 
@@ -94,10 +93,10 @@ def _build_tfmp(
     params: DelayCostParams,
     now: int,
     horizon_end: int,
-) -> tuple[milp.Model, dict[str, dict[tuple[int, int], str]]]:
+) -> tuple[milp.Model, Callable[[list[float]], dict[str, FlightPlan]]]:
     model = milp.Model(name="fixed-route-schedule", sense="min")
-    wvars: dict[str, dict[tuple[int, int], str]] = {}
-    objective: dict[str, float] = {}
+    wvars: dict[str, dict[tuple[int, int], int]] = {}
+    objective: dict[int, float] = {}
     offset = 0.0
 
     for fid in sorted(included):
@@ -112,13 +111,13 @@ def _build_tfmp(
             entry_lo.append(entry_lo[-1] + dwell)
         entry_lo[last] = max(entry_lo[last], a)
 
-        flight_vars: dict[tuple[int, int], str] = {}
+        flight_vars: dict[tuple[int, int], int] = {}
         for i in range(len(route.legs)):
             for t in range(entry_lo[i], horizon_end):
                 flight_vars[(i, t)] = model.binary(f"w.{fid}.{i}.{t}")
         wvars[fid] = flight_vars
 
-        def w(i: int, t: int) -> str | None:
+        def w(i: int, t: int) -> int | None:
             return flight_vars.get((i, t))
 
         # Entered-by is monotone in t.
@@ -154,26 +153,26 @@ def _build_tfmp(
         offset += (1.0 - params.alpha) * (entry_lo[0] - d)
         offset += params.alpha * (entry_lo[last] - a)
         for t in range(entry_lo[0], d + eps):
-            var = flight_vars.get((0, t))
-            if var is not None:  # absent only past the horizon, long departed
-                objective[var] = objective.get(var, 0.0) - (1.0 - params.alpha)
+            col = flight_vars.get((0, t))
+            if col is not None:  # absent only past the horizon, long departed
+                objective[col] = objective.get(col, 0.0) - (1.0 - params.alpha)
                 offset += 1.0 - params.alpha
         for t in range(entry_lo[last], horizon_end):
-            var = flight_vars[(last, t)]
-            objective[var] = objective.get(var, 0.0) - params.alpha
+            col = flight_vars[(last, t)]
+            objective[col] = objective.get(col, 0.0) - params.alpha
             offset += params.alpha
 
     # Shared capacity on every cell: presence on leg i is "entered i but not
     # i+1"; the destination is occupied only on its entry step.
-    usage: dict[tuple[str, int], dict[str, float]] = {}
+    usage: dict[tuple[str, int], dict[int, float]] = {}
     for fid in sorted(included):
         route = routes[fid]
         last = len(route.legs) - 1
         flight_vars = wvars[fid]
-        for (i, t), name in flight_vars.items():
+        for (i, t), col in flight_vars.items():
             rid = route.legs[i]
             cell = usage.setdefault((rid, t), {})
-            cell[name] = cell.get(name, 0.0) + 1.0
+            cell[col] = cell.get(col, 0.0) + 1.0
             if i < last:
                 nxt = flight_vars.get((i + 1, t))
                 if nxt is not None:
@@ -185,22 +184,24 @@ def _build_tfmp(
     add_capacity_rows(model, snapshot, usage)
 
     model.set_objective(objective, offset=offset)
-    return model, wvars
+    return model, lambda x: {
+        fid: _extract(requests[fid], routes[fid], flight_vars, x, horizon_end)
+        for fid, flight_vars in wvars.items()}
 
 
 def _extract(
     request: FlightRequest,
     route: FixedRoute,
-    flight_vars: Mapping[tuple[int, int], str],
-    values: Mapping[str, float],
+    flight_vars: Mapping[tuple[int, int], int],
+    x: list[float],
     horizon_end: int,
 ) -> FlightPlan:
     entries = []
     for i in range(len(route.legs)):
         entry = None
         for t in range(0, horizon_end):
-            name = flight_vars.get((i, t))
-            if name is not None and values.get(name, 0.0) >= 0.5:
+            col = flight_vars.get((i, t))
+            if col is not None and x[col] >= 0.5:
                 entry = t
                 break
         if entry is None:
@@ -250,20 +251,15 @@ def solve_tfmp(
         lambda active: _build_tfmp(grid, snapshot, active, by_id, routes, params,
                                    now, horizon_end),
     )
-    result, wvars = outcome.result, outcome.built
-
-    plans: dict[str, FlightPlan] = {}
+    plans = outcome.plans
     tdc_by_flight: dict[str, float] = {}
-    if result is not None:
-        plans = {fid: _extract(by_id[fid], routes[fid], wvars[fid], result.values,
-                               horizon_end)
-                 for fid in outcome.kept}
+    if outcome.objective is not None:
         audit_batch(grid, snapshot, by_id, plans, now, horizon_end, "fixed-route")
         tdc_by_flight = {fid: tdc(plan, by_id[fid], params) for fid, plan in plans.items()}
         expected = sum(tdc_by_flight.values())
-        if abs(expected - result.objective) > 1e-6 * max(1.0, abs(expected)):
+        if abs(expected - outcome.objective) > 1e-6 * max(1.0, abs(expected)):
             raise RuntimeError(
-                f"fixed-route objective {result.objective} disagrees with "
+                f"fixed-route objective {outcome.objective} disagrees with "
                 f"recomputed cost {expected}"
             )
 
@@ -273,7 +269,6 @@ def solve_tfmp(
         dropped=outcome.dropped,
         tdc_by_flight=tdc_by_flight,
         total_tdc=sum(tdc_by_flight.values()),
-        objective=result.objective if result is not None else None,
-        solver_status=result.status if result is not None else None,
+        objective=outcome.objective,
         attempts=outcome.attempts,
     )

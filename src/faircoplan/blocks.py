@@ -31,13 +31,13 @@ __all__ = [
 
 @dataclass
 class PresenceBlock:
-    """One flight's presence variables and bookkeeping inside a model."""
+    """One flight's presence columns, by cell, and bookkeeping inside a model."""
 
     request: FlightRequest
-    vars: dict[tuple[str, int], str]
+    vars: dict[tuple[str, int], int]
     departure_slots: tuple[int, ...]
     arrival_slots: tuple[int, ...]
-    tdc_coeffs: dict[str, float]
+    tdc_coeffs: dict[int, float]
     tdc_offset: float
 
 
@@ -56,7 +56,7 @@ class CellDomain:
 
 def add_dwell_linkage(
     model: milp.Model,
-    presence: Mapping[tuple[str, int], str],
+    presence: Mapping[tuple[str, int], int],
     request: FlightRequest,
     rid: str,
     first: int,
@@ -66,13 +66,13 @@ def add_dwell_linkage(
     """Minimum dwell at ``rid``: a run may end at step t only once the
     trailing window of ``request.min_dwell(rid)`` steps is full.
 
-    ``presence`` maps (resource, t) to the binary that marks the flight (or
-    its offered choice) in that cell; a missing key is a cell it cannot use.
-    For each t from first + 1 to min(last + 1, horizon_end - 1) that follows
-    a usable step, an auxiliary binary ``dw.{fid}.{rid}.{t}`` is 1 exactly
-    when the window is not yet full, and then the run must go on at t. The
-    window has ``dwell`` terms, so ``dwell`` is a tight constant for both
-    indicator rows.
+    ``presence`` maps (resource, t) to the column of the binary that marks
+    the flight (or its offered choice) in that cell; a missing key is a cell
+    it cannot use. For each t from first + 1 to min(last + 1, horizon_end -
+    1) that follows a usable step, an auxiliary binary ``dw.{fid}.{rid}.{t}``
+    is 1 exactly when the window is not yet full, and then the run must go
+    on at t. The window has ``dwell`` terms, so ``dwell`` is a tight
+    constant for both indicator rows.
     """
     fid = request.flight_id
     dwell = request.min_dwell(rid)
@@ -102,7 +102,7 @@ def add_dwell_linkage(
 def add_capacity_rows(
     model: milp.Model,
     snapshot: OccupancySnapshot,
-    usage: Mapping[tuple[str, int], Mapping[str, float]],
+    usage: Mapping[tuple[str, int], Mapping[int, float]],
 ) -> None:
     """Joint capacity: for each (resource, t) cell in sorted order, the row
     ``cap.{rid}.{t}``, the sum of ``usage[cell]`` at most the snapshot's
@@ -204,12 +204,12 @@ def add_presence_block(
     by_resource = domain.times
     dep_slots, arr_slots = domain.departure_slots, domain.arrival_slots
 
-    uvars: dict[tuple[str, int], str] = {}
+    uvars: dict[tuple[str, int], int] = {}
     for rid in sorted(by_resource):
         for t in by_resource[rid]:
             uvars[(rid, t)] = model.binary(f"{prefix}.{rid}.{t}")
 
-    def var(rid: str, t: int) -> str | None:
+    def var(rid: str, t: int) -> int | None:
         return uvars.get((rid, t))
 
     # Exactly one departure slot and one arrival slot.
@@ -250,15 +250,15 @@ def add_presence_block(
                               horizon_end)
 
     # At most one resource per timestep.
-    by_time: dict[int, list[str]] = {}
-    for (rid, t), name in uvars.items():
-        by_time.setdefault(t, []).append(name)
-    for t, names in sorted(by_time.items()):
-        if len(names) > 1:
-            model.add({n: 1.0 for n in names}, "<=", 1.0, label=f"one.{fid}.{t}")
+    by_time: dict[int, list[int]] = {}
+    for (rid, t), col in uvars.items():
+        by_time.setdefault(t, []).append(col)
+    for t, cols in sorted(by_time.items()):
+        if len(cols) > 1:
+            model.add({col: 1.0 for col in cols}, "<=", 1.0, label=f"one.{fid}.{t}")
 
     alpha = params.alpha
-    tdc_coeffs: dict[str, float] = {}
+    tdc_coeffs: dict[int, float] = {}
     for t in dep_slots:
         tdc_coeffs[uvars[(s, t)]] = (1.0 - alpha) * t
     for t in arr_slots:
@@ -275,19 +275,16 @@ def add_presence_block(
     )
 
 
-def extract_plan(block: PresenceBlock, values: dict[str, float]) -> FlightPlan:
-    """Read the chosen presences as the plan's steps.
+def extract_plan(block: PresenceBlock, x: list[float]) -> FlightPlan:
+    """Read the chosen presences in the solved point ``x`` (by column) as
+    the plan's steps.
 
     ``arr1`` picks one destination cell and the ``end`` rows forbid presence
     anywhere else after it, so nothing follows the arrival slot.
     """
     request = block.request
-    if not any(values.get(block.vars[(request.destination, t)], 0.0) >= 0.5
+    if not any(x[block.vars[(request.destination, t)]] >= 0.5
                for t in block.arrival_slots):
         raise RuntimeError(f"{request.flight_id}: no arrival slot chosen")
-    steps = sorted(
-        (t, rid)
-        for (rid, t), name in block.vars.items()
-        if values.get(name, 0.0) >= 0.5
-    )
+    steps = sorted((t, rid) for (rid, t), col in block.vars.items() if x[col] >= 0.5)
     return FlightPlan(request.flight_id, tuple(steps))

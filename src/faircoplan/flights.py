@@ -11,7 +11,7 @@ exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import milp
 
@@ -193,14 +193,13 @@ def pick_victim(active: Sequence[str], requests: Mapping[str, FlightRequest]) ->
 class DropOutcome(NamedTuple):
     """What ``solve_dropping`` ends with.
 
-    ``result`` is the accepted solve, or None when every flight was dropped;
-    ``built`` is the extra value of the last build, and ``kept`` the flights
-    it was built for.
+    ``plans`` are the kept flights' plans, read from the accepted solve, and
+    ``objective`` is that solve's optimum; both are empty (``{}``, None)
+    when every flight was dropped.
     """
 
-    result: milp.SolveResult | None
-    built: Any
-    kept: tuple[str, ...]
+    plans: dict[str, FlightPlan]
+    objective: float | None
     dropped: tuple[str, ...]
     attempts: int
 
@@ -208,29 +207,30 @@ class DropOutcome(NamedTuple):
 def solve_dropping(
     active: Sequence[str],
     requests: Mapping[str, FlightRequest],
-    build: Callable[[list[str]], tuple[milp.Model, Any]],
+    build: Callable[[list[str]],
+                    tuple[milp.Model, Callable[[list[float]], dict[str, FlightPlan]]]],
 ) -> DropOutcome:
     """Build and solve a joint model over ``active``; while it has no
     accepted solution, drop ``pick_victim`` and rebuild.
 
-    ``build(active)`` returns the model and an extra value (its variable
-    map). Only an optimal solve is accepted. Only an infeasible solve drops
-    a victim: no solve has a time limit, so infeasibility is always proven.
-    Any error raises, naming the model.
+    ``build(active)`` returns the model and ``read``, which turns the
+    model's solved point into the active flights' plans. Only an optimal
+    solve is accepted. Only an infeasible solve drops a victim: no solve
+    has a time limit, so infeasibility is always proven. Any error raises,
+    naming the model.
     """
     active = list(active)
     dropped: list[str] = []
     attempts = 0
-    built = None
     while active:
-        model, built = build(active)
+        model, read = build(active)
         result = milp.solve(model)
         attempts += 1
         if result.status == milp.OPTIMAL:
-            return DropOutcome(result, built, tuple(active), tuple(dropped), attempts)
+            return DropOutcome(read(result.x), result.objective, tuple(dropped), attempts)
         if result.status == milp.ERROR:
             raise RuntimeError(f"{model.name} solve failed: {result.detail}")
         victim = pick_victim(active, requests)
         dropped.append(victim)
         active.remove(victim)
-    return DropOutcome(None, built, (), tuple(dropped), attempts)
+    return DropOutcome({}, None, tuple(dropped), attempts)

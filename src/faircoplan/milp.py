@@ -49,15 +49,16 @@ a third. Turning off a primal heuristic changes no optimum (status and
 optimal objective were equal on all of those models, solved both ways),
 though HiGHS may return another of several tied optimal points.
 
-A model stores itself as arrays would: each variable is a column index with
-its bounds and integrality in flat per-column lists, and each constraint is
-turned into column indices and coefficients when it is added and appended to
-flat per-row lists (CSR order, plus relation, right-hand side and label).
-Assembly, unpacking a solver point and the substitution re-check are then
-numpy conversions and vectorized operations over those lists, not walks over
-per-row Python objects. ``Model.variables`` and ``Model.constraints`` are
-read-only views built on demand for callers that want one object per column
-or row; neither the solve nor the re-check builds them.
+A model stores itself as arrays would. A variable is its column: declaring
+one returns its index, rows and the objective are ``{column: coefficient}``,
+and a solved point is a list by column; a name is only a label, for the
+views and violation messages. Bounds and integrality go to flat per-column
+lists, each constraint to flat per-row lists (CSR order, plus relation,
+right-hand side and label). Assembly, unpacking a solver point and the
+substitution re-check are then numpy operations over those lists, not walks
+over per-row Python objects. ``Model.variables`` and ``Model.constraints``
+are read-only views built on demand; neither the solve nor the re-check
+builds them.
 
 HiGHS receives the constraint matrix sparse, column-wise, as the arrays
 ``start``, ``index`` and ``value``; no dense row is ever built. Planner
@@ -71,8 +72,8 @@ blake2b digest of exactly what HiGHS receives: the options, the row and
 column counts, the column-wise matrix (``start``, ``index``, ``value``),
 the objective vector, variable bounds, integrality flags and row bounds.
 Variable names and the objective offset never reach HiGHS, so they are left
-out: a hit returns the stored raw point, and values and objective are rebuilt
-against the model being solved, under its own names and offset. Only
+out: a hit returns the stored raw point, and the point and objective are
+rebuilt against the model being solved, with its own bounds and offset. Only
 OPTIMAL and INFEASIBLE outcomes are stored. No solve has a time limit, so
 each runs to its proven optimum or infeasibility, and the outcome depends on
 the input alone, never on the clock. ``run_campaign`` opens one context per
@@ -172,7 +173,8 @@ class _Constraint:
 class SolveResult:
     status: str
     objective: float | None = None
-    values: dict[str, float] = field(default_factory=dict)
+    # The point by column; empty unless the status is OPTIMAL.
+    x: list[float] = field(default_factory=list)
     detail: str = ""
     # Set only on the ERROR for HiGHS status 1 ("a limit was reached").
     hit_time_limit: bool = False
@@ -181,13 +183,12 @@ class SolveResult:
 class Model:
     """Linear model with binary/continuous variables, stored column- and row-wise.
 
-    Each variable gets its column index when it is declared, and its bounds
-    and integrality go to flat per-column lists. Each constraint is turned
-    into column indices when it is added, and its indices, coefficients,
-    relation, right-hand side and label go to flat per-row lists, so solving
-    converts lists to arrays instead of walking per-row objects.
-    ``variables`` and ``constraints`` are read-only views built on demand;
-    solving never builds them.
+    ``binary`` and ``continuous`` return the new variable's column index;
+    its name is a label. ``add`` and ``set_objective`` take ``{column:
+    coefficient}``. Columns and rows go to flat lists, so solving converts
+    lists to arrays instead of walking per-row objects. ``variables`` and
+    ``constraints`` are read-only views built on demand; solving never
+    builds them.
     """
 
     def __init__(self, name: str = "model", sense: str = "min"):
@@ -195,7 +196,6 @@ class Model:
             raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
         self.name = name
         self.sense = sense
-        self._column: dict[str, int] = {}
         self._names: list[str] = []
         self._lb: list[float] = []
         self._ub: list[float] = []
@@ -211,50 +211,41 @@ class Model:
         self._objective_coeffs: list[float] = []
         self.objective_offset = 0.0
 
-    def _declare(self, name: str, binary: bool, lb: float, ub: float) -> str:
-        self._column[name] = len(self._names)
+    def _declare(self, name: str, binary: bool, lb: float, ub: float) -> int:
         self._names.append(name)
         self._lb.append(lb)
         self._ub.append(ub)
         self._integrality.append(1 if binary else 0)
-        return name
+        return len(self._names) - 1
 
-    def binary(self, name: str) -> str:
-        if name in self._column:
-            raise ValueError(f"variable {name!r} declared twice")
+    def binary(self, name: str) -> int:
         return self._declare(name, True, 0.0, 1.0)
 
-    def continuous(self, name: str, lb: float = 0.0, ub: float = math.inf) -> str:
-        if name in self._column:
-            raise ValueError(f"variable {name!r} declared twice")
+    def continuous(self, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
         if lb > ub:
             raise ValueError(f"variable {name!r} has lb > ub")
         return self._declare(name, False, lb, ub)
 
-    def add(self, coeffs: dict[str, float], relation: str, rhs: float, label: str = "") -> None:
+    def add(self, coeffs: dict[int, float], relation: str, rhs: float, label: str = "") -> None:
         if relation not in _RELATIONS:
             raise ValueError(f"unknown relation {relation!r}")
         if not coeffs:
             raise ValueError(f"constraint {label!r} has no variables")
-        try:
-            columns = [self._column[name] for name in coeffs]
-        except KeyError as exc:
-            raise ValueError(
-                f"constraint {label!r} references unknown variable {exc.args[0]!r}"
-            ) from None
+        if not 0 <= min(coeffs) <= max(coeffs) < len(self._names):
+            raise ValueError(f"constraint {label!r} references a column outside "
+                             f"[0, {len(self._names)})")
         rhs = float(rhs)
-        self._indices += columns
+        self._indices += coeffs
         self._coeffs += coeffs.values()
         self._indptr.append(len(self._indices))
         self._relations.append(_RELATIONS.index(relation))
         self._rhs.append(rhs)
         self._labels.append(label)
 
-    def set_objective(self, coeffs: dict[str, float], offset: float = 0.0) -> None:
-        try:
-            columns = [self._column[name] for name in coeffs]
-        except KeyError as exc:
-            raise ValueError(f"objective references unknown variable {exc.args[0]!r}") from None
+    def set_objective(self, coeffs: dict[int, float], offset: float = 0.0) -> None:
+        columns = list(coeffs)
+        if columns and not 0 <= min(columns) <= max(columns) < len(self._names):
+            raise ValueError(f"objective references a column outside [0, {len(self._names)})")
         self._objective_columns = columns
         self._objective_coeffs = list(coeffs.values())
         self.objective_offset = float(offset)
@@ -295,41 +286,37 @@ class Model:
         return self._indptr[-1]
 
 
-def check_solution(model: Model, values: dict[str, float], tol: float = FEASIBILITY_TOL) -> list[str]:
-    """All bound, integrality, and constraint violations by substitution.
+def check_solution(model: Model, x: list[float], tol: float = FEASIBILITY_TOL) -> list[str]:
+    """All bound, integrality, and constraint violations of the point ``x``
+    (one value per column) by substitution.
 
     The messages come in the order of a scan over the variables, then over
-    the rows. Each row's left-hand side is summed in the order its terms
-    were added.
+    the rows, and name each variable by its label. Each row's left-hand side
+    is summed in the order its terms were added. Raises ``ValueError`` if
+    ``x`` does not hold exactly one value per column.
     """
+    point = np.asarray(x, dtype=float)
+    if point.shape != (model.num_vars,):
+        raise ValueError(f"point of shape {point.shape} for model {model.name!r} "
+                         f"with {model.num_vars} columns")
     names = model._names
-    given = [values.get(name) for name in names]
-    x = np.array(given, dtype=float)  # a missing value reads as nan here
-    missing = np.zeros(len(names), dtype=bool)
-    for i in np.flatnonzero(np.isnan(x)).tolist():
-        missing[i] = given[i] is None
-    x[missing] = 0.0
     lb = np.array(model._lb, dtype=float)
     ub = np.array(model._ub, dtype=float)
-    out_of_bounds = (x < lb - tol) | (x > ub + tol)
+    out_of_bounds = (point < lb - tol) | (point > ub + tol)
     binary = np.array(model._integrality, dtype=bool)
-    fractional = binary & (np.abs(x - np.round(x)) > INTEGRALITY_TOL)
+    fractional = binary & (np.abs(point - np.round(point)) > INTEGRALITY_TOL)
     violations = []
-    for i in np.flatnonzero(missing | out_of_bounds | fractional).tolist():
-        name = names[i]
-        if missing[i]:
-            violations.append(f"missing value for {name}")
-            continue
+    for i in np.flatnonzero(out_of_bounds | fractional).tolist():
         if out_of_bounds[i]:
-            violations.append(f"{name}={given[i]} outside [{model._lb[i]}, {model._ub[i]}]")
+            violations.append(f"{names[i]}={x[i]} outside [{model._lb[i]}, {model._ub[i]}]")
         if fractional[i]:
-            violations.append(f"{name}={given[i]} not integral")
+            violations.append(f"{names[i]}={x[i]} not integral")
     if not model._rhs:
         return violations
     # bincount adds each row's terms from 0.0, left to right in the order
     # they were added, zero coefficients included, as scipy's CSR product
     # over the stored rows does.
-    products = np.array(model._coeffs, dtype=float) * x[model._indices]
+    products = np.array(model._coeffs, dtype=float) * point[model._indices]
     lhs = np.bincount(_row_of_entry(model), weights=products, minlength=len(model._rhs))
     rhs = np.array(model._rhs)
     relation = np.array(model._relations)
@@ -380,11 +367,11 @@ def _arrays(model: Model):
     matrix = (start, _row_of_entry(model)[order].astype(np.int32), coeffs[order])
     row_lb = np.where(relation == _LE, -np.inf, rhs)
     row_ub = np.where(relation == _GE, np.inf, rhs)
-    return model._names, c, lb, ub, integrality, matrix, row_lb, row_ub, sign
+    return c, lb, ub, integrality, matrix, row_lb, row_ub, sign
 
 
-def _finish(model: Model, names, raw_x, lb, ub, integrality, sign, c) -> tuple[dict[str, float], float]:
-    """Values and objective of a raw solver point.
+def _finish(model: Model, raw_x, lb, ub, integrality, sign, c) -> tuple[list[float], float]:
+    """The point, by column, and objective of a raw solver point.
 
     Each value is clipped into its bounds, and a binary within 1e-4 of an
     integer is snapped to it. The result equals ``min(max(x, lb), ub)`` and
@@ -398,7 +385,7 @@ def _finish(model: Model, names, raw_x, lb, ub, integrality, sign, c) -> tuple[d
     snapped = np.round(x) + 0.0
     x = np.where((integrality == 1) & (np.abs(x - snapped) <= 1e-4), snapped, x)
     obj = sign * float(np.dot(c, x)) + model.objective_offset
-    return dict(zip(names, x.tolist())), obj
+    return x.tolist(), obj
 
 
 # The memo of the innermost open ``reuse_solves()`` context, or None: digest
@@ -489,7 +476,7 @@ class HighsBackend:
     def solve(self, model: Model) -> SolveResult:
         if not model.num_vars:
             return SolveResult(status=OPTIMAL, objective=model.objective_offset)
-        names, c, lb, ub, integrality, matrix, row_lb, row_ub, sign = _arrays(model)
+        c, lb, ub, integrality, matrix, row_lb, row_ub, sign = _arrays(model)
         memo = _MEMO.get()
         key = hit = None
         if memo is not None:
@@ -505,8 +492,8 @@ class HighsBackend:
             if memo is not None and status in (0, 2):
                 memo[key] = (status, x, message)
         if status == 0:
-            values, obj = _finish(model, names, x, lb, ub, integrality, sign, c)
-            return SolveResult(status=OPTIMAL, objective=obj, values=values)
+            point, obj = _finish(model, x, lb, ub, integrality, sign, c)
+            return SolveResult(status=OPTIMAL, objective=obj, x=point)
         if status == 2:
             return SolveResult(status=INFEASIBLE, detail=message)
         # Status 1, "a limit was reached", cannot be asked for: no limit is
@@ -519,7 +506,7 @@ def solve(model: Model) -> SolveResult:
     """Solve and, for an optimal point, re-verify it by substitution."""
     result = HighsBackend().solve(model)
     if result.status == OPTIMAL:
-        violations = check_solution(model, result.values)
+        violations = check_solution(model, result.x)
         if violations:
             return SolveResult(
                 status=ERROR,

@@ -13,12 +13,12 @@ import csv
 import json
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, get_type_hints
 
 import yaml
 
 from .airspace import ConfigError, GridConfig, VertiportSpec
-from .sim import CampaignResult, ScenarioConfig, day_rows
+from .sim import CampaignResult, ScenarioConfig, campaign_summary
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -50,6 +50,10 @@ _SCENARIO_KEYS, _SCENARIO_REQUIRED = (
     keys | {"schema_version"} for keys in _keys(ScenarioConfig))
 _GRID_KEYS, _GRID_REQUIRED = _keys(GridConfig)
 _VERTIPORT_KEYS, _VERTIPORT_REQUIRED = _keys(VertiportSpec)
+# What a value of each scalar field type must be, as the error names it.
+_SCALARS = {int: "an integer", float: "a number", str: "a string"}
+# A capacity override is a (resource id, timestep, capacity) triple.
+_OVERRIDE_TYPES = (str, int, int)
 
 DAY_COLUMNS = ("mode", "day", "served", "unserved_end", "total_tdc",
                "mean_tdc", "deconfliction_periods", "day_fairness",
@@ -68,6 +72,21 @@ def _check_keys(data: Mapping, allowed: set[str], required: set[str],
         raise ConfigError(f"missing {what} keys: {', '.join(missing)}")
 
 
+def _is_a(value, kind: type) -> bool:
+    """Whether ``value`` is of the scalar type ``kind``. A bool is none of
+    them, and a number may be an int."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_types(data: Mapping, cls, what: str) -> None:
+    """Each value in ``data`` of an int, float or str field of ``cls`` is one."""
+    for key, kind in get_type_hints(cls).items():
+        if kind in _SCALARS and key in data and not _is_a(data[key], kind):
+            raise ConfigError(f"{what} key {key} must be {_SCALARS[kind]}, got {data[key]!r}")
+
+
 def scenario_to_dict(config: ScenarioConfig) -> dict:
     return {"schema_version": SCHEMA_VERSION, **asdict(config)}
 
@@ -78,18 +97,26 @@ def scenario_from_dict(data: Mapping) -> ScenarioConfig:
         raise ConfigError(
             f"unsupported schema_version {data['schema_version']!r}; "
             f"this build reads version {SCHEMA_VERSION}")
+    _check_types(data, ScenarioConfig, "scenario")
     raw_grid = data["grid"]
     _check_keys(raw_grid, _GRID_KEYS, _GRID_REQUIRED, "grid")
+    _check_types(raw_grid, GridConfig, "grid")
     vertiports = []
     for raw_vp in raw_grid["vertiports"]:
         _check_keys(raw_vp, _VERTIPORT_KEYS, _VERTIPORT_REQUIRED, "vertiport")
+        _check_types(raw_vp, VertiportSpec, "vertiport")
         vertiports.append(VertiportSpec(**raw_vp))
-    grid_kwargs = {k: v for k, v in raw_grid.items() if k != "vertiports"}
-    overrides = grid_kwargs.pop("capacity_overrides", [])
+    overrides = raw_grid.get("capacity_overrides", ())
+    for entry in overrides:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == len(_OVERRIDE_TYPES)
+                and all(map(_is_a, entry, _OVERRIDE_TYPES))):
+            raise ConfigError("grid key capacity_overrides needs [resource id, timestep, "
+                              f"capacity] triples (a string, two integers), got {entry!r}")
+    grid_kwargs = {k: v for k, v in raw_grid.items()
+                   if k not in ("vertiports", "capacity_overrides")}
     grid = GridConfig(
         vertiports=tuple(vertiports),
-        capacity_overrides=tuple(
-            (str(rid), int(t), int(cap)) for rid, t, cap in overrides),
+        capacity_overrides=tuple(tuple(entry) for entry in overrides),
         **grid_kwargs,
     )
     scenario_kwargs = {k: v for k, v in data.items()
@@ -173,11 +200,10 @@ def write_campaign(out_dir: str | Path, campaign: CampaignResult) -> Path:
         mode_dir = out / mode
         mode_dir.mkdir(exist_ok=True)
         write_records(mode_dir / "periods.jsonl", rows)
-    all_days = []
-    for mode in sorted(records):
-        all_days.extend(day_rows(records[mode]))
-    write_days_csv(out / "days.csv", all_days)
-    write_summary(out / "summary.json", campaign.summary())
+    summary = campaign_summary(records)
+    # The summary's day rows are keyed by mode in sorted order.
+    write_days_csv(out / "days.csv", [row for rows in summary["days"].values() for row in rows])
+    write_summary(out / "summary.json", summary)
     write_timing_csv(out / "timing.csv", campaign.timing_rows())
     save_scenario(out / "scenario.yaml", campaign.config)
     return out

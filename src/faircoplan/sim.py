@@ -55,6 +55,9 @@ __all__ = [
 
 MODES = ("fair-coplan", "coplan", "tfmp")
 
+# Longest minimum dwell (from 1) ``generate_demand`` draws for a ring sector.
+MAX_RING_DWELL = 2
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -113,7 +116,7 @@ def scenario_grid(config: ScenarioConfig) -> AirspaceGrid:
                 continue
             route = fixed_route(grid, origin, dest)
             worst = sum(leg_dwells(grid, route,
-                                   lambda rid: 2 if rid in grid.ring else 1))
+                                   lambda rid: MAX_RING_DWELL if rid in grid.ring else 1))
             need = config.cadence_steps + worst + config.flexibility
             if need > grid.horizon_steps:
                 raise ConfigError(
@@ -133,9 +136,9 @@ def generate_demand(
 
     Counts are Poisson per hub; destinations are uniform over the other
     vertiports; each ring sector on the flight's shortest route gets a
-    1-or-2-step minimum dwell. The requested departure is the next period
-    start and the requested arrival assumes the shortest route at exactly
-    those dwells.
+    minimum dwell of 1 to ``MAX_RING_DWELL`` steps. The requested departure
+    is the next period start and the requested arrival assumes the shortest
+    route at exactly those dwells.
     """
     rng = np.random.default_rng([config.seed, day, period])
     now = period * config.cadence_steps
@@ -148,7 +151,7 @@ def generate_demand(
         for _ in range(count):
             dest = others[int(rng.integers(len(others)))]
             route = fixed_route(grid, hub, dest)
-            dwell = {rid: int(rng.integers(1, 3))
+            dwell = {rid: int(rng.integers(1, MAX_RING_DWELL + 1))
                      for rid in route.legs[1:-1] if rid in grid.ring}
             travel = sum(leg_dwells(grid, route, lambda rid: dwell.get(rid, 1)))
             requests.append(FlightRequest(

@@ -116,27 +116,24 @@ def solve_step1(
         len(span) for dom in domains.values() for span in dom.values()
     ))
 
-    def vname(fid: str, rid: str, t: int) -> str:
-        return f"c.{fid}.{rid}.{t}"
-
-    # Choice variables by flight, then by (resource, timestep) cell.
-    live: dict[str, dict[tuple[str, int], str]] = {}
+    # Choice variables (columns) by flight, then by (resource, timestep) cell.
+    live: dict[str, dict[tuple[str, int], int]] = {}
     for request in modeled:
         fid = request.flight_id
         cells = live[fid] = {}
         for rid, span in domains[fid].items():
             for t in span:
                 if snapshot.remaining(rid, t) >= 1:
-                    cells[(rid, t)] = model.binary(vname(fid, rid, t))
+                    cells[(rid, t)] = model.binary(f"c.{fid}.{rid}.{t}")
 
-    def var(fid: str, rid: str, t: int) -> str | None:
+    def var(fid: str, rid: str, t: int) -> int | None:
         return live[fid].get((rid, t))
 
     # Joint capacity per zone cell, only where it can actually bind.
-    usage: dict[tuple[str, int], dict[str, float]] = {}
+    usage: dict[tuple[str, int], dict[int, float]] = {}
     for cells in live.values():
-        for cell, name in cells.items():
-            usage.setdefault(cell, {})[name] = 1.0
+        for cell, col in cells.items():
+            usage.setdefault(cell, {})[col] = 1.0
     add_capacity_rows(model, snapshot, usage)
 
     for request in modeled:
@@ -147,14 +144,14 @@ def solve_step1(
         for slot, step, kind in ((request.origin, 1, "dep"),
                                  (request.destination, -1, "arr")):
             for t in dom[slot]:
-                name = var(fid, slot, t)
-                if name is None:
+                col = var(fid, slot, t)
+                if col is None:
                     continue
-                coeffs = {name: -1.0}
+                coeffs = {col: -1.0}
                 for nb in grid.adjacency[slot]:
-                    nb_name = var(fid, nb, t + step)
-                    if nb_name is not None:
-                        coeffs[nb_name] = coeffs.get(nb_name, 0.0) + 1.0
+                    nb_col = var(fid, nb, t + step)
+                    if nb_col is not None:
+                        coeffs[nb_col] = coeffs.get(nb_col, 0.0) + 1.0
                 model.add(coeffs, ">=", 0.0, label=f"{kind}.{fid}.{t}")
         # Dwell linkage on ring sectors: an offered step continues while the
         # trailing window holds fewer than l offered steps.
@@ -163,7 +160,7 @@ def solve_step1(
             add_dwell_linkage(model, live[fid], request, rid, span.start, span.stop - 1,
                               horizon_end)
 
-    served: dict[str, str] = {}
+    served: dict[str, int] = {}
     for request in modeled:
         fid = request.flight_id
         dom = domains[fid]
@@ -180,7 +177,7 @@ def solve_step1(
         model.add({y: -1.0, **{n: 1.0 for n in arr_vars}}, ">=", 0.0,
                   label=f"servearr.{fid}")
 
-    obj_coeffs = {name: 1.0 for cells in live.values() for name in cells.values()}
+    obj_coeffs = {col: 1.0 for cells in live.values() for col in cells.values()}
     for y in served.values():
         obj_coeffs[y] = weight
     model.set_objective(obj_coeffs)
@@ -200,10 +197,7 @@ def solve_step1(
     objective = float(result.objective or 0.0)
     for request in modeled:
         fid = request.flight_id
-        chosen = frozenset(
-            cell for cell, name in live[fid].items()
-            if result.values.get(name, 0.0) >= 0.5
-        )
+        chosen = frozenset(cell for cell, col in live[fid].items() if result.x[col] >= 0.5)
         chset = ChoiceSet(fid, request.origin, request.destination, chosen)
         if not chset.departure_slots or not chset.arrival_slots:
             unassigned.append(fid)

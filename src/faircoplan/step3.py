@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
@@ -42,7 +42,6 @@ class DeconflictionResult:
     total_tdc: float
     objective: float | None
     report: ConflictReport
-    solver_status: str | None = None
     attempts: int = 0
 
 
@@ -67,7 +66,7 @@ def _add_fairness(
     blocks: Mapping[str, PresenceBlock],
     proposals: Mapping[str, FlightPlan],
     gamma: float,
-) -> dict[str, float]:
+) -> dict[int, float]:
     """Entry-count linearisation of the detour-ratio spread; returns the
     gamma-weighted objective coefficients (on the spread bound variables).
 
@@ -84,16 +83,16 @@ def _add_fairness(
     for fid in sorted(blocks):
         block = blocks[fid]
         proposed_len = float(path_length(proposals[fid]))
-        entries: dict[str, float] = {}
-        for (rid, t), name in sorted(block.vars.items()):
+        entries: dict[int, float] = {}
+        for (rid, t), col in sorted(block.vars.items()):
             prev = block.vars.get((rid, t - 1))
             entry = model.continuous(f"en.{fid}.{rid}.{t}", 0.0, 1.0)
             if prev is None:
-                model.add({entry: 1.0, name: -1.0}, ">=", 0.0)
-                model.add({entry: 1.0, name: -1.0}, "<=", 0.0)
+                model.add({entry: 1.0, col: -1.0}, ">=", 0.0)
+                model.add({entry: 1.0, col: -1.0}, "<=", 0.0)
             else:
-                model.add({entry: 1.0, name: -1.0, prev: 1.0}, ">=", 0.0)
-                model.add({entry: 1.0, name: -1.0}, "<=", 0.0)
+                model.add({entry: 1.0, col: -1.0, prev: 1.0}, ">=", 0.0)
+                model.add({entry: 1.0, col: -1.0}, "<=", 0.0)
                 model.add({entry: 1.0, prev: 1.0}, "<=", 1.0)
             entries[entry] = 1.0
         request = block.request
@@ -119,7 +118,7 @@ def _build_joint(
     gamma: float,
     now: int,
     horizon_end: int,
-) -> tuple[milp.Model, dict[str, PresenceBlock]]:
+) -> tuple[milp.Model, Callable[[list[float]], dict[str, FlightPlan]]]:
     model = milp.Model(name="deconfliction", sense="min")
     blocks: dict[str, PresenceBlock] = {}
     for fid in sorted(active):
@@ -137,23 +136,23 @@ def _build_joint(
     # Shared en-route capacity. Vertiport and ring cells need no rows here:
     # each flight is confined to its granted choices and the choice-setting
     # step already capped the joint grant per cell.
-    shared: dict[tuple[str, int], dict[str, float]] = {}
+    shared: dict[tuple[str, int], dict[int, float]] = {}
     for fid in sorted(blocks):
-        for (rid, t), name in blocks[fid].vars.items():
+        for (rid, t), col in blocks[fid].vars.items():
             if not grid.is_zone(rid):
-                shared.setdefault((rid, t), {})[name] = 1.0
+                shared.setdefault((rid, t), {})[col] = 1.0
     add_capacity_rows(model, base, shared)
 
-    objective: dict[str, float] = {}
+    objective: dict[int, float] = {}
     offset = 0.0
     for fid in sorted(blocks):
-        for name, coeff in blocks[fid].tdc_coeffs.items():
-            objective[name] = objective.get(name, 0.0) + coeff
+        for col, coeff in blocks[fid].tdc_coeffs.items():
+            objective[col] = objective.get(col, 0.0) + coeff
         offset += blocks[fid].tdc_offset
     if gamma > 0.0:
         objective.update(_add_fairness(model, grid, blocks, proposals, gamma))
     model.set_objective(objective, offset=offset)
-    return model, blocks
+    return model, lambda x: {fid: extract_plan(block, x) for fid, block in blocks.items()}
 
 
 def solve_step3(
@@ -205,10 +204,7 @@ def solve_step3(
         lambda active: _build_joint(grid, base, active, by_id, choice_sets, proposals,
                                     params, gamma, now, horizon_end),
     )
-    result, blocks, active = outcome.result, outcome.built, outcome.kept
-
-    replans = ({fid: extract_plan(blocks[fid], result.values) for fid in active}
-               if result is not None else {})
+    replans = outcome.plans
     final = {**kept, **replans}
     # Every final plan against the period snapshot, then jointly: a replan
     # onto a cell the kept plans fill breaks joint capacity.
@@ -218,24 +214,23 @@ def solve_step3(
         tdc_by_flight[fid] = tdc(plan, by_id[fid], params)
 
     fairness = fairness_value(proposals, replans)
-    active_tdc = sum(tdc_by_flight[fid] for fid in active)
-    if result is not None:
-        expected = active_tdc + (gamma * fairness if gamma > 0.0 else 0.0)
-        if abs(expected - result.objective) > 1e-6 * max(1.0, abs(expected)):
+    if outcome.objective is not None:
+        expected = (sum(tdc_by_flight[fid] for fid in replans)
+                    + (gamma * fairness if gamma > 0.0 else 0.0))
+        if abs(expected - outcome.objective) > 1e-6 * max(1.0, abs(expected)):
             raise RuntimeError(
-                f"deconfliction objective {result.objective} disagrees with "
+                f"deconfliction objective {outcome.objective} disagrees with "
                 f"recomputed cost {expected}"
             )
 
     return DeconflictionResult(
         plans=final,
-        replanned=active,
+        replanned=tuple(replans),
         dropped=outcome.dropped,
         fairness=fairness,
         tdc_by_flight=tdc_by_flight,
         total_tdc=sum(tdc_by_flight.values()),
-        objective=result.objective if result is not None else None,
+        objective=outcome.objective,
         report=report,
-        solver_status=result.status if result is not None else None,
         attempts=outcome.attempts,
     )

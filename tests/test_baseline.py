@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from faircoplan import baseline, milp
+from faircoplan import baseline
 from faircoplan.airspace import OccupancyLedger, OccupancySnapshot
 from faircoplan.baseline import FixedRoute, fixed_route, solve_tfmp
 from faircoplan.flights import DelayCostParams, FlightPlan
@@ -52,7 +52,7 @@ class TestSchedule:
                                          (2, "r0002"))
         assert out.total_tdc == pytest.approx(0.0)
         assert out.deferred == () and out.dropped == ()
-        assert out.solver_status == milp.OPTIMAL
+        assert out.objective is not None
 
     def test_contention_is_resolved_by_ground_delay(self):
         grid = make_grid(1, 3, ((0, 0), (0, 2)))

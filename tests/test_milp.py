@@ -40,7 +40,7 @@ class TestHighs:
         result = solve(model)
         assert result.status == milp.OPTIMAL
         assert result.objective == pytest.approx(9.0)
-        assert result.values["x1"] == 1.0 and result.values["x2"] == 1.0
+        assert result.x == [0.0, 1.0, 1.0]
 
     def test_equality_with_continuous_variable(self):
         model = Model(name="mix", sense="min")
@@ -52,8 +52,8 @@ class TestHighs:
         assert result.status == milp.OPTIMAL
         # x=1, y=1 costs 2; x=0, y=3 costs 3
         assert result.objective == pytest.approx(2.0)
-        assert result.values["x"] == 1.0
-        assert result.values["y"] == pytest.approx(1.0)
+        assert result.x[x] == 1.0
+        assert result.x[y] == pytest.approx(1.0)
 
     def test_infeasible_reported(self):
         model = Model(name="bad", sense="min")
@@ -76,20 +76,38 @@ class TestHighs:
         result = solve(model)
         assert result.status == milp.OPTIMAL
         assert result.objective == pytest.approx(1.5)
+        assert result.x == []
+
+    def test_only_an_optimal_result_holds_a_point(self):
+        model = Model(name="bad", sense="min")
+        x = model.binary("x")
+        model.add({x: 1.0}, ">=", 2.0)
+        assert solve(model).x == []
 
 
 class TestModelContainer:
-    def test_duplicate_variable_rejected(self):
-        model = Model(name="dup")
-        model.binary("x")
-        with pytest.raises(ValueError):
-            model.binary("x")
+    def test_declarations_return_consecutive_columns(self):
+        # A name is only a label: two declarations never share a column.
+        model = Model(name="columns")
+        assert [model.binary("x"), model.continuous("y"), model.binary("x")] == [0, 1, 2]
+        assert [v.name for v in model.variables] == ["x", "y", "x"]
+        assert model.num_vars == 3
 
-    def test_unknown_variable_in_constraint_rejected(self):
-        model = Model(name="unknown")
-        model.binary("x")
-        with pytest.raises(ValueError):
-            model.add({"zzz": 1.0}, "<=", 1.0)
+    @pytest.mark.parametrize("column", [-1, 2, 7])
+    def test_undeclared_column_in_a_row_rejected(self, column):
+        model = Model(name="undeclared")
+        x, y = model.binary("x"), model.binary("y")
+        message = r"^constraint 'cap' references a column outside \[0, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            model.add({x: 1.0, column: 1.0, y: 1.0}, "<=", 1.0, label="cap")
+        assert (model.num_rows, model.num_nonzeros) == (0, 0)
+
+    @pytest.mark.parametrize("column", [-1, 2, 7])
+    def test_undeclared_column_in_the_objective_rejected(self, column):
+        model = Model(name="undeclared")
+        x, y = model.binary("x"), model.binary("y")
+        with pytest.raises(ValueError, match=r"^objective references a column outside \[0, 2\)$"):
+            model.set_objective({x: 1.0, y: 1.0, column: 2.0})
 
     def test_empty_constraint_rejected(self):
         model = Model(name="empty-row")
@@ -111,9 +129,19 @@ class TestModelContainer:
         model = Model(name="check")
         x = model.binary("x")
         model.add({x: 1.0}, "<=", 0.0, label="cap")
-        assert check_solution(model, {x: 0.0}) == []
-        assert any("cap" in v for v in check_solution(model, {x: 1.0}))
-        assert any("not integral" in v for v in check_solution(model, {x: 0.5}))
+        assert check_solution(model, [0.0]) == []
+        assert any("cap" in v for v in check_solution(model, [1.0]))
+        assert any("not integral" in v for v in check_solution(model, [0.5]))
+
+    @pytest.mark.parametrize("point", [[], [0.0], [0.0, 1.0, 0.0], [[0.0, 1.0]]],
+                             ids=["empty", "short", "long", "nested"])
+    def test_check_solution_needs_one_value_per_column(self, point):
+        model = Model(name="check")
+        x, y = model.binary("x"), model.binary("y")
+        model.add({x: 1.0, y: 1.0}, "<=", 1.0)
+        assert check_solution(model, [0.0, 1.0]) == []
+        with pytest.raises(ValueError, match="model 'check' with 2 columns"):
+            check_solution(model, point)
 
 
 class TestSolveRecheck:
@@ -143,7 +171,7 @@ def scipy_milp(arrays, options):
     """One model from ``milp._arrays`` solved through the public
     ``scipy.optimize.milp``, which forwards options it does not name to
     HiGHS verbatim and warns that it does."""
-    names, c, lb, ub, integrality, (start, index, value), row_lb, row_ub, sign = arrays
+    c, lb, ub, integrality, (start, index, value), row_lb, row_ub, sign = arrays
     A = sparse.csc_array((value, index, start), shape=(len(row_lb), len(c)))
     kwargs = {}
     if A.shape[0]:
@@ -234,7 +262,7 @@ class TestHighsOptions:
         # same status and, bit for bit, the same point, so a scipy upgrade
         # cannot silently change which tied optimum is filed.
         for _, arrays, _ in desk_day_solves:
-            names, c, lb, ub, integrality, matrix, row_lb, row_ub, sign = arrays
+            c, lb, ub, integrality, matrix, row_lb, row_ub, sign = arrays
             status, x, _ = milp.run_highs(c, lb, ub, integrality, matrix, row_lb, row_ub)
             ref = scipy_milp(arrays, SCIPY_OPTIONS)
             assert status == ref.status
@@ -305,7 +333,7 @@ class TestSolveMemo:
             second = solve(knapsack())
         assert len(highs_calls) == 1
         assert second.status == milp.OPTIMAL
-        assert second.values == first.values
+        assert second.x == first.x
         assert second.objective == first.objective == pytest.approx(9.0)
 
     def test_without_the_context_every_solve_calls_highs(self, highs_calls):
@@ -313,12 +341,13 @@ class TestSolveMemo:
         solve(knapsack())
         assert len(highs_calls) == 2
 
-    def test_hit_is_read_under_the_new_names_and_offset(self, highs_calls):
+    def test_hit_is_read_with_the_new_offset(self, highs_calls):
+        # Labels never reach HiGHS, so a relabelled model is a hit too.
         with reuse_solves():
             solve(knapsack())
             result = solve(knapsack(names=("a", "b", "c"), offset=-2.5))
         assert len(highs_calls) == 1
-        assert result.values == {"a": 0.0, "b": 1.0, "c": 1.0}
+        assert result.x == [0.0, 1.0, 1.0]
         assert result.objective == pytest.approx(6.5)
 
     def test_infeasible_is_stored(self, highs_calls):
@@ -347,7 +376,7 @@ class TestSolveMemo:
             for _ in range(2):
                 result = HighsBackend().solve(knapsack())
                 assert result.status == milp.ERROR and result.hit_time_limit
-                assert result.values == {} and result.objective is None
+                assert result.x == [] and result.objective is None
         assert len(calls) == 2
 
     def test_memo_ends_with_the_context(self, highs_calls):
@@ -362,18 +391,27 @@ class TestSolveMemo:
         assert milp._MEMO.get() is None
 
 
+def columns_by_label(model: Model) -> dict[str, int]:
+    """Each variable's column by its label, read from the views alone. The
+    views name a row's terms by label, so the references below need labels
+    that are unique, as the planner's are."""
+    column = {v.name: j for j, v in enumerate(model.variables)}
+    assert len(column) == model.num_vars
+    return column
+
+
 def dense_reference(model: Model) -> np.ndarray:
     """The constraint matrix built one dense row per constraint."""
-    index = {v.name: i for i, v in enumerate(model.variables)}
-    dense = np.zeros((len(model.constraints), len(index)))
+    column = columns_by_label(model)
+    dense = np.zeros((len(model.constraints), len(column)))
     for i, con in enumerate(model.constraints):
         for name, coeff in con.coeffs:
-            dense[i, index[name]] += coeff
+            dense[i, column[name]] += coeff
     return dense
 
 
 def assert_matches_dense(model: Model) -> None:
-    start, index, value = milp._arrays(model)[5]
+    start, index, value = milp._arrays(model)[4]
     want = sparse.csc_array(dense_reference(model))
     assert (start.dtype, index.dtype, value.dtype) == (np.int32, np.int32, np.float64)
     assert len(start) == model.num_vars + 1
@@ -435,8 +473,7 @@ class TestSparseAssembly:
     def test_hand_built_model_matches_dense_rows(self):
         model = mixed_model()
         assert_matches_dense(model)
-        names, _, _, _, _, (start, index, value), row_lb, row_ub, _ = milp._arrays(model)
-        assert names == ["x", "y", "z"]
+        _, _, _, _, (start, index, value), row_lb, row_ub, _ = milp._arrays(model)
         np.testing.assert_array_equal(start, [0, 2, 3, 5])
         np.testing.assert_array_equal(index, [0, 1, 2, 0, 1])
         np.testing.assert_array_equal(value, [1.0, 1.0, 4.0, 2.0, -1.5])
@@ -446,7 +483,7 @@ class TestSparseAssembly:
     def test_model_without_constraints_has_no_rows(self):
         model = Model(name="free", sense="min")
         model.continuous("z", ub=1.0)
-        _, _, _, _, _, (start, index, value), row_lb, _, _ = milp._arrays(model)
+        _, _, _, _, (start, index, value), row_lb, _, _ = milp._arrays(model)
         np.testing.assert_array_equal(start, [0, 0])
         assert len(index) == len(value) == len(row_lb) == 0
 
@@ -455,21 +492,19 @@ class TestSparseAssembly:
             assert_matches_dense(model)
 
 
-def reference_check_solution(model: Model, values: dict[str, float],
+def reference_check_solution(model: Model, x: list[float],
                              tol: float = milp.FEASIBILITY_TOL) -> list[str]:
     """The re-check as one scan per variable and one sum per row."""
+    assert len(x) == model.num_vars
     violations = []
-    for var in model.variables:
-        if var.name not in values:
-            violations.append(f"missing value for {var.name}")
-            continue
-        x = values[var.name]
-        if x < var.lb - tol or x > var.ub + tol:
-            violations.append(f"{var.name}={x} outside [{var.lb}, {var.ub}]")
-        if var.binary and abs(x - round(x)) > milp.INTEGRALITY_TOL:
-            violations.append(f"{var.name}={x} not integral")
+    for var, value in zip(model.variables, x):
+        if value < var.lb - tol or value > var.ub + tol:
+            violations.append(f"{var.name}={value} outside [{var.lb}, {var.ub}]")
+        if var.binary and abs(value - round(value)) > milp.INTEGRALITY_TOL:
+            violations.append(f"{var.name}={value} not integral")
+    column = columns_by_label(model)
     for idx, con in enumerate(model.constraints):
-        lhs = sum(c * values.get(name, 0.0) for name, c in con.coeffs)
+        lhs = sum(c * x[column[name]] for name, c in con.coeffs)
         label = con.label or f"c{idx}"
         if con.relation == "<=" and lhs > con.rhs + tol:
             violations.append(f"{label}: {lhs} <= {con.rhs} violated")
@@ -480,50 +515,48 @@ def reference_check_solution(model: Model, values: dict[str, float],
     return violations
 
 
-def reference_finish(model: Model, names, raw_x, sign, c) -> tuple[dict[str, float], float]:
+def reference_finish(model: Model, raw_x, sign, c) -> tuple[list[float], float]:
     """A raw point unpacked one variable at a time."""
-    values = {}
+    point = []
     for var, x in zip(model.variables, raw_x):
         x = float(min(max(x, var.lb), var.ub))
         if var.binary and abs(x - round(x)) <= 1e-4:
             x = float(round(x))
-        values[var.name] = x
-    obj = sign * float(np.dot(c, [values[n] for n in names])) + model.objective_offset
-    return values, obj
+        point.append(x)
+    obj = sign * float(np.dot(c, point)) + model.objective_offset
+    return point, obj
 
 
-def assert_finish_matches_reference(model: Model, raw_x) -> dict[str, float]:
-    names, c, lb, ub, integrality, _, _, _, sign = milp._arrays(model)
-    values, obj = milp._finish(model, names, np.array(raw_x, dtype=float),
-                               lb, ub, integrality, sign, c)
-    want_values, want_obj = reference_finish(model, names, np.array(raw_x, dtype=float),
-                                             sign, c)
+def assert_finish_matches_reference(model: Model, raw_x) -> list[float]:
+    c, lb, ub, integrality, _, _, _, sign = milp._arrays(model)
+    point, obj = milp._finish(model, np.array(raw_x, dtype=float),
+                              lb, ub, integrality, sign, c)
+    want_point, want_obj = reference_finish(model, np.array(raw_x, dtype=float), sign, c)
     # repr tells 0.0 from -0.0 and shows every bit of a float
-    assert [(k, repr(v)) for k, v in values.items()] == \
-        [(k, repr(v)) for k, v in want_values.items()]
+    assert [repr(v) for v in point] == [repr(v) for v in want_point]
     assert repr(obj) == repr(want_obj)
-    return values
+    return point
 
 
-def awkward_point(model: Model, values: dict[str, float], seed: int) -> dict[str, float]:
-    """A point near ``values`` with noise, -0.0, near-integral values,
-    out-of-bound values and missing entries."""
+def awkward_point(model: Model, x: list[float], seed: int) -> list[float]:
+    """A point near ``x`` (or all 0.5 if ``x`` is empty) with noise, -0.0,
+    near-integral values, out-of-bound values and a stray 0.25."""
     rng = np.random.default_rng(seed)
-    point = {}
-    for var in model.variables:
-        x = values.get(var.name, 0.5)
+    point = []
+    for j, var in enumerate(model.variables):
+        value = x[j] if x else 0.5
         draw = rng.random()
         if draw < 0.1:
-            continue
-        if draw < 0.3:
-            x += float(rng.normal())
+            value = 0.25
+        elif draw < 0.3:
+            value += float(rng.normal())
         elif draw < 0.4:
-            x = -0.0
+            value = -0.0
         elif draw < 0.5:
-            x = float(round(x)) + float(rng.choice([-1e-5, 5e-5, -2e-4]))
+            value = float(round(value)) + float(rng.choice([-1e-5, 5e-5, -2e-4]))
         elif draw < 0.55:
-            x = var.ub + 3.0 if math.isfinite(var.ub) else -7.0
-        point[var.name] = x
+            value = var.ub + 3.0 if math.isfinite(var.ub) else -7.0
+        point.append(value)
     return point
 
 
@@ -539,14 +572,13 @@ class TestVectorizedAgainstReference:
         model.add({b2: 1.0, z: 1.0, m: 1.0}, "=", 2.0, label="eq")
         model.add({b2: 1.0}, ">=", 1.0, label="ok")
         model.add({z: 1.0, b: -1.0}, "<=", 1.0)
-        values = {b: 0.5, b2: 1, y: 2.5, z: 4.0, "extra": 9.0}
+        assert [b, b2, m, y, z, w] == list(range(6))
+        values = [0.5, 1, 0.0, 2.5, 4.0, 1.5]
         got = check_solution(model, values)
         assert got == reference_check_solution(model, values)
         assert got == [
             "b=0.5 not integral",
-            "missing value for m",
             "y=2.5 outside [-1.0, 2.0]",
-            "missing value for w",
             "le: 3.0 <= 2.0 violated",
             "ge: 1.0 >= 3.0 violated",
             "eq: 5.0 = 2.0 violated",
@@ -554,11 +586,10 @@ class TestVectorizedAgainstReference:
         ]
         assert check_solution(model, values, tol=3.0) == \
             reference_check_solution(model, values, tol=3.0)
-        assert check_solution(model, {b: 0.0, b2: 1.0, m: 0.0, y: 2.0, z: 1.0,
-                                      w: 1.0}) == []
+        assert check_solution(model, [0.0, 1.0, 0.0, 2.0, 1.0, 1.0]) == []
         # Every labelled row and the bounds of y and m sit exactly on the
         # tolerance boundary, which is not a violation.
-        edge = {b: 0.0, b2: 0.5, m: -0.5, y: 2.5, z: 2.5, w: 1.0}
+        edge = [0.0, 0.5, -0.5, 2.5, 2.5, 1.0]
         got = check_solution(model, edge, tol=0.5)
         assert got == reference_check_solution(model, edge, tol=0.5)
         assert got == ["b2=0.5 not integral", "m=-0.5 not integral",
@@ -569,14 +600,13 @@ class TestVectorizedAgainstReference:
         for seed, model in enumerate(pinch_models):
             result = solve(model)
             if result.status == milp.OPTIMAL:
-                assert check_solution(model, result.values) == \
-                    reference_check_solution(model, result.values) == []
-            point = awkward_point(model, result.values, seed)
+                assert check_solution(model, result.x) == \
+                    reference_check_solution(model, result.x) == []
+            point = awkward_point(model, result.x, seed)
             got = check_solution(model, point)
             assert got == reference_check_solution(model, point)
             flagged += len(got)
-            raw = [point.get(var.name, 0.25) for var in model.variables]
-            assert_finish_matches_reference(model, raw)
+            assert_finish_matches_reference(model, point)
         assert flagged > 0
 
     def test_row_sums_equal_scipys_csr_product(self, desk_day_solves):
@@ -589,11 +619,11 @@ class TestVectorizedAgainstReference:
                 (np.array(model._coeffs), np.array(model._indices, dtype=np.int32),
                  np.array(model._indptr, dtype=np.int32)),
                 shape=(model.num_rows, model.num_vars))
-            for point in (result.values, awkward_point(model, result.values, seed)):
-                x = np.array([point.get(name, 0.0) for name in model._names])
+            solved_point = result.x or [0.0] * model.num_vars
+            for point in (solved_point, awkward_point(model, result.x, seed)):
                 want = [f"{con.label or f'c{i}'}: {lhs} {con.relation} {con.rhs} violated"
                         for i, (con, lhs) in enumerate(zip(model.constraints,
-                                                           (A @ x).tolist()))]
+                                                           (A @ np.array(point)).tolist()))]
                 got = check_solution(model, point, tol=-1e300)
                 assert [m for m in got if m.endswith(" violated")] == want
         assert len(solved) > 100
@@ -608,11 +638,11 @@ class TestVectorizedAgainstReference:
                              wide: 0.5}, offset=1.25)
         raw = [-0.0, -1e-5, 1 + 5e-5, 0.99995, 0.5, 0.9998, 3.0, -4.0,
                -0.0, -0.0, 7.5e9]
-        values = assert_finish_matches_reference(model, raw)
-        assert [values[v] for v in bins] == [0.0, 0.0, 1.0, 1.0, 0.5, 0.9998, 1.0, 0.0]
-        assert math.copysign(1.0, values["b0"]) == math.copysign(1.0, values["b1"]) == 1.0
-        assert math.copysign(1.0, values["y0"]) == math.copysign(1.0, values["y1"]) == -1.0
-        assert values["y2"] == 7.5e9
+        point = assert_finish_matches_reference(model, raw)
+        assert [point[v] for v in bins] == [0.0, 0.0, 1.0, 1.0, 0.5, 0.9998, 1.0, 0.0]
+        assert math.copysign(1.0, point[bins[0]]) == math.copysign(1.0, point[bins[1]]) == 1.0
+        assert math.copysign(1.0, point[zero_lb]) == math.copysign(1.0, point[free]) == -1.0
+        assert point[wide] == 7.5e9
 
 
 class TestHighsPathBuildsNoViews:
@@ -628,8 +658,8 @@ class TestHighsPathBuildsNoViews:
         with reuse_solves():  # the second pass reads the memo
             reused = [solve(model) for model in pinch_models * 2]
         for got in (plain, reused[:len(want)], reused[len(want):]):
-            assert [(r.status, r.objective, r.values) for r in got] == \
-                [(r.status, r.objective, r.values) for r in want]
+            assert [(r.status, r.objective, r.x) for r in got] == \
+                [(r.status, r.objective, r.x) for r in want]
         assert {r.status for r in want} == {milp.OPTIMAL, milp.INFEASIBLE}
 
 

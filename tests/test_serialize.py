@@ -1,6 +1,8 @@
 """Scenario files and campaign artifacts: round-trips and byte stability."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 import yaml
 
@@ -53,6 +55,26 @@ class TestScenarioRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+# (path to the mapping, key, value of the wrong type, start of the error).
+WRONG_TYPES = [
+    ((), "days", 2.5, "scenario key days must be an integer"),
+    ((), "seed", 4.7, "scenario key seed must be an integer"),
+    ((), "periods_per_day", True, "scenario key periods_per_day must be an integer"),
+    ((), "gamma", "1", "scenario key gamma must be a number"),
+    ((), "alpha", False, "scenario key alpha must be a number"),
+    ((), "name", 7, "scenario key name must be a string"),
+    (("grid",), "rows", "8", "grid key rows must be an integer"),
+    (("grid",), "connectivity", None, "grid key connectivity must be a string"),
+    (("grid",), "capacity_overrides", [["r0001", 3, 2.5]],
+     "grid key capacity_overrides needs"),
+    (("grid",), "capacity_overrides", [[1, 3, 2]], "grid key capacity_overrides needs"),
+    (("grid",), "capacity_overrides", [["r0001", 3]], "grid key capacity_overrides needs"),
+    (("grid", "vertiports", 0), "ops_capacity", 2.0,
+     "vertiport key ops_capacity must be an integer"),
+    (("grid", "vertiports", 0), "kind", ["hub"], "vertiport key kind must be a string"),
+]
+
+
 class TestStrictKeys:
     def test_unknown_scenario_key(self):
         data = scenario_to_dict(corridor_config())
@@ -89,6 +111,29 @@ class TestStrictKeys:
         data["schema_version"] = 99
         with pytest.raises(ConfigError, match="schema_version"):
             scenario_from_dict(data)
+
+    @pytest.mark.parametrize("where, key, value, message", WRONG_TYPES,
+                             ids=[f"{key}={value!r}" for _, key, value, _ in WRONG_TYPES])
+    def test_value_of_the_wrong_type_names_its_key(self, where, key, value, message):
+        data = scenario_to_dict(corridor_config())
+        target = data
+        for step in where:
+            target = target[step]
+        target[key] = value
+        with pytest.raises(ConfigError, match=message):
+            scenario_from_dict(data)
+
+    def test_a_number_field_takes_an_integer(self):
+        data = scenario_to_dict(corridor_config())
+        data["gamma"] = 2
+        data["demand_per_hub_per_hour"] = 6
+        config = scenario_from_dict(data)
+        assert (config.gamma, config.demand_per_hub_per_hour) == (2, 6)
+
+    @pytest.mark.parametrize("name", ["desk8x8", "full15x15"])
+    def test_shipped_configs_load(self, name):
+        path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.yaml"
+        assert load_scenario(path).name == name
 
     def test_scenario_must_be_a_mapping(self):
         with pytest.raises(ConfigError, match="must be a mapping"):
