@@ -15,7 +15,9 @@ The objective is the same weighted delay cost the negotiated lane uses.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Mapping, Sequence
 
 from . import milp
@@ -84,126 +86,189 @@ def leg_dwells(
             for rid in route.legs[:-1]]
 
 
-def _build_tfmp(
+@dataclass(frozen=True)
+class _Schedule:
+    """One flight's block of the fixed-route model, built once per stage call.
+
+    ``fragment`` holds the flight's columns ``w.{fid}.{i}.{t}``, its own
+    rows and its objective terms. Leg i's columns run from t = lo to the
+    horizon's end, starting at column ``col``, where ``(lo, col) =
+    starts[i]``. The constant delay terms are kept apart in
+    ``offset_terms``: the stage sums them flight after flight, term by
+    term, so the objective offset is the same float whatever the batch.
+    The flight's term in the capacity row of a (resource, t) cell it can
+    hold is +1 on column ``cells[cell]``, the binary that has it entered
+    that cell's leg by t, and -1 on column ``leaves[cells[cell]]``, the one
+    that has it gone by t, unless that is -1 (no such column).
+    """
+
+    request: FlightRequest
+    route: FixedRoute
+    fragment: milp.Model
+    starts: tuple[tuple[int, int], ...]
+    offset_terms: tuple[float, ...]
+    cells: dict[tuple[str, int], int]
+    leaves: list[int]
+
+
+def _pairs(first: range, second: range) -> list[int]:
+    """The columns of rows of two terms each, row by row: first[k], second[k]."""
+    pairs = [0] * (2 * len(first))
+    pairs[0::2], pairs[1::2] = first, second
+    return pairs
+
+
+def _schedule(
     grid: AirspaceGrid,
-    snapshot: OccupancySnapshot,
-    included: Sequence[str],
-    requests: Mapping[str, FlightRequest],
-    routes: Mapping[str, FixedRoute],
+    request: FlightRequest,
+    route: FixedRoute,
     params: DelayCostParams,
     now: int,
     horizon_end: int,
+) -> _Schedule:
+    fid = request.flight_id
+    dwells = leg_dwells(grid, route, request.min_dwell)
+    d, a, eps = request.requested_departure, request.requested_arrival, request.flexibility
+    last = len(route.legs) - 1
+
+    entry_lo = [max(d, now)]
+    for dwell in dwells:
+        entry_lo.append(entry_lo[-1] + dwell)
+    entry_lo[last] = max(entry_lo[last], a)
+
+    # Leg i's columns run over t = entry_lo[i] .. horizon_end - 1, which is
+    # never empty for an included flight: w(i, t) is column base[i] + t.
+    names: list[str] = []
+    base = []
+    for i, lo in enumerate(entry_lo):
+        base.append(len(names) - lo)
+        prefix = f"w.{fid}.{i}."
+        names += [f"{prefix}{t}" for t in range(lo, horizon_end)]
+    fragment = milp.Model(name=f"w.{fid}", sense="min")
+    fragment.binaries(names)
+
+    # Entered-by is monotone in t: w(i, t) - w(i, t - 1) >= 0.
+    indices: list[int] = []
+    labels: list[str] = []
+    for i, lo in enumerate(entry_lo):
+        cols = range(base[i] + lo, base[i] + horizon_end)
+        indices += _pairs(cols[1:], cols[:-1])
+        prefix = f"mono.{fid}.{i}."
+        labels += [f"{prefix}{t}" for t in range(lo + 1, horizon_end)]
+    relations = [">="] * len(labels)
+
+    # Next leg only after this leg's minimum dwell: w(i + 1, t) - w(i, t -
+    # dwell) <= 0. Holding beyond the minimum is allowed in sectors only; a
+    # vertiport cell is occupied exactly one step, so ground delay moves
+    # the pad slot itself. Since entry_lo[i + 1] >= entry_lo[i] + dwells[i],
+    # w(i, t - dwells[i]) is always a column.
+    for i in range(last):
+        steps = range(entry_lo[i + 1], horizon_end)
+        later, earlier = base[i + 1], base[i] - dwells[i]
+        indices += _pairs(range(later + steps.start, later + horizon_end),
+                          range(earlier + steps.start, earlier + horizon_end))
+        exact = grid.resource(route.legs[i]).kind == "vertiport"
+        relations += ["=" if exact else "<="] * len(steps)
+        prefix = f"order.{fid}.{i + 1}."
+        labels += [f"{prefix}{t}" for t in steps]
+    rows = len(labels)
+
+    # Depart within the window, arrive within the horizon.
+    depart_by = min(d + eps, horizon_end - 1 - sum(dwells))
+    indices += (base[0] + depart_by, base[last] + horizon_end - 1)
+    fragment.add_rows([*range(2, 2 * rows + 1, 2), 2 * rows + 1, 2 * rows + 2], indices,
+                      [1.0, -1.0] * rows + [1.0, 1.0], relations + ["=", "="],
+                      [0.0] * rows + [1.0, 1.0], labels + [f"dep.{fid}", f"arr.{fid}"])
+
+    # Weighted delay: each unentered step past the requested time costs.
+    # Steps before the earliest possible entry are unavoidable and enter
+    # the objective as constants (e.g. a carried-over flight whose
+    # requested departure already passed). Past the horizon there is no
+    # column: the flight has long departed. 0.0 - weight, not -weight,
+    # keeps a zero weight (alpha 0 or 1) at +0.0.
+    ground, air = 1.0 - params.alpha, params.alpha
+    waits = range(entry_lo[0], min(d + eps, horizon_end))
+    landings = range(entry_lo[last], horizon_end)
+    fragment.set_objective({**{base[0] + t: 0.0 - ground for t in waits},
+                            **{base[last] + t: 0.0 - air for t in landings}})
+    offset_terms = (ground * (entry_lo[0] - d), air * (entry_lo[last] - a),
+                    *[ground] * len(waits), *[air] * len(landings))
+
+    # A flight holds cell (legs[i], t) while it has entered leg i but not
+    # leg i + 1: its capacity term is w(i, t) - w(i + 1, t). It holds the
+    # destination only on its entry step: w(last, t) - w(last, t - 1).
+    cells: dict[tuple[str, int], int] = {}
+    leaves = [-1] * len(names)
+    for i, lo in enumerate(entry_lo):
+        cols = range(base[i] + lo, base[i] + horizon_end)
+        cells.update(zip(zip(repeat(route.legs[i]), range(lo, horizon_end)), cols))
+        if i < last:
+            after = entry_lo[i + 1]
+            leaves[base[i] + after:base[i] + horizon_end] = \
+                range(base[i + 1] + after, base[i + 1] + horizon_end)
+        else:
+            leaves[cols.start + 1:cols.stop] = cols[:-1]
+    return _Schedule(request, route, fragment,
+                     tuple((lo, col + lo) for lo, col in zip(entry_lo, base)),
+                     offset_terms, cells, leaves)
+
+
+def _build_tfmp(
+    snapshot: OccupancySnapshot,
+    schedules: Mapping[str, _Schedule],
+    remaining: Mapping[tuple[str, int], int],
+    active: Sequence[str],
+    horizon_end: int,
 ) -> tuple[milp.Model, Callable[[list[float]], dict[str, FlightPlan]]]:
+    """The fixed-route model over ``active``: their blocks' fragments in
+    sorted order, then shared capacity on every cell more of them can hold
+    than it has room for (``remaining``, by cell).
+
+    Each flight has one positive term in the row of each cell it can
+    hold, so those are exactly the cells ``add_capacity_rows`` writes a
+    row for; the rows are built for them alone.
+    """
     model = milp.Model(name="fixed-route-schedule", sense="min")
-    wvars: dict[str, dict[tuple[int, int], int]] = {}
-    objective: dict[int, float] = {}
+    order = sorted(active)
+    shifts = {fid: model.append(schedules[fid].fragment) for fid in order}
     offset = 0.0
+    for fid in order:
+        for term in schedules[fid].offset_terms:
+            offset += term
+    model.objective_offset = offset
 
-    for fid in sorted(included):
-        req = requests[fid]
-        route = routes[fid]
-        dwells = leg_dwells(grid, route, req.min_dwell)
-        d, a, eps = req.requested_departure, req.requested_arrival, req.flexibility
-        last = len(route.legs) - 1
-
-        entry_lo = [max(d, now)]
-        for dwell in dwells:
-            entry_lo.append(entry_lo[-1] + dwell)
-        entry_lo[last] = max(entry_lo[last], a)
-
-        flight_vars: dict[tuple[int, int], int] = {}
-        for i in range(len(route.legs)):
-            for t in range(entry_lo[i], horizon_end):
-                flight_vars[(i, t)] = model.binary(f"w.{fid}.{i}.{t}")
-        wvars[fid] = flight_vars
-
-        def w(i: int, t: int) -> int | None:
-            return flight_vars.get((i, t))
-
-        # Entered-by is monotone in t.
-        for i in range(len(route.legs)):
-            for t in range(entry_lo[i] + 1, horizon_end):
-                model.add({flight_vars[(i, t)]: 1.0, flight_vars[(i, t - 1)]: -1.0},
-                          ">=", 0.0, label=f"mono.{fid}.{i}.{t}")
-
-        # Next leg only after this leg's minimum dwell. Holding beyond the
-        # minimum is allowed in sectors only; a vertiport cell is occupied
-        # exactly one step, so ground delay moves the pad slot itself.
-        for i in range(last):
-            exact = grid.resource(route.legs[i]).kind == "vertiport"
-            for t in range(entry_lo[i + 1], horizon_end):
-                prev = w(i, t - dwells[i])
-                coeffs = {flight_vars[(i + 1, t)]: 1.0}
-                if prev is not None:
-                    coeffs[prev] = -1.0
-                    model.add(coeffs, "=" if exact else "<=", 0.0,
-                              label=f"order.{fid}.{i + 1}.{t}")
-                # else: w(i, t - dwell) can only be 1 there, no row needed.
-
-        # Depart within the window, arrive within the horizon.
-        depart_by = min(d + eps, horizon_end - 1 - sum(dwells))
-        model.add({flight_vars[(0, depart_by)]: 1.0}, "=", 1.0, label=f"dep.{fid}")
-        model.add({flight_vars[(last, horizon_end - 1)]: 1.0}, "=", 1.0,
-                  label=f"arr.{fid}")
-
-        # Weighted delay: each unentered step past the requested time costs.
-        # Steps before the earliest possible entry are unavoidable and enter
-        # the objective as constants (e.g. a carried-over flight whose
-        # requested departure already passed).
-        offset += (1.0 - params.alpha) * (entry_lo[0] - d)
-        offset += params.alpha * (entry_lo[last] - a)
-        for t in range(entry_lo[0], d + eps):
-            col = flight_vars.get((0, t))
-            if col is not None:  # absent only past the horizon, long departed
-                objective[col] = objective.get(col, 0.0) - (1.0 - params.alpha)
-                offset += 1.0 - params.alpha
-        for t in range(entry_lo[last], horizon_end):
-            col = flight_vars[(last, t)]
-            objective[col] = objective.get(col, 0.0) - params.alpha
-            offset += params.alpha
-
-    # Shared capacity on every cell: presence on leg i is "entered i but not
-    # i+1"; the destination is occupied only on its entry step.
+    held = Counter(chain.from_iterable(schedules[fid].cells for fid in order))
+    crowded = [cell for cell, flights in held.items() if flights > remaining[cell]]
     usage: dict[tuple[str, int], dict[int, float]] = {}
-    for fid in sorted(included):
-        route = routes[fid]
-        last = len(route.legs) - 1
-        flight_vars = wvars[fid]
-        for (i, t), col in flight_vars.items():
-            rid = route.legs[i]
-            cell = usage.setdefault((rid, t), {})
-            cell[col] = cell.get(col, 0.0) + 1.0
-            if i < last:
-                nxt = flight_vars.get((i + 1, t))
-                if nxt is not None:
-                    cell[nxt] = cell.get(nxt, 0.0) - 1.0
-            else:
-                prev = flight_vars.get((i, t - 1))
-                if prev is not None:
-                    cell[prev] = cell.get(prev, 0.0) - 1.0
+    for fid, shift in shifts.items():
+        schedule = schedules[fid]
+        for cell in crowded:
+            col = schedule.cells.get(cell)
+            if col is not None:
+                row = usage.setdefault(cell, {})
+                row[col + shift] = 1.0
+                if schedule.leaves[col] >= 0:
+                    row[schedule.leaves[col] + shift] = -1.0
     add_capacity_rows(model, snapshot, usage)
-
-    model.set_objective(objective, offset=offset)
     return model, lambda x: {
-        fid: _extract(requests[fid], routes[fid], flight_vars, x, horizon_end)
-        for fid, flight_vars in wvars.items()}
+        fid: _extract(schedules[fid].request, schedules[fid].route, schedules[fid].starts,
+                      x[shift:shift + schedules[fid].fragment.num_vars], horizon_end)
+        for fid, shift in shifts.items()}
 
 
 def _extract(
     request: FlightRequest,
     route: FixedRoute,
-    flight_vars: Mapping[tuple[int, int], int],
+    starts: Sequence[tuple[int, int]],
     x: list[float],
     horizon_end: int,
 ) -> FlightPlan:
+    """The plan in the solved point ``x`` of the flight's fragment, whose
+    leg i has its columns from ``starts[i]``: each leg is entered at its
+    first step whose entered-by binary is set."""
     entries = []
-    for i in range(len(route.legs)):
-        entry = None
-        for t in range(0, horizon_end):
-            col = flight_vars.get((i, t))
-            if col is not None and x[col] >= 0.5:
-                entry = t
-                break
+    for i, (lo, col) in enumerate(starts):
+        entry = next((t for t in range(lo, horizon_end) if x[col + t - lo] >= 0.5), None)
         if entry is None:
             raise RuntimeError(f"{request.flight_id}: leg {i} never entered")
         entries.append(entry)
@@ -246,10 +311,13 @@ def solve_tfmp(
                 and req.requested_arrival <= horizon_end - 1)
         (included if fits else deferred).append(fid)
 
+    schedules = {fid: _schedule(grid, by_id[fid], routes[fid], params, now, horizon_end)
+                 for fid in included}
+    remaining = {cell: snapshot.remaining(*cell)
+                 for cell in set().union(*(schedule.cells for schedule in schedules.values()))}
     outcome = solve_dropping(
         included, by_id,
-        lambda active: _build_tfmp(grid, snapshot, active, by_id, routes, params,
-                                   now, horizon_end),
+        lambda active: _build_tfmp(snapshot, schedules, remaining, active, horizon_end),
     )
     plans = outcome.plans
     tdc_by_flight: dict[str, float] = {}

@@ -2,12 +2,16 @@
 grid, shared by every planner MILP.
 
 ``cell_domain`` gives the cells one flight's trajectory may use; step 2
-searches it and ``add_presence_block`` writes it as binary presence
-variables, each flight's block in step 3's joint deconfliction MILP.
-``add_dwell_linkage`` holds runs at their minimum dwell, over step 1's ring
-choices and over presence blocks, and ``add_capacity_rows`` caps joint use
-of a cell in steps 1 and 3 and the fixed-route baseline. ``extract_plan``
-reads a solved presence block back as a plan.
+searches it and ``presence_block`` writes it as binary presence variables
+in a model fragment of its own, a plain ``milp.Model`` holding the flight's
+columns, rows and delay cost. Step 3 builds each flight's fragment once per
+stage call and appends the active flights' fragments into each joint
+deconfliction MILP with ``Model.append``; the block's columns then sit at
+the offset that returns. ``add_dwell_linkage`` holds runs at their minimum
+dwell, over step 1's ring choices and over presence blocks, and
+``add_capacity_rows`` caps joint use of a cell in steps 1 and 3 and the
+fixed-route baseline. ``extract_plan`` reads a solved presence block back
+as a plan.
 """
 from __future__ import annotations
 
@@ -23,22 +27,25 @@ __all__ = [
     "PresenceBlock",
     "add_capacity_rows",
     "add_dwell_linkage",
-    "add_presence_block",
     "cell_domain",
     "extract_plan",
+    "presence_block",
 ]
 
 
 @dataclass
 class PresenceBlock:
-    """One flight's presence columns, by cell, and bookkeeping inside a model."""
+    """One flight's presence columns, by cell, in its model fragment.
+
+    ``vars`` holds columns of ``fragment``; in a model the fragment is
+    appended to, they sit at the offset ``Model.append`` returns.
+    """
 
     request: FlightRequest
+    fragment: milp.Model
     vars: dict[tuple[str, int], int]
     departure_slots: tuple[int, ...]
     arrival_slots: tuple[int, ...]
-    tdc_coeffs: dict[int, float]
-    tdc_offset: float
 
 
 @dataclass(frozen=True)
@@ -72,31 +79,36 @@ def add_dwell_linkage(
     1) that follows a usable step, an auxiliary binary ``dw.{fid}.{rid}.{t}``
     is 1 exactly when the window is not yet full, and then the run must go
     on at t. The window has ``dwell`` terms, so ``dwell`` is a tight
-    constant for both indicator rows.
+    constant for both indicator rows. The auxiliaries are declared, then
+    the rows added, each in one call.
     """
     fid = request.flight_id
     dwell = request.min_dwell(rid)
     if dwell <= 1:
         return
-    for t in range(first + 1, min(last + 1, horizon_end - 1) + 1):
-        prev = presence.get((rid, t - 1))
-        if prev is None:
-            continue
-        aux = model.binary(f"dw.{fid}.{rid}.{t}")
-        window = {}
-        for tt in range(t - dwell, t):
-            w = presence.get((rid, tt))
-            if w is not None:
-                window[w] = 1.0
-        model.add({aux: float(dwell), **window}, ">=", float(dwell),
-                  label=f"dwlo.{fid}.{rid}.{t}")
-        model.add({aux: float(dwell), **window}, "<=", float(2 * dwell - 1),
-                  label=f"dwhi.{fid}.{rid}.{t}")
+    steps = [t for t in range(first + 1, min(last + 1, horizon_end - 1) + 1)
+             if (rid, t - 1) in presence]
+    aux = model.binaries([f"dw.{fid}.{rid}.{t}" for t in steps])
+    ends: list[int] = []
+    indices: list[int] = []
+    coeffs: list[float] = []
+    labels: list[str] = []
+    for t in steps:
+        window = [w for tt in range(t - dwell, t) if (w := presence.get((rid, tt))) is not None]
+        indicator = [aux, *window]
+        weights = [float(dwell)] + [1.0] * len(window)
+        run = [presence[(rid, t - 1)], aux]
         cur = presence.get((rid, t))
-        coeffs = {prev: -1.0, aux: -1.0}
         if cur is not None:
-            coeffs[cur] = 1.0
-        model.add(coeffs, ">=", -1.0, label=f"dwrun.{fid}.{rid}.{t}")
+            run.append(cur)
+        for row in (indicator, indicator, run):
+            indices += row
+            ends.append(len(indices))
+        coeffs += weights + weights + [-1.0, -1.0, 1.0][:len(run)]
+        labels += (f"dwlo.{fid}.{rid}.{t}", f"dwhi.{fid}.{rid}.{t}", f"dwrun.{fid}.{rid}.{t}")
+        aux += 1
+    model.add_rows(ends, indices, coeffs, [">=", "<=", ">="] * len(steps),
+                   [float(dwell), float(2 * dwell - 1), -1.0] * len(steps), labels)
 
 
 def add_capacity_rows(
@@ -110,10 +122,20 @@ def add_capacity_rows(
     positive than the cell has remaining capacity, since elsewhere it
     cannot bind.
     """
-    for (rid, t), coeffs in sorted(usage.items()):
+    ends: list[int] = []
+    indices: list[int] = []
+    coeffs: list[float] = []
+    rhs: list[float] = []
+    labels: list[str] = []
+    for (rid, t), row in sorted(usage.items()):
         remaining = snapshot.remaining(rid, t)
-        if sum(1 for c in coeffs.values() if c > 0) > remaining:
-            model.add(coeffs, "<=", float(remaining), label=f"cap.{rid}.{t}")
+        if sum(1 for c in row.values() if c > 0) > remaining:
+            indices += row
+            coeffs += row.values()
+            ends.append(len(indices))
+            rhs.append(float(remaining))
+            labels.append(f"cap.{rid}.{t}")
+    model.add_rows(ends, indices, coeffs, ["<="] * len(ends), rhs, labels)
 
 
 def cell_domain(
@@ -182,8 +204,7 @@ def cell_domain(
     return CellDomain(times, tuple(dep_slots), tuple(arr_slots))
 
 
-def add_presence_block(
-    model: milp.Model,
+def presence_block(
     grid: AirspaceGrid,
     snapshot: OccupancySnapshot,
     request: FlightRequest,
@@ -193,8 +214,14 @@ def add_presence_block(
     horizon_end: int,
     prefix: str,
 ) -> PresenceBlock | None:
-    """Add one flight's trajectory constraints over its ``cell_domain``;
-    None if it cannot fly."""
+    """One flight's trajectory constraints over its ``cell_domain``, as a
+    model fragment whose objective is the flight's delay cost; None if it
+    cannot fly.
+
+    The columns are the presence binaries ``{prefix}.{rid}.{t}`` by
+    resource, then the dwell auxiliaries; each group of rows is written in
+    one call.
+    """
     domain = cell_domain(grid, snapshot, request, choices, now, horizon_end)
     if domain is None:
         return None
@@ -204,30 +231,47 @@ def add_presence_block(
     by_resource = domain.times
     dep_slots, arr_slots = domain.departure_slots, domain.arrival_slots
 
-    uvars: dict[tuple[str, int], int] = {}
-    for rid in sorted(by_resource):
-        for t in by_resource[rid]:
-            uvars[(rid, t)] = model.binary(f"{prefix}.{rid}.{t}")
+    fragment = milp.Model(name=prefix, sense="min")
+    cells = [(rid, t) for rid in sorted(by_resource) for t in by_resource[rid]]
+    fragment.binaries([f"{prefix}.{rid}.{t}" for rid, t in cells])
+    uvars = {cell: col for col, cell in enumerate(cells)}
 
-    def var(rid: str, t: int) -> int | None:
-        return uvars.get((rid, t))
+    # Rows are collected here and written in one call per group.
+    ends: list[int] = []
+    indices: list[int] = []
+    coeffs: list[float] = []
+    relations: list[str] = []
+    rhs: list[float] = []
+    labels: list[str] = []
+
+    def row(columns: list[int], weights: list[float], relation: str, bound: float,
+            label: str) -> None:
+        indices.extend(columns)
+        coeffs.extend(weights)
+        ends.append(len(indices))
+        relations.append(relation)
+        rhs.append(bound)
+        labels.append(label)
+
+    def write() -> None:
+        fragment.add_rows(ends, indices, coeffs, relations, rhs, labels)
+        for rows in (ends, indices, coeffs, relations, rhs, labels):
+            rows.clear()
 
     # Exactly one departure slot and one arrival slot.
-    model.add({var(s, t): 1.0 for t in dep_slots}, "=", 1.0, label=f"dep1.{fid}")
-    model.add({var(e, t): 1.0 for t in arr_slots}, "=", 1.0, label=f"arr1.{fid}")
+    row([uvars[(s, t)] for t in dep_slots], [1.0] * len(dep_slots), "=", 1.0, f"dep1.{fid}")
+    row([uvars[(e, t)] for t in arr_slots], [1.0] * len(arr_slots), "=", 1.0, f"arr1.{fid}")
 
     # Presence must extend presence in the same or an adjacent resource one
     # step earlier, except at the origin.
     for rid in sorted(by_resource):
         if rid == s:
             continue
+        around = (*grid.adjacency[rid], rid)
         for t in by_resource[rid]:
-            coeffs = {uvars[(rid, t)]: 1.0}
-            for nb in (*grid.adjacency[rid], rid):
-                prev = var(nb, t - 1)
-                if prev is not None:
-                    coeffs[prev] = coeffs.get(prev, 0.0) - 1.0
-            model.add(coeffs, "<=", 0.0, label=f"link.{fid}.{rid}.{t}")
+            earlier = [col for nb in around if (col := uvars.get((nb, t - 1))) is not None]
+            row([uvars[(rid, t)], *earlier], [1.0] + [-1.0] * len(earlier), "<=", 0.0,
+                f"link.{fid}.{rid}.{t}")
 
     # Arrival ends the flight: no presence anywhere else after the chosen
     # arrival slot. A lone flight only loses cost-free idling to this, but in
@@ -237,16 +281,17 @@ def add_presence_block(
         if rid == e:
             continue
         for t in by_resource[rid]:
-            before = {uvars[(e, ta)]: 1.0 for ta in arr_slots if ta < t}
+            before = [uvars[(e, ta)] for ta in arr_slots if ta < t]
             if before:
-                model.add({uvars[(rid, t)]: 1.0, **before}, "<=", 1.0,
-                          label=f"end.{fid}.{rid}.{t}")
+                row([uvars[(rid, t)], *before], [1.0] * (1 + len(before)), "<=", 1.0,
+                    f"end.{fid}.{rid}.{t}")
+    write()
 
     # Minimum dwell per sector.
     for rid in sorted(by_resource):
         if grid.resource(rid).kind == "sector":
             times = by_resource[rid]
-            add_dwell_linkage(model, uvars, request, rid, times[0], times[-1],
+            add_dwell_linkage(fragment, uvars, request, rid, times[0], times[-1],
                               horizon_end)
 
     # At most one resource per timestep.
@@ -255,7 +300,8 @@ def add_presence_block(
         by_time.setdefault(t, []).append(col)
     for t, cols in sorted(by_time.items()):
         if len(cols) > 1:
-            model.add({col: 1.0 for col in cols}, "<=", 1.0, label=f"one.{fid}.{t}")
+            row(cols, [1.0] * len(cols), "<=", 1.0, f"one.{fid}.{t}")
+    write()
 
     alpha = params.alpha
     tdc_coeffs: dict[int, float] = {}
@@ -263,21 +309,20 @@ def add_presence_block(
         tdc_coeffs[uvars[(s, t)]] = (1.0 - alpha) * t
     for t in arr_slots:
         tdc_coeffs[uvars[(e, t)]] = tdc_coeffs.get(uvars[(e, t)], 0.0) + alpha * t
-    tdc_offset = -(alpha * a + (1.0 - alpha) * d)
+    fragment.set_objective(tdc_coeffs, offset=-(alpha * a + (1.0 - alpha) * d))
 
     return PresenceBlock(
         request=request,
+        fragment=fragment,
         vars=uvars,
         departure_slots=dep_slots,
         arrival_slots=arr_slots,
-        tdc_coeffs=tdc_coeffs,
-        tdc_offset=tdc_offset,
     )
 
 
 def extract_plan(block: PresenceBlock, x: list[float]) -> FlightPlan:
-    """Read the chosen presences in the solved point ``x`` (by column) as
-    the plan's steps.
+    """Read the chosen presences in the solved point ``x`` of the block's
+    fragment (by column) as the plan's steps.
 
     ``arr1`` picks one destination cell and the ``end`` rows forbid presence
     anywhere else after it, so nothing follows the arrival slot.

@@ -94,7 +94,8 @@ def _run(args: argparse.Namespace, modes: tuple[str, ...]) -> int:
     campaign = run_campaign(config, modes)
     out = write_campaign(args.out, campaign)
     elapsed = time.perf_counter() - started
-    summary = campaign.summary()
+    # The summary just written, read back rather than built a second time.
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     for mode in modes:
         stats = summary["modes"][mode]
         fairness = stats["mean_fairness"]

@@ -58,7 +58,16 @@ right-hand side and label). Assembly, unpacking a solver point and the
 substitution re-check are then numpy operations over those lists, not walks
 over per-row Python objects. ``Model.variables`` and ``Model.constraints``
 are read-only views built on demand; neither the solve nor the re-check
-builds them.
+builds them. ``binaries`` and ``add_rows`` write many columns or rows in
+one call, checked as ``binary`` and ``add`` check one.
+
+A model fragment is a plain ``Model`` holding one part of a larger model,
+such as one flight's columns, rows and objective terms. ``Model.append``
+copies a fragment's lists after the model's own, shifting its columns by
+the model's column count, which it returns, and adds its objective offset.
+The drop loops of step 3 and the fixed-route baseline build each flight's
+fragment once per stage call and append the active flights' fragments on
+each attempt, instead of rebuilding every flight row by row.
 
 HiGHS receives the constraint matrix sparse, column-wise, as the arrays
 ``start``, ``index`` and ``value``; no dense row is ever built. Planner
@@ -151,6 +160,7 @@ HIGHS_OPTIONS = {"log_to_console": False, "presolve": "on", "mip_rel_gap": 0.0,
 
 _RELATIONS = ("<=", "=", ">=")
 _LE, _GE = 0, 2  # positions in _RELATIONS
+_RELATION_CODES = {relation: code for code, relation in enumerate(_RELATIONS)}
 
 
 @dataclass(frozen=True)
@@ -188,7 +198,8 @@ class Model:
     coefficient}``. Columns and rows go to flat lists, so solving converts
     lists to arrays instead of walking per-row objects. ``variables`` and
     ``constraints`` are read-only views built on demand; solving never
-    builds them.
+    builds them. ``append`` copies another model, a fragment, in after the
+    model's own columns and rows.
     """
 
     def __init__(self, name: str = "model", sense: str = "min"):
@@ -221,6 +232,15 @@ class Model:
     def binary(self, name: str) -> int:
         return self._declare(name, True, 0.0, 1.0)
 
+    def binaries(self, names: list[str]) -> int:
+        """Declare one binary per name, in order; returns the first one's column."""
+        first = len(self._names)
+        self._names += names
+        self._lb += [0.0] * len(names)
+        self._ub += [1.0] * len(names)
+        self._integrality += [1] * len(names)
+        return first
+
     def continuous(self, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
         if lb > ub:
             raise ValueError(f"variable {name!r} has lb > ub")
@@ -241,6 +261,66 @@ class Model:
         self._relations.append(_RELATIONS.index(relation))
         self._rhs.append(rhs)
         self._labels.append(label)
+
+    def add_rows(self, ends: list[int], indices: list[int], coeffs: list[float],
+                 relations: list[str], rhs: list[float], labels: list[str]) -> None:
+        """Add rows at once, in CSR form: row k holds the columns
+        ``indices[ends[k - 1]:ends[k]]`` (from 0 for the first row) with the
+        coefficients ``coeffs[...]``, and its relation, right-hand side and
+        label. Each row is checked as ``add`` checks it; as there, a row
+        must not hold a column twice.
+        """
+        if not len(ends) == len(relations) == len(rhs) == len(labels):
+            raise ValueError("add_rows needs one end, relation, rhs and label per row")
+        if not ends:
+            return
+        if ends[-1] != len(indices) or len(coeffs) != len(indices):
+            raise ValueError("add_rows needs one coefficient per index, up to the last end")
+        # Rows are nonempty exactly when the ends rise strictly from above 0.
+        if ends[0] <= 0 or ends != sorted(ends) or len(set(ends)) < len(ends):
+            k = next(k for k, (start, end) in enumerate(zip([0, *ends], ends)) if end <= start)
+            raise ValueError(f"constraint {labels[k]!r} has no variables")
+        try:
+            codes = list(map(_RELATION_CODES.__getitem__, relations))
+        except KeyError as exc:
+            raise ValueError(f"unknown relation {exc.args[0]!r}") from None
+        _check_columns(indices, ends, labels, len(self._names))
+        base = self._indptr[-1]
+        self._indptr += [base + end for end in ends]
+        self._indices += indices
+        self._coeffs += coeffs
+        self._relations += codes
+        self._rhs += map(float, rhs)
+        self._labels += labels
+
+    def append(self, fragment: Model) -> int:
+        """Append ``fragment``'s columns, rows and objective terms after this
+        model's own, and add its objective offset to this model's.
+
+        Returns the column offset: the fragment's column j is column
+        offset + j here. Names, bounds, integrality, stored entries (zero
+        coefficients included), relations, right-hand sides and labels are
+        carried over in order. Raises ``ValueError``, as ``add`` does, if a
+        fragment row references a column outside the fragment.
+        """
+        offset = len(self._names)
+        indices, indptr = fragment._indices, fragment._indptr
+        _check_columns(indices, indptr[1:], fragment._labels, len(fragment._names))
+        self._names += fragment._names
+        self._lb += fragment._lb
+        self._ub += fragment._ub
+        self._integrality += fragment._integrality
+        base = self._indptr[-1]
+        self._indptr += [base + end for end in indptr[1:]]
+        self._indices += [offset + j for j in indices]
+        self._coeffs += fragment._coeffs
+        self._relations += fragment._relations
+        self._rhs += fragment._rhs
+        self._labels += fragment._labels
+        self._objective_columns += [offset + j for j in fragment._objective_columns]
+        self._objective_coeffs += fragment._objective_coeffs
+        self.objective_offset += fragment.objective_offset
+        return offset
 
     def set_objective(self, coeffs: dict[int, float], offset: float = 0.0) -> None:
         columns = list(coeffs)
@@ -284,6 +364,15 @@ class Model:
     def num_nonzeros(self) -> int:
         """Stored coefficients, as added (zero coefficients included)."""
         return self._indptr[-1]
+
+
+def _check_columns(indices: list[int], ends: list[int], labels: list[str], n: int) -> None:
+    """Raise, as ``Model.add`` does, naming the first row (CSR ends, as in
+    ``add_rows``) that references a column outside [0, n)."""
+    if indices and not 0 <= min(indices) <= max(indices) < n:
+        k = next(k for k, (start, end) in enumerate(zip([0, *ends], ends))
+                 if not 0 <= min(indices[start:end]) <= max(indices[start:end]) < n)
+        raise ValueError(f"constraint {labels[k]!r} references a column outside [0, {n})")
 
 
 def check_solution(model: Model, x: list[float], tol: float = FEASIBILITY_TOL) -> list[str]:
@@ -345,8 +434,9 @@ def _arrays(model: Model):
     ascending order, with coefficients ``value[...]``, and no zero is
     stored. A stable sort of the stored entries by column gives that
     order, since rows are stored in order. A row never holds a column
-    twice (its terms come from a dict), so no entry needs summing, and the
-    arrays equal the CSC form of the dense matrix entry for entry.
+    twice (``add`` takes its terms as a dict, and ``add_rows`` requires
+    it), so no entry needs summing, and the arrays equal the CSC form of
+    the dense matrix entry for entry.
     """
     n = len(model._names)
     sign = 1.0 if model.sense == "min" else -1.0

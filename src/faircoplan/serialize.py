@@ -101,6 +101,9 @@ def scenario_from_dict(data: Mapping) -> ScenarioConfig:
     raw_grid = data["grid"]
     _check_keys(raw_grid, _GRID_KEYS, _GRID_REQUIRED, "grid")
     _check_types(raw_grid, GridConfig, "grid")
+    for key in ("vertiports", "capacity_overrides"):
+        if not isinstance(raw_grid.get(key, ()), (list, tuple)):
+            raise ConfigError(f"grid key {key} must be a list, got {raw_grid[key]!r}")
     vertiports = []
     for raw_vp in raw_grid["vertiports"]:
         _check_keys(raw_vp, _VERTIPORT_KEYS, _VERTIPORT_REQUIRED, "vertiport")

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
-from .blocks import PresenceBlock, add_capacity_rows, add_presence_block, extract_plan
+from .blocks import PresenceBlock, add_capacity_rows, extract_plan, presence_block
 from .checker import ConflictReport, audit_batch, detect_conflicts
 from .flights import (
     ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, path_length, solve_dropping, tdc,
@@ -60,15 +60,27 @@ def fairness_value(
     return max(ratios) - min(ratios)
 
 
+def _spread_fragment(gamma: float) -> milp.Model:
+    """The detour-ratio spread's bounds ``ratio.max`` and ``ratio.min``,
+    weighted by gamma in the objective."""
+    spread = milp.Model(name="ratio", sense="min")
+    spread.continuous("ratio.max", 0.0, math.inf)
+    spread.continuous("ratio.min", 0.0, math.inf)
+    spread.set_objective({0: gamma, 1: -gamma})
+    return spread
+
+
 def _add_fairness(
     model: milp.Model,
     grid: AirspaceGrid,
     blocks: Mapping[str, PresenceBlock],
+    shifts: Mapping[str, int],
     proposals: Mapping[str, FlightPlan],
-    gamma: float,
-) -> dict[int, float]:
-    """Entry-count linearisation of the detour-ratio spread; returns the
-    gamma-weighted objective coefficients (on the spread bound variables).
+    spread: int,
+) -> None:
+    """Entry-count linearisation of the detour-ratio spread, on the bounds
+    ``ratio.max`` (column ``spread``) and ``ratio.min`` (the next one), for
+    the flights in ``shifts``, each block at its column offset.
 
     Row ``lmin.{fid}`` bounds each flight's entry count below by its hop
     distance from origin to destination + 1. It is valid: a plan holds one
@@ -78,19 +90,20 @@ def _add_fairness(
     point, and it keeps the LP relaxation from shrinking the spread with
     fractional entries.
     """
-    f_max = model.continuous("ratio.max", 0.0, math.inf)
-    f_min = model.continuous("ratio.min", 0.0, math.inf)
-    for fid in sorted(blocks):
-        block = blocks[fid]
+    f_max, f_min = spread, spread + 1
+    for fid in sorted(shifts):
+        block, shift = blocks[fid], shifts[fid]
         proposed_len = float(path_length(proposals[fid]))
         entries: dict[int, float] = {}
         for (rid, t), col in sorted(block.vars.items()):
+            col += shift
             prev = block.vars.get((rid, t - 1))
             entry = model.continuous(f"en.{fid}.{rid}.{t}", 0.0, 1.0)
             if prev is None:
                 model.add({entry: 1.0, col: -1.0}, ">=", 0.0)
                 model.add({entry: 1.0, col: -1.0}, "<=", 0.0)
             else:
+                prev += shift
                 model.add({entry: 1.0, col: -1.0, prev: 1.0}, ">=", 0.0)
                 model.add({entry: 1.0, col: -1.0}, "<=", 0.0)
                 model.add({entry: 1.0, prev: 1.0}, "<=", 1.0)
@@ -104,55 +117,65 @@ def _add_fairness(
                   ">=", 0.0, label=f"rmax.{fid}")
         model.add({f_min: 1.0, **{n: -1.0 / proposed_len for n in entries}},
                   "<=", 0.0, label=f"rmin.{fid}")
-    return {f_max: gamma, f_min: -gamma}
 
 
-def _build_joint(
+def _joint_blocks(
     grid: AirspaceGrid,
     base: OccupancySnapshot,
-    active: Sequence[str],
+    flights: Sequence[str],
     requests: Mapping[str, FlightRequest],
     choice_sets: Mapping[str, ChoiceSet],
-    proposals: Mapping[str, FlightPlan],
     params: DelayCostParams,
-    gamma: float,
     now: int,
     horizon_end: int,
-) -> tuple[milp.Model, Callable[[list[float]], dict[str, FlightPlan]]]:
-    model = milp.Model(name="deconfliction", sense="min")
+) -> dict[str, PresenceBlock]:
+    """Each flight's presence block, as its own fragment: built once per
+    stage call, since it depends on no other flight."""
     blocks: dict[str, PresenceBlock] = {}
-    for fid in sorted(active):
-        block = add_presence_block(
-            model, grid, base, requests[fid], choice_sets[fid], params,
-            now, horizon_end, prefix=f"v.{fid}",
-        )
+    for fid in sorted(flights):
+        block = presence_block(grid, base, requests[fid], choice_sets[fid], params,
+                               now, horizon_end, prefix=f"v.{fid}")
         if block is None:
             raise RuntimeError(
                 f"{fid}: conflicting flight has no representable trajectory "
                 "despite holding a proposal"
             )
         blocks[fid] = block
+    return blocks
+
+
+def _build_joint(
+    grid: AirspaceGrid,
+    base: OccupancySnapshot,
+    blocks: Mapping[str, PresenceBlock],
+    active: Sequence[str],
+    proposals: Mapping[str, FlightPlan],
+    gamma: float,
+) -> tuple[milp.Model, Callable[[list[float]], dict[str, FlightPlan]]]:
+    """The joint model over ``active``: their blocks' fragments in sorted
+    order (columns, own rows and delay costs), then the rows that depend on
+    which flights are active: shared capacity and, for gamma > 0, the
+    fairness spread."""
+    model = milp.Model(name="deconfliction", sense="min")
+    shifts = {fid: model.append(blocks[fid].fragment) for fid in sorted(active)}
+    if gamma > 0.0:
+        spread = model.append(_spread_fragment(gamma))
 
     # Shared en-route capacity. Vertiport and ring cells need no rows here:
     # each flight is confined to its granted choices and the choice-setting
     # step already capped the joint grant per cell.
     shared: dict[tuple[str, int], dict[int, float]] = {}
-    for fid in sorted(blocks):
+    for fid, shift in shifts.items():
         for (rid, t), col in blocks[fid].vars.items():
             if not grid.is_zone(rid):
-                shared.setdefault((rid, t), {})[col] = 1.0
+                shared.setdefault((rid, t), {})[col + shift] = 1.0
     add_capacity_rows(model, base, shared)
 
-    objective: dict[int, float] = {}
-    offset = 0.0
-    for fid in sorted(blocks):
-        for col, coeff in blocks[fid].tdc_coeffs.items():
-            objective[col] = objective.get(col, 0.0) + coeff
-        offset += blocks[fid].tdc_offset
     if gamma > 0.0:
-        objective.update(_add_fairness(model, grid, blocks, proposals, gamma))
-    model.set_objective(objective, offset=offset)
-    return model, lambda x: {fid: extract_plan(block, x) for fid, block in blocks.items()}
+        _add_fairness(model, grid, blocks, shifts, proposals, spread)
+    return model, lambda x: {
+        fid: extract_plan(blocks[fid], x[shift:shift + blocks[fid].fragment.num_vars])
+        for fid, shift in shifts.items()}
 
 
 def solve_step3(
@@ -199,10 +222,11 @@ def solve_step3(
             raise ValueError(f"conflicting flight {fid} lacks a usable choice set")
 
     base = snapshot.with_plans(kept.values())
+    blocks = _joint_blocks(grid, base, report.conflicting_flights, by_id, choice_sets,
+                           params, now, horizon_end)
     outcome = solve_dropping(
         sorted(report.conflicting_flights), by_id,
-        lambda active: _build_joint(grid, base, active, by_id, choice_sets, proposals,
-                                    params, gamma, now, horizon_end),
+        lambda active: _build_joint(grid, base, blocks, active, proposals, gamma),
     )
     replans = outcome.plans
     final = {**kept, **replans}

@@ -8,12 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from faircoplan import milp
 from faircoplan.selfcheck import blocked, make_grid, make_request, rid
-from faircoplan.blocks import add_presence_block
+from faircoplan.blocks import presence_block
 
-__all__ = ["blocked", "make_grid", "make_request", "rid", "run_python",
-           "trajectory_model"]
+__all__ = ["assert_same_model", "blocked", "make_grid", "make_request", "rid",
+           "run_python", "trajectory_model"]
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -31,11 +33,25 @@ def trajectory_model(grid, snapshot, request, choices, params, now=0):
     """One flight's presence block with its delay cost as the objective: the
     trajectory as a MILP, for checking step 2's search and for exercising the
     block step 3 builds on. None when the block cannot be built."""
-    model = milp.Model(name=f"trajectory.{request.flight_id}", sense="min")
-    block = add_presence_block(model, grid, snapshot, request, choices, params,
-                               now, now + grid.horizon_steps,
-                               prefix=f"u.{request.flight_id}")
+    block = presence_block(grid, snapshot, request, choices, params,
+                           now, now + grid.horizon_steps, prefix=f"u.{request.flight_id}")
     if block is None:
         return None
-    model.set_objective(block.tdc_coeffs, offset=block.tdc_offset)
-    return model
+    block.fragment.name = f"trajectory.{request.flight_id}"
+    return block.fragment
+
+
+def assert_same_model(got, want):
+    """The same HiGHS input (``milp._arrays``, every array with its dtype),
+    names, labels, stored entries and objective offset."""
+    def flat(model):
+        c, lb, ub, integrality, matrix, row_lb, row_ub, sign = milp._arrays(model)
+        return (c, lb, ub, integrality, *matrix, row_lb, row_ub, np.array(sign))
+
+    for mine, theirs in zip(flat(got), flat(want), strict=True):
+        assert mine.dtype == theirs.dtype
+        assert np.array_equal(mine, theirs)
+    assert [v.name for v in got.variables] == [v.name for v in want.variables]
+    assert [c.label for c in got.constraints] == [c.label for c in want.constraints]
+    assert got.num_nonzeros == want.num_nonzeros
+    assert got.objective_offset == want.objective_offset

@@ -3,13 +3,13 @@ from __future__ import annotations
 
 import pytest
 
-from faircoplan import baseline
+from faircoplan import baseline, milp
 from faircoplan.airspace import OccupancyLedger, OccupancySnapshot
 from faircoplan.baseline import FixedRoute, fixed_route, solve_tfmp
 from faircoplan.flights import DelayCostParams, FlightPlan
 from faircoplan.oracle import oracle_tfmp_optimum
 
-from helpers import make_grid, make_request
+from helpers import assert_same_model, make_grid, make_request
 
 PARAMS = DelayCostParams(alpha=0.3)
 
@@ -95,6 +95,60 @@ class TestSchedule:
             rids = [rid for _, rid in plan.steps]
             assert rids.count("r0000") == 1
             assert rids.count("r0002") == 1
+
+
+class TestCachedFragments:
+    def test_every_attempt_equals_a_fresh_stage_call(self, monkeypatch):
+        # Four flights that must all leave the pad at step 0 onto a
+        # capacity-one ring cell: only one fits, so three are dropped. f0
+        # has fewer resubmissions and goes first, so the blocks that stay
+        # move to lower columns.
+        grid = make_grid(1, 3, ((0, 0), (0, 2)))
+        requests = [make_request(grid, f"f{i}", "r0000", "r0002", 0, flexibility=0,
+                                 resubmissions=min(i, 1)) for i in range(4)]
+        snap = OccupancyLedger(grid).snapshot()
+        built = []
+        build = baseline._build_tfmp
+
+        def spy(*args):
+            model, read = build(*args)
+            built.append((tuple(sorted(args[3])), model, read))
+            return model, read
+
+        monkeypatch.setattr(baseline, "_build_tfmp", spy)
+        out = solve_tfmp(grid, snap, requests, PARAMS)
+        assert out.dropped == ("f0", "f3", "f2")
+        cascade = list(built)
+        assert [active for active, _, _ in cascade] == [
+            ("f0", "f1", "f2", "f3"), ("f1", "f2", "f3"), ("f1", "f2"), ("f1",)]
+        for active, model, read in cascade:
+            built.clear()
+            solve_tfmp(grid, snap, [r for r in requests if r.flight_id in active], PARAMS)
+            fresh_active, fresh, fresh_read = built[0]
+            assert fresh_active == active
+            assert_same_model(model, fresh)
+            result, fresh_result = milp.solve(model), milp.solve(fresh)
+            assert result.status == fresh_result.status
+            if result.status == milp.OPTIMAL:
+                assert read(result.x) == fresh_read(fresh_result.x) == out.plans
+        assert milp.solve(cascade[-1][1]).status == milp.OPTIMAL
+
+
+    def test_later_blocks_keep_both_capacity_terms(self):
+        # Three flights meet head-on in the capacity-one ring cells; each
+        # one's capacity term has to leave the cell at its own column, at
+        # its block's offset, or the batch breaks capacity.
+        grid = make_grid(1, 4, ((0, 0), (0, 3)), horizon=8)
+        requests = [
+            make_request(grid, "f0", "r0003", "r0000", 0, flexibility=1),
+            make_request(grid, "f1", "r0000", "r0003", 1, flexibility=1),
+            make_request(grid, "f2", "r0003", "r0000", 0, flexibility=2),
+        ]
+        snap = OccupancyLedger(grid).snapshot()
+        out = solve_tfmp(grid, snap, requests, PARAMS)
+        want, _ = oracle_tfmp_optimum(grid, snap, requests, PARAMS)
+        assert out.dropped == ()
+        assert out.total_tdc == pytest.approx(want) == pytest.approx(2.3)
 
 
 class TestCapacityAudit:

@@ -8,6 +8,7 @@ import pytest
 from faircoplan.airspace import ConfigError
 from faircoplan.cli import run_cli
 from faircoplan.serialize import load_scenario, save_scenario
+from faircoplan.sim import CampaignResult
 
 from helpers import run_python
 from test_sim import corridor_config
@@ -65,6 +66,26 @@ class TestCompare:
         stdout = capsys.readouterr().out
         assert "fair-coplan: served=" in stdout
         assert "fairness improved on" in stdout
+
+    def test_builds_the_records_once(self, scenario_path, tmp_path, capsys,
+                                     monkeypatch):
+        calls = []
+        records = CampaignResult.records
+
+        def counted(campaign):
+            calls.append(campaign)
+            return records(campaign)
+
+        monkeypatch.setattr(CampaignResult, "records", counted)
+        out = tmp_path / "cmp"
+        assert run_cli(["compare", "--config", str(scenario_path),
+                        "--out", str(out)]) == 0
+        assert len(calls) == 1
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        stdout = capsys.readouterr().out
+        for mode, stats in summary["modes"].items():
+            assert f"{mode}: served={stats['served']} " in stdout
+            assert f"mean_tdc={stats['mean_tdc']} " in stdout
 
 
 class TestReport:

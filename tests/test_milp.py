@@ -27,7 +27,9 @@ from faircoplan.step1 import solve_step1
 from faircoplan.step2 import solve_step2
 from faircoplan.step3 import solve_step3
 
-from helpers import blocked, make_grid, make_request, run_python, trajectory_model
+from helpers import (
+    assert_same_model, blocked, make_grid, make_request, run_python, trajectory_model,
+)
 
 
 class TestHighs:
@@ -142,6 +144,155 @@ class TestModelContainer:
         assert check_solution(model, [0.0, 1.0]) == []
         with pytest.raises(ValueError, match="model 'check' with 2 columns"):
             check_solution(model, point)
+
+
+def row_by_row() -> Model:
+    """``mixed_model``'s columns and rows, written one call at a time."""
+    model = Model(name="mixed", sense="max")
+    x, y = model.binary("x"), model.binary("y")
+    model.binary("w")
+    model.add({y: 1.0, x: 0.0}, "<=", 1, label="a")
+    model.add({x: 1.0}, ">=", 0.5, label="b")
+    model.add({y: 2.0, x: -1.0, 2: 1.0}, "=", 1.0, label="c")
+    return model
+
+
+class TestBulkWriting:
+    def test_binaries_and_rows_equal_one_call_each(self):
+        model = Model(name="mixed", sense="max")
+        assert model.binaries(["x", "y", "w"]) == 0
+        model.add_rows([2, 3, 6], [1, 0, 0, 1, 0, 2], [1.0, 0.0, 1.0, 2.0, -1.0, 1.0],
+                       ["<=", ">=", "="], [1, 0.5, 1.0], ["a", "b", "c"])
+        assert_same_model(model, row_by_row())
+        assert model.constraints == row_by_row().constraints
+        assert [row.rhs for row in model.constraints] == [1.0, 0.5, 1.0]
+
+    def test_binaries_return_the_first_new_column(self):
+        model = Model(name="columns")
+        model.continuous("z")
+        assert model.binaries(["x", "y"]) == 1
+        assert model.binaries([]) == 3
+        assert [(v.name, v.binary) for v in model.variables] == [
+            ("z", False), ("x", True), ("y", True)]
+
+    @pytest.mark.parametrize("column", [-1, 2, 7])
+    def test_undeclared_column_rejected_as_add_rejects_it(self, column):
+        model = Model(name="undeclared")
+        model.binaries(["x", "y"])
+        message = r"^constraint 'cap' references a column outside \[0, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            model.add_rows([1, 4], [0, 0, column, 1], [1.0] * 4, ["<=", "<="],
+                           [1.0, 1.0], ["ok", "cap"])
+        assert (model.num_rows, model.num_nonzeros) == (0, 0)
+
+    @pytest.mark.parametrize("ends", [[0, 1], [1, 1], [2, 1]],
+                             ids=["first", "middle", "falling"])
+    def test_empty_row_rejected_by_label(self, ends):
+        model = Model(name="empty-row")
+        model.binaries(["x", "y"])
+        with pytest.raises(ValueError, match="has no variables"):
+            model.add_rows(ends, [0, 1][:ends[-1]], [1.0, 1.0][:ends[-1]],
+                           ["<=", "<="], [1.0, 1.0], ["a", "b"])
+        assert model.num_rows == 0
+
+    def test_unknown_relation_rejected(self):
+        model = Model(name="relation")
+        model.binaries(["x"])
+        with pytest.raises(ValueError, match="unknown relation '<'"):
+            model.add_rows([1], [0], [1.0], ["<"], [1.0], ["a"])
+
+    def test_lists_of_unequal_length_rejected(self):
+        model = Model(name="lengths")
+        model.binaries(["x"])
+        with pytest.raises(ValueError, match="one end, relation, rhs and label"):
+            model.add_rows([1], [0], [1.0], ["<=", "<="], [1.0], ["a"])
+        with pytest.raises(ValueError, match="one coefficient per index"):
+            model.add_rows([1], [0], [], ["<="], [1.0], ["a"])
+
+
+def fragment_model(prefix: str) -> Model:
+    """Three columns, two rows (one with a zero coefficient), an objective
+    and an offset."""
+    fragment = Model(name=prefix)
+    a, b = fragment.binary(f"{prefix}.a"), fragment.binary(f"{prefix}.b")
+    c = fragment.continuous(f"{prefix}.c", lb=-1.0, ub=2.0)
+    fragment.add({c: 1.0, a: 1.0, b: 0.0}, "<=", 2.0, label=f"{prefix}.r0")
+    fragment.add({b: 1.0}, "=", 1.0, label=f"{prefix}.r1")
+    fragment.set_objective({b: 2.0, c: -1.0}, offset=0.25)
+    return fragment
+
+
+class TestAppend:
+    def test_offset_is_the_number_of_columns_before(self):
+        model = mixed_model()
+        assert model.append(fragment_model("f")) == 3
+        assert model.append(fragment_model("g")) == 6
+        assert model.num_vars == 9
+
+    def test_columns_rows_and_objective_shift_by_the_offset(self):
+        model = Model(name="joint")
+        x = model.binary("x")
+        model.add({x: 1.0}, "<=", 1.0, label="own")
+        shift = model.append(fragment_model("f"))
+        # The same model, written one call at a time.
+        want = Model(name="joint")
+        x = want.binary("x")
+        want.add({x: 1.0}, "<=", 1.0, label="own")
+        a, b = want.binary("f.a"), want.binary("f.b")
+        c = want.continuous("f.c", lb=-1.0, ub=2.0)
+        want.add({c: 1.0, a: 1.0, b: 0.0}, "<=", 2.0, label="f.r0")
+        want.add({b: 1.0}, "=", 1.0, label="f.r1")
+        want.set_objective({b: 2.0, c: -1.0}, offset=0.25)
+        assert shift == 1
+        assert_same_model(model, want)
+        assert model.constraints == want.constraints
+        assert model.variables == want.variables
+
+    def test_offsets_add_up_and_the_fragment_is_left_as_it_was(self):
+        fragment = fragment_model("f")
+        before = (fragment.variables, fragment.constraints, fragment.objective_offset)
+        model = Model(name="joint")
+        model.append(fragment)
+        model.append(fragment)
+        assert model.objective_offset == 0.5
+        assert (fragment.variables, fragment.constraints,
+                fragment.objective_offset) == before
+        assert model.constraints[2:] == fragment.constraints
+
+    def test_solution_of_two_copies_is_two_fragment_solutions(self):
+        fragment = fragment_model("f")
+        model = Model(name="joint")
+        shifts = [model.append(fragment) for _ in range(2)]
+        alone, both = solve(fragment), solve(model)
+        assert both.status == alone.status == milp.OPTIMAL
+        assert both.x == [v for shift in shifts for v in alone.x]
+        assert both.objective == 2 * alone.objective
+
+    def test_empty_fragment_changes_nothing(self):
+        model = mixed_model()
+        before = (model.variables, model.constraints, model.objective_offset)
+        assert model.append(Model(name="empty")) == 3
+        assert (model.variables, model.constraints, model.objective_offset) == before
+        assert_same_model(model, mixed_model())
+
+    def test_append_to_an_empty_model_copies_the_fragment(self):
+        model = Model(name="fragment")
+        assert model.append(fragment_model("f")) == 0
+        assert_same_model(model, fragment_model("f"))
+
+    @pytest.mark.parametrize("column", [-1, 3, 7])
+    def test_column_outside_the_fragment_rejected_as_add_rejects_it(self, column):
+        # Only a fragment whose stored row was edited can hold such a column:
+        # add and add_rows refuse to write one.
+        fragment = fragment_model("f")
+        fragment._indices[3] = column  # the first term of row f.r1
+        message = r"^constraint 'f.r1' references a column outside \[0, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            fragment.add({column: 1.0}, "<=", 1.0, label="f.r1")
+        model = mixed_model()
+        with pytest.raises(ValueError, match=message):
+            model.append(fragment)
+        assert_same_model(model, mixed_model())
 
 
 class TestSolveRecheck:

@@ -69,6 +69,8 @@ WRONG_TYPES = [
      "grid key capacity_overrides needs"),
     (("grid",), "capacity_overrides", [[1, 3, 2]], "grid key capacity_overrides needs"),
     (("grid",), "capacity_overrides", [["r0001", 3]], "grid key capacity_overrides needs"),
+    (("grid",), "vertiports", 2, "grid key vertiports must be a list, got 2"),
+    (("grid",), "capacity_overrides", 5, "grid key capacity_overrides must be a list, got 5"),
     (("grid", "vertiports", 0), "ops_capacity", 2.0,
      "vertiport key ops_capacity must be an integer"),
     (("grid", "vertiports", 0), "kind", ["hub"], "vertiport key kind must be a string"),

@@ -15,7 +15,7 @@ from faircoplan.step1 import solve_step1
 from faircoplan.step2 import solve_step2
 from faircoplan.step3 import fairness_value, solve_step3
 
-from helpers import blocked, make_grid, make_request
+from helpers import assert_same_model, blocked, make_grid, make_request
 
 PARAMS = DelayCostParams(alpha=0.3)
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk8x8.yaml"
@@ -274,7 +274,7 @@ class TestEntryCountBound:
             with monkeypatch.context() as patch:
                 patch.setattr(milp.Model, "add", add_without_bound)
                 plain, _ = build(*args)
-            active = args[2]
+            active = args[3]
             assert sum(c.label.startswith("lmin.") for c in bounded.constraints) == len(active)
             assert not [c for c in plain.constraints if c.label.startswith("lmin.")]
             with_row, without_row = milp.solve(bounded), milp.solve(plain)
@@ -312,6 +312,48 @@ class TestVictimDrops:
                           PARAMS, gamma=0.0)
         assert out.dropped == ("f0",)
         assert "f1" in out.plans
+
+
+class TestCachedFragments:
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_every_attempt_equals_a_fresh_build(self, monkeypatch, gamma):
+        # Two flights with one step of slack through the one-flight pinch
+        # cell: only one fits. f0 has fewer resubmissions, so it is dropped
+        # and f1's block moves to column 0.
+        grid = pinch_grid()
+        requests = [make_request(grid, f"f{i}", "r0000", "r0007", 0, flexibility=1,
+                                 resubmissions=i) for i in range(2)]
+        snap, choice_sets, proposals = plan_batch(grid, requests)
+        stage, built = [], []
+        blocks, build = step3._joint_blocks, step3._build_joint
+
+        def spy_blocks(*args):
+            stage.append(args)
+            return blocks(*args)
+
+        def spy_build(*args):
+            model, read = build(*args)
+            built.append((tuple(sorted(args[3])), model, read))
+            return model, read
+
+        monkeypatch.setattr(step3, "_joint_blocks", spy_blocks)
+        monkeypatch.setattr(step3, "_build_joint", spy_build)
+        out = solve_step3(grid, snap, requests, choice_sets, proposals, PARAMS,
+                          gamma=gamma)
+        assert out.dropped == ("f0",) and len(stage) == 1
+        assert [active for active, _, _ in built] == [("f0", "f1"), ("f1",)]
+        grid_, base, _, by_id, choice_sets_, params, now, horizon_end = stage[0]
+        for active, model, read in built:
+            fresh_blocks = blocks(grid_, base, active, by_id, choice_sets_, params,
+                                  now, horizon_end)
+            fresh, fresh_read = build(grid, base, fresh_blocks, active, proposals, gamma)
+            assert_same_model(model, fresh)
+            result, fresh_result = milp.solve(model), milp.solve(fresh)
+            assert result.status == fresh_result.status
+            if result.status == milp.OPTIMAL:
+                assert read(result.x) == fresh_read(fresh_result.x)
+                assert read(result.x).items() <= out.plans.items()
+        assert milp.solve(built[-1][1]).status == milp.OPTIMAL
 
 
 class TestCapacityAudit:
