@@ -7,13 +7,17 @@ flight database: it files ``FlightPlan``s append-only, refuses any filing that
 would exceed a cell's capacity, and keeps the per-(resource, timestep)
 occupancy index consistent with them. Planners read occupancy only through an
 ``OccupancySnapshot`` taken at the start of a period; its ``remaining`` is the
-one remaining-capacity rule.
+one remaining-capacity rule, and ``remaining_table`` reads it for a block of
+cells at once.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import product, repeat
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .flights import FlightPlan
 
@@ -150,6 +154,18 @@ class AirspaceGrid:
             return override
         return self._base_capacity[resource_id]
 
+    def capacity_table(self, resource_ids: Sequence[str], start: int, stop: int) -> np.ndarray:
+        """``capacity`` over a block of cells: row i, column j is the capacity
+        of ``resource_ids[i]`` (distinct ids) at step ``start + j``."""
+        table = np.repeat(
+            np.array([self._base_capacity[rid] for rid in resource_ids], dtype=np.int64),
+            stop - start).reshape(len(resource_ids), stop - start)
+        row = {rid: i for i, rid in enumerate(resource_ids)}
+        for (rid, t), cap in self._overrides.items():
+            if rid in row and start <= t < stop:
+                table[row[rid], t - start] = cap
+        return table
+
     def is_zone(self, resource_id: str) -> bool:
         """True for vertiports and vertiport-adjacent (ring) sectors."""
         return resource_id in self.zone
@@ -240,11 +256,19 @@ def build_grid(config: GridConfig) -> AirspaceGrid:
     )
 
 
+def _left(capacity, used):
+    """The one remaining-capacity rule, for one cell (ints) or a table of
+    cells (arrays) alike: capacity minus occupancy, clipped at zero."""
+    left = capacity - used
+    return left * (left > 0)
+
+
 class OccupancySnapshot:
     """Frozen view of occupancy taken at the start of a planning period.
 
     ``remaining`` is the one remaining-capacity rule: grid capacity minus
-    occupancy, clipped at zero.
+    occupancy, clipped at zero. ``remaining_table`` applies the same rule to
+    a block of cells at once.
     """
 
     def __init__(self, grid: AirspaceGrid, counts: dict[tuple[str, int], int]) -> None:
@@ -258,9 +282,18 @@ class OccupancySnapshot:
         key = (resource_id, t)
         left = self._remaining.get(key)
         if left is None:
-            left = max(self._grid.capacity(resource_id, t) - self._counts.get(key, 0), 0)
+            left = _left(self._grid.capacity(resource_id, t), self._counts.get(key, 0))
             self._remaining[key] = left
         return left
+
+    def remaining_table(self, resource_ids: Sequence[str], start: int, stop: int) -> np.ndarray:
+        """``remaining`` over a block of cells, read at once: row i, column j
+        is ``remaining(resource_ids[i], start + j)`` (distinct ids)."""
+        shape = (len(resource_ids), stop - start)
+        cells = product(resource_ids, range(start, stop))
+        used = np.fromiter(map(self._counts.get, cells, repeat(0)), dtype=np.int64,
+                           count=shape[0] * shape[1])
+        return _left(self._grid.capacity_table(resource_ids, start, stop), used.reshape(shape))
 
     def with_plans(self, plans: Iterable[FlightPlan]) -> OccupancySnapshot:
         """A new snapshot with the given plans' occupancy added on top."""

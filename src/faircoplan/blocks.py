@@ -7,16 +7,20 @@ in a model fragment of its own, a plain ``milp.Model`` holding the flight's
 columns, rows and delay cost. Step 3 builds each flight's fragment once per
 stage call and appends the active flights' fragments into each joint
 deconfliction MILP with ``Model.append``; the block's columns then sit at
-the offset that returns. ``add_dwell_linkage`` holds runs at their minimum
-dwell, over step 1's ring choices and over presence blocks, and
-``add_capacity_rows`` caps joint use of a cell in steps 1 and 3 and the
-fixed-route baseline. ``extract_plan`` reads a solved presence block back
-as a plan.
+the offset that returns. ``dwell_linkage`` holds runs at their minimum
+dwell, over step 1's ring choices and over presence blocks; it handles many
+runs in one call and returns their rows as ``Rows``, which step 1 merges
+flight by flight with its slot-support rows. ``add_capacity_rows`` caps
+joint use of a cell in step 3 and the fixed-route baseline; step 1 writes
+its capacity rows from its own per-period tables. ``extract_plan`` reads a
+solved presence block back as a plan.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
@@ -26,8 +30,9 @@ __all__ = [
     "CellDomain",
     "PresenceBlock",
     "add_capacity_rows",
-    "add_dwell_linkage",
+    "Rows",
     "cell_domain",
+    "dwell_linkage",
     "extract_plan",
     "presence_block",
 ]
@@ -61,54 +66,97 @@ class CellDomain:
     arrival_slots: tuple[int, ...]
 
 
-def add_dwell_linkage(
-    model: milp.Model,
-    presence: Mapping[tuple[str, int], int],
-    request: FlightRequest,
-    rid: str,
-    first: int,
-    last: int,
-    horizon_end: int,
-) -> None:
-    """Minimum dwell at ``rid``: a run may end at step t only once the
-    trailing window of ``request.min_dwell(rid)`` steps is full.
+class Rows(NamedTuple):
+    """Rows for ``Model.add_rows``, by row length instead of CSR end, with
+    the owner of each row (a run, a flight) so that row blocks can be merged."""
 
-    ``presence`` maps (resource, t) to the column of the binary that marks
-    the flight (or its offered choice) in that cell; a missing key is a cell
-    it cannot use. For each t from first + 1 to min(last + 1, horizon_end -
-    1) that follows a usable step, an auxiliary binary ``dw.{fid}.{rid}.{t}``
-    is 1 exactly when the window is not yet full, and then the run must go
-    on at t. The window has ``dwell`` terms, so ``dwell`` is a tight
-    constant for both indicator rows. The auxiliaries are declared, then
-    the rows added, each in one call.
+    owner: np.ndarray
+    lengths: np.ndarray
+    indices: np.ndarray
+    coeffs: np.ndarray
+    relations: list[str]
+    rhs: np.ndarray
+    labels: list[str]
+
+    def add_to(self, model: milp.Model) -> None:
+        model.add_rows(np.cumsum(self.lengths).tolist(), self.indices.tolist(),
+                       self.coeffs.tolist(), self.relations, self.rhs.tolist(), self.labels)
+
+    @staticmethod
+    def by_owner(blocks: Sequence[Rows]) -> Rows:
+        """The rows of ``blocks`` as one block, owner by owner in ascending
+        order; one owner's rows keep their order, block by block."""
+        owner = np.concatenate([block.owner for block in blocks])
+        lengths = np.concatenate([block.lengths for block in blocks])
+        order = np.argsort(owner, kind="stable")
+        moved = lengths[order]
+        # Merged entry k is entry take[k] of the blocks' entries.
+        take = np.arange(moved.sum()) + np.repeat(
+            (np.cumsum(lengths) - lengths)[order] - (np.cumsum(moved) - moved), moved)
+        relations = [relation for block in blocks for relation in block.relations]
+        labels = [label for block in blocks for label in block.labels]
+        return Rows(owner[order], moved,
+                    np.concatenate([block.indices for block in blocks])[take],
+                    np.concatenate([block.coeffs for block in blocks])[take],
+                    [relations[i] for i in order.tolist()],
+                    np.concatenate([block.rhs for block in blocks])[order],
+                    [labels[i] for i in order.tolist()])
+
+
+def dwell_linkage(
+    model: milp.Model,
+    runs: Sequence[tuple[FlightRequest, str]],
+    start: int,
+    columns: np.ndarray,
+    horizon_end: int,
+) -> Rows:
+    """Minimum dwell, for each run k, a (request, resource) pair: a run of
+    steps in the resource may end at step t only once the trailing window of
+    ``request.min_dwell(resource)`` steps is full.
+
+    ``columns[k, i]`` is the column of the binary that marks run k's flight
+    (or its offered choice) in its resource at step ``start + i``, or -1 at
+    a step it cannot use; steps outside the array are unusable too. For each
+    t up to ``horizon_end - 1`` that follows a usable step, an auxiliary
+    binary ``dw.{fid}.{rid}.{t}`` is 1 exactly when the window is not yet
+    full, and then the run must go on at t. The window has ``dwell`` terms,
+    so ``dwell`` is a tight constant for both indicator rows. A run with a
+    dwell of 1 needs nothing.
+
+    The auxiliaries are declared in ``model`` in one call, run by run and
+    step by step. Their rows, ``dwlo``, ``dwhi`` and ``dwrun`` for each step
+    in the same order, are returned, each owned by its run.
     """
-    fid = request.flight_id
-    dwell = request.min_dwell(rid)
-    if dwell <= 1:
-        return
-    steps = [t for t in range(first + 1, min(last + 1, horizon_end - 1) + 1)
-             if (rid, t - 1) in presence]
-    aux = model.binaries([f"dw.{fid}.{rid}.{t}" for t in steps])
-    ends: list[int] = []
-    indices: list[int] = []
-    coeffs: list[float] = []
-    labels: list[str] = []
-    for t in steps:
-        window = [w for tt in range(t - dwell, t) if (w := presence.get((rid, tt))) is not None]
-        indicator = [aux, *window]
-        weights = [float(dwell)] + [1.0] * len(window)
-        run = [presence[(rid, t - 1)], aux]
-        cur = presence.get((rid, t))
-        if cur is not None:
-            run.append(cur)
-        for row in (indicator, indicator, run):
-            indices += row
-            ends.append(len(indices))
-        coeffs += weights + weights + [-1.0, -1.0, 1.0][:len(run)]
-        labels += (f"dwlo.{fid}.{rid}.{t}", f"dwhi.{fid}.{rid}.{t}", f"dwrun.{fid}.{rid}.{t}")
-        aux += 1
-    model.add_rows(ends, indices, coeffs, [">=", "<=", ">="] * len(steps),
-                   [float(dwell), float(2 * dwell - 1), -1.0] * len(steps), labels)
+    dwell = np.array([request.min_dwell(rid) for request, rid in runs], dtype=np.int64)
+    longest = int(dwell.max(initial=1))
+    usable = columns[:, :max(horizon_end - 1 - start, 0)] >= 0
+    run, before = np.nonzero(usable & (dwell[:, None] > 1))
+    steps = (start + 1 + before).tolist()
+    names = [f"dw.{runs[k][0].flight_id}.{runs[k][1]}" for k in run.tolist()]
+    aux = model.binaries([f"{name}.{t}" for name, t in zip(names, steps)]) + np.arange(len(steps))
+    # -1 for the longest dwell's steps before each run's array and the one
+    # after it; the window gathers the longest dwell's steps before t and
+    # drops those beyond the run's own dwell.
+    padded = np.concatenate((np.full((len(runs), longest), -1), columns,
+                             np.full((len(runs), 1), -1)), axis=1)
+    lags = np.arange(longest)
+    window = padded[run[:, None], before[:, None] + 1 + lags]
+    own = dwell[run]
+    window[lags < longest - own[:, None]] = -1
+    previous, current = columns[run, before], padded[run, before + 1 + longest]
+    terms = np.concatenate((aux[:, None], window, aux[:, None], window, previous[:, None],
+                            aux[:, None], current[:, None]), axis=1)
+    weights = np.ones(terms.shape)
+    weights[:, 0] = weights[:, longest + 1] = own
+    weights[:, -3:] = (-1.0, -1.0, 1.0)
+    kept = terms >= 0
+    indicator = kept[:, :longest + 1].sum(axis=1)
+    lengths = np.stack((indicator, indicator, kept[:, -3:].sum(axis=1)), axis=1)
+    bounds = np.stack((own, 2 * own - 1, np.full(len(own), -1)), axis=1)
+    return Rows(np.repeat(run, 3), lengths.ravel(), terms[kept], weights[kept],
+                [">=", "<=", ">="] * len(steps), bounds.ravel().astype(float),
+                [f"{kind}{name[2:]}.{t}" for name, t in zip(names, steps)
+                 for kind in ("dwlo", "dwhi", "dwrun")])
 
 
 def add_capacity_rows(
@@ -186,9 +234,6 @@ def cell_domain(
     last_arr = max(arr_slots)
 
     times: dict[str, tuple[int, ...]] = {s: tuple(dep_slots), e: tuple(arr_slots)}
-    choice_times: dict[str, set[int]] = {}
-    for rid, t in choices.choices:
-        choice_times.setdefault(rid, set()).add(t)
     for res in grid.resources:
         rid = res.resource_id
         if rid in (s, e) or rid not in dist_s or rid not in dist_e:
@@ -196,7 +241,7 @@ def cell_domain(
         lo = max(now, first_dep + dist_s[rid])
         hi = min(horizon_end - 1, last_arr - dist_e[rid])
         if grid.is_zone(rid):
-            cells = sorted(t for t in choice_times.get(rid, ()) if lo <= t <= hi)
+            cells = [t for t in choices.times.get(rid, ()) if lo <= t <= hi]
         else:
             cells = [t for t in range(lo, hi + 1) if snapshot.remaining(rid, t) >= 1]
         if cells:
@@ -287,12 +332,15 @@ def presence_block(
                     f"end.{fid}.{rid}.{t}")
     write()
 
-    # Minimum dwell per sector.
-    for rid in sorted(by_resource):
-        if grid.resource(rid).kind == "sector":
-            times = by_resource[rid]
-            add_dwell_linkage(fragment, uvars, request, rid, times[0], times[-1],
-                              horizon_end)
+    # Minimum dwell per sector, over the period's steps.
+    sectors = [rid for rid, dwell in request.dwell
+               if dwell > 1 and rid in by_resource and grid.resource(rid).kind == "sector"]
+    columns = np.full((len(sectors), horizon_end - now), -1)
+    for k, rid in enumerate(sectors):
+        times = by_resource[rid]
+        columns[k, np.subtract(times, now)] = uvars[(rid, times[0])] + np.arange(len(times))
+    dwell_linkage(fragment, [(request, rid) for rid in sectors], now, columns,
+                  horizon_end).add_to(fragment)
 
     # At most one resource per timestep.
     by_time: dict[int, list[int]] = {}

@@ -26,6 +26,7 @@ resource instead of en-route sectors only.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -173,57 +174,70 @@ def choice_violations(
         fid = request.flight_id
         chset = allocation[fid]
         d, a, eps = request.requested_departure, request.requested_arrival, request.flexibility
-        for rid, t in sorted(chset.choices):
-            if not grid.is_zone(rid):
-                out.append(f"{fid}: choice at non-zone resource {rid}")
-            if not now <= t < horizon_end:
-                out.append(f"{fid}: choice ({rid}, t={t}) outside the period window")
-            if t < d or t >= a + eps:
-                out.append(f"{fid}: choice ({rid}, t={t}) outside [{d}, {a + eps})")
-        for t in chset.departure_slots:
+        lo, hi = max(now, d), min(horizon_end, a + eps)
+        for rid, times in chset.times.items():
+            zone = grid.is_zone(rid)
+            if zone and lo <= times[0] and times[-1] < hi:
+                continue
+            for t in times:
+                if not zone:
+                    out.append(f"{fid}: choice at non-zone resource {rid}")
+                if not now <= t < horizon_end:
+                    out.append(f"{fid}: choice ({rid}, t={t}) outside the period window")
+                if t < d or t >= a + eps:
+                    out.append(f"{fid}: choice ({rid}, t={t}) outside [{d}, {a + eps})")
+        departures, arrivals = chset.departure_slots, chset.arrival_slots
+        for t in departures:
             if not d <= t <= d + eps:
                 out.append(f"{fid}: departure slot t={t} outside [{d}, {d + eps}]")
-        for t in chset.arrival_slots:
+        for t in arrivals:
             if not a <= t <= a + eps:
                 out.append(f"{fid}: arrival slot t={t} outside [{a}, {a + eps}]")
 
         # A granted departure slot needs an adjacent choice one step later,
         # a granted arrival slot one step earlier.
-        for t in chset.departure_slots:
+        for t in departures:
             if not any(chset.contains(nb, t + 1) for nb in grid.adjacency[request.origin]):
                 out.append(f"{fid}: departure slot t={t} has no adjacent choice at t+1")
-        for t in chset.arrival_slots:
+        for t in arrivals:
             if not any(
                 chset.contains(nb, t - 1) for nb in grid.adjacency[request.destination]
             ):
                 out.append(f"{fid}: arrival slot t={t} has no adjacent choice at t-1")
 
-        # Dwell linkage on ring sectors: while the trailing window shows fewer
-        # than l permitted steps, a permitted step must be followed by another.
-        for rid in sorted(grid.ring):
-            dwell = request.min_dwell(rid)
-            for t in range(now + 1, horizon_end):
-                if not chset.contains(rid, t - 1) or chset.contains(rid, t):
+        # Dwell linkage on ring sectors: a run of permitted steps that breaks
+        # off at t inside the period needs all l steps before t permitted.
+        for rid, dwell in request.dwell:
+            if dwell <= 1 or rid not in grid.ring:
+                continue
+            times = chset.times.get(rid, ())
+            for i, last in enumerate(times):
+                t = last + 1
+                if not now < t < horizon_end or (i + 1 < len(times) and times[i + 1] == t):
                     continue
-                window = sum(
-                    1 for tt in range(t - dwell, t) if chset.contains(rid, tt)
-                )
+                window = i + 1 - bisect_left(times, t - dwell)
                 if window < dwell:
                     out.append(
                         f"{fid}: choice run at {rid} breaks off at t={t} "
                         f"with only {window} of {dwell} dwell steps offered"
                     )
 
-    # Joint capacity over zone resources.
+    # Joint capacity over zone resources: each cell's use, counted once over
+    # the batch, against its remaining capacity, read for the period's steps
+    # in one table (cell by cell outside them).
     demand: Counter[tuple[str, int]] = Counter()
     for fid in ids:
         demand.update(allocation[fid].choices)
-    for (rid, t), count in sorted(demand.items()):
-        if count > snapshot.remaining(rid, t):
-            out.append(
-                f"choices over capacity at ({rid}, t={t}): "
-                f"{count} > {snapshot.remaining(rid, t)}"
-            )
+    rids = sorted({rid for rid, _ in demand})
+    row = {rid: i for i, rid in enumerate(rids)}
+    room = snapshot.remaining_table(rids, now, horizon_end).tolist()
+    over = []
+    for (rid, t), count in demand.items():
+        left = room[row[rid]][t - now] if now <= t < horizon_end else snapshot.remaining(rid, t)
+        if count > left:
+            over.append((rid, t, count, left))
+    for rid, t, count, left in sorted(over):
+        out.append(f"choices over capacity at ({rid}, t={t}): {count} > {left}")
     return out
 
 

@@ -11,6 +11,7 @@ exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import milp
@@ -84,7 +85,9 @@ class ChoiceSet:
 
     Only vertiports and vertiport-adjacent sectors appear here; en-route
     sectors are governed directly by remaining capacity. An empty departure
-    slot set means the flight was not assigned this period.
+    slot set means the flight was not assigned this period. ``times`` and
+    the slots are computed once per instance (the choices never change) and
+    are not fields, so they take no part in equality or hashing.
     """
 
     flight_id: str
@@ -98,13 +101,22 @@ class ChoiceSet:
     def contains(self, resource_id: str, t: int) -> bool:
         return (resource_id, t) in self.choices
 
-    @property
-    def departure_slots(self) -> tuple[int, ...]:
-        return tuple(sorted(t for rid, t in self.choices if rid == self.origin))
+    @cached_property
+    def times(self) -> dict[str, tuple[int, ...]]:
+        """The permitted steps by resource, ascending, resources in sorted
+        order. Shared by every reader: do not modify it."""
+        by_resource: dict[str, list[int]] = {}
+        for rid, t in self.choices:
+            by_resource.setdefault(rid, []).append(t)
+        return {rid: tuple(sorted(by_resource[rid])) for rid in sorted(by_resource)}
 
-    @property
+    @cached_property
+    def departure_slots(self) -> tuple[int, ...]:
+        return self.times.get(self.origin, ())
+
+    @cached_property
     def arrival_slots(self) -> tuple[int, ...]:
-        return tuple(sorted(t for rid, t in self.choices if rid == self.destination))
+        return self.times.get(self.destination, ())
 
     @property
     def is_empty(self) -> bool:

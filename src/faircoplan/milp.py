@@ -53,21 +53,27 @@ A model stores itself as arrays would. A variable is its column: declaring
 one returns its index, rows and the objective are ``{column: coefficient}``,
 and a solved point is a list by column; a name is only a label, for the
 views and violation messages. Bounds and integrality go to flat per-column
-lists, each constraint to flat per-row lists (CSR order, plus relation,
-right-hand side and label). Assembly, unpacking a solver point and the
-substitution re-check are then numpy operations over those lists, not walks
-over per-row Python objects. ``Model.variables`` and ``Model.constraints``
-are read-only views built on demand; neither the solve nor the re-check
-builds them. ``binaries`` and ``add_rows`` write many columns or rows in
-one call, checked as ``binary`` and ``add`` check one.
+typed arrays (the standard library's ``array.array``), each constraint to
+flat per-row typed arrays (CSR order, plus relation and right-hand side) and
+its label to a list; the objective stays two lists. numpy copies a typed
+array as one block of memory, so assembly, unpacking a solver point and the
+substitution re-check read the model without converting it element by
+element, and never walk per-row Python objects. On the full15x15
+choice-setting model (6,426 columns, 8,021 entries) converting one
+per-column Python list took about 0.26 ms, against 2 µs from a typed array
+(2-vCPU Xeon VM). ``Model.variables`` and ``Model.constraints`` are
+read-only views built on demand; neither the solve nor the re-check builds
+them. ``binaries`` and ``add_rows`` write many columns or rows in one call,
+checked as ``binary`` and ``add`` check one.
 
 A model fragment is a plain ``Model`` holding one part of a larger model,
 such as one flight's columns, rows and objective terms. ``Model.append``
-copies a fragment's lists after the model's own, shifting its columns by
-the model's column count, which it returns, and adds its objective offset.
-The drop loops of step 3 and the fixed-route baseline build each flight's
-fragment once per stage call and append the active flights' fragments on
-each attempt, instead of rebuilding every flight row by row.
+copies a fragment's arrays and lists after the model's own, shifting its
+columns by the model's column count, which it returns, and adds its
+objective offset. The drop loops of step 3 and the fixed-route baseline
+build each flight's fragment once per stage call and append the active
+flights' fragments on each attempt, instead of rebuilding every flight row
+by row.
 
 HiGHS receives the constraint matrix sparse, column-wise, as the arrays
 ``start``, ``index`` and ``value``; no dense row is ever built. Planner
@@ -97,6 +103,7 @@ import importlib.util
 import math
 import os
 import sys
+from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -195,11 +202,11 @@ class Model:
 
     ``binary`` and ``continuous`` return the new variable's column index;
     its name is a label. ``add`` and ``set_objective`` take ``{column:
-    coefficient}``. Columns and rows go to flat lists, so solving converts
-    lists to arrays instead of walking per-row objects. ``variables`` and
-    ``constraints`` are read-only views built on demand; solving never
-    builds them. ``append`` copies another model, a fragment, in after the
-    model's own columns and rows.
+    coefficient}``. Columns and rows go to flat typed arrays (names, labels
+    and the objective to lists), which solving copies into numpy one block
+    each. ``variables`` and ``constraints`` are read-only views built on
+    demand; solving never builds them. ``append`` copies another model, a
+    fragment, in after the model's own columns and rows.
     """
 
     def __init__(self, name: str = "model", sense: str = "min"):
@@ -208,15 +215,15 @@ class Model:
         self.name = name
         self.sense = sense
         self._names: list[str] = []
-        self._lb: list[float] = []
-        self._ub: list[float] = []
-        self._integrality: list[int] = []
+        self._lb = array("d")
+        self._ub = array("d")
+        self._integrality = array("b")
         # Rows in CSR order: row i holds _indices/_coeffs[_indptr[i]:_indptr[i + 1]].
-        self._indptr: list[int] = [0]
-        self._indices: list[int] = []
-        self._coeffs: list[float] = []
-        self._relations: list[int] = []  # index into _RELATIONS
-        self._rhs: list[float] = []
+        self._indptr = array("q", [0])
+        self._indices = array("q")
+        self._coeffs = array("d")
+        self._relations = array("b")  # index into _RELATIONS
+        self._rhs = array("d")
         self._labels: list[str] = []
         self._objective_columns: list[int] = []
         self._objective_coeffs: list[float] = []
@@ -236,9 +243,9 @@ class Model:
         """Declare one binary per name, in order; returns the first one's column."""
         first = len(self._names)
         self._names += names
-        self._lb += [0.0] * len(names)
-        self._ub += [1.0] * len(names)
-        self._integrality += [1] * len(names)
+        self._lb += array("d", [0.0]) * len(names)
+        self._ub += array("d", [1.0]) * len(names)
+        self._integrality += array("b", [1]) * len(names)
         return first
 
     def continuous(self, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
@@ -255,8 +262,8 @@ class Model:
             raise ValueError(f"constraint {label!r} references a column outside "
                              f"[0, {len(self._names)})")
         rhs = float(rhs)
-        self._indices += coeffs
-        self._coeffs += coeffs.values()
+        self._indices.extend(coeffs)
+        self._coeffs.extend(coeffs.values())
         self._indptr.append(len(self._indices))
         self._relations.append(_RELATIONS.index(relation))
         self._rhs.append(rhs)
@@ -286,11 +293,11 @@ class Model:
             raise ValueError(f"unknown relation {exc.args[0]!r}") from None
         _check_columns(indices, ends, labels, len(self._names))
         base = self._indptr[-1]
-        self._indptr += [base + end for end in ends]
-        self._indices += indices
-        self._coeffs += coeffs
-        self._relations += codes
-        self._rhs += map(float, rhs)
+        self._indptr.fromlist([base + end for end in ends])
+        self._indices.fromlist(list(indices))
+        self._coeffs.fromlist(list(coeffs))
+        self._relations.fromlist(codes)
+        self._rhs.fromlist(list(map(float, rhs)))
         self._labels += labels
 
     def append(self, fragment: Model) -> int:
@@ -310,9 +317,8 @@ class Model:
         self._lb += fragment._lb
         self._ub += fragment._ub
         self._integrality += fragment._integrality
-        base = self._indptr[-1]
-        self._indptr += [base + end for end in indptr[1:]]
-        self._indices += [offset + j for j in indices]
+        self._indptr += _shifted(indptr[1:], self._indptr[-1])
+        self._indices += _shifted(indices, offset)
         self._coeffs += fragment._coeffs
         self._relations += fragment._relations
         self._rhs += fragment._rhs
@@ -364,6 +370,11 @@ class Model:
     def num_nonzeros(self) -> int:
         """Stored coefficients, as added (zero coefficients included)."""
         return self._indptr[-1]
+
+
+def _shifted(columns: array, offset: int) -> array:
+    """A copy of the typed array ``columns`` with ``offset`` added to each."""
+    return array("q", (np.frombuffer(columns, dtype=np.int64) + offset).tobytes())
 
 
 def _check_columns(indices: list[int], ends: list[int], labels: list[str], n: int) -> None:
@@ -498,13 +509,14 @@ def reuse_solves():
 
 def _solve_key(options: dict, c, lb, ub, integrality, matrix, row_lb, row_ub) -> bytes:
     # Hashes the column-wise matrix's start, index and value, then c, lb, ub,
-    # integrality, row_lb and row_ub. ``_arrays`` fixes every dtype, and the
-    # row and column counts in the head fix every length (nnz is start[-1]),
-    # so the concatenated bytes decode one way only.
-    head = repr((sorted(options.items()), len(row_lb), len(c))).encode()
-    return hashlib.blake2b(b"".join(
-        [head, *(array.tobytes() for array in (*matrix, c, lb, ub, integrality, row_lb, row_ub))]
-    )).digest()
+    # integrality, row_lb and row_ub, each array's memory fed in place (the
+    # digest of their concatenated bytes). ``_arrays`` fixes every dtype, and
+    # the row and column counts in the head fix every length (nnz is
+    # start[-1]), so the concatenated bytes decode one way only.
+    digest = hashlib.blake2b(repr((sorted(options.items()), len(row_lb), len(c))).encode())
+    for values in (*matrix, c, lb, ub, integrality, row_lb, row_ub):
+        digest.update(values)
+    return digest.digest()
 
 
 # HiGHS model status -> the status ``run_highs`` returns. Any other model

@@ -11,18 +11,34 @@ while starving every departure slot, which would strand the whole batch.
 Capacity is budgeted jointly. A departure slot at t needs an adjacent
 choice at t+1 and an arrival slot one at t-1: the sum of those choices minus
 the slot is at least zero. On ring sectors an offered run may end only once
-it has lasted the flight's minimum dwell (``blocks.add_dwell_linkage``,
-whose indicator rows take the dwell itself as their constant). Flights that
-end up without a departure or an arrival slot are returned unassigned with
-all choices stripped.
+it has lasted the flight's minimum dwell (``blocks.dwell_linkage``, whose
+indicator rows take the dwell itself as their constant). Flights that end up
+without a departure or an arrival slot are returned unassigned with all
+choices stripped.
+
+The model is built in bulk from per-period tables over (flight, zone
+resource, period step), never cell by cell. Remaining capacity is read once
+per call as a zone resource × step table
+(``OccupancySnapshot.remaining_table``). A flight is offered the cells of
+its window mask that the table shows free, and every offered cell's choice
+column is declared in one ``Model.binaries`` call. The capacity,
+slot-support, dwell and service rows are written with ``Model.add_rows``
+from the same tables, the objective is set from column ranges, and the
+grants are read back with one ``x >= 0.5`` over the choice columns. The
+columns, names, rows, labels and their order are those of a cell-by-cell
+build: choices by flight, then by (resource, timestep); capacity rows by
+cell; each flight's departure, arrival and dwell rows in turn; then the
+service rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
-from .blocks import add_capacity_rows, add_dwell_linkage
+from .blocks import Rows, dwell_linkage
 from .checker import choice_violations
 from .flights import ChoiceSet, FlightRequest
 
@@ -47,18 +63,11 @@ def choice_domains(
     period edges.
     """
     d, a, eps = request.requested_departure, request.requested_arrival, request.flexibility
-    domains: dict[str, range] = {}
-    for rid in sorted(grid.zone):
-        if rid == request.origin:
-            lo = max(d, now)
-            hi = min(d + eps, a + eps - 1, horizon_end - 2)
-        elif rid == request.destination:
-            lo = max(a, now + 1)
-            hi = min(a + eps - 1, horizon_end - 1)
-        else:
-            lo = max(d, now)
-            hi = min(a + eps - 1, horizon_end - 1)
-        domains[rid] = range(lo, hi + 1)
+    # Every other zone resource: from departure to the end of the arrival window.
+    others = range(max(d, now), min(a + eps - 1, horizon_end - 1) + 1)
+    domains = dict.fromkeys(sorted(grid.zone), others)
+    domains[request.origin] = range(max(d, now), min(d + eps, a + eps - 1, horizon_end - 2) + 1)
+    domains[request.destination] = range(max(a, now + 1), min(a + eps - 1, horizon_end - 1) + 1)
     return domains
 
 
@@ -70,6 +79,16 @@ def _validate(grid: AirspaceGrid, requests: list[FlightRequest]) -> None:
         for rid, what in ((request.origin, "origin"), (request.destination, "destination")):
             if grid.resource(rid).kind != "vertiport":
                 raise ValueError(f"{request.flight_id}: {what} {rid} is not a vertiport")
+
+
+def _support_rows(owner: np.ndarray, head: np.ndarray, tails: np.ndarray,
+                  labels: list[str]) -> Rows:
+    """Rows ``sum(tails[k]) - head[k] >= 0``, one per k, with the head first
+    and the tails in order; -1 in ``tails`` is no column."""
+    terms = np.concatenate((head[:, None], tails), axis=1)
+    kept = terms >= 0
+    return Rows(owner, kept.sum(axis=1), terms[kept], np.where(kept.nonzero()[1] == 0, -1.0, 1.0),
+                [">="] * len(head), np.zeros(len(head)), labels)
 
 
 def solve_step1(
@@ -106,81 +125,91 @@ def solve_step1(
     if not modeled:
         return Step1Result(sets, tuple(unassigned), 0.0, tuple(deferred))
 
+    # Tables over (flight, zone resource, period step), zone resources in
+    # sorted order. A flight is offered a cell inside its window that has
+    # room left; ``column`` (below) holds its choice column, -1 where none.
+    zone = sorted(grid.zone)
+    row = {rid: z for z, rid in enumerate(zone)}
+    remaining = snapshot.remaining_table(zone, now, horizon_end)
+    spans = np.array([[(span.start, span.stop) for span in domains[r.flight_id].values()]
+                      for r in modeled])
+    steps = np.arange(now, horizon_end)
+    window = (spans[..., :1] <= steps) & (steps < spans[..., 1:])
+    offered = window & (remaining >= 1)
+
     model = milp.Model(name="choice-setting", sense="max")
 
     # One service unit outweighs every possible grant, so the solve is
     # lexicographic: serve as many flights as possible, then hand out as
     # many choices as possible. Window sizes (not spare capacity) define
     # the weight so it is reproducible from the requests alone.
-    weight = float(1 + sum(
-        len(span) for dom in domains.values() for span in dom.values()
-    ))
+    weight = float(1 + window.sum())
 
-    # Choice variables (columns) by flight, then by (resource, timestep) cell.
-    live: dict[str, dict[tuple[str, int], int]] = {}
-    for request in modeled:
-        fid = request.flight_id
-        cells = live[fid] = {}
-        for rid, span in domains[fid].items():
-            for t in span:
-                if snapshot.remaining(rid, t) >= 1:
-                    cells[(rid, t)] = model.binary(f"c.{fid}.{rid}.{t}")
+    # Choice columns by flight, then by (resource, timestep) cell.
+    cells = [f"{rid}.{t}" for rid in zone for t in range(now, horizon_end)]
+    names: list[str] = []
+    for request, flat in zip(modeled, offered.reshape(len(modeled), -1)):
+        prefix = f"c.{request.flight_id}."
+        names += [prefix + cells[i] for i in np.flatnonzero(flat).tolist()]
+    first_choice = model.binaries(names)
+    column = np.full(offered.shape, -1)
+    column[offered] = first_choice + np.arange(len(names))
 
-    def var(fid: str, rid: str, t: int) -> int | None:
-        return live[fid].get((rid, t))
+    # Joint capacity per zone cell, only where it can actually bind: where
+    # more flights are offered the cell than it has room for. Rows go in
+    # (resource, timestep) order, each with its flights in order.
+    offers = offered.sum(axis=0)
+    crowded = offers > remaining
+    users = column.transpose(1, 2, 0)[crowded]
+    model.add_rows(np.cumsum(offers[crowded]).tolist(), users[users >= 0].tolist(),
+                   [1.0] * int(offers[crowded].sum()), ["<="] * len(users),
+                   remaining[crowded].astype(float).tolist(),
+                   ["cap." + cells[i] for i in np.flatnonzero(crowded).tolist()])
 
-    # Joint capacity per zone cell, only where it can actually bind.
-    usage: dict[tuple[str, int], dict[int, float]] = {}
-    for cells in live.values():
-        for cell, col in cells.items():
-            usage.setdefault(cell, {})[col] = 1.0
-    add_capacity_rows(model, snapshot, usage)
+    # Slot support: a departure slot at t needs an adjacent choice at t+1,
+    # an arrival slot one at t-1 (sum of those choices >= slot). Neighbour
+    # lists are padded with a resource row that offers nothing.
+    flights = np.arange(len(modeled))
+    padded = np.concatenate((column, np.full((len(modeled), 1, len(steps)), -1)), axis=1)
+    widest = max(len(grid.adjacency[rid]) for rid in grid.vertiport_ids)
+    blocks, slot_columns = [], []
+    for side, shift, kind in (("origin", 1, "dep"), ("destination", -1, "arr")):
+        slots = [getattr(request, side) for request in modeled]
+        nbs = np.array([[row[nb] for nb in grid.adjacency[slot]]
+                        + [len(zone)] * (widest - len(grid.adjacency[slot])) for slot in slots])
+        slot_cols = column[flights, [row[slot] for slot in slots]]
+        slot_columns.append(slot_cols)
+        f, p = np.nonzero(slot_cols >= 0)
+        blocks.append(_support_rows(
+            f, slot_cols[f, p], padded[f[:, None], nbs[f], (p + shift)[:, None]],
+            [f"{kind}.{modeled[i].flight_id}.{now + t}" for i, t in zip(f.tolist(), p.tolist())]))
+    # Dwell linkage on ring sectors: an offered step continues while the
+    # trailing window holds fewer than l offered steps.
+    runs = [(f, request, rid) for f, request in enumerate(modeled)
+            for rid, dwell in request.dwell if dwell > 1 and rid in grid.ring]
+    run_flight = np.array([f for f, _, _ in runs], dtype=np.int64)
+    dwell_rows = dwell_linkage(model, [(request, rid) for _, request, rid in runs], now,
+                               column[run_flight, [row[rid] for _, _, rid in runs]],
+                               horizon_end)
+    blocks.append(dwell_rows._replace(owner=run_flight[dwell_rows.owner]))
+    # Each flight's rows in turn: its departure, arrival and dwell rows.
+    Rows.by_owner(blocks).add_to(model)
 
-    for request in modeled:
-        fid = request.flight_id
-        dom = domains[fid]
-        # Slot support: a departure slot at t needs an adjacent choice at
-        # t+1, an arrival slot one at t-1 (sum of those choices >= slot).
-        for slot, step, kind in ((request.origin, 1, "dep"),
-                                 (request.destination, -1, "arr")):
-            for t in dom[slot]:
-                col = var(fid, slot, t)
-                if col is None:
-                    continue
-                coeffs = {col: -1.0}
-                for nb in grid.adjacency[slot]:
-                    nb_col = var(fid, nb, t + step)
-                    if nb_col is not None:
-                        coeffs[nb_col] = coeffs.get(nb_col, 0.0) + 1.0
-                model.add(coeffs, ">=", 0.0, label=f"{kind}.{fid}.{t}")
-        # Dwell linkage on ring sectors: an offered step continues while the
-        # trailing window holds fewer than l offered steps.
-        for rid in sorted(grid.ring):
-            span = dom[rid]
-            add_dwell_linkage(model, live[fid], request, rid, span.start, span.stop - 1,
-                              horizon_end)
+    # Service: y_f needs an offered departure slot and an offered arrival
+    # slot (sum of the side's slot choices >= y_f), one row per side.
+    departures, arrivals = slot_columns
+    served = np.flatnonzero((departures >= 0).any(axis=1) & (arrivals >= 0).any(axis=1))
+    fids = [modeled[f].flight_id for f in served.tolist()]
+    first_y = model.binaries([f"y.{fid}" for fid in fids])
+    sides = np.stack((departures[served], arrivals[served]), axis=1)
+    _support_rows(np.repeat(served, 2), np.repeat(first_y + np.arange(len(fids)), 2),
+                  sides.reshape(2 * len(fids), len(steps)),
+                  [f"{kind}.{fid}" for fid in fids for kind in ("servedep", "servearr")]
+                  ).add_to(model)
 
-    served: dict[str, int] = {}
-    for request in modeled:
-        fid = request.flight_id
-        dom = domains[fid]
-        dep_vars = [n for t in dom[request.origin]
-                    if (n := var(fid, request.origin, t)) is not None]
-        arr_vars = [n for t in dom[request.destination]
-                    if (n := var(fid, request.destination, t)) is not None]
-        if not dep_vars or not arr_vars:
-            continue
-        y = model.binary(f"y.{fid}")
-        served[fid] = y
-        model.add({y: -1.0, **{n: 1.0 for n in dep_vars}}, ">=", 0.0,
-                  label=f"servedep.{fid}")
-        model.add({y: -1.0, **{n: 1.0 for n in arr_vars}}, ">=", 0.0,
-                  label=f"servearr.{fid}")
-
-    obj_coeffs = {col: 1.0 for cells in live.values() for col in cells.values()}
-    for y in served.values():
-        obj_coeffs[y] = weight
-    model.set_objective(obj_coeffs)
+    gains = dict.fromkeys(range(first_choice, first_choice + len(names)), 1.0)
+    gains.update(dict.fromkeys(range(first_y, first_y + len(fids)), weight))
+    model.set_objective(gains)
 
     result = milp.solve(model)
     if result.status == milp.INFEASIBLE:
@@ -195,10 +224,13 @@ def solve_step1(
     # choices, before stripping unassigned flights), which is what the
     # enumeration oracle optimizes too.
     objective = float(result.objective or 0.0)
-    for request in modeled:
+    granted = np.zeros(offered.shape, dtype=bool)
+    granted[offered] = np.array(result.x[first_choice:first_choice + len(names)]) >= 0.5
+    for f, request in enumerate(modeled):
         fid = request.flight_id
-        chosen = frozenset(cell for cell, col in live[fid].items() if result.x[col] >= 0.5)
-        chset = ChoiceSet(fid, request.origin, request.destination, chosen)
+        cell_row, cell_step = np.nonzero(granted[f])
+        chosen = zip([zone[z] for z in cell_row.tolist()], (now + cell_step).tolist())
+        chset = ChoiceSet(fid, request.origin, request.destination, frozenset(chosen))
         if not chset.departure_slots or not chset.arrival_slots:
             unassigned.append(fid)
             chset = chset.emptied()

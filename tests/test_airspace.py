@@ -181,3 +181,18 @@ class TestLedger:
                     assert view.remaining(res.resource_id, t) == want
         assert snap.remaining("r0001", 3) == 2 and overlay.remaining("r0001", 1) == 0
         assert snap.remaining("r0002", 2) == 3 and overlay.remaining("r0002", 2) == 1
+
+    def test_remaining_table_equals_remaining_cell_by_cell(self):
+        # A closed cell (r0001 at t=1) that two plans overfill must clip to 0,
+        # and overrides inside and outside the block must land cell by cell.
+        overrides = (("r0001", 1, 0), ("r0001", 3, 3), ("r0000", 5, 0), ("r0002", 0, 5))
+        grid = make_grid(1, 3, ((0, 0), (0, 2)), vp_capacity=3, overrides=overrides)
+        snap = OccupancyLedger(grid).snapshot().with_plans(
+            [corridor_plan("f0"), corridor_plan("f1"), corridor_plan("f2", 2)])
+        ids = ("r0002", "r0000", "r0001")
+        table = snap.remaining_table(ids, 1, 10)
+        assert table.shape == (3, 9)
+        assert table.tolist() == [[snap.remaining(rid, t) for t in range(1, 10)] for rid in ids]
+        # r0001 at 1: closed, two plans; r0000 at 5: closed; r0001 at 3: 3 - f2.
+        assert table[2, 0] == 0 and table[1, 4] == 0 and table[2, 2] == 2
+        assert snap.remaining_table(ids, 4, 4).shape == (3, 0)

@@ -1,6 +1,7 @@
 """Model container and the HiGHS engine on small known problems."""
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 import sys
@@ -455,6 +456,31 @@ class TestHighsOptions:
         np.testing.assert_array_equal(start, [0, 1, 2, 3])
         np.testing.assert_array_equal(index, [0, 1, 0])
         np.testing.assert_array_equal(value, [1.0, 1.0, 1.0])
+
+
+def input_digest(models: list[Model]) -> str:
+    """One blake2b digest over the models' names, labels and ``milp._arrays``
+    (every array with its dtype and bytes, then the sense's sign)."""
+    digest = hashlib.blake2b(digest_size=16)
+    for model in models:
+        c, lb, ub, integrality, matrix, row_lb, row_ub, sign = milp._arrays(model)
+        for array in (c, lb, ub, integrality, *matrix, row_lb, row_ub):
+            digest.update(array.dtype.str.encode() + array.tobytes())
+        digest.update(repr(sign).encode())
+        for text in ([v.name for v in model.variables], [c.label for c in model.constraints]):
+            digest.update("\n".join(text).encode() + b"\0")
+    return digest.hexdigest()
+
+
+class TestChoiceSettingInput:
+    def test_desk_day_models_are_pinned(self, desk_day_solves):
+        # Every choice-setting model of desk day 0 (fair-coplan and coplan)
+        # hands HiGHS the same input, with the same names and labels, as
+        # when the digest was recorded. A change to how step 1 builds its
+        # model that would move a memo key or a tied optimum fails here.
+        models = [model for model, _, _ in desk_day_solves if model.name == "choice-setting"]
+        assert len(models) == 48
+        assert input_digest(models) == "2975d2d0dcf9e85e8e01c5105f016e4e"
 
 
 def knapsack(names=("x0", "x1", "x2"), offset=0.0) -> Model:
