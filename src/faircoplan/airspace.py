@@ -15,7 +15,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product, repeat
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -128,6 +129,7 @@ class AirspaceGrid:
     ) -> None:
         self.config = config
         self.resources = resources
+        self.resource_ids = tuple(r.resource_id for r in resources)
         self._by_id = {r.resource_id: r for r in resources}
         self.adjacency = adjacency
         self.vertiport_ids = vertiport_ids
@@ -137,6 +139,7 @@ class AirspaceGrid:
         self._base_capacity = base_capacity
         self._overrides = overrides
         self._dist_cache: dict[str, dict[str, int]] = {}
+        self._dist_array_cache: dict[str, np.ndarray] = {}
 
     @property
     def horizon_steps(self) -> int:
@@ -186,6 +189,16 @@ class AirspaceGrid:
                     queue.append(nb)
         self._dist_cache[resource_id] = dist
         return dist
+
+    def hop_distance_array(self, resource_id: str) -> np.ndarray:
+        """``hop_distances`` by position in ``resources``, -1 where a
+        resource cannot be reached; computed once per resource."""
+        cached = self._dist_array_cache.get(resource_id)
+        if cached is None:
+            dist = self.hop_distances(resource_id)
+            cached = np.array([dist.get(rid, -1) for rid in self.resource_ids], dtype=np.int64)
+            self._dist_array_cache[resource_id] = cached
+        return cached
 
 
 def build_grid(config: GridConfig) -> AirspaceGrid:
@@ -277,6 +290,14 @@ class OccupancySnapshot:
         # The snapshot never changes, so each cell's remaining capacity is
         # computed once; model building reads it thousands of times a period.
         self._remaining: dict[tuple[str, int], int] = {}
+        self._free: dict[tuple[int, int], np.ndarray] = {}
+
+    @property
+    def counts(self) -> Mapping[tuple[str, int], int]:
+        """Occupancy by (resource, t) cell, occupied cells only; read-only.
+        Two snapshots of one grid with equal counts have equal remaining
+        capacity everywhere."""
+        return MappingProxyType(self._counts)
 
     def remaining(self, resource_id: str, t: int) -> int:
         key = (resource_id, t)
@@ -294,6 +315,16 @@ class OccupancySnapshot:
         used = np.fromiter(map(self._counts.get, cells, repeat(0)), dtype=np.int64,
                            count=shape[0] * shape[1])
         return _left(self._grid.capacity_table(resource_ids, start, stop), used.reshape(shape))
+
+    def free_table(self, start: int, stop: int) -> np.ndarray:
+        """Which cells have room, for every resource: row i, column j is
+        ``remaining(grid.resources[i].resource_id, start + j) >= 1``. Read
+        through ``remaining_table`` once per block and kept; do not modify it."""
+        table = self._free.get((start, stop))
+        if table is None:
+            table = self.remaining_table(self._grid.resource_ids, start, stop) >= 1
+            self._free[(start, stop)] = table
+        return table
 
     def with_plans(self, plans: Iterable[FlightPlan]) -> OccupancySnapshot:
         """A new snapshot with the given plans' occupancy added on top."""

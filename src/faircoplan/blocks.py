@@ -201,14 +201,14 @@ def cell_domain(
     distance between origin and destination. Every other resource keeps the
     steps inside its reachability cone (reachable from the first departure
     slot, able to reach the last arrival slot); zone cells are further gated
-    by the choice set, en-route cells by remaining capacity. The cones only
-    cut cells no plan can use, so the optimum is unchanged.
+    by the choice set, en-route cells by remaining capacity, read from the
+    snapshot's ``free_table`` for the period. The cones only cut cells no
+    plan can use, so the optimum is unchanged.
     """
     s, e = request.origin, request.destination
     d, a, eps = request.requested_departure, request.requested_arrival, request.flexibility
 
     dist_s = grid.hop_distances(s)
-    dist_e = grid.hop_distances(e)
     if e not in dist_s:
         return None
     sep = dist_s[e]
@@ -234,18 +234,23 @@ def cell_domain(
     last_arr = max(arr_slots)
 
     times: dict[str, tuple[int, ...]] = {s: tuple(dep_slots), e: tuple(arr_slots)}
-    for res in grid.resources:
-        rid = res.resource_id
-        if rid in (s, e) or rid not in dist_s or rid not in dist_e:
-            continue
-        lo = max(now, first_dep + dist_s[rid])
-        hi = min(horizon_end - 1, last_arr - dist_e[rid])
+    # The cone by position in grid.resources: steps lo..hi of each resource
+    # reachable from the origin and able to reach the destination.
+    from_s, to_e = grid.hop_distance_array(s), grid.hop_distance_array(e)
+    lo = np.maximum(now, first_dep + from_s)
+    hi = np.minimum(horizon_end - 1, last_arr - to_e)
+    in_cone = (from_s > 0) & (to_e > 0) & (lo <= hi)
+    free = snapshot.free_table(now, horizon_end)
+    ids = grid.resource_ids
+    for i, first, last in zip(*(np.flatnonzero(in_cone), lo[in_cone], hi[in_cone])):
+        rid = ids[i]
         if grid.is_zone(rid):
-            cells = [t for t in choices.times.get(rid, ()) if lo <= t <= hi]
+            cells = tuple(t for t in choices.times.get(rid, ()) if first <= t <= last)
         else:
-            cells = [t for t in range(lo, hi + 1) if snapshot.remaining(rid, t) >= 1]
+            cells = tuple((np.flatnonzero(free[i, first - now:last - now + 1])
+                           + first).tolist())
         if cells:
-            times[rid] = tuple(cells)
+            times[rid] = cells
     return CellDomain(times, tuple(dep_slots), tuple(arr_slots))
 
 

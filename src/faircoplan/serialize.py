@@ -193,7 +193,9 @@ def write_campaign(out_dir: str | Path, campaign: CampaignResult) -> Path:
           summary.json      campaign metrics (derived from records)
           days.csv          per-day aggregates
           timing.csv        wall time of each period's stage calls (build,
-                            solve, re-check); excluded from reproducibility
+                            solve, re-check); a period whose steps 1-2
+                            came from the other negotiated lane has no
+                            step1/step2 cell; excluded from reproducibility
           <mode>/periods.jsonl
     """
     out = Path(out_dir)

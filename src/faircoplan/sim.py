@@ -9,8 +9,10 @@ next period with shifted windows. Demand depends only on (seed, day, period),
 never on the mode, so runs across modes are paired by construction.
 
 A campaign runs day-major: all modes of a day, then the next day. Within a
-day identical MILPs are solved once (see ``run_campaign``); the memo is
-dropped when the day ends, so memory stays bounded by one day's solves.
+day identical MILPs are solved once, and the two negotiated lanes plan
+steps 1-2 of a period once while their inputs are equal (see
+``run_campaign``); both stores are dropped when the day ends, so memory
+stays bounded by one day's solves.
 
 Metrics are pure functions of the serializable period records; anything
 wall-clock lives in separate timing rows so that repeated runs stay
@@ -35,8 +37,8 @@ from .airspace import (
 from .baseline import fixed_route, leg_dwells, solve_tfmp
 from .checker import detect_conflicts
 from .flights import DelayCostParams, FlightPlan, FlightRequest
-from .step1 import solve_step1
-from .step2 import solve_step2
+from .step1 import Step1Result, solve_step1
+from .step2 import Step2Result, solve_step2
 from .step3 import solve_step3
 
 __all__ = [
@@ -44,6 +46,7 @@ __all__ = [
     "CampaignResult",
     "PeriodResult",
     "ScenarioConfig",
+    "SharedSteps",
     "campaign_summary",
     "day_rows",
     "generate_demand",
@@ -232,6 +235,28 @@ class PeriodResult:
         return row
 
 
+@dataclass(frozen=True)
+class SharedSteps:
+    """Steps 1-2 of one period as the first negotiated lane planned them,
+    with the inputs they depend on: the snapshot's occupancy counts, the
+    batch in order, ``now`` and the delay-cost parameters. Neither step
+    reads γ, so a lane whose inputs equal these takes the results as they
+    are. Readers must not modify them."""
+
+    counts: dict[tuple[str, int], int]
+    batch: tuple[FlightRequest, ...]
+    now: int
+    params: DelayCostParams
+    step1: Step1Result
+    step2: dict[str, Step2Result]
+
+    def matches(self, counts: Mapping[tuple[str, int], int],
+                batch: tuple[FlightRequest, ...], now: int,
+                params: DelayCostParams) -> bool:
+        return (self.now == now and self.params == params and self.batch == batch
+                and self.counts == counts)
+
+
 def _timed(stage, *args):
     """``stage(*args)`` and its wall time: model build, solve and re-check,
     the one definition of a stage's time in ``timing.csv``."""
@@ -251,8 +276,17 @@ def run_period(
     period: int,
     now: int,
     cadence_steps: int = 1,
+    *,
+    share: dict[int, SharedSteps] | None = None,
 ) -> PeriodResult:
-    """Plan one period's batch, file what fits, and shift the rest forward."""
+    """Plan one period's batch, file what fits, and shift the rest forward.
+
+    ``share`` holds steps 1-2 by period for the two negotiated lanes of one
+    day (see ``run_campaign``). A negotiated lane whose inputs equal the
+    period's entry there takes its steps 1-2 and leaves their stage times
+    out; one that finds no entry stores its own. None, the default, means
+    compute everything and store nothing.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     by_id = {req.flight_id: req for req in requests}
@@ -283,25 +317,31 @@ def run_period(
         deferred = base.deferred
         dropped = base.dropped
     else:
-        s1, stage_times["step1"] = _timed(
-            solve_step1, grid, snapshot, list(requests), now)
+        batch = tuple(requests)
+        shared = None if share is None else share.get(period)
+        if shared is not None and shared.matches(snapshot.counts, batch, now, params):
+            s1, outcomes = shared.step1, shared.step2
+        else:
+            s1, stage_times["step1"] = _timed(
+                solve_step1, grid, snapshot, list(requests), now)
+            outcomes: dict[str, Step2Result] = {}
+            s2_total = 0.0
+            for fid in ordered:
+                if fid in s1.unassigned:
+                    continue
+                outcomes[fid], took = _timed(solve_step2, grid, snapshot, by_id[fid],
+                                             s1.choice_sets[fid], params, now)
+                s2_total += took
+                step2_max = max(step2_max, took)
+            stage_times["step2"] = s2_total
+            if share is not None and period not in share:
+                share[period] = SharedSteps(dict(snapshot.counts), batch, now, params,
+                                            s1, outcomes)
         unassigned = tuple(sorted(s1.unassigned))
         deferred = tuple(sorted(s1.deferred))
-
-        proposals: dict[str, FlightPlan] = {}
-        s2_total = 0.0
-        for fid in ordered:
-            if fid in unassigned:
-                continue
-            outcome, took = _timed(solve_step2, grid, snapshot, by_id[fid],
-                                   s1.choice_sets[fid], params, now)
-            s2_total += took
-            step2_max = max(step2_max, took)
-            if outcome.plan is None:
-                infeasible.append(fid)
-            else:
-                proposals[fid] = outcome.plan
-        stage_times["step2"] = s2_total
+        infeasible = [fid for fid, outcome in outcomes.items() if outcome.plan is None]
+        proposals = {fid: outcome.plan for fid, outcome in outcomes.items()
+                     if outcome.plan is not None}
 
         if proposals:
             s3, stage_times["step3"] = _timed(
@@ -347,8 +387,14 @@ def run_day(
     config: ScenarioConfig,
     day: int,
     mode: str,
+    *,
+    share: dict[int, SharedSteps] | None = None,
 ) -> tuple[PeriodResult, ...]:
-    """One day on a fresh flight database; carryovers chain between periods."""
+    """One day on a fresh flight database; carryovers chain between periods.
+
+    ``share`` is passed on to each ``run_period`` call; None, the default,
+    shares nothing.
+    """
     gamma = config.gamma if mode == "fair-coplan" else 0.0
     params = config.params()
     ledger = OccupancyLedger(grid)
@@ -359,7 +405,7 @@ def run_day(
         batch = list(pending) + list(generate_demand(grid, config, day, period))
         result = run_period(
             grid, ledger, batch, mode, params, gamma, day, period, now,
-            config.cadence_steps,
+            config.cadence_steps, share=share,
         )
         periods.append(result)
         pending = list(result.carryover)
@@ -392,22 +438,32 @@ def run_campaign(
     """Run every requested mode over the same days of identical demand.
 
     The campaign runs day by day: each day runs every mode in turn under one
-    ``milp.reuse_solves()`` context, which ends with the day. Step 1 never
-    sees γ, so until the lanes' ledgers diverge the coplan lane builds
-    exactly the choice-setting MILPs the fair-coplan lane has just solved,
-    and HiGHS solves each of them once. (Step 2 is a search and builds no
-    MILP.) The results are still gathered per mode in day order, so they
-    equal ``run_day`` per mode without the memo.
+    ``milp.reuse_solves()`` context, which ends with the day. Fair-coplan
+    and coplan differ only in step 3's γ; steps 1-2 never read γ. So when
+    both are in ``modes``, each day also opens one share, a dict of
+    ``SharedSteps`` by period: the negotiated lane that plans a period
+    first stores the snapshot's occupancy counts, the batch in order, and
+    its step-1 and step-2 results. The other lane takes them without
+    calling either step in every period whose counts, batch, ``now`` and
+    delay-cost parameters equal the stored ones: every day's first period,
+    and any later one until the lanes' ledgers or carryovers diverge. It
+    still runs its own step 3, audit and filing. Where the inputs differ,
+    the memo still solves each identical MILP once. The share is dropped
+    with the day, and the tfmp lane never reads it. The results are
+    gathered per mode in day order, so they equal ``run_day`` per mode
+    without the memo or the share.
     """
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     grid = scenario_grid(config)
     rows: dict[str, list[PeriodResult]] = {mode: [] for mode in modes}
+    both_negotiated = {"fair-coplan", "coplan"} <= set(modes)
     for day in range(config.days):
+        share = {} if both_negotiated else None
         with milp.reuse_solves():
             for mode in rows:
-                rows[mode].extend(run_day(grid, config, day, mode))
+                rows[mode].extend(run_day(grid, config, day, mode, share=share))
     return CampaignResult(
         config=config, periods={mode: tuple(results) for mode, results in rows.items()})
 

@@ -3,9 +3,14 @@ no larger than the instance's longest minimum dwell, so no horizon-sized
 Big-M reaches HiGHS."""
 from __future__ import annotations
 
+from itertools import product
+
+import pytest
+
 from faircoplan import milp
 from faircoplan.airspace import OccupancyLedger
-from faircoplan.flights import DelayCostParams
+from faircoplan.blocks import cell_domain
+from faircoplan.flights import ChoiceSet, DelayCostParams, FlightPlan
 from faircoplan.step1 import solve_step1
 from faircoplan.step2 import solve_step2
 from faircoplan.step3 import solve_step3
@@ -50,3 +55,65 @@ def test_no_row_coefficient_exceeds_the_longest_dwell(monkeypatch):
         assert {abs(c) for con in dwell_rows for _, c in con.coeffs} >= {2.0, 3.0}
         largest = max(abs(c) for con in model.constraints for _, c in con.coeffs)
         assert largest <= longest, model.name
+
+
+def reference_cell_domain_times(grid, snapshot, request, choices, now, horizon_end,
+                                first_dep, last_arr):
+    """The cone's cells past the end slots, resource by resource in grid
+    order, each en-route cell read through ``remaining`` alone."""
+    dist_s = grid.hop_distances(request.origin)
+    dist_e = grid.hop_distances(request.destination)
+    times = {}
+    for res in grid.resources:
+        rid = res.resource_id
+        if rid in (request.origin, request.destination):
+            continue
+        lo = max(now, first_dep + dist_s[rid])
+        hi = min(horizon_end - 1, last_arr - dist_e[rid])
+        if grid.is_zone(rid):
+            cells = [t for t in choices.times.get(rid, ()) if lo <= t <= hi]
+        else:
+            cells = [t for t in range(lo, hi + 1) if snapshot.remaining(rid, t) >= 1]
+        if cells:
+            times[rid] = tuple(cells)
+    return times
+
+
+@pytest.mark.parametrize("now", [0, 2])
+def test_cell_domain_equals_a_cell_by_cell_reference(now):
+    # En-route cells r0005, r0006, r0009 and r0010 carry overrides that
+    # close and widen them, and two plans overfill r0006 at t=4 (capacity
+    # 1), which must read as full, not as negative room.
+    overrides = (("r0005", 4, 0), ("r0006", 3, 2), ("r0009", 5, 0), ("r0010", 6, 0),
+                 ("r0010", 30, 0))
+    grid = make_grid(4, 4, ((0, 0), (3, 3)), horizon=10, overrides=overrides)
+    snap = OccupancyLedger(grid).snapshot().with_plans([
+        FlightPlan("a", ((4, "r0006"),)), FlightPlan("b", ((4, "r0006"),)),
+        FlightPlan("c", ((5, "r0010"),)),
+    ])
+    horizon_end = now + grid.horizon_steps
+    compared = 0
+    offered = frozenset((rid, t) for rid in grid.zone
+                        for t in range(now, horizon_end) if (t + int(rid[1:])) % 5)
+    # One departure and one arrival slot, at the shortest trip's ends,
+    # leave cones one step wide on the shortest routes.
+    for origin, destination in (("r0000", "r0015"), ("r0015", "r0000")):
+        for depart, exact in product(range(now, now + 3), (False, True)):
+            request = make_request(grid, "f0", origin, destination, depart,
+                                   flexibility=0 if exact else 3)
+            granted = offered
+            if exact:
+                granted = {(rid, t) for rid, t in offered if rid != destination} | {
+                    (origin, depart), (destination, request.requested_arrival)}
+            choices = ChoiceSet("f0", origin, destination, granted)
+            domain = cell_domain(grid, snap, request, choices, now, horizon_end)
+            if domain is None:
+                continue
+            want = {origin: domain.departure_slots, destination: domain.arrival_slots,
+                    **reference_cell_domain_times(
+                        grid, snap, request, choices, now, horizon_end,
+                        domain.departure_slots[0], domain.arrival_slots[-1])}
+            assert list(domain.times.items()) == list(want.items())
+            assert all(type(t) is int for cells in domain.times.values() for t in cells)
+            compared += len(domain.times)
+    assert compared > 40

@@ -457,6 +457,33 @@ class TestHighsOptions:
         np.testing.assert_array_equal(index, [0, 1, 0])
         np.testing.assert_array_equal(value, [1.0, 1.0, 1.0])
 
+    def test_hand_off_gives_highs_the_arrays_unchanged(self, desk_day_solves, monkeypatch):
+        # run_highs passes _arrays' output to passModel's array overload;
+        # what HiGHS then holds must be that output, value for value.
+        held = []
+
+        class Recording(milp.highs._Highs):
+            def run(self):
+                held.append(self.getLp())
+                return super().run()
+
+        monkeypatch.setattr(milp.highs, "_Highs", Recording)
+        for _, arrays, _ in desk_day_solves:
+            c, lb, ub, integrality, matrix, row_lb, row_ub, _ = arrays
+            milp.run_highs(c, lb, ub, integrality, matrix, row_lb, row_ub)
+            lp = held.pop()
+            assert (lp.num_col_, lp.num_row_) == (len(c), len(row_lb))
+            assert (lp.sense_, lp.offset_) == (milp.highs.ObjSense.kMinimize, 0.0)
+            assert lp.a_matrix_.format_ == milp.highs.MatrixFormat.kColwise
+            for got, want in ((lp.col_cost_, c), (lp.col_lower_, lb), (lp.col_upper_, ub),
+                              (lp.row_lower_, row_lb), (lp.row_upper_, row_ub),
+                              (lp.a_matrix_.start_, matrix[0]),
+                              (lp.a_matrix_.index_, matrix[1]),
+                              (lp.a_matrix_.value_, matrix[2])):
+                np.testing.assert_array_equal(np.asarray(got), want)
+            assert [int(flag) for flag in lp.integrality_] == integrality.tolist()
+        assert len(desk_day_solves) > 100 and not held
+
 
 def input_digest(models: list[Model]) -> str:
     """One blake2b digest over the models' names, labels and ``milp._arrays``

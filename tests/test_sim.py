@@ -1,8 +1,11 @@
 """Rolling-horizon simulation: demand, period bookkeeping, summaries."""
 from __future__ import annotations
 
+import copy
 import re
 import time
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +20,7 @@ from faircoplan.airspace import (
 )
 from faircoplan.baseline import fixed_route
 from faircoplan.flights import DelayCostParams, FlightPlan
+from faircoplan.serialize import load_scenario
 from faircoplan.sim import (
     MODES,
     ScenarioConfig,
@@ -30,6 +34,8 @@ from faircoplan.sim import (
 )
 
 from helpers import make_grid, make_request
+
+DESK = Path(__file__).resolve().parent.parent / "configs" / "desk8x8.yaml"
 
 
 def corridor_config(**over):
@@ -365,6 +371,155 @@ class TestCampaignReuse:
         coplan_alone = highs_calls(("coplan",))
         coplan_after_fair = highs_calls(("fair-coplan", "coplan")) - fair
         assert 0 <= coplan_after_fair < coplan_alone
+
+
+def spy_on_steps(monkeypatch) -> list[dict]:
+    """Records each ``sim.run_period`` call: its (mode, day, period), the
+    ledger's counts and the batch at entry, and how often it called
+    ``solve_step1`` and ``solve_step2``."""
+    calls: list[dict] = []
+    real_run_period = sim.run_period
+
+    def run_period(grid, ledger, requests, mode, params, gamma, day, period, *args, **kwargs):
+        calls.append({"key": (mode, day, period), "counts": dict(ledger.snapshot().counts),
+                      "batch": tuple(requests), "step1": 0, "step2": 0})
+        return real_run_period(grid, ledger, requests, mode, params, gamma, day, period,
+                               *args, **kwargs)
+
+    def counted(step):
+        real = getattr(sim, step)
+
+        def spy(*args):
+            calls[-1][step[6:]] += 1
+            return real(*args)
+        return spy
+
+    monkeypatch.setattr(sim, "run_period", run_period)
+    for step in ("solve_step1", "solve_step2"):
+        monkeypatch.setattr(sim, step, counted(step))
+    return calls
+
+
+class TestSharedSteps:
+    # Fair-coplan and coplan differ only in step 3's γ, so within one
+    # campaign day the lane that plans a period second takes steps 1-2
+    # from the first wherever their occupancy, batch, now and params agree.
+    @staticmethod
+    def desk_config():
+        # Day 0 shares period 0 only; day 1 shares periods 0-4.
+        return replace(load_scenario(DESK), days=2, periods_per_day=5)
+
+    @staticmethod
+    def one_period(mode, share, ledger=None, requests=None):
+        grid = make_grid(1, 3, ((0, 0), (0, 2)))
+        if requests is None:
+            requests = [make_request(grid, f"f{i}", "r0000", "r0002", 1) for i in range(2)]
+        return sim.run_period(grid, ledger or OccupancyLedger(grid), requests, mode,
+                              DelayCostParams(0.3), 1.0 if mode == "fair-coplan" else 0.0,
+                              day=0, period=0, now=0, share=share)
+
+    @pytest.mark.parametrize("first, second", [("fair-coplan", "coplan"),
+                                               ("coplan", "fair-coplan")])
+    def test_second_lane_runs_steps_1_2_only_where_inputs_differ(self, monkeypatch,
+                                                                 first, second):
+        calls = spy_on_steps(monkeypatch)
+        config = self.desk_config()
+        run_campaign(config, modes=(first, "tfmp", second))
+        by_key = {call["key"]: call for call in calls}
+        shared = differing = 0
+        for day in range(config.days):
+            for period in range(config.periods_per_day):
+                lead, late = by_key[(first, day, period)], by_key[(second, day, period)]
+                assert lead["step1"] == (1 if lead["batch"] else 0)
+                if (late["counts"], late["batch"]) == (lead["counts"], lead["batch"]):
+                    assert late["step1"] == late["step2"] == 0
+                    shared += bool(late["batch"])
+                else:
+                    assert late["step1"] == (1 if late["batch"] else 0)
+                    differing += bool(late["batch"])
+        assert shared >= 3 and differing >= 2
+
+    def test_records_equal_each_lane_run_alone(self):
+        config = self.desk_config()
+        grid = scenario_grid(config)
+        records = run_campaign(config).records()
+        assert records == {mode: [p.to_dict() for day in range(config.days)
+                                  for p in run_day(grid, config, day, mode)]
+                           for mode in MODES}
+
+    def test_shared_period_times_only_its_own_stages(self):
+        share = {}
+        first = self.one_period("fair-coplan", share)
+        second = self.one_period("coplan", share)
+        assert set(first.stage_times) == {"step1", "step2", "step3"}
+        assert set(second.stage_times) == {"step3"} and second.step2_max_time == 0.0
+        assert second.filed == first.filed != {}
+
+    def test_one_differing_occupancy_count_is_not_shared(self, monkeypatch):
+        calls = spy_on_steps(monkeypatch)
+        share = {}
+        self.one_period("fair-coplan", share)
+        grid = make_grid(1, 3, ((0, 0), (0, 2)))
+        ledger = OccupancyLedger(grid)
+        ledger.file_plan(FlightPlan("x", ((7, "r0002"),)))
+        self.one_period("coplan", share, ledger=ledger)
+        self.one_period("coplan", share)
+        assert [(call["step1"], call["step2"]) for call in calls] == [(1, 2), (1, 2), (0, 0)]
+
+    def test_one_differing_resubmission_count_is_not_shared(self, monkeypatch):
+        calls = spy_on_steps(monkeypatch)
+        share = {}
+        self.one_period("fair-coplan", share)
+        grid = make_grid(1, 3, ((0, 0), (0, 2)))
+        requests = [make_request(grid, "f0", "r0000", "r0002", 1),
+                    make_request(grid, "f1", "r0000", "r0002", 1, resubmissions=1)]
+        self.one_period("coplan", share, requests=requests)
+        assert [(call["step1"], call["step2"]) for call in calls] == [(1, 2), (1, 2)]
+
+    @pytest.mark.parametrize("modes, shared", [
+        (MODES, True), (("coplan", "fair-coplan"), True),
+        (("fair-coplan", "tfmp"), False), (("coplan",), False), (("tfmp",), False),
+    ])
+    def test_a_day_shares_only_between_both_negotiated_lanes(self, monkeypatch, modes,
+                                                             shared):
+        shares = []
+        real_run_day = sim.run_day
+
+        def run_day(grid, config, day, mode, **kwargs):
+            shares.append((day, kwargs["share"]))
+            return real_run_day(grid, config, day, mode, **kwargs)
+
+        monkeypatch.setattr(sim, "run_day", run_day)
+        run_campaign(corridor_config(days=2, periods_per_day=2), modes=modes)
+        assert [day for day, _ in shares] == [0] * len(modes) + [1] * len(modes)
+        if not shared:
+            assert all(share is None for _, share in shares)
+            return
+        # One dict per day, the same for every lane of that day.
+        per_day = {day: {id(share) for d, share in shares if d == day} for day in (0, 1)}
+        assert all(len(ids) == 1 for ids in per_day.values())
+        assert per_day[0] != per_day[1]
+        assert all(isinstance(share, dict) for _, share in shares)
+
+    def test_stored_entry_is_left_as_it_was_by_the_reading_lane(self, monkeypatch):
+        calls = spy_on_steps(monkeypatch)
+        share = {}
+        self.one_period("fair-coplan", share)
+        stored = copy.deepcopy(share)
+        self.one_period("coplan", share)
+        assert [call["step1"] for call in calls] == [1, 0]
+        assert share == stored and list(share) == [0]
+
+    def test_direct_calls_share_nothing(self, monkeypatch):
+        calls = spy_on_steps(monkeypatch)
+        self.one_period("fair-coplan", None)
+        self.one_period("coplan", None)
+        config = corridor_config(periods_per_day=2)
+        grid = scenario_grid(config)
+        for mode in ("fair-coplan", "coplan"):
+            run_day(grid, config, 0, mode)
+        assert all(call["step1"] == 1 for call in calls if call["batch"])
+        assert len([call for call in calls if call["batch"]]) >= 4
 
 
 class TestSummaries:
