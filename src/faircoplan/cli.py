@@ -4,7 +4,10 @@
 modes on identical demand, ``report`` recomputes the metrics from stored
 period records and cross-checks the stored summary, and ``oracle-check``
 replays the brute-force validation suite. Exit code 0 means success, 2 means
-a verification failed (mismatched report, failed oracle case).
+a verification failed (mismatched report, failed oracle case) or, for
+``simulate`` and ``compare``, the scenario is invalid: a ``ConfigError``
+from the scenario file or an override prints one ``error: ...`` line on
+stderr, with argparse's usage-error code.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ import sys
 import time
 from pathlib import Path
 
+from .airspace import ConfigError
 from .selfcheck import run_selfcheck
 from .serialize import (
     load_scenario,
@@ -37,6 +41,8 @@ def _add_shared_run_args(parser: argparse.ArgumentParser) -> None:
                         help="override demand per hub per hour")
     parser.add_argument("--days", type=int, default=None,
                         help="override the number of days")
+    parser.add_argument("--periods", type=int, default=None,
+                        help="override the planning periods per day")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the demand seed")
 
@@ -81,6 +87,8 @@ def _configure(args: argparse.Namespace):
         overrides["demand_per_hub_per_hour"] = args.demand
     if args.days is not None:
         overrides["days"] = args.days
+    if args.periods is not None:
+        overrides["periods_per_day"] = args.periods
     if args.seed is not None:
         overrides["seed"] = args.seed
     if overrides:
@@ -89,9 +97,14 @@ def _configure(args: argparse.Namespace):
 
 
 def _run(args: argparse.Namespace, modes: tuple[str, ...]) -> int:
-    config = _configure(args)
-    started = time.perf_counter()
-    campaign = run_campaign(config, modes)
+    try:
+        config = _configure(args)
+        started = time.perf_counter()
+        # The grid is built, and checked, as the campaign starts.
+        campaign = run_campaign(config, modes)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = write_campaign(args.out, campaign)
     elapsed = time.perf_counter() - started
     # The summary just written, read back rather than built a second time.

@@ -1,17 +1,21 @@
 """Fixed-route baseline: deterministic routes, timing-only schedules."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
-from faircoplan import baseline, milp
+from faircoplan import baseline, milp, sim
 from faircoplan.airspace import OccupancyLedger, OccupancySnapshot
 from faircoplan.baseline import FixedRoute, fixed_route, solve_tfmp
 from faircoplan.flights import DelayCostParams, FlightPlan
 from faircoplan.oracle import oracle_tfmp_optimum
+from faircoplan.serialize import load_scenario
 
 from helpers import assert_same_model, make_grid, make_request
 
 PARAMS = DelayCostParams(alpha=0.3)
+DESK = Path(__file__).resolve().parent.parent / "configs" / "desk8x8.yaml"
 
 
 class TestFixedRoute:
@@ -250,3 +254,23 @@ class TestVictimDrops:
         assert out.dropped == ("f2",)
         assert sorted(out.plans) == ["f0", "f1"]
         assert out.total_tdc == pytest.approx(1.0)
+
+
+class TestRelaxationFirst:
+    def test_only_fixed_route_models_are_solved_from_their_relaxation(self, monkeypatch):
+        # The fixed-route formulation's relaxation is tight; the negotiated
+        # lanes' models go to HiGHS as MILPs, as they always have.
+        flags: dict[str, set[bool]] = {}
+        real_solve = milp.solve
+
+        def spy(model):
+            flags.setdefault(model.name, set()).add(model.relaxation_first)
+            return real_solve(model)
+
+        monkeypatch.setattr(milp, "solve", spy)
+        config = load_scenario(DESK)
+        grid = sim.scenario_grid(config)
+        for mode in sim.MODES:
+            sim.run_day(grid, config, 0, mode)
+        assert flags == {"fixed-route-schedule": {True}, "choice-setting": {False},
+                         "deconfliction": {False}}

@@ -88,6 +88,39 @@ class TestCompare:
             assert f"mean_tdc={stats['mean_tdc']} " in stdout
 
 
+class TestOverrides:
+    def test_periods_sets_the_periods_per_day(self, scenario_path, tmp_path):
+        out = tmp_path / "cmp"
+        assert run_cli(["compare", "--config", str(scenario_path),
+                        "--out", str(out), "--days", "2", "--periods", "1"]) == 0
+        assert load_scenario(out / "scenario.yaml").periods_per_day == 1
+        for mode in ("fair-coplan", "coplan", "tfmp"):
+            lines = (out / mode / "periods.jsonl").read_text().splitlines()
+            assert [(json.loads(line)["day"], json.loads(line)["period"])
+                    for line in lines] == [(0, 0), (1, 0)]
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("flag", ["--days", "--periods"])
+    def test_invalid_override_is_one_error_line(self, scenario_path, tmp_path,
+                                                capsys, command, flag):
+        out = tmp_path / "run"
+        assert run_cli([command, "--config", str(scenario_path),
+                        "--out", str(out), flag, "0"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: days, periods_per_day and cadence_steps must be >= 1\n")
+        assert not out.exists()
+
+    def test_invalid_scenario_file_exits_2_without_a_traceback(self, scenario_path,
+                                                              tmp_path):
+        with scenario_path.open("a", encoding="utf-8") as handle:
+            handle.write("bogus: 1\n")
+        done = run_python("-m", "faircoplan", "simulate", "--config", str(scenario_path),
+                          "--out", str(tmp_path / "run"))
+        assert done.returncode == 2
+        assert done.stderr == "error: unknown scenario keys: bogus\n"
+        assert done.stdout == ""
+
+
 class TestReport:
     @pytest.fixture()
     def campaign_dir(self, scenario_path, tmp_path):

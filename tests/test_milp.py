@@ -338,7 +338,7 @@ def scipy_milp(arrays, options):
 def desk_day_solves() -> list[tuple]:
     """``(model, milp._arrays(model), result)`` for every model solved on
     desk day 0, in all three lanes: 48 choice-setting, 7 deconfliction and
-    57 fixed-route models."""
+    54 fixed-route models."""
     solved = []
     real_solve = milp.solve
 
@@ -593,6 +593,112 @@ class TestSolveMemo:
             solve(knapsack())
         assert len(highs_calls) == 3
         assert milp._MEMO.get() is None
+
+
+def fractional_pair(relaxation_first=True) -> Model:
+    """max x0 + x1 with 2 x0 + 2 x1 <= 3: the relaxation's optimum is 1.5,
+    at a fractional point, and the MILP's is 1."""
+    model = Model(name="fractional", sense="max", relaxation_first=relaxation_first)
+    x0, x1 = model.binary("x0"), model.binary("x1")
+    model.add({x0: 2.0, x1: 2.0}, "<=", 3.0)
+    model.set_objective({x0: 1.0, x1: 1.0})
+    return model
+
+
+class TestRelaxationFirst:
+    @pytest.fixture()
+    def highs_calls(self, monkeypatch):
+        """The integrality flags of every ``run_highs`` call, in order."""
+        calls = []
+        real_run_highs = milp.run_highs
+
+        def spy(c, lb, ub, integrality, *args):
+            calls.append(integrality.tolist())
+            return real_run_highs(c, lb, ub, integrality, *args)
+
+        monkeypatch.setattr(milp, "run_highs", spy)
+        return calls
+
+    def test_integral_relaxation_is_the_optimum_in_one_call(self, highs_calls):
+        # The relaxation's unique optimum is x1 = 1, y = 0.5; y is continuous,
+        # so its fractional value does not send the solve on to the MILP.
+        model = Model(name="integral", sense="max", relaxation_first=True)
+        x0, x1 = model.binary("x0"), model.binary("x1")
+        y = model.continuous("y", ub=0.5)
+        model.add({x0: 1.0, x1: 1.0}, "<=", 1.0)
+        model.set_objective({x0: 1.0, x1: 2.0, y: 1.0}, offset=0.25)
+        result = solve(model)
+        assert highs_calls == [[0, 0, 0]]
+        assert (result.status, result.x) == (milp.OPTIMAL, [0.0, 1.0, 0.5])
+        assert result.objective == pytest.approx(2.75)
+        assert "LP relaxation" in result.detail
+
+    def test_fractional_relaxation_falls_back_to_the_milp(self, highs_calls):
+        result = solve(fractional_pair())
+        assert highs_calls == [[0, 0], [1, 1]]
+        assert result.status == milp.OPTIMAL
+        assert sorted(result.x) == [0.0, 1.0]
+        assert result.objective == pytest.approx(1.0)
+        assert result.detail == ""
+
+    def test_infeasible_relaxation_is_infeasible_in_one_call(self, highs_calls):
+        model = Model(name="bad", sense="min", relaxation_first=True)
+        x0, x1 = model.binary("x0"), model.binary("x1")
+        model.add({x0: 1.0, x1: 1.0}, ">=", 3.0)
+        model.set_objective({x0: 1.0})
+        result = solve(model)
+        assert highs_calls == [[0, 0]]
+        assert result.status == milp.INFEASIBLE
+        assert "LP relaxation" in result.detail
+
+    def test_relaxation_point_is_rechecked_by_substitution(self, monkeypatch):
+        calls = []
+
+        def liar(c, lb, ub, integrality, *args):
+            calls.append(integrality.tolist())
+            return 0, np.ones(len(c)), "Optimal"
+
+        monkeypatch.setattr(milp, "run_highs", liar)
+        result = solve(fractional_pair())
+        assert calls == [[0, 0]]
+        assert result.status == milp.ERROR
+        assert "infeasible point" in result.detail
+
+    def test_unflagged_model_never_runs_the_relaxation(self, highs_calls):
+        result = solve(fractional_pair(relaxation_first=False))
+        assert highs_calls == [[1, 1]]
+        assert result.objective == pytest.approx(1.0)
+
+    def test_relaxation_is_memoized_under_its_own_key(self, highs_calls):
+        with reuse_solves():
+            first = solve(fractional_pair())
+            again = solve(fractional_pair())
+            plain = solve(fractional_pair(relaxation_first=False))
+        # The relaxation and the MILP once each; the unflagged solve is the
+        # MILP's hit.
+        assert highs_calls == [[0, 0], [1, 1]]
+        assert first.x == again.x == plain.x
+
+    def test_desk_day_fixed_route_models_as_the_milp_solves_them(self, desk_day_solves):
+        # Every fixed-route model of desk day 0 was solved relaxation-first;
+        # solved as a plain MILP it has the same status and optimum.
+        fixed_route = [(model, result) for model, _, result in desk_day_solves
+                       if model.name == "fixed-route-schedule"]
+        assert len(fixed_route) == 54
+        for model, result in fixed_route:
+            assert model.relaxation_first
+            model.relaxation_first = False
+            try:
+                plain = solve(model)
+            finally:
+                model.relaxation_first = True
+            assert "LP relaxation" not in plain.detail
+            assert plain.status == result.status
+            if plain.status == milp.OPTIMAL:
+                assert result.objective == pytest.approx(plain.objective, abs=1e-9)
+        verdicts = {(result.status, "LP relaxation" in result.detail)
+                    for _, result in fixed_route}
+        assert {(milp.OPTIMAL, True), (milp.INFEASIBLE, True)} <= verdicts
 
 
 def columns_by_label(model: Model) -> dict[str, int]:
