@@ -49,7 +49,6 @@ class PresenceBlock:
     request: FlightRequest
     fragment: milp.Model
     vars: dict[tuple[str, int], int]
-    departure_slots: tuple[int, ...]
     arrival_slots: tuple[int, ...]
 
 
@@ -368,7 +367,6 @@ def presence_block(
         request=request,
         fragment=fragment,
         vars=uvars,
-        departure_slots=dep_slots,
         arrival_slots=arr_slots,
     )
 

@@ -4,10 +4,11 @@
 modes on identical demand, ``report`` recomputes the metrics from stored
 period records and cross-checks the stored summary, and ``oracle-check``
 replays the brute-force validation suite. Exit code 0 means success, 2 means
-a verification failed (mismatched report, failed oracle case) or, for
-``simulate`` and ``compare``, the scenario is invalid: a ``ConfigError``
-from the scenario file or an override prints one ``error: ...`` line on
-stderr, with argparse's usage-error code.
+a verification failed (mismatched report, failed oracle case) or the input
+is invalid: a missing scenario file or campaign directory, or a
+``ConfigError`` (from the scenario file, an override, the grid build, or a
+directory holding no records), prints one ``error: ...`` line on stderr,
+with argparse's usage-error code.
 """
 from __future__ import annotations
 
@@ -97,14 +98,10 @@ def _configure(args: argparse.Namespace):
 
 
 def _run(args: argparse.Namespace, modes: tuple[str, ...]) -> int:
-    try:
-        config = _configure(args)
-        started = time.perf_counter()
-        # The grid is built, and checked, as the campaign starts.
-        campaign = run_campaign(config, modes)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _configure(args)
+    started = time.perf_counter()
+    # The grid is built, and checked, as the campaign starts.
+    campaign = run_campaign(config, modes)
     out = write_campaign(args.out, campaign)
     elapsed = time.perf_counter() - started
     # The summary just written, read back rather than built a second time.
@@ -170,7 +167,11 @@ def run_cli(argv: list[str] | None = None) -> int:
         "report": _cmd_report,
         "oracle-check": _cmd_oracle_check,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (ConfigError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -53,8 +53,7 @@ as the next paragraph describes.
 
 A model built with ``relaxation_first`` is solved from its LP relaxation
 first: ``run_highs`` on the same arrays and options with every integrality
-flag 0, through the same memo (the flags are part of the key, so the
-relaxation never hits the MILP's entry). An infeasible relaxation proves the
+flag 0. An infeasible relaxation proves the
 model infeasible. An optimal relaxation point whose integer columns all lie
 within ``INTEGRALITY_TOL`` of an integer is feasible for the MILP, and no
 MILP point beats the relaxation's optimum, so it is a MILP optimum; ``solve``
@@ -81,7 +80,7 @@ views and violation messages. Bounds and integrality go to flat per-column
 typed arrays (the standard library's ``array.array``), each constraint to
 flat per-row typed arrays (CSR order, plus relation and right-hand side) and
 its label to a list; the objective stays two lists. numpy copies a typed
-array as one block of memory, so assembly, unpacking a solver point and the
+array as one contiguous block, so assembly, unpacking a solver point and the
 substitution re-check read the model without converting it element by
 element, and never walk per-row Python objects. On the full15x15
 choice-setting model (6,426 columns, 8,021 entries) converting one
@@ -115,32 +114,19 @@ the instance and options (minimum of 7 rounds, 2-vCPU Xeon VM). Status and
 point were bit-identical on every model. Each solve runs on a fresh HiGHS
 instance, so no solver state carries over from one solve to the next.
 
-Inside a ``reuse_solves()`` context the solves are memoized. The key is a
-blake2b digest of exactly what HiGHS receives: the options, the row and
-column counts, the column-wise matrix (``start``, ``index``, ``value``),
-the objective vector, variable bounds, integrality flags and row bounds.
-Variable names and the objective offset never reach HiGHS, so they are left
-out: a hit returns the stored raw point, and the point and objective are
-rebuilt against the model being solved, with its own bounds and offset. Only
-OPTIMAL and INFEASIBLE outcomes are stored. No solve has a time limit, so
-each runs to its proven optimum or infeasibility, and the outcome depends on
-the input alone, never on the clock. ``run_campaign`` opens one context per
-day. There the coplan lane takes whole periods' steps 1-2 from the
-fair-coplan lane while their inputs are equal (see ``sim.run_campaign``),
-and the memo catches the identical models left: those of periods whose
-inputs differ, within a lane or across the two.
+No solve has a time limit, so each runs to its proven optimum or
+infeasibility, and the outcome depends on the input alone, never on the
+clock. Every solve runs HiGHS: work the two negotiated lanes of a campaign
+have in common is shared a level up, step by step (``sim.run_campaign``).
 """
 from __future__ import annotations
 
-import hashlib
 import importlib.machinery
 import importlib.util
 import math
 import os
 import sys
 from array import array
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -529,36 +515,6 @@ def _finish(model: Model, raw_x, lb, ub, integrality, sign, c) -> tuple[list[flo
     return x.tolist(), obj
 
 
-# The memo of the innermost open ``reuse_solves()`` context, or None: digest
-# of the HiGHS input -> (``run_highs`` status, raw x, message).
-_MEMO: ContextVar[dict[bytes, tuple] | None] = ContextVar("milp_memo", default=None)
-
-
-@contextmanager
-def reuse_solves():
-    """Within the block, HiGHS solves an identical input only once.
-
-    The memo lives exactly as long as the block, exception or not.
-    """
-    token = _MEMO.set({})
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
-
-
-def _solve_key(options: dict, c, lb, ub, integrality, matrix, row_lb, row_ub) -> bytes:
-    # Hashes the column-wise matrix's start, index and value, then c, lb, ub,
-    # integrality, row_lb and row_ub, each array's memory fed in place (the
-    # digest of their concatenated bytes). ``_arrays`` fixes every dtype, and
-    # the row and column counts in the head fix every length (nnz is
-    # start[-1]), so the concatenated bytes decode one way only.
-    digest = hashlib.blake2b(repr((sorted(options.items()), len(row_lb), len(c))).encode())
-    for values in (*matrix, c, lb, ub, integrality, row_lb, row_ub):
-        digest.update(values)
-    return digest.digest()
-
-
 # HiGHS model status -> the status ``run_highs`` returns. Any other model
 # status is 4, "some other outcome".
 _STATUS = {highs.HighsModelStatus.kOptimal: 0,
@@ -616,15 +572,17 @@ class HighsBackend:
         the model infeasible, and an optimal relaxation point whose integer
         columns are all within ``INTEGRALITY_TOL`` of an integer is a MILP
         optimum; either verdict is returned with ``detail`` naming the
-        relaxation. Any other outcome runs the MILP on the same arrays.
+        relaxation. Any other outcome runs the MILP on the same arrays. So
+        each call runs HiGHS once, or twice for a relaxation that does not
+        settle the model; nothing is reused from an earlier call.
         """
         if not model.num_vars:
             return SolveResult(status=OPTIMAL, objective=model.objective_offset)
         c, lb, ub, integrality, matrix, row_lb, row_ub, sign = _arrays(model)
         try:
             if model.relaxation_first:
-                status, x, message = _run(c, lb, ub, np.zeros_like(integrality), matrix,
-                                          row_lb, row_ub)
+                status, x, message = run_highs(c, lb, ub, np.zeros_like(integrality), matrix,
+                                               row_lb, row_ub)
                 if status == 2:
                     return SolveResult(status=INFEASIBLE, detail=f"LP relaxation: {message}")
                 integer = integrality == 1
@@ -633,7 +591,7 @@ class HighsBackend:
                     point, obj = _finish(model, x, lb, ub, integrality, sign, c)
                     return SolveResult(status=OPTIMAL, objective=obj, x=point,
                                        detail="LP relaxation: integral optimum")
-            status, x, message = _run(c, lb, ub, integrality, matrix, row_lb, row_ub)
+            status, x, message = run_highs(c, lb, ub, integrality, matrix, row_lb, row_ub)
         except Exception as exc:  # malformed model or HiGHS failure
             return SolveResult(status=ERROR, detail=f"highs: {exc}")
         if status == 0:
@@ -645,21 +603,6 @@ class HighsBackend:
         # set. Like any other status it is a solver failure.
         return SolveResult(status=ERROR, detail=f"highs status {status}: {message}",
                            hit_time_limit=status == 1)
-
-
-def _run(c, lb, ub, integrality, matrix, row_lb, row_ub):
-    """``run_highs``'s outcome, read from the open ``reuse_solves()`` memo
-    when it holds this input; optimal and infeasible outcomes are stored."""
-    memo = _MEMO.get()
-    if memo is None:
-        return run_highs(c, lb, ub, integrality, matrix, row_lb, row_ub)
-    key = _solve_key(HIGHS_OPTIONS, c, lb, ub, integrality, matrix, row_lb, row_ub)
-    outcome = memo.get(key)
-    if outcome is None:
-        outcome = run_highs(c, lb, ub, integrality, matrix, row_lb, row_ub)
-        if outcome[0] in (0, 2):
-            memo[key] = outcome
-    return outcome
 
 
 def solve(model: Model) -> SolveResult:

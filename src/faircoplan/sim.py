@@ -9,10 +9,9 @@ next period with shifted windows. Demand depends only on (seed, day, period),
 never on the mode, so runs across modes are paired by construction.
 
 A campaign runs day-major: all modes of a day, then the next day. Within a
-day identical MILPs are solved once, and the two negotiated lanes plan
-steps 1-2 of a period once while their inputs are equal (see
-``run_campaign``); both stores are dropped when the day ends, so memory
-stays bounded by one day's solves.
+day the two negotiated lanes plan each step of a period once wherever what
+that step reads is equal (see ``run_campaign``); the share is dropped when
+the day ends, so it holds at most one day's steps 1-2.
 
 Metrics are pure functions of the serializable period records; anything
 wall-clock lives in separate timing rows so that repeated runs stay
@@ -26,18 +25,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import milp
 from .airspace import (
     AirspaceGrid,
     ConfigError,
     GridConfig,
     OccupancyLedger,
+    OccupancySnapshot,
     build_grid,
 )
 from .baseline import fixed_route, leg_dwells, solve_tfmp
 from .checker import detect_conflicts
 from .flights import DelayCostParams, FlightPlan, FlightRequest
-from .step1 import Step1Result, solve_step1
+from .step1 import Step1Result, recheck, room_table, solve_step1
 from .step2 import Step2Result, solve_step2
 from .step3 import solve_step3
 
@@ -238,10 +237,11 @@ class PeriodResult:
 @dataclass(frozen=True)
 class SharedSteps:
     """Steps 1-2 of one period as the first negotiated lane planned them,
-    with the inputs they depend on: the snapshot's occupancy counts, the
-    batch in order, ``now`` and the delay-cost parameters. Neither step
-    reads γ, so a lane whose inputs equal these takes the results as they
-    are. Readers must not modify them."""
+    with what they read besides the batch in order, ``now`` and the
+    delay-cost parameters: step 1 reads the snapshot only through
+    ``step1.room``, and step 2 reads only the occupancy counts of the period
+    window ``[now, now + horizon)``, stored as ``counts``. Neither step
+    reads γ. Readers must not modify them."""
 
     counts: dict[tuple[str, int], int]
     batch: tuple[FlightRequest, ...]
@@ -250,11 +250,11 @@ class SharedSteps:
     step1: Step1Result
     step2: dict[str, Step2Result]
 
-    def matches(self, counts: Mapping[tuple[str, int], int],
-                batch: tuple[FlightRequest, ...], now: int,
-                params: DelayCostParams) -> bool:
-        return (self.now == now and self.params == params and self.batch == batch
-                and self.counts == counts)
+
+def _window_counts(snapshot: OccupancySnapshot, now: int,
+                   stop: int) -> dict[tuple[str, int], int]:
+    """The snapshot's occupancy counts of the cells at steps ``[now, stop)``."""
+    return {cell: n for cell, n in snapshot.counts.items() if now <= cell[1] < stop}
 
 
 def _timed(stage, *args):
@@ -282,10 +282,12 @@ def run_period(
     """Plan one period's batch, file what fits, and shift the rest forward.
 
     ``share`` holds steps 1-2 by period for the two negotiated lanes of one
-    day (see ``run_campaign``). A negotiated lane whose inputs equal the
-    period's entry there takes its steps 1-2 and leaves their stage times
-    out; one that finds no entry stores its own. None, the default, means
-    compute everything and store nothing.
+    day (see ``run_campaign``). A negotiated lane whose batch, ``now`` and
+    delay-cost parameters equal the period's entry there takes its steps 1-2
+    where the window counts are equal too, and its step 1 alone, re-checked
+    against its own snapshot, where only step 1's table is; a reused step
+    leaves its stage time out. A lane that finds no entry stores its own.
+    None, the default, means compute everything and store nothing.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -319,12 +321,22 @@ def run_period(
     else:
         batch = tuple(requests)
         shared = None if share is None else share.get(period)
-        if shared is not None and shared.matches(snapshot.counts, batch, now, params):
-            s1, outcomes = shared.step1, shared.step2
-        else:
+        counts = None if share is None else _window_counts(snapshot, now,
+                                                           now + grid.horizon_steps)
+        s1 = outcomes = None
+        if shared is not None and (shared.batch, shared.now, shared.params) == (
+                batch, now, params):
+            if shared.counts == counts:
+                s1, outcomes = shared.step1, shared.step2
+            elif np.array_equal(room_table(grid, snapshot, list(requests), now),
+                                shared.step1.room):
+                s1 = shared.step1
+                recheck(grid, snapshot, list(requests), s1, now)
+        if s1 is None:
             s1, stage_times["step1"] = _timed(
                 solve_step1, grid, snapshot, list(requests), now)
-            outcomes: dict[str, Step2Result] = {}
+        if outcomes is None:
+            outcomes = {}
             s2_total = 0.0
             for fid in ordered:
                 if fid in s1.unassigned:
@@ -334,9 +346,8 @@ def run_period(
                 s2_total += took
                 step2_max = max(step2_max, took)
             stage_times["step2"] = s2_total
-            if share is not None and period not in share:
-                share[period] = SharedSteps(dict(snapshot.counts), batch, now, params,
-                                            s1, outcomes)
+        if share is not None and period not in share:
+            share[period] = SharedSteps(counts, batch, now, params, s1, outcomes)
         unassigned = tuple(sorted(s1.unassigned))
         deferred = tuple(sorted(s1.deferred))
         infeasible = [fid for fid, outcome in outcomes.items() if outcome.plan is None]
@@ -437,21 +448,19 @@ def run_campaign(
 ) -> CampaignResult:
     """Run every requested mode over the same days of identical demand.
 
-    The campaign runs day by day: each day runs every mode in turn under one
-    ``milp.reuse_solves()`` context, which ends with the day. Fair-coplan
+    The campaign runs day by day, each day every mode in turn. Fair-coplan
     and coplan differ only in step 3's γ; steps 1-2 never read γ. So when
-    both are in ``modes``, each day also opens one share, a dict of
+    both are in ``modes``, each day opens one share, a dict of
     ``SharedSteps`` by period: the negotiated lane that plans a period
-    first stores the snapshot's occupancy counts, the batch in order, and
-    its step-1 and step-2 results. The other lane takes them without
-    calling either step in every period whose counts, batch, ``now`` and
-    delay-cost parameters equal the stored ones: every day's first period,
-    and any later one until the lanes' ledgers or carryovers diverge. It
-    still runs its own step 3, audit and filing. Where the inputs differ,
-    the memo still solves each identical MILP once. The share is dropped
-    with the day, and the tfmp lane never reads it. The results are
-    gathered per mode in day order, so they equal ``run_day`` per mode
-    without the memo or the share.
+    first stores its step-1 and step-2 results with what they read. The
+    other lane, where its batch, ``now`` and delay-cost parameters equal
+    the stored ones, takes both steps if the occupancy counts of the period
+    window are equal too (every day's first period, and later ones until
+    the lanes' ledgers diverge there), takes step 1 alone if only step 1's
+    table of room is equal, and otherwise computes both. It still runs its
+    own step 3, audit and filing. The share is dropped with the day, and the
+    tfmp lane never reads it. The results are gathered per mode in day
+    order, so they equal ``run_day`` per mode without the share.
     """
     for mode in modes:
         if mode not in MODES:
@@ -461,9 +470,8 @@ def run_campaign(
     both_negotiated = {"fair-coplan", "coplan"} <= set(modes)
     for day in range(config.days):
         share = {} if both_negotiated else None
-        with milp.reuse_solves():
-            for mode in rows:
-                rows[mode].extend(run_day(grid, config, day, mode, share=share))
+        for mode in rows:
+            rows[mode].extend(run_day(grid, config, day, mode, share=share))
     return CampaignResult(
         config=config, periods={mode: tuple(results) for mode, results in rows.items()})
 

@@ -17,22 +17,25 @@ without a departure or an arrival slot are returned unassigned with all
 choices stripped.
 
 The model is built in bulk from per-period tables over (flight, zone
-resource, period step), never cell by cell. Remaining capacity is read once
-per call as a zone resource × step table
-(``OccupancySnapshot.remaining_table``). A flight is offered the cells of
-its window mask that the table shows free, and every offered cell's choice
-column is declared in one ``Model.binaries`` call. The capacity,
-slot-support, dwell and service rows are written with ``Model.add_rows``
-from the same tables, the objective is set from column ranges, and the
-grants are read back with one ``x >= 0.5`` over the choice columns. The
-columns, names, rows, labels and their order are those of a cell-by-cell
-build: choices by flight, then by (resource, timestep); capacity rows by
-cell; each flight's departure, arrival and dwell rows in turn; then the
-service rows.
+resource, period step), never cell by cell. It reads the snapshot only
+through one zone resource × step table, ``room_table``: remaining capacity
+(``OccupancySnapshot.remaining_table``), capped at the number of modelled
+flights whose window covers the cell. A flight is offered the cells of its
+window mask with room, a cell's capacity row is written where more flights
+are offered it than it has room, and that room is the row's right-hand
+side, so two snapshots with equal tables give the same model; the table is
+returned with the result. Every offered cell's choice column is declared
+in one ``Model.binaries`` call. The capacity, slot-support, dwell and
+service rows are written with ``Model.add_rows`` from the same tables, the
+objective is set from column ranges, and the grants are read back with one
+``x >= 0.5`` over the choice columns. The columns, names, rows, labels and
+their order are those of a cell-by-cell build: choices by flight, then by
+(resource, timestep); capacity rows by cell; each flight's departure,
+arrival and dwell rows in turn; then the service rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +45,7 @@ from .blocks import Rows, dwell_linkage
 from .checker import choice_violations
 from .flights import ChoiceSet, FlightRequest
 
-__all__ = ["Step1Result", "solve_step1", "choice_domains"]
+__all__ = ["Step1Result", "solve_step1", "choice_domains", "recheck", "room_table"]
 
 
 @dataclass
@@ -51,6 +54,9 @@ class Step1Result:
     unassigned: tuple[str, ...]
     objective: float
     deferred: tuple[str, ...] = ()
+    # ``room_table`` of the snapshot the result was solved on, all the model
+    # read of it.
+    room: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def choice_domains(
@@ -91,6 +97,53 @@ def _support_rows(owner: np.ndarray, head: np.ndarray, tails: np.ndarray,
                 [">="] * len(head), np.zeros(len(head)), labels)
 
 
+def _windows(grid: AirspaceGrid, requests: list[FlightRequest], now: int,
+             horizon_end: int) -> tuple[list[FlightRequest], np.ndarray]:
+    """The requests step 1 models, those whose windows fit the period, and
+    their window masks over (flight, zone resource, period step), zone
+    resources in sorted order."""
+    modeled, spans = [], []
+    for request in requests:
+        dom = choice_domains(grid, request, now, horizon_end)
+        if (request.requested_arrival + request.flexibility <= horizon_end
+                and len(dom[request.origin]) > 0 and len(dom[request.destination]) > 0):
+            modeled.append(request)
+            spans.append([(span.start, span.stop) for span in dom.values()])
+    spans = np.array(spans, dtype=np.int64).reshape(len(modeled), len(grid.zone), 2)
+    steps = np.arange(now, horizon_end)
+    return modeled, (spans[..., :1] <= steps) & (steps < spans[..., 1:])
+
+
+def _room(grid: AirspaceGrid, snapshot: OccupancySnapshot, window: np.ndarray, now: int,
+          horizon_end: int) -> np.ndarray:
+    return np.minimum(snapshot.remaining_table(sorted(grid.zone), now, horizon_end),
+                      window.sum(axis=0))
+
+
+def room_table(grid: AirspaceGrid, snapshot: OccupancySnapshot,
+               requests: list[FlightRequest], now: int = 0) -> np.ndarray:
+    """All ``solve_step1`` reads of ``snapshot`` for this batch: row i,
+    column j is the remaining capacity of zone resource ``sorted(grid.zone)[i]``
+    at step ``now + j``, capped at the number of modelled flights whose
+    window covers that cell. Snapshots with equal tables give the same model."""
+    horizon_end = now + grid.horizon_steps
+    return _room(grid, snapshot, _windows(grid, requests, now, horizon_end)[1], now,
+                 horizon_end)
+
+
+def recheck(grid: AirspaceGrid, snapshot: OccupancySnapshot, requests: list[FlightRequest],
+            result: Step1Result, now: int = 0) -> None:
+    """Raise ``RuntimeError`` unless ``result``'s choice sets pass
+    ``choice_violations`` against ``snapshot``."""
+    problems = choice_violations(
+        grid, snapshot, requests, result.choice_sets, now, now + grid.horizon_steps
+    )
+    if problems:
+        raise RuntimeError(
+            "choice-setting solution failed re-check: " + "; ".join(problems[:5])
+        )
+
+
 def solve_step1(
     grid: AirspaceGrid,
     snapshot: OccupancySnapshot,
@@ -100,42 +153,23 @@ def solve_step1(
     _validate(grid, requests)
     horizon_end = now + grid.horizon_steps
 
-    sets: dict[str, ChoiceSet] = {}
-    unassigned: list[str] = []
-    deferred: list[str] = []
-    modeled: list[FlightRequest] = []
-    domains: dict[str, dict[str, range]] = {}
-    for request in requests:
-        dom = choice_domains(grid, request, now, horizon_end)
-        fits = (
-            request.requested_arrival + request.flexibility <= horizon_end
-            and len(dom[request.origin]) > 0
-            and len(dom[request.destination]) > 0
-        )
-        if fits:
-            modeled.append(request)
-            domains[request.flight_id] = dom
-        else:
-            deferred.append(request.flight_id)
-            unassigned.append(request.flight_id)
-            sets[request.flight_id] = ChoiceSet(
-                request.flight_id, request.origin, request.destination
-            )
-
-    if not modeled:
-        return Step1Result(sets, tuple(unassigned), 0.0, tuple(deferred))
-
     # Tables over (flight, zone resource, period step), zone resources in
     # sorted order. A flight is offered a cell inside its window that has
-    # room left; ``column`` (below) holds its choice column, -1 where none.
+    # room; ``column`` (below) holds its choice column, -1 where none.
+    modeled, window = _windows(grid, requests, now, horizon_end)
+    room = _room(grid, snapshot, window, now, horizon_end)
+    kept = {request.flight_id for request in modeled}
+    deferred = [request.flight_id for request in requests if request.flight_id not in kept]
+    unassigned = list(deferred)
+    sets = {request.flight_id: ChoiceSet(request.flight_id, request.origin, request.destination)
+            for request in requests if request.flight_id not in kept}
+    if not modeled:
+        return Step1Result(sets, tuple(unassigned), 0.0, tuple(deferred), room)
+
     zone = sorted(grid.zone)
     row = {rid: z for z, rid in enumerate(zone)}
-    remaining = snapshot.remaining_table(zone, now, horizon_end)
-    spans = np.array([[(span.start, span.stop) for span in domains[r.flight_id].values()]
-                      for r in modeled])
     steps = np.arange(now, horizon_end)
-    window = (spans[..., :1] <= steps) & (steps < spans[..., 1:])
-    offered = window & (remaining >= 1)
+    offered = window & (room >= 1)
 
     model = milp.Model(name="choice-setting", sense="max")
 
@@ -159,11 +193,11 @@ def solve_step1(
     # more flights are offered the cell than it has room for. Rows go in
     # (resource, timestep) order, each with its flights in order.
     offers = offered.sum(axis=0)
-    crowded = offers > remaining
+    crowded = offers > room
     users = column.transpose(1, 2, 0)[crowded]
     model.add_rows(np.cumsum(offers[crowded]).tolist(), users[users >= 0].tolist(),
                    [1.0] * int(offers[crowded].sum()), ["<="] * len(users),
-                   remaining[crowded].astype(float).tolist(),
+                   room[crowded].astype(float).tolist(),
                    ["cap." + cells[i] for i in np.flatnonzero(crowded).tolist()])
 
     # Slot support: a departure slot at t needs an adjacent choice at t+1,
@@ -236,11 +270,6 @@ def solve_step1(
             chset = chset.emptied()
         sets[fid] = chset
 
-    problems = choice_violations(
-        grid, snapshot, requests, sets, now, horizon_end
-    )
-    if problems:
-        raise RuntimeError(
-            "choice-setting solution failed re-check: " + "; ".join(problems[:5])
-        )
-    return Step1Result(sets, tuple(unassigned), objective, tuple(deferred))
+    out = Step1Result(sets, tuple(unassigned), objective, tuple(deferred), room)
+    recheck(grid, snapshot, requests, out, now)
+    return out

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from faircoplan.airspace import ConfigError
 from faircoplan.cli import run_cli
 from faircoplan.serialize import load_scenario, save_scenario
 from faircoplan.sim import CampaignResult
@@ -120,6 +119,17 @@ class TestOverrides:
         assert done.stderr == "error: unknown scenario keys: bogus\n"
         assert done.stdout == ""
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_missing_scenario_file_is_one_error_line(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.yaml"
+        out = tmp_path / "run"
+        assert run_cli([command, "--config", str(missing), "--out", str(out)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.endswith(f"'{missing}'\n")
+        assert stderr.count("\n") == 1
+        assert not out.exists()
+
 
 class TestReport:
     @pytest.fixture()
@@ -147,9 +157,11 @@ class TestReport:
         stdout = capsys.readouterr().out
         assert '"modes"' in stdout
 
-    def test_empty_directory_is_an_error(self, tmp_path):
-        with pytest.raises(ConfigError, match="periods.jsonl"):
-            run_cli(["report", "--out", str(tmp_path)])
+    def test_empty_directory_is_an_error(self, tmp_path, capsys):
+        assert run_cli(["report", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "periods.jsonl" in err
+        assert err.count("\n") == 1
 
 
 class TestOracleCheck:

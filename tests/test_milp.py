@@ -21,7 +21,6 @@ from faircoplan.milp import (
     HighsBackend,
     Model,
     check_solution,
-    reuse_solves,
     solve,
 )
 from faircoplan.step1 import solve_step1
@@ -504,7 +503,7 @@ class TestChoiceSettingInput:
         # Every choice-setting model of desk day 0 (fair-coplan and coplan)
         # hands HiGHS the same input, with the same names and labels, as
         # when the digest was recorded. A change to how step 1 builds its
-        # model that would move a memo key or a tied optimum fails here.
+        # model that would move a HiGHS input or a tied optimum fails here.
         models = [model for model, _, _ in desk_day_solves if model.name == "choice-setting"]
         assert len(models) == 48
         assert input_digest(models) == "2975d2d0dcf9e85e8e01c5105f016e4e"
@@ -518,81 +517,16 @@ def knapsack(names=("x0", "x1", "x2"), offset=0.0) -> Model:
     return model
 
 
-class TestSolveMemo:
-    @pytest.fixture()
-    def highs_calls(self, monkeypatch):
-        calls = []
-        real_run_highs = milp.run_highs
-
-        def spy(*args):
-            calls.append(args)
-            return real_run_highs(*args)
-
-        monkeypatch.setattr(milp, "run_highs", spy)
-        return calls
-
-    def test_identical_model_is_solved_once(self, highs_calls):
-        with reuse_solves():
-            first = solve(knapsack())
-            second = solve(knapsack())
-        assert len(highs_calls) == 1
-        assert second.status == milp.OPTIMAL
-        assert second.x == first.x
-        assert second.objective == first.objective == pytest.approx(9.0)
-
-    def test_without_the_context_every_solve_calls_highs(self, highs_calls):
-        solve(knapsack())
-        solve(knapsack())
-        assert len(highs_calls) == 2
-
-    def test_hit_is_read_with_the_new_offset(self, highs_calls):
-        # Labels never reach HiGHS, so a relabelled model is a hit too.
-        with reuse_solves():
-            solve(knapsack())
-            result = solve(knapsack(names=("a", "b", "c"), offset=-2.5))
-        assert len(highs_calls) == 1
-        assert result.x == [0.0, 1.0, 1.0]
-        assert result.objective == pytest.approx(6.5)
-
-    def test_infeasible_is_stored(self, highs_calls):
-        model = Model(name="bad", sense="min")
-        x = model.binary("x")
-        model.add({x: 1.0}, ">=", 2.0)
-        model.set_objective({x: 1.0})
-        with reuse_solves():
-            assert solve(model).status == milp.INFEASIBLE
-            assert solve(model).status == milp.INFEASIBLE
-        assert len(highs_calls) == 1
-
+class TestHighsStatus:
     # No limit is ever set, so HiGHS status 1 ("a limit was reached") is a
     # solver failure, with or without an incumbent point.
     @pytest.mark.parametrize("x", [np.array([0.0, 1.0, 1.0]), None],
                              ids=["x0-error", "None-error"])
-    def test_time_limit_results_are_never_stored(self, monkeypatch, x):
-        calls = []
-
-        def timed_out(*args):
-            calls.append(1)
-            return 1, x, "Time limit reached"
-
-        monkeypatch.setattr(milp, "run_highs", timed_out)
-        with reuse_solves():
-            for _ in range(2):
-                result = HighsBackend().solve(knapsack())
-                assert result.status == milp.ERROR and result.hit_time_limit
-                assert result.x == [] and result.objective is None
-        assert len(calls) == 2
-
-    def test_memo_ends_with_the_context(self, highs_calls):
-        with pytest.raises(RuntimeError):
-            with reuse_solves():
-                solve(knapsack())
-                raise RuntimeError("period failed")
-        solve(knapsack())
-        with reuse_solves():
-            solve(knapsack())
-        assert len(highs_calls) == 3
-        assert milp._MEMO.get() is None
+    def test_limit_status_is_an_error(self, monkeypatch, x):
+        monkeypatch.setattr(milp, "run_highs", lambda *args: (1, x, "Time limit reached"))
+        result = HighsBackend().solve(knapsack())
+        assert result.status == milp.ERROR and result.hit_time_limit
+        assert result.x == [] and result.objective is None
 
 
 def fractional_pair(relaxation_first=True) -> Model:
@@ -668,16 +602,6 @@ class TestRelaxationFirst:
         result = solve(fractional_pair(relaxation_first=False))
         assert highs_calls == [[1, 1]]
         assert result.objective == pytest.approx(1.0)
-
-    def test_relaxation_is_memoized_under_its_own_key(self, highs_calls):
-        with reuse_solves():
-            first = solve(fractional_pair())
-            again = solve(fractional_pair())
-            plain = solve(fractional_pair(relaxation_first=False))
-        # The relaxation and the MILP once each; the unflagged solve is the
-        # MILP's hit.
-        assert highs_calls == [[0, 0], [1, 1]]
-        assert first.x == again.x == plain.x
 
     def test_desk_day_fixed_route_models_as_the_milp_solves_them(self, desk_day_solves):
         # Every fixed-route model of desk day 0 was solved relaxation-first;
@@ -965,11 +889,8 @@ class TestHighsPathBuildsNoViews:
         monkeypatch.setattr(Model, "variables", property(refuse))
         monkeypatch.setattr(Model, "constraints", property(refuse))
         plain = [solve(model) for model in pinch_models]
-        with reuse_solves():  # the second pass reads the memo
-            reused = [solve(model) for model in pinch_models * 2]
-        for got in (plain, reused[:len(want)], reused[len(want):]):
-            assert [(r.status, r.objective, r.x) for r in got] == \
-                [(r.status, r.objective, r.x) for r in want]
+        assert [(r.status, r.objective, r.x) for r in plain] == \
+            [(r.status, r.objective, r.x) for r in want]
         assert {r.status for r in want} == {milp.OPTIMAL, milp.INFEASIBLE}
 
 

@@ -345,7 +345,7 @@ class TestCampaignReuse:
                 for mode in MODES}
 
     @pytest.mark.parametrize("modes", [MODES, ("coplan", "fair-coplan", "tfmp")])
-    def test_records_equal_run_day_without_the_memo(self, modes):
+    def test_records_equal_run_day_without_the_share(self, modes):
         config = corridor_config(days=2, periods_per_day=3, seed=3)
         records = run_campaign(config, modes=modes).records()
         assert list(records) == list(modes)
@@ -375,15 +375,23 @@ class TestCampaignReuse:
 
 def spy_on_steps(monkeypatch) -> list[dict]:
     """Records each ``sim.run_period`` call: its (mode, day, period), the
-    ledger's counts and the batch at entry, and how often it called
-    ``solve_step1`` and ``solve_step2``."""
+    batch, and of the snapshot at entry the occupancy counts of the period
+    window and, for a nonempty batch, step 1's ``room_table``; and how often
+    it called ``solve_step1`` and ``solve_step2``."""
     calls: list[dict] = []
     real_run_period = sim.run_period
 
-    def run_period(grid, ledger, requests, mode, params, gamma, day, period, *args, **kwargs):
-        calls.append({"key": (mode, day, period), "counts": dict(ledger.snapshot().counts),
-                      "batch": tuple(requests), "step1": 0, "step2": 0})
-        return real_run_period(grid, ledger, requests, mode, params, gamma, day, period,
+    def run_period(grid, ledger, requests, mode, params, gamma, day, period, now, *args,
+                   **kwargs):
+        snapshot = ledger.snapshot()
+        calls.append({
+            "key": (mode, day, period), "batch": tuple(requests),
+            "counts": {cell: n for cell, n in snapshot.counts.items()
+                       if now <= cell[1] < now + grid.horizon_steps},
+            "room": (step1.room_table(grid, snapshot, list(requests), now).tolist()
+                     if requests else None),
+            "step1": 0, "step2": 0})
+        return real_run_period(grid, ledger, requests, mode, params, gamma, day, period, now,
                                *args, **kwargs)
 
     def counted(step):
@@ -402,18 +410,26 @@ def spy_on_steps(monkeypatch) -> list[dict]:
 
 class TestSharedSteps:
     # Fair-coplan and coplan differ only in step 3's γ, so within one
-    # campaign day the lane that plans a period second takes steps 1-2
-    # from the first wherever their occupancy, batch, now and params agree.
+    # campaign day the lane that plans a period second takes each of steps
+    # 1-2 from the first wherever the batch, now, params and what that step
+    # reads of the snapshot agree: step 1's room table, and step 2's
+    # occupancy counts of the period window.
     @staticmethod
     def desk_config():
-        # Day 0 shares period 0 only; day 1 shares periods 0-4.
+        # Day 0 shares both steps in period 0 only; day 1 in periods 0-4.
         return replace(load_scenario(DESK), days=2, periods_per_day=5)
 
     @staticmethod
-    def one_period(mode, share, ledger=None, requests=None):
-        grid = make_grid(1, 3, ((0, 0), (0, 2)))
+    def grid():
+        # Vertiports r0000 and r0004, their ring sectors r0001 and r0003,
+        # and one en-route sector, r0002, that only step 2 reads.
+        return make_grid(1, 5, ((0, 0), (0, 4)))
+
+    @classmethod
+    def one_period(cls, mode, share, ledger=None, requests=None):
+        grid = cls.grid()
         if requests is None:
-            requests = [make_request(grid, f"f{i}", "r0000", "r0002", 1) for i in range(2)]
+            requests = [make_request(grid, f"f{i}", "r0000", "r0004", 1) for i in range(2)]
         return sim.run_period(grid, ledger or OccupancyLedger(grid), requests, mode,
                               DelayCostParams(0.3), 1.0 if mode == "fair-coplan" else 0.0,
                               day=0, period=0, now=0, share=share)
@@ -423,21 +439,30 @@ class TestSharedSteps:
     def test_second_lane_runs_steps_1_2_only_where_inputs_differ(self, monkeypatch,
                                                                  first, second):
         calls = spy_on_steps(monkeypatch)
-        config = self.desk_config()
+        # Day 1's period 17 is the first whose step 1 alone is shared.
+        config = replace(self.desk_config(), periods_per_day=18)
         run_campaign(config, modes=(first, "tfmp", second))
         by_key = {call["key"]: call for call in calls}
-        shared = differing = 0
+        seen = {"both": 0, "step1": 0, "neither": 0}
         for day in range(config.days):
             for period in range(config.periods_per_day):
                 lead, late = by_key[(first, day, period)], by_key[(second, day, period)]
                 assert lead["step1"] == (1 if lead["batch"] else 0)
-                if (late["counts"], late["batch"]) == (lead["counts"], lead["batch"]):
+                if not late["batch"]:
                     assert late["step1"] == late["step2"] == 0
-                    shared += bool(late["batch"])
+                elif late["batch"] != lead["batch"]:
+                    assert late["step1"] == 1
+                    seen["neither"] += 1
+                elif late["counts"] == lead["counts"]:
+                    assert late["step1"] == late["step2"] == 0
+                    seen["both"] += 1
+                elif late["room"] == lead["room"]:
+                    assert (late["step1"], late["step2"]) == (0, lead["step2"])
+                    seen["step1"] += 1
                 else:
-                    assert late["step1"] == (1 if late["batch"] else 0)
-                    differing += bool(late["batch"])
-        assert shared >= 3 and differing >= 2
+                    assert late["step1"] == 1
+                    seen["neither"] += 1
+        assert seen["both"] >= 3 and seen["step1"] >= 1 and seen["neither"] >= 1
 
     def test_records_equal_each_lane_run_alone(self):
         config = self.desk_config()
@@ -455,24 +480,35 @@ class TestSharedSteps:
         assert set(second.stage_times) == {"step3"} and second.step2_max_time == 0.0
         assert second.filed == first.filed != {}
 
-    def test_one_differing_occupancy_count_is_not_shared(self, monkeypatch):
+    def steps_after_filing(self, monkeypatch, cell):
+        """(step 1, step 2) calls of fair-coplan's period, then of coplan's
+        on a ledger holding one plan at ``cell``, (t, resource)."""
         calls = spy_on_steps(monkeypatch)
         share = {}
         self.one_period("fair-coplan", share)
-        grid = make_grid(1, 3, ((0, 0), (0, 2)))
-        ledger = OccupancyLedger(grid)
-        ledger.file_plan(FlightPlan("x", ((7, "r0002"),)))
+        ledger = OccupancyLedger(self.grid())
+        ledger.file_plan(FlightPlan("x", (cell,)))
         self.one_period("coplan", share, ledger=ledger)
-        self.one_period("coplan", share)
-        assert [(call["step1"], call["step2"]) for call in calls] == [(1, 2), (1, 2), (0, 0)]
+        return [(call["step1"], call["step2"]) for call in calls]
+
+    def test_one_differing_occupancy_count_is_not_shared(self, monkeypatch):
+        # Both flights' arrival windows cover r0004 at t=6, which has room
+        # for both until the plan takes one place: step 1's table changes.
+        assert self.steps_after_filing(monkeypatch, (6, "r0004")) == [(1, 2), (1, 2)]
+
+    def test_a_count_only_step_2_reads_shares_step_1(self, monkeypatch):
+        assert self.steps_after_filing(monkeypatch, (3, "r0002")) == [(1, 2), (0, 2)]
+
+    def test_a_count_outside_the_period_window_shares_both_steps(self, monkeypatch):
+        assert self.steps_after_filing(monkeypatch, (8, "r0002")) == [(1, 2), (0, 0)]
 
     def test_one_differing_resubmission_count_is_not_shared(self, monkeypatch):
         calls = spy_on_steps(monkeypatch)
         share = {}
         self.one_period("fair-coplan", share)
-        grid = make_grid(1, 3, ((0, 0), (0, 2)))
-        requests = [make_request(grid, "f0", "r0000", "r0002", 1),
-                    make_request(grid, "f1", "r0000", "r0002", 1, resubmissions=1)]
+        grid = self.grid()
+        requests = [make_request(grid, "f0", "r0000", "r0004", 1),
+                    make_request(grid, "f1", "r0000", "r0004", 1, resubmissions=1)]
         self.one_period("coplan", share, requests=requests)
         assert [(call["step1"], call["step2"]) for call in calls] == [(1, 2), (1, 2)]
 

@@ -1,13 +1,20 @@
 """Choice-setting step: windows, service-first objective, joint capacity."""
 from __future__ import annotations
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from faircoplan import milp, sim
 from faircoplan.airspace import OccupancyLedger, OccupancySnapshot
 from faircoplan.oracle import oracle_step1_optimum
-from faircoplan.step1 import choice_domains, solve_step1
+from faircoplan.serialize import load_scenario
+from faircoplan.step1 import choice_domains, room_table, solve_step1
 
-from helpers import make_grid, make_request
+from helpers import assert_same_model, make_grid, make_request
+
+DESK = Path(__file__).resolve().parent.parent / "configs" / "desk8x8.yaml"
 
 
 @pytest.fixture()
@@ -173,3 +180,81 @@ class TestValidation:
                             flexibility=3)
         with pytest.raises(ValueError, match="not a vertiport"):
             solve_step1(corridor, empty, [bad], 0)
+
+
+@pytest.fixture(scope="module")
+def desk_step1_inputs() -> list[tuple]:
+    """``(grid, snapshot, requests, now)`` of every ``solve_step1`` call of
+    desk day 0's fair-coplan lane that builds a choice-setting model."""
+    calls = []
+    real_solve_step1 = sim.solve_step1
+
+    def spy(grid, snapshot, requests, now):
+        calls.append((grid, snapshot, requests, now))
+        return real_solve_step1(grid, snapshot, requests, now)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "solve_step1", spy)
+        config = load_scenario(DESK)
+        sim.run_day(sim.scenario_grid(config), config, 0, "fair-coplan")
+    return [call for call in calls if step1_model(*call)[0] is not None]
+
+
+def step1_model(grid, snapshot, requests, now):
+    """The choice-setting model ``solve_step1`` builds, captured with a spy
+    on ``milp.solve`` (None if it builds none), and the table it returns."""
+    models = []
+    real_solve = milp.solve
+
+    def spy(model):
+        models.append(model)
+        return real_solve(model)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(milp, "solve", spy)
+        result = solve_step1(grid, snapshot, requests, now)
+    return (models[0] if models else None), result.room
+
+
+def hands_highs(model) -> list[np.ndarray]:
+    c, lb, ub, integrality, matrix, row_lb, row_ub, sign = milp._arrays(model)
+    return [c, lb, ub, integrality, *matrix, row_lb, row_ub, np.array(sign)]
+
+
+class TestRoomTable:
+    # Step 1 reads the snapshot only through its room table, remaining
+    # capacity capped at the number of flights whose window covers the
+    # cell; so a campaign can share step 1 between snapshots whose tables
+    # are equal.
+    def test_model_reads_the_snapshot_only_through_the_table(self, desk_step1_inputs):
+        raised = lowered = 0
+        for grid, snapshot, requests, now in desk_step1_inputs:
+            model, room = step1_model(grid, snapshot, requests, now)
+            zone = sorted(grid.zone)
+            stop = now + grid.horizon_steps
+            remaining = snapshot.remaining_table(zone, now, stop)
+            assert np.array_equal(room, room_table(grid, snapshot, requests, now))
+            # One more place where the table already shows every flight that
+            # could use the cell: the table and the model stay as they were.
+            for z, j in zip(*np.nonzero(remaining > room)):
+                cell = (zone[z], now + int(j))
+                if snapshot.counts.get(cell, 0):
+                    counts = dict(snapshot.counts)
+                    counts[cell] -= 1
+                    roomier = OccupancySnapshot(grid, counts)
+                    same, same_room = step1_model(grid, roomier, requests, now)
+                    assert np.array_equal(same_room, room)
+                    assert_same_model(same, model)
+                    raised += 1
+                    break
+            # One place fewer than the table shows: both change.
+            z, j = (int(k[0]) for k in np.nonzero(room >= 1))
+            cell = (zone[z], now + j)
+            counts = dict(snapshot.counts)
+            counts[cell] = counts.get(cell, 0) + int(remaining[z, j] - room[z, j]) + 1
+            other, other_room = step1_model(grid, OccupancySnapshot(grid, counts), requests, now)
+            assert other_room[z, j] == room[z, j] - 1
+            assert not all(a.shape == b.shape and np.array_equal(a, b)
+                           for a, b in zip(hands_highs(other), hands_highs(model)))
+            lowered += 1
+        assert raised >= 5 and lowered >= 20
