@@ -1,10 +1,11 @@
 """Time-expanded model blocks: one flight's encoding in the (resource, t)
 grid, shared by every planner MILP.
 
-``cell_domain`` gives the cells one flight's trajectory may use; step 2
-searches it and ``presence_block`` writes it as binary presence variables
-in a model fragment of its own, a plain ``milp.Model`` holding the flight's
-columns, rows and delay cost. Step 3 builds each flight's fragment once per
+``cell_domain`` gives the cells one flight's trajectory may use;
+``state_graph`` holds the moves over them, which step 2 walks, and
+``presence_block`` writes them as binary presence variables in a model
+fragment of its own, a plain ``milp.Model`` holding the flight's columns,
+rows and delay cost. Step 3 builds each flight's fragment once per
 stage call and appends the active flights' fragments into each joint
 deconfliction MILP with ``Model.append``; the block's columns then sit at
 the offset that returns. ``dwell_linkage`` holds runs at their minimum
@@ -35,6 +36,7 @@ __all__ = [
     "dwell_linkage",
     "extract_plan",
     "presence_block",
+    "state_graph",
 ]
 
 
@@ -61,8 +63,6 @@ class CellDomain:
     """
 
     times: dict[str, tuple[int, ...]]
-    departure_slots: tuple[int, ...]
-    arrival_slots: tuple[int, ...]
 
 
 class Rows(NamedTuple):
@@ -250,7 +250,51 @@ def cell_domain(
                            + first).tolist())
         if cells:
             times[rid] = cells
-    return CellDomain(times, tuple(dep_slots), tuple(arr_slots))
+    return CellDomain(times)
+
+
+def state_graph(
+    grid: AirspaceGrid,
+    request: FlightRequest,
+    domain: CellDomain,
+) -> dict[tuple[str, int, int], list[tuple[str, int, int]]]:
+    """Each (resource, t, run) state a departure slot reaches over
+    ``domain``, in step order, mapped to its successors in resource-id order.
+
+    run is the current run's length in the resource, capped at its minimum
+    dwell (1 outside sectors); a departure is ``(origin, t, 1)``, an arrival
+    ``(destination, t, 1)``. A resource is left only once the run reaches
+    the dwell, the origin is never re-entered, and an arrival ends the plan.
+    """
+    s, e = request.origin, request.destination
+    times = domain.times
+    usable = {rid: set(steps) for rid, steps in times.items()}
+    dwell = {rid: request.min_dwell(rid) if grid.resource(rid).kind == "sector" else 1
+             for rid in times}
+    # Next resources in id order; a resource's own id means staying put.
+    moves = {rid: [] if rid == e else sorted(nb for nb in (*grid.adjacency[rid], rid)
+                                             if nb in times and nb != s)
+             for rid in times}
+    graph: dict[tuple[str, int, int], list[tuple[str, int, int]]] = {}
+    layer: dict[tuple[str, int, int], None] = {}
+    for t in range(times[s][0], times[e][-1] + 1):
+        if t in usable[s]:
+            layer[(s, t, 1)] = None
+        after: dict[tuple[str, int, int], None] = {}
+        for state in layer:
+            rid, _, run = state
+            out = graph[state] = []
+            for nb in moves[rid]:
+                if t + 1 not in usable[nb]:
+                    continue
+                if nb == rid:
+                    out.append((rid, t + 1, min(run + 1, dwell[rid])))
+                elif run >= dwell[rid]:
+                    out.append((nb, t + 1, 1))
+            for succ in out:
+                after[succ] = None
+        layer = after
+    return graph
 
 
 def presence_block(
@@ -278,7 +322,7 @@ def presence_block(
     s, e = request.origin, request.destination
     d, a = request.requested_departure, request.requested_arrival
     by_resource = domain.times
-    dep_slots, arr_slots = domain.departure_slots, domain.arrival_slots
+    dep_slots, arr_slots = by_resource[s], by_resource[e]
 
     fragment = milp.Model(name=prefix, sense="min")
     cells = [(rid, t) for rid in sorted(by_resource) for t in by_resource[rid]]

@@ -5,19 +5,21 @@ departure slot at the origin to an arrival slot at the destination. The
 cells it may use are the flight's ``blocks.cell_domain``: hop-distance
 cones between the first departure slot and the last arrival slot, with zone
 cells gated by the choice set and en-route cells by remaining capacity.
-The total delay cost depends on the two end slots only, so ``solve_step2``
-finds the optimum exactly by a label search over (resource, t, run) states,
-where run is the length of the current minimum-dwell run (label setting
-for resource-constrained shortest paths, Irnich & Desaulniers 2005). Ties
-go to the lexicographically smallest plan, so the plan does not depend on
-any solver.
+``blocks.state_graph`` holds the moves over them between (resource, t, run)
+states, where run is the length of the current minimum-dwell run. The total
+delay cost depends on the two end slots only, so ``solve_step2`` finds the
+optimum exactly by label setting over that graph (resource-constrained
+shortest paths, Irnich & Desaulniers 2005): a forward pass, a backward
+pass and a walk, with no recursion, so the plan's length is bounded by the
+period alone. Ties go to the lexicographically smallest plan, so the plan
+does not depend on any solver.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .airspace import AirspaceGrid, OccupancySnapshot
-from .blocks import CellDomain, cell_domain
+from .blocks import CellDomain, cell_domain, state_graph
 from .checker import plan_violations
 from .flights import ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, slot_tdc, tdc
 
@@ -42,90 +44,42 @@ def _search(
 ) -> tuple[float, FlightPlan] | None:
     """The least-cost plan over ``domain`` under the tie rule, or None.
 
-    A state is (resource, t, run): the cell the flight is in and the length
-    of its current run there, capped at the resource's minimum dwell. The
-    flight may leave a resource only once the run has reached that dwell;
-    it never returns to the origin, and reaching the destination ends the
-    plan. The forward pass marks, for every state, which departure slots
-    reach it, so it yields every feasible (departure, arrival) pair and
-    with them the least cost. The second pass is a depth-first search from
-    the chosen departure that tries successors in resource-id order and
-    remembers every state from which no arrival at that cost can be
-    reached, so it visits each state once; the first plan it completes is
-    the lexicographically smallest.
+    Three passes over the flight's ``state_graph``. The forward pass marks,
+    for every state, which departure slots reach it, so it yields every
+    feasible (departure, arrival) pair and with them the least cost. The
+    backward pass marks the states from which an arrival at that cost is
+    reached. The walk from the chosen departure then takes the first marked
+    successor at every step; successors come in resource-id order, so the
+    plan is the lexicographically smallest.
     """
     s, e = request.origin, request.destination
-    usable = {(rid, t) for rid, times in domain.times.items() for t in times}
-    dwell = {rid: request.min_dwell(rid) if grid.resource(rid).kind == "sector" else 1
-             for rid in domain.times}
-    # Next resources in id order; a resource's own id means staying put.
-    moves = {rid: sorted(nb for nb in (*grid.adjacency[rid], rid)
-                         if nb in domain.times and nb != s)
-             for rid in domain.times}
+    graph = state_graph(grid, request, domain)
+    dep_bit = {t: 1 << i for i, t in enumerate(domain.times[s])}
+    reach = {(s, t, 1): bit for t, bit in dep_bit.items()}
+    for state, out in graph.items():
+        mask = reach[state]
+        for succ in out:
+            reach[succ] = reach.get(succ, 0) | mask
+    arrived = {t: reach[(e, t, 1)] for t in domain.times[e] if (e, t, 1) in reach}
 
-    def successors(rid: str, t: int, run: int) -> list[tuple[str, int]]:
-        out = []
-        for nb in moves[rid]:
-            if (nb, t + 1) not in usable:
-                continue
-            if nb == rid:
-                out.append((rid, min(run + 1, dwell[rid])))
-            elif run >= dwell[rid]:
-                out.append((nb, 1))
-        return out
-
-    dep_bit = {t: 1 << i for i, t in enumerate(domain.departure_slots)}
-    arrived: dict[int, int] = {}
-    layer: dict[tuple[str, int], int] = {}
-    for t in range(domain.departure_slots[0], domain.arrival_slots[-1]):
-        if t in dep_bit:
-            layer[(s, 1)] = dep_bit[t]
-        after: dict[tuple[str, int], int] = {}
-        for (rid, run), mask in layer.items():
-            for state in successors(rid, t, run):
-                if state[0] == e:
-                    arrived[t + 1] = arrived.get(t + 1, 0) | mask
-                else:
-                    after[state] = after.get(state, 0) | mask
-        layer = after
-
-    best: tuple[float, int] | None = None
-    for arrival, mask in arrived.items():
-        for departure, bit in dep_bit.items():
-            if mask & bit:
-                key = (slot_tdc(request, params, departure, arrival), departure)
-                if best is None or key < best:
-                    best = key
+    best = min(((slot_tdc(request, params, departure, arrival), departure)
+                for arrival, mask in arrived.items()
+                for departure, bit in dep_bit.items() if mask & bit), default=None)
     if best is None:
         return None
     cost, departure = best
-    targets = {
-        arrival for arrival, mask in arrived.items()
-        if mask & dep_bit[departure]
-        and slot_tdc(request, params, departure, arrival) == cost
-    }
+    marked = {(e, arrival, 1) for arrival, mask in arrived.items()
+              if mask & dep_bit[departure]
+              and slot_tdc(request, params, departure, arrival) == cost}
+    for state, out in reversed(graph.items()):
+        if not marked.isdisjoint(out):
+            marked.add(state)
 
+    state = (s, departure, 1)
     steps = [(departure, s)]
-    dead: set[tuple[str, int, int]] = set()
-
-    def extend(rid: str, t: int, run: int) -> bool:
-        for nb, nb_run in successors(rid, t, run):
-            if nb == e:
-                if t + 1 in targets:
-                    steps.append((t + 1, e))
-                    return True
-            elif (nb, t + 1, nb_run) not in dead:
-                steps.append((t + 1, nb))
-                if extend(nb, t + 1, nb_run):
-                    return True
-                steps.pop()
-                dead.add((nb, t + 1, nb_run))
-        return False
-
-    if not extend(s, departure, 1):
-        raise RuntimeError(
-            f"{request.flight_id}: no path to the arrival the forward pass reached"
-        )
+    while state[0] != e:
+        state = next(succ for succ in graph[state] if succ in marked)
+        steps.append((state[1], state[0]))
     return cost, FlightPlan(request.flight_id, tuple(steps))
 
 

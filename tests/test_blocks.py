@@ -9,7 +9,7 @@ import pytest
 
 from faircoplan import milp
 from faircoplan.airspace import OccupancyLedger
-from faircoplan.blocks import cell_domain
+from faircoplan.blocks import CellDomain, cell_domain, state_graph
 from faircoplan.flights import ChoiceSet, DelayCostParams, FlightPlan
 from faircoplan.step1 import solve_step1
 from faircoplan.step2 import solve_step2
@@ -109,11 +109,35 @@ def test_cell_domain_equals_a_cell_by_cell_reference(now):
             domain = cell_domain(grid, snap, request, choices, now, horizon_end)
             if domain is None:
                 continue
-            want = {origin: domain.departure_slots, destination: domain.arrival_slots,
+            departures, arrivals = domain.times[origin], domain.times[destination]
+            want = {origin: departures, destination: arrivals,
                     **reference_cell_domain_times(
                         grid, snap, request, choices, now, horizon_end,
-                        domain.departure_slots[0], domain.arrival_slots[-1])}
+                        departures[0], arrivals[-1])}
             assert list(domain.times.items()) == list(want.items())
             assert all(type(t) is int for cells in domain.times.values() for t in cells)
             compared += len(domain.times)
     assert compared > 40
+
+
+def test_state_graph_arcs_on_a_corridor():
+    # A ring dwell of 2 at r0001. The run that starts there at t=2 cannot
+    # leave at t=3; no state goes back to the origin r0000, the arrivals at
+    # r0002 have no successors though r0002 is usable at t=4, and the ring
+    # cell's successors come in id order, staying before moving on.
+    grid = make_grid(1, 3, ((0, 0), (0, 2)))
+    request = make_request(grid, "f0", "r0000", "r0002", 0, dwell=(("r0001", 2),))
+    domain = CellDomain({"r0000": (0, 1), "r0001": (1, 2, 3), "r0002": (3, 4)})
+    graph = state_graph(grid, request, domain)
+    assert graph == {
+        ("r0000", 0, 1): [("r0001", 1, 1)],
+        ("r0001", 1, 1): [("r0001", 2, 2)],
+        ("r0000", 1, 1): [("r0001", 2, 1)],
+        ("r0001", 2, 2): [("r0001", 3, 2), ("r0002", 3, 1)],
+        ("r0001", 2, 1): [("r0001", 3, 2)],
+        ("r0001", 3, 2): [("r0002", 4, 1)],
+        ("r0002", 3, 1): [],
+        ("r0002", 4, 1): [],
+    }
+    steps = [t for _, t, _ in graph]
+    assert steps == sorted(steps)

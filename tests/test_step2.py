@@ -250,6 +250,19 @@ class TestExactSearch:
             every_free_zone_cell(corridor, blocked_too, request, now), PARAMS, now)
         assert out.infeasible
 
+    def test_plan_length_is_not_bounded_by_the_recursion_limit(self):
+        # A ring dwell of 1092 makes the on-time plan 1,094 steps long, more
+        # than Python's default recursion limit of 1,000 frames.
+        grid = make_grid(1, 3, ((0, 0), (0, 2)), horizon=1100)
+        snap = OccupancyLedger(grid).snapshot()
+        request = make_request(grid, "f0", "r0000", "r0002", 0,
+                               dwell=(("r0001", 1092),))
+        choices = every_free_zone_cell(grid, snap, request)
+        out = solve_step2(grid, snap, request, choices, PARAMS)
+        assert len(out.plan.steps) == 1094
+        assert plan_violations(grid, snap, request, out.plan, 0,
+                               grid.horizon_steps, choices=choices) == []
+
     def test_ties_go_to_the_smallest_steps(self):
         # Two equally short routes around the square; r0001 sorts first.
         grid = make_grid(2, 2, ((0, 0), (1, 1)))
