@@ -235,9 +235,8 @@ def _build_tfmp(
     sorted order, then shared capacity on every cell more of them can hold
     than it has room for (``remaining``, by cell).
 
-    Each flight has one positive term in the row of each cell it can
-    hold, so those are exactly the cells ``add_capacity_rows`` writes a
-    row for; the rows are built for them alone.
+    Those crowded cells are exactly the ones ``add_capacity_rows``
+    writes a row for, so the rows are built for them alone.
     """
     # The cumulative formulation's relaxation is tight (see the module
     # docstring), so HiGHS solves it as an LP first.
@@ -252,16 +251,16 @@ def _build_tfmp(
 
     held = Counter(chain.from_iterable(schedules[fid].cells for fid in order))
     crowded = [cell for cell, flights in held.items() if flights > remaining[cell]]
-    usage: dict[tuple[str, int], dict[int, float]] = {}
+    usage: dict[tuple[str, int], list[dict[int, float]]] = {}
     for fid, shift in shifts.items():
         schedule = schedules[fid]
         for cell in crowded:
             col = schedule.cells.get(cell)
             if col is not None:
-                row = usage.setdefault(cell, {})
-                row[col + shift] = 1.0
+                terms = {col + shift: 1.0}
                 if schedule.leaves[col] >= 0:
-                    row[schedule.leaves[col] + shift] = -1.0
+                    terms[schedule.leaves[col] + shift] = -1.0
+                usage.setdefault(cell, []).append(terms)
     add_capacity_rows(model, snapshot, usage)
     return model, lambda x: {
         fid: _extract(schedules[fid].request, schedules[fid].route, schedules[fid].starts,

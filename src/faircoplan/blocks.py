@@ -3,18 +3,18 @@ grid, shared by every planner MILP.
 
 ``cell_domain`` gives the cells one flight's trajectory may use;
 ``state_graph`` holds the moves over them, which step 2 walks, and
-``presence_block`` writes them as binary presence variables in a model
-fragment of its own, a plain ``milp.Model`` holding the flight's columns,
-rows and delay cost. Step 3 builds each flight's fragment once per
+``arc_fragment`` writes the same moves as a path, one binary per arc, in a
+model fragment of its own: a plain ``milp.Model`` holding the flight's
+columns, rows and delay cost. Step 3 builds each flight's fragment once per
 stage call and appends the active flights' fragments into each joint
-deconfliction MILP with ``Model.append``; the block's columns then sit at
-the offset that returns. ``dwell_linkage`` holds runs at their minimum
-dwell, over step 1's ring choices and over presence blocks; it handles many
-runs in one call and returns their rows as ``Rows``, which step 1 merges
-flight by flight with its slot-support rows. ``add_capacity_rows`` caps
-joint use of a cell in step 3 and the fixed-route baseline; step 1 writes
-its capacity rows from its own per-period tables. ``extract_plan`` reads a
-solved presence block back as a plan.
+deconfliction MILP with ``Model.append``; the fragment's columns then sit at
+the offset that returns, and ``ArcFragment.plan`` walks the chosen arcs back
+into a plan. ``dwell_linkage`` holds step 1's ring-choice runs at their
+minimum dwell; it handles many runs in one call and returns their rows as
+``Rows``, which step 1 merges flight by flight with its slot-support rows.
+``add_capacity_rows`` caps joint use of a cell in step 3 and the
+fixed-route baseline; step 1 writes its capacity rows from its own
+per-period tables.
 """
 from __future__ import annotations
 
@@ -28,30 +28,57 @@ from .airspace import AirspaceGrid, OccupancySnapshot
 from .flights import ChoiceSet, DelayCostParams, FlightPlan, FlightRequest
 
 __all__ = [
+    "ArcFragment",
     "CellDomain",
-    "PresenceBlock",
     "add_capacity_rows",
     "Rows",
+    "arc_fragment",
     "cell_domain",
     "dwell_linkage",
-    "extract_plan",
-    "presence_block",
     "state_graph",
 ]
 
+# A (resource, t, run) state of ``state_graph``.
+State = tuple[str, int, int]
 
-@dataclass
-class PresenceBlock:
-    """One flight's presence columns, by cell, in its model fragment.
 
-    ``vars`` holds columns of ``fragment``; in a model the fragment is
-    appended to, they sit at the offset ``Model.append`` returns.
+@dataclass(frozen=True)
+class ArcFragment:
+    """One flight's path over its pruned ``state_graph``, as a model fragment.
+
+    Column j of ``fragment`` is the arc ``arcs[j]``, a (tail, head) pair of
+    states; a source arc, the choice of a departure slot, has no tail.
+    ``cells`` maps each (resource, t) cell to the columns of the arcs into
+    its states, in column order: their sum is the flight's occupancy of the
+    cell. In a model the fragment is appended to, column j sits at the
+    offset ``Model.append`` returns, plus j.
     """
 
     request: FlightRequest
     fragment: milp.Model
-    vars: dict[tuple[str, int], int]
-    arrival_slots: tuple[int, ...]
+    arcs: list[tuple[State | None, State]]
+    cells: dict[tuple[str, int], list[int]]
+
+    def plan(self, x: Sequence[float]) -> FlightPlan:
+        """The path the chosen arcs of the solved point ``x`` (by fragment
+        column) walk, from the chosen departure to the arrival.
+
+        Flow is 1 over each step at most, so an integral point chooses at
+        most one arc out of each state; the walk follows them in a loop.
+        """
+        request = self.request
+        chosen = {tail: head for (tail, head), value in zip(self.arcs, x, strict=True)
+                  if value >= 0.5}
+        state = chosen.get(None)
+        if state is None:
+            raise RuntimeError(f"{request.flight_id}: no departure slot chosen")
+        steps = [(state[1], state[0])]
+        while state[0] != request.destination:
+            state = chosen.get(state)
+            if state is None:
+                raise RuntimeError(f"{request.flight_id}: path ends before an arrival")
+            steps.append((state[1], state[0]))
+        return FlightPlan(request.flight_id, tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -161,24 +188,26 @@ def dwell_linkage(
 def add_capacity_rows(
     model: milp.Model,
     snapshot: OccupancySnapshot,
-    usage: Mapping[tuple[str, int], Mapping[int, float]],
+    usage: Mapping[tuple[str, int], Sequence[Mapping[int, float]]],
 ) -> None:
     """Joint capacity: for each (resource, t) cell in sorted order, the row
-    ``cap.{rid}.{t}``, the sum of ``usage[cell]`` at most the snapshot's
-    remaining capacity. A row is added only where more coefficients are
-    positive than the cell has remaining capacity, since elsewhere it
-    cannot bind.
+    ``cap.{rid}.{t}``, the terms of ``usage[cell]`` (one mapping per flight,
+    in order) summed at most the snapshot's remaining capacity. A row is
+    added only where more flights use the cell than it has remaining
+    capacity: a flight's terms in a cell sum to at most 1, however many of
+    its columns reach the cell, so elsewhere the row cannot bind.
     """
     ends: list[int] = []
     indices: list[int] = []
     coeffs: list[float] = []
     rhs: list[float] = []
     labels: list[str] = []
-    for (rid, t), row in sorted(usage.items()):
+    for (rid, t), flights in sorted(usage.items()):
         remaining = snapshot.remaining(rid, t)
-        if sum(1 for c in row.values() if c > 0) > remaining:
-            indices += row
-            coeffs += row.values()
+        if len(flights) > remaining:
+            for terms in flights:
+                indices += terms
+                coeffs += terms.values()
             ends.append(len(indices))
             rhs.append(float(remaining))
             labels.append(f"cap.{rid}.{t}")
@@ -297,134 +326,74 @@ def state_graph(
     return graph
 
 
-def presence_block(
+def arc_fragment(
     grid: AirspaceGrid,
-    snapshot: OccupancySnapshot,
     request: FlightRequest,
-    choices: ChoiceSet,
+    domain: CellDomain,
     params: DelayCostParams,
-    now: int,
-    horizon_end: int,
     prefix: str,
-) -> PresenceBlock | None:
-    """One flight's trajectory constraints over its ``cell_domain``, as a
-    model fragment whose objective is the flight's delay cost; None if it
-    cannot fly.
+) -> ArcFragment | None:
+    """One flight's trajectory over ``domain`` as a unit flow from a source
+    through its ``state_graph`` to an arrival, in a model fragment whose
+    objective is the flight's delay cost; None if no departure reaches an
+    arrival.
 
-    The columns are the presence binaries ``{prefix}.{rid}.{t}`` by
-    resource, then the dwell auxiliaries; each group of rows is written in
-    one call.
+    The graph is first pruned backward to the states that reach an arrival.
+    The columns are the binaries of the source arcs, one per departure slot
+    left, in slot order, then of the kept arcs in the graph's order. The
+    rows are ``src.{fid}``, the source arcs summing to 1, then one
+    conservation row ``flow.{fid}.{rid}.{t}.{run}`` per kept state other
+    than an arrival, inflow less outflow equal to 0, in the graph's order.
+    Dwell, one cell per step and the end of the plan at its arrival live in
+    the states, so no row states them; the flow is a path polytope over a
+    DAG, so the fragment alone is integral. The delay cost is (1 - alpha) t
+    on the source arc of slot t and alpha t on each arc into an arrival at
+    t, with the requested slots in the offset.
     """
-    domain = cell_domain(grid, snapshot, request, choices, now, horizon_end)
-    if domain is None:
-        return None
-    fid = request.flight_id
     s, e = request.origin, request.destination
-    d, a = request.requested_departure, request.requested_arrival
-    by_resource = domain.times
-    dep_slots, arr_slots = by_resource[s], by_resource[e]
+    fid = request.flight_id
+    graph = state_graph(grid, request, domain)
+    alive = {state for state in graph if state[0] == e}
+    for state, out in reversed(graph.items()):
+        if not alive.isdisjoint(out):
+            alive.add(state)
+    arcs: list[tuple[State | None, State]] = [
+        (None, (s, t, 1)) for t in domain.times[s] if (s, t, 1) in alive]
+    if not arcs:
+        return None
+    sources = len(arcs)
+    arcs += [(state, succ) for state, out in graph.items() if state in alive
+             for succ in out if succ in alive]
 
     fragment = milp.Model(name=prefix, sense="min")
-    cells = [(rid, t) for rid in sorted(by_resource) for t in by_resource[rid]]
-    fragment.binaries([f"{prefix}.{rid}.{t}" for rid, t in cells])
-    uvars = {cell: col for col, cell in enumerate(cells)}
+    fragment.binaries([f"{prefix}>{s}.{head[1]}" for _, head in arcs[:sources]]
+                      + [f"{prefix}.{rid}.{t}.{run}>{head[0]}.{head[2]}"
+                         for (rid, t, run), head in arcs[sources:]])
+    into: dict[State, list[int]] = {}
+    leaving: dict[State, list[int]] = {}
+    cells: dict[tuple[str, int], list[int]] = {}
+    for j, (tail, head) in enumerate(arcs):
+        into.setdefault(head, []).append(j)
+        cells.setdefault(head[:2], []).append(j)
+        if tail is not None:
+            leaving.setdefault(tail, []).append(j)
 
-    # Rows are collected here and written in one call per group.
-    ends: list[int] = []
-    indices: list[int] = []
-    coeffs: list[float] = []
-    relations: list[str] = []
-    rhs: list[float] = []
-    labels: list[str] = []
-
-    def row(columns: list[int], weights: list[float], relation: str, bound: float,
-            label: str) -> None:
-        indices.extend(columns)
-        coeffs.extend(weights)
-        ends.append(len(indices))
-        relations.append(relation)
-        rhs.append(bound)
-        labels.append(label)
-
-    def write() -> None:
-        fragment.add_rows(ends, indices, coeffs, relations, rhs, labels)
-        for rows in (ends, indices, coeffs, relations, rhs, labels):
-            rows.clear()
-
-    # Exactly one departure slot and one arrival slot.
-    row([uvars[(s, t)] for t in dep_slots], [1.0] * len(dep_slots), "=", 1.0, f"dep1.{fid}")
-    row([uvars[(e, t)] for t in arr_slots], [1.0] * len(arr_slots), "=", 1.0, f"arr1.{fid}")
-
-    # Presence must extend presence in the same or an adjacent resource one
-    # step earlier, except at the origin.
-    for rid in sorted(by_resource):
-        if rid == s:
-            continue
-        around = (*grid.adjacency[rid], rid)
-        for t in by_resource[rid]:
-            earlier = [col for nb in around if (col := uvars.get((nb, t - 1))) is not None]
-            row([uvars[(rid, t)], *earlier], [1.0] + [-1.0] * len(earlier), "<=", 0.0,
-                f"link.{fid}.{rid}.{t}")
-
-    # Arrival ends the flight: no presence anywhere else after the chosen
-    # arrival slot. A lone flight only loses cost-free idling to this, but in
-    # the joint deconfliction model the path length feeds the fairness term,
-    # so idling must not be able to pad it.
-    for rid in sorted(by_resource):
-        if rid == e:
-            continue
-        for t in by_resource[rid]:
-            before = [uvars[(e, ta)] for ta in arr_slots if ta < t]
-            if before:
-                row([uvars[(rid, t)], *before], [1.0] * (1 + len(before)), "<=", 1.0,
-                    f"end.{fid}.{rid}.{t}")
-    write()
-
-    # Minimum dwell per sector, over the period's steps.
-    sectors = [rid for rid, dwell in request.dwell
-               if dwell > 1 and rid in by_resource and grid.resource(rid).kind == "sector"]
-    columns = np.full((len(sectors), horizon_end - now), -1)
-    for k, rid in enumerate(sectors):
-        times = by_resource[rid]
-        columns[k, np.subtract(times, now)] = uvars[(rid, times[0])] + np.arange(len(times))
-    dwell_linkage(fragment, [(request, rid) for rid in sectors], now, columns,
-                  horizon_end).add_to(fragment)
-
-    # At most one resource per timestep.
-    by_time: dict[int, list[int]] = {}
-    for (rid, t), col in uvars.items():
-        by_time.setdefault(t, []).append(col)
-    for t, cols in sorted(by_time.items()):
-        if len(cols) > 1:
-            row(cols, [1.0] * len(cols), "<=", 1.0, f"one.{fid}.{t}")
-    write()
+    indices = list(range(sources))
+    coeffs = [1.0] * sources
+    ends = [sources]
+    labels = [f"src.{fid}"]
+    for state in graph:
+        if state in alive and state[0] != e:
+            indices += into[state] + leaving[state]
+            coeffs += [1.0] * len(into[state]) + [-1.0] * len(leaving[state])
+            ends.append(len(indices))
+            labels.append("flow.{}.{}.{}.{}".format(fid, *state))
+    fragment.add_rows(ends, indices, coeffs, ["="] * len(ends), [1.0] + [0.0] * (len(ends) - 1),
+                      labels)
 
     alpha = params.alpha
-    tdc_coeffs: dict[int, float] = {}
-    for t in dep_slots:
-        tdc_coeffs[uvars[(s, t)]] = (1.0 - alpha) * t
-    for t in arr_slots:
-        tdc_coeffs[uvars[(e, t)]] = tdc_coeffs.get(uvars[(e, t)], 0.0) + alpha * t
-    fragment.set_objective(tdc_coeffs, offset=-(alpha * a + (1.0 - alpha) * d))
-
-    return PresenceBlock(
-        request=request,
-        fragment=fragment,
-        vars=uvars,
-        arrival_slots=arr_slots,
-    )
-
-
-def extract_plan(block: PresenceBlock, x: list[float]) -> FlightPlan:
-    """Read the chosen presences in the solved point ``x`` of the block's
-    fragment (by column) as the plan's steps.
-
-    ``arr1`` picks one destination cell and the ``end`` rows forbid presence
-    anywhere else after it, so nothing follows the arrival slot.
-    """
-    request = block.request
-    if not any(x[block.vars[(request.destination, t)]] >= 0.5
-               for t in block.arrival_slots):
-        raise RuntimeError(f"{request.flight_id}: no arrival slot chosen")
-    steps = sorted((t, rid) for (rid, t), col in block.vars.items() if x[col] >= 0.5)
-    return FlightPlan(request.flight_id, tuple(steps))
+    cost = {j: (1.0 - alpha if tail is None else alpha) * head[1]
+            for j, (tail, head) in enumerate(arcs) if tail is None or head[0] == e}
+    fragment.set_objective(cost, offset=-(alpha * request.requested_arrival
+                                          + (1.0 - alpha) * request.requested_departure))
+    return ArcFragment(request, fragment, arcs, cells)

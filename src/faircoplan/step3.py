@@ -1,17 +1,20 @@
 """Joint deconfliction of conflicting trajectory proposals.
 
 Proposals that fit together are filed untouched. The flights involved in at
-least one overloaded cell are re-planned together in a single MILP that
-reuses the per-flight trajectory block, adds shared en-route capacity rows,
-and (for gamma > 0) penalises the spread of detour ratios: each flight's
-final path length over its proposed path length. Path length counts entries
-into resources (runs), and a plan holds one cell per step and moves only
-between adjacent cells, so its runs walk from origin to destination in at
-least hop-distance moves: each flight's entry count is bounded below by its
-hop distance + 1. That row cuts no plan, and it keeps the LP relaxation
-from shrinking the spread with fractional entries. When no joint solution
-exists, victims are removed one at a time — fewest resubmissions first,
-newest flight id on ties — and carried over to the next period.
+least one overloaded cell are re-planned together in a single MILP. Each
+flight is a unit flow over its ``blocks.state_graph``, one binary per arc
+(``blocks.arc_fragment``), the network-flow view of rerouting in air
+traffic flow management (Bertsimas & Stock Patterson, Transportation
+Science 2000). Only shared en-route capacity and, for gamma > 0, the
+spread of detour ratios couple the flights. A flight's detour ratio is its
+final path length over its proposed path length; path length counts entries
+into resources (runs), which is 1 + the arcs that change resource. Each
+flight's flow alone is integral, so the model is solved from its LP
+relaxation first (``milp.Model.relaxation_first``), and only a fractional
+point goes on to the MILP. The optimum is exact either way, but the LP may
+return another of several tied plans. When no joint solution exists,
+victims are removed one at a time (fewest resubmissions first, newest
+flight id on ties) and carried over to the next period.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
-from .blocks import PresenceBlock, add_capacity_rows, extract_plan, presence_block
+from .blocks import ArcFragment, add_capacity_rows, arc_fragment, cell_domain
 from .checker import ConflictReport, audit_batch, detect_conflicts
 from .flights import (
     ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, path_length, solve_dropping, tdc,
@@ -70,53 +73,25 @@ def _spread_fragment(gamma: float) -> milp.Model:
     return spread
 
 
-def _add_fairness(
+def _add_spread_rows(
     model: milp.Model,
-    grid: AirspaceGrid,
-    blocks: Mapping[str, PresenceBlock],
+    flows: Mapping[str, ArcFragment],
     shifts: Mapping[str, int],
     proposals: Mapping[str, FlightPlan],
     spread: int,
 ) -> None:
-    """Entry-count linearisation of the detour-ratio spread, on the bounds
-    ``ratio.max`` (column ``spread``) and ``ratio.min`` (the next one), for
-    the flights in ``shifts``, each block at its column offset.
-
-    Row ``lmin.{fid}`` bounds each flight's entry count below by its hop
-    distance from origin to destination + 1. It is valid: a plan holds one
-    cell per step and moves only to adjacent cells, so consecutive runs sit
-    in adjacent resources and walk from origin to destination in at least
-    hop-distance moves, and each run has one entry. It cuts no integer
-    point, and it keeps the LP relaxation from shrinking the spread with
-    fractional entries.
-    """
+    """Rows ``rmax.{fid}`` and ``rmin.{fid}`` holding each flight in
+    ``shifts`` between ``ratio.max`` (column ``spread``) and ``ratio.min``
+    (the next one): its detour ratio, 1 + its arcs that change resource, over
+    its proposal's path length."""
     f_max, f_min = spread, spread + 1
     for fid in sorted(shifts):
-        block, shift = blocks[fid], shifts[fid]
-        proposed_len = float(path_length(proposals[fid]))
-        entries: dict[int, float] = {}
-        for (rid, t), col in sorted(block.vars.items()):
-            col += shift
-            prev = block.vars.get((rid, t - 1))
-            entry = model.continuous(f"en.{fid}.{rid}.{t}", 0.0, 1.0)
-            if prev is None:
-                model.add({entry: 1.0, col: -1.0}, ">=", 0.0)
-                model.add({entry: 1.0, col: -1.0}, "<=", 0.0)
-            else:
-                prev += shift
-                model.add({entry: 1.0, col: -1.0, prev: 1.0}, ">=", 0.0)
-                model.add({entry: 1.0, col: -1.0}, "<=", 0.0)
-                model.add({entry: 1.0, prev: 1.0}, "<=", 1.0)
-            entries[entry] = 1.0
-        request = block.request
-        model.add(entries, ">=",
-                  grid.hop_distances(request.origin)[request.destination] + 1,
-                  label=f"lmin.{fid}")
-        # ratio.max >= L(final)/L(proposed) >= ratio.min for every flight.
-        model.add({f_max: 1.0, **{n: -1.0 / proposed_len for n in entries}},
-                  ">=", 0.0, label=f"rmax.{fid}")
-        model.add({f_min: 1.0, **{n: -1.0 / proposed_len for n in entries}},
-                  "<=", 0.0, label=f"rmin.{fid}")
+        share = 1.0 / path_length(proposals[fid])
+        shift = shifts[fid]
+        moves = {shift + j: -share for j, (tail, head) in enumerate(flows[fid].arcs)
+                 if tail is not None and tail[0] != head[0]}
+        model.add({f_max: 1.0, **moves}, ">=", share, label=f"rmax.{fid}")
+        model.add({f_min: 1.0, **moves}, "<=", share, label=f"rmin.{fid}")
 
 
 def _joint_blocks(
@@ -128,53 +103,55 @@ def _joint_blocks(
     params: DelayCostParams,
     now: int,
     horizon_end: int,
-) -> dict[str, PresenceBlock]:
-    """Each flight's presence block, as its own fragment: built once per
-    stage call, since it depends on no other flight."""
-    blocks: dict[str, PresenceBlock] = {}
+) -> dict[str, ArcFragment]:
+    """Each flight's arc fragment: built once per stage call, since it
+    depends on no other flight."""
+    flows: dict[str, ArcFragment] = {}
     for fid in sorted(flights):
-        block = presence_block(grid, base, requests[fid], choice_sets[fid], params,
-                               now, horizon_end, prefix=f"v.{fid}")
-        if block is None:
+        domain = cell_domain(grid, base, requests[fid], choice_sets[fid], now, horizon_end)
+        flow = None if domain is None else arc_fragment(grid, requests[fid], domain, params,
+                                                        prefix=f"v.{fid}")
+        if flow is None:
             raise RuntimeError(
                 f"{fid}: conflicting flight has no representable trajectory "
                 "despite holding a proposal"
             )
-        blocks[fid] = block
-    return blocks
+        flows[fid] = flow
+    return flows
 
 
 def _build_joint(
     grid: AirspaceGrid,
     base: OccupancySnapshot,
-    blocks: Mapping[str, PresenceBlock],
+    flows: Mapping[str, ArcFragment],
     active: Sequence[str],
     proposals: Mapping[str, FlightPlan],
     gamma: float,
 ) -> tuple[milp.Model, Callable[[list[float]], dict[str, FlightPlan]]]:
-    """The joint model over ``active``: their blocks' fragments in sorted
-    order (columns, own rows and delay costs), then the rows that depend on
-    which flights are active: shared capacity and, for gamma > 0, the
-    fairness spread."""
-    model = milp.Model(name="deconfliction", sense="min")
-    shifts = {fid: model.append(blocks[fid].fragment) for fid in sorted(active)}
+    """The joint model over ``active``: their fragments in sorted order
+    (columns, own rows and delay costs) and, for gamma > 0, the spread's
+    two columns; then the rows that depend on which flights are active:
+    shared capacity and, for gamma > 0, the spread rows."""
+    model = milp.Model(name="deconfliction", sense="min", relaxation_first=True)
+    shifts = {fid: model.append(flows[fid].fragment) for fid in sorted(active)}
     if gamma > 0.0:
         spread = model.append(_spread_fragment(gamma))
 
     # Shared en-route capacity. Vertiport and ring cells need no rows here:
     # each flight is confined to its granted choices and the choice-setting
     # step already capped the joint grant per cell.
-    shared: dict[tuple[str, int], dict[int, float]] = {}
+    usage: dict[tuple[str, int], list[dict[int, float]]] = {}
     for fid, shift in shifts.items():
-        for (rid, t), col in blocks[fid].vars.items():
-            if not grid.is_zone(rid):
-                shared.setdefault((rid, t), {})[col + shift] = 1.0
-    add_capacity_rows(model, base, shared)
+        for cell, columns in flows[fid].cells.items():
+            if not grid.is_zone(cell[0]):
+                usage.setdefault(cell, []).append(dict.fromkeys(
+                    [shift + j for j in columns], 1.0))
+    add_capacity_rows(model, base, usage)
 
     if gamma > 0.0:
-        _add_fairness(model, grid, blocks, shifts, proposals, spread)
+        _add_spread_rows(model, flows, shifts, proposals, spread)
     return model, lambda x: {
-        fid: extract_plan(blocks[fid], x[shift:shift + blocks[fid].fragment.num_vars])
+        fid: flows[fid].plan(x[shift:shift + flows[fid].fragment.num_vars])
         for fid, shift in shifts.items()}
 
 
@@ -222,11 +199,11 @@ def solve_step3(
             raise ValueError(f"conflicting flight {fid} lacks a usable choice set")
 
     base = snapshot.with_plans(kept.values())
-    blocks = _joint_blocks(grid, base, report.conflicting_flights, by_id, choice_sets,
-                           params, now, horizon_end)
+    flows = _joint_blocks(grid, base, report.conflicting_flights, by_id, choice_sets,
+                         params, now, horizon_end)
     outcome = solve_dropping(
         sorted(report.conflicting_flights), by_id,
-        lambda active: _build_joint(grid, base, blocks, active, proposals, gamma),
+        lambda active: _build_joint(grid, base, flows, active, proposals, gamma),
     )
     replans = outcome.plans
     final = {**kept, **replans}

@@ -1,6 +1,6 @@
 """Shared builders for compact test airspaces and flights: the self-check's
 own tiny-instance builders, so tests and the oracle suite build alike, and
-the single-flight trajectory MILP."""
+the single-flight trajectory MILP, step 3's arc fragment."""
 from __future__ import annotations
 
 import os
@@ -12,7 +12,7 @@ import numpy as np
 
 from faircoplan import milp
 from faircoplan.selfcheck import blocked, make_grid, make_request, rid
-from faircoplan.blocks import presence_block
+from faircoplan.blocks import arc_fragment, cell_domain
 
 __all__ = ["assert_same_model", "blocked", "make_grid", "make_request", "rid",
            "run_python", "trajectory_model"]
@@ -30,15 +30,18 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
 
 
 def trajectory_model(grid, snapshot, request, choices, params, now=0):
-    """One flight's presence block with its delay cost as the objective: the
-    trajectory as a MILP, for checking step 2's search and for exercising the
-    block step 3 builds on. None when the block cannot be built."""
-    block = presence_block(grid, snapshot, request, choices, params,
-                           now, now + grid.horizon_steps, prefix=f"u.{request.flight_id}")
-    if block is None:
-        return None
-    block.fragment.name = f"trajectory.{request.flight_id}"
-    return block.fragment
+    """One flight's arc fragment over its cell domain, with its delay cost as
+    the objective: the trajectory as a MILP, for checking step 2's search and
+    for exercising the flow step 3 solves. Its ``fragment`` is the model,
+    named ``trajectory.{fid}``; its ``plan`` reads a solved point. None when
+    the flight cannot fly."""
+    horizon_end = now + grid.horizon_steps
+    domain = cell_domain(grid, snapshot, request, choices, now, horizon_end)
+    flow = None if domain is None else arc_fragment(grid, request, domain, params,
+                                                    prefix=f"u.{request.flight_id}")
+    if flow is not None:
+        flow.fragment.name = f"trajectory.{request.flight_id}"
+    return flow
 
 
 def assert_same_model(got, want):

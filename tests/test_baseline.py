@@ -257,9 +257,9 @@ class TestVictimDrops:
 
 
 class TestRelaxationFirst:
-    def test_only_fixed_route_models_are_solved_from_their_relaxation(self, monkeypatch):
-        # The fixed-route formulation's relaxation is tight; the negotiated
-        # lanes' models go to HiGHS as MILPs, as they always have.
+    def test_fixed_route_and_deconfliction_models_solve_lp_first(self, monkeypatch):
+        # The fixed-route formulation's relaxation is tight, and so is each
+        # deconfliction flight's flow; choice setting goes to HiGHS as a MILP.
         flags: dict[str, set[bool]] = {}
         real_solve = milp.solve
 
@@ -273,4 +273,4 @@ class TestRelaxationFirst:
         for mode in sim.MODES:
             sim.run_day(grid, config, 0, mode)
         assert flags == {"fixed-route-schedule": {True}, "choice-setting": {False},
-                         "deconfliction": {False}}
+                         "deconfliction": {True}}

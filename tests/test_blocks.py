@@ -1,6 +1,6 @@
 """Time-expanded model blocks: every row states its rule with coefficients
 no larger than the instance's longest minimum dwell, so no horizon-sized
-Big-M reaches HiGHS."""
+Big-M reaches HiGHS; the cell domain, the state graph and its arc fragment."""
 from __future__ import annotations
 
 from itertools import product
@@ -9,7 +9,7 @@ import pytest
 
 from faircoplan import milp
 from faircoplan.airspace import OccupancyLedger
-from faircoplan.blocks import CellDomain, cell_domain, state_graph
+from faircoplan.blocks import CellDomain, arc_fragment, cell_domain, state_graph
 from faircoplan.flights import ChoiceSet, DelayCostParams, FlightPlan
 from faircoplan.step1 import solve_step1
 from faircoplan.step2 import solve_step2
@@ -49,12 +49,16 @@ def test_no_row_coefficient_exceeds_the_longest_dwell(monkeypatch):
     result = solve_step3(grid, snap, requests, s1.choice_sets, proposals, params)
     assert result.replanned == ("f0", "f1")
 
-    assert [m.name for m in models] == ["choice-setting", "deconfliction"]
-    for model in models:
-        dwell_rows = [con for con in model.constraints if con.label.startswith("dw")]
-        assert {abs(c) for con in dwell_rows for _, c in con.coeffs} >= {2.0, 3.0}
-        largest = max(abs(c) for con in model.constraints for _, c in con.coeffs)
-        assert largest <= longest, model.name
+    # Step 1 states dwell in rows over its ring choices; the deconfliction
+    # flows state it in their states, with no dwell row and no coefficient
+    # above 1.
+    choice, deconfliction = models
+    assert (choice.name, deconfliction.name) == ("choice-setting", "deconfliction")
+    dwell_rows = [con for con in choice.constraints if con.label.startswith("dw")]
+    assert {abs(c) for con in dwell_rows for _, c in con.coeffs} >= {2.0, 3.0}
+    assert max(abs(c) for con in choice.constraints for _, c in con.coeffs) <= longest
+    assert not [con for con in deconfliction.constraints if con.label.startswith("dw")]
+    assert max(abs(c) for con in deconfliction.constraints for _, c in con.coeffs) <= 1.0
 
 
 def reference_cell_domain_times(grid, snapshot, request, choices, now, horizon_end,
@@ -141,3 +145,45 @@ def test_state_graph_arcs_on_a_corridor():
     }
     steps = [t for _, t, _ in graph]
     assert steps == sorted(steps)
+
+
+def test_arc_fragment_on_a_corridor():
+    # The corridor above, with the ring cell usable at t=4 too: the state
+    # (r0001, 4, 2) reaches no arrival, so the prune drops it and its arc.
+    # Two arcs enter the ring cell at t=3, from runs of 1 and 2.
+    grid = make_grid(1, 3, ((0, 0), (0, 2)))
+    request = make_request(grid, "f0", "r0000", "r0002", 0, dwell=(("r0001", 2),))
+    domain = CellDomain({"r0000": (0, 1), "r0001": (1, 2, 3, 4), "r0002": (3, 4)})
+    assert ("r0001", 4, 2) in state_graph(grid, request, domain)
+    flow = arc_fragment(grid, request, domain, DelayCostParams(alpha=0.3), prefix="u")
+    assert flow.arcs == [
+        (None, ("r0000", 0, 1)),
+        (None, ("r0000", 1, 1)),
+        (("r0000", 0, 1), ("r0001", 1, 1)),
+        (("r0001", 1, 1), ("r0001", 2, 2)),
+        (("r0000", 1, 1), ("r0001", 2, 1)),
+        (("r0001", 2, 2), ("r0001", 3, 2)),
+        (("r0001", 2, 2), ("r0002", 3, 1)),
+        (("r0001", 2, 1), ("r0001", 3, 2)),
+        (("r0001", 3, 2), ("r0002", 4, 1)),
+    ]
+    assert flow.cells[("r0001", 3)] == [5, 7]
+    assert ("r0001", 4) not in flow.cells
+    model = flow.fragment
+    rows = [(c.label, dict(c.coeffs), c.relation, c.rhs) for c in model.constraints]
+    names = [v.name for v in model.variables]
+    assert rows[0] == ("src.f0", {names[0]: 1.0, names[1]: 1.0}, "=", 1.0)
+    assert [label for label, *_ in rows[1:]] == [
+        "flow.f0.r0000.0.1", "flow.f0.r0001.1.1", "flow.f0.r0000.1.1",
+        "flow.f0.r0001.2.2", "flow.f0.r0001.2.1", "flow.f0.r0001.3.2"]
+    assert rows[6] == ("flow.f0.r0001.3.2", {names[5]: 1.0, names[7]: 1.0, names[8]: -1.0},
+                       "=", 0.0)
+    assert all(v.binary for v in model.variables)
+    # (1 - alpha) t on the source arcs, alpha t on the arcs into arrivals.
+    cost = dict(zip(model._objective_columns, model._objective_coeffs))
+    assert cost == pytest.approx({1: 0.7, 0: 0.0, 6: 0.9, 8: 1.2})
+    assert model.objective_offset == pytest.approx(-0.9)
+    result = milp.solve(model)
+    assert result.objective == pytest.approx(0.0)
+    assert flow.plan(result.x) == FlightPlan(
+        "f0", ((0, "r0000"), (1, "r0001"), (2, "r0001"), (3, "r0002")))

@@ -31,18 +31,32 @@ def corridor():
 
 class TestCapacityRows:
     def test_row_only_where_positive_terms_exceed_remaining(self, corridor):
-        # Pads hold 2, the ring cell 1.
+        # Pads hold 2, the ring cell 1; each mapping is one flight's terms.
         snap = OccupancyLedger(corridor).snapshot()
         model = milp.Model()
         a, b, c, d, e, f, g, h = (model.binary(n) for n in "abcdefgh")
         add_capacity_rows(model, snap, {
-            ("r0002", 1): {e: 1.0, f: -1.0, g: 1.0, h: -1.0},  # over only with negatives
-            ("r0001", 0): {c: 1.0, d: 1.0},  # over
-            ("r0000", 0): {a: 1.0, b: 1.0},  # exactly at remaining
+            ("r0002", 1): [{e: 1.0, f: -1.0}, {g: 1.0, h: -1.0}],  # at remaining
+            ("r0001", 0): [{c: 1.0}, {d: 1.0}],  # over
+            ("r0000", 0): [{a: 1.0}, {b: 1.0}],  # exactly at remaining
         })
         (row,) = model.constraints
         assert row.label == "cap.r0001.0"
         assert row.coeffs == (("c", 1.0), ("d", 1.0))
+        assert (row.relation, row.rhs) == ("<=", 1.0)
+
+    def test_flights_are_counted_not_their_arcs(self, corridor):
+        # One flight reaching the ring cell (room 1) through two arcs uses it
+        # once, so it needs no row; a second flight makes one.
+        snap = OccupancyLedger(corridor).snapshot()
+        model = milp.Model()
+        a1, a2, b = (model.binary(n) for n in ("a1", "a2", "b"))
+        add_capacity_rows(model, snap, {("r0001", 1): [{a1: 1.0, a2: 1.0}]})
+        assert model.num_rows == 0
+        add_capacity_rows(model, snap, {("r0001", 1): [{a1: 1.0, a2: 1.0}, {b: 1.0}]})
+        (row,) = model.constraints
+        assert row.label == "cap.r0001.1"
+        assert row.coeffs == (("a1", 1.0), ("a2", 1.0), ("b", 1.0))
         assert (row.relation, row.rhs) == ("<=", 1.0)
 
 
@@ -179,8 +193,8 @@ def assert_search_is_exact(grid, snap, request, choices, params, now=0):
     """The search against the trajectory MILP (feasibility and TDC) and the
     enumeration oracle (the plan itself, under the same tie rule)."""
     out = solve_step2(grid, snap, request, choices, params, now)
-    model = trajectory_model(grid, snap, request, choices, params, now)
-    result = None if model is None else milp.solve(model)
+    flow = trajectory_model(grid, snap, request, choices, params, now)
+    result = None if flow is None else milp.solve(flow.fragment)
     if result is None or result.status == milp.INFEASIBLE:
         assert out.plan is None
     else:
@@ -262,6 +276,24 @@ class TestExactSearch:
         assert len(out.plan.steps) == 1094
         assert plan_violations(grid, snap, request, out.plan, 0,
                                grid.horizon_steps, choices=choices) == []
+
+    def test_long_plan_from_the_arc_fragment_solved_lp_first(self):
+        # The 1,094-step plan above, from its arc fragment: the backward
+        # prune and the plan walk do not recurse either, and the LP's
+        # integral optimum walks to step 2's plan.
+        grid = make_grid(1, 3, ((0, 0), (0, 2)), horizon=1100)
+        snap = OccupancyLedger(grid).snapshot()
+        request = make_request(grid, "f0", "r0000", "r0002", 0,
+                               dwell=(("r0001", 1092),))
+        choices = every_free_zone_cell(grid, snap, request)
+        out = solve_step2(grid, snap, request, choices, PARAMS)
+        flow = trajectory_model(grid, snap, request, choices, PARAMS)
+        flow.fragment.relaxation_first = True
+        result = milp.solve(flow.fragment)
+        assert result.status == milp.OPTIMAL
+        assert "LP relaxation" in result.detail
+        assert result.objective == out.tdc
+        assert flow.plan(result.x) == out.plan
 
     def test_ties_go_to_the_smallest_steps(self):
         # Two equally short routes around the square; r0001 sorts first.

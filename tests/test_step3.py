@@ -7,8 +7,9 @@ import pytest
 
 from faircoplan import milp, sim, step3
 from faircoplan.airspace import OccupancyLedger, OccupancySnapshot
+from faircoplan.blocks import ArcFragment
 from faircoplan.checker import detect_conflicts
-from faircoplan.flights import DelayCostParams, FlightPlan
+from faircoplan.flights import DelayCostParams, FlightPlan, path_length
 from faircoplan.oracle import oracle_joint_optimum
 from faircoplan.serialize import load_scenario
 from faircoplan.step1 import solve_step1
@@ -212,30 +213,56 @@ class TestPinchDeconfliction:
         assert out.objective == pytest.approx(want)
 
 
+# Row labels and column names of the presence encoding the flows replace.
+PRESENCE_ENCODING = ("lmin.", "en.", "dw", "link.", "one.", "end.")
+
+
+def assert_flow_encoding(model):
+    """Only the flows' and the spread's rows and columns: none of the
+    presence encoding's."""
+    labels = [c.label for c in model.constraints]
+    names = [v.name for v in model.variables]
+    assert all(label.startswith(("src.", "flow.", "cap.", "rmax.", "rmin."))
+               for label in labels)
+    assert all(name.startswith(("v.", "ratio.")) for name in names)
+    assert not [label for label in labels if label.startswith(PRESENCE_ENCODING)]
+    assert not [name for name in names if name.startswith(PRESENCE_ENCODING)]
+
+
 class TestEntryCountBound:
-    def test_one_row_per_flight_at_its_hop_distance(self, monkeypatch):
+    def test_spread_rows_hold_the_resource_changing_arcs(self, monkeypatch):
+        # Each flight's entry count is 1 + its arcs that change resource, so
+        # rmax/rmin hold exactly those arcs at -1/L with right-hand side 1/L,
+        # L the proposal's path length.
         grid, requests = head_on()
         snap, choice_sets, proposals = plan_batch(grid, requests)
         models = deconfliction_models(monkeypatch)
+        stage = []
+        blocks = step3._joint_blocks
+        monkeypatch.setattr(step3, "_joint_blocks",
+                            lambda *args: stage.append(blocks(*args)) or stage[-1])
         out = solve_step3(grid, snap, requests, choice_sets, proposals,
                           PARAMS, gamma=1.0)
         assert out.replanned == ("f0", "f1", "f2")
-        [model] = models
-        by_id = {r.flight_id: r for r in requests}
-        rows = [c for c in model.constraints if c.label.startswith("lmin.")]
-        assert [c.label for c in rows] == ["lmin.f0", "lmin.f1", "lmin.f2"]
-        for row in rows:
-            fid = row.label.removeprefix("lmin.")
-            request = by_id[fid]
-            entries = {v.name for v in model.variables
-                       if v.name.startswith(f"en.{fid}.")}
-            assert entries
-            assert {name for name, _ in row.coeffs} == entries
-            assert {coeff for _, coeff in row.coeffs} == {1.0}
-            assert row.relation == ">="
-            hops = grid.hop_distances(request.origin)[request.destination]
-            assert hops == 4
-            assert row.rhs == hops + 1
+        [model], [flows] = models, stage
+        assert_flow_encoding(model)
+        spread = [c for c in model.constraints if c.label.startswith(("rmax.", "rmin."))]
+        assert [c.label for c in spread] == ["rmax.f0", "rmin.f0", "rmax.f1", "rmin.f1",
+                                            "rmax.f2", "rmin.f2"]
+        for row in spread:
+            kind, fid = row.label.split(".")
+            share = 1.0 / path_length(proposals[fid])
+            flow = flows[fid]
+            names = [v.name for v in flow.fragment.variables]
+            moves = {names[j] for j, (tail, head) in enumerate(flow.arcs)
+                     if tail is not None and tail[0] != head[0]}
+            assert len(moves) >= 4  # the hop distance, origin to destination
+            bound, *terms = row.coeffs
+            assert bound == ("ratio.max" if kind == "rmax" else "ratio.min", 1.0)
+            assert {name for name, _ in terms} == moves
+            assert {coeff for _, coeff in terms} == {-share}
+            assert row.relation == (">=" if kind == "rmax" else "<=")
+            assert row.rhs == share
 
     def test_no_row_without_the_spread(self, monkeypatch):
         grid, requests = head_on()
@@ -244,44 +271,28 @@ class TestEntryCountBound:
         solve_step3(grid, snap, requests, choice_sets, proposals,
                     PARAMS, gamma=0.0)
         [model] = models
-        assert not [c for c in model.constraints if c.label.startswith("lmin.")]
+        assert not [c for c in model.constraints
+                    if c.label.startswith(("lmin.", "rmax.", "rmin."))]
+        assert not [v for v in model.variables if v.name.startswith("ratio.")]
 
-    def test_cuts_no_optimum_on_a_desk_day(self, monkeypatch):
+    def test_desk_day_models_hold_no_presence_encoding(self, monkeypatch):
         # Every fair-coplan deconfliction model of desk day 0, drop attempts
-        # included, solved with and without its lmin rows.
+        # included: the flows state dwell, one cell per step and the end of
+        # the plan in their states, so no row or column of the presence
+        # encoding is written, and each flight has its two spread rows.
         config = load_scenario(DESK_CONFIG)
         assert config.gamma > 0.0
-        calls = []
-        build = step3._build_joint
-
-        def capture(*args):
-            calls.append(args)
-            return build(*args)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(step3, "_build_joint", capture)
-            sim.run_day(sim.scenario_grid(config), config, 0, "fair-coplan")
-        assert calls
-
-        add = milp.Model.add
-
-        def add_without_bound(model, coeffs, relation, rhs, label=""):
-            if not label.startswith("lmin."):
-                add(model, coeffs, relation, rhs, label)
-
-        for args in calls:
-            bounded, _ = build(*args)
-            with monkeypatch.context() as patch:
-                patch.setattr(milp.Model, "add", add_without_bound)
-                plain, _ = build(*args)
-            active = args[3]
-            assert sum(c.label.startswith("lmin.") for c in bounded.constraints) == len(active)
-            assert not [c for c in plain.constraints if c.label.startswith("lmin.")]
-            with_row, without_row = milp.solve(bounded), milp.solve(plain)
-            assert with_row.status == without_row.status
-            if with_row.status == milp.OPTIMAL:
-                assert with_row.objective == pytest.approx(
-                    without_row.objective, rel=1e-9, abs=1e-9)
+        models = deconfliction_models(monkeypatch)
+        sim.run_day(sim.scenario_grid(config), config, 0, "fair-coplan")
+        assert models
+        for model in models:
+            assert_flow_encoding(model)
+            labels = [c.label for c in model.constraints]
+            flights = [label.removeprefix("src.") for label in labels
+                       if label.startswith("src.")]
+            assert [label for label in labels if label.startswith(("rmax.", "rmin."))] == [
+                f"{kind}.{fid}" for fid in flights for kind in ("rmax", "rmin")]
+            assert model.relaxation_first
 
 
 class TestVictimDrops:
@@ -366,8 +377,8 @@ class TestCapacityAudit:
         snap, choice_sets, proposals = plan_batch(grid, requests)
         # Each flight alone passes its re-check against the snapshot; only
         # the joint audit sees both proposals on the one-flight pinch cell.
-        monkeypatch.setattr(step3, "extract_plan",
-                            lambda block, values: proposals[block.request.flight_id])
+        monkeypatch.setattr(ArcFragment, "plan",
+                            lambda flow, values: proposals[flow.request.flight_id])
         with pytest.raises(RuntimeError, match="deconflicted batch breaks capacity"):
             solve_step3(grid, snap, requests, choice_sets, proposals,
                         PARAMS, gamma=0.0)
