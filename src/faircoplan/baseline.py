@@ -5,11 +5,12 @@ vertiports; the scheduler only times entries. Cumulative binaries
 w[f,i,t] ("flight f has entered leg i by t") give monotone rows, ordered
 entries with per-sector minimum dwell (holding longer is allowed), a
 departure window, an arrival deadline at the end of the horizon, and shared
-capacity on every cell the routes cross. Ground and airborne holding are the
-only degrees of freedom; there is no rerouting. Flights whose windows cannot
-fit the horizon are deferred, and when the timing problem itself is
-infeasible, victims are removed under the same rule as the negotiated lane
-(fewest resubmissions, newest id on ties) and carried over.
+capacity on every cell the routes cross, written by ``blocks.joint_model``
+as in step 3. Ground and airborne holding are the only degrees of freedom;
+there is no rerouting. Flights whose windows cannot fit the horizon are
+deferred, and when the timing problem itself is infeasible, victims are
+removed under the same rule as the negotiated lane (fewest resubmissions,
+newest id on ties) and carried over.
 
 The objective is the same weighted delay cost the negotiated lane uses.
 
@@ -26,14 +27,12 @@ the negotiated lanes' artifacts are unchanged.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Callable, Mapping, Sequence
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
-from .blocks import add_capacity_rows
+from .blocks import joint_model
 from .checker import audit_batch
 from .flights import DelayCostParams, FlightPlan, FlightRequest, solve_dropping, tdc
 
@@ -99,7 +98,8 @@ def leg_dwells(
 
 @dataclass(frozen=True)
 class _Schedule:
-    """One flight's block of the fixed-route model, built once per stage call.
+    """One flight's block of the fixed-route model (``blocks.joint_model``),
+    built once per stage call.
 
     ``fragment`` holds the flight's columns ``w.{fid}.{i}.{t}``, its own
     rows and its objective terms. Leg i's columns run from t = lo to the
@@ -107,10 +107,9 @@ class _Schedule:
     starts[i]``. The constant delay terms are kept apart in
     ``offset_terms``: the stage sums them flight after flight, term by
     term, so the objective offset is the same float whatever the batch.
-    The flight's term in the capacity row of a (resource, t) cell it can
-    hold is +1 on column ``cells[cell]``, the binary that has it entered
-    that cell's leg by t, and -1 on column ``leaves[cells[cell]]``, the one
-    that has it gone by t, unless that is -1 (no such column).
+    ``cells`` maps each (resource, t) cell the flight can hold to its
+    occupancy there: +1 on the binary that has it entered that cell's leg
+    by t and, where there is one, -1 on the binary that has it gone by t.
     """
 
     request: FlightRequest
@@ -118,8 +117,23 @@ class _Schedule:
     fragment: milp.Model
     starts: tuple[tuple[int, int], ...]
     offset_terms: tuple[float, ...]
-    cells: dict[tuple[str, int], int]
-    leaves: list[int]
+    cells: dict[tuple[str, int], dict[int, float]]
+
+    def plan(self, x: Sequence[float]) -> FlightPlan:
+        """The plan in the solved point ``x`` of the fragment: each leg is
+        entered at its first step whose entered-by binary is set."""
+        ends = [col for _, col in self.starts[1:]] + [len(x)]
+        entries = []
+        for i, ((lo, col), end) in enumerate(zip(self.starts, ends)):
+            entry = next((lo + k for k, value in enumerate(x[col:end]) if value >= 0.5), None)
+            if entry is None:
+                raise RuntimeError(f"{self.request.flight_id}: leg {i} never entered")
+            entries.append(entry)
+        legs = self.route.legs
+        steps = [(t, legs[i]) for i in range(len(legs) - 1)
+                 for t in range(entries[i], entries[i + 1])]
+        steps.append((entries[-1], self.route.destination))
+        return FlightPlan(self.request.flight_id, tuple(steps))
 
 
 def _pairs(first: range, second: range) -> list[int]:
@@ -206,90 +220,35 @@ def _schedule(
                     *[ground] * len(waits), *[air] * len(landings))
 
     # A flight holds cell (legs[i], t) while it has entered leg i but not
-    # leg i + 1: its capacity term is w(i, t) - w(i + 1, t). It holds the
-    # destination only on its entry step: w(last, t) - w(last, t - 1).
-    cells: dict[tuple[str, int], int] = {}
-    leaves = [-1] * len(names)
+    # leg i + 1: its occupancy is w(i, t) - w(i + 1, t), the second term
+    # only once leg i + 1 has a column. It holds the destination only on its
+    # entry step: w(last, t) - w(last, t - 1), the second term from lo + 1.
+    cells: dict[tuple[str, int], dict[int, float]] = {}
     for i, lo in enumerate(entry_lo):
-        cols = range(base[i] + lo, base[i] + horizon_end)
-        cells.update(zip(zip(repeat(route.legs[i]), range(lo, horizon_end)), cols))
-        if i < last:
-            after = entry_lo[i + 1]
-            leaves[base[i] + after:base[i] + horizon_end] = \
-                range(base[i + 1] + after, base[i + 1] + horizon_end)
-        else:
-            leaves[cols.start + 1:cols.stop] = cols[:-1]
+        gone, after = (base[i + 1], entry_lo[i + 1]) if i < last else (base[i] - 1, lo + 1)
+        for t in range(lo, horizon_end):
+            occupancy = cells[(route.legs[i], t)] = {base[i] + t: 1.0}
+            if t >= after:
+                occupancy[gone + t] = -1.0
     return _Schedule(request, route, fragment,
                      tuple((lo, col + lo) for lo, col in zip(entry_lo, base)),
-                     offset_terms, cells, leaves)
+                     offset_terms, cells)
 
 
 def _build_tfmp(
     snapshot: OccupancySnapshot,
     schedules: Mapping[str, _Schedule],
-    remaining: Mapping[tuple[str, int], int],
     active: Sequence[str],
-    horizon_end: int,
 ) -> tuple[milp.Model, Callable[[list[float]], dict[str, FlightPlan]]]:
-    """The fixed-route model over ``active``: their blocks' fragments in
-    sorted order, then shared capacity on every cell more of them can hold
-    than it has room for (``remaining``, by cell).
-
-    Those crowded cells are exactly the ones ``add_capacity_rows``
-    writes a row for, so the rows are built for them alone.
-    """
-    # The cumulative formulation's relaxation is tight (see the module
-    # docstring), so HiGHS solves it as an LP first.
-    model = milp.Model(name="fixed-route-schedule", sense="min", relaxation_first=True)
-    order = sorted(active)
-    shifts = {fid: model.append(schedules[fid].fragment) for fid in order}
+    """The fixed-route model over ``active`` (``blocks.joint_model``), with
+    their constant delay terms summed into its offset."""
+    model, _, read = joint_model("fixed-route-schedule", schedules, active, snapshot)
     offset = 0.0
-    for fid in order:
+    for fid in sorted(active):
         for term in schedules[fid].offset_terms:
             offset += term
     model.objective_offset = offset
-
-    held = Counter(chain.from_iterable(schedules[fid].cells for fid in order))
-    crowded = [cell for cell, flights in held.items() if flights > remaining[cell]]
-    usage: dict[tuple[str, int], list[dict[int, float]]] = {}
-    for fid, shift in shifts.items():
-        schedule = schedules[fid]
-        for cell in crowded:
-            col = schedule.cells.get(cell)
-            if col is not None:
-                terms = {col + shift: 1.0}
-                if schedule.leaves[col] >= 0:
-                    terms[schedule.leaves[col] + shift] = -1.0
-                usage.setdefault(cell, []).append(terms)
-    add_capacity_rows(model, snapshot, usage)
-    return model, lambda x: {
-        fid: _extract(schedules[fid].request, schedules[fid].route, schedules[fid].starts,
-                      x[shift:shift + schedules[fid].fragment.num_vars], horizon_end)
-        for fid, shift in shifts.items()}
-
-
-def _extract(
-    request: FlightRequest,
-    route: FixedRoute,
-    starts: Sequence[tuple[int, int]],
-    x: list[float],
-    horizon_end: int,
-) -> FlightPlan:
-    """The plan in the solved point ``x`` of the flight's fragment, whose
-    leg i has its columns from ``starts[i]``: each leg is entered at its
-    first step whose entered-by binary is set."""
-    entries = []
-    for i, (lo, col) in enumerate(starts):
-        entry = next((t for t in range(lo, horizon_end) if x[col + t - lo] >= 0.5), None)
-        if entry is None:
-            raise RuntimeError(f"{request.flight_id}: leg {i} never entered")
-        entries.append(entry)
-    steps = []
-    for i in range(len(route.legs) - 1):
-        for t in range(entries[i], entries[i + 1]):
-            steps.append((t, route.legs[i]))
-    steps.append((entries[-1], route.destination))
-    return FlightPlan(request.flight_id, tuple(steps))
+    return model, read
 
 
 def solve_tfmp(
@@ -325,12 +284,8 @@ def solve_tfmp(
 
     schedules = {fid: _schedule(grid, by_id[fid], routes[fid], params, now, horizon_end)
                  for fid in included}
-    remaining = {cell: snapshot.remaining(*cell)
-                 for cell in set().union(*(schedule.cells for schedule in schedules.values()))}
     outcome = solve_dropping(
-        included, by_id,
-        lambda active: _build_tfmp(snapshot, schedules, remaining, active, horizon_end),
-    )
+        included, by_id, lambda active: _build_tfmp(snapshot, schedules, active))
     plans = outcome.plans
     tdc_by_flight: dict[str, float] = {}
     if outcome.objective is not None:

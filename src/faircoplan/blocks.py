@@ -5,21 +5,27 @@ grid, shared by every planner MILP.
 ``state_graph`` holds the moves over them, which step 2 walks, and
 ``arc_fragment`` writes the same moves as a path, one binary per arc, in a
 model fragment of its own: a plain ``milp.Model`` holding the flight's
-columns, rows and delay cost. Step 3 builds each flight's fragment once per
-stage call and appends the active flights' fragments into each joint
-deconfliction MILP with ``Model.append``; the fragment's columns then sit at
-the offset that returns, and ``ArcFragment.plan`` walks the chosen arcs back
-into a plan. ``dwell_linkage`` holds step 1's ring-choice runs at their
+columns, rows and delay cost; ``ArcFragment.plan`` walks the chosen arcs
+back into a plan. ``dwell_linkage`` holds step 1's ring-choice runs at their
 minimum dwell; it handles many runs in one call and returns their rows as
 ``Rows``, which step 1 merges flight by flight with its slot-support rows.
-``add_capacity_rows`` caps joint use of a cell in step 3 and the
-fixed-route baseline; step 1 writes its capacity rows from its own
-per-period tables.
+
+``joint_model`` is the one builder of step 3's and the fixed-route
+baseline's joint models: per-flight blocks, each built once per stage
+call, coupled only by shared cell capacity. A block has one shape: its
+``fragment``, its ``cells`` (each (resource, t) cell the flight can hold,
+mapped to ``{fragment column: coefficient}``, the flight's occupancy of
+that cell) and ``plan(x)``, the flight's plan in a solved point of its
+fragment. It is an ``ArcFragment`` in step 3 and a ``baseline._Schedule``
+in the baseline. Step 1 writes its capacity rows from its own per-period
+tables.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -30,11 +36,11 @@ from .flights import ChoiceSet, DelayCostParams, FlightPlan, FlightRequest
 __all__ = [
     "ArcFragment",
     "CellDomain",
-    "add_capacity_rows",
     "Rows",
     "arc_fragment",
     "cell_domain",
     "dwell_linkage",
+    "joint_model",
     "state_graph",
 ]
 
@@ -48,16 +54,16 @@ class ArcFragment:
 
     Column j of ``fragment`` is the arc ``arcs[j]``, a (tail, head) pair of
     states; a source arc, the choice of a departure slot, has no tail.
-    ``cells`` maps each (resource, t) cell to the columns of the arcs into
-    its states, in column order: their sum is the flight's occupancy of the
-    cell. In a model the fragment is appended to, column j sits at the
-    offset ``Model.append`` returns, plus j.
+    ``cells`` maps each (resource, t) cell to ``{column: 1.0}`` over the
+    arcs into its states, in column order: their sum is the flight's
+    occupancy of the cell. In a model the fragment is appended to, column j
+    sits at the offset ``Model.append`` returns, plus j.
     """
 
     request: FlightRequest
     fragment: milp.Model
     arcs: list[tuple[State | None, State]]
-    cells: dict[tuple[str, int], list[int]]
+    cells: dict[tuple[str, int], dict[int, float]]
 
     def plan(self, x: Sequence[float]) -> FlightPlan:
         """The path the chosen arcs of the solved point ``x`` (by fragment
@@ -185,33 +191,59 @@ def dwell_linkage(
                  for kind in ("dwlo", "dwhi", "dwrun")])
 
 
-def add_capacity_rows(
-    model: milp.Model,
+class Block(Protocol):
+    """One flight's part of a joint model (see the module docstring)."""
+
+    fragment: milp.Model
+    cells: Mapping[tuple[str, int], Mapping[int, float]]
+
+    def plan(self, x: Sequence[float]) -> FlightPlan: ...
+
+
+def joint_model(
+    name: str,
+    blocks: Mapping[str, Block],
+    active: Sequence[str],
     snapshot: OccupancySnapshot,
-    usage: Mapping[tuple[str, int], Sequence[Mapping[int, float]]],
-) -> None:
-    """Joint capacity: for each (resource, t) cell in sorted order, the row
-    ``cap.{rid}.{t}``, the terms of ``usage[cell]`` (one mapping per flight,
-    in order) summed at most the snapshot's remaining capacity. A row is
-    added only where more flights use the cell than it has remaining
-    capacity: a flight's terms in a cell sum to at most 1, however many of
-    its columns reach the cell, so elsewhere the row cannot bind.
+) -> tuple[milp.Model, dict[str, int], Callable[[Sequence[float]], dict[str, FlightPlan]]]:
+    """The joint model over the flights ``active``, solved from its LP
+    relaxation first: their blocks' fragments appended in sorted flight
+    order, then shared capacity.
+
+    For each (resource, t) cell in sorted order that more active flights
+    can hold than the snapshot has room for, the row ``cap.{rid}.{t}`` sums
+    their occupancy terms, flight by flight in sorted order, at most that
+    room. Elsewhere the row cannot bind: a flight's occupancy of a cell is
+    at most 1, however many of its columns reach it.
+
+    Returns the model, each active flight's column offset, and a reader
+    that gives each active flight's plan in a solved point.
     """
+    model = milp.Model(name=name, sense="min", relaxation_first=True)
+    order = sorted(active)
+    shifts = {fid: model.append(blocks[fid].fragment) for fid in order}
+    occupancy = [(shifts[fid], blocks[fid].cells) for fid in order]
+    held = Counter(chain.from_iterable(cells for _, cells in occupancy))
+    remaining = snapshot.remaining
     ends: list[int] = []
     indices: list[int] = []
     coeffs: list[float] = []
     rhs: list[float] = []
     labels: list[str] = []
-    for (rid, t), flights in sorted(usage.items()):
-        remaining = snapshot.remaining(rid, t)
-        if len(flights) > remaining:
-            for terms in flights:
-                indices += terms
+    for cell, room in sorted([(cell, room) for cell, flights in held.items()
+                              if flights > (room := remaining(*cell))]):
+        for shift, cells in occupancy:
+            terms = cells.get(cell)
+            if terms is not None:
+                indices += [shift + j for j in terms]
                 coeffs += terms.values()
-            ends.append(len(indices))
-            rhs.append(float(remaining))
-            labels.append(f"cap.{rid}.{t}")
+        ends.append(len(indices))
+        rhs.append(float(room))
+        labels.append("cap.{}.{}".format(*cell))
     model.add_rows(ends, indices, coeffs, ["<="] * len(ends), rhs, labels)
+    return model, shifts, lambda x: {
+        fid: blocks[fid].plan(x[shift:shift + blocks[fid].fragment.num_vars])
+        for fid, shift in shifts.items()}
 
 
 def cell_domain(
@@ -371,10 +403,10 @@ def arc_fragment(
                          for (rid, t, run), head in arcs[sources:]])
     into: dict[State, list[int]] = {}
     leaving: dict[State, list[int]] = {}
-    cells: dict[tuple[str, int], list[int]] = {}
+    cells: dict[tuple[str, int], dict[int, float]] = {}
     for j, (tail, head) in enumerate(arcs):
         into.setdefault(head, []).append(j)
-        cells.setdefault(head[:2], []).append(j)
+        cells.setdefault(head[:2], {})[j] = 1.0
         if tail is not None:
             leaving.setdefault(tail, []).append(j)
 

@@ -5,10 +5,11 @@ modes on identical demand, ``report`` recomputes the metrics from stored
 period records and cross-checks the stored summary, and ``oracle-check``
 replays the brute-force validation suite. Exit code 0 means success, 2 means
 a verification failed (mismatched report, failed oracle case) or the input
-is invalid: a missing scenario file or campaign directory, or a
+is invalid: a missing scenario file or campaign directory, a
 ``ConfigError`` (from the scenario file, an override, the grid build, or a
-directory holding no records), prints one ``error: ...`` line on stderr,
-with argparse's usage-error code.
+directory holding no records), or an ``oracle-check`` case count below 1 or
+negative seed prints one ``error: ...`` line on stderr, with argparse's
+usage-error code.
 """
 from __future__ import annotations
 
@@ -146,9 +147,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    if args.cases < 1:
-        print("--cases must be >= 1", file=sys.stderr)
-        return 2
+    # Cases past the catalog are random instances seeded --seed, --seed + 1, ...
+    for flag, value, least in (("--cases", args.cases, 1), ("--seed", args.seed, 0)):
+        if value < least:
+            print(f"error: {flag} must be >= {least}", file=sys.stderr)
+            return 2
     instances, cases = run_selfcheck(args.cases, args.seed)
     failures = 0
     for case in cases:

@@ -5,8 +5,10 @@ least one overloaded cell are re-planned together in a single MILP. Each
 flight is a unit flow over its ``blocks.state_graph``, one binary per arc
 (``blocks.arc_fragment``), the network-flow view of rerouting in air
 traffic flow management (Bertsimas & Stock Patterson, Transportation
-Science 2000). Only shared en-route capacity and, for gamma > 0, the
-spread of detour ratios couple the flights. A flight's detour ratio is its
+Science 2000). Only shared cell capacity and, for gamma > 0, the spread
+of detour ratios couple the flights; the flows and the capacity rows come
+from ``blocks.joint_model``, the fixed-route baseline's builder too, and
+only en-route cells ever get a row. A flight's detour ratio is its
 final path length over its proposed path length; path length counts entries
 into resources (runs), which is 1 + the arcs that change resource. Each
 flight's flow alone is integral, so the model is solved from its LP
@@ -24,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
-from .blocks import ArcFragment, add_capacity_rows, arc_fragment, cell_domain
+from .blocks import ArcFragment, arc_fragment, cell_domain, joint_model
 from .checker import ConflictReport, audit_batch, detect_conflicts
 from .flights import (
     ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, path_length, solve_dropping, tdc,
@@ -121,38 +123,25 @@ def _joint_blocks(
 
 
 def _build_joint(
-    grid: AirspaceGrid,
     base: OccupancySnapshot,
     flows: Mapping[str, ArcFragment],
     active: Sequence[str],
     proposals: Mapping[str, FlightPlan],
     gamma: float,
 ) -> tuple[milp.Model, Callable[[list[float]], dict[str, FlightPlan]]]:
-    """The joint model over ``active``: their fragments in sorted order
-    (columns, own rows and delay costs) and, for gamma > 0, the spread's
-    two columns; then the rows that depend on which flights are active:
-    shared capacity and, for gamma > 0, the spread rows."""
-    model = milp.Model(name="deconfliction", sense="min", relaxation_first=True)
-    shifts = {fid: model.append(flows[fid].fragment) for fid in sorted(active)}
-    if gamma > 0.0:
-        spread = model.append(_spread_fragment(gamma))
+    """The joint model over ``active`` (``blocks.joint_model``) and, for
+    gamma > 0, the spread: its two columns after the flights' and its rows
+    after the capacity rows.
 
-    # Shared en-route capacity. Vertiport and ring cells need no rows here:
-    # each flight is confined to its granted choices and the choice-setting
-    # step already capped the joint grant per cell.
-    usage: dict[tuple[str, int], list[dict[int, float]]] = {}
-    for fid, shift in shifts.items():
-        for cell, columns in flows[fid].cells.items():
-            if not grid.is_zone(cell[0]):
-                usage.setdefault(cell, []).append(dict.fromkeys(
-                    [shift + j for j in columns], 1.0))
-    add_capacity_rows(model, base, usage)
-
+    Every cell is capped, but no zone cell ever gets a row: step 1 caps
+    each zone cell's joint grant at its remaining capacity, and the kept
+    plans in ``base`` use only granted cells, so the conflicting flights
+    granted a zone cell never outnumber its room in ``base``.
+    """
+    model, shifts, read = joint_model("deconfliction", flows, active, base)
     if gamma > 0.0:
-        _add_spread_rows(model, flows, shifts, proposals, spread)
-    return model, lambda x: {
-        fid: flows[fid].plan(x[shift:shift + flows[fid].fragment.num_vars])
-        for fid, shift in shifts.items()}
+        _add_spread_rows(model, flows, shifts, proposals, model.append(_spread_fragment(gamma)))
+    return model, read
 
 
 def solve_step3(
@@ -168,6 +157,8 @@ def solve_step3(
     if gamma < 0.0:
         raise ValueError(f"gamma must be non-negative, got {gamma}")
     by_id = {req.flight_id: req for req in requests}
+    if len(by_id) != len(requests):
+        raise ValueError("duplicate flight ids in request batch")
     for fid in proposals:
         if fid not in by_id:
             raise ValueError(f"proposal {fid} has no matching request")
@@ -203,7 +194,7 @@ def solve_step3(
                          params, now, horizon_end)
     outcome = solve_dropping(
         sorted(report.conflicting_flights), by_id,
-        lambda active: _build_joint(grid, base, flows, active, proposals, gamma),
+        lambda active: _build_joint(base, flows, active, proposals, gamma),
     )
     replans = outcome.plans
     final = {**kept, **replans}

@@ -116,7 +116,7 @@ class TestCachedFragments:
 
         def spy(*args):
             model, read = build(*args)
-            built.append((tuple(sorted(args[3])), model, read))
+            built.append((tuple(sorted(args[2])), model, read))
             return model, read
 
         monkeypatch.setattr(baseline, "_build_tfmp", spy)
@@ -161,22 +161,23 @@ class TestCapacityAudit:
         requests = [make_request(grid, f"f{i}", "r0000", "r0002", 0)
                     for i in range(2)]
 
-        def on_time(request, route, flight_vars, values, horizon_end):
+        def on_time(schedule, x):
+            request = schedule.request
             return FlightPlan(request.flight_id, tuple(
                 (request.requested_departure + i, rid)
-                for i, rid in enumerate(route.legs)))
+                for i, rid in enumerate(schedule.route.legs)))
 
         # Both flights fly on time: each plan alone fits, but together they
         # put two flights on the capacity-one ring cell.
-        monkeypatch.setattr(baseline, "_extract", on_time)
+        monkeypatch.setattr(baseline._Schedule, "plan", on_time)
         with pytest.raises(RuntimeError, match="fixed-route batch breaks capacity"):
             solve_tfmp(grid, OccupancyLedger(grid).snapshot(), requests, PARAMS)
 
     def test_extraction_that_skips_a_cell_fails_recheck(self, monkeypatch):
         grid = make_grid(1, 3, ((0, 0), (0, 2)))
         request = make_request(grid, "f0", "r0000", "r0002", 0)
-        monkeypatch.setattr(baseline, "_extract", lambda request, *_: FlightPlan(
-            request.flight_id, ((0, "r0000"), (1, "r0002"))))
+        monkeypatch.setattr(baseline._Schedule, "plan", lambda schedule, x: FlightPlan(
+            schedule.request.flight_id, ((0, "r0000"), (1, "r0002"))))
         with pytest.raises(RuntimeError, match="f0: fixed-route plan failed re-check"):
             solve_tfmp(grid, OccupancyLedger(grid).snapshot(), [request], PARAMS)
 

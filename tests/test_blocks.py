@@ -167,7 +167,7 @@ def test_arc_fragment_on_a_corridor():
         (("r0001", 2, 1), ("r0001", 3, 2)),
         (("r0001", 3, 2), ("r0002", 4, 1)),
     ]
-    assert flow.cells[("r0001", 3)] == [5, 7]
+    assert flow.cells[("r0001", 3)] == {5: 1.0, 7: 1.0}
     assert ("r0001", 4) not in flow.cells
     model = flow.fragment
     rows = [(c.label, dict(c.coeffs), c.relation, c.rhs) for c in model.constraints]

@@ -173,7 +173,15 @@ class TestOracleCheck:
 
     def test_zero_cases_is_an_error(self, capsys):
         assert run_cli(["oracle-check", "--cases", "0"]) == 2
-        assert "--cases" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: --cases must be >= 1\n"
+
+    def test_negative_seed_is_an_error(self, capsys):
+        # Case 36 is the first random instance past the 35-case catalog,
+        # and numpy rejects a negative seed.
+        assert run_cli(["oracle-check", "--cases", "36", "--seed", "-5"]) == 2
+        out = capsys.readouterr()
+        assert out.err == "error: --seed must be >= 0\n" and out.out == ""
 
     def test_random_tail_beyond_the_catalog(self, capsys):
         # More cases than the catalog provides: the rest are generated.

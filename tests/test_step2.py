@@ -1,11 +1,13 @@
 """Trajectory step: minimum-delay plans inside a granted choice set."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from faircoplan import milp
 from faircoplan.airspace import OccupancyLedger, OccupancySnapshot
-from faircoplan.blocks import add_capacity_rows, cell_domain
+from faircoplan.blocks import cell_domain, joint_model
 from faircoplan.checker import plan_violations
 from faircoplan.flights import ChoiceSet, DelayCostParams
 from faircoplan.oracle import oracle_step2_optimum
@@ -29,31 +31,55 @@ def corridor():
     return make_grid(1, 3, ((0, 0), (0, 2)))
 
 
+@dataclass(frozen=True)
+class Block:
+    """A flight's block for ``joint_model``: binaries named ``names``, its
+    occupancy terms by cell, and a plan that echoes the point it reads."""
+
+    names: tuple[str, ...]
+    cells: dict
+
+    @property
+    def fragment(self):
+        fragment = milp.Model()
+        fragment.binaries(list(self.names))
+        return fragment
+
+    def plan(self, x):
+        return list(x)
+
+
 class TestCapacityRows:
     def test_row_only_where_positive_terms_exceed_remaining(self, corridor):
-        # Pads hold 2, the ring cell 1; each mapping is one flight's terms.
+        # Pads hold 2, the ring cell 1.
         snap = OccupancyLedger(corridor).snapshot()
-        model = milp.Model()
-        a, b, c, d, e, f, g, h = (model.binary(n) for n in "abcdefgh")
-        add_capacity_rows(model, snap, {
-            ("r0002", 1): [{e: 1.0, f: -1.0}, {g: 1.0, h: -1.0}],  # at remaining
-            ("r0001", 0): [{c: 1.0}, {d: 1.0}],  # over
-            ("r0000", 0): [{a: 1.0}, {b: 1.0}],  # exactly at remaining
-        })
+        blocks = {
+            "f0": Block(tuple("acef"), {("r0002", 1): {2: 1.0, 3: -1.0},  # at remaining
+                                 ("r0001", 0): {1: 1.0},  # over
+                                 ("r0000", 0): {0: 1.0}}),  # exactly at remaining
+            "f1": Block(tuple("bdgh"), {("r0000", 0): {0: 1.0}, ("r0001", 0): {1: 1.0},
+                                 ("r0002", 1): {2: 1.0, 3: -1.0}}),
+        }
+        model, shifts, read = joint_model("joint", blocks, ["f1", "f0"], snap)
+        assert (model.name, model.relaxation_first) == ("joint", True)
+        assert shifts == {"f0": 0, "f1": 4}
+        assert [v.name for v in model.variables] == list("acefbdgh")
         (row,) = model.constraints
         assert row.label == "cap.r0001.0"
         assert row.coeffs == (("c", 1.0), ("d", 1.0))
         assert (row.relation, row.rhs) == ("<=", 1.0)
+        # Each block reads its own slice of the point.
+        assert read(list(range(8))) == {"f0": [0, 1, 2, 3], "f1": [4, 5, 6, 7]}
 
     def test_flights_are_counted_not_their_arcs(self, corridor):
         # One flight reaching the ring cell (room 1) through two arcs uses it
         # once, so it needs no row; a second flight makes one.
         snap = OccupancyLedger(corridor).snapshot()
-        model = milp.Model()
-        a1, a2, b = (model.binary(n) for n in ("a1", "a2", "b"))
-        add_capacity_rows(model, snap, {("r0001", 1): [{a1: 1.0, a2: 1.0}]})
+        blocks = {"a": Block(("a1", "a2"), {("r0001", 1): {0: 1.0, 1: 1.0}}),
+                  "b": Block(("b",), {("r0001", 1): {0: 1.0}})}
+        model, _, _ = joint_model("joint", blocks, ["a"], snap)
         assert model.num_rows == 0
-        add_capacity_rows(model, snap, {("r0001", 1): [{a1: 1.0, a2: 1.0}, {b: 1.0}]})
+        model, _, _ = joint_model("joint", blocks, ["a", "b"], snap)
         (row,) = model.constraints
         assert row.label == "cap.r0001.1"
         assert row.coeffs == (("a1", 1.0), ("a2", 1.0), ("b", 1.0))

@@ -295,6 +295,23 @@ class TestEntryCountBound:
             assert model.relaxation_first
 
 
+class TestCapacityRows:
+    def test_desk_day_caps_no_zone_cell(self, monkeypatch):
+        # Step 3 caps every cell, but step 1 already holds each zone cell's
+        # joint grant within its room and kept plans use only granted cells,
+        # so no deconfliction model of desk day 0, in either negotiated
+        # lane, drop attempts included, has a zone cell's row.
+        config = load_scenario(DESK_CONFIG)
+        grid = sim.scenario_grid(config)
+        models = deconfliction_models(monkeypatch)
+        for mode in ("fair-coplan", "coplan"):
+            sim.run_day(grid, config, 0, mode)
+        cells = [c.label.split(".")[1] for model in models for c in model.constraints
+                 if c.label.startswith("cap.")]
+        assert models and cells
+        assert not [rid for rid in cells if grid.is_zone(rid)]
+
+
 class TestVictimDrops:
     def zero_slack_requests(self, grid, resubmissions=(0, 0)):
         return [
@@ -344,7 +361,7 @@ class TestCachedFragments:
 
         def spy_build(*args):
             model, read = build(*args)
-            built.append((tuple(sorted(args[3])), model, read))
+            built.append((tuple(sorted(args[2])), model, read))
             return model, read
 
         monkeypatch.setattr(step3, "_joint_blocks", spy_blocks)
@@ -357,7 +374,7 @@ class TestCachedFragments:
         for active, model, read in built:
             fresh_blocks = blocks(grid_, base, active, by_id, choice_sets_, params,
                                   now, horizon_end)
-            fresh, fresh_read = build(grid, base, fresh_blocks, active, proposals, gamma)
+            fresh, fresh_read = build(base, fresh_blocks, active, proposals, gamma)
             assert_same_model(model, fresh)
             result, fresh_result = milp.solve(model), milp.solve(fresh)
             assert result.status == fresh_result.status
@@ -396,6 +413,13 @@ class TestGuards:
         plans = {"ghost": chain("ghost", ["r0000", "r0001", "r0002"])}
         with pytest.raises(ValueError, match="no matching request"):
             solve_step3(grid, OccupancyLedger(grid).snapshot(), [], {}, plans,
+                        PARAMS)
+
+    def test_duplicate_flight_ids_rejected(self):
+        grid = make_grid(1, 3, ((0, 0), (0, 2)))
+        request = make_request(grid, "f0", "r0000", "r0002", 0)
+        with pytest.raises(ValueError, match="duplicate flight ids"):
+            solve_step3(grid, OccupancyLedger(grid).snapshot(), [request, request], {}, {},
                         PARAMS)
 
     def test_overloaded_pad_blames_the_choice_step(self):
