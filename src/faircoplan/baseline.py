@@ -5,7 +5,7 @@ vertiports; the scheduler only times entries. Cumulative binaries
 w[f,i,t] ("flight f has entered leg i by t") give monotone rows, ordered
 entries with per-sector minimum dwell (holding longer is allowed), a
 departure window, an arrival deadline at the end of the horizon, and shared
-capacity on every cell the routes cross, written by ``blocks.joint_model``
+capacity on every cell the routes cross, solved by ``blocks.solve_joint``
 as in step 3. Ground and airborne holding are the only degrees of freedom;
 there is no rerouting. Flights whose windows cannot fit the horizon are
 deferred, and when the timing problem itself is infeasible, victims are
@@ -28,13 +28,13 @@ the negotiated lanes' artifacts are unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
-from .blocks import joint_model
+from .blocks import solve_joint
 from .checker import audit_batch
-from .flights import DelayCostParams, FlightPlan, FlightRequest, solve_dropping, tdc
+from .flights import DelayCostParams, FlightPlan, FlightRequest, tdc
 
 __all__ = [
     "BaselineResult",
@@ -98,25 +98,22 @@ def leg_dwells(
 
 @dataclass(frozen=True)
 class _Schedule:
-    """One flight's block of the fixed-route model (``blocks.joint_model``),
+    """One flight's block of the fixed-route model (``blocks.solve_joint``),
     built once per stage call.
 
     ``fragment`` holds the flight's columns ``w.{fid}.{i}.{t}``, its own
-    rows and its objective terms. Leg i's columns run from t = lo to the
-    horizon's end, starting at column ``col``, where ``(lo, col) =
-    starts[i]``. The constant delay terms are kept apart in
-    ``offset_terms``: the stage sums them flight after flight, term by
-    term, so the objective offset is the same float whatever the batch.
-    ``cells`` maps each (resource, t) cell the flight can hold to its
-    occupancy there: +1 on the binary that has it entered that cell's leg
-    by t and, where there is one, -1 on the binary that has it gone by t.
+    rows and its objective terms, its constant delay terms in the offset.
+    Leg i's columns run from t = lo to the horizon's end, starting at
+    column ``col``, where ``(lo, col) = starts[i]``. ``cells`` maps each
+    (resource, t) cell the flight can hold to its occupancy there: +1 on
+    the binary that has it entered that cell's leg by t and, where there is
+    one, -1 on the binary that has it gone by t.
     """
 
     request: FlightRequest
     route: FixedRoute
     fragment: milp.Model
     starts: tuple[tuple[int, int], ...]
-    offset_terms: tuple[float, ...]
     cells: dict[tuple[str, int], dict[int, float]]
 
     def plan(self, x: Sequence[float]) -> FlightPlan:
@@ -150,11 +147,20 @@ def _schedule(
     params: DelayCostParams,
     now: int,
     horizon_end: int,
-) -> _Schedule:
+) -> _Schedule | None:
+    """The flight's block; None if it cannot fit the horizon.
+
+    Unlike the negotiated lane, no arrival window has to fit: the flight
+    just needs a departure slot in its window from which it lands by the
+    last step of the horizon, and a requested arrival inside the horizon.
+    """
     fid = request.flight_id
     dwells = leg_dwells(grid, route, request.min_dwell)
     d, a, eps = request.requested_departure, request.requested_arrival, request.flexibility
     last = len(route.legs) - 1
+    depart_by = min(d + eps, horizon_end - 1 - sum(dwells))
+    if max(d, now) > depart_by or a > horizon_end - 1:
+        return None
 
     entry_lo = [max(d, now)]
     for dwell in dwells:
@@ -162,7 +168,7 @@ def _schedule(
     entry_lo[last] = max(entry_lo[last], a)
 
     # Leg i's columns run over t = entry_lo[i] .. horizon_end - 1, which is
-    # never empty for an included flight: w(i, t) is column base[i] + t.
+    # never empty for a flight that fits: w(i, t) is column base[i] + t.
     names: list[str] = []
     base = []
     for i, lo in enumerate(entry_lo):
@@ -199,7 +205,6 @@ def _schedule(
     rows = len(labels)
 
     # Depart within the window, arrive within the horizon.
-    depart_by = min(d + eps, horizon_end - 1 - sum(dwells))
     indices += (base[0] + depart_by, base[last] + horizon_end - 1)
     fragment.add_rows([*range(2, 2 * rows + 1, 2), 2 * rows + 1, 2 * rows + 2], indices,
                       [1.0, -1.0] * rows + [1.0, 1.0], relations + ["=", "="],
@@ -215,9 +220,9 @@ def _schedule(
     waits = range(entry_lo[0], min(d + eps, horizon_end))
     landings = range(entry_lo[last], horizon_end)
     fragment.set_objective({**{base[0] + t: 0.0 - ground for t in waits},
-                            **{base[last] + t: 0.0 - air for t in landings}})
-    offset_terms = (ground * (entry_lo[0] - d), air * (entry_lo[last] - a),
-                    *[ground] * len(waits), *[air] * len(landings))
+                            **{base[last] + t: 0.0 - air for t in landings}},
+                           offset=ground * (entry_lo[0] - d + len(waits))
+                           + air * (entry_lo[last] - a + len(landings)))
 
     # A flight holds cell (legs[i], t) while it has entered leg i but not
     # leg i + 1: its occupancy is w(i, t) - w(i + 1, t), the second term
@@ -231,24 +236,7 @@ def _schedule(
             if t >= after:
                 occupancy[gone + t] = -1.0
     return _Schedule(request, route, fragment,
-                     tuple((lo, col + lo) for lo, col in zip(entry_lo, base)),
-                     offset_terms, cells)
-
-
-def _build_tfmp(
-    snapshot: OccupancySnapshot,
-    schedules: Mapping[str, _Schedule],
-    active: Sequence[str],
-) -> tuple[milp.Model, Callable[[list[float]], dict[str, FlightPlan]]]:
-    """The fixed-route model over ``active`` (``blocks.joint_model``), with
-    their constant delay terms summed into its offset."""
-    model, _, read = joint_model("fixed-route-schedule", schedules, active, snapshot)
-    offset = 0.0
-    for fid in sorted(active):
-        for term in schedules[fid].offset_terms:
-            offset += term
-    model.objective_offset = offset
-    return model, read
+                     tuple((lo, col + lo) for lo, col in zip(entry_lo, base)), cells)
 
 
 def solve_tfmp(
@@ -265,27 +253,18 @@ def solve_tfmp(
         by_id[req.flight_id] = req
     horizon_end = now + grid.horizon_steps
 
-    routes = {fid: fixed_route(grid, req.origin, req.destination)
-              for fid, req in by_id.items()}
-
+    schedules: dict[str, _Schedule] = {}
     deferred = []
-    included = []
     for fid in sorted(by_id):
         req = by_id[fid]
-        travel = sum(leg_dwells(grid, routes[fid], req.min_dwell))
-        depart_by = min(req.requested_departure + req.flexibility,
-                        horizon_end - 1 - travel)
-        # Unlike the negotiated lane, no arrival window has to fit: the
-        # flight just needs a feasible departure slot and a landing by the
-        # last step of the horizon.
-        fits = (max(req.requested_departure, now) <= depart_by
-                and req.requested_arrival <= horizon_end - 1)
-        (included if fits else deferred).append(fid)
+        schedule = _schedule(grid, req, fixed_route(grid, req.origin, req.destination),
+                             params, now, horizon_end)
+        if schedule is None:
+            deferred.append(fid)
+        else:
+            schedules[fid] = schedule
 
-    schedules = {fid: _schedule(grid, by_id[fid], routes[fid], params, now, horizon_end)
-                 for fid in included}
-    outcome = solve_dropping(
-        included, by_id, lambda active: _build_tfmp(snapshot, schedules, active))
+    outcome = solve_joint("fixed-route-schedule", schedules, list(schedules), by_id, snapshot)
     plans = outcome.plans
     tdc_by_flight: dict[str, float] = {}
     if outcome.objective is not None:

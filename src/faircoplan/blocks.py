@@ -10,15 +10,16 @@ back into a plan. ``dwell_linkage`` holds step 1's ring-choice runs at their
 minimum dwell; it handles many runs in one call and returns their rows as
 ``Rows``, which step 1 merges flight by flight with its slot-support rows.
 
-``joint_model`` is the one builder of step 3's and the fixed-route
-baseline's joint models: per-flight blocks, each built once per stage
-call, coupled only by shared cell capacity. A block has one shape: its
-``fragment``, its ``cells`` (each (resource, t) cell the flight can hold,
-mapped to ``{fragment column: coefficient}``, the flight's occupancy of
-that cell) and ``plan(x)``, the flight's plan in a solved point of its
-fragment. It is an ``ArcFragment`` in step 3 and a ``baseline._Schedule``
-in the baseline. Step 1 writes its capacity rows from its own per-period
-tables.
+``solve_joint`` is the one joint solve of step 3 and the fixed-route
+baseline, with its one drop-until-feasible policy: per-flight blocks, each
+built once per stage call, coupled only by shared cell capacity, solved
+with flights dropped by ``flights.pick_victim`` until a joint plan exists.
+A block has one shape: its ``fragment``, its ``cells`` (each (resource, t)
+cell the flight can hold, mapped to ``{fragment column: coefficient}``,
+the flight's occupancy of that cell) and ``plan(x)``, the flight's plan in
+a solved point of its fragment. It is an ``ArcFragment`` in step 3 and a
+``baseline._Schedule`` in the baseline. Step 1 writes its capacity rows
+from its own per-period tables.
 """
 from __future__ import annotations
 
@@ -31,16 +32,17 @@ import numpy as np
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
-from .flights import ChoiceSet, DelayCostParams, FlightPlan, FlightRequest
+from .flights import ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, pick_victim
 
 __all__ = [
     "ArcFragment",
     "CellDomain",
+    "DropOutcome",
     "Rows",
     "arc_fragment",
     "cell_domain",
     "dwell_linkage",
-    "joint_model",
+    "solve_joint",
     "state_graph",
 ]
 
@@ -200,50 +202,87 @@ class Block(Protocol):
     def plan(self, x: Sequence[float]) -> FlightPlan: ...
 
 
-def joint_model(
+class DropOutcome(NamedTuple):
+    """What ``solve_joint`` ends with.
+
+    ``plans`` are the kept flights' plans, read from the accepted solve, and
+    ``objective`` is that solve's optimum; both are empty (``{}``, None)
+    when every flight was dropped.
+    """
+
+    plans: dict[str, FlightPlan]
+    objective: float | None
+    dropped: tuple[str, ...]
+    attempts: int
+
+
+def solve_joint(
     name: str,
     blocks: Mapping[str, Block],
     active: Sequence[str],
+    requests: Mapping[str, FlightRequest],
     snapshot: OccupancySnapshot,
-) -> tuple[milp.Model, dict[str, int], Callable[[Sequence[float]], dict[str, FlightPlan]]]:
-    """The joint model over the flights ``active``, solved from its LP
-    relaxation first: their blocks' fragments appended in sorted flight
-    order, then shared capacity.
+    extend: Callable[[milp.Model, dict[str, int]], None] | None = None,
+) -> DropOutcome:
+    """Solve the joint model over the flights ``active``; while it has no
+    accepted solution, drop ``pick_victim`` and solve again.
 
-    For each (resource, t) cell in sorted order that more active flights
-    can hold than the snapshot has room for, the row ``cap.{rid}.{t}`` sums
-    their occupancy terms, flight by flight in sorted order, at most that
-    room. Elsewhere the row cannot bind: a flight's occupancy of a cell is
-    at most 1, however many of its columns reach it.
+    Each attempt's model, named ``name``, is solved from its LP relaxation
+    first. It holds the active flights' fragments appended in sorted flight
+    order, then shared capacity: for each (resource, t) cell in sorted
+    order that more active flights can hold than the snapshot has room
+    for, the row ``cap.{rid}.{t}`` sums their occupancy terms, flight by
+    flight in sorted order, at most that room. Elsewhere the row cannot
+    bind: a flight's occupancy of a cell is at most 1, however many of its
+    columns reach it. Each cell's room is read from the snapshot once per
+    call. Last, ``extend(model, shifts)``, if given, adds what else the
+    stage needs, with ``shifts`` each active flight's column offset.
 
-    Returns the model, each active flight's column offset, and a reader
-    that gives each active flight's plan in a solved point.
+    Only an optimal solve is accepted, and each kept flight's plan is read
+    from its block's slice of the point. Only an infeasible solve drops a
+    victim: no solve has a time limit, so infeasibility is always proven.
+    Any error raises, naming the model.
     """
-    model = milp.Model(name=name, sense="min", relaxation_first=True)
-    order = sorted(active)
-    shifts = {fid: model.append(blocks[fid].fragment) for fid in order}
-    occupancy = [(shifts[fid], blocks[fid].cells) for fid in order]
-    held = Counter(chain.from_iterable(cells for _, cells in occupancy))
+    active = sorted(active)
+    held = Counter(chain.from_iterable(blocks[fid].cells for fid in active))
     remaining = snapshot.remaining
-    ends: list[int] = []
-    indices: list[int] = []
-    coeffs: list[float] = []
-    rhs: list[float] = []
-    labels: list[str] = []
-    for cell, room in sorted([(cell, room) for cell, flights in held.items()
-                              if flights > (room := remaining(*cell))]):
-        for shift, cells in occupancy:
-            terms = cells.get(cell)
-            if terms is not None:
-                indices += [shift + j for j in terms]
-                coeffs += terms.values()
-        ends.append(len(indices))
-        rhs.append(float(room))
-        labels.append("cap.{}.{}".format(*cell))
-    model.add_rows(ends, indices, coeffs, ["<="] * len(ends), rhs, labels)
-    return model, shifts, lambda x: {
-        fid: blocks[fid].plan(x[shift:shift + blocks[fid].fragment.num_vars])
-        for fid, shift in shifts.items()}
+    room = {cell: remaining(*cell) for cell in held}
+    dropped: list[str] = []
+    attempts = 0
+    while active:
+        model = milp.Model(name=name, sense="min", relaxation_first=True)
+        shifts = {fid: model.append(blocks[fid].fragment) for fid in active}
+        occupancy = [(shifts[fid], blocks[fid].cells) for fid in active]
+        crowded = sorted(cell for cell, flights in held.items() if flights > room[cell])
+        ends: list[int] = []
+        indices: list[int] = []
+        coeffs: list[float] = []
+        for cell in crowded:
+            for shift, cells in occupancy:
+                terms = cells.get(cell)
+                if terms is not None:
+                    indices += [shift + j for j in terms]
+                    coeffs += terms.values()
+            ends.append(len(indices))
+        model.add_rows(ends, indices, coeffs, ["<="] * len(ends),
+                       [float(room[cell]) for cell in crowded],
+                       ["cap.{}.{}".format(*cell) for cell in crowded])
+        if extend is not None:
+            extend(model, shifts)
+        result = milp.solve(model)
+        attempts += 1
+        if result.status == milp.OPTIMAL:
+            x = result.x
+            plans = {fid: blocks[fid].plan(x[shift:shift + blocks[fid].fragment.num_vars])
+                     for fid, shift in shifts.items()}
+            return DropOutcome(plans, result.objective, tuple(dropped), attempts)
+        if result.status == milp.ERROR:
+            raise RuntimeError(f"{name} solve failed: {result.detail}")
+        victim = pick_victim(active, requests)
+        dropped.append(victim)
+        active.remove(victim)
+        held.subtract(blocks[victim].cells.keys())
+    return DropOutcome({}, None, tuple(dropped), attempts)
 
 
 def cell_domain(

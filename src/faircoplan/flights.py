@@ -5,16 +5,14 @@ ChoiceSet (where the airspace authority permits it to be, restricted to
 vertiports and vertiport-adjacent sectors), and ends up with a FlightPlan (one
 resource per airborne timestep). Delay cost and path length are the two
 quantities the optimization objectives are built from. When a batch has no
-joint plan, ``solve_dropping`` drops flights by ``pick_victim`` until one
-exists.
+joint plan, ``blocks.solve_joint`` drops flights by ``pick_victim`` until
+one exists.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple, Sequence
-
-from . import milp
+from typing import Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -200,49 +198,3 @@ def pick_victim(active: Sequence[str], requests: Mapping[str, FlightRequest]) ->
     first; among those, the newest (largest) id."""
     fewest = min(requests[fid].resubmissions for fid in active)
     return max(fid for fid in active if requests[fid].resubmissions == fewest)
-
-
-class DropOutcome(NamedTuple):
-    """What ``solve_dropping`` ends with.
-
-    ``plans`` are the kept flights' plans, read from the accepted solve, and
-    ``objective`` is that solve's optimum; both are empty (``{}``, None)
-    when every flight was dropped.
-    """
-
-    plans: dict[str, FlightPlan]
-    objective: float | None
-    dropped: tuple[str, ...]
-    attempts: int
-
-
-def solve_dropping(
-    active: Sequence[str],
-    requests: Mapping[str, FlightRequest],
-    build: Callable[[list[str]],
-                    tuple[milp.Model, Callable[[list[float]], dict[str, FlightPlan]]]],
-) -> DropOutcome:
-    """Build and solve a joint model over ``active``; while it has no
-    accepted solution, drop ``pick_victim`` and rebuild.
-
-    ``build(active)`` returns the model and ``read``, which turns the
-    model's solved point into the active flights' plans. Only an optimal
-    solve is accepted. Only an infeasible solve drops a victim: no solve
-    has a time limit, so infeasibility is always proven. Any error raises,
-    naming the model.
-    """
-    active = list(active)
-    dropped: list[str] = []
-    attempts = 0
-    while active:
-        model, read = build(active)
-        result = milp.solve(model)
-        attempts += 1
-        if result.status == milp.OPTIMAL:
-            return DropOutcome(read(result.x), result.objective, tuple(dropped), attempts)
-        if result.status == milp.ERROR:
-            raise RuntimeError(f"{model.name} solve failed: {result.detail}")
-        victim = pick_victim(active, requests)
-        dropped.append(victim)
-        active.remove(victim)
-    return DropOutcome({}, None, tuple(dropped), attempts)

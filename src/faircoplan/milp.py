@@ -98,10 +98,10 @@ A model fragment is a plain ``Model`` holding one part of a larger model,
 such as one flight's columns, rows and objective terms. ``Model.append``
 copies a fragment's arrays and lists after the model's own, shifting its
 columns by the model's column count, which it returns, and adds its
-objective offset. The drop loops of step 3 and the fixed-route baseline
-build each flight's fragment once per stage call and append the active
-flights' fragments on each attempt, instead of rebuilding every flight row
-by row.
+objective offset. Step 3 and the fixed-route baseline build each flight's
+fragment once per stage call, and their one drop loop, ``blocks.solve_joint``,
+appends the active flights' fragments on each attempt, instead of
+rebuilding every flight row by row.
 
 HiGHS receives the constraint matrix sparse, column-wise, as the arrays
 ``start``, ``index`` and ``value``; no dense row is ever built. Planner

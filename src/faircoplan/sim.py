@@ -19,6 +19,7 @@ byte-identical everywhere else.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -79,16 +80,17 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("scenario needs a name")
-        if self.demand_per_hub_per_hour <= 0:
-            raise ConfigError("demand_per_hub_per_hour must be positive")
+        if not (math.isfinite(self.demand_per_hub_per_hour)
+                and self.demand_per_hub_per_hour > 0):
+            raise ConfigError("demand_per_hub_per_hour must be positive and finite")
         if self.days < 1 or self.periods_per_day < 1 or self.cadence_steps < 1:
             raise ConfigError("days, periods_per_day and cadence_steps must be >= 1")
         if self.flexibility < 1:
             raise ConfigError("flexibility must be at least 1 step")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.gamma < 0.0:
-            raise ConfigError(f"gamma must be non-negative, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ConfigError(f"gamma must be non-negative and finite, got {self.gamma}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 

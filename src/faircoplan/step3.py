@@ -6,31 +6,30 @@ flight is a unit flow over its ``blocks.state_graph``, one binary per arc
 (``blocks.arc_fragment``), the network-flow view of rerouting in air
 traffic flow management (Bertsimas & Stock Patterson, Transportation
 Science 2000). Only shared cell capacity and, for gamma > 0, the spread
-of detour ratios couple the flights; the flows and the capacity rows come
-from ``blocks.joint_model``, the fixed-route baseline's builder too, and
-only en-route cells ever get a row. A flight's detour ratio is its
-final path length over its proposed path length; path length counts entries
-into resources (runs), which is 1 + the arcs that change resource. Each
-flight's flow alone is integral, so the model is solved from its LP
-relaxation first (``milp.Model.relaxation_first``), and only a fractional
-point goes on to the MILP. The optimum is exact either way, but the LP may
-return another of several tied plans. When no joint solution exists,
-victims are removed one at a time (fewest resubmissions first, newest
-flight id on ties) and carried over to the next period.
+of detour ratios couple the flights; ``blocks.solve_joint``, the
+fixed-route baseline's joint solve too, appends the flows and writes the
+capacity rows, and only en-route cells ever get a row. A flight's detour
+ratio is its final path length over its proposed path length; path length
+counts entries into resources (runs), which is 1 + the arcs that change
+resource. Each flight's flow alone is integral, so the model is solved from
+its LP relaxation first (``milp.Model.relaxation_first``), and only a
+fractional point goes on to the MILP. The optimum is exact either way, but
+the LP may return another of several tied plans. When no joint solution
+exists, ``blocks.solve_joint`` removes victims one at a time (fewest
+resubmissions first, newest flight id on ties), and they are carried over
+to the next period.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
-from .blocks import ArcFragment, arc_fragment, cell_domain, joint_model
+from .blocks import ArcFragment, arc_fragment, cell_domain, solve_joint
 from .checker import ConflictReport, audit_batch, detect_conflicts
-from .flights import (
-    ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, path_length, solve_dropping, tdc,
-)
+from .flights import ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, path_length, tdc
 
 __all__ = ["DeconflictionResult", "fairness_value", "solve_step3"]
 
@@ -65,28 +64,24 @@ def fairness_value(
     return max(ratios) - min(ratios)
 
 
-def _spread_fragment(gamma: float) -> milp.Model:
-    """The detour-ratio spread's bounds ``ratio.max`` and ``ratio.min``,
-    weighted by gamma in the objective."""
+def _add_spread(
+    model: milp.Model,
+    shifts: Mapping[str, int],
+    flows: Mapping[str, ArcFragment],
+    proposals: Mapping[str, FlightPlan],
+    gamma: float,
+) -> None:
+    """The detour-ratio spread, after the flights' columns and the capacity
+    rows: the columns ``ratio.max`` and ``ratio.min``, weighted by gamma in
+    the objective, then rows ``rmax.{fid}`` and ``rmin.{fid}`` holding each
+    flight in ``shifts`` between them: its detour ratio, 1 + its arcs that
+    change resource, over its proposal's path length."""
     spread = milp.Model(name="ratio", sense="min")
     spread.continuous("ratio.max", 0.0, math.inf)
     spread.continuous("ratio.min", 0.0, math.inf)
     spread.set_objective({0: gamma, 1: -gamma})
-    return spread
-
-
-def _add_spread_rows(
-    model: milp.Model,
-    flows: Mapping[str, ArcFragment],
-    shifts: Mapping[str, int],
-    proposals: Mapping[str, FlightPlan],
-    spread: int,
-) -> None:
-    """Rows ``rmax.{fid}`` and ``rmin.{fid}`` holding each flight in
-    ``shifts`` between ``ratio.max`` (column ``spread``) and ``ratio.min``
-    (the next one): its detour ratio, 1 + its arcs that change resource, over
-    its proposal's path length."""
-    f_max, f_min = spread, spread + 1
+    f_max = model.append(spread)
+    f_min = f_max + 1
     for fid in sorted(shifts):
         share = 1.0 / path_length(proposals[fid])
         shift = shifts[fid]
@@ -122,28 +117,6 @@ def _joint_blocks(
     return flows
 
 
-def _build_joint(
-    base: OccupancySnapshot,
-    flows: Mapping[str, ArcFragment],
-    active: Sequence[str],
-    proposals: Mapping[str, FlightPlan],
-    gamma: float,
-) -> tuple[milp.Model, Callable[[list[float]], dict[str, FlightPlan]]]:
-    """The joint model over ``active`` (``blocks.joint_model``) and, for
-    gamma > 0, the spread: its two columns after the flights' and its rows
-    after the capacity rows.
-
-    Every cell is capped, but no zone cell ever gets a row: step 1 caps
-    each zone cell's joint grant at its remaining capacity, and the kept
-    plans in ``base`` use only granted cells, so the conflicting flights
-    granted a zone cell never outnumber its room in ``base``.
-    """
-    model, shifts, read = joint_model("deconfliction", flows, active, base)
-    if gamma > 0.0:
-        _add_spread_rows(model, flows, shifts, proposals, model.append(_spread_fragment(gamma)))
-    return model, read
-
-
 def solve_step3(
     grid: AirspaceGrid,
     snapshot: OccupancySnapshot,
@@ -154,8 +127,8 @@ def solve_step3(
     gamma: float = 1.0,
     now: int = 0,
 ) -> DeconflictionResult:
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"gamma must be non-negative and finite, got {gamma}")
     by_id = {req.flight_id: req for req in requests}
     if len(by_id) != len(requests):
         raise ValueError("duplicate flight ids in request batch")
@@ -192,9 +165,14 @@ def solve_step3(
     base = snapshot.with_plans(kept.values())
     flows = _joint_blocks(grid, base, report.conflicting_flights, by_id, choice_sets,
                          params, now, horizon_end)
-    outcome = solve_dropping(
-        sorted(report.conflicting_flights), by_id,
-        lambda active: _build_joint(base, flows, active, proposals, gamma),
+    # Every cell is capped, but no zone cell ever gets a row: step 1 caps
+    # each zone cell's joint grant at its remaining capacity, and the kept
+    # plans in ``base`` use only granted cells, so the conflicting flights
+    # granted a zone cell never outnumber its room in ``base``.
+    outcome = solve_joint(
+        "deconfliction", flows, report.conflicting_flights, by_id, base,
+        (lambda model, shifts: _add_spread(model, shifts, flows, proposals, gamma))
+        if gamma > 0.0 else None,
     )
     replans = outcome.plans
     final = {**kept, **replans}

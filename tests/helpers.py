@@ -14,8 +14,8 @@ from faircoplan import milp
 from faircoplan.selfcheck import blocked, make_grid, make_request, rid
 from faircoplan.blocks import arc_fragment, cell_domain
 
-__all__ = ["assert_same_model", "blocked", "make_grid", "make_request", "rid",
-           "run_python", "trajectory_model"]
+__all__ = ["assert_same_model", "blocked", "make_grid", "make_request", "record_solves",
+           "rid", "run_python", "trajectory_model"]
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -58,3 +58,19 @@ def assert_same_model(got, want):
     assert [c.label for c in got.constraints] == [c.label for c in want.constraints]
     assert got.num_nonzeros == want.num_nonzeros
     assert got.objective_offset == want.objective_offset
+
+
+def record_solves(monkeypatch, name):
+    """From now on, each ``milp.solve`` call on a model named ``name``, as
+    (model, result) in call order."""
+    solved = []
+    real = milp.solve
+
+    def solve(model):
+        result = real(model)
+        if model.name == name:
+            solved.append((model, result))
+        return result
+
+    monkeypatch.setattr(milp, "solve", solve)
+    return solved

@@ -1,6 +1,7 @@
 """Fixed-route baseline: deterministic routes, timing-only schedules."""
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,11 +9,12 @@ import pytest
 from faircoplan import baseline, milp, sim
 from faircoplan.airspace import OccupancyLedger, OccupancySnapshot
 from faircoplan.baseline import FixedRoute, fixed_route, solve_tfmp
+from faircoplan.blocks import solve_joint
 from faircoplan.flights import DelayCostParams, FlightPlan
 from faircoplan.oracle import oracle_tfmp_optimum
 from faircoplan.serialize import load_scenario
 
-from helpers import assert_same_model, make_grid, make_request
+from helpers import assert_same_model, make_grid, make_request, record_solves
 
 PARAMS = DelayCostParams(alpha=0.3)
 DESK = Path(__file__).resolve().parent.parent / "configs" / "desk8x8.yaml"
@@ -102,41 +104,57 @@ class TestSchedule:
 
 
 class TestCachedFragments:
-    def test_every_attempt_equals_a_fresh_stage_call(self, monkeypatch):
-        # Four flights that must all leave the pad at step 0 onto a
-        # capacity-one ring cell: only one fits, so three are dropped. f0
-        # has fewer resubmissions and goes first, so the blocks that stay
-        # move to lower columns.
+    @staticmethod
+    def cascade():
+        """Four flights that must all leave the pad at step 0 onto a
+        capacity-one ring cell: only one fits, so three are dropped. f0 has
+        fewer resubmissions and goes first, so the blocks that stay move to
+        lower columns."""
         grid = make_grid(1, 3, ((0, 0), (0, 2)))
         requests = [make_request(grid, f"f{i}", "r0000", "r0002", 0, flexibility=0,
                                  resubmissions=min(i, 1)) for i in range(4)]
-        snap = OccupancyLedger(grid).snapshot()
-        built = []
-        build = baseline._build_tfmp
+        return grid, requests, OccupancyLedger(grid).snapshot()
 
-        def spy(*args):
-            model, read = build(*args)
-            built.append((tuple(sorted(args[2])), model, read))
-            return model, read
-
-        monkeypatch.setattr(baseline, "_build_tfmp", spy)
+    def test_every_attempt_equals_a_fresh_stage_call(self, monkeypatch):
+        grid, requests, snap = self.cascade()
+        solved = record_solves(monkeypatch, "fixed-route-schedule")
         out = solve_tfmp(grid, snap, requests, PARAMS)
         assert out.dropped == ("f0", "f3", "f2")
-        cascade = list(built)
-        assert [active for active, _, _ in cascade] == [
-            ("f0", "f1", "f2", "f3"), ("f1", "f2", "f3"), ("f1", "f2"), ("f1",)]
-        for active, model, read in cascade:
-            built.clear()
-            solve_tfmp(grid, snap, [r for r in requests if r.flight_id in active], PARAMS)
-            fresh_active, fresh, fresh_read = built[0]
-            assert fresh_active == active
+        cascade = list(solved)
+        assert len(cascade) == out.attempts == 4
+        actives = [("f0", "f1", "f2", "f3"), ("f1", "f2", "f3"), ("f1", "f2"), ("f1",)]
+        for active, (model, result) in zip(actives, cascade, strict=True):
+            solved.clear()
+            fresh_out = solve_tfmp(grid, snap,
+                                   [r for r in requests if r.flight_id in active], PARAMS)
+            fresh, fresh_result = solved[0]
             assert_same_model(model, fresh)
-            result, fresh_result = milp.solve(model), milp.solve(fresh)
-            assert result.status == fresh_result.status
-            if result.status == milp.OPTIMAL:
-                assert read(result.x) == fresh_read(fresh_result.x) == out.plans
-        assert milp.solve(cascade[-1][1]).status == milp.OPTIMAL
+            assert (result.status, result.x) == (fresh_result.status, fresh_result.x)
+        assert cascade[-1][1].status == milp.OPTIMAL
+        assert fresh_out.plans == out.plans != {}
 
+    def test_each_cell_room_is_read_once(self):
+        # The cascade solves four models, but the room of each cell the
+        # flights can hold is read from the snapshot once.
+        grid, requests, snap = self.cascade()
+        by_id = {req.flight_id: req for req in requests}
+        schedules = {
+            fid: baseline._schedule(grid, req, fixed_route(grid, req.origin, req.destination),
+                                    PARAMS, 0, grid.horizon_steps)
+            for fid, req in by_id.items()}
+        reads = Counter()
+
+        class CountingSnapshot:
+            def remaining(self, resource_id, t):
+                reads[(resource_id, t)] += 1
+                return snap.remaining(resource_id, t)
+
+        out = solve_joint("fixed-route-schedule", schedules, sorted(schedules), by_id,
+                          CountingSnapshot())
+        assert (out.dropped, out.attempts) == (("f0", "f3", "f2"), 4)
+        assert set(reads) == {cell for schedule in schedules.values()
+                              for cell in schedule.cells}
+        assert set(reads.values()) == {1}
 
     def test_later_blocks_keep_both_capacity_terms(self):
         # Three flights meet head-on in the capacity-one ring cells; each

@@ -109,6 +109,20 @@ class TestOverrides:
             "", "error: days, periods_per_day and cadence_steps must be >= 1\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, key", [("--gamma", "gamma"),
+                                           ("--demand", "demand_per_hub_per_hour")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_override_is_one_error_line(self, scenario_path, tmp_path,
+                                                   capsys, flag, key, value):
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--config", str(scenario_path),
+                        "--out", str(out), flag, value]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith(f"error: {key} must be ") and "finite" in stderr
+        assert stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_invalid_scenario_file_exits_2_without_a_traceback(self, scenario_path,
                                                               tmp_path):
         with scenario_path.open("a", encoding="utf-8") as handle:

@@ -195,9 +195,9 @@ def corridor_choices():
 
 
 class TestSolveDropping:
-    """The drop-until-feasible loop shared by joint deconfliction and the
-    fixed-route schedule, on its error paths; with the choice-setting solve,
-    these are every HiGHS caller."""
+    """The drop-until-feasible loop of ``blocks.solve_joint``, shared by
+    joint deconfliction and the fixed-route schedule, on its error paths;
+    with the choice-setting solve, these are every HiGHS caller."""
 
     @pytest.fixture(params=[("deconfliction", pinch_deconfliction),
                             ("fixed-route-schedule", corridor_schedule),

@@ -64,6 +64,10 @@ class TestScenarioConfig:
         dict(flexibility=0),
         dict(alpha=1.5),
         dict(gamma=-1.0),
+        dict(gamma=float("nan")),
+        dict(gamma=float("inf")),
+        dict(demand_per_hub_per_hour=float("nan")),
+        dict(demand_per_hub_per_hour=float("inf")),
         dict(seed=-1),
     ])
     def test_bad_fields_rejected(self, bad):
@@ -238,7 +242,7 @@ class TestRunPeriod:
             run_period(grid, ledger, second, "tfmp", params, 0.0, 0, 1, 1)
 
     @pytest.mark.parametrize("mode, stage, module, name", [
-        ("tfmp", "tfmp", baseline, "_build_tfmp"),
+        ("tfmp", "tfmp", baseline, "_schedule"),
         ("fair-coplan", "step1", step1, "choice_violations"),
     ], ids=["tfmp-build", "step1-recheck"])
     def test_stage_time_covers_the_whole_stage_call(self, monkeypatch, mode,

@@ -7,7 +7,7 @@ import pytest
 
 from faircoplan import milp
 from faircoplan.airspace import OccupancyLedger, OccupancySnapshot
-from faircoplan.blocks import cell_domain, joint_model
+from faircoplan.blocks import cell_domain, solve_joint
 from faircoplan.checker import plan_violations
 from faircoplan.flights import ChoiceSet, DelayCostParams
 from faircoplan.oracle import oracle_step2_optimum
@@ -33,7 +33,7 @@ def corridor():
 
 @dataclass(frozen=True)
 class Block:
-    """A flight's block for ``joint_model``: binaries named ``names``, its
+    """A flight's block for ``solve_joint``: binaries named ``names``, its
     occupancy terms by cell, and a plan that echoes the point it reads."""
 
     names: tuple[str, ...]
@@ -49,8 +49,23 @@ class Block:
         return list(x)
 
 
+def first_attempt(monkeypatch, blocks, active, snapshot):
+    """``solve_joint``'s first model over ``active`` and its outcome, with
+    the solve answered by the point 0, 1, 2, ... by column."""
+    models = []
+
+    def solve(model):
+        models.append(model)
+        return milp.SolveResult(status=milp.OPTIMAL, objective=0.0,
+                                x=list(range(model.num_vars)))
+
+    monkeypatch.setattr(milp, "solve", solve)
+    outcome = solve_joint("joint", blocks, active, {}, snapshot)
+    return models[0], outcome
+
+
 class TestCapacityRows:
-    def test_row_only_where_positive_terms_exceed_remaining(self, corridor):
+    def test_row_only_where_positive_terms_exceed_remaining(self, corridor, monkeypatch):
         # Pads hold 2, the ring cell 1.
         snap = OccupancyLedger(corridor).snapshot()
         blocks = {
@@ -60,26 +75,26 @@ class TestCapacityRows:
             "f1": Block(tuple("bdgh"), {("r0000", 0): {0: 1.0}, ("r0001", 0): {1: 1.0},
                                  ("r0002", 1): {2: 1.0, 3: -1.0}}),
         }
-        model, shifts, read = joint_model("joint", blocks, ["f1", "f0"], snap)
+        model, outcome = first_attempt(monkeypatch, blocks, ["f1", "f0"], snap)
         assert (model.name, model.relaxation_first) == ("joint", True)
-        assert shifts == {"f0": 0, "f1": 4}
         assert [v.name for v in model.variables] == list("acefbdgh")
         (row,) = model.constraints
         assert row.label == "cap.r0001.0"
         assert row.coeffs == (("c", 1.0), ("d", 1.0))
         assert (row.relation, row.rhs) == ("<=", 1.0)
         # Each block reads its own slice of the point.
-        assert read(list(range(8))) == {"f0": [0, 1, 2, 3], "f1": [4, 5, 6, 7]}
+        assert outcome.plans == {"f0": [0, 1, 2, 3], "f1": [4, 5, 6, 7]}
+        assert (outcome.objective, outcome.dropped, outcome.attempts) == (0.0, (), 1)
 
-    def test_flights_are_counted_not_their_arcs(self, corridor):
+    def test_flights_are_counted_not_their_arcs(self, corridor, monkeypatch):
         # One flight reaching the ring cell (room 1) through two arcs uses it
         # once, so it needs no row; a second flight makes one.
         snap = OccupancyLedger(corridor).snapshot()
         blocks = {"a": Block(("a1", "a2"), {("r0001", 1): {0: 1.0, 1: 1.0}}),
                   "b": Block(("b",), {("r0001", 1): {0: 1.0}})}
-        model, _, _ = joint_model("joint", blocks, ["a"], snap)
+        model, _ = first_attempt(monkeypatch, blocks, ["a"], snap)
         assert model.num_rows == 0
-        model, _, _ = joint_model("joint", blocks, ["a", "b"], snap)
+        model, _ = first_attempt(monkeypatch, blocks, ["a", "b"], snap)
         (row,) = model.constraints
         assert row.label == "cap.r0001.1"
         assert row.coeffs == (("a1", 1.0), ("a2", 1.0), ("b", 1.0))

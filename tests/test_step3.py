@@ -16,7 +16,7 @@ from faircoplan.step1 import solve_step1
 from faircoplan.step2 import solve_step2
 from faircoplan.step3 import fairness_value, solve_step3
 
-from helpers import assert_same_model, blocked, make_grid, make_request
+from helpers import assert_same_model, blocked, make_grid, make_request, record_solves
 
 PARAMS = DelayCostParams(alpha=0.3)
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk8x8.yaml"
@@ -352,36 +352,38 @@ class TestCachedFragments:
         requests = [make_request(grid, f"f{i}", "r0000", "r0007", 0, flexibility=1,
                                  resubmissions=i) for i in range(2)]
         snap, choice_sets, proposals = plan_batch(grid, requests)
-        stage, built = [], []
-        blocks, build = step3._joint_blocks, step3._build_joint
+        stage, calls = [], []
+        blocks, joint = step3._joint_blocks, step3.solve_joint
 
         def spy_blocks(*args):
             stage.append(args)
             return blocks(*args)
 
-        def spy_build(*args):
-            model, read = build(*args)
-            built.append((tuple(sorted(args[2])), model, read))
-            return model, read
+        def spy_joint(*args):
+            calls.append(args)
+            return joint(*args)
 
         monkeypatch.setattr(step3, "_joint_blocks", spy_blocks)
-        monkeypatch.setattr(step3, "_build_joint", spy_build)
+        monkeypatch.setattr(step3, "solve_joint", spy_joint)
+        solved = record_solves(monkeypatch, "deconfliction")
         out = solve_step3(grid, snap, requests, choice_sets, proposals, PARAMS,
                           gamma=gamma)
-        assert out.dropped == ("f0",) and len(stage) == 1
-        assert [active for active, _, _ in built] == [("f0", "f1"), ("f1",)]
+        assert out.dropped == ("f0",) and len(stage) == len(calls) == 1
+        attempts = list(solved)
+        assert len(attempts) == out.attempts == 2
         grid_, base, _, by_id, choice_sets_, params, now, horizon_end = stage[0]
-        for active, model, read in built:
+        name, _, _, requests_, snapshot, extend = calls[0]
+        assert (extend is None) == (gamma == 0.0)
+        for active, (model, result) in zip([("f0", "f1"), ("f1",)], attempts, strict=True):
+            solved.clear()
             fresh_blocks = blocks(grid_, base, active, by_id, choice_sets_, params,
                                   now, horizon_end)
-            fresh, fresh_read = build(base, fresh_blocks, active, proposals, gamma)
+            fresh_out = joint(name, fresh_blocks, active, requests_, snapshot, extend)
+            fresh, fresh_result = solved[0]
             assert_same_model(model, fresh)
-            result, fresh_result = milp.solve(model), milp.solve(fresh)
-            assert result.status == fresh_result.status
-            if result.status == milp.OPTIMAL:
-                assert read(result.x) == fresh_read(fresh_result.x)
-                assert read(result.x).items() <= out.plans.items()
-        assert milp.solve(built[-1][1]).status == milp.OPTIMAL
+            assert (result.status, result.x) == (fresh_result.status, fresh_result.x)
+        assert attempts[-1][1].status == milp.OPTIMAL
+        assert fresh_out.plans.items() <= out.plans.items() and fresh_out.plans
 
 
 class TestCapacityAudit:
@@ -407,6 +409,13 @@ class TestGuards:
         with pytest.raises(ValueError, match="non-negative"):
             solve_step3(grid, OccupancyLedger(grid).snapshot(), [], {}, {},
                         PARAMS, gamma=-0.5)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_non_finite_gamma_rejected(self, gamma):
+        grid = make_grid(1, 3, ((0, 0), (0, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            solve_step3(grid, OccupancyLedger(grid).snapshot(), [], {}, {},
+                        PARAMS, gamma=gamma)
 
     def test_proposal_without_request_rejected(self):
         grid = make_grid(1, 3, ((0, 0), (0, 2)))
