@@ -61,6 +61,9 @@ MODES = ("fair-coplan", "coplan", "tfmp")
 # Longest minimum dwell (from 1) ``generate_demand`` draws for a ring sector.
 MAX_RING_DWELL = 2
 
+# The largest rate numpy's ``Generator.poisson`` accepts (its POISSON_LAM_MAX).
+MAX_LAM = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -83,6 +86,10 @@ class ScenarioConfig:
         if not (math.isfinite(self.demand_per_hub_per_hour)
                 and self.demand_per_hub_per_hour > 0):
             raise ConfigError("demand_per_hub_per_hour must be positive and finite")
+        if self.lam > MAX_LAM:
+            raise ConfigError(
+                f"demand_per_hub_per_hour must give at most {MAX_LAM:.6g} expected flights "
+                f"per hub per period, the most numpy's Poisson sampler draws; got {self.lam:.6g}")
         if self.days < 1 or self.periods_per_day < 1 or self.cadence_steps < 1:
             raise ConfigError("days, periods_per_day and cadence_steps must be >= 1")
         if self.flexibility < 1:

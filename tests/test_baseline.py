@@ -13,6 +13,7 @@ from faircoplan.blocks import solve_joint
 from faircoplan.flights import DelayCostParams, FlightPlan
 from faircoplan.oracle import oracle_tfmp_optimum
 from faircoplan.serialize import load_scenario
+from faircoplan.sim import generate_demand, scenario_grid
 
 from helpers import assert_same_model, make_grid, make_request, record_solves
 
@@ -293,3 +294,191 @@ class TestRelaxationFirst:
             sim.run_day(grid, config, 0, mode)
         assert flags == {"fixed-route-schedule": {True}, "choice-setting": {False},
                          "deconfliction": {True}}
+
+
+def full_window_schedule(grid, request, route, params, now, horizon_end):
+    """The reference formulation: ``baseline._schedule`` as it was before it
+    declared only each leg's free entry window. Every leg's binaries run to
+    the horizon's end, its rows and occupancy terms with them."""
+    fid = request.flight_id
+    dwells = baseline.leg_dwells(grid, route, request.min_dwell)
+    d, a, eps = request.requested_departure, request.requested_arrival, request.flexibility
+    last = len(route.legs) - 1
+    depart_by = min(d + eps, horizon_end - 1 - sum(dwells))
+    if max(d, now) > depart_by or a > horizon_end - 1:
+        return None
+
+    entry_lo = [max(d, now)]
+    for dwell in dwells:
+        entry_lo.append(entry_lo[-1] + dwell)
+    entry_lo[last] = max(entry_lo[last], a)
+
+    names = []
+    base = []
+    for i, lo in enumerate(entry_lo):
+        base.append(len(names) - lo)
+        names += [f"w.{fid}.{i}.{t}" for t in range(lo, horizon_end)]
+    fragment = milp.Model(name=f"w.{fid}", sense="min")
+    fragment.binaries(names)
+
+    indices = []
+    labels = []
+    for i, lo in enumerate(entry_lo):
+        cols = range(base[i] + lo, base[i] + horizon_end)
+        indices += baseline._pairs(cols[1:], cols[:-1])
+        labels += [f"mono.{fid}.{i}.{t}" for t in range(lo + 1, horizon_end)]
+    relations = [">="] * len(labels)
+    for i in range(last):
+        steps = range(entry_lo[i + 1], horizon_end)
+        later, earlier = base[i + 1], base[i] - dwells[i]
+        indices += baseline._pairs(range(later + steps.start, later + horizon_end),
+                                   range(earlier + steps.start, earlier + horizon_end))
+        exact = grid.resource(route.legs[i]).kind == "vertiport"
+        relations += ["=" if exact else "<="] * len(steps)
+        labels += [f"order.{fid}.{i + 1}.{t}" for t in steps]
+    rows = len(labels)
+    indices += (base[0] + depart_by, base[last] + horizon_end - 1)
+    fragment.add_rows([*range(2, 2 * rows + 1, 2), 2 * rows + 1, 2 * rows + 2], indices,
+                      [1.0, -1.0] * rows + [1.0, 1.0], relations + ["=", "="],
+                      [0.0] * rows + [1.0, 1.0], labels + [f"dep.{fid}", f"arr.{fid}"])
+
+    ground, air = 1.0 - params.alpha, params.alpha
+    waits = range(entry_lo[0], min(d + eps, horizon_end))
+    landings = range(entry_lo[last], horizon_end)
+    fragment.set_objective({**{base[0] + t: 0.0 - ground for t in waits},
+                            **{base[last] + t: 0.0 - air for t in landings}},
+                           offset=ground * (entry_lo[0] - d + len(waits))
+                           + air * (entry_lo[last] - a + len(landings)))
+
+    cells = {}
+    for i, lo in enumerate(entry_lo):
+        gone, after = (base[i + 1], entry_lo[i + 1]) if i < last else (base[i] - 1, lo + 1)
+        for t in range(lo, horizon_end):
+            occupancy = cells[(route.legs[i], t)] = {base[i] + t: 1.0}
+            if t >= after:
+                occupancy[gone + t] = -1.0
+    return baseline._Schedule(request, route, fragment,
+                              tuple((lo, col + lo) for lo, col in zip(entry_lo, base)), cells)
+
+
+def corridor_flights():
+    """(grid, request, now) cases on small corridors: ring dwells, an
+    intermediate vertiport, an overdue flight and a departure window that
+    the horizon cuts."""
+    corridor = make_grid(1, 3, ((0, 0), (0, 2)))
+    long = make_grid(1, 7, ((0, 0), (0, 6)), horizon=14)
+    through = make_grid(1, 5, ((0, 0), (0, 2), (0, 4)), horizon=12)
+    return [
+        (corridor, make_request(corridor, "f0", "r0000", "r0002", 0), 0),
+        (corridor, make_request(corridor, "f1", "r0000", "r0002", 0), 2),
+        (corridor, make_request(corridor, "f2", "r0002", "r0000", 1, flexibility=6), 0),
+        (long, make_request(long, "f3", "r0000", "r0006", 1,
+                            dwell=(("r0001", 2), ("r0005", 3))), 0),
+        (long, make_request(long, "f4", "r0006", "r0000", 0, flexibility=8,
+                            dwell=(("r0005", 2),)), 0),
+        (through, make_request(through, "f5", "r0000", "r0004", 0,
+                               dwell=(("r0001", 2), ("r0003", 2))), 0),
+        (through, make_request(through, "f6", "r0004", "r0000", 2, flexibility=1,
+                               dwell=(("r0003", 3),)), 1),
+    ]
+
+
+def desk_flights():
+    """(grid, request, now) for the requests of the first periods of desk
+    day 0, each planned at its own period."""
+    config = load_scenario(DESK)
+    grid = scenario_grid(config)
+    return [(grid, request, period * config.cadence_steps)
+            for period in range(4) for request in generate_demand(grid, config, 0, period)]
+
+
+FLIGHTS = [*corridor_flights(), *desk_flights()]
+
+
+def declared_windows(schedule):
+    """Each leg's declared steps, read from the fragment's column names."""
+    windows = {}
+    for name in schedule.fragment.variables:
+        _, _, leg, t = name.name.rsplit(".", 3)
+        windows.setdefault(int(leg), []).append(int(t))
+    return [windows[i] for i in range(len(windows))]
+
+
+def pinned_status(schedule, leg, t):
+    """The status of the flight's fragment alone with w(leg, t) pinned at 0."""
+    lo, col = schedule.starts[leg]
+    model = milp.Model(name="pinned", sense="min")
+    shift = model.append(schedule.fragment)
+    model.add({shift + col + t - lo: 1.0}, "=", 0.0, "pin")
+    return milp.solve(model).status
+
+
+class TestLatestEntry:
+    @pytest.mark.parametrize("case", FLIGHTS, ids=lambda case: case[1].flight_id)
+    def test_each_leg_declares_exactly_its_free_entry_window(self, case):
+        grid, request, now = case
+        horizon_end = now + grid.horizon_steps
+        route = fixed_route(grid, request.origin, request.destination)
+        schedule = baseline._schedule(grid, request, route, PARAMS, now, horizon_end)
+        assert schedule is not None
+        dwells = baseline.leg_dwells(grid, route, request.min_dwell)
+        windows = declared_windows(schedule)
+        assert len(windows) == len(route.legs)
+        earliest = max(request.requested_departure, now)
+        for i, steps in enumerate(windows):
+            if i == len(route.legs) - 1:
+                earliest = max(earliest, request.requested_arrival)
+            # One run of steps from the earliest entry to the latest.
+            assert steps == list(range(earliest, steps[-1] + 1))
+            assert schedule.starts[i][0] == earliest
+            earliest += dwells[i] if i < len(dwells) else 0
+            latest = steps[-1]
+            # Entering leg i only after its latest entry breaks the
+            # flight's own rows; entering at it does not.
+            assert pinned_status(schedule, i, latest) == milp.INFEASIBLE
+            if len(steps) >= 2:
+                assert pinned_status(schedule, i, latest - 1) == milp.OPTIMAL
+
+    @pytest.mark.parametrize("case", FLIGHTS, ids=lambda case: case[1].flight_id)
+    def test_cells_hold_the_occupancy_of_the_earliest_and_latest_schedules(self, case):
+        grid, request, now = case
+        route = fixed_route(grid, request.origin, request.destination)
+        schedule = baseline._schedule(grid, request, route, PARAMS, now,
+                                      now + grid.horizon_steps)
+        windows = declared_windows(schedule)
+        for entries in ([steps[0] for steps in windows], [steps[-1] for steps in windows]):
+            # Entered-by: 1 from each leg's entry on.
+            x = [float(t >= entry) for steps, entry in zip(windows, entries) for t in steps]
+            plan = schedule.plan(x)
+            assert [t for t, _ in plan.steps] == list(range(entries[0], entries[-1] + 1))
+            occupied = set(plan.steps)
+            assert {(t, rid) for rid, t in schedule.cells} >= occupied
+            for (rid, t), terms in schedule.cells.items():
+                held = sum(coeff * x[j] for j, coeff in terms.items())
+                assert held == ((t, rid) in occupied)
+
+    def test_same_verdicts_and_optima_as_the_full_window_formulation(self, monkeypatch):
+        config = load_scenario(DESK)
+        grid = scenario_grid(config)
+        calls = []
+        real = sim.solve_tfmp
+
+        def record(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sim, "solve_tfmp", record)
+        sim.run_day(grid, config, 0, "tfmp")
+        monkeypatch.undo()
+        assert calls
+        outcomes = {}
+        for build in (baseline._schedule, full_window_schedule):
+            monkeypatch.setattr(baseline, "_schedule", build)
+            outcomes[build] = [solve_tfmp(*args) for args in calls]
+        for free, full in zip(*outcomes.values(), strict=True):
+            assert (free.objective is None) == (full.objective is None)
+            if full.objective is not None:
+                assert free.objective == pytest.approx(full.objective, rel=0, abs=1e-9)
+            assert (free.deferred, free.dropped, free.attempts) == (
+                full.deferred, full.dropped, full.attempts)
+        assert sum(out.attempts for out in outcomes[full_window_schedule]) > len(calls)

@@ -123,6 +123,17 @@ class TestOverrides:
         assert stderr.count("\n") == 1
         assert not out.exists()
 
+    def test_demand_past_the_poisson_sampler_is_one_error_line(self, scenario_path,
+                                                               tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--config", str(scenario_path), "--out", str(out),
+                        "--days", "1", "--periods", "1", "--demand", "1e300"]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("error: demand_per_hub_per_hour must give at most ")
+        assert stderr.endswith("got 8.33333e+298\n") and stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_invalid_scenario_file_exits_2_without_a_traceback(self, scenario_path,
                                                               tmp_path):
         with scenario_path.open("a", encoding="utf-8") as handle:

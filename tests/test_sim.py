@@ -68,6 +68,8 @@ class TestScenarioConfig:
         dict(gamma=float("inf")),
         dict(demand_per_hub_per_hour=float("nan")),
         dict(demand_per_hub_per_hour=float("inf")),
+        # Finite, but more than numpy's Poisson sampler draws.
+        dict(demand_per_hub_per_hour=1e300),
         dict(seed=-1),
     ])
     def test_bad_fields_rejected(self, bad):
