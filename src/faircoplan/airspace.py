@@ -169,6 +169,12 @@ class AirspaceGrid:
                 table[row[rid], t - start] = cap
         return table
 
+    def min_stay(self, resource_id: str, dwell: int) -> int:
+        """The fewest steps a flight holds ``resource_id`` for, given its
+        requested minimum ``dwell`` there: a sector holds it for its dwell,
+        any other resource (a vertiport) for one step."""
+        return dwell if self.resource(resource_id).kind == "sector" else 1
+
     def is_zone(self, resource_id: str) -> bool:
         """True for vertiports and vertiport-adjacent (ring) sectors."""
         return resource_id in self.zone

@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
 from .blocks import solve_joint
-from .checker import audit_batch
+from .checker import audit_batch, audit_objective
 from .flights import DelayCostParams, FlightPlan, FlightRequest, tdc
 
 __all__ = [
@@ -100,11 +100,10 @@ class BaselineResult:
 def leg_dwells(
     grid: AirspaceGrid, route: FixedRoute, dwell: Callable[[str], int]
 ) -> list[int]:
-    """Minimum steps on each leg before the next entry, given each sector's
-    minimum dwell; a vertiport leg takes one. Their sum is the route's
-    travel time from departure to landing."""
-    return [dwell(rid) if grid.resource(rid).kind == "sector" else 1
-            for rid in route.legs[:-1]]
+    """Minimum steps on each leg before the next entry, ``grid.min_stay``
+    of each leg's requested dwell. Their sum is the route's travel time
+    from departure to landing."""
+    return [grid.min_stay(rid, dwell(rid)) for rid in route.legs[:-1]]
 
 
 @dataclass(frozen=True)
@@ -319,12 +318,7 @@ def solve_tfmp(
     if outcome.objective is not None:
         audit_batch(grid, snapshot, by_id, plans, now, horizon_end, "fixed-route")
         tdc_by_flight = {fid: tdc(plan, by_id[fid], params) for fid, plan in plans.items()}
-        expected = sum(tdc_by_flight.values())
-        if abs(expected - outcome.objective) > 1e-6 * max(1.0, abs(expected)):
-            raise RuntimeError(
-                f"fixed-route objective {outcome.objective} disagrees with "
-                f"recomputed cost {expected}"
-            )
+        audit_objective("fixed-route", outcome.objective, sum(tdc_by_flight.values()))
 
     return BaselineResult(
         plans=plans,

@@ -1,14 +1,15 @@
 """Time-expanded model blocks: one flight's encoding in the (resource, t)
 grid, shared by every planner MILP.
 
-``cell_domain`` gives the cells one flight's trajectory may use;
-``state_graph`` holds the moves over them, which step 2 walks, and
-``arc_fragment`` writes the same moves as a path, one binary per arc, in a
-model fragment of its own: a plain ``milp.Model`` holding the flight's
-columns, rows and delay cost; ``ArcFragment.plan`` walks the chosen arcs
-back into a plan. ``dwell_linkage`` holds step 1's ring-choice runs at their
-minimum dwell; it handles many runs in one call and returns their rows as
-``Rows``, which step 1 merges flight by flight with its slot-support rows.
+``cell_domain`` gives the cells one flight's trajectory may use, as a plain
+``{resource: steps}`` dict; ``state_graph`` holds the moves over them,
+which step 2 walks, and ``arc_fragment`` writes the same moves as a path,
+one binary per arc, in a model fragment of its own: a plain ``milp.Model``
+holding the flight's columns, rows and delay cost; ``ArcFragment.plan``
+walks the chosen arcs back into a plan. ``dwell_linkage`` holds step 1's
+ring-choice runs at their minimum dwell; it handles many runs in one call
+and returns their rows as ``Rows``, which step 1 merges flight by flight
+with its slot-support rows.
 
 ``solve_joint`` is the one joint solve of step 3 and the fixed-route
 baseline, with its one drop-until-feasible policy: per-flight blocks, each
@@ -36,7 +37,6 @@ from .flights import ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, pick
 
 __all__ = [
     "ArcFragment",
-    "CellDomain",
     "DropOutcome",
     "Rows",
     "arc_fragment",
@@ -87,17 +87,6 @@ class ArcFragment:
                 raise RuntimeError(f"{request.flight_id}: path ends before an arrival")
             steps.append((state[1], state[0]))
         return FlightPlan(request.flight_id, tuple(steps))
-
-
-@dataclass(frozen=True)
-class CellDomain:
-    """The (resource, t) cells one flight's trajectory may use.
-
-    ``times`` maps each usable resource to its usable steps in order; the
-    origin's are the departure slots, the destination's the arrival slots.
-    """
-
-    times: dict[str, tuple[int, ...]]
 
 
 class Rows(NamedTuple):
@@ -292,8 +281,11 @@ def cell_domain(
     choices: ChoiceSet,
     now: int,
     horizon_end: int,
-) -> CellDomain | None:
-    """The cells one flight's trajectory may use; None if it cannot fly.
+) -> dict[str, tuple[int, ...]] | None:
+    """The (resource, t) cells one flight's trajectory may use, as each
+    usable resource mapped to its usable steps in order; None if it cannot
+    fly. The origin's steps are the departure slots, the destination's the
+    arrival slots.
 
     Departure and arrival slots are the granted ones inside the request's
     windows and the period, trimmed to pairs far enough apart for the hop
@@ -350,34 +342,34 @@ def cell_domain(
                            + first).tolist())
         if cells:
             times[rid] = cells
-    return CellDomain(times)
+    return times
 
 
 def state_graph(
     grid: AirspaceGrid,
     request: FlightRequest,
-    domain: CellDomain,
+    domain: dict[str, tuple[int, ...]],
 ) -> dict[tuple[str, int, int], list[tuple[str, int, int]]]:
     """Each (resource, t, run) state a departure slot reaches over
-    ``domain``, in step order, mapped to its successors in resource-id order.
+    ``domain``, a ``cell_domain``, in step order, mapped to its successors
+    in resource-id order.
 
     run is the current run's length in the resource, capped at its minimum
-    dwell (1 outside sectors); a departure is ``(origin, t, 1)``, an arrival
-    ``(destination, t, 1)``. A resource is left only once the run reaches
-    the dwell, the origin is never re-entered, and an arrival ends the plan.
+    stay (``AirspaceGrid.min_stay``); a departure is ``(origin, t, 1)``, an
+    arrival ``(destination, t, 1)``. A resource is left only once the run
+    reaches that stay, the origin is never re-entered, and an arrival ends
+    the plan.
     """
     s, e = request.origin, request.destination
-    times = domain.times
-    usable = {rid: set(steps) for rid, steps in times.items()}
-    dwell = {rid: request.min_dwell(rid) if grid.resource(rid).kind == "sector" else 1
-             for rid in times}
+    usable = {rid: set(steps) for rid, steps in domain.items()}
+    dwell = {rid: grid.min_stay(rid, request.min_dwell(rid)) for rid in domain}
     # Next resources in id order; a resource's own id means staying put.
     moves = {rid: [] if rid == e else sorted(nb for nb in (*grid.adjacency[rid], rid)
-                                             if nb in times and nb != s)
-             for rid in times}
+                                             if nb in domain and nb != s)
+             for rid in domain}
     graph: dict[tuple[str, int, int], list[tuple[str, int, int]]] = {}
     layer: dict[tuple[str, int, int], None] = {}
-    for t in range(times[s][0], times[e][-1] + 1):
+    for t in range(domain[s][0], domain[e][-1] + 1):
         if t in usable[s]:
             layer[(s, t, 1)] = None
         after: dict[tuple[str, int, int], None] = {}
@@ -400,14 +392,14 @@ def state_graph(
 def arc_fragment(
     grid: AirspaceGrid,
     request: FlightRequest,
-    domain: CellDomain,
+    domain: dict[str, tuple[int, ...]],
     params: DelayCostParams,
     prefix: str,
 ) -> ArcFragment | None:
-    """One flight's trajectory over ``domain`` as a unit flow from a source
-    through its ``state_graph`` to an arrival, in a model fragment whose
-    objective is the flight's delay cost; None if no departure reaches an
-    arrival.
+    """One flight's trajectory over ``domain``, a ``cell_domain``, as a unit
+    flow from a source through its ``state_graph`` to an arrival, in a model
+    fragment whose objective is the flight's delay cost; None if no
+    departure reaches an arrival.
 
     The graph is first pruned backward to the states that reach an arrival.
     The columns are the binaries of the source arcs, one per departure slot
@@ -429,7 +421,7 @@ def arc_fragment(
         if not alive.isdisjoint(out):
             alive.add(state)
     arcs: list[tuple[State | None, State]] = [
-        (None, (s, t, 1)) for t in domain.times[s] if (s, t, 1) in alive]
+        (None, (s, t, 1)) for t in domain[s] if (s, t, 1) in alive]
     if not arcs:
         return None
     sources = len(arcs)

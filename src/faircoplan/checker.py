@@ -4,8 +4,8 @@ Each feasibility rule is stated here once:
 
 - ``plan_violations``: one plan against the trajectory families (known
   cells inside the period, origin and destination slots, departure and
-  arrival windows, adjacent moves, minimum sector dwell, and remaining
-  capacity or choice-set conformance per step);
+  arrival windows, adjacent moves, minimum stay (``AirspaceGrid.min_stay``),
+  and remaining capacity or choice-set conformance per step);
 - ``choice_violations``: a joint choice allocation against the
   choice-setting families, including its joint capacity over zone cells;
 - ``detect_conflicts``: joint capacity over a set of plans, cell by cell
@@ -14,7 +14,8 @@ Each feasibility rule is stated here once:
 
 ``audit_batch`` is the one re-check after a joint solve (deconfliction and
 the fixed-route schedule): ``plan_violations`` on every plan, then
-``detect_conflicts`` on the batch; any problem raises.
+``detect_conflicts`` on the batch; any problem raises. ``audit_objective``
+is the one check of its optimum against the cost recomputed from its plans.
 
 So a disagreement between a solver and the enumeration oracle can only come
 from model construction, never from two diverging notions of feasibility.
@@ -38,6 +39,7 @@ __all__ = [
     "Conflict",
     "ConflictReport",
     "audit_batch",
+    "audit_objective",
     "choice_violations",
     "detect_conflicts",
     "plan_violations",
@@ -133,13 +135,11 @@ def plan_violations(
         if r0 != r1 and r1 not in grid.adjacency[r0]:
             out.append(f"{fid}: jump {r0} -> {r1} at t={t0} not adjacent")
 
-    # Minimum dwell per maximal sector run.
+    # Minimum stay per maximal run.
     for rid, start, length in _run_lengths(plan):
-        if grid.resource(rid).kind == "sector" and length < request.min_dwell(rid):
-            out.append(
-                f"{fid}: run of {length} in {rid} at t={start} "
-                f"below dwell {request.min_dwell(rid)}"
-            )
+        stay = grid.min_stay(rid, request.min_dwell(rid))
+        if length < stay:
+            out.append(f"{fid}: run of {length} in {rid} at t={start} below dwell {stay}")
 
     # Capacity and choice-set conformance.
     for t, rid in plan.steps:
@@ -293,3 +293,11 @@ def audit_batch(
             f"{what} batch breaks capacity: "
             + "; ".join(map(str, report.conflicts[:5]))
         )
+
+
+def audit_objective(what: str, objective: float, expected: float) -> None:
+    """Raise unless a joint solve's ``objective``, ``what`` in the error, equals
+    ``expected``, the cost recomputed from its plans, to 1e-6 (relative above 1)."""
+    if abs(expected - objective) > 1e-6 * max(1.0, abs(expected)):
+        raise RuntimeError(
+            f"{what} objective {objective} disagrees with recomputed cost {expected}")

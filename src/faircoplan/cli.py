@@ -5,9 +5,11 @@ modes on identical demand, ``report`` recomputes the metrics from stored
 period records and cross-checks the stored summary, and ``oracle-check``
 replays the brute-force validation suite. Exit code 0 means success, 2 means
 a verification failed (mismatched report, failed oracle case) or the input
-is invalid: a missing scenario file or campaign directory, a
-``ConfigError`` (from the scenario file, an override, the grid build, or a
-directory holding no records), or an ``oracle-check`` case count below 1 or
+is invalid: a ``ConfigError`` (a scenario file off its schema or not YAML,
+an override, the grid build, no records, or a record or ``summary.json``
+that is not JSON, by file and line), an ``OSError`` (a missing file, or a
+directory where a file belongs or the reverse; an ``--out`` file is caught
+before the campaign runs), or an ``oracle-check`` case count below 1 or
 negative seed prints one ``error: ...`` line on stderr, with argparse's
 usage-error code.
 """
@@ -22,11 +24,7 @@ from pathlib import Path
 
 from .airspace import ConfigError
 from .selfcheck import run_selfcheck
-from .serialize import (
-    load_scenario,
-    read_campaign_records,
-    write_campaign,
-)
+from .serialize import load_scenario, read_campaign_records, read_json, write_campaign
 from .sim import MODES, campaign_summary, run_campaign
 
 __all__ = ["main", "run_cli"]
@@ -100,13 +98,15 @@ def _configure(args: argparse.Namespace):
 
 def _run(args: argparse.Namespace, modes: tuple[str, ...]) -> int:
     config = _configure(args)
+    if Path(args.out).exists() and not Path(args.out).is_dir():
+        raise ConfigError(f"--out {args.out} is a file, not a directory")
     started = time.perf_counter()
     # The grid is built, and checked, as the campaign starts.
     campaign = run_campaign(config, modes)
     out = write_campaign(args.out, campaign)
     elapsed = time.perf_counter() - started
     # The summary just written, read back rather than built a second time.
-    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    summary = read_json(out / "summary.json")
     for mode in modes:
         stats = summary["modes"][mode]
         fairness = stats["mean_fairness"]
@@ -137,7 +137,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print(json.dumps(recomputed, sort_keys=True, indent=2))
     stored_path = out / "summary.json"
     if stored_path.exists():
-        stored = json.loads(stored_path.read_text(encoding="utf-8"))
+        stored = read_json(stored_path)
         if stored != recomputed:
             print("MISMATCH: stored summary.json disagrees with the records",
                   file=sys.stderr)
@@ -172,7 +172,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -91,8 +91,8 @@ choice-setting model (6,426 columns, 8,021 entries) converting one
 per-column Python list took about 0.26 ms, against 2 µs from a typed array
 (2-vCPU Xeon VM). ``Model.variables`` and ``Model.constraints`` are
 read-only views built on demand; neither the solve nor the re-check builds
-them. ``binaries`` and ``add_rows`` write many columns or rows in one call,
-checked as ``binary`` and ``add`` check one.
+them. ``binary``, ``binaries`` and ``continuous`` share one column writer,
+and ``add`` is ``add_rows`` with one row, so every row is checked alike.
 
 A model fragment is a plain ``Model`` holding one part of a larger model,
 such as one flight's columns, rows and objective terms. ``Model.append``
@@ -259,53 +259,39 @@ class Model:
         self._objective_coeffs: list[float] = []
         self.objective_offset = 0.0
 
-    def _declare(self, name: str, binary: bool, lb: float, ub: float) -> int:
-        self._names.append(name)
-        self._lb.append(lb)
-        self._ub.append(ub)
-        self._integrality.append(1 if binary else 0)
-        return len(self._names) - 1
+    def _columns(self, names: list[str], binary: bool, lb: float, ub: float) -> int:
+        """One column per name, in order, all alike; returns the first's index."""
+        first = len(self._names)
+        self._names += names
+        self._lb += array("d", [lb]) * len(names)
+        self._ub += array("d", [ub]) * len(names)
+        self._integrality += array("b", [binary]) * len(names)
+        return first
 
     def binary(self, name: str) -> int:
-        return self._declare(name, True, 0.0, 1.0)
+        return self._columns([name], True, 0.0, 1.0)
 
     def binaries(self, names: list[str]) -> int:
         """Declare one binary per name, in order; returns the first one's column."""
-        first = len(self._names)
-        self._names += names
-        self._lb += array("d", [0.0]) * len(names)
-        self._ub += array("d", [1.0]) * len(names)
-        self._integrality += array("b", [1]) * len(names)
-        return first
+        return self._columns(names, True, 0.0, 1.0)
 
     def continuous(self, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
         if lb > ub:
             raise ValueError(f"variable {name!r} has lb > ub")
-        return self._declare(name, False, lb, ub)
+        return self._columns([name], False, lb, ub)
 
     def add(self, coeffs: dict[int, float], relation: str, rhs: float, label: str = "") -> None:
-        if relation not in _RELATIONS:
-            raise ValueError(f"unknown relation {relation!r}")
-        if not coeffs:
-            raise ValueError(f"constraint {label!r} has no variables")
-        if not 0 <= min(coeffs) <= max(coeffs) < len(self._names):
-            raise ValueError(f"constraint {label!r} references a column outside "
-                             f"[0, {len(self._names)})")
-        rhs = float(rhs)
-        self._indices.extend(coeffs)
-        self._coeffs.extend(coeffs.values())
-        self._indptr.append(len(self._indices))
-        self._relations.append(_RELATIONS.index(relation))
-        self._rhs.append(rhs)
-        self._labels.append(label)
+        """Add one row, ``{column: coefficient}``: ``add_rows`` with one row."""
+        self.add_rows([len(coeffs)], list(coeffs), list(coeffs.values()), [relation], [rhs],
+                      [label])
 
     def add_rows(self, ends: list[int], indices: list[int], coeffs: list[float],
                  relations: list[str], rhs: list[float], labels: list[str]) -> None:
         """Add rows at once, in CSR form: row k holds the columns
         ``indices[ends[k - 1]:ends[k]]`` (from 0 for the first row) with the
         coefficients ``coeffs[...]``, and its relation, right-hand side and
-        label. Each row is checked as ``add`` checks it; as there, a row
-        must not hold a column twice.
+        label. Every row is checked before any is written; a row must not
+        hold a column twice.
         """
         if not len(ends) == len(relations) == len(rhs) == len(labels):
             raise ValueError("add_rows needs one end, relation, rhs and label per row")
@@ -313,14 +299,14 @@ class Model:
             return
         if ends[-1] != len(indices) or len(coeffs) != len(indices):
             raise ValueError("add_rows needs one coefficient per index, up to the last end")
-        # Rows are nonempty exactly when the ends rise strictly from above 0.
-        if ends[0] <= 0 or ends != sorted(ends) or len(set(ends)) < len(ends):
-            k = next(k for k, (start, end) in enumerate(zip([0, *ends], ends)) if end <= start)
-            raise ValueError(f"constraint {labels[k]!r} has no variables")
         try:
             codes = list(map(_RELATION_CODES.__getitem__, relations))
         except KeyError as exc:
             raise ValueError(f"unknown relation {exc.args[0]!r}") from None
+        # Rows are nonempty exactly when the ends rise strictly from above 0.
+        if ends[0] <= 0 or ends != sorted(ends) or len(set(ends)) < len(ends):
+            k = next(k for k, (start, end) in enumerate(zip([0, *ends], ends)) if end <= start)
+            raise ValueError(f"constraint {labels[k]!r} has no variables")
         _check_columns(indices, ends, labels, len(self._names))
         base = self._indptr[-1]
         self._indptr.fromlist([base + end for end in ends])
@@ -337,8 +323,8 @@ class Model:
         Returns the column offset: the fragment's column j is column
         offset + j here. Names, bounds, integrality, stored entries (zero
         coefficients included), relations, right-hand sides and labels are
-        carried over in order. Raises ``ValueError``, as ``add`` does, if a
-        fragment row references a column outside the fragment.
+        carried over in order. Raises ``ValueError``, as ``add_rows`` does, if
+        a fragment row references a column outside the fragment.
         """
         offset = len(self._names)
         indices, indptr = fragment._indices, fragment._indptr
@@ -408,8 +394,8 @@ def _shifted(columns: array, offset: int) -> array:
 
 
 def _check_columns(indices: list[int], ends: list[int], labels: list[str], n: int) -> None:
-    """Raise, as ``Model.add`` does, naming the first row (CSR ends, as in
-    ``add_rows``) that references a column outside [0, n)."""
+    """Raise, naming the first row (CSR ends, as in ``Model.add_rows``) that
+    references a column outside [0, n)."""
     if indices and not 0 <= min(indices) <= max(indices) < n:
         k = next(k for k, (start, end) in enumerate(zip([0, *ends], ends))
                  if not 0 <= min(indices[start:end]) <= max(indices[start:end]) < n)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .airspace import AirspaceGrid, OccupancySnapshot
-from .baseline import FixedRoute, fixed_route
+from .baseline import FixedRoute, fixed_route, leg_dwells
 from .checker import choice_violations, plan_violations
 from .flights import ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, path_length, tdc
 from .step1 import choice_domains
@@ -466,22 +466,12 @@ def oracle_tfmp_optimum(
     options: list[tuple[FlightRequest, tuple[FlightPlan, ...]]] = []
     for req in ordered:
         route = fixed_route(grid, req.origin, req.destination)
-        dwells = _route_dwells(grid, req, route)
+        dwells = leg_dwells(grid, route, req.min_dwell)
         plans = _schedules(grid, req, route, dwells, now, end, meter)
         if not plans:
             return None, {}
         options.append((req, plans))
     return _joint_search(options, snapshot, params, 0.0, None, meter)
-
-
-def _route_dwells(grid: AirspaceGrid, request: FlightRequest, route: FixedRoute) -> list[int]:
-    out = []
-    for rid in route.legs[:-1]:
-        if grid.resource(rid).kind == "sector":
-            out.append(request.min_dwell(rid))
-        else:
-            out.append(1)
-    return out
 
 
 def _schedules(

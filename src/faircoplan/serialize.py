@@ -24,6 +24,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "load_scenario",
     "read_campaign_records",
+    "read_json",
     "read_records",
     "save_scenario",
     "scenario_from_dict",
@@ -129,7 +130,13 @@ def scenario_from_dict(data: Mapping) -> ScenarioConfig:
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as handle:
-        data = yaml.safe_load(handle)
+        try:
+            data = yaml.safe_load(handle)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            line = "" if mark is None else f", line {mark.line + 1}"
+            raise ConfigError(f"{path}{line}: not valid YAML: "
+                              f"{getattr(exc, 'problem', None) or exc}") from None
     if data is None:
         raise ConfigError(f"{path} is empty")
     return scenario_from_dict(data)
@@ -149,13 +156,28 @@ def write_records(path: str | Path, records: Iterable[Mapping]) -> None:
 
 
 def read_records(path: str | Path) -> list[dict]:
+    """Each nonblank line of ``path`` as JSON, failing as ``read_json`` does."""
     records = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if line:
-                records.append(json.loads(line))
+                records.append(_parse_json(line, path, number))
     return records
+
+
+def read_json(path: str | Path):
+    """The JSON in ``path``; ``ConfigError``, naming file and line, if not JSON."""
+    return _parse_json(Path(path).read_text(encoding="utf-8"), path, 1)
+
+
+def _parse_json(text: str, path: str | Path, line: int):
+    """``text``, which starts on line ``line`` of ``path``, parsed as JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}, line {line + exc.lineno - 1}: not valid JSON: "
+                          f"{exc.msg}") from None
 
 
 def _write_csv(path: str | Path, columns: Sequence[str],

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .airspace import AirspaceGrid, OccupancySnapshot
-from .blocks import CellDomain, cell_domain, state_graph
+from .blocks import cell_domain, state_graph
 from .checker import plan_violations
 from .flights import ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, slot_tdc, tdc
 
@@ -39,7 +39,7 @@ class Step2Result:
 def _search(
     grid: AirspaceGrid,
     request: FlightRequest,
-    domain: CellDomain,
+    domain: dict[str, tuple[int, ...]],
     params: DelayCostParams,
 ) -> tuple[float, FlightPlan] | None:
     """The least-cost plan over ``domain`` under the tie rule, or None.
@@ -54,13 +54,13 @@ def _search(
     """
     s, e = request.origin, request.destination
     graph = state_graph(grid, request, domain)
-    dep_bit = {t: 1 << i for i, t in enumerate(domain.times[s])}
+    dep_bit = {t: 1 << i for i, t in enumerate(domain[s])}
     reach = {(s, t, 1): bit for t, bit in dep_bit.items()}
     for state, out in graph.items():
         mask = reach[state]
         for succ in out:
             reach[succ] = reach.get(succ, 0) | mask
-    arrived = {t: reach[(e, t, 1)] for t in domain.times[e] if (e, t, 1) in reach}
+    arrived = {t: reach[(e, t, 1)] for t in domain[e] if (e, t, 1) in reach}
 
     best = min(((slot_tdc(request, params, departure, arrival), departure)
                 for arrival, mask in arrived.items()

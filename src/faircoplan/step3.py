@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
 from .blocks import ArcFragment, arc_fragment, cell_domain, solve_joint
-from .checker import ConflictReport, audit_batch, detect_conflicts
+from .checker import ConflictReport, audit_batch, audit_objective, detect_conflicts
 from .flights import ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, path_length, tdc
 
 __all__ = ["DeconflictionResult", "fairness_value", "solve_step3"]
@@ -81,14 +81,19 @@ def _add_spread(
     spread.continuous("ratio.min", 0.0, math.inf)
     spread.set_objective({0: gamma, 1: -gamma})
     f_max = model.append(spread)
-    f_min = f_max + 1
-    for fid in sorted(shifts):
+    fids = sorted(shifts)
+    ends, indices, coeffs, rhs = [], [], [], []
+    for fid in fids:
         share = 1.0 / path_length(proposals[fid])
-        shift = shifts[fid]
-        moves = {shift + j: -share for j, (tail, head) in enumerate(flows[fid].arcs)
-                 if tail is not None and tail[0] != head[0]}
-        model.add({f_max: 1.0, **moves}, ">=", share, label=f"rmax.{fid}")
-        model.add({f_min: 1.0, **moves}, "<=", share, label=f"rmin.{fid}")
+        moves = [shifts[fid] + j for j, (tail, head) in enumerate(flows[fid].arcs)
+                 if tail is not None and tail[0] != head[0]]
+        for bound in (f_max, f_max + 1):
+            indices += [bound, *moves]
+            coeffs += [1.0, *[-share] * len(moves)]
+            ends.append(len(indices))
+            rhs.append(share)
+    model.add_rows(ends, indices, coeffs, [">=", "<="] * len(fids), rhs,
+                   [f"{kind}.{fid}" for fid in fids for kind in ("rmax", "rmin")])
 
 
 def _joint_blocks(
@@ -185,13 +190,9 @@ def solve_step3(
 
     fairness = fairness_value(proposals, replans)
     if outcome.objective is not None:
-        expected = (sum(tdc_by_flight[fid] for fid in replans)
-                    + (gamma * fairness if gamma > 0.0 else 0.0))
-        if abs(expected - outcome.objective) > 1e-6 * max(1.0, abs(expected)):
-            raise RuntimeError(
-                f"deconfliction objective {outcome.objective} disagrees with "
-                f"recomputed cost {expected}"
-            )
+        audit_objective("deconfliction", outcome.objective,
+                        sum(tdc_by_flight[fid] for fid in replans)
+                        + (gamma * fairness if gamma > 0.0 else 0.0))
 
     return DeconflictionResult(
         plans=final,

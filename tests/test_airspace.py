@@ -1,4 +1,5 @@
-"""Grid construction, capacities, and the occupancy ledger."""
+"""Grid construction, capacities, the minimum-stay rule, and the occupancy
+ledger."""
 from __future__ import annotations
 
 from collections import Counter
@@ -14,9 +15,13 @@ from faircoplan.airspace import (
     build_grid,
     resource_id_for,
 )
-from faircoplan.flights import FlightPlan
+from faircoplan.baseline import fixed_route, leg_dwells, solve_tfmp
+from faircoplan.checker import plan_violations
+from faircoplan.flights import DelayCostParams, FlightPlan
+from faircoplan.step1 import solve_step1
+from faircoplan.step2 import solve_step2
 
-from helpers import blocked, make_grid, rid
+from helpers import blocked, make_grid, make_request, rid
 
 
 class TestGridConstruction:
@@ -103,6 +108,47 @@ class TestGridConstruction:
 def corridor_plan(fid: str = "f0", depart: int = 0) -> FlightPlan:
     return FlightPlan(fid, ((depart, "r0000"), (depart + 1, "r0001"),
                             (depart + 2, "r0002")))
+
+
+class TestMinStay:
+    """One request lists a dwell on its origin vertiport and on a plain
+    (non-ring) sector of its route, on a 1 x 7 corridor: vertiports r0000
+    and r0006, ring sectors r0001 and r0005, plain sectors r0002-r0004."""
+
+    @pytest.fixture()
+    def corridor(self):
+        grid = make_grid(1, 7, ((0, 0), (0, 6)), horizon=14)
+        request = make_request(grid, "f0", "r0000", "r0006", 1,
+                               dwell=(("r0000", 3), ("r0003", 2)))
+        return grid, request
+
+    def test_a_sector_holds_its_dwell_any_other_resource_one_step(self, corridor):
+        grid, _ = corridor
+        assert grid.ring == {"r0001", "r0005"}
+        assert [grid.min_stay(r, 3) for r in ("r0000", "r0001", "r0003", "r0006")] == [1, 3, 3, 1]
+        with pytest.raises(KeyError, match="unknown resource"):
+            grid.min_stay("r9999", 2)
+
+    def test_planners_checker_and_leg_dwells_agree_at_the_edges(self, corridor):
+        # The vertiport dwell is ignored and the plain-sector dwell enforced:
+        # one step at the origin, two in r0003, on time at 1 + 7.
+        grid, request = corridor
+        route = fixed_route(grid, "r0000", "r0006")
+        assert leg_dwells(grid, route, request.min_dwell) == [1, 1, 1, 2, 1, 1]
+        assert request.requested_arrival == 8
+        want = FlightPlan("f0", ((1, "r0000"), (2, "r0001"), (3, "r0002"), (4, "r0003"),
+                                 (5, "r0003"), (6, "r0004"), (7, "r0005"), (8, "r0006")))
+        snap = OccupancyLedger(grid).snapshot()
+        params = DelayCostParams(alpha=0.3)
+        choices = solve_step1(grid, snap, [request], 0).choice_sets["f0"]
+        assert solve_step2(grid, snap, request, choices, params).plan == want
+        assert solve_tfmp(grid, snap, [request], params).plans == {"f0": want}
+        assert plan_violations(grid, snap, request, want, 0, 14) == []
+        # One step in r0003, the step made up in r0002: only that run is short.
+        short = FlightPlan("f0", ((1, "r0000"), (2, "r0001"), (3, "r0002"), (4, "r0002"),
+                                  (5, "r0003"), (6, "r0004"), (7, "r0005"), (8, "r0006")))
+        assert plan_violations(grid, snap, request, short, 0, 14) == [
+            "f0: run of 1 in r0003 at t=5 below dwell 2"]
 
 
 class TestLedger:

@@ -9,7 +9,7 @@ import pytest
 
 from faircoplan import milp
 from faircoplan.airspace import OccupancyLedger
-from faircoplan.blocks import CellDomain, arc_fragment, cell_domain, state_graph
+from faircoplan.blocks import arc_fragment, cell_domain, state_graph
 from faircoplan.flights import ChoiceSet, DelayCostParams, FlightPlan
 from faircoplan.step1 import solve_step1
 from faircoplan.step2 import solve_step2
@@ -113,14 +113,14 @@ def test_cell_domain_equals_a_cell_by_cell_reference(now):
             domain = cell_domain(grid, snap, request, choices, now, horizon_end)
             if domain is None:
                 continue
-            departures, arrivals = domain.times[origin], domain.times[destination]
+            departures, arrivals = domain[origin], domain[destination]
             want = {origin: departures, destination: arrivals,
                     **reference_cell_domain_times(
                         grid, snap, request, choices, now, horizon_end,
                         departures[0], arrivals[-1])}
-            assert list(domain.times.items()) == list(want.items())
-            assert all(type(t) is int for cells in domain.times.values() for t in cells)
-            compared += len(domain.times)
+            assert list(domain.items()) == list(want.items())
+            assert all(type(t) is int for cells in domain.values() for t in cells)
+            compared += len(domain)
     assert compared > 40
 
 
@@ -131,7 +131,7 @@ def test_state_graph_arcs_on_a_corridor():
     # cell's successors come in id order, staying before moving on.
     grid = make_grid(1, 3, ((0, 0), (0, 2)))
     request = make_request(grid, "f0", "r0000", "r0002", 0, dwell=(("r0001", 2),))
-    domain = CellDomain({"r0000": (0, 1), "r0001": (1, 2, 3), "r0002": (3, 4)})
+    domain = {"r0000": (0, 1), "r0001": (1, 2, 3), "r0002": (3, 4)}
     graph = state_graph(grid, request, domain)
     assert graph == {
         ("r0000", 0, 1): [("r0001", 1, 1)],
@@ -153,7 +153,7 @@ def test_arc_fragment_on_a_corridor():
     # Two arcs enter the ring cell at t=3, from runs of 1 and 2.
     grid = make_grid(1, 3, ((0, 0), (0, 2)))
     request = make_request(grid, "f0", "r0000", "r0002", 0, dwell=(("r0001", 2),))
-    domain = CellDomain({"r0000": (0, 1), "r0001": (1, 2, 3, 4), "r0002": (3, 4)})
+    domain = {"r0000": (0, 1), "r0001": (1, 2, 3, 4), "r0002": (3, 4)}
     assert ("r0001", 4, 2) in state_graph(grid, request, domain)
     flow = arc_fragment(grid, request, domain, DelayCostParams(alpha=0.3), prefix="u")
     assert flow.arcs == [

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from faircoplan import cli
 from faircoplan.cli import run_cli
 from faircoplan.serialize import load_scenario, save_scenario
 from faircoplan.sim import CampaignResult
@@ -155,6 +156,33 @@ class TestOverrides:
         assert stderr.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["yaml", "directory"])
+    def test_unreadable_scenario_file_is_one_error_line(self, tmp_path, capsys, bad):
+        config = tmp_path / "bad.yaml"
+        if bad == "yaml":
+            config.write_text("a: [1, 2\n", encoding="utf-8")
+        else:
+            config.mkdir()
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("error: ") and str(config) in stderr
+        assert stderr.count("\n") == 1
+        if bad == "yaml":
+            assert stderr == (f"error: {config}, line 2: not valid YAML: expected ',' or ']', "
+                              "but got '<stream end>'\n")
+        assert not out.exists()
+
+    def test_out_naming_a_file_fails_before_the_campaign(self, scenario_path, tmp_path,
+                                                        capsys, monkeypatch):
+        out = tmp_path / "taken"
+        out.write_text("keep\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "run_campaign", lambda *args: pytest.fail("campaign ran"))
+        assert run_cli(["simulate", "--config", str(scenario_path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: --out {out} is a file, not a directory\n")
+        assert out.read_text(encoding="utf-8") == "keep\n"
+
 
 class TestReport:
     @pytest.fixture()
@@ -181,6 +209,33 @@ class TestReport:
         assert run_cli(["report", "--out", str(campaign_dir)]) == 0
         stdout = capsys.readouterr().out
         assert '"modes"' in stdout
+
+    def test_truncated_records_name_the_file_and_line(self, campaign_dir, capsys):
+        periods = campaign_dir / "tfmp" / "periods.jsonl"
+        lines = periods.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2
+        periods.write_text(lines[0] + "\n" + lines[1][:-7], encoding="utf-8")
+        assert run_cli(["report", "--out", str(campaign_dir)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith(f"error: {periods}, line 2: not valid JSON: ")
+        assert stderr.count("\n") == 1
+
+    def test_summary_that_is_not_json_names_the_file_and_line(self, campaign_dir, capsys):
+        summary = campaign_dir / "summary.json"
+        summary.write_text("x", encoding="utf-8")
+        assert run_cli(["report", "--out", str(campaign_dir)]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr == f"error: {summary}, line 1: not valid JSON: Expecting value\n"
+
+    def test_out_naming_a_file_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "summary.json"
+        out.write_text("{}", encoding="utf-8")
+        assert run_cli(["report", "--out", str(out)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("error: ") and str(out) in stderr
+        assert stderr.count("\n") == 1
 
     def test_empty_directory_is_an_error(self, tmp_path, capsys):
         assert run_cli(["report", "--out", str(tmp_path)]) == 2

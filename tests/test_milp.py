@@ -209,6 +209,40 @@ class TestBulkWriting:
         with pytest.raises(ValueError, match="one coefficient per index"):
             model.add_rows([1], [0], [], ["<="], [1.0], ["a"])
 
+    @pytest.mark.parametrize("coeffs, relation, message", [
+        ({0: 1.0}, "<", "unknown relation '<'"),
+        ({}, "<=", "constraint 'bad' has no variables"),
+        ({0: 1.0, 2: 1.0}, "<=", r"constraint 'bad' references a column outside \[0, 2\)"),
+        ({}, "<", "unknown relation '<'"),
+    ], ids=["relation", "empty", "column", "relation-before-empty"])
+    def test_add_raises_exactly_what_add_rows_raises(self, coeffs, relation, message):
+        by_add, by_rows = Model(name="one"), Model(name="bulk")
+        errors = []
+        for model, write in (
+                (by_add, lambda m: m.add(coeffs, relation, 1.0, label="bad")),
+                (by_rows, lambda m: m.add_rows([len(coeffs)], list(coeffs),
+                                               list(coeffs.values()), [relation], [1.0],
+                                               ["bad"]))):
+            model.binaries(["x", "y"])
+            with pytest.raises(ValueError) as raised:
+                write(model)
+            errors.append(str(raised.value))
+            assert (model.num_rows, model.num_nonzeros) == (0, 0)
+        assert errors[0] == errors[1]
+        assert re.fullmatch(message, errors[0])
+
+    def test_columns_written_one_at_a_time_or_in_bulk_are_the_same(self):
+        one, bulk = Model(name="columns"), Model(name="columns")
+        assert [one.binary("x"), one.continuous("z", -1.0, 2.0), one.binary("y"),
+                one.binary("w")] == [0, 1, 2, 3]
+        assert [bulk.binaries(["x"]), bulk.continuous("z", -1.0, 2.0),
+                bulk.binaries(["y", "w"])] == [0, 1, 2]
+        assert_same_model(one, bulk)
+        # A rejected column leaves the model as it was.
+        with pytest.raises(ValueError, match=r"^variable 'v' has lb > ub$"):
+            one.continuous("v", 1.0, 0.0)
+        assert_same_model(one, bulk)
+
 
 def fragment_model(prefix: str) -> Model:
     """Three columns, two rows (one with a zero coefficient), an objective
