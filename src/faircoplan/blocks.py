@@ -1,15 +1,12 @@
 """Time-expanded model blocks: one flight's encoding in the (resource, t)
-grid, shared by every planner MILP.
+grid, shared by step 2, step 3 and the fixed-route baseline.
 
 ``cell_domain`` gives the cells one flight's trajectory may use, as a plain
 ``{resource: steps}`` dict; ``state_graph`` holds the moves over them,
 which step 2 walks, and ``arc_fragment`` writes the same moves as a path,
 one binary per arc, in a model fragment of its own: a plain ``milp.Model``
 holding the flight's columns, rows and delay cost; ``ArcFragment.plan``
-walks the chosen arcs back into a plan. ``dwell_linkage`` holds step 1's
-ring-choice runs at their minimum dwell; it handles many runs in one call
-and returns their rows as ``Rows``, which step 1 merges flight by flight
-with its slot-support rows.
+walks the chosen arcs back into a plan.
 
 ``solve_joint`` is the one joint solve of step 3 and the fixed-route
 baseline, with its one drop-until-feasible policy: per-flight blocks, each
@@ -38,10 +35,8 @@ from .flights import ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, pick
 __all__ = [
     "ArcFragment",
     "DropOutcome",
-    "Rows",
     "arc_fragment",
     "cell_domain",
-    "dwell_linkage",
     "solve_joint",
     "state_graph",
 ]
@@ -87,99 +82,6 @@ class ArcFragment:
                 raise RuntimeError(f"{request.flight_id}: path ends before an arrival")
             steps.append((state[1], state[0]))
         return FlightPlan(request.flight_id, tuple(steps))
-
-
-class Rows(NamedTuple):
-    """Rows for ``Model.add_rows``, by row length instead of CSR end, with
-    the owner of each row (a run, a flight) so that row blocks can be merged."""
-
-    owner: np.ndarray
-    lengths: np.ndarray
-    indices: np.ndarray
-    coeffs: np.ndarray
-    relations: list[str]
-    rhs: np.ndarray
-    labels: list[str]
-
-    def add_to(self, model: milp.Model) -> None:
-        model.add_rows(np.cumsum(self.lengths).tolist(), self.indices.tolist(),
-                       self.coeffs.tolist(), self.relations, self.rhs.tolist(), self.labels)
-
-    @staticmethod
-    def by_owner(blocks: Sequence[Rows]) -> Rows:
-        """The rows of ``blocks`` as one block, owner by owner in ascending
-        order; one owner's rows keep their order, block by block."""
-        owner = np.concatenate([block.owner for block in blocks])
-        lengths = np.concatenate([block.lengths for block in blocks])
-        order = np.argsort(owner, kind="stable")
-        moved = lengths[order]
-        # Merged entry k is entry take[k] of the blocks' entries.
-        take = np.arange(moved.sum()) + np.repeat(
-            (np.cumsum(lengths) - lengths)[order] - (np.cumsum(moved) - moved), moved)
-        relations = [relation for block in blocks for relation in block.relations]
-        labels = [label for block in blocks for label in block.labels]
-        return Rows(owner[order], moved,
-                    np.concatenate([block.indices for block in blocks])[take],
-                    np.concatenate([block.coeffs for block in blocks])[take],
-                    [relations[i] for i in order.tolist()],
-                    np.concatenate([block.rhs for block in blocks])[order],
-                    [labels[i] for i in order.tolist()])
-
-
-def dwell_linkage(
-    model: milp.Model,
-    runs: Sequence[tuple[FlightRequest, str]],
-    start: int,
-    columns: np.ndarray,
-    horizon_end: int,
-) -> Rows:
-    """Minimum dwell, for each run k, a (request, resource) pair: a run of
-    steps in the resource may end at step t only once the trailing window of
-    ``request.min_dwell(resource)`` steps is full.
-
-    ``columns[k, i]`` is the column of the binary that marks run k's flight
-    (or its offered choice) in its resource at step ``start + i``, or -1 at
-    a step it cannot use; steps outside the array are unusable too. For each
-    t up to ``horizon_end - 1`` that follows a usable step, an auxiliary
-    binary ``dw.{fid}.{rid}.{t}`` is 1 exactly when the window is not yet
-    full, and then the run must go on at t. The window has ``dwell`` terms,
-    so ``dwell`` is a tight constant for both indicator rows. A run with a
-    dwell of 1 needs nothing.
-
-    The auxiliaries are declared in ``model`` in one call, run by run and
-    step by step. Their rows, ``dwlo``, ``dwhi`` and ``dwrun`` for each step
-    in the same order, are returned, each owned by its run.
-    """
-    dwell = np.array([request.min_dwell(rid) for request, rid in runs], dtype=np.int64)
-    longest = int(dwell.max(initial=1))
-    usable = columns[:, :max(horizon_end - 1 - start, 0)] >= 0
-    run, before = np.nonzero(usable & (dwell[:, None] > 1))
-    steps = (start + 1 + before).tolist()
-    names = [f"dw.{runs[k][0].flight_id}.{runs[k][1]}" for k in run.tolist()]
-    aux = model.binaries([f"{name}.{t}" for name, t in zip(names, steps)]) + np.arange(len(steps))
-    # -1 for the longest dwell's steps before each run's array and the one
-    # after it; the window gathers the longest dwell's steps before t and
-    # drops those beyond the run's own dwell.
-    padded = np.concatenate((np.full((len(runs), longest), -1), columns,
-                             np.full((len(runs), 1), -1)), axis=1)
-    lags = np.arange(longest)
-    window = padded[run[:, None], before[:, None] + 1 + lags]
-    own = dwell[run]
-    window[lags < longest - own[:, None]] = -1
-    previous, current = columns[run, before], padded[run, before + 1 + longest]
-    terms = np.concatenate((aux[:, None], window, aux[:, None], window, previous[:, None],
-                            aux[:, None], current[:, None]), axis=1)
-    weights = np.ones(terms.shape)
-    weights[:, 0] = weights[:, longest + 1] = own
-    weights[:, -3:] = (-1.0, -1.0, 1.0)
-    kept = terms >= 0
-    indicator = kept[:, :longest + 1].sum(axis=1)
-    lengths = np.stack((indicator, indicator, kept[:, -3:].sum(axis=1)), axis=1)
-    bounds = np.stack((own, 2 * own - 1, np.full(len(own), -1)), axis=1)
-    return Rows(np.repeat(run, 3), lengths.ravel(), terms[kept], weights[kept],
-                [">=", "<=", ">="] * len(steps), bounds.ravel().astype(float),
-                [f"{kind}{name[2:]}.{t}" for name, t in zip(names, steps)
-                 for kind in ("dwlo", "dwhi", "dwrun")])
 
 
 class Block(Protocol):

@@ -70,17 +70,6 @@ class ConflictReport:
         return bool(self.conflicts)
 
 
-def _run_lengths(plan: FlightPlan) -> list[tuple[str, int, int]]:
-    """Maximal runs as (resource, start timestep, length)."""
-    runs = []
-    for t, rid in plan.steps:
-        if runs and runs[-1][0] == rid:
-            runs[-1][2] += 1
-        else:
-            runs.append([rid, t, 1])
-    return [tuple(r) for r in runs]
-
-
 def plan_violations(
     grid: AirspaceGrid,
     snapshot: OccupancySnapshot,
@@ -135,8 +124,11 @@ def plan_violations(
         if r0 != r1 and r1 not in grid.adjacency[r0]:
             out.append(f"{fid}: jump {r0} -> {r1} at t={t0} not adjacent")
 
-    # Minimum stay per maximal run.
-    for rid, start, length in _run_lengths(plan):
+    # Minimum stay per maximal run; steps are gap-free, so a run lasts until
+    # the next one starts.
+    entries = plan.entries()
+    for (start, rid), end in zip(entries, [t for t, _ in entries[1:]] + [plan.a_prop + 1]):
+        length = end - start
         stay = grid.min_stay(rid, request.min_dwell(rid))
         if length < stay:
             out.append(f"{fid}: run of {length} in {rid} at t={start} below dwell {stay}")

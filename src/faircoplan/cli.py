@@ -6,8 +6,9 @@ period records and cross-checks the stored summary, and ``oracle-check``
 replays the brute-force validation suite. Exit code 0 means success, 2 means
 a verification failed (mismatched report, failed oracle case) or the input
 is invalid: a ``ConfigError`` (a scenario file off its schema or not YAML,
-an override, the grid build, no records, or a record or ``summary.json``
-that is not JSON, by file and line), an ``OSError`` (a missing file, or a
+an override, the grid build, no records, a record or ``summary.json``
+that is not JSON, by file and line, or any of these files not UTF-8, by
+file and byte), an ``OSError`` (a missing file, or a
 directory where a file belongs or the reverse; an ``--out`` file is caught
 before the campaign runs), or an ``oracle-check`` case count below 1 or
 negative seed prints one ``error: ...`` line on stderr, with argparse's
@@ -30,21 +31,23 @@ from .sim import MODES, campaign_summary, run_campaign
 __all__ = ["main", "run_cli"]
 
 
+# The scenario overrides of ``simulate`` and ``compare``: flag, type, the
+# ``ScenarioConfig`` field it replaces, help.
+_OVERRIDES = (
+    ("--gamma", float, "gamma", "override the fairness weight"),
+    ("--alpha", float, "alpha", "override the arrival-delay weight"),
+    ("--demand", float, "demand_per_hub_per_hour", "override demand per hub per hour"),
+    ("--days", int, "days", "override the number of days"),
+    ("--periods", int, "periods_per_day", "override the planning periods per day"),
+    ("--seed", int, "seed", "override the demand seed"),
+)
+
+
 def _add_shared_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="scenario YAML")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--gamma", type=float, default=None,
-                        help="override the fairness weight")
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="override the arrival-delay weight")
-    parser.add_argument("--demand", type=float, default=None,
-                        help="override demand per hub per hour")
-    parser.add_argument("--days", type=int, default=None,
-                        help="override the number of days")
-    parser.add_argument("--periods", type=int, default=None,
-                        help="override the planning periods per day")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the demand seed")
+    for flag, kind, _, text in _OVERRIDES:
+        parser.add_argument(flag, type=kind, default=None, help=text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,23 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _configure(args: argparse.Namespace):
-    config = load_scenario(args.config)
-    overrides = {}
-    if args.gamma is not None:
-        overrides["gamma"] = args.gamma
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if args.demand is not None:
-        overrides["demand_per_hub_per_hour"] = args.demand
-    if args.days is not None:
-        overrides["days"] = args.days
-    if args.periods is not None:
-        overrides["periods_per_day"] = args.periods
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+    overrides = {field: value for flag, _, field, _ in _OVERRIDES
+                 if (value := getattr(args, flag[2:])) is not None}
+    return dataclasses.replace(load_scenario(args.config), **overrides)
 
 
 def _run(args: argparse.Namespace, modes: tuple[str, ...]) -> int:

@@ -1,7 +1,8 @@
 """Scenario files and campaign artifacts.
 
 Scenarios are YAML with strict keys: anything unknown or missing raises
-ConfigError so a typo cannot silently fall back to a default. Campaign
+ConfigError so a typo cannot silently fall back to a default. Every file is
+read as UTF-8 text; one that is not raises ConfigError naming it. Campaign
 output is deterministic — JSON lines and CSVs are written with sorted keys
 and fixed column orders so identical runs produce identical bytes. The one
 exception is ``timing.csv``: wall-clock measurements live there and nowhere
@@ -128,15 +129,22 @@ def scenario_from_dict(data: Mapping) -> ScenarioConfig:
     return ScenarioConfig(grid=grid, **scenario_kwargs)
 
 
+def _read_text(path: str | Path) -> str:
+    """The text of ``path``; ``ConfigError``, naming the file, if not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = yaml.safe_load(handle)
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            line = "" if mark is None else f", line {mark.line + 1}"
-            raise ConfigError(f"{path}{line}: not valid YAML: "
-                              f"{getattr(exc, 'problem', None) or exc}") from None
+    try:
+        data = yaml.safe_load(_read_text(path))
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        line = "" if mark is None else f", line {mark.line + 1}"
+        raise ConfigError(f"{path}{line}: not valid YAML: "
+                          f"{getattr(exc, 'problem', None) or exc}") from None
     if data is None:
         raise ConfigError(f"{path} is empty")
     return scenario_from_dict(data)
@@ -158,17 +166,16 @@ def write_records(path: str | Path, records: Iterable[Mapping]) -> None:
 def read_records(path: str | Path) -> list[dict]:
     """Each nonblank line of ``path`` as JSON, failing as ``read_json`` does."""
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, 1):
-            line = line.strip()
-            if line:
-                records.append(_parse_json(line, path, number))
+    for number, line in enumerate(_read_text(path).split("\n"), 1):
+        line = line.strip()
+        if line:
+            records.append(_parse_json(line, path, number))
     return records
 
 
 def read_json(path: str | Path):
     """The JSON in ``path``; ``ConfigError``, naming file and line, if not JSON."""
-    return _parse_json(Path(path).read_text(encoding="utf-8"), path, 1)
+    return _parse_json(_read_text(path), path, 1)
 
 
 def _parse_json(text: str, path: str | Path, line: int):

@@ -11,7 +11,7 @@ while starving every departure slot, which would strand the whole batch.
 Capacity is budgeted jointly. A departure slot at t needs an adjacent
 choice at t+1 and an arrival slot one at t-1: the sum of those choices minus
 the slot is at least zero. On ring sectors an offered run may end only once
-it has lasted the flight's minimum dwell (``blocks.dwell_linkage``, whose
+it has lasted the flight's minimum dwell (``_dwell_linkage``, whose
 indicator rows take the dwell itself as their constant). Flights that end up
 without a departure or an arrival slot are returned unassigned with all
 choices stripped.
@@ -26,22 +26,24 @@ are offered it than it has room, and that room is the row's right-hand
 side, so two snapshots with equal tables give the same model; the table is
 returned with the result. Every offered cell's choice column is declared
 in one ``Model.binaries`` call. The capacity, slot-support, dwell and
-service rows are written with ``Model.add_rows`` from the same tables, the
-objective is set from column ranges, and the grants are read back with one
-``x >= 0.5`` over the choice columns. The columns, names, rows, labels and
-their order are those of a cell-by-cell build: choices by flight, then by
-(resource, timestep); capacity rows by cell; each flight's departure,
-arrival and dwell rows in turn; then the service rows.
+service rows are written with ``Model.add_rows`` from the same tables
+(slot-support and dwell rows as ``_Rows`` blocks, each row owned by its
+flight, merged flight by flight), the objective is set from column ranges,
+and the grants are read back with one ``x >= 0.5`` over the choice columns.
+The columns, names, rows, labels and their order are those of a
+cell-by-cell build: choices by flight, then by (resource, timestep);
+capacity rows by cell; each flight's departure, arrival and dwell rows in
+turn; then the service rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
-from .blocks import Rows, dwell_linkage
 from .checker import choice_violations
 from .flights import ChoiceSet, FlightRequest
 
@@ -87,14 +89,108 @@ def _validate(grid: AirspaceGrid, requests: list[FlightRequest]) -> None:
                 raise ValueError(f"{request.flight_id}: {what} {rid} is not a vertiport")
 
 
+class _Rows(NamedTuple):
+    """Rows for ``Model.add_rows``, by row length instead of CSR end, with
+    the owner of each row (a run, a flight) so that row blocks can be merged."""
+
+    owner: np.ndarray
+    lengths: np.ndarray
+    indices: np.ndarray
+    coeffs: np.ndarray
+    relations: list[str]
+    rhs: np.ndarray
+    labels: list[str]
+
+    def add_to(self, model: milp.Model) -> None:
+        model.add_rows(np.cumsum(self.lengths).tolist(), self.indices.tolist(),
+                       self.coeffs.tolist(), self.relations, self.rhs.tolist(), self.labels)
+
+    @staticmethod
+    def by_owner(blocks: Sequence[_Rows]) -> _Rows:
+        """The rows of ``blocks`` as one block, owner by owner in ascending
+        order; one owner's rows keep their order, block by block."""
+        owner = np.concatenate([block.owner for block in blocks])
+        lengths = np.concatenate([block.lengths for block in blocks])
+        order = np.argsort(owner, kind="stable")
+        moved = lengths[order]
+        # Merged entry k is entry take[k] of the blocks' entries.
+        take = np.arange(moved.sum()) + np.repeat(
+            (np.cumsum(lengths) - lengths)[order] - (np.cumsum(moved) - moved), moved)
+        relations = [relation for block in blocks for relation in block.relations]
+        labels = [label for block in blocks for label in block.labels]
+        return _Rows(owner[order], moved,
+                     np.concatenate([block.indices for block in blocks])[take],
+                     np.concatenate([block.coeffs for block in blocks])[take],
+                     [relations[i] for i in order.tolist()],
+                     np.concatenate([block.rhs for block in blocks])[order],
+                     [labels[i] for i in order.tolist()])
+
+
+def _dwell_linkage(
+    model: milp.Model,
+    runs: Sequence[tuple[FlightRequest, str]],
+    start: int,
+    columns: np.ndarray,
+    horizon_end: int,
+) -> _Rows:
+    """Minimum dwell, for each run k, a (request, resource) pair: a run of
+    steps in the resource may end at step t only once the trailing window of
+    ``request.min_dwell(resource)`` steps is full.
+
+    ``columns[k, i]`` is the column of the binary that marks run k's flight
+    (or its offered choice) in its resource at step ``start + i``, or -1 at
+    a step it cannot use; steps outside the array are unusable too. For each
+    t up to ``horizon_end - 1`` that follows a usable step, an auxiliary
+    binary ``dw.{fid}.{rid}.{t}`` is 1 exactly when the window is not yet
+    full, and then the run must go on at t. The window has ``dwell`` terms,
+    so ``dwell`` is a tight constant for both indicator rows. A run with a
+    dwell of 1 needs nothing.
+
+    The auxiliaries are declared in ``model`` in one call, run by run and
+    step by step. Their rows, ``dwlo``, ``dwhi`` and ``dwrun`` for each step
+    in the same order, are returned, each owned by its run.
+    """
+    dwell = np.array([request.min_dwell(rid) for request, rid in runs], dtype=np.int64)
+    longest = int(dwell.max(initial=1))
+    usable = columns[:, :max(horizon_end - 1 - start, 0)] >= 0
+    run, before = np.nonzero(usable & (dwell[:, None] > 1))
+    steps = (start + 1 + before).tolist()
+    names = [f"dw.{runs[k][0].flight_id}.{runs[k][1]}" for k in run.tolist()]
+    aux = model.binaries([f"{name}.{t}" for name, t in zip(names, steps)]) + np.arange(len(steps))
+    # -1 for the longest dwell's steps before each run's array and the one
+    # after it; the window gathers the longest dwell's steps before t and
+    # drops those beyond the run's own dwell.
+    padded = np.concatenate((np.full((len(runs), longest), -1), columns,
+                             np.full((len(runs), 1), -1)), axis=1)
+    lags = np.arange(longest)
+    window = padded[run[:, None], before[:, None] + 1 + lags]
+    own = dwell[run]
+    window[lags < longest - own[:, None]] = -1
+    previous, current = columns[run, before], padded[run, before + 1 + longest]
+    terms = np.concatenate((aux[:, None], window, aux[:, None], window, previous[:, None],
+                            aux[:, None], current[:, None]), axis=1)
+    weights = np.ones(terms.shape)
+    weights[:, 0] = weights[:, longest + 1] = own
+    weights[:, -3:] = (-1.0, -1.0, 1.0)
+    kept = terms >= 0
+    indicator = kept[:, :longest + 1].sum(axis=1)
+    lengths = np.stack((indicator, indicator, kept[:, -3:].sum(axis=1)), axis=1)
+    bounds = np.stack((own, 2 * own - 1, np.full(len(own), -1)), axis=1)
+    return _Rows(np.repeat(run, 3), lengths.ravel(), terms[kept], weights[kept],
+                 [">=", "<=", ">="] * len(steps), bounds.ravel().astype(float),
+                 [f"{kind}{name[2:]}.{t}" for name, t in zip(names, steps)
+                  for kind in ("dwlo", "dwhi", "dwrun")])
+
+
 def _support_rows(owner: np.ndarray, head: np.ndarray, tails: np.ndarray,
-                  labels: list[str]) -> Rows:
+                  labels: list[str]) -> _Rows:
     """Rows ``sum(tails[k]) - head[k] >= 0``, one per k, with the head first
     and the tails in order; -1 in ``tails`` is no column."""
     terms = np.concatenate((head[:, None], tails), axis=1)
     kept = terms >= 0
-    return Rows(owner, kept.sum(axis=1), terms[kept], np.where(kept.nonzero()[1] == 0, -1.0, 1.0),
-                [">="] * len(head), np.zeros(len(head)), labels)
+    return _Rows(owner, kept.sum(axis=1), terms[kept],
+                 np.where(kept.nonzero()[1] == 0, -1.0, 1.0), [">="] * len(head),
+                 np.zeros(len(head)), labels)
 
 
 def _windows(grid: AirspaceGrid, requests: list[FlightRequest], now: int,
@@ -222,12 +318,12 @@ def solve_step1(
     runs = [(f, request, rid) for f, request in enumerate(modeled)
             for rid, dwell in request.dwell if dwell > 1 and rid in grid.ring]
     run_flight = np.array([f for f, _, _ in runs], dtype=np.int64)
-    dwell_rows = dwell_linkage(model, [(request, rid) for _, request, rid in runs], now,
+    dwell_rows = _dwell_linkage(model, [(request, rid) for _, request, rid in runs], now,
                                column[run_flight, [row[rid] for _, _, rid in runs]],
                                horizon_end)
     blocks.append(dwell_rows._replace(owner=run_flight[dwell_rows.owner]))
     # Each flight's rows in turn: its departure, arrival and dwell rows.
-    Rows.by_owner(blocks).add_to(model)
+    _Rows.by_owner(blocks).add_to(model)
 
     # Service: y_f needs an offered departure slot and an offered arrival
     # slot (sum of the side's slot choices >= y_f), one row per side.

@@ -1,6 +1,6 @@
-"""Guards on the public surface: exported names resolve, each submodule
-exports only what it defines, and the benchmark's hooks still find every
-attribute they wrap.
+"""Guards on the public surface: the package exports nothing itself,
+exported names resolve, each submodule exports only what it defines, and
+the benchmark's hooks still find every attribute they wrap.
 
 perfbench wraps module attributes by name and raises ``KeyError`` on a
 missing one, so deleting or renaming a hooked function fails here first.
@@ -17,11 +17,21 @@ import scipy.optimize
 import faircoplan
 from faircoplan import airspace, baseline, milp, serialize, sim, step1, step2, step3
 
+from helpers import run_python
+
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SUBMODULES = [
     importlib.import_module(f"faircoplan.{info.name}")
     for info in pkgutil.iter_modules(faircoplan.__path__)
 ]
+
+
+def test_package_import_loads_no_submodule():
+    # Each name is imported from its own module, never through the package.
+    done = run_python(
+        "-c", "import sys, faircoplan\n"
+        "print(sorted(m for m in sys.modules if m.startswith('faircoplan.')))")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_every_exported_name_resolves():
@@ -35,8 +45,8 @@ def test_every_exported_name_resolves():
 
 
 def test_submodules_export_only_their_own_definitions():
-    # The package re-exports; a submodule names each class or function in
-    # one home, so callers import it from there.
+    # A submodule names each class or function in one home, so callers
+    # import it from there.
     borrowed = [
         f"{module.__name__}.{name}"
         for module in SUBMODULES

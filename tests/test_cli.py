@@ -156,11 +156,13 @@ class TestOverrides:
         assert stderr.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("bad", ["yaml", "directory"])
+    @pytest.mark.parametrize("bad", ["yaml", "directory", "utf8"])
     def test_unreadable_scenario_file_is_one_error_line(self, tmp_path, capsys, bad):
         config = tmp_path / "bad.yaml"
         if bad == "yaml":
             config.write_text("a: [1, 2\n", encoding="utf-8")
+        elif bad == "utf8":
+            config.write_bytes(b"\xff\xfe\x00")
         else:
             config.mkdir()
         out = tmp_path / "run"
@@ -172,6 +174,8 @@ class TestOverrides:
         if bad == "yaml":
             assert stderr == (f"error: {config}, line 2: not valid YAML: expected ',' or ']', "
                               "but got '<stream end>'\n")
+        elif bad == "utf8":
+            assert stderr == f"error: {config}: not UTF-8 text (byte 0: invalid start byte)\n"
         assert not out.exists()
 
     def test_out_naming_a_file_fails_before_the_campaign(self, scenario_path, tmp_path,
@@ -227,6 +231,21 @@ class TestReport:
         assert run_cli(["report", "--out", str(campaign_dir)]) == 2
         stderr = capsys.readouterr().err
         assert stderr == f"error: {summary}, line 1: not valid JSON: Expecting value\n"
+
+    def test_records_that_are_not_utf8_name_the_file_and_byte(self, campaign_dir, capsys):
+        periods = campaign_dir / "tfmp" / "periods.jsonl"
+        first = periods.read_bytes().split(b"\n")[0] + b"\n"
+        periods.write_bytes(first + b"\xff\n")
+        assert run_cli(["report", "--out", str(campaign_dir)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {periods}: not UTF-8 text (byte {len(first)}: invalid start byte)\n")
+
+    def test_summary_that_is_not_utf8_names_the_file(self, campaign_dir, capsys):
+        summary = campaign_dir / "summary.json"
+        summary.write_bytes(b"\xff")
+        assert run_cli(["report", "--out", str(campaign_dir)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {summary}: not UTF-8 text (byte 0: invalid start byte)\n"
 
     def test_out_naming_a_file_is_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "summary.json"

@@ -936,10 +936,14 @@ class TestHighsBinding:
     # pytest itself has imported scipy.optimize, so these start a fresh
     # interpreter.
     def test_import_leaves_out_scipy_optimize_and_sparse(self):
+        # faircoplan.cli imports every other submodule.
         done = run_python(
-            "-c", "import sys, faircoplan\n"
+            "-c", "import pkgutil, sys, faircoplan.cli\n"
+            "names = {f'faircoplan.{m.name}' for m in pkgutil.iter_modules(faircoplan.__path__)}\n"
+            "print(sorted(names - set(sys.modules)))\n"
             "print(sorted({'scipy.optimize', 'scipy.sparse'} & set(sys.modules)))")
-        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+        assert (done.returncode, done.stdout, done.stderr) == \
+            (0, "['faircoplan.__main__']\n[]\n", "")
 
     def test_scipy_optimize_reuses_the_binding(self):
         done = run_python(
