@@ -207,17 +207,30 @@ def _schedule(
         if exact[i]:
             entry_hi[i + 1] = min(entry_hi[i + 1], entry_hi[i] + dwells[i])
 
+    # Weighted delay: each unentered step past the requested time costs.
+    # Steps before the earliest possible entry are unavoidable and enter
+    # the objective as constants (e.g. a carried-over flight whose
+    # requested departure already passed). Past the latest entry the leg
+    # has surely been entered, so those steps cost nothing and have no
+    # column. 0.0 - weight, not -weight, keeps a zero weight (alpha 0 or 1)
+    # at +0.0.
+    ground, air = 1.0 - params.alpha, params.alpha
+    waits = range(entry_lo[0], min(d + eps, entry_hi[0] + 1))
+    landings = range(entry_lo[last], entry_hi[last] + 1)
+    fragment = milp.Model(name=f"w.{fid}")
+    fragment.objective_offset = (ground * (entry_lo[0] - d + len(waits))
+                                 + air * (entry_lo[last] - a + len(landings)))
+
     # Leg i's columns run over t = entry_lo[i] .. entry_hi[i]: w(i, t) is
     # column base[i] + t, and past entry_hi[i] it reads the column of
-    # entry_hi[i], which is 1.
-    names: list[str] = []
+    # entry_hi[i], which is 1. Leg 0's waits and the last leg's landings
+    # carry the delay cost.
     base = []
     for i, (lo, hi) in enumerate(zip(entry_lo, entry_hi)):
-        base.append(len(names) - lo)
-        prefix = f"w.{fid}.{i}."
-        names += [f"{prefix}{t}" for t in range(lo, hi + 1)]
-    fragment = milp.Model(name=f"w.{fid}", sense="min")
-    fragment.binaries(names)
+        steps = range(lo, hi + 1)
+        cost = ([0.0 - ground if t in waits else 0.0 for t in steps] if i == 0
+                else 0.0 - air if i == last else 0.0)
+        base.append(fragment.binaries([f"w.{fid}.{i}.{t}" for t in steps], cost) - lo)
 
     # Entered-by is monotone in t: w(i, t) - w(i, t - 1) >= 0.
     indices: list[int] = []
@@ -252,21 +265,6 @@ def _schedule(
     fragment.add_rows([*range(2, 2 * rows + 1, 2), 2 * rows + 1, 2 * rows + 2], indices,
                       [1.0, -1.0] * rows + [1.0, 1.0], relations + ["=", "="],
                       [0.0] * rows + [1.0, 1.0], labels + [f"dep.{fid}", f"arr.{fid}"])
-
-    # Weighted delay: each unentered step past the requested time costs.
-    # Steps before the earliest possible entry are unavoidable and enter
-    # the objective as constants (e.g. a carried-over flight whose
-    # requested departure already passed). Past the latest entry the leg
-    # has surely been entered, so those steps cost nothing and have no
-    # term. 0.0 - weight, not -weight, keeps a zero weight (alpha 0 or 1)
-    # at +0.0.
-    ground, air = 1.0 - params.alpha, params.alpha
-    waits = range(entry_lo[0], min(d + eps, entry_hi[0] + 1))
-    landings = range(entry_lo[last], entry_hi[last] + 1)
-    fragment.set_objective({**{base[0] + t: 0.0 - ground for t in waits},
-                            **{base[last] + t: 0.0 - air for t in landings}},
-                           offset=ground * (entry_lo[0] - d + len(waits))
-                           + air * (entry_lo[last] - a + len(landings)))
 
     # A flight holds cell (legs[i], t) while it has entered leg i but not
     # leg i + 1: its occupancy is w(i, t) - w(i + 1, t), the second term

@@ -141,7 +141,7 @@ def solve_joint(
     dropped: list[str] = []
     attempts = 0
     while active:
-        model = milp.Model(name=name, sense="min", relaxation_first=True)
+        model = milp.Model(name=name, relaxation_first=True)
         shifts = {fid: model.append(blocks[fid].fragment) for fid in active}
         occupancy = [(shifts[fid], blocks[fid].cells) for fid in active]
         crowded = sorted(cell for cell, flights in held.items() if flights > room[cell])
@@ -300,7 +300,7 @@ def arc_fragment(
 ) -> ArcFragment | None:
     """One flight's trajectory over ``domain``, a ``cell_domain``, as a unit
     flow from a source through its ``state_graph`` to an arrival, in a model
-    fragment whose objective is the flight's delay cost; None if no
+    fragment whose columns carry the flight's delay cost; None if no
     departure reaches an arrival.
 
     The graph is first pruned backward to the states that reach an arrival.
@@ -311,9 +311,9 @@ def arc_fragment(
     than an arrival, inflow less outflow equal to 0, in the graph's order.
     Dwell, one cell per step and the end of the plan at its arrival live in
     the states, so no row states them; the flow is a path polytope over a
-    DAG, so the fragment alone is integral. The delay cost is (1 - alpha) t
-    on the source arc of slot t and alpha t on each arc into an arrival at
-    t, with the requested slots in the offset.
+    DAG, so the fragment alone is integral. Each arc carries its delay cost,
+    (1 - alpha) t on the source arc of slot t and alpha t on each arc into
+    an arrival at t, with the requested slots in the objective offset.
     """
     s, e = request.origin, request.destination
     fid = request.flight_id
@@ -330,10 +330,16 @@ def arc_fragment(
     arcs += [(state, succ) for state, out in graph.items() if state in alive
              for succ in out if succ in alive]
 
-    fragment = milp.Model(name=prefix, sense="min")
+    alpha = params.alpha
+    fragment = milp.Model(name=prefix)
     fragment.binaries([f"{prefix}>{s}.{head[1]}" for _, head in arcs[:sources]]
                       + [f"{prefix}.{rid}.{t}.{run}>{head[0]}.{head[2]}"
-                         for (rid, t, run), head in arcs[sources:]])
+                         for (rid, t, run), head in arcs[sources:]],
+                      cost=[(1.0 - alpha) * head[1] if tail is None
+                            else alpha * head[1] if head[0] == e else 0.0
+                            for tail, head in arcs])
+    fragment.objective_offset = -(alpha * request.requested_arrival
+                                  + (1.0 - alpha) * request.requested_departure)
     into: dict[State, list[int]] = {}
     leaving: dict[State, list[int]] = {}
     cells: dict[tuple[str, int], dict[int, float]] = {}
@@ -355,10 +361,4 @@ def arc_fragment(
             labels.append("flow.{}.{}.{}.{}".format(fid, *state))
     fragment.add_rows(ends, indices, coeffs, ["="] * len(ends), [1.0] + [0.0] * (len(ends) - 1),
                       labels)
-
-    alpha = params.alpha
-    cost = {j: (1.0 - alpha if tail is None else alpha) * head[1]
-            for j, (tail, head) in enumerate(arcs) if tail is None or head[0] == e}
-    fragment.set_objective(cost, offset=-(alpha * request.requested_arrival
-                                          + (1.0 - alpha) * request.requested_departure))
     return ArcFragment(request, fragment, arcs, cells)

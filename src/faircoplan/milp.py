@@ -77,25 +77,26 @@ spread. Over every step-3 call with conflicts of the 10-day desk campaign
 full15x15 slice it settled all 5. Choice setting's relaxation is not tight
 (its point is integral in about one model in nine), so it stays a MILP.
 
-A model stores itself as arrays would. A variable is its column: declaring
-one returns its index, rows and the objective are ``{column: coefficient}``,
-and a solved point is a list by column; a name is only a label, for the
-views and violation messages. Bounds and integrality go to flat per-column
-typed arrays (the standard library's ``array.array``), each constraint to
-flat per-row typed arrays (CSR order, plus relation and right-hand side) and
-its label to a list; the objective stays two lists. numpy copies a typed
-array as one contiguous block, so assembly, unpacking a solver point and the
-substitution re-check read the model without converting it element by
-element, and never walk per-row Python objects. On the full15x15
-choice-setting model (6,426 columns, 8,021 entries) converting one
-per-column Python list took about 0.26 ms, against 2 µs from a typed array
-(2-vCPU Xeon VM). ``Model.variables`` and ``Model.constraints`` are
+A model is its columns and rows, stored as arrays would. A variable is its
+column: declaring one, with its cost, returns its index, a row is
+``{column: coefficient}``, and a solved point is a list by column; a name is
+only a label, for the views and violation messages. Every model minimizes
+its columns' costs plus ``objective_offset``, as HiGHS takes it. Bounds,
+integrality and cost go to flat per-column typed arrays (the standard
+library's ``array.array``), each constraint to flat per-row typed arrays
+(CSR order, plus relation and right-hand side) and its label to a list.
+numpy copies a typed array as one contiguous block, so assembly, unpacking
+a solver point and the substitution re-check read the model without
+converting it element by element, and never walk per-row Python objects.
+On the full15x15 choice-setting model (6,426 columns, 8,021 entries)
+converting one per-column Python list took about 0.26 ms, against 2 µs from
+a typed array (2-vCPU Xeon VM). ``Model.variables`` and ``Model.constraints`` are
 read-only views built on demand; neither the solve nor the re-check builds
 them. ``binary``, ``binaries`` and ``continuous`` share one column writer,
 and ``add`` is ``add_rows`` with one row, so every row is checked alike.
 
 A model fragment is a plain ``Model`` holding one part of a larger model,
-such as one flight's columns, rows and objective terms. ``Model.append``
+such as one flight's columns, with their costs, and rows. ``Model.append``
 copies a fragment's arrays and lists after the model's own, shifting its
 columns by the model's column count, which it returns, and adds its
 objective offset. Step 3 and the fixed-route baseline build each flight's
@@ -132,6 +133,7 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -225,21 +227,18 @@ class SolveResult:
 class Model:
     """Linear model with binary/continuous variables, stored column- and row-wise.
 
-    ``binary`` and ``continuous`` return the new variable's column index;
-    its name is a label. ``add`` and ``set_objective`` take ``{column:
-    coefficient}``. Columns and rows go to flat typed arrays (names, labels
-    and the objective to lists), which solving copies into numpy one block
-    each. ``variables`` and ``constraints`` are read-only views built on
-    demand; solving never builds them. ``append`` copies another model, a
-    fragment, in after the model's own columns and rows.
+    Every model minimizes its columns' costs plus ``objective_offset``.
+    ``binary``, ``binaries`` and ``continuous`` declare columns with their
+    costs and return the first new column's index; a name is a label.
+    ``add`` takes ``{column: coefficient}``. Columns and rows go to flat
+    typed arrays (names and labels to lists), which solving copies into
+    numpy one block each. ``variables`` and ``constraints`` are read-only
+    views built on demand; solving never builds them. ``append`` copies
+    another model, a fragment, in after the model's own columns and rows.
     """
 
-    def __init__(self, name: str = "model", sense: str = "min", *,
-                 relaxation_first: bool = False):
-        if sense not in ("min", "max"):
-            raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+    def __init__(self, name: str = "model", *, relaxation_first: bool = False):
         self.name = name
-        self.sense = sense
         # Solve the LP relaxation first and keep its verdict when it settles
         # the MILP (see ``HighsBackend.solve``): for formulations whose
         # relaxation is known to be tight.
@@ -248,6 +247,7 @@ class Model:
         self._lb = array("d")
         self._ub = array("d")
         self._integrality = array("b")
+        self._cost = array("d")
         # Rows in CSR order: row i holds _indices/_coeffs[_indptr[i]:_indptr[i + 1]].
         self._indptr = array("q", [0])
         self._indices = array("q")
@@ -255,30 +255,36 @@ class Model:
         self._relations = array("b")  # index into _RELATIONS
         self._rhs = array("d")
         self._labels: list[str] = []
-        self._objective_columns: list[int] = []
-        self._objective_coeffs: list[float] = []
+        # A constant the objective adds to the columns' costs.
         self.objective_offset = 0.0
 
-    def _columns(self, names: list[str], binary: bool, lb: float, ub: float) -> int:
-        """One column per name, in order, all alike; returns the first's index."""
+    def _columns(self, names: list[str], binary: bool, lb: float, ub: float,
+                 cost: float | Sequence[float]) -> int:
+        """One column per name, in order, alike but for their costs: ``cost``
+        is one number for all or one per name. Returns the first's index."""
+        costs = array("d", [cost] * len(names) if isinstance(cost, (int, float)) else cost)
+        if len(costs) != len(names):
+            raise ValueError(f"{len(costs)} costs for {len(names)} columns")
         first = len(self._names)
         self._names += names
         self._lb += array("d", [lb]) * len(names)
         self._ub += array("d", [ub]) * len(names)
         self._integrality += array("b", [binary]) * len(names)
+        self._cost += costs
         return first
 
-    def binary(self, name: str) -> int:
-        return self._columns([name], True, 0.0, 1.0)
+    def binary(self, name: str, cost: float = 0.0) -> int:
+        return self._columns([name], True, 0.0, 1.0, cost)
 
-    def binaries(self, names: list[str]) -> int:
+    def binaries(self, names: list[str], cost: float | Sequence[float] = 0.0) -> int:
         """Declare one binary per name, in order; returns the first one's column."""
-        return self._columns(names, True, 0.0, 1.0)
+        return self._columns(names, True, 0.0, 1.0, cost)
 
-    def continuous(self, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
+    def continuous(self, name: str, lb: float = 0.0, ub: float = math.inf,
+                   cost: float = 0.0) -> int:
         if lb > ub:
             raise ValueError(f"variable {name!r} has lb > ub")
-        return self._columns([name], False, lb, ub)
+        return self._columns([name], False, lb, ub, cost)
 
     def add(self, coeffs: dict[int, float], relation: str, rhs: float, label: str = "") -> None:
         """Add one row, ``{column: coefficient}``: ``add_rows`` with one row."""
@@ -317,14 +323,14 @@ class Model:
         self._labels += labels
 
     def append(self, fragment: Model) -> int:
-        """Append ``fragment``'s columns, rows and objective terms after this
-        model's own, and add its objective offset to this model's.
+        """Append ``fragment``'s columns and rows after this model's own, and
+        add its objective offset to this model's.
 
         Returns the column offset: the fragment's column j is column
-        offset + j here. Names, bounds, integrality, stored entries (zero
-        coefficients included), relations, right-hand sides and labels are
-        carried over in order. Raises ``ValueError``, as ``add_rows`` does, if
-        a fragment row references a column outside the fragment.
+        offset + j here. Names, bounds, integrality, costs, stored entries
+        (zero coefficients included), relations, right-hand sides and labels
+        are carried over in order. Raises ``ValueError``, as ``add_rows``
+        does, if a fragment row references a column outside the fragment.
         """
         offset = len(self._names)
         indices, indptr = fragment._indices, fragment._indptr
@@ -333,24 +339,15 @@ class Model:
         self._lb += fragment._lb
         self._ub += fragment._ub
         self._integrality += fragment._integrality
+        self._cost += fragment._cost
         self._indptr += _shifted(indptr[1:], self._indptr[-1])
         self._indices += _shifted(indices, offset)
         self._coeffs += fragment._coeffs
         self._relations += fragment._relations
         self._rhs += fragment._rhs
         self._labels += fragment._labels
-        self._objective_columns += [offset + j for j in fragment._objective_columns]
-        self._objective_coeffs += fragment._objective_coeffs
         self.objective_offset += fragment.objective_offset
         return offset
-
-    def set_objective(self, coeffs: dict[int, float], offset: float = 0.0) -> None:
-        columns = list(coeffs)
-        if columns and not 0 <= min(columns) <= max(columns) < len(self._names):
-            raise ValueError(f"objective references a column outside [0, {len(self._names)})")
-        self._objective_columns = columns
-        self._objective_coeffs = list(coeffs.values())
-        self.objective_offset = float(offset)
 
     @property
     def variables(self) -> tuple[_Var, ...]:
@@ -454,7 +451,7 @@ def _row_of_entry(model: Model) -> np.ndarray:
 
 
 def _arrays(model: Model):
-    """Stable (insertion-order) matrix form of the model, minimization sense.
+    """Stable (insertion-order) matrix form of the model.
 
     The constraint matrix goes to HiGHS column-wise, as ``(start, index,
     value)``: column j holds rows ``index[start[j]:start[j + 1]]`` in
@@ -466,9 +463,7 @@ def _arrays(model: Model):
     the dense matrix entry for entry.
     """
     n = len(model._names)
-    sign = 1.0 if model.sense == "min" else -1.0
-    c = np.zeros(n)
-    c[model._objective_columns] = sign * np.array(model._objective_coeffs, dtype=float)
+    c = np.array(model._cost, dtype=float)
     lb = np.array(model._lb, dtype=float)
     ub = np.array(model._ub, dtype=float)
     integrality = np.array(model._integrality, dtype=np.int64)
@@ -484,10 +479,10 @@ def _arrays(model: Model):
     matrix = (start, _row_of_entry(model)[order].astype(np.int32), coeffs[order])
     row_lb = np.where(relation == _LE, -np.inf, rhs)
     row_ub = np.where(relation == _GE, np.inf, rhs)
-    return c, lb, ub, integrality, matrix, row_lb, row_ub, sign
+    return c, lb, ub, integrality, matrix, row_lb, row_ub
 
 
-def _finish(model: Model, raw_x, lb, ub, integrality, sign, c) -> tuple[list[float], float]:
+def _finish(model: Model, raw_x, lb, ub, integrality, c) -> tuple[list[float], float]:
     """The point, by column, and objective of a raw solver point.
 
     Each value is clipped into its bounds, and a binary within 1e-4 of an
@@ -501,7 +496,7 @@ def _finish(model: Model, raw_x, lb, ub, integrality, sign, c) -> tuple[list[flo
     x = np.where(ub < x, ub, x)
     snapped = np.round(x) + 0.0
     x = np.where((integrality == 1) & (np.abs(x - snapped) <= 1e-4), snapped, x)
-    obj = sign * float(np.dot(c, x)) + model.objective_offset
+    obj = float(np.dot(c, x)) + model.objective_offset
     return x.tolist(), obj
 
 
@@ -568,7 +563,7 @@ class HighsBackend:
         """
         if not model.num_vars:
             return SolveResult(status=OPTIMAL, objective=model.objective_offset)
-        c, lb, ub, integrality, matrix, row_lb, row_ub, sign = _arrays(model)
+        c, lb, ub, integrality, matrix, row_lb, row_ub = _arrays(model)
         try:
             if model.relaxation_first:
                 status, x, message = run_highs(c, lb, ub, np.zeros_like(integrality), matrix,
@@ -578,14 +573,14 @@ class HighsBackend:
                 integer = integrality == 1
                 if status == 0 and np.all(
                         np.abs(x[integer] - np.round(x[integer])) <= INTEGRALITY_TOL):
-                    point, obj = _finish(model, x, lb, ub, integrality, sign, c)
+                    point, obj = _finish(model, x, lb, ub, integrality, c)
                     return SolveResult(status=OPTIMAL, objective=obj, x=point,
                                        detail="LP relaxation: integral optimum")
             status, x, message = run_highs(c, lb, ub, integrality, matrix, row_lb, row_ub)
         except Exception as exc:  # malformed model or HiGHS failure
             return SolveResult(status=ERROR, detail=f"highs: {exc}")
         if status == 0:
-            point, obj = _finish(model, x, lb, ub, integrality, sign, c)
+            point, obj = _finish(model, x, lb, ub, integrality, c)
             return SolveResult(status=OPTIMAL, objective=obj, x=point)
         if status == 2:
             return SolveResult(status=INFEASIBLE, detail=message)

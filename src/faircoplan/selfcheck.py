@@ -31,10 +31,11 @@ from .step2 import solve_step2
 from .checker import detect_conflicts
 from .step3 import solve_step3
 
-__all__ = ["CaseResult", "build_catalog", "check_instance", "random_instance",
+__all__ = ["CASES", "CaseResult", "build_catalog", "check_instance", "random_instance",
            "run_selfcheck"]
 
 _TOL = 1e-6
+CASES = 35  # instances ``run_selfcheck`` and ``oracle-check`` check by default
 
 
 def _same(a: float, b: float) -> bool:
@@ -389,14 +390,14 @@ def check_instance(inst: TinyInstance) -> list[CaseResult]:
 
 
 def run_selfcheck(
-    cases: int = 35,
+    cases: int = CASES,
     seed: int = 2024,
 ) -> tuple[list[TinyInstance], list[CaseResult]]:
     """The first ``cases`` instances of the hand-built catalog, then seeded
     random instances ``seed``, ``seed + 1``, ... until there are ``cases``."""
     instances = build_catalog()[:cases]
     instances += [random_instance(seed + i) for i in range(cases - len(instances))]
-    cases: list[CaseResult] = []
+    results: list[CaseResult] = []
     for inst in instances:
-        cases.extend(check_instance(inst))
-    return instances, cases
+        results.extend(check_instance(inst))
+    return instances, results

@@ -114,13 +114,15 @@ class ScenarioConfig:
 def scenario_grid(config: ScenarioConfig) -> AirspaceGrid:
     """Build the airspace and verify every flight can fit the horizon.
 
-    The worst-case trip (slowest dwells) plus the arrival window plus one
-    planning cadence must fit into the horizon; otherwise carryovers could
-    be deferred forever.
+    A hub needs another vertiport to fly to. The worst-case trip (slowest
+    dwells) plus the arrival window plus one planning cadence must fit into
+    the horizon; otherwise carryovers could be deferred forever.
     """
     grid = build_grid(config.grid)
     if not grid.hub_ids:
         raise ConfigError("scenario needs at least one hub vertiport")
+    if len(grid.vertiport_ids) < 2:
+        raise ConfigError(f"hub {grid.hub_ids[0]} has no other vertiport to fly to")
     for origin in grid.hub_ids:
         for dest in grid.vertiport_ids:
             if dest == origin:

@@ -7,6 +7,7 @@ receives at least one departure and one arrival slot earns a weight larger
 than every grant combined, and each granted cell adds one on top. Without
 the service weight a congested period can reach its grant-count optimum
 while starving every departure slot, which would strand the whole batch.
+The model minimizes the negated gains; the reported objective is the gains.
 
 Capacity is budgeted jointly. A departure slot at t needs an adjacent
 choice at t+1 and an arrival slot one at t-1: the sum of those choices minus
@@ -28,7 +29,7 @@ returned with the result. Every offered cell's choice column is declared
 in one ``Model.binaries`` call. The capacity, slot-support, dwell and
 service rows are written with ``Model.add_rows`` from the same tables
 (slot-support and dwell rows as ``_Rows`` blocks, each row owned by its
-flight, merged flight by flight), the objective is set from column ranges,
+flight, merged flight by flight), the objective is the columns' costs,
 and the grants are read back with one ``x >= 0.5`` over the choice columns.
 The columns, names, rows, labels and their order are those of a
 cell-by-cell build: choices by flight, then by (resource, timestep);
@@ -267,7 +268,7 @@ def solve_step1(
     steps = np.arange(now, horizon_end)
     offered = window & (room >= 1)
 
-    model = milp.Model(name="choice-setting", sense="max")
+    model = milp.Model(name="choice-setting")
 
     # One service unit outweighs every possible grant, so the solve is
     # lexicographic: serve as many flights as possible, then hand out as
@@ -275,13 +276,13 @@ def solve_step1(
     # the weight so it is reproducible from the requests alone.
     weight = float(1 + window.sum())
 
-    # Choice columns by flight, then by (resource, timestep) cell.
+    # Choice columns by flight, then by (resource, timestep) cell, gaining 1.
     cells = [f"{rid}.{t}" for rid in zone for t in range(now, horizon_end)]
     names: list[str] = []
     for request, flat in zip(modeled, offered.reshape(len(modeled), -1)):
         prefix = f"c.{request.flight_id}."
         names += [prefix + cells[i] for i in np.flatnonzero(flat).tolist()]
-    first_choice = model.binaries(names)
+    first_choice = model.binaries(names, cost=-1.0)
     column = np.full(offered.shape, -1)
     column[offered] = first_choice + np.arange(len(names))
 
@@ -325,21 +326,18 @@ def solve_step1(
     # Each flight's rows in turn: its departure, arrival and dwell rows.
     _Rows.by_owner(blocks).add_to(model)
 
-    # Service: y_f needs an offered departure slot and an offered arrival
-    # slot (sum of the side's slot choices >= y_f), one row per side.
+    # Service: y_f, gaining the weight, needs an offered departure slot and
+    # an offered arrival slot (sum of the side's slot choices >= y_f), one
+    # row per side.
     departures, arrivals = slot_columns
     served = np.flatnonzero((departures >= 0).any(axis=1) & (arrivals >= 0).any(axis=1))
     fids = [modeled[f].flight_id for f in served.tolist()]
-    first_y = model.binaries([f"y.{fid}" for fid in fids])
+    first_y = model.binaries([f"y.{fid}" for fid in fids], cost=-weight)
     sides = np.stack((departures[served], arrivals[served]), axis=1)
     _support_rows(np.repeat(served, 2), np.repeat(first_y + np.arange(len(fids)), 2),
                   sides.reshape(2 * len(fids), len(steps)),
                   [f"{kind}.{fid}" for fid in fids for kind in ("servedep", "servearr")]
                   ).add_to(model)
-
-    gains = dict.fromkeys(range(first_choice, first_choice + len(names)), 1.0)
-    gains.update(dict.fromkeys(range(first_y, first_y + len(fids)), weight))
-    model.set_objective(gains)
 
     result = milp.solve(model)
     if result.status == milp.INFEASIBLE:
@@ -350,10 +348,11 @@ def solve_step1(
     if result.status == milp.ERROR:
         raise RuntimeError(f"choice-setting solve failed: {result.detail}")
 
-    # The reported objective is the model's (service weight plus granted
-    # choices, before stripping unassigned flights), which is what the
-    # enumeration oracle optimizes too.
-    objective = float(result.objective or 0.0)
+    # The reported objective is the gains the model maximizes (service
+    # weight plus granted choices, before stripping unassigned flights),
+    # which is what the enumeration oracle optimizes too: the negated
+    # minimum, 0.0 - it so that a zero optimum reads +0.0.
+    objective = 0.0 - result.objective
     granted = np.zeros(offered.shape, dtype=bool)
     granted[offered] = np.array(result.x[first_choice:first_choice + len(names)]) >= 0.5
     for f, request in enumerate(modeled):

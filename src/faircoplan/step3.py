@@ -72,15 +72,12 @@ def _add_spread(
     gamma: float,
 ) -> None:
     """The detour-ratio spread, after the flights' columns and the capacity
-    rows: the columns ``ratio.max`` and ``ratio.min``, weighted by gamma in
-    the objective, then rows ``rmax.{fid}`` and ``rmin.{fid}`` holding each
+    rows: the columns ``ratio.max`` and ``ratio.min``, at cost gamma and
+    -gamma, then rows ``rmax.{fid}`` and ``rmin.{fid}`` holding each
     flight in ``shifts`` between them: its detour ratio, 1 + its arcs that
     change resource, over its proposal's path length."""
-    spread = milp.Model(name="ratio", sense="min")
-    spread.continuous("ratio.max", 0.0, math.inf)
-    spread.continuous("ratio.min", 0.0, math.inf)
-    spread.set_objective({0: gamma, 1: -gamma})
-    f_max = model.append(spread)
+    f_max = model.continuous("ratio.max", 0.0, math.inf, cost=gamma)
+    model.continuous("ratio.min", 0.0, math.inf, cost=-gamma)
     fids = sorted(shifts)
     ends, indices, coeffs, rhs = [], [], [], []
     for fid in fids:

@@ -48,8 +48,8 @@ def assert_same_model(got, want):
     """The same HiGHS input (``milp._arrays``, every array with its dtype),
     names, labels, stored entries and objective offset."""
     def flat(model):
-        c, lb, ub, integrality, matrix, row_lb, row_ub, sign = milp._arrays(model)
-        return (c, lb, ub, integrality, *matrix, row_lb, row_ub, np.array(sign))
+        c, lb, ub, integrality, matrix, row_lb, row_ub = milp._arrays(model)
+        return (c, lb, ub, integrality, *matrix, row_lb, row_ub)
 
     for mine, theirs in zip(flat(got), flat(want), strict=True):
         assert mine.dtype == theirs.dtype

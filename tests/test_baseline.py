@@ -313,13 +313,18 @@ def full_window_schedule(grid, request, route, params, now, horizon_end):
         entry_lo.append(entry_lo[-1] + dwell)
     entry_lo[last] = max(entry_lo[last], a)
 
-    names = []
+    ground, air = 1.0 - params.alpha, params.alpha
+    waits = range(entry_lo[0], min(d + eps, horizon_end))
+    landings = range(entry_lo[last], horizon_end)
+    fragment = milp.Model(name=f"w.{fid}")
+    fragment.objective_offset = (ground * (entry_lo[0] - d + len(waits))
+                                 + air * (entry_lo[last] - a + len(landings)))
     base = []
     for i, lo in enumerate(entry_lo):
-        base.append(len(names) - lo)
-        names += [f"w.{fid}.{i}.{t}" for t in range(lo, horizon_end)]
-    fragment = milp.Model(name=f"w.{fid}", sense="min")
-    fragment.binaries(names)
+        steps = range(lo, horizon_end)
+        cost = ([0.0 - ground if t in waits else 0.0 for t in steps] if i == 0
+                else 0.0 - air if i == last else 0.0)
+        base.append(fragment.binaries([f"w.{fid}.{i}.{t}" for t in steps], cost) - lo)
 
     indices = []
     labels = []
@@ -341,14 +346,6 @@ def full_window_schedule(grid, request, route, params, now, horizon_end):
     fragment.add_rows([*range(2, 2 * rows + 1, 2), 2 * rows + 1, 2 * rows + 2], indices,
                       [1.0, -1.0] * rows + [1.0, 1.0], relations + ["=", "="],
                       [0.0] * rows + [1.0, 1.0], labels + [f"dep.{fid}", f"arr.{fid}"])
-
-    ground, air = 1.0 - params.alpha, params.alpha
-    waits = range(entry_lo[0], min(d + eps, horizon_end))
-    landings = range(entry_lo[last], horizon_end)
-    fragment.set_objective({**{base[0] + t: 0.0 - ground for t in waits},
-                            **{base[last] + t: 0.0 - air for t in landings}},
-                           offset=ground * (entry_lo[0] - d + len(waits))
-                           + air * (entry_lo[last] - a + len(landings)))
 
     cells = {}
     for i, lo in enumerate(entry_lo):
@@ -407,7 +404,7 @@ def declared_windows(schedule):
 def pinned_status(schedule, leg, t):
     """The status of the flight's fragment alone with w(leg, t) pinned at 0."""
     lo, col = schedule.starts[leg]
-    model = milp.Model(name="pinned", sense="min")
+    model = milp.Model(name="pinned")
     shift = model.append(schedule.fragment)
     model.add({shift + col + t - lo: 1.0}, "=", 0.0, "pin")
     return milp.solve(model).status

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, verification exit codes."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -11,7 +12,7 @@ from faircoplan.serialize import load_scenario, save_scenario
 from faircoplan.sim import CampaignResult
 
 from helpers import run_python
-from test_sim import corridor_config
+from test_sim import DESK, corridor_config
 
 
 @pytest.fixture()
@@ -133,6 +134,19 @@ class TestOverrides:
         assert stdout == ""
         assert stderr.startswith("error: demand_per_hub_per_hour must give at most ")
         assert stderr.endswith("got 8.33333e+298\n") and stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_lone_hub_is_one_error_line(self, tmp_path, capsys):
+        # The desk scenario with its first hub alone: no flight has anywhere
+        # to go.
+        desk = load_scenario(DESK)
+        lone = dataclasses.replace(desk.grid, vertiports=desk.grid.vertiports[:1])
+        path = tmp_path / "lone.yaml"
+        save_scenario(path, dataclasses.replace(desk, grid=lone))
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--config", str(path), "--out", str(out),
+                        "--days", "1", "--periods", "2"]) == 2
+        assert capsys.readouterr() == ("", "error: hub r0018 has no other vertiport to fly to\n")
         assert not out.exists()
 
     def test_invalid_scenario_file_exits_2_without_a_traceback(self, scenario_path,

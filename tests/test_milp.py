@@ -34,22 +34,18 @@ from helpers import (
 
 class TestHighs:
     def test_knapsack_maximum(self):
-        # values 6,5,4 / weights 3,2,2 / budget 4 -> pick items 1 and 2
-        model = Model(name="knapsack", sense="max")
-        x = [model.binary(f"x{i}") for i in range(3)]
-        model.add({x[0]: 3.0, x[1]: 2.0, x[2]: 2.0}, "<=", 4.0)
-        model.set_objective({x[0]: 6.0, x[1]: 5.0, x[2]: 4.0})
-        result = solve(model)
+        # values 6,5,4 / weights 3,2,2 / budget 4 -> pick items 1 and 2; the
+        # model minimizes the negated values.
+        result = solve(knapsack())
         assert result.status == milp.OPTIMAL
-        assert result.objective == pytest.approx(9.0)
+        assert result.objective == pytest.approx(-9.0)
         assert result.x == [0.0, 1.0, 1.0]
 
     def test_equality_with_continuous_variable(self):
-        model = Model(name="mix", sense="min")
-        x = model.binary("x")
-        y = model.continuous("y", lb=0.0, ub=10.0)
+        model = Model(name="mix")
+        x = model.binary("x", cost=1.0)
+        y = model.continuous("y", lb=0.0, ub=10.0, cost=1.0)
         model.add({x: 2.0, y: 1.0}, "=", 3.0)
-        model.set_objective({x: 1.0, y: 1.0})
         result = solve(model)
         assert result.status == milp.OPTIMAL
         # x=1, y=1 costs 2; x=0, y=3 costs 3
@@ -58,30 +54,29 @@ class TestHighs:
         assert result.x[y] == pytest.approx(1.0)
 
     def test_infeasible_reported(self):
-        model = Model(name="bad", sense="min")
-        x = model.binary("x")
+        model = Model(name="bad")
+        x = model.binary("x", cost=1.0)
         model.add({x: 1.0}, ">=", 2.0)
-        model.set_objective({x: 1.0})
         assert solve(model).status == milp.INFEASIBLE
 
     def test_objective_offset_carried_through(self):
-        model = Model(name="offset", sense="min")
-        x = model.binary("x")
+        model = Model(name="offset")
+        x = model.binary("x", cost=2.0)
         model.add({x: 1.0}, ">=", 1.0)
-        model.set_objective({x: 2.0}, offset=5.0)
+        model.objective_offset = 5.0
         result = solve(model)
         assert result.objective == pytest.approx(7.0)
 
     def test_empty_model_is_trivially_optimal(self):
-        model = Model(name="empty", sense="min")
-        model.set_objective({}, offset=1.5)
+        model = Model(name="empty")
+        model.objective_offset = 1.5
         result = solve(model)
         assert result.status == milp.OPTIMAL
         assert result.objective == pytest.approx(1.5)
         assert result.x == []
 
     def test_only_an_optimal_result_holds_a_point(self):
-        model = Model(name="bad", sense="min")
+        model = Model(name="bad")
         x = model.binary("x")
         model.add({x: 1.0}, ">=", 2.0)
         assert solve(model).x == []
@@ -104,12 +99,24 @@ class TestModelContainer:
             model.add({x: 1.0, column: 1.0, y: 1.0}, "<=", 1.0, label="cap")
         assert (model.num_rows, model.num_nonzeros) == (0, 0)
 
-    @pytest.mark.parametrize("column", [-1, 2, 7])
-    def test_undeclared_column_in_the_objective_rejected(self, column):
-        model = Model(name="undeclared")
-        x, y = model.binary("x"), model.binary("y")
-        with pytest.raises(ValueError, match=r"^objective references a column outside \[0, 2\)$"):
-            model.set_objective({x: 1.0, y: 1.0, column: 2.0})
+    def test_costs_are_one_number_or_one_per_column(self):
+        model = Model(name="costs")
+        model.binaries(["x", "y"], cost=2.0)
+        model.continuous("z", lb=-1.0, cost=-0.5)
+        model.binaries(["u", "v", "w"], cost=[1.0, 0.0, -3.0])
+        model.binary("t")
+        np.testing.assert_array_equal(milp._arrays(model)[0],
+                                      [2.0, 2.0, -0.5, 1.0, 0.0, -3.0, 0.0])
+
+    @pytest.mark.parametrize("cost", [[], [1.0], [1.0, 2.0, 3.0]],
+                             ids=["none", "short", "long"])
+    def test_cost_list_of_the_wrong_length_rejected(self, cost):
+        model = Model(name="costs")
+        model.binaries(["x"], cost=4.0)
+        before = (model.variables, milp._arrays(model)[0].tolist())
+        with pytest.raises(ValueError, match=rf"^{len(cost)} costs for 2 columns$"):
+            model.binaries(["y", "z"], cost=cost)
+        assert (model.variables, milp._arrays(model)[0].tolist()) == before
 
     def test_empty_constraint_rejected(self):
         model = Model(name="empty-row")
@@ -148,7 +155,7 @@ class TestModelContainer:
 
 def row_by_row() -> Model:
     """``mixed_model``'s columns and rows, written one call at a time."""
-    model = Model(name="mixed", sense="max")
+    model = Model(name="mixed")
     x, y = model.binary("x"), model.binary("y")
     model.binary("w")
     model.add({y: 1.0, x: 0.0}, "<=", 1, label="a")
@@ -159,7 +166,7 @@ def row_by_row() -> Model:
 
 class TestBulkWriting:
     def test_binaries_and_rows_equal_one_call_each(self):
-        model = Model(name="mixed", sense="max")
+        model = Model(name="mixed")
         assert model.binaries(["x", "y", "w"]) == 0
         model.add_rows([2, 3, 6], [1, 0, 0, 1, 0, 2], [1.0, 0.0, 1.0, 2.0, -1.0, 1.0],
                        ["<=", ">=", "="], [1, 0.5, 1.0], ["a", "b", "c"])
@@ -245,14 +252,14 @@ class TestBulkWriting:
 
 
 def fragment_model(prefix: str) -> Model:
-    """Three columns, two rows (one with a zero coefficient), an objective
-    and an offset."""
+    """Three columns, two of them with a cost, two rows (one with a zero
+    coefficient) and an objective offset."""
     fragment = Model(name=prefix)
-    a, b = fragment.binary(f"{prefix}.a"), fragment.binary(f"{prefix}.b")
-    c = fragment.continuous(f"{prefix}.c", lb=-1.0, ub=2.0)
+    a, b = fragment.binary(f"{prefix}.a"), fragment.binary(f"{prefix}.b", cost=2.0)
+    c = fragment.continuous(f"{prefix}.c", lb=-1.0, ub=2.0, cost=-1.0)
     fragment.add({c: 1.0, a: 1.0, b: 0.0}, "<=", 2.0, label=f"{prefix}.r0")
     fragment.add({b: 1.0}, "=", 1.0, label=f"{prefix}.r1")
-    fragment.set_objective({b: 2.0, c: -1.0}, offset=0.25)
+    fragment.objective_offset = 0.25
     return fragment
 
 
@@ -272,15 +279,22 @@ class TestAppend:
         want = Model(name="joint")
         x = want.binary("x")
         want.add({x: 1.0}, "<=", 1.0, label="own")
-        a, b = want.binary("f.a"), want.binary("f.b")
-        c = want.continuous("f.c", lb=-1.0, ub=2.0)
+        a, b = want.binary("f.a"), want.binary("f.b", cost=2.0)
+        c = want.continuous("f.c", lb=-1.0, ub=2.0, cost=-1.0)
         want.add({c: 1.0, a: 1.0, b: 0.0}, "<=", 2.0, label="f.r0")
         want.add({b: 1.0}, "=", 1.0, label="f.r1")
-        want.set_objective({b: 2.0, c: -1.0}, offset=0.25)
+        want.objective_offset = 0.25
         assert shift == 1
         assert_same_model(model, want)
         assert model.constraints == want.constraints
         assert model.variables == want.variables
+
+    def test_costs_land_at_the_shifted_columns(self):
+        model = mixed_model()
+        shifts = [model.append(fragment_model(prefix)) for prefix in "fg"]
+        assert shifts == [3, 6]
+        np.testing.assert_array_equal(milp._arrays(model)[0],
+                                      [-1.0, 0.0, -1.0, 0.0, 2.0, -1.0, 0.0, 2.0, -1.0])
 
     def test_offsets_add_up_and_the_fragment_is_left_as_it_was(self):
         fragment = fragment_model("f")
@@ -335,10 +349,9 @@ class TestSolveRecheck:
             return 0, np.ones(len(c)), "Optimal"
 
         monkeypatch.setattr(milp, "run_highs", liar)
-        model = Model(name="liar-check", sense="max")
-        x = model.binary("x")
+        model = Model(name="liar-check")
+        x = model.binary("x", cost=-1.0)
         model.add({x: 1.0}, "<=", 0.0)
-        model.set_objective({x: 1.0})
         result = solve(model)
         assert result.status == milp.ERROR
         assert "infeasible point" in result.detail
@@ -356,7 +369,7 @@ def scipy_milp(arrays, options):
     """One model from ``milp._arrays`` solved through the public
     ``scipy.optimize.milp``, which forwards options it does not name to
     HiGHS verbatim and warns that it does."""
-    c, lb, ub, integrality, (start, index, value), row_lb, row_ub, sign = arrays
+    c, lb, ub, integrality, (start, index, value), row_lb, row_ub = arrays
     A = sparse.csc_array((value, index, start), shape=(len(row_lb), len(c)))
     kwargs = {}
     if A.shape[0]:
@@ -405,10 +418,9 @@ class TestHighsOptions:
                 return super().run()
 
         monkeypatch.setattr(milp.highs, "_Highs", Recording)
-        model = Model(name="gap", sense="max")
-        x = model.binary("x")
+        model = Model(name="gap")
+        x = model.binary("x", cost=-1.0)
         model.add({x: 1.0}, "<=", 1.0)
-        model.set_objective({x: 1.0})
         assert HighsBackend().solve(model).status == milp.OPTIMAL
         assert seen == [{"log_to_console": False, "presolve": "on", "mip_rel_gap": 0.0,
                          "mip_heuristic_run_feasibility_jump": False,
@@ -418,7 +430,7 @@ class TestHighsOptions:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = solve(knapsack())
-        assert (result.status, result.objective) == (milp.OPTIMAL, 9.0)
+        assert (result.status, result.objective) == (milp.OPTIMAL, -9.0)
 
     def test_option_highs_rejects_is_an_error_naming_it(self, monkeypatch):
         monkeypatch.setattr(milp, "HIGHS_OPTIONS",
@@ -430,10 +442,9 @@ class TestHighsOptions:
     def test_solves_write_nothing_to_the_console(self, capfd, monkeypatch):
         # perfbench's worker reports through its last line of stdout, and
         # HiGHS logs to the console unless told not to.
-        infeasible = Model(name="bad", sense="min")
-        x = infeasible.binary("x")
+        infeasible = Model(name="bad")
+        x = infeasible.binary("x", cost=1.0)
         infeasible.add({x: 1.0}, ">=", 2.0)
-        infeasible.set_objective({x: 1.0})
         assert solve(knapsack()).status == milp.OPTIMAL
         assert solve(infeasible).status == milp.INFEASIBLE
         monkeypatch.setattr(milp, "HIGHS_OPTIONS",
@@ -447,8 +458,7 @@ class TestHighsOptions:
         # same status and, bit for bit, the same point, so a scipy upgrade
         # cannot silently change which tied optimum is filed.
         for _, arrays, _ in desk_day_solves:
-            c, lb, ub, integrality, matrix, row_lb, row_ub, sign = arrays
-            status, x, _ = milp.run_highs(c, lb, ub, integrality, matrix, row_lb, row_ub)
+            status, x, _ = milp.run_highs(*arrays)
             ref = scipy_milp(arrays, SCIPY_OPTIONS)
             assert status == ref.status
             assert (x is None and ref.x is None) or np.array_equal(x, ref.x)
@@ -462,9 +472,8 @@ class TestHighsOptions:
             ref = scipy_milp(arrays, FEASIBILITY_JUMP_ON)
             assert ref.status == {milp.OPTIMAL: 0, milp.INFEASIBLE: 2}[result.status]
             if ref.status == 0:
-                sign = arrays[-1]
                 assert result.objective == pytest.approx(
-                    sign * ref.fun + model.objective_offset, abs=1e-9)
+                    ref.fun + model.objective_offset, abs=1e-9)
         statuses = {result.status for _, _, result in desk_day_solves}
         assert len(desk_day_solves) > 100 and statuses == {milp.OPTIMAL, milp.INFEASIBLE}
 
@@ -477,11 +486,11 @@ class TestHighsOptions:
             return real_run_highs(c, lb, ub, integrality, matrix, row_lb, row_ub)
 
         monkeypatch.setattr(milp, "run_highs", spy)
-        model = Model(name="sparse", sense="max")
-        x, y, z = model.binary("x"), model.binary("y"), model.binary("z")
+        model = Model(name="sparse")
+        x, y = model.binary("x", cost=-1.0), model.binary("y", cost=-2.0)
+        z = model.binary("z", cost=-1.0)
         model.add({x: 1.0, z: 1.0}, "<=", 1.0)
         model.add({y: 1.0}, "<=", 1.0)
-        model.set_objective({x: 1.0, y: 2.0, z: 1.0})
         assert HighsBackend().solve(model).status == milp.OPTIMAL
         # Column-wise arrays of length columns + 1 and nnz, not a 2 x 3 matrix.
         assert len(seen) == 1
@@ -502,8 +511,8 @@ class TestHighsOptions:
 
         monkeypatch.setattr(milp.highs, "_Highs", Recording)
         for _, arrays, _ in desk_day_solves:
-            c, lb, ub, integrality, matrix, row_lb, row_ub, _ = arrays
-            milp.run_highs(c, lb, ub, integrality, matrix, row_lb, row_ub)
+            c, lb, ub, integrality, matrix, row_lb, row_ub = arrays
+            milp.run_highs(*arrays)
             lp = held.pop()
             assert (lp.num_col_, lp.num_row_) == (len(c), len(row_lb))
             assert (lp.sense_, lp.offset_) == (milp.highs.ObjSense.kMinimize, 0.0)
@@ -520,13 +529,12 @@ class TestHighsOptions:
 
 def input_digest(models: list[Model]) -> str:
     """One blake2b digest over the models' names, labels and ``milp._arrays``
-    (every array with its dtype and bytes, then the sense's sign)."""
+    (every array with its dtype and bytes)."""
     digest = hashlib.blake2b(digest_size=16)
     for model in models:
-        c, lb, ub, integrality, matrix, row_lb, row_ub, sign = milp._arrays(model)
+        c, lb, ub, integrality, matrix, row_lb, row_ub = milp._arrays(model)
         for array in (c, lb, ub, integrality, *matrix, row_lb, row_ub):
             digest.update(array.dtype.str.encode() + array.tobytes())
-        digest.update(repr(sign).encode())
         for text in ([v.name for v in model.variables], [c.label for c in model.constraints]):
             digest.update("\n".join(text).encode() + b"\0")
     return digest.hexdigest()
@@ -544,14 +552,15 @@ class TestChoiceSettingInput:
         # tied optima.
         models = [model for model, _, _ in desk_day_solves if model.name == "choice-setting"]
         assert len(models) == 48
-        assert input_digest(models) == "2039dacebdb81c8455988e7bc1afe2ab"
+        assert input_digest(models) == "cca290d2da33e07df4c6bcf1f4993030"
 
 
-def knapsack(names=("x0", "x1", "x2"), offset=0.0) -> Model:
-    model = Model(name="knapsack", sense="max")
-    x = [model.binary(name) for name in names]
+def knapsack() -> Model:
+    """max 6 x0 + 5 x1 + 4 x2 with 3 x0 + 2 x1 + 2 x2 <= 4, as the minimum of
+    the negated values."""
+    model = Model(name="knapsack")
+    x = [model.binary(f"x{i}", cost=-value) for i, value in enumerate((6.0, 5.0, 4.0))]
     model.add({x[0]: 3.0, x[1]: 2.0, x[2]: 2.0}, "<=", 4.0)
-    model.set_objective({x[0]: 6.0, x[1]: 5.0, x[2]: 4.0}, offset=offset)
     return model
 
 
@@ -568,12 +577,11 @@ class TestHighsStatus:
 
 
 def fractional_pair(relaxation_first=True) -> Model:
-    """max x0 + x1 with 2 x0 + 2 x1 <= 3: the relaxation's optimum is 1.5,
-    at a fractional point, and the MILP's is 1."""
-    model = Model(name="fractional", sense="max", relaxation_first=relaxation_first)
-    x0, x1 = model.binary("x0"), model.binary("x1")
+    """min -x0 - x1 with 2 x0 + 2 x1 <= 3: the relaxation's optimum is -1.5,
+    at a fractional point, and the MILP's is -1."""
+    model = Model(name="fractional", relaxation_first=relaxation_first)
+    x0, x1 = model.binary("x0", cost=-1.0), model.binary("x1", cost=-1.0)
     model.add({x0: 2.0, x1: 2.0}, "<=", 3.0)
-    model.set_objective({x0: 1.0, x1: 1.0})
     return model
 
 
@@ -594,15 +602,15 @@ class TestRelaxationFirst:
     def test_integral_relaxation_is_the_optimum_in_one_call(self, highs_calls):
         # The relaxation's unique optimum is x1 = 1, y = 0.5; y is continuous,
         # so its fractional value does not send the solve on to the MILP.
-        model = Model(name="integral", sense="max", relaxation_first=True)
-        x0, x1 = model.binary("x0"), model.binary("x1")
-        y = model.continuous("y", ub=0.5)
+        model = Model(name="integral", relaxation_first=True)
+        x0, x1 = model.binary("x0", cost=-1.0), model.binary("x1", cost=-2.0)
+        model.continuous("y", ub=0.5, cost=-1.0)
         model.add({x0: 1.0, x1: 1.0}, "<=", 1.0)
-        model.set_objective({x0: 1.0, x1: 2.0, y: 1.0}, offset=0.25)
+        model.objective_offset = -0.25
         result = solve(model)
         assert highs_calls == [[0, 0, 0]]
         assert (result.status, result.x) == (milp.OPTIMAL, [0.0, 1.0, 0.5])
-        assert result.objective == pytest.approx(2.75)
+        assert result.objective == pytest.approx(-2.75)
         assert "LP relaxation" in result.detail
 
     def test_fractional_relaxation_falls_back_to_the_milp(self, highs_calls):
@@ -610,14 +618,13 @@ class TestRelaxationFirst:
         assert highs_calls == [[0, 0], [1, 1]]
         assert result.status == milp.OPTIMAL
         assert sorted(result.x) == [0.0, 1.0]
-        assert result.objective == pytest.approx(1.0)
+        assert result.objective == pytest.approx(-1.0)
         assert result.detail == ""
 
     def test_infeasible_relaxation_is_infeasible_in_one_call(self, highs_calls):
-        model = Model(name="bad", sense="min", relaxation_first=True)
-        x0, x1 = model.binary("x0"), model.binary("x1")
+        model = Model(name="bad", relaxation_first=True)
+        x0, x1 = model.binary("x0", cost=1.0), model.binary("x1")
         model.add({x0: 1.0, x1: 1.0}, ">=", 3.0)
-        model.set_objective({x0: 1.0})
         result = solve(model)
         assert highs_calls == [[0, 0]]
         assert result.status == milp.INFEASIBLE
@@ -639,7 +646,7 @@ class TestRelaxationFirst:
     def test_unflagged_model_never_runs_the_relaxation(self, highs_calls):
         result = solve(fractional_pair(relaxation_first=False))
         assert highs_calls == [[1, 1]]
-        assert result.objective == pytest.approx(1.0)
+        assert result.objective == pytest.approx(-1.0)
 
     def test_desk_day_fixed_route_models_as_the_milp_solves_them(self, desk_day_solves):
         # Every fixed-route model of desk day 0 was solved relaxation-first;
@@ -694,14 +701,13 @@ def assert_matches_dense(model: Model) -> None:
 
 def mixed_model() -> Model:
     """Three rows, one with its columns out of order and one with an
-    explicit zero coefficient."""
-    model = Model(name="mixed", sense="max")
-    x, y = model.binary("x"), model.binary("y")
-    z = model.continuous("z", lb=-1.0, ub=4.0)
+    explicit zero coefficient; max x + z."""
+    model = Model(name="mixed")
+    x, y = model.binary("x", cost=-1.0), model.binary("y")
+    z = model.continuous("z", lb=-1.0, ub=4.0, cost=-1.0)
     model.add({z: 2.0, x: 1.0}, "<=", 3.0)  # columns out of order
     model.add({x: 1.0, y: 0.0, z: -1.5}, "=", 0.5)
     model.add({y: 4.0}, ">=", 1.0)
-    model.set_objective({x: 1.0, z: 1.0})
     return model
 
 
@@ -745,7 +751,7 @@ class TestSparseAssembly:
     def test_hand_built_model_matches_dense_rows(self):
         model = mixed_model()
         assert_matches_dense(model)
-        _, _, _, _, (start, index, value), row_lb, row_ub, _ = milp._arrays(model)
+        _, _, _, _, (start, index, value), row_lb, row_ub = milp._arrays(model)
         np.testing.assert_array_equal(start, [0, 2, 3, 5])
         np.testing.assert_array_equal(index, [0, 1, 2, 0, 1])
         np.testing.assert_array_equal(value, [1.0, 1.0, 4.0, 2.0, -1.5])
@@ -753,9 +759,9 @@ class TestSparseAssembly:
         np.testing.assert_array_equal(row_ub, [3.0, 0.5, np.inf])
 
     def test_model_without_constraints_has_no_rows(self):
-        model = Model(name="free", sense="min")
+        model = Model(name="free")
         model.continuous("z", ub=1.0)
-        _, _, _, _, (start, index, value), row_lb, _, _ = milp._arrays(model)
+        _, _, _, _, (start, index, value), row_lb, _ = milp._arrays(model)
         np.testing.assert_array_equal(start, [0, 0])
         assert len(index) == len(value) == len(row_lb) == 0
 
@@ -787,7 +793,7 @@ def reference_check_solution(model: Model, x: list[float],
     return violations
 
 
-def reference_finish(model: Model, raw_x, sign, c) -> tuple[list[float], float]:
+def reference_finish(model: Model, raw_x, c) -> tuple[list[float], float]:
     """A raw point unpacked one variable at a time."""
     point = []
     for var, x in zip(model.variables, raw_x):
@@ -795,15 +801,14 @@ def reference_finish(model: Model, raw_x, sign, c) -> tuple[list[float], float]:
         if var.binary and abs(x - round(x)) <= 1e-4:
             x = float(round(x))
         point.append(x)
-    obj = sign * float(np.dot(c, point)) + model.objective_offset
+    obj = float(np.dot(c, point)) + model.objective_offset
     return point, obj
 
 
 def assert_finish_matches_reference(model: Model, raw_x) -> list[float]:
-    c, lb, ub, integrality, _, _, _, sign = milp._arrays(model)
-    point, obj = milp._finish(model, np.array(raw_x, dtype=float),
-                              lb, ub, integrality, sign, c)
-    want_point, want_obj = reference_finish(model, np.array(raw_x, dtype=float), sign, c)
+    c, lb, ub, integrality, _, _, _ = milp._arrays(model)
+    point, obj = milp._finish(model, np.array(raw_x, dtype=float), lb, ub, integrality, c)
+    want_point, want_obj = reference_finish(model, np.array(raw_x, dtype=float), c)
     # repr tells 0.0 from -0.0 and shows every bit of a float
     assert [repr(v) for v in point] == [repr(v) for v in want_point]
     assert repr(obj) == repr(want_obj)
@@ -834,7 +839,7 @@ def awkward_point(model: Model, x: list[float], seed: int) -> list[float]:
 
 class TestVectorizedAgainstReference:
     def test_every_kind_of_violation(self):
-        model = Model(name="violations", sense="min")
+        model = Model(name="violations")
         b, b2, m = model.binary("b"), model.binary("b2"), model.binary("m")
         y = model.continuous("y", lb=-1.0, ub=2.0)
         z = model.continuous("z", lb=0, ub=5)
@@ -901,13 +906,12 @@ class TestVectorizedAgainstReference:
         assert len(solved) > 100
 
     def test_finish_on_awkward_raw_points(self):
-        model = Model(name="raw", sense="max")
-        bins = [model.binary(f"b{i}") for i in range(8)]
-        zero_lb = model.continuous("y0", lb=0.0, ub=3.0)
-        free = model.continuous("y1", lb=-2.0, ub=2.0)
-        wide = model.continuous("y2", lb=-math.inf, ub=math.inf)
-        model.set_objective({**{v: 1.0 for v in bins}, zero_lb: 2.0, free: -1.0,
-                             wide: 0.5}, offset=1.25)
+        model = Model(name="raw")
+        bins = [model.binary(f"b{i}", cost=-1.0) for i in range(8)]
+        zero_lb = model.continuous("y0", lb=0.0, ub=3.0, cost=-2.0)
+        free = model.continuous("y1", lb=-2.0, ub=2.0, cost=1.0)
+        wide = model.continuous("y2", lb=-math.inf, ub=math.inf, cost=-0.5)
+        model.objective_offset = 1.25
         raw = [-0.0, -1e-5, 1 + 5e-5, 0.99995, 0.5, 0.9998, 3.0, -4.0,
                -0.0, -0.0, 7.5e9]
         point = assert_finish_matches_reference(model, raw)

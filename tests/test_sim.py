@@ -104,6 +104,13 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="hub"):
             scenario_grid(corridor_config(grid=config))
 
+    def test_lone_hub_has_nowhere_to_fly(self):
+        config = GridConfig(rows=1, cols=3, horizon_steps=8,
+                            vertiports=(VertiportSpec(0, 0, "hub", 2),))
+        build_grid(config)
+        with pytest.raises(ConfigError, match="^hub r0000 has no other vertiport to fly to$"):
+            scenario_grid(corridor_config(grid=config))
+
 
 class TestGenerateDemand:
     def test_is_deterministic_in_seed_day_period(self):

@@ -12,7 +12,7 @@ from faircoplan.oracle import oracle_step1_optimum
 from faircoplan.serialize import load_scenario
 from faircoplan.step1 import choice_domains, room_table, solve_step1
 
-from helpers import assert_same_model, make_grid, make_request
+from helpers import assert_same_model, make_grid, make_request, record_solves
 
 DESK = Path(__file__).resolve().parent.parent / "configs" / "desk8x8.yaml"
 
@@ -78,6 +78,31 @@ class TestSingleFlight:
         for t in cs.arrival_slots:
             assert any(cs.contains(nb, t - 1)
                        for nb in corridor.adjacency["r0002"])
+
+
+class TestObjective:
+    # The model minimizes the negated gains, and step 1 reports the gains:
+    # 0.0 less the minimum, so a zero optimum reads +0.0.
+    def test_objective_is_the_negated_minimum(self, corridor, empty, monkeypatch):
+        solved = record_solves(monkeypatch, "choice-setting")
+        request = make_request(corridor, "f0", "r0000", "r0002", 0)
+        s1 = solve_step1(corridor, empty, [request], 0)
+        [(model, result)] = solved
+        # 12 choice columns at cost -1, then y.f0 at -13, the service weight.
+        assert milp._arrays(model)[0].tolist() == [-1.0] * 12 + [-13.0]
+        assert result.objective == -25.0
+        assert s1.objective == 0.0 - result.objective == 25.0
+
+    def test_zero_optimum_reads_positive_zero(self, corridor, monkeypatch):
+        # Only origin pad cells have room, and no departure slot is supported.
+        solved = record_solves(monkeypatch, "choice-setting")
+        full = OccupancySnapshot(corridor, {(rid, t): 2 for rid in ("r0001", "r0002")
+                                            for t in range(8)})
+        s1 = solve_step1(corridor, full, [make_request(corridor, "f0", "r0000", "r0002", 0)], 0)
+        [(model, result)] = solved
+        assert model.num_vars > 0 and result.objective == 0.0
+        assert s1.unassigned == ("f0",)
+        assert repr(s1.objective) == "0.0"
 
 
 class TestContention:
@@ -217,8 +242,8 @@ def step1_model(grid, snapshot, requests, now):
 
 
 def hands_highs(model) -> list[np.ndarray]:
-    c, lb, ub, integrality, matrix, row_lb, row_ub, sign = milp._arrays(model)
-    return [c, lb, ub, integrality, *matrix, row_lb, row_ub, np.array(sign)]
+    c, lb, ub, integrality, matrix, row_lb, row_ub = milp._arrays(model)
+    return [c, lb, ub, integrality, *matrix, row_lb, row_ub]
 
 
 class TestRoomTable:
