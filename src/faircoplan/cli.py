@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 
 from .airspace import ConfigError
-from .selfcheck import CASES, run_selfcheck
+from .selfcheck import CASES, SEED, run_selfcheck
 from .serialize import load_scenario, read_campaign_records, read_json, write_campaign
 from .sim import MODES, campaign_summary, run_campaign
 
@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "oracle-check", help="validate the planners against brute force")
     oracle.add_argument("--cases", type=int, default=CASES,
                         help="number of instances (catalog first, then random)")
-    oracle.add_argument("--seed", type=int, default=2024)
+    oracle.add_argument("--seed", type=int, default=SEED)
     return parser
 
 

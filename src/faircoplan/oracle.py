@@ -25,6 +25,7 @@ __all__ = [
     "DEFAULT_BUDGET",
     "OracleSizeError",
     "TinyInstance",
+    "choice_domain",
     "enumerate_feasible_plans",
     "enumerate_choice_families",
     "oracle_step1_optimum",
@@ -189,7 +190,7 @@ def oracle_step2_optimum(
     return tdc(best, request, params), best
 
 
-def _choice_domain(
+def choice_domain(
     grid: AirspaceGrid,
     snapshot: OccupancySnapshot,
     request: FlightRequest,
@@ -222,7 +223,7 @@ def enumerate_choice_families(
     checker. The empty family (flight left unassigned) is always valid.
     """
     end = now + grid.horizon_steps
-    domain = _choice_domain(grid, snapshot, request, now)
+    domain = choice_domain(grid, snapshot, request, now)
     if len(domain) > 22:
         raise OracleSizeError(
             f"choice domain for {request.flight_id} has {len(domain)} cells; "

@@ -20,7 +20,7 @@ from .flights import FlightRequest
 from .oracle import (
     OracleSizeError,
     TinyInstance,
-    _choice_domain,
+    choice_domain,
     oracle_joint_optimum,
     oracle_step1_optimum,
     oracle_step2_optimum,
@@ -31,11 +31,12 @@ from .step2 import solve_step2
 from .checker import detect_conflicts
 from .step3 import solve_step3
 
-__all__ = ["CASES", "CaseResult", "build_catalog", "check_instance", "random_instance",
+__all__ = ["CASES", "SEED", "CaseResult", "build_catalog", "check_instance", "random_instance",
            "run_selfcheck"]
 
 _TOL = 1e-6
 CASES = 35  # instances ``run_selfcheck`` and ``oracle-check`` check by default
+SEED = 2024  # their first random instance's seed by default
 
 
 def _same(a: float, b: float) -> bool:
@@ -275,7 +276,7 @@ def _choice_domain_sizes(inst: TinyInstance) -> list[int]:
     end = inst.now + grid.horizon_steps
     return [
         0 if req.requested_arrival + req.flexibility > end
-        else len(_choice_domain(grid, snap, req, inst.now))
+        else len(choice_domain(grid, snap, req, inst.now))
         for req in inst.requests
     ]
 
@@ -391,7 +392,7 @@ def check_instance(inst: TinyInstance) -> list[CaseResult]:
 
 def run_selfcheck(
     cases: int = CASES,
-    seed: int = 2024,
+    seed: int = SEED,
 ) -> tuple[list[TinyInstance], list[CaseResult]]:
     """The first ``cases`` instances of the hand-built catalog, then seeded
     random instances ``seed``, ``seed + 1``, ... until there are ``cases``."""

@@ -17,29 +17,27 @@ indicator rows take the dwell itself as their constant). Flights that end up
 without a departure or an arrival slot are returned unassigned with all
 choices stripped.
 
-The model is built in bulk from per-period tables over (flight, zone
-resource, period step), never cell by cell. It reads the snapshot only
-through one zone resource × step table, ``room_table``: remaining capacity
+The model is built from per-period tables over (flight, zone resource,
+period step), never cell by cell. It reads the snapshot only through one
+zone resource × step table, ``room_table``: remaining capacity
 (``OccupancySnapshot.remaining_table``), capped at the number of modelled
 flights whose window covers the cell. A flight is offered the cells of its
 window mask with room, a cell's capacity row is written where more flights
 are offered it than it has room, and that room is the row's right-hand
 side, so two snapshots with equal tables give the same model; the table is
 returned with the result. Every offered cell's choice column is declared
-in one ``Model.binaries`` call. The capacity, slot-support, dwell and
-service rows are written with ``Model.add_rows`` from the same tables
-(slot-support and dwell rows as ``_Rows`` blocks, each row owned by its
-flight, merged flight by flight), the objective is the columns' costs,
-and the grants are read back with one ``x >= 0.5`` over the choice columns.
-The columns, names, rows, labels and their order are those of a
-cell-by-cell build: choices by flight, then by (resource, timestep);
-capacity rows by cell; each flight's departure, arrival and dwell rows in
-turn; then the service rows.
+in one ``Model.binaries`` call, by flight, then by (resource, timestep),
+and the capacity rows come first, by cell. Then each flight's rows are
+written in turn with ``Model.add_rows``: its departure rows, its arrival
+rows, then the dwell rows of each ring run in ``request.dwell`` order,
+each run declaring its auxiliary columns as it goes. The service columns
+and rows come last. The objective is the columns' costs, and the grants
+are read back with one ``x >= 0.5`` over the choice columns. This order
+fixes the HiGHS input, and with it which of several tied optima is filed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,108 +88,54 @@ def _validate(grid: AirspaceGrid, requests: list[FlightRequest]) -> None:
                 raise ValueError(f"{request.flight_id}: {what} {rid} is not a vertiport")
 
 
-class _Rows(NamedTuple):
-    """Rows for ``Model.add_rows``, by row length instead of CSR end, with
-    the owner of each row (a run, a flight) so that row blocks can be merged."""
+def _dwell_linkage(model: milp.Model, name: str, dwell: int, columns: np.ndarray,
+                   start: int, horizon_end: int) -> None:
+    """Minimum dwell of one run, a flight in one resource: the run may end at
+    step t only once the trailing window of ``dwell`` steps is full.
 
-    owner: np.ndarray
-    lengths: np.ndarray
-    indices: np.ndarray
-    coeffs: np.ndarray
-    relations: list[str]
-    rhs: np.ndarray
-    labels: list[str]
+    ``columns[i]`` is the column of the binary that marks the flight (or its
+    offered choice) in the resource at step ``start + i``, or -1 at a step it
+    cannot use; steps outside the array are unusable too. For each t up to
+    ``horizon_end - 1`` that follows a usable step, an auxiliary binary
+    ``dw.{name}.{t}`` is 1 exactly when the window is not yet full, and then
+    the run must go on at t. The window has ``dwell`` terms, so ``dwell`` is
+    a tight constant for both indicator rows. A dwell of 1 needs nothing, so
+    callers pass only longer ones.
 
-    def add_to(self, model: milp.Model) -> None:
-        model.add_rows(np.cumsum(self.lengths).tolist(), self.indices.tolist(),
-                       self.coeffs.tolist(), self.relations, self.rhs.tolist(), self.labels)
-
-    @staticmethod
-    def by_owner(blocks: Sequence[_Rows]) -> _Rows:
-        """The rows of ``blocks`` as one block, owner by owner in ascending
-        order; one owner's rows keep their order, block by block."""
-        owner = np.concatenate([block.owner for block in blocks])
-        lengths = np.concatenate([block.lengths for block in blocks])
-        order = np.argsort(owner, kind="stable")
-        moved = lengths[order]
-        # Merged entry k is entry take[k] of the blocks' entries.
-        take = np.arange(moved.sum()) + np.repeat(
-            (np.cumsum(lengths) - lengths)[order] - (np.cumsum(moved) - moved), moved)
-        relations = [relation for block in blocks for relation in block.relations]
-        labels = [label for block in blocks for label in block.labels]
-        return _Rows(owner[order], moved,
-                     np.concatenate([block.indices for block in blocks])[take],
-                     np.concatenate([block.coeffs for block in blocks])[take],
-                     [relations[i] for i in order.tolist()],
-                     np.concatenate([block.rhs for block in blocks])[order],
-                     [labels[i] for i in order.tolist()])
-
-
-def _dwell_linkage(
-    model: milp.Model,
-    runs: Sequence[tuple[FlightRequest, str]],
-    start: int,
-    columns: np.ndarray,
-    horizon_end: int,
-) -> _Rows:
-    """Minimum dwell, for each run k, a (request, resource) pair: a run of
-    steps in the resource may end at step t only once the trailing window of
-    ``request.min_dwell(resource)`` steps is full.
-
-    ``columns[k, i]`` is the column of the binary that marks run k's flight
-    (or its offered choice) in its resource at step ``start + i``, or -1 at
-    a step it cannot use; steps outside the array are unusable too. For each
-    t up to ``horizon_end - 1`` that follows a usable step, an auxiliary
-    binary ``dw.{fid}.{rid}.{t}`` is 1 exactly when the window is not yet
-    full, and then the run must go on at t. The window has ``dwell`` terms,
-    so ``dwell`` is a tight constant for both indicator rows. A run with a
-    dwell of 1 needs nothing.
-
-    The auxiliaries are declared in ``model`` in one call, run by run and
-    step by step. Their rows, ``dwlo``, ``dwhi`` and ``dwrun`` for each step
-    in the same order, are returned, each owned by its run.
+    The auxiliaries are declared in ``model`` in one call, step by step, and
+    then the rows ``dwlo``, ``dwhi`` and ``dwrun`` for each step in the same
+    order.
     """
-    dwell = np.array([request.min_dwell(rid) for request, rid in runs], dtype=np.int64)
-    longest = int(dwell.max(initial=1))
-    usable = columns[:, :max(horizon_end - 1 - start, 0)] >= 0
-    run, before = np.nonzero(usable & (dwell[:, None] > 1))
+    before = np.flatnonzero(columns[:max(horizon_end - 1 - start, 0)] >= 0)
     steps = (start + 1 + before).tolist()
-    names = [f"dw.{runs[k][0].flight_id}.{runs[k][1]}" for k in run.tolist()]
-    aux = model.binaries([f"{name}.{t}" for name, t in zip(names, steps)]) + np.arange(len(steps))
-    # -1 for the longest dwell's steps before each run's array and the one
-    # after it; the window gathers the longest dwell's steps before t and
-    # drops those beyond the run's own dwell.
-    padded = np.concatenate((np.full((len(runs), longest), -1), columns,
-                             np.full((len(runs), 1), -1)), axis=1)
-    lags = np.arange(longest)
-    window = padded[run[:, None], before[:, None] + 1 + lags]
-    own = dwell[run]
-    window[lags < longest - own[:, None]] = -1
-    previous, current = columns[run, before], padded[run, before + 1 + longest]
+    aux = model.binaries([f"dw.{name}.{t}" for t in steps]) + np.arange(len(steps))
+    # -1 for the dwell's steps before the array and the one after it; the
+    # window of step t gathers steps t - dwell .. t - 1.
+    padded = np.concatenate((np.full(dwell, -1), columns, [-1]))
+    window = padded[before[:, None] + 1 + np.arange(dwell)]
+    previous, current = columns[before], padded[before + 1 + dwell]
     terms = np.concatenate((aux[:, None], window, aux[:, None], window, previous[:, None],
                             aux[:, None], current[:, None]), axis=1)
     weights = np.ones(terms.shape)
-    weights[:, 0] = weights[:, longest + 1] = own
+    weights[:, 0] = weights[:, dwell + 1] = dwell
     weights[:, -3:] = (-1.0, -1.0, 1.0)
     kept = terms >= 0
-    indicator = kept[:, :longest + 1].sum(axis=1)
+    indicator = kept[:, :dwell + 1].sum(axis=1)
     lengths = np.stack((indicator, indicator, kept[:, -3:].sum(axis=1)), axis=1)
-    bounds = np.stack((own, 2 * own - 1, np.full(len(own), -1)), axis=1)
-    return _Rows(np.repeat(run, 3), lengths.ravel(), terms[kept], weights[kept],
-                 [">=", "<=", ">="] * len(steps), bounds.ravel().astype(float),
-                 [f"{kind}{name[2:]}.{t}" for name, t in zip(names, steps)
-                  for kind in ("dwlo", "dwhi", "dwrun")])
+    model.add_rows(np.cumsum(lengths).tolist(), terms[kept].tolist(), weights[kept].tolist(),
+                   [">=", "<=", ">="] * len(steps), [dwell, 2 * dwell - 1, -1] * len(steps),
+                   [f"{kind}.{name}.{t}" for t in steps for kind in ("dwlo", "dwhi", "dwrun")])
 
 
-def _support_rows(owner: np.ndarray, head: np.ndarray, tails: np.ndarray,
-                  labels: list[str]) -> _Rows:
-    """Rows ``sum(tails[k]) - head[k] >= 0``, one per k, with the head first
+def _support_rows(model: milp.Model, heads: np.ndarray, tails: np.ndarray,
+                  labels: list[str]) -> None:
+    """Rows ``sum(tails[k]) - heads[k] >= 0``, one per k, with the head first
     and the tails in order; -1 in ``tails`` is no column."""
-    terms = np.concatenate((head[:, None], tails), axis=1)
+    terms = np.concatenate((heads[:, None], tails), axis=1)
     kept = terms >= 0
-    return _Rows(owner, kept.sum(axis=1), terms[kept],
-                 np.where(kept.nonzero()[1] == 0, -1.0, 1.0), [">="] * len(head),
-                 np.zeros(len(head)), labels)
+    model.add_rows(np.cumsum(kept.sum(axis=1)).tolist(), terms[kept].tolist(),
+                   np.where(kept.nonzero()[1] == 0, -1.0, 1.0).tolist(), [">="] * len(heads),
+                   [0.0] * len(heads), labels)
 
 
 def _windows(grid: AirspaceGrid, requests: list[FlightRequest], now: int,
@@ -297,47 +241,36 @@ def solve_step1(
                    room[crowded].astype(float).tolist(),
                    ["cap." + cells[i] for i in np.flatnonzero(crowded).tolist()])
 
-    # Slot support: a departure slot at t needs an adjacent choice at t+1,
-    # an arrival slot one at t-1 (sum of those choices >= slot). Neighbour
-    # lists are padded with a resource row that offers nothing.
-    flights = np.arange(len(modeled))
-    padded = np.concatenate((column, np.full((len(modeled), 1, len(steps)), -1)), axis=1)
-    widest = max(len(grid.adjacency[rid]) for rid in grid.vertiport_ids)
-    blocks, slot_columns = [], []
-    for side, shift, kind in (("origin", 1, "dep"), ("destination", -1, "arr")):
-        slots = [getattr(request, side) for request in modeled]
-        nbs = np.array([[row[nb] for nb in grid.adjacency[slot]]
-                        + [len(zone)] * (widest - len(grid.adjacency[slot])) for slot in slots])
-        slot_cols = column[flights, [row[slot] for slot in slots]]
-        slot_columns.append(slot_cols)
-        f, p = np.nonzero(slot_cols >= 0)
-        blocks.append(_support_rows(
-            f, slot_cols[f, p], padded[f[:, None], nbs[f], (p + shift)[:, None]],
-            [f"{kind}.{modeled[i].flight_id}.{now + t}" for i, t in zip(f.tolist(), p.tolist())]))
-    # Dwell linkage on ring sectors: an offered step continues while the
-    # trailing window holds fewer than l offered steps.
-    runs = [(f, request, rid) for f, request in enumerate(modeled)
-            for rid, dwell in request.dwell if dwell > 1 and rid in grid.ring]
-    run_flight = np.array([f for f, _, _ in runs], dtype=np.int64)
-    dwell_rows = _dwell_linkage(model, [(request, rid) for _, request, rid in runs], now,
-                               column[run_flight, [row[rid] for _, _, rid in runs]],
+    # Each flight's rows in turn. Slot support: a departure slot at t needs
+    # an adjacent choice at t+1, an arrival slot one at t-1 (sum of those
+    # choices >= slot). Dwell linkage on ring sectors: an offered step
+    # continues while the trailing window holds fewer than l offered steps.
+    for f, request in enumerate(modeled):
+        fid = request.flight_id
+        for slot, shift, kind in ((request.origin, 1, "dep"), (request.destination, -1, "arr")):
+            slots = column[f, row[slot]]
+            p = np.flatnonzero(slots >= 0)
+            neighbours = column[f, [row[nb] for nb in grid.adjacency[slot]]]
+            _support_rows(model, slots[p], neighbours[:, p + shift].T,
+                          [f"{kind}.{fid}.{t}" for t in (now + p).tolist()])
+        for rid, dwell in request.dwell:
+            if dwell > 1 and rid in grid.ring:
+                _dwell_linkage(model, f"{fid}.{rid}", dwell, column[f, row[rid]], now,
                                horizon_end)
-    blocks.append(dwell_rows._replace(owner=run_flight[dwell_rows.owner]))
-    # Each flight's rows in turn: its departure, arrival and dwell rows.
-    _Rows.by_owner(blocks).add_to(model)
 
     # Service: y_f, gaining the weight, needs an offered departure slot and
     # an offered arrival slot (sum of the side's slot choices >= y_f), one
     # row per side.
-    departures, arrivals = slot_columns
+    flights = np.arange(len(modeled))
+    departures = column[flights, [row[request.origin] for request in modeled]]
+    arrivals = column[flights, [row[request.destination] for request in modeled]]
     served = np.flatnonzero((departures >= 0).any(axis=1) & (arrivals >= 0).any(axis=1))
     fids = [modeled[f].flight_id for f in served.tolist()]
     first_y = model.binaries([f"y.{fid}" for fid in fids], cost=-weight)
     sides = np.stack((departures[served], arrivals[served]), axis=1)
-    _support_rows(np.repeat(served, 2), np.repeat(first_y + np.arange(len(fids)), 2),
+    _support_rows(model, np.repeat(first_y + np.arange(len(fids)), 2),
                   sides.reshape(2 * len(fids), len(steps)),
-                  [f"{kind}.{fid}" for fid in fids for kind in ("servedep", "servearr")]
-                  ).add_to(model)
+                  [f"{kind}.{fid}" for fid in fids for kind in ("servedep", "servearr")])
 
     result = milp.solve(model)
     if result.status == milp.INFEASIBLE:

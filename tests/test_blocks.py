@@ -15,22 +15,14 @@ from faircoplan.step1 import solve_step1
 from faircoplan.step2 import solve_step2
 from faircoplan.step3 import solve_step3
 
-from helpers import blocked, make_grid, make_request
+from helpers import make_grid, make_request
+from test_step1 import mixed_dwell_batch
 
 
 def test_no_row_coefficient_exceeds_the_longest_dwell(monkeypatch):
     # Both flights cross the pinch cell r0005 at t=4 after ring runs of 3
     # and 2 steps at r0001, so step 3 re-plans them jointly.
-    probe = make_grid(2, 4, ((0, 0), (1, 3)))
-    grid = make_grid(2, 4, ((0, 0), (1, 3)), vp_capacity=2, ring_capacity=2,
-                     overrides=blocked(probe, 0, 2))
-    snap = OccupancyLedger(grid).snapshot()
-    requests = [
-        make_request(grid, "f0", "r0000", "r0007", 0, flexibility=2,
-                     dwell=(("r0001", 3),)),
-        make_request(grid, "f1", "r0000", "r0007", 1, flexibility=2,
-                     dwell=(("r0001", 2),)),
-    ]
+    grid, snap, requests = mixed_dwell_batch(third=False)
     longest = max(steps for r in requests for _, steps in r.dwell)
 
     models = []

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from faircoplan import cli
+from faircoplan import cli, selfcheck
 from faircoplan.cli import run_cli
 from faircoplan.serialize import load_scenario, save_scenario
 from faircoplan.sim import CampaignResult
@@ -283,6 +283,13 @@ class TestOracleCheck:
         stdout = capsys.readouterr().out
         assert "3 instances checked, 0 failing case(s)" in stdout
         assert "PASS" in stdout and "FAIL" not in stdout
+
+    def test_defaults_are_the_selfchecks(self, monkeypatch, capsys):
+        # The CLI states neither default itself: it reads selfcheck's.
+        calls = []
+        monkeypatch.setattr(cli, "run_selfcheck", lambda *args: calls.append(args) or ([], []))
+        assert run_cli(["oracle-check"]) == 0
+        assert calls == [(selfcheck.CASES, selfcheck.SEED)]
 
     def test_zero_cases_is_an_error(self, capsys):
         assert run_cli(["oracle-check", "--cases", "0"]) == 2

@@ -12,7 +12,8 @@ from faircoplan.oracle import oracle_step1_optimum
 from faircoplan.serialize import load_scenario
 from faircoplan.step1 import choice_domains, room_table, solve_step1
 
-from helpers import assert_same_model, make_grid, make_request, record_solves
+from helpers import assert_same_model, blocked, make_grid, make_request, record_solves
+from test_milp import input_digest
 
 DESK = Path(__file__).resolve().parent.parent / "configs" / "desk8x8.yaml"
 
@@ -283,3 +284,64 @@ class TestRoomTable:
                            for a, b in zip(hands_highs(other), hands_highs(model)))
             lowered += 1
         assert raised >= 5 and lowered >= 20
+
+
+def mixed_dwell_batch(third: bool):
+    """Two flights r0000 -> r0007 with ring runs of 3 and 2 steps at r0001,
+    past the closed cell r0002; with ``third``, a flight with no dwell the
+    other way too. ``(grid, snapshot, requests)``."""
+    probe = make_grid(2, 4, ((0, 0), (1, 3)))
+    grid = make_grid(2, 4, ((0, 0), (1, 3)), vp_capacity=2, ring_capacity=2,
+                     overrides=blocked(probe, 0, 2))
+    requests = [
+        make_request(grid, "f0", "r0000", "r0007", 0, flexibility=2, dwell=(("r0001", 3),)),
+        make_request(grid, "f1", "r0000", "r0007", 1, flexibility=2, dwell=(("r0001", 2),)),
+    ]
+    if third:
+        requests.append(make_request(grid, "f2", "r0007", "r0000", 0, flexibility=2))
+    return grid, OccupancyLedger(grid).snapshot(), requests
+
+
+def assert_row_order(model, fids):
+    """Capacity rows first; then each flight's departure, arrival and dwell
+    rows in turn, flight by flight in batch order; the service rows last.
+    Every dwell column lies after the choice columns and before the service
+    columns."""
+    labels = [con.label.split(".") for con in model.constraints]
+    stage = [0 if kind == "cap" else 2 if kind.startswith("serve") else 1 for kind, *_ in labels]
+    assert stage == sorted(stage)
+    flight_rows = [(kind, fid) for (kind, fid, *_), s in zip(labels, stage) if s == 1]
+    assert {kind for kind, _ in flight_rows} <= {"dep", "arr", "dwlo", "dwhi", "dwrun"}
+    order = [(fids.index(fid), {"dep": 0, "arr": 1}.get(kind, 2)) for kind, fid in flight_rows]
+    assert order == sorted(order)
+    names = [var.name.split(".")[0] for var in model.variables]
+    assert names == sorted(names, key=["c", "dw", "y"].index)
+
+
+class TestModelLayout:
+    # Step 1's HiGHS input is pinned: rows and columns in a fixed order.
+    @pytest.mark.parametrize("third, digest", [(False, "a35e5fb216ab34f02b4a58960186a8af"),
+                                               (True, "8d6f2bfde6d85254177776d1c406ee8b")],
+                             ids=["two-dwells", "and-no-dwell"])
+    def test_mixed_dwell_model_is_pinned(self, third, digest):
+        # Dwells 3 and 2 on one ring resource (and a flight with none) share
+        # one model; the desk digest covers dwells of at most 2.
+        grid, snap, requests = mixed_dwell_batch(third)
+        model, _ = step1_model(grid, snap, requests, 0)
+        assert {request.min_dwell("r0001") for request in requests} >= {2, 3}
+        assert input_digest([model]) == digest
+
+    @pytest.mark.parametrize("third", [False, True], ids=["two-dwells", "and-no-dwell"])
+    def test_rows_go_flight_by_flight(self, third):
+        grid, snap, requests = mixed_dwell_batch(third)
+        model, _ = step1_model(grid, snap, requests, 0)
+        assert_row_order(model, [request.flight_id for request in requests])
+        # Three flights crowd some cells, two do not.
+        kinds = {con.label.split(".")[0] for con in model.constraints}
+        assert kinds >= {"dep", "arr", "dwlo", "dwhi", "dwrun", "servedep", "servearr"}
+        assert ("cap" in kinds) == third
+
+    def test_desk_models_go_flight_by_flight(self, desk_step1_inputs):
+        for grid, snapshot, requests, now in desk_step1_inputs:
+            model, _ = step1_model(grid, snapshot, requests, now)
+            assert_row_order(model, [request.flight_id for request in requests])
