@@ -10,8 +10,9 @@ never on the mode, so runs across modes are paired by construction.
 
 A campaign runs day-major: all modes of a day, then the next day. Within a
 day the two negotiated lanes plan each step of a period once wherever what
-that step reads is equal (see ``run_campaign``); the share is dropped when
-the day ends, so it holds at most one day's steps 1-2.
+that step reads is equal, and step 3's γ-free half with step 2 (see
+``run_campaign``); the share is dropped when the day ends, so it holds at
+most one day's steps 1-2 and γ-free halves.
 
 Metrics are pure functions of the serializable period records; anything
 wall-clock lives in separate timing rows so that repeated runs stay
@@ -39,7 +40,7 @@ from .checker import detect_conflicts
 from .flights import DelayCostParams, FlightPlan, FlightRequest
 from .step1 import Step1Result, recheck, room_table, solve_step1
 from .step2 import Step2Result, solve_step2
-from .step3 import solve_step3
+from .step3 import Step3Input, solve_step3
 
 __all__ = [
     "MODES",
@@ -247,12 +248,14 @@ class PeriodResult:
 
 @dataclass(frozen=True)
 class SharedSteps:
-    """Steps 1-2 of one period as the first negotiated lane planned them,
-    with what they read besides the batch in order, ``now`` and the
-    delay-cost parameters: step 1 reads the snapshot only through
-    ``step1.room``, and step 2 reads only the occupancy counts of the period
-    window ``[now, now + horizon)``, stored as ``counts``. Neither step
-    reads γ. Readers must not modify them."""
+    """Steps 1-2 and step 3's γ-free half of one period as the first
+    negotiated lane planned them, with what they read besides the batch in
+    order, ``now`` and the delay-cost parameters: step 1 reads the snapshot
+    only through ``step1.room``, and step 2 and step 3's γ-free half read
+    only the occupancy counts of the period window
+    ``[now, now + horizon)``, stored as ``counts``. ``step3`` is None when
+    step 2 proposed nothing. None of them reads γ. Readers must not modify
+    them."""
 
     counts: dict[tuple[str, int], int]
     batch: tuple[FlightRequest, ...]
@@ -260,6 +263,7 @@ class SharedSteps:
     params: DelayCostParams
     step1: Step1Result
     step2: dict[str, Step2Result]
+    step3: Step3Input | None
 
 
 def _window_counts(snapshot: OccupancySnapshot, now: int,
@@ -268,11 +272,11 @@ def _window_counts(snapshot: OccupancySnapshot, now: int,
     return {cell: n for cell, n in snapshot.counts.items() if now <= cell[1] < stop}
 
 
-def _timed(stage, *args):
-    """``stage(*args)`` and its wall time: model build, solve and re-check,
-    the one definition of a stage's time in ``timing.csv``."""
+def _timed(stage, *args, **kwargs):
+    """``stage(*args, **kwargs)`` and its wall time: model build, solve and
+    re-check, the one definition of a stage's time in ``timing.csv``."""
     started = time.perf_counter()
-    out = stage(*args)
+    out = stage(*args, **kwargs)
     return out, time.perf_counter() - started
 
 
@@ -292,13 +296,14 @@ def run_period(
 ) -> PeriodResult:
     """Plan one period's batch, file what fits, and shift the rest forward.
 
-    ``share`` holds steps 1-2 by period for the two negotiated lanes of one
-    day (see ``run_campaign``). A negotiated lane whose batch, ``now`` and
-    delay-cost parameters equal the period's entry there takes its steps 1-2
-    where the window counts are equal too, and its step 1 alone, re-checked
-    against its own snapshot, where only step 1's table is; a reused step
-    leaves its stage time out. A lane that finds no entry stores its own.
-    None, the default, means compute everything and store nothing.
+    ``share`` holds steps 1-2 and step 3's γ-free half by period for the two
+    negotiated lanes of one day (see ``run_campaign``). A negotiated lane
+    whose batch, ``now`` and delay-cost parameters equal the period's entry
+    there takes its steps 1-2 and step 3's γ-free half where the window
+    counts are equal too, and its step 1 alone, re-checked against its own
+    snapshot, where only step 1's table is; a reused step or half leaves
+    its time out of the stage times. A lane that finds no entry stores its
+    own. None, the default, means compute everything and store nothing.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -334,11 +339,11 @@ def run_period(
         shared = None if share is None else share.get(period)
         counts = None if share is None else _window_counts(snapshot, now,
                                                            now + grid.horizon_steps)
-        s1 = outcomes = None
+        s1 = outcomes = prepared = None
         if shared is not None and (shared.batch, shared.now, shared.params) == (
                 batch, now, params):
             if shared.counts == counts:
-                s1, outcomes = shared.step1, shared.step2
+                s1, outcomes, prepared = shared.step1, shared.step2, shared.step3
             elif np.array_equal(room_table(grid, snapshot, list(requests), now),
                                 shared.step1.room):
                 s1 = shared.step1
@@ -357,8 +362,6 @@ def run_period(
                 s2_total += took
                 step2_max = max(step2_max, took)
             stage_times["step2"] = s2_total
-        if share is not None and period not in share:
-            share[period] = SharedSteps(counts, batch, now, params, s1, outcomes)
         unassigned = tuple(sorted(s1.unassigned))
         deferred = tuple(sorted(s1.deferred))
         infeasible = [fid for fid, outcome in outcomes.items() if outcome.plan is None]
@@ -369,14 +372,17 @@ def run_period(
             s3, stage_times["step3"] = _timed(
                 solve_step3, grid, snapshot,
                 [by_id[fid] for fid in sorted(proposals)],
-                s1.choice_sets, proposals, params, gamma, now,
+                s1.choice_sets, proposals, params, gamma, now, prepared=prepared,
             )
+            prepared = s3.prepared
             filed = dict(s3.plans)
             tdc_by_flight = dict(s3.tdc_by_flight)
             fairness = s3.fairness
             conflict_cells = len(s3.report.conflicts)
             replanned = s3.replanned
             dropped = s3.dropped
+        if share is not None and period not in share:
+            share[period] = SharedSteps(counts, batch, now, params, s1, outcomes, prepared)
 
     # The period's plans against the snapshot they were planned on. The
     # ledger never holds more than capacity, so remaining capacity there is
@@ -460,18 +466,20 @@ def run_campaign(
     """Run every requested mode over the same days of identical demand.
 
     The campaign runs day by day, each day every mode in turn. Fair-coplan
-    and coplan differ only in step 3's γ; steps 1-2 never read γ. So when
-    both are in ``modes``, each day opens one share, a dict of
-    ``SharedSteps`` by period: the negotiated lane that plans a period
-    first stores its step-1 and step-2 results with what they read. The
-    other lane, where its batch, ``now`` and delay-cost parameters equal
-    the stored ones, takes both steps if the occupancy counts of the period
+    and coplan differ only in step 3's γ, and γ enters only its joint
+    solve. So when both are in ``modes``, each day opens one share, a dict
+    of ``SharedSteps`` by period: the negotiated lane that plans a period
+    first stores its step-1 and step-2 results and step 3's γ-free half
+    (``step3.Step3Input``) with what they read. The other lane, where its
+    batch, ``now`` and delay-cost parameters equal the stored ones, takes
+    steps 1-2 and the γ-free half if the occupancy counts of the period
     window are equal too (every day's first period, and later ones until
     the lanes' ledgers diverge there), takes step 1 alone if only step 1's
-    table of room is equal, and otherwise computes both. It still runs its
-    own step 3, audit and filing. The share is dropped with the day, and the
-    tfmp lane never reads it. The results are gathered per mode in day
-    order, so they equal ``run_day`` per mode without the share.
+    table of room is equal, and otherwise computes all of them. It still
+    runs its own joint solve, audits and filing. The share is dropped with
+    the day, and the tfmp lane never reads it. The results are gathered per
+    mode in day order, so they equal ``run_day`` per mode without the
+    share.
     """
     for mode in modes:
         if mode not in MODES:

@@ -18,6 +18,12 @@ the LP may return another of several tied plans. When no joint solution
 exists, ``blocks.solve_joint`` removes victims one at a time (fewest
 resubmissions first, newest flight id on ties), and they are carried over
 to the next period.
+
+γ enters only the joint solve. Everything before it, the proposals'
+conflicts, the kept plans and each conflicting flight's fragment, is one
+``Step3Input``, which ``solve_step3`` builds when not given one and returns
+with its result; the campaign builds it once for both negotiated lanes
+wherever their inputs agree (see ``sim.run_campaign``).
 """
 from __future__ import annotations
 
@@ -31,12 +37,13 @@ from .blocks import ArcFragment, arc_fragment, cell_domain, solve_joint
 from .checker import ConflictReport, audit_batch, audit_objective, detect_conflicts
 from .flights import ChoiceSet, DelayCostParams, FlightPlan, FlightRequest, path_length, tdc
 
-__all__ = ["DeconflictionResult", "fairness_value", "solve_step3"]
+__all__ = ["DeconflictionResult", "Step3Input", "fairness_value", "solve_step3"]
 
 
 @dataclass
 class DeconflictionResult:
-    """Final plans for one period's batch after deconfliction."""
+    """Final plans for one period's batch after deconfliction, and
+    ``prepared``, the γ-free half they were solved from."""
 
     plans: dict[str, FlightPlan]
     replanned: tuple[str, ...]
@@ -45,8 +52,13 @@ class DeconflictionResult:
     tdc_by_flight: dict[str, float]
     total_tdc: float
     objective: float | None
-    report: ConflictReport
+    prepared: Step3Input
     attempts: int = 0
+
+    @property
+    def report(self) -> ConflictReport:
+        """The proposals' conflict report."""
+        return self.prepared.report
 
 
 def fairness_value(
@@ -103,7 +115,7 @@ def _joint_blocks(
     now: int,
     horizon_end: int,
 ) -> dict[str, ArcFragment]:
-    """Each flight's arc fragment: built once per stage call, since it
+    """Each flight's arc fragment: built once per preparation, since it
     depends on no other flight."""
     flows: dict[str, ArcFragment] = {}
     for fid in sorted(flights):
@@ -119,18 +131,36 @@ def _joint_blocks(
     return flows
 
 
-def solve_step3(
+@dataclass(frozen=True)
+class Step3Input:
+    """Step 3's γ-free half for one batch, as ``_prepare`` builds it:
+    the requests by id, the proposals' conflict report, the kept plans and
+    their TDC, and, when proposals conflict, ``base`` (the snapshot with the
+    kept plans added) and each conflicting flight's arc fragment over its
+    cell domain in ``base``, by flight id in sorted order. Building it reads
+    the snapshot only inside the period window ``[now, now + horizon)``.
+    Readers must not modify it."""
+
+    requests: dict[str, FlightRequest]
+    report: ConflictReport
+    kept: dict[str, FlightPlan]
+    kept_tdc: dict[str, float]
+    base: OccupancySnapshot | None
+    flows: dict[str, ArcFragment]
+
+
+def _prepare(
     grid: AirspaceGrid,
     snapshot: OccupancySnapshot,
     requests: Sequence[FlightRequest],
     choice_sets: Mapping[str, ChoiceSet],
     proposals: Mapping[str, FlightPlan],
     params: DelayCostParams,
-    gamma: float = 1.0,
-    now: int = 0,
-) -> DeconflictionResult:
-    if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise ValueError(f"gamma must be non-negative and finite, got {gamma}")
+    now: int,
+) -> Step3Input:
+    """Everything of ``solve_step3`` that γ does not enter: the input
+    checks, the proposals' conflicts, the kept plans and, for the
+    conflicting flights, ``base`` and their arc fragments."""
     by_id = {req.flight_id: req for req in requests}
     if len(by_id) != len(requests):
         raise ValueError("duplicate flight ids in request batch")
@@ -151,14 +181,9 @@ def solve_step3(
 
     kept = {fid: proposals[fid] for fid in sorted(proposals)
             if fid not in report.conflicting_flights}
-    tdc_by_flight = {fid: tdc(plan, by_id[fid], params) for fid, plan in kept.items()}
-
+    kept_tdc = {fid: tdc(plan, by_id[fid], params) for fid, plan in kept.items()}
     if not report.has_conflicts:
-        return DeconflictionResult(
-            plans=dict(kept), replanned=(), dropped=(), fairness=0.0,
-            tdc_by_flight=tdc_by_flight,
-            total_tdc=sum(tdc_by_flight.values()), objective=None, report=report,
-        )
+        return Step3Input(by_id, report, kept, kept_tdc, None, {})
 
     for fid in report.conflicting_flights:
         if fid not in choice_sets or choice_sets[fid].is_empty:
@@ -166,13 +191,49 @@ def solve_step3(
 
     base = snapshot.with_plans(kept.values())
     flows = _joint_blocks(grid, base, report.conflicting_flights, by_id, choice_sets,
-                         params, now, horizon_end)
+                          params, now, horizon_end)
+    return Step3Input(by_id, report, kept, kept_tdc, base, flows)
+
+
+def solve_step3(
+    grid: AirspaceGrid,
+    snapshot: OccupancySnapshot,
+    requests: Sequence[FlightRequest],
+    choice_sets: Mapping[str, ChoiceSet],
+    proposals: Mapping[str, FlightPlan],
+    params: DelayCostParams,
+    gamma: float = 1.0,
+    now: int = 0,
+    *,
+    prepared: Step3Input | None = None,
+) -> DeconflictionResult:
+    """Deconflict the proposals at fairness weight ``gamma``.
+
+    ``prepared`` is the ``Step3Input`` of these same inputs, built here
+    when None: a result's ``prepared`` serves a solve of the same inputs at
+    any other weight, since only the joint solve reads γ. It is read, not
+    modified.
+    """
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"gamma must be non-negative and finite, got {gamma}")
+    if prepared is None:
+        prepared = _prepare(grid, snapshot, requests, choice_sets, proposals, params, now)
+    by_id, report, kept, flows = prepared.requests, prepared.report, prepared.kept, prepared.flows
+    tdc_by_flight = dict(prepared.kept_tdc)
+
+    if not report.has_conflicts:
+        return DeconflictionResult(
+            plans=dict(kept), replanned=(), dropped=(), fairness=0.0,
+            tdc_by_flight=tdc_by_flight,
+            total_tdc=sum(tdc_by_flight.values()), objective=None, prepared=prepared,
+        )
+
     # Every cell is capped, but no zone cell ever gets a row: step 1 caps
     # each zone cell's joint grant at its remaining capacity, and the kept
     # plans in ``base`` use only granted cells, so the conflicting flights
     # granted a zone cell never outnumber its room in ``base``.
     outcome = solve_joint(
-        "deconfliction", flows, report.conflicting_flights, by_id, base,
+        "deconfliction", flows, report.conflicting_flights, by_id, prepared.base,
         (lambda model, shifts: _add_spread(model, shifts, flows, proposals, gamma))
         if gamma > 0.0 else None,
     )
@@ -180,8 +241,8 @@ def solve_step3(
     final = {**kept, **replans}
     # Every final plan against the period snapshot, then jointly: a replan
     # onto a cell the kept plans fill breaks joint capacity.
-    audit_batch(grid, snapshot, by_id, final, now, horizon_end, "deconflicted",
-                choice_sets=choice_sets)
+    audit_batch(grid, snapshot, by_id, final, now, now + grid.horizon_steps,
+                "deconflicted", choice_sets=choice_sets)
     for fid, plan in replans.items():
         tdc_by_flight[fid] = tdc(plan, by_id[fid], params)
 
@@ -199,6 +260,6 @@ def solve_step3(
         tdc_by_flight=tdc_by_flight,
         total_tdc=sum(tdc_by_flight.values()),
         objective=outcome.objective,
-        report=report,
+        prepared=prepared,
         attempts=outcome.attempts,
     )

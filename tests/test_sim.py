@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import re
 import time
 from dataclasses import replace
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from faircoplan import baseline, milp, sim, step1
+from faircoplan import baseline, milp, sim, step1, step3
 from faircoplan.airspace import (
     ConfigError,
     GridConfig,
@@ -34,6 +35,7 @@ from faircoplan.sim import (
 )
 
 from helpers import make_grid, make_request
+from test_milp import input_digest
 
 DESK = Path(__file__).resolve().parent.parent / "configs" / "desk8x8.yaml"
 
@@ -421,12 +423,32 @@ def spy_on_steps(monkeypatch) -> list[dict]:
     return calls
 
 
+def spy_on_step3(monkeypatch) -> dict[str, int]:
+    """Counts, by name, the calls step 3's γ-free half makes: the
+    proposals' ``detect_conflicts`` and each conflicting flight's
+    ``cell_domain`` and ``arc_fragment``."""
+    calls = dict.fromkeys(("detect_conflicts", "cell_domain", "arc_fragment"), 0)
+
+    def counted(name):
+        real = getattr(step3, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(step3, name, counted(name))
+    return calls
+
+
 class TestSharedSteps:
     # Fair-coplan and coplan differ only in step 3's γ, so within one
     # campaign day the lane that plans a period second takes each of steps
     # 1-2 from the first wherever the batch, now, params and what that step
     # reads of the snapshot agree: step 1's room table, and step 2's
-    # occupancy counts of the period window.
+    # occupancy counts of the period window. Step 3's γ-free half reads
+    # what step 2 reads, so it is taken with step 2.
     @staticmethod
     def desk_config():
         # Day 0 shares both steps in period 0 only; day 1 in periods 0-4.
@@ -439,13 +461,107 @@ class TestSharedSteps:
         return make_grid(1, 5, ((0, 0), (0, 4)))
 
     @classmethod
-    def one_period(cls, mode, share, ledger=None, requests=None):
-        grid = cls.grid()
+    def one_period(cls, mode, share, ledger=None, requests=None, grid=None):
+        grid = grid or cls.grid()
         if requests is None:
             requests = [make_request(grid, f"f{i}", "r0000", "r0004", 1) for i in range(2)]
         return sim.run_period(grid, ledger or OccupancyLedger(grid), requests, mode,
                               DelayCostParams(0.3), 1.0 if mode == "fair-coplan" else 0.0,
                               day=0, period=0, now=0, share=share)
+
+    @staticmethod
+    def head_on():
+        """One flight east and two west over a 2 x 4 grid where every cell
+        but the pads holds one flight: their proposals conflict, so step 3
+        deconflicts them. The horizon is 8 steps."""
+        grid = make_grid(2, 4, ((0, 0), (1, 3)), vp_capacity=2, ring_capacity=1)
+        return grid, [make_request(grid, "f0", "r0000", "r0007", 0, flexibility=2),
+                      make_request(grid, "f1", "r0007", "r0000", 0, flexibility=3),
+                      make_request(grid, "f2", "r0007", "r0000", 0, flexibility=2)]
+
+    @classmethod
+    def head_on_period(cls, mode, share, cell=None):
+        """``head_on``'s period in ``mode``, on a ledger holding one plan at
+        ``cell``, (t, resource), if given."""
+        grid, requests = cls.head_on()
+        ledger = OccupancyLedger(grid)
+        if cell is not None:
+            ledger.file_plan(FlightPlan("x", (cell,)))
+        return cls.one_period(mode, share, ledger=ledger, requests=requests, grid=grid)
+
+    def step3_after_filing(self, monkeypatch, cell):
+        """Coplan's head-on period after fair-coplan's, on a ledger holding
+        one plan at ``cell``: its record, the record of the same period run
+        alone, and the calls of step 3's γ-free half it made."""
+        share = {}
+        first = self.head_on_period("fair-coplan", share)
+        assert first.replanned
+        calls = spy_on_step3(monkeypatch)
+        second = self.head_on_period("coplan", share, cell)
+        taken = dict(calls)
+        alone = self.head_on_period("coplan", None, cell)
+        assert second.replanned and calls["arc_fragment"] > taken["arc_fragment"]
+        return second.to_dict(), alone.to_dict(), taken
+
+    def test_a_shared_deconflicted_period_takes_step_3s_gamma_free_half(self, monkeypatch):
+        second, alone, calls = self.step3_after_filing(monkeypatch, None)
+        assert second == alone
+        assert calls == {"detect_conflicts": 0, "cell_domain": 0, "arc_fragment": 0}
+
+    def test_one_differing_count_builds_step_3s_own_gamma_free_half(self, monkeypatch):
+        # r0002 at t=7 is inside the window but on no flight's plan.
+        second, alone, calls = self.step3_after_filing(monkeypatch, (7, "r0002"))
+        assert second == alone
+        assert calls["detect_conflicts"] == 1
+        conflicting = len(second["replanned"]) + len(second["dropped"])
+        assert calls["cell_domain"] == calls["arc_fragment"] == conflicting
+
+    def test_a_count_outside_the_window_shares_step_3s_gamma_free_half(self, monkeypatch):
+        second, alone, calls = self.step3_after_filing(monkeypatch, (8, "r0002"))
+        assert second == alone
+        assert calls == {"detect_conflicts": 0, "cell_domain": 0, "arc_fragment": 0}
+
+    def test_coplan_hands_highs_the_same_input_after_fair_coplan(self, monkeypatch):
+        # Over two desk days, coplan run after fair-coplan takes step 3's
+        # γ-free half in some deconflicted periods, and still hands HiGHS
+        # every array of every deconfliction solve it hands it run alone.
+        # (A shared step 1 makes no solve, so only step 3's are compared.)
+        config = replace(load_scenario(DESK), days=2)
+        lane, model_name = [None], [None]
+        real_run_day, real_solve, real_run_highs = sim.run_day, milp.solve, milp.run_highs
+
+        def run_day(grid, config, day, mode, **kwargs):
+            lane[0] = mode
+            built = calls["arc_fragment"]
+            out = real_run_day(grid, config, day, mode, **kwargs)
+            if mode == "coplan":
+                fragments[-1] += calls["arc_fragment"] - built
+            return out
+
+        def solve(model):
+            model_name[0] = model.name
+            return real_solve(model)
+
+        def run_highs(*arrays):
+            if (lane[0], model_name[0]) == ("coplan", "deconfliction"):
+                c, lb, ub, integrality, matrix, row_lb, row_ub = arrays
+                for array in (c, lb, ub, integrality, *matrix, row_lb, row_ub):
+                    digest.update(array.dtype.str.encode() + array.tobytes())
+                solves[0] += 1
+            return real_run_highs(*arrays)
+
+        monkeypatch.setattr(sim, "run_day", run_day)
+        monkeypatch.setattr(milp, "solve", solve)
+        monkeypatch.setattr(milp, "run_highs", run_highs)
+        calls = spy_on_step3(monkeypatch)
+        digests, fragments = [], []
+        for modes in (("coplan",), ("fair-coplan", "coplan")):
+            digest, solves = hashlib.blake2b(digest_size=16), [0]
+            fragments.append(0)
+            run_campaign(config, modes=modes)
+            digests.append((digest.hexdigest(), solves[0]))
+        assert digests[0] == digests[1] and digests[0][1] > 0
+        assert fragments[1] < fragments[0]
 
     @pytest.mark.parametrize("first, second", [("fair-coplan", "coplan"),
                                                ("coplan", "fair-coplan")])
@@ -550,14 +666,37 @@ class TestSharedSteps:
         assert per_day[0] != per_day[1]
         assert all(isinstance(share, dict) for _, share in shares)
 
+    @staticmethod
+    def stored_content(share):
+        """Each stored entry by value. ``milp.Model`` and ``OccupancySnapshot``
+        compare by identity, so step 3's γ-free half is compared by what it
+        holds: ``base`` by its counts and each arc fragment by its model's
+        ``input_digest``, its arcs and its cells."""
+        out = {}
+        for period, entry in share.items():
+            half = entry.step3
+            out[period] = (replace(entry, step3=None), None if half is None else (
+                half.requests, half.report, half.kept, half.kept_tdc,
+                None if half.base is None else half.base.counts,
+                {fid: (input_digest([flow.fragment]), flow.arcs, flow.cells)
+                 for fid, flow in half.flows.items()}))
+        return out
+
     def test_stored_entry_is_left_as_it_was_by_the_reading_lane(self, monkeypatch):
-        calls = spy_on_steps(monkeypatch)
-        share = {}
-        self.one_period("fair-coplan", share)
-        stored = copy.deepcopy(share)
-        self.one_period("coplan", share)
-        assert [call["step1"] for call in calls] == [1, 0]
-        assert share == stored and list(share) == [0]
+        # Once on a batch whose proposals fit, and once on one whose
+        # proposals conflict, so that the entry holds arc fragments.
+        for batch in (self.one_period, self.head_on_period):
+            calls = spy_on_steps(monkeypatch)
+            share = {}
+            first = batch("fair-coplan", share)
+            stored = copy.deepcopy(share)
+            expected = self.stored_content(stored)
+            batch("coplan", share)
+            assert [call["step1"] for call in calls] == [1, 0]
+            assert self.stored_content(share) == expected and list(share) == [0]
+            assert share[0].step3.report.has_conflicts == bool(first.replanned)
+            monkeypatch.undo()
+        assert first.replanned
 
     def test_direct_calls_share_nothing(self, monkeypatch):
         calls = spy_on_steps(monkeypatch)
