@@ -35,6 +35,18 @@ out; and a forced delay term moves into the objective offset. The LP and
 the MILP are the full-horizon problems with their fixed coordinates
 removed, so every verdict, optimum and drop is the same. On the desk8x8 and
 full15x15 campaigns that is 42-44 % of the columns handed to HiGHS.
+
+Each schedule also declares its legs' entry windows, which the drop loop's
+energetic bound reads (see ``blocks``). A flight holds each leg's resource
+for at least its minimum stay from an entry inside the window, so over any
+interval it holds at least a count of cell-steps fixed by the window
+alone. Where the active flights' counts on one resource exceed its room
+over some interval, the attempt has no integral point, and the victim is
+dropped without a model: HiGHS would have found the same model infeasible.
+The drop list, the accepted model and its solve are those HiGHS alone
+gives, so no campaign record changes. Over 24 full15x15 periods the bound settles
+2,399 of 2,415 attempts, and HiGHS solves 16 models, not 2,415; on the
+10-day desk8x8 campaign it settles 515 of the 558 infeasible attempts.
 """
 from __future__ import annotations
 
@@ -43,7 +55,7 @@ from typing import Callable, Sequence
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
-from .blocks import solve_joint
+from .blocks import Window, solve_joint
 from .checker import audit_batch, audit_objective
 from .flights import DelayCostParams, FlightPlan, FlightRequest, tdc
 
@@ -95,6 +107,7 @@ class BaselineResult:
     total_tdc: float
     objective: float | None
     attempts: int = 0
+    solves: int = 0
 
 
 def leg_dwells(
@@ -121,7 +134,9 @@ class _Schedule:
     hold to its occupancy there: +1 on the binary that has it entered that
     cell's leg by t (the latest entry's, once t is past it) and, where
     there is one, -1 on the binary that has it gone by t. Cells it has
-    surely left are not in ``cells``.
+    surely left are not in ``cells``. ``windows`` holds each leg's
+    (resource, earliest entry, latest entry, minimum stay), the stay 1 at
+    the destination, which ``solve_joint``'s energetic bound reads.
     """
 
     request: FlightRequest
@@ -129,6 +144,7 @@ class _Schedule:
     fragment: milp.Model
     starts: tuple[tuple[int, int], ...]
     cells: dict[tuple[str, int], dict[int, float]]
+    windows: tuple[Window, ...]
 
     def plan(self, x: Sequence[float]) -> FlightPlan:
         """The plan in the solved point ``x`` of the fragment: each leg is
@@ -282,7 +298,8 @@ def _schedule(
         cells.update({(rid, t): {j: 1.0, gone + t: -1.0}
                       for t, j in zip(range(after, end), entered[after - lo:])})
     return _Schedule(request, route, fragment,
-                     tuple((lo, col + lo) for lo, col in zip(entry_lo, base)), cells)
+                     tuple((lo, col + lo) for lo, col in zip(entry_lo, base)), cells,
+                     tuple(zip(route.legs, entry_lo, entry_hi, [*dwells, 1])))
 
 
 def solve_tfmp(
@@ -326,4 +343,5 @@ def solve_tfmp(
         total_tdc=sum(tdc_by_flight.values()),
         objective=outcome.objective,
         attempts=outcome.attempts,
+        solves=outcome.solves,
     )

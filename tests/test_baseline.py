@@ -1,17 +1,20 @@
 """Fixed-route baseline: deterministic routes, timing-only schedules."""
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from faircoplan import baseline, milp, sim
+from faircoplan import baseline, blocks, milp, sim
 from faircoplan.airspace import OccupancyLedger, OccupancySnapshot
 from faircoplan.baseline import FixedRoute, fixed_route, solve_tfmp
 from faircoplan.blocks import solve_joint
+from faircoplan.cli import run_cli
 from faircoplan.flights import DelayCostParams, FlightPlan
 from faircoplan.oracle import oracle_tfmp_optimum
+from faircoplan.selfcheck import CASES, SEED, build_catalog, random_instance
 from faircoplan.serialize import load_scenario
 from faircoplan.sim import generate_demand, scenario_grid
 
@@ -19,6 +22,7 @@ from helpers import assert_same_model, make_grid, make_request, record_solves
 
 PARAMS = DelayCostParams(alpha=0.3)
 DESK = Path(__file__).resolve().parent.parent / "configs" / "desk8x8.yaml"
+FULL = DESK.with_name("full15x15.yaml")
 
 
 class TestFixedRoute:
@@ -117,25 +121,35 @@ class TestCachedFragments:
         return grid, requests, OccupancyLedger(grid).snapshot()
 
     def test_every_attempt_equals_a_fresh_stage_call(self, monkeypatch):
+        # The energetic bound settles the first three attempts, so HiGHS
+        # solves only the accepted model, and it equals a fresh stage call's.
         grid, requests, snap = self.cascade()
         solved = record_solves(monkeypatch, "fixed-route-schedule")
         out = solve_tfmp(grid, snap, requests, PARAMS)
-        assert out.dropped == ("f0", "f3", "f2")
-        cascade = list(solved)
-        assert len(cascade) == out.attempts == 4
-        actives = [("f0", "f1", "f2", "f3"), ("f1", "f2", "f3"), ("f1", "f2"), ("f1",)]
-        for active, (model, result) in zip(actives, cascade, strict=True):
-            solved.clear()
-            fresh_out = solve_tfmp(grid, snap,
-                                   [r for r in requests if r.flight_id in active], PARAMS)
-            fresh, fresh_result = solved[0]
-            assert_same_model(model, fresh)
-            assert (result.status, result.x) == (fresh_result.status, fresh_result.x)
-        assert cascade[-1][1].status == milp.OPTIMAL
+        assert (out.dropped, out.attempts, out.solves) == (("f0", "f3", "f2"), 4, 1)
+        accepted = solved.pop()
+        assert solved == []
+        fresh_out = solve_tfmp(grid, snap, [r for r in requests if r.flight_id == "f1"],
+                               PARAMS)
+        assert_same_attempt(accepted, solved.pop())
         assert fresh_out.plans == out.plans != {}
+        # With the bound patched out HiGHS solves all four: the three the
+        # bound settled are infeasible, and each model equals a fresh stage
+        # call's.
+        monkeypatch.setattr(blocks, "_exceeds_room", lambda rid, spans, room: False)
+        unbounded = solve_tfmp(grid, snap, requests, PARAMS)
+        assert (unbounded.dropped, unbounded.attempts, unbounded.solves) == (out.dropped, 4, 4)
+        cascade = list(solved)
+        assert [result.status for _, result in cascade] == [milp.INFEASIBLE] * 3 + [milp.OPTIMAL]
+        actives = [("f0", "f1", "f2", "f3"), ("f1", "f2", "f3"), ("f1", "f2"), ("f1",)]
+        for active, attempt in zip(actives, cascade, strict=True):
+            solved.clear()
+            solve_tfmp(grid, snap, [r for r in requests if r.flight_id in active], PARAMS)
+            assert_same_attempt(attempt, solved[0])
+        assert_same_attempt(cascade[-1], accepted)
 
     def test_each_cell_room_is_read_once(self):
-        # The cascade solves four models, but the room of each cell the
+        # The cascade makes four attempts, but the room of each cell the
         # flights can hold is read from the snapshot once.
         grid, requests, snap = self.cascade()
         by_id = {req.flight_id: req for req in requests}
@@ -172,6 +186,136 @@ class TestCachedFragments:
         want, _ = oracle_tfmp_optimum(grid, snap, requests, PARAMS)
         assert out.dropped == ()
         assert out.total_tdc == pytest.approx(want) == pytest.approx(2.3)
+
+
+def assert_same_attempt(got, want):
+    """Two (model, result) solves with the same HiGHS input, status and point."""
+    (model, result), (fresh, fresh_result) = got, want
+    assert_same_model(model, fresh)
+    assert (result.status, result.x) == (fresh_result.status, fresh_result.x)
+
+
+def joint_flights(model):
+    """The flights of a fixed-route joint model, read from its column names
+    ``w.{fid}.{leg}.{t}``."""
+    return sorted({v.name.rsplit(".", 2)[0][2:] for v in model.variables})
+
+
+def bound_settles(schedules, active, snapshot, exceeds_room=blocks._exceeds_room):
+    """Whether the energetic bound, run on every resource the flights
+    ``active`` have a window on, proves their joint model has no point.
+    ``exceeds_room`` is bound here, so a test may patch the loop's out."""
+    spans = {}
+    for fid in active:
+        for rid, *span in schedules[fid].windows:
+            spans.setdefault(rid, []).append(tuple(span))
+    room = {cell: snapshot.remaining(*cell) for fid in active for cell in schedules[fid].cells}
+    return any(exceeds_room(rid, windows, room) for rid, windows in spans.items())
+
+
+class TestEnergeticBound:
+    @pytest.mark.parametrize("spans, room, settles", [
+        # Two flights must both hold step 0 of a capacity-one cell.
+        ([(0, 0, 1), (0, 0, 1)], {0: 1}, True),
+        # Either may enter at 0 or 1: they hold the cell in turn.
+        ([(0, 1, 1), (0, 1, 1)], {0: 1, 1: 1}, False),
+        # Stays of 2 from entries 0..1 need 4 steps of [0, 3).
+        ([(0, 1, 2), (0, 1, 2)], {0: 1, 1: 1, 2: 1}, True),
+        # Entries 0 and 1 stagger the stays, and step 1 holds both.
+        ([(0, 1, 2), (0, 1, 2)], {0: 1, 1: 2, 2: 1}, False),
+        # The room of a step no window covers does not count.
+        ([(0, 0, 1), (3, 3, 1)], {0: 0, 1: 5, 2: 5, 3: 1}, True),
+    ])
+    def test_sums_each_intervals_least_hold_against_its_room(self, spans, room, settles):
+        assert blocks._exceeds_room("r", spans, {("r", t): n for t, n in room.items()}) is settles
+
+    def test_flights_that_hold_a_cell_in_turn_go_to_highs(self, monkeypatch):
+        # Both flights can cross the capacity-one ring cell, one a step
+        # after the other: the cell gets a cap row, the bound settles
+        # nothing, and HiGHS solves the one attempt.
+        grid = make_grid(1, 3, ((0, 0), (0, 2)))
+        requests = [make_request(grid, f"f{i}", "r0000", "r0002", 0) for i in range(2)]
+        solved = record_solves(monkeypatch, "fixed-route-schedule")
+        out = solve_tfmp(grid, OccupancyLedger(grid).snapshot(), requests, PARAMS)
+        assert (out.dropped, out.attempts, out.solves) == ((), 1, 1)
+        (model, result), = solved
+        assert result.status == milp.OPTIMAL
+        assert any(c.label.startswith("cap.r0001.") for c in model.constraints)
+
+    def test_every_desk_attempt_it_settles_is_infeasible_in_highs(self, monkeypatch):
+        # Desk days 0-1 with the bound patched out: HiGHS solves every
+        # attempt, and each the bound settles is infeasible. Their number is
+        # the attempts less the solves of the same days with the bound in.
+        config = load_scenario(DESK)
+        grid = scenario_grid(config)
+        skipped = []
+        real_tfmp = sim.solve_tfmp
+
+        def count(*args):
+            out = real_tfmp(*args)
+            skipped.append(out.attempts - out.solves)
+            return out
+
+        monkeypatch.setattr(sim, "solve_tfmp", count)
+        for day in (0, 1):
+            sim.run_day(grid, config, day, "tfmp")
+        calls = []
+        real_joint = baseline.solve_joint
+
+        def call(name, schedules, active, requests, snapshot):
+            calls.append((schedules, snapshot))
+            return real_joint(name, schedules, active, requests, snapshot)
+
+        verdicts = []
+        real_solve = milp.solve
+
+        def solve(model):
+            result = real_solve(model)
+            schedules, snapshot = calls[-1]
+            verdicts.append((bound_settles(schedules, joint_flights(model), snapshot),
+                             result.status))
+            return result
+
+        monkeypatch.setattr(baseline, "solve_joint", call)
+        monkeypatch.setattr(blocks, "_exceeds_room", lambda rid, spans, room: False)
+        monkeypatch.setattr(milp, "solve", solve)
+        for day in (0, 1):
+            sim.run_day(grid, config, day, "tfmp")
+        settled = [status for settles, status in verdicts if settles]
+        assert settled == [milp.INFEASIBLE] * sum(skipped) != []
+
+    def test_selfcheck_attempts_it_settles_have_no_oracle_schedule(self, monkeypatch):
+        # On the self-check's fixed-route instances, brute force finds no
+        # joint schedule for any attempt the bound settled.
+        solved = record_solves(monkeypatch, "fixed-route-schedule")
+        settled = 0
+        instances = build_catalog()[:CASES]
+        instances += [random_instance(SEED + i) for i in range(CASES - len(instances))]
+        for inst in instances:
+            snap = inst.snapshot()
+            out = solve_tfmp(inst.grid, snap, list(inst.requests), inst.params, inst.now)
+            scheduled = [r for r in sorted(inst.requests, key=lambda r: r.flight_id)
+                         if r.flight_id not in out.deferred]
+            tried = {tuple(joint_flights(model)) for model, _ in solved}
+            solved.clear()
+            for k in range(out.attempts):
+                active = [r for r in scheduled if r.flight_id not in out.dropped[:k]]
+                if tuple(r.flight_id for r in active) not in tried:
+                    settled += 1
+                    assert oracle_tfmp_optimum(inst.grid, snap, active, inst.params,
+                                               inst.now) == (None, {}), inst.name
+            assert out.solves == len(tried)
+        assert settled > 0
+
+    def test_full_scale_day_records_are_pinned(self, tmp_path):
+        # 24 full15x15 periods of tfmp, 2,415 attempts of which HiGHS
+        # solves 16; the digest was recorded when HiGHS solved them all.
+        out = tmp_path / "full"
+        assert run_cli(["simulate", "--config", str(FULL), "--days", "1", "--periods", "24",
+                        "--mode", "tfmp", "--out", str(out)]) == 0
+        records = (out / "tfmp" / "periods.jsonl").read_bytes()
+        assert hashlib.sha256(records).hexdigest() == (
+            "2405da89001327dae82a7e9b1aed8c862db0ec91cdd3c7b5192383e3c42b362f")
 
 
 class TestCapacityAudit:
@@ -299,7 +443,8 @@ class TestRelaxationFirst:
 def full_window_schedule(grid, request, route, params, now, horizon_end):
     """The reference formulation: ``baseline._schedule`` as it was before it
     declared only each leg's free entry window. Every leg's binaries run to
-    the horizon's end, its rows and occupancy terms with them."""
+    the horizon's end, its rows and occupancy terms with them. It declares
+    no windows, so HiGHS solves every attempt."""
     fid = request.flight_id
     dwells = baseline.leg_dwells(grid, route, request.min_dwell)
     d, a, eps = request.requested_departure, request.requested_arrival, request.flexibility
@@ -355,7 +500,8 @@ def full_window_schedule(grid, request, route, params, now, horizon_end):
             if t >= after:
                 occupancy[gone + t] = -1.0
     return baseline._Schedule(request, route, fragment,
-                              tuple((lo, col + lo) for lo, col in zip(entry_lo, base)), cells)
+                              tuple((lo, col + lo) for lo, col in zip(entry_lo, base)), cells,
+                              ())
 
 
 def corridor_flights():

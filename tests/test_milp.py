@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import optimize, sparse
 
-from faircoplan import milp, sim
+from faircoplan import blocks, milp, sim
 from faircoplan.airspace import OccupancyLedger
 from faircoplan.baseline import solve_tfmp
 from faircoplan.flights import DelayCostParams
@@ -384,7 +384,9 @@ def scipy_milp(arrays, options):
 def desk_day_solves() -> list[tuple]:
     """``(model, milp._arrays(model), result)`` for every model solved on
     desk day 0, in all three lanes: 48 choice-setting, 5 deconfliction and
-    54 fixed-route models."""
+    54 fixed-route models. The fixed-route drop loop's energetic bound is
+    patched out, so HiGHS solves every attempt, those the bound settles
+    included."""
     solved = []
     real_solve = milp.solve
 
@@ -395,6 +397,7 @@ def desk_day_solves() -> list[tuple]:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(milp, "solve", spy)
+        patch.setattr(blocks, "_exceeds_room", lambda rid, spans, room: False)
         config = load_scenario(DESK)
         grid = sim.scenario_grid(config)
         for mode in sim.MODES:
@@ -715,7 +718,9 @@ def mixed_model() -> Model:
 def pinch_models() -> list[Model]:
     """Every model the three MILP stages build for two flights through a
     capacity-one pinch (the proposals conflict, so every stage builds one),
-    and each flight's trajectory model, its arc fragment."""
+    and each flight's trajectory model, its arc fragment. The fixed routes
+    cross the blocked cell, so the fixed-route drop loop's energetic bound,
+    patched out here, would settle both attempts without a model."""
     seen: list[Model] = []
     real_solve = milp.solve
 
@@ -725,6 +730,7 @@ def pinch_models() -> list[Model]:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(milp, "solve", spy)
+        patch.setattr(blocks, "_exceeds_room", lambda rid, spans, room: False)
         probe = make_grid(2, 4, ((0, 0), (1, 3)))
         grid = make_grid(2, 4, ((0, 0), (1, 3)), vp_capacity=2,
                          ring_capacity=2, overrides=blocked(probe, 0, 2))

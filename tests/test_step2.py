@@ -38,6 +38,7 @@ class Block:
 
     names: tuple[str, ...]
     cells: dict
+    windows = ()
 
     @property
     def fragment(self):
