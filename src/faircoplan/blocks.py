@@ -182,17 +182,19 @@ def solve_joint(
             verdict = verdicts[rid] = _exceeds_room(rid, spans[rid].values(), room)
         return verdict
 
+    # The cells more active flights can hold than they have room for; a
+    # drop can only uncrowd the victim's cells.
+    crowded = {cell for cell, flights in held.items() if flights > room[cell]}
     dropped: list[str] = []
     attempts = solves = 0
     while active:
         attempts += 1
-        crowded = sorted(cell for cell, flights in held.items() if flights > room[cell])
-        tested = dict.fromkeys(rid for rid, _ in crowded if spans.get(rid))
+        tested = sorted({rid for rid, _ in crowded if spans.get(rid)})
         # An overload that no drop has touched settles the attempt first.
         settled = (any(verdicts.get(rid, False) for rid in tested)
                    or any(map(overloaded, tested)))
         if not settled:
-            model, shifts = _joint_model(name, blocks, active, crowded, room)
+            model, shifts = _joint_model(name, blocks, active, sorted(crowded), room)
             if extend is not None:
                 extend(model, shifts)
             result = milp.solve(model)
@@ -208,6 +210,8 @@ def solve_joint(
         dropped.append(victim)
         active.remove(victim)
         held.subtract(blocks[victim].cells.keys())
+        crowded.difference_update([cell for cell in blocks[victim].cells
+                                   if held[cell] <= room[cell]])
         for rid, *_ in blocks[victim].windows:
             del spans[rid][victim]
             verdicts.pop(rid, None)

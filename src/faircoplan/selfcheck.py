@@ -173,6 +173,27 @@ def build_catalog() -> list[TinyInstance]:
         make_grid(1, 3, ((0, 0), (0, 2)), overrides=blocked(corridor, 0, 1)),
         (make_request(corridor, "f0", v0, v2, 0),),
     ))
+    # Step 1 with no zone cell crowded. On a ring that holds both flights
+    # the whole offer passes the re-check, so step 1 grants it with no
+    # model. In a 2x3 grid whose ring cell between the vertiports is closed
+    # at step 1, f0's offered run there is step 0 alone, shorter than its
+    # dwell, so the whole offer fails and step 1 solves its model; the other
+    # ring cell by the destination is closed, to keep the oracle's search
+    # small.
+    wide = make_grid(1, 3, ((0, 0), (0, 2)), ring_capacity=2)
+    out.append(TinyInstance(
+        "corridor-wide-pair", wide,
+        (make_request(wide, "f0", v0, v2, 0, flexibility=2),
+         make_request(wide, "f1", v0, v2, 1, flexibility=2)),
+    ))
+    cut_probe = make_grid(2, 3, ((0, 0), (0, 2)))
+    cut = make_grid(2, 3, ((0, 0), (0, 2)), vp_capacity=2,
+                    overrides=((rid(cut_probe, 0, 1), 1, 0),) + blocked(cut_probe, 1, 2))
+    out.append(TinyInstance(
+        "ring-dwell-cut", cut,
+        (make_request(cut, "f0", rid(cut, 0, 0), rid(cut, 0, 2), 0, flexibility=1,
+                      dwell=((rid(cut, 0, 1), 2),)),),
+    ))
 
     # A 2x4 grid with one corner-to-corner pair and the upper of the two
     # plain middle cells closed: every shortest path funnels through the

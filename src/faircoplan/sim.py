@@ -410,6 +410,13 @@ def run_period(
     )
 
 
+def _day_demand(grid: AirspaceGrid, config: ScenarioConfig,
+                day: int) -> list[tuple[FlightRequest, ...]]:
+    """Each period's ``generate_demand`` draw for one day, in period order."""
+    return [generate_demand(grid, config, day, period)
+            for period in range(config.periods_per_day)]
+
+
 def run_day(
     grid: AirspaceGrid,
     config: ScenarioConfig,
@@ -417,20 +424,24 @@ def run_day(
     mode: str,
     *,
     share: dict[int, SharedSteps] | None = None,
+    demand: Sequence[tuple[FlightRequest, ...]] | None = None,
 ) -> tuple[PeriodResult, ...]:
     """One day on a fresh flight database; carryovers chain between periods.
 
     ``share`` is passed on to each ``run_period`` call; None, the default,
-    shares nothing.
+    shares nothing. ``demand`` is the day's ``generate_demand`` draw by
+    period; None, the default, draws it here.
     """
     gamma = config.gamma if mode == "fair-coplan" else 0.0
     params = config.params()
+    if demand is None:
+        demand = _day_demand(grid, config, day)
     ledger = OccupancyLedger(grid)
     pending: list[FlightRequest] = []
     periods = []
     for period in range(config.periods_per_day):
         now = period * config.cadence_steps
-        batch = list(pending) + list(generate_demand(grid, config, day, period))
+        batch = list(pending) + list(demand[period])
         result = run_period(
             grid, ledger, batch, mode, params, gamma, day, period, now,
             config.cadence_steps, share=share,
@@ -477,9 +488,9 @@ def run_campaign(
     the lanes' ledgers diverge there), takes step 1 alone if only step 1's
     table of room is equal, and otherwise computes all of them. It still
     runs its own joint solve, audits and filing. The share is dropped with
-    the day, and the tfmp lane never reads it. The results are gathered per
-    mode in day order, so they equal ``run_day`` per mode without the
-    share.
+    the day, and the tfmp lane never reads it. Each day's demand is drawn
+    once and handed to every lane. The results are gathered per mode in
+    day order, so they equal ``run_day`` per mode without the share.
     """
     for mode in modes:
         if mode not in MODES:
@@ -489,8 +500,9 @@ def run_campaign(
     both_negotiated = {"fair-coplan", "coplan"} <= set(modes)
     for day in range(config.days):
         share = {} if both_negotiated else None
+        demand = _day_demand(grid, config, day)
         for mode in rows:
-            rows[mode].extend(run_day(grid, config, day, mode, share=share))
+            rows[mode].extend(run_day(grid, config, day, mode, share=share, demand=demand))
     return CampaignResult(
         config=config, periods={mode: tuple(results) for mode, results in rows.items()})
 

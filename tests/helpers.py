@@ -1,6 +1,7 @@
 """Shared builders for compact test airspaces and flights: the self-check's
 own tiny-instance builders, so tests and the oracle suite build alike, and
-the single-flight trajectory MILP, step 3's arc fragment."""
+the single-flight trajectory MILP, step 3's arc fragment; and a patch that
+makes step 1 solve its model for every batch."""
 from __future__ import annotations
 
 import os
@@ -10,12 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
-from faircoplan import milp
+from faircoplan import milp, step1
 from faircoplan.selfcheck import blocked, make_grid, make_request, rid
 from faircoplan.blocks import arc_fragment, cell_domain
 
 __all__ = ["assert_same_model", "blocked", "make_grid", "make_request", "record_solves",
-           "rid", "run_python", "trajectory_model"]
+           "rid", "run_python", "solve_every_step1_model", "trajectory_model"]
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -74,3 +75,10 @@ def record_solves(monkeypatch, name):
 
     monkeypatch.setattr(milp, "solve", solve)
     return solved
+
+
+def solve_every_step1_model(patch):
+    """With ``patch`` (a ``pytest.MonkeyPatch``), take step 1's shortcut
+    out: ``solve_step1`` then builds and solves its model for every batch,
+    also one whose whole offer it would grant with no model."""
+    patch.setattr(step1, "_whole_offer", lambda *args: None)

@@ -15,13 +15,15 @@ from faircoplan.step1 import solve_step1
 from faircoplan.step2 import solve_step2
 from faircoplan.step3 import solve_step3
 
-from helpers import make_grid, make_request
+from helpers import make_grid, make_request, solve_every_step1_model
 from test_step1 import mixed_dwell_batch
 
 
 def test_no_row_coefficient_exceeds_the_longest_dwell(monkeypatch):
     # Both flights cross the pinch cell r0005 at t=4 after ring runs of 3
-    # and 2 steps at r0001, so step 3 re-plans them jointly.
+    # and 2 steps at r0001, so step 3 re-plans them jointly. No zone cell
+    # is crowded, so step 1 would grant the whole offer with no model.
+    solve_every_step1_model(monkeypatch)
     grid, snap, requests = mixed_dwell_batch(third=False)
     longest = max(steps for r in requests for _, steps in r.dwell)
 

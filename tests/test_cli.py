@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -87,6 +88,27 @@ class TestCompare:
         for mode, stats in summary["modes"].items():
             assert f"{mode}: served={stats['served']} " in stdout
             assert f"mean_tdc={stats['mean_tdc']} " in stdout
+
+    def test_desk_day_records_are_pinned(self, tmp_path):
+        # One desk day, all three lanes. The digests were recorded when
+        # HiGHS solved all 40 of its step-1 batches; step 1 now grants the
+        # whole offer of 13 of them with no model.
+        out = tmp_path / "desk"
+        assert run_cli(["compare", "--config", str(DESK), "--days", "1",
+                        "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in (
+            "fair-coplan/periods.jsonl", "coplan/periods.jsonl", "tfmp/periods.jsonl",
+            "days.csv", "summary.json")}
+        assert digests == {
+            "fair-coplan/periods.jsonl":
+                "e6b84930917116a49256560b858002d3ef155b040cb82186365b2516a7edfdab",
+            "coplan/periods.jsonl":
+                "e3d1349b2b3a8d6bfd31d618c07b3d600e45b0935deaeee312d550362d1eb593",
+            "tfmp/periods.jsonl":
+                "4fd8475d8b22d09a8753db6af09f3cb00b749c97567ed85cb5890f8b5305a29c",
+            "days.csv": "1b5399507d0afd6b2f76438b463acf3d0c4afa4032ea63fdf6767f55193f8010",
+            "summary.json": "705b893b05e67d0d3b6175e11843d1b9201ccf21b7d0fa9dcae922ea19126abb",
+        }
 
 
 class TestOverrides:

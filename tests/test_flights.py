@@ -19,7 +19,7 @@ from faircoplan.step1 import solve_step1
 from faircoplan.step2 import solve_step2
 from faircoplan.step3 import solve_step3
 
-from helpers import blocked, make_grid, make_request
+from helpers import blocked, make_grid, make_request, solve_every_step1_model
 
 
 def req(**overrides) -> FlightRequest:
@@ -203,8 +203,11 @@ class TestSolveDropping:
                             ("fixed-route-schedule", corridor_schedule),
                             ("choice-setting", corridor_choices)],
                     ids=["deconfliction", "fixed-route-schedule", "choice-setting"])
-    def stage(self, request):
+    def stage(self, request, monkeypatch):
         name, build = request.param
+        if name == "choice-setting":
+            # One flight crowds no cell: step 1 would solve no model.
+            solve_every_step1_model(monkeypatch)
         return name, build()
 
     def test_solver_error_raises_naming_the_model(self, stage, monkeypatch):

@@ -28,7 +28,8 @@ from faircoplan.step2 import solve_step2
 from faircoplan.step3 import solve_step3
 
 from helpers import (
-    assert_same_model, blocked, make_grid, make_request, run_python, trajectory_model,
+    assert_same_model, blocked, make_grid, make_request, run_python, solve_every_step1_model,
+    trajectory_model,
 )
 
 
@@ -384,9 +385,9 @@ def scipy_milp(arrays, options):
 def desk_day_solves() -> list[tuple]:
     """``(model, milp._arrays(model), result)`` for every model solved on
     desk day 0, in all three lanes: 48 choice-setting, 5 deconfliction and
-    54 fixed-route models. The fixed-route drop loop's energetic bound is
-    patched out, so HiGHS solves every attempt, those the bound settles
-    included."""
+    54 fixed-route models. The fixed-route drop loop's energetic bound and
+    step 1's whole-offer shortcut are patched out, so HiGHS solves every
+    attempt and every step-1 batch, those they settle included."""
     solved = []
     real_solve = milp.solve
 
@@ -398,6 +399,7 @@ def desk_day_solves() -> list[tuple]:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(milp, "solve", spy)
         patch.setattr(blocks, "_exceeds_room", lambda rid, spans, room: False)
+        solve_every_step1_model(patch)
         config = load_scenario(DESK)
         grid = sim.scenario_grid(config)
         for mode in sim.MODES:
@@ -720,7 +722,8 @@ def pinch_models() -> list[Model]:
     capacity-one pinch (the proposals conflict, so every stage builds one),
     and each flight's trajectory model, its arc fragment. The fixed routes
     cross the blocked cell, so the fixed-route drop loop's energetic bound,
-    patched out here, would settle both attempts without a model."""
+    patched out here, would settle both attempts without a model; step 1's
+    whole-offer shortcut, patched out too, would settle its uncrowded batch."""
     seen: list[Model] = []
     real_solve = milp.solve
 
@@ -731,6 +734,7 @@ def pinch_models() -> list[Model]:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(milp, "solve", spy)
         patch.setattr(blocks, "_exceeds_room", lambda rid, spans, room: False)
+        solve_every_step1_model(patch)
         probe = make_grid(2, 4, ((0, 0), (1, 3)))
         grid = make_grid(2, 4, ((0, 0), (1, 3)), vp_capacity=2,
                          ring_capacity=2, overrides=blocked(probe, 0, 2))

@@ -7,6 +7,9 @@ from faircoplan.selfcheck import (
     check_instance,
     random_instance,
 )
+from faircoplan.step1 import solve_step1
+
+from helpers import record_solves
 
 
 class TestCatalog:
@@ -24,6 +27,23 @@ class TestCatalog:
         assert any(len(inst.requests) == 2 for inst in catalog)
         assert any(inst.base for inst in catalog)
         assert any(inst.now > 0 for inst in catalog)
+
+    def test_step1_settles_one_uncrowded_batch_and_solves_another(self, monkeypatch):
+        # With no cap row, step 1 grants the whole offer where it passes
+        # the re-check and solves its model where a ring run is too short.
+        catalog = {inst.name: inst for inst in build_catalog()}
+        solved = record_solves(monkeypatch, "choice-setting")
+        for name, models in (("corridor-wide-pair", 0), ("ring-dwell-cut", 1)):
+            inst = catalog[name]
+            solve_step1(inst.grid, inst.snapshot(), list(inst.requests), inst.now)
+            assert len(solved) == models, name
+            assert not any(con.label.startswith("cap.")
+                           for model, _ in solved for con in model.constraints)
+            solved.clear()
+        for name in ("corridor-wide-pair", "ring-dwell-cut"):
+            cases = check_instance(catalog[name])
+            assert f"{name}/choices" in {case.name for case in cases}
+            assert all(case.passed for case in cases), name
 
 
 class TestRandomInstances:

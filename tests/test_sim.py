@@ -366,6 +366,22 @@ class TestCampaignReuse:
         assert list(records) == list(modes)
         assert records == self.records_by_run_day(config)
 
+    def test_each_period_demand_is_drawn_once(self, monkeypatch):
+        drawn = []
+        real_generate_demand = sim.generate_demand
+
+        def spy(grid, config, day, period):
+            drawn.append((day, period))
+            return real_generate_demand(grid, config, day, period)
+
+        monkeypatch.setattr(sim, "generate_demand", spy)
+        config = corridor_config(days=2, periods_per_day=3, seed=3)
+        run_campaign(config)
+        assert drawn == [(day, period) for day in range(2) for period in range(3)]
+        drawn.clear()
+        run_day(scenario_grid(config), config, 1, "tfmp")
+        assert drawn == [(1, period) for period in range(3)]
+
     def test_coplan_reuses_the_fair_lanes_solves(self, monkeypatch):
         calls = []
         real_run_highs = milp.run_highs

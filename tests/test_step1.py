@@ -1,6 +1,7 @@
 """Choice-setting step: windows, service-first objective, joint capacity."""
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ from faircoplan.oracle import oracle_step1_optimum
 from faircoplan.serialize import load_scenario
 from faircoplan.step1 import choice_domains, room_table, solve_step1
 
-from helpers import assert_same_model, blocked, make_grid, make_request, record_solves
+from helpers import (
+    assert_same_model, blocked, make_grid, make_request, record_solves, solve_every_step1_model,
+)
 from test_milp import input_digest
 
 DESK = Path(__file__).resolve().parent.parent / "configs" / "desk8x8.yaml"
@@ -85,6 +88,7 @@ class TestObjective:
     # The model minimizes the negated gains, and step 1 reports the gains:
     # 0.0 less the minimum, so a zero optimum reads +0.0.
     def test_objective_is_the_negated_minimum(self, corridor, empty, monkeypatch):
+        solve_every_step1_model(monkeypatch)
         solved = record_solves(monkeypatch, "choice-setting")
         request = make_request(corridor, "f0", "r0000", "r0002", 0)
         s1 = solve_step1(corridor, empty, [request], 0)
@@ -167,13 +171,18 @@ class TestContention:
 
 
 class TestUnassignedAndDeferred:
-    def test_full_origin_pad_starves_the_flight(self, corridor):
+    def test_full_origin_pad_starves_the_flight(self, corridor, monkeypatch):
+        solved = record_solves(monkeypatch, "choice-setting")
         request = make_request(corridor, "f0", "r0000", "r0002", 0)
         full = OccupancySnapshot(corridor, {("r0000", t): 2 for t in range(8)})
         s1 = solve_step1(corridor, full, [request], 0)
         assert s1.unassigned == ("f0",)
         assert s1.deferred == ()  # capacity starvation, not a window problem
         assert s1.choice_sets["f0"].is_empty
+        # Its whole offer is granted with no model: its cells count, but no
+        # service weight, before they are stripped.
+        want, _ = oracle_step1_optimum(corridor, full, [request], 0)
+        assert not solved and s1.objective == want == 8.0
 
     def test_window_past_horizon_defers(self, corridor, empty):
         late = make_request(corridor, "f0", "r0000", "r0002", 5)
@@ -211,7 +220,8 @@ class TestValidation:
 @pytest.fixture(scope="module")
 def desk_step1_inputs() -> list[tuple]:
     """``(grid, snapshot, requests, now)`` of every ``solve_step1`` call of
-    desk day 0's fair-coplan lane that builds a choice-setting model."""
+    desk day 0's fair-coplan lane that builds a choice-setting model once
+    its whole-offer shortcut is patched out (``step1_model``)."""
     calls = []
     real_solve_step1 = sim.solve_step1
 
@@ -227,19 +237,22 @@ def desk_step1_inputs() -> list[tuple]:
 
 
 def step1_model(grid, snapshot, requests, now):
-    """The choice-setting model ``solve_step1`` builds, captured with a spy
-    on ``milp.solve`` (None if it builds none), and the table it returns."""
-    models = []
-    real_solve = milp.solve
-
-    def spy(model):
-        models.append(model)
-        return real_solve(model)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(milp, "solve", spy)
-        result = solve_step1(grid, snapshot, requests, now)
+    """The choice-setting model ``solve_step1`` builds with its whole-offer
+    shortcut patched out (None if it builds none), and the table it
+    returns."""
+    result, models = step1_solves(grid, snapshot, requests, now, shortcut=False)
     return (models[0] if models else None), result.room
+
+
+def step1_solves(grid, snapshot, requests, now, shortcut=True):
+    """``solve_step1``'s result and the models it solves, captured with
+    ``record_solves``, with or without its whole-offer shortcut."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not shortcut:
+            solve_every_step1_model(patch)
+        solved = record_solves(patch, "choice-setting")
+        result = solve_step1(grid, snapshot, requests, now)
+    return result, [model for model, _ in solved]
 
 
 def hands_highs(model) -> list[np.ndarray]:
@@ -345,3 +358,33 @@ class TestModelLayout:
         for grid, snapshot, requests, now in desk_step1_inputs:
             model, _ = step1_model(grid, snapshot, requests, now)
             assert_row_order(model, [request.flight_id for request in requests])
+
+
+class TestWholeOffer:
+    # Where no zone cell is offered to more flights than it has room for
+    # and the whole offer passes the re-check, step 1 grants it with no
+    # model: every optimum agrees with it on what step 1 reads.
+    def test_desk_days_as_highs_solves_them(self):
+        calls = []
+        real_solve_step1 = sim.solve_step1
+
+        def spy(grid, snapshot, requests, now):
+            calls.append((grid, snapshot, requests, now))
+            return real_solve_step1(grid, snapshot, requests, now)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "solve_step1", spy)
+            sim.run_campaign(replace(load_scenario(DESK), days=2), modes=("fair-coplan", "coplan"))
+        settled = fallback = 0
+        for call in calls:
+            got, models = step1_solves(*call)
+            want, solved = step1_solves(*call, shortcut=False)
+            assert (got.choice_sets, got.unassigned, got.deferred, repr(got.objective)) == \
+                (want.choice_sets, want.unassigned, want.deferred, repr(want.objective))
+            assert list(got.choice_sets) == list(want.choice_sets)
+            assert np.array_equal(got.room, want.room)
+            settled += bool(solved) and not models
+            # An uncrowded batch whose whole offer fails the re-check.
+            fallback += bool(models) and not any(
+                con.label.startswith("cap.") for con in models[0].constraints)
+        assert (settled, fallback) == (21, 1)
