@@ -7,8 +7,8 @@ flight database: it files ``FlightPlan``s append-only, refuses any filing that
 would exceed a cell's capacity, and keeps the per-(resource, timestep)
 occupancy index consistent with them. Planners read occupancy only through an
 ``OccupancySnapshot`` taken at the start of a period; its ``remaining`` is the
-one remaining-capacity rule, and ``remaining_table`` reads it for a block of
-cells at once.
+one remaining-capacity rule, and ``remaining_table(now)`` the one read of it
+over the period ``[now, now + horizon)``, kept per snapshot and period.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product, repeat
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -85,9 +85,13 @@ class GridConfig:
             if vp.cell in seen:
                 raise ConfigError(f"two vertiports share cell {vp.cell}")
             seen.add(vp.cell)
+        cells: set[tuple[str, int]] = set()
         for rid, t, cap in self.capacity_overrides:
             if t < 0 or cap < 0:
                 raise ConfigError(f"bad capacity override ({rid}, {t}, {cap})")
+            if (rid, t) in cells:
+                raise ConfigError(f"two capacity overrides for ({rid}, t={t})")
+            cells.add((rid, t))
         object.__setattr__(self, "vertiports", tuple(self.vertiports))
         object.__setattr__(self, "capacity_overrides", tuple(self.capacity_overrides))
 
@@ -131,6 +135,7 @@ class AirspaceGrid:
         self.resources = resources
         self.resource_ids = tuple(r.resource_id for r in resources)
         self._by_id = {r.resource_id: r for r in resources}
+        self._rows = {rid: i for i, rid in enumerate(self.resource_ids)}
         self.adjacency = adjacency
         self.vertiport_ids = vertiport_ids
         self.hub_ids = hub_ids
@@ -157,16 +162,19 @@ class AirspaceGrid:
             return override
         return self._base_capacity[resource_id]
 
-    def capacity_table(self, resource_ids: Sequence[str], start: int, stop: int) -> np.ndarray:
-        """``capacity`` over a block of cells: row i, column j is the capacity
-        of ``resource_ids[i]`` (distinct ids) at step ``start + j``."""
-        table = np.repeat(
-            np.array([self._base_capacity[rid] for rid in resource_ids], dtype=np.int64),
-            stop - start).reshape(len(resource_ids), stop - start)
-        row = {rid: i for i, rid in enumerate(resource_ids)}
+    def row(self, resource_id: str) -> int:
+        """The position of ``resource_id`` in ``resources``: its row in
+        ``capacity_table`` and in a snapshot's ``remaining_table``."""
+        return self._rows[resource_id]
+
+    def capacity_table(self, start: int, stop: int) -> np.ndarray:
+        """``capacity`` of every resource over steps ``[start, stop)``: row
+        ``row(rid)``, column j is the capacity of ``rid`` at ``start + j``."""
+        base = np.array([self._base_capacity[rid] for rid in self.resource_ids], dtype=np.int64)
+        table = np.repeat(base[:, None], stop - start, axis=1)
         for (rid, t), cap in self._overrides.items():
-            if rid in row and start <= t < stop:
-                table[row[rid], t - start] = cap
+            if start <= t < stop:
+                table[self._rows[rid], t - start] = cap
         return table
 
     def min_stay(self, resource_id: str, dwell: int) -> int:
@@ -286,8 +294,8 @@ class OccupancySnapshot:
     """Frozen view of occupancy taken at the start of a planning period.
 
     ``remaining`` is the one remaining-capacity rule: grid capacity minus
-    occupancy, clipped at zero. ``remaining_table`` applies the same rule to
-    a block of cells at once.
+    occupancy, clipped at zero. ``remaining_table(now)``, the one read of a
+    period, applies it to every resource over the period starting at ``now``.
     """
 
     def __init__(self, grid: AirspaceGrid, counts: dict[tuple[str, int], int]) -> None:
@@ -296,7 +304,7 @@ class OccupancySnapshot:
         # The snapshot never changes, so each cell's remaining capacity is
         # computed once; model building reads it thousands of times a period.
         self._remaining: dict[tuple[str, int], int] = {}
-        self._free: dict[tuple[int, int], np.ndarray] = {}
+        self._tables: dict[int, np.ndarray] = {}
 
     @property
     def counts(self) -> Mapping[tuple[str, int], int]:
@@ -313,23 +321,19 @@ class OccupancySnapshot:
             self._remaining[key] = left
         return left
 
-    def remaining_table(self, resource_ids: Sequence[str], start: int, stop: int) -> np.ndarray:
-        """``remaining`` over a block of cells, read at once: row i, column j
-        is ``remaining(resource_ids[i], start + j)`` (distinct ids)."""
-        shape = (len(resource_ids), stop - start)
-        cells = product(resource_ids, range(start, stop))
-        used = np.fromiter(map(self._counts.get, cells, repeat(0)), dtype=np.int64,
-                           count=shape[0] * shape[1])
-        return _left(self._grid.capacity_table(resource_ids, start, stop), used.reshape(shape))
-
-    def free_table(self, start: int, stop: int) -> np.ndarray:
-        """Which cells have room, for every resource: row i, column j is
-        ``remaining(grid.resources[i].resource_id, start + j) >= 1``. Read
-        through ``remaining_table`` once per block and kept; do not modify it."""
-        table = self._free.get((start, stop))
+    def remaining_table(self, now: int) -> np.ndarray:
+        """``remaining`` of every resource over the period ``[now, now +
+        horizon)``: row ``grid.row(rid)``, column j is ``remaining(rid, now +
+        j)``. Computed once per period and kept, read-only."""
+        table = self._tables.get(now)
         if table is None:
-            table = self.remaining_table(self._grid.resource_ids, start, stop) >= 1
-            self._free[(start, stop)] = table
+            grid, stop = self._grid, now + self._grid.horizon_steps
+            capacity = grid.capacity_table(now, stop)
+            cells = product(grid.resource_ids, range(now, stop))
+            used = np.fromiter(map(self._counts.get, cells, repeat(0)), dtype=np.int64,
+                               count=capacity.size)
+            table = self._tables[now] = _left(capacity, used.reshape(capacity.shape))
+            table.flags.writeable = False
         return table
 
     def with_plans(self, plans: Iterable[FlightPlan]) -> OccupancySnapshot:

@@ -126,32 +126,31 @@ class _Schedule:
 
     ``fragment`` holds the flight's columns ``w.{fid}.{i}.{t}``, its own
     rows and its objective terms, its constant delay terms in the offset.
-    Leg i's columns run over its free entry window, from t = lo to its
-    latest entry, starting at column ``col``, where ``(lo, col) =
-    starts[i]``: past the latest entry every feasible point, LP relaxation
-    included, has entered the leg, so those binaries are constants and are
-    not declared. ``cells`` maps each (resource, t) cell the flight may
-    hold to its occupancy there: +1 on the binary that has it entered that
-    cell's leg by t (the latest entry's, once t is past it) and, where
-    there is one, -1 on the binary that has it gone by t. Cells it has
-    surely left are not in ``cells``. ``windows`` holds each leg's
-    (resource, earliest entry, latest entry, minimum stay), the stay 1 at
-    the destination, which ``solve_joint``'s energetic bound reads.
+    Leg i's columns run over its free entry window, ``windows[i]``'s
+    earliest to latest entry, after the earlier legs' columns: past the
+    latest entry every feasible point, LP relaxation included, has entered
+    the leg, so those binaries are constants and are not declared.
+    ``cells`` maps each (resource, t) cell the flight may hold to its
+    occupancy there: +1 on the binary that has it entered that cell's leg
+    by t (the latest entry's, once t is past it) and, where there is one,
+    -1 on the binary that has it gone by t. Cells it has surely left are
+    not in ``cells``. ``windows`` holds each leg's (resource, earliest
+    entry, latest entry, minimum stay), the stay 1 at the destination,
+    which ``plan`` and ``solve_joint``'s energetic bound read.
     """
 
     request: FlightRequest
     route: FixedRoute
     fragment: milp.Model
-    starts: tuple[tuple[int, int], ...]
     cells: dict[tuple[str, int], dict[int, float]]
     windows: tuple[Window, ...]
 
     def plan(self, x: Sequence[float]) -> FlightPlan:
         """The plan in the solved point ``x`` of the fragment: each leg is
         entered at its first step whose entered-by binary is set."""
-        ends = [col for _, col in self.starts[1:]] + [len(x)]
-        entries = []
-        for i, ((lo, col), end) in enumerate(zip(self.starts, ends)):
+        entries, end = [], 0
+        for i, (_, lo, hi, _) in enumerate(self.windows):
+            col, end = end, end + hi - lo + 1
             entry = next((lo + k for k, value in enumerate(x[col:end]) if value >= 0.5), None)
             if entry is None:
                 raise RuntimeError(f"{self.request.flight_id}: leg {i} never entered")
@@ -176,7 +175,6 @@ def _schedule(
     route: FixedRoute,
     params: DelayCostParams,
     now: int,
-    horizon_end: int,
 ) -> _Schedule | None:
     """The flight's block; None if it cannot fit the horizon.
 
@@ -193,6 +191,7 @@ def _schedule(
     fid = request.flight_id
     dwells = leg_dwells(grid, route, request.min_dwell)
     d, a, eps = request.requested_departure, request.requested_arrival, request.flexibility
+    horizon_end = now + grid.horizon_steps
     last = len(route.legs) - 1
     depart_by = min(d + eps, horizon_end - 1 - sum(dwells))
     if max(d, now) > depart_by or a > horizon_end - 1:
@@ -297,8 +296,7 @@ def _schedule(
         cells.update({(rid, t): {j: 1.0} for t, j in zip(range(lo, after), entered)})
         cells.update({(rid, t): {j: 1.0, gone + t: -1.0}
                       for t, j in zip(range(after, end), entered[after - lo:])})
-    return _Schedule(request, route, fragment,
-                     tuple((lo, col + lo) for lo, col in zip(entry_lo, base)), cells,
+    return _Schedule(request, route, fragment, cells,
                      tuple(zip(route.legs, entry_lo, entry_hi, [*dwells, 1])))
 
 
@@ -314,14 +312,13 @@ def solve_tfmp(
         if req.flight_id in by_id:
             raise ValueError(f"duplicate flight id {req.flight_id}")
         by_id[req.flight_id] = req
-    horizon_end = now + grid.horizon_steps
 
     schedules: dict[str, _Schedule] = {}
     deferred = []
     for fid in sorted(by_id):
         req = by_id[fid]
         schedule = _schedule(grid, req, fixed_route(grid, req.origin, req.destination),
-                             params, now, horizon_end)
+                             params, now)
         if schedule is None:
             deferred.append(fid)
         else:
@@ -331,7 +328,7 @@ def solve_tfmp(
     plans = outcome.plans
     tdc_by_flight: dict[str, float] = {}
     if outcome.objective is not None:
-        audit_batch(grid, snapshot, by_id, plans, now, horizon_end, "fixed-route")
+        audit_batch(grid, snapshot, by_id, plans, now, "fixed-route")
         tdc_by_flight = {fid: tdc(plan, by_id[fid], params) for fid, plan in plans.items()}
         audit_objective("fixed-route", outcome.objective, sum(tdc_by_flight.values()))
 

@@ -290,7 +290,6 @@ def cell_domain(
     request: FlightRequest,
     choices: ChoiceSet,
     now: int,
-    horizon_end: int,
 ) -> dict[str, tuple[int, ...]] | None:
     """The (resource, t) cells one flight's trajectory may use, as each
     usable resource mapped to its usable steps in order; None if it cannot
@@ -298,16 +297,18 @@ def cell_domain(
     arrival slots.
 
     Departure and arrival slots are the granted ones inside the request's
-    windows and the period, trimmed to pairs far enough apart for the hop
-    distance between origin and destination. Every other resource keeps the
-    steps inside its reachability cone (reachable from the first departure
-    slot, able to reach the last arrival slot); zone cells are further gated
-    by the choice set, en-route cells by remaining capacity, read from the
-    snapshot's ``free_table`` for the period. The cones only cut cells no
-    plan can use, so the optimum is unchanged.
+    windows and the period ``[now, now + horizon)``, trimmed to pairs far
+    enough apart for the hop distance between origin and destination. Every
+    other resource keeps the steps inside its reachability cone (reachable
+    from the first departure slot, able to reach the last arrival slot);
+    zone cells are further gated by the choice set, en-route cells by
+    remaining capacity, read from the snapshot's ``remaining_table`` for the
+    period. The cones only cut cells no plan can use, so the optimum is
+    unchanged.
     """
     s, e = request.origin, request.destination
     d, a, eps = request.requested_departure, request.requested_arrival, request.flexibility
+    horizon_end = now + grid.horizon_steps
 
     dist_s = grid.hop_distances(s)
     if e not in dist_s:
@@ -341,15 +342,14 @@ def cell_domain(
     lo = np.maximum(now, first_dep + from_s)
     hi = np.minimum(horizon_end - 1, last_arr - to_e)
     in_cone = (from_s > 0) & (to_e > 0) & (lo <= hi)
-    free = snapshot.free_table(now, horizon_end)
+    room = snapshot.remaining_table(now)
     ids = grid.resource_ids
     for i, first, last in zip(*(np.flatnonzero(in_cone), lo[in_cone], hi[in_cone])):
         rid = ids[i]
         if grid.is_zone(rid):
             cells = tuple(t for t in choices.times.get(rid, ()) if first <= t <= last)
         else:
-            cells = tuple((np.flatnonzero(free[i, first - now:last - now + 1])
-                           + first).tolist())
+            cells = tuple((np.flatnonzero(room[i, first - now:last - now + 1]) + first).tolist())
         if cells:
             times[rid] = cells
     return times

@@ -20,7 +20,7 @@ is the one check of its optimum against the cost recomputed from its plans.
 So a disagreement between a solver and the enumeration oracle can only come
 from model construction, never from two diverging notions of feasibility.
 
-Conventions: a planning period covers absolute timesteps [now, horizon_end).
+Conventions: a planning period covers absolute timesteps [now, now + horizon).
 ``choices=None`` in plan_violations means the plan is not governed by a
 choice set (fixed-route baseline); capacity is then checked on every
 resource instead of en-route sectors only.
@@ -76,12 +76,12 @@ def plan_violations(
     request: FlightRequest,
     plan: FlightPlan,
     now: int,
-    horizon_end: int,
     *,
     choices: ChoiceSet | None = None,
 ) -> list[str]:
     """Re-check one plan against the trajectory constraint families."""
     out: list[str] = []
+    horizon_end = now + grid.horizon_steps
     fid = request.flight_id
     if plan.flight_id != fid:
         out.append(f"plan {plan.flight_id} checked against request {fid}")
@@ -149,10 +149,10 @@ def choice_violations(
     requests: Iterable[FlightRequest],
     allocation: Mapping[str, ChoiceSet],
     now: int,
-    horizon_end: int,
 ) -> list[str]:
     """Re-check a joint choice allocation against the choice-setting families."""
     out: list[str] = []
+    horizon_end = now + grid.horizon_steps
     requests = list(requests)
     ids = [r.flight_id for r in requests]
     if len(set(ids)) != len(ids):
@@ -215,17 +215,16 @@ def choice_violations(
                     )
 
     # Joint capacity over zone resources: each cell's use, counted once over
-    # the batch, against its remaining capacity, read for the period's steps
-    # in one table (cell by cell outside them).
+    # the batch, against its remaining capacity, read from the period's table
+    # (cell by cell outside the period).
     demand: Counter[tuple[str, int]] = Counter()
     for fid in ids:
         demand.update(allocation[fid].choices)
-    rids = sorted({rid for rid, _ in demand})
-    row = {rid: i for i, rid in enumerate(rids)}
-    room = snapshot.remaining_table(rids, now, horizon_end).tolist()
+    room = snapshot.remaining_table(now)
     over = []
     for (rid, t), count in demand.items():
-        left = room[row[rid]][t - now] if now <= t < horizon_end else snapshot.remaining(rid, t)
+        left = (int(room[grid.row(rid), t - now]) if now <= t < horizon_end
+                else snapshot.remaining(rid, t))
         if count > left:
             over.append((rid, t, count, left))
     for rid, t, count, left in sorted(over):
@@ -259,7 +258,6 @@ def audit_batch(
     requests: Mapping[str, FlightRequest],
     plans: Mapping[str, FlightPlan],
     now: int,
-    horizon_end: int,
     what: str,
     *,
     choice_sets: Mapping[str, ChoiceSet] | None = None,
@@ -272,7 +270,7 @@ def audit_batch(
     """
     for fid in sorted(plans):
         problems = plan_violations(
-            grid, snapshot, requests[fid], plans[fid], now, horizon_end,
+            grid, snapshot, requests[fid], plans[fid], now,
             choices=None if choice_sets is None else choice_sets[fid],
         )
         if problems:

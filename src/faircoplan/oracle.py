@@ -155,7 +155,7 @@ def enumerate_feasible_plans(
             if nb == request.destination:
                 candidate = FlightPlan(request.flight_id, tuple(steps))
                 if not plan_violations(grid, snapshot, request, candidate, now,
-                                       end, choices=choices):
+                                       choices=choices):
                     plans.append(candidate)
             else:
                 grow(steps)
@@ -222,7 +222,6 @@ def enumerate_choice_families(
     window with spare capacity; subsets are filtered through the shared
     checker. The empty family (flight left unassigned) is always valid.
     """
-    end = now + grid.horizon_steps
     domain = choice_domain(grid, snapshot, request, now)
     if len(domain) > 22:
         raise OracleSizeError(
@@ -240,7 +239,7 @@ def enumerate_choice_families(
                     request.flight_id, request.origin, request.destination, cells
                 )
             }
-            if not choice_violations(grid, snapshot, [request], allocation, now, end):
+            if not choice_violations(grid, snapshot, [request], allocation, now):
                 families.append(cells)
     return tuple(families)
 
@@ -267,7 +266,7 @@ def oracle_step1_optimum(
     window_total = 0
     families: list[tuple[FlightRequest, tuple[frozenset[tuple[str, int]], ...]]] = []
     for req in ordered:
-        dom = choice_domains(grid, req, now, end)
+        dom = choice_domains(grid, req, now)
         fits = (
             req.requested_arrival + req.flexibility <= end
             and len(dom[req.origin]) > 0
@@ -338,7 +337,7 @@ def oracle_step1_optimum(
         allocation[req.flight_id] = cells
         check[req.flight_id] = ChoiceSet(req.flight_id, req.origin,
                                          req.destination, cells)
-    problems = choice_violations(grid, snapshot, list(ordered), check, now, end)
+    problems = choice_violations(grid, snapshot, list(ordered), check, now)
     if problems:
         raise RuntimeError("oracle winner failed validation: " + "; ".join(problems[:5]))
     return best_total, allocation
@@ -460,7 +459,6 @@ def oracle_tfmp_optimum(
 ) -> tuple[float, dict[str, FlightPlan]] | tuple[None, dict[str, FlightPlan]]:
     """True optimum of the fixed-route timing problem: each flight's
     entry-time schedules, combined by the joint plan search at gamma = 0."""
-    end = now + grid.horizon_steps
     ordered = sorted(requests, key=lambda r: r.flight_id)
     meter = _Meter(budget, "fixed-route schedule search")
 
@@ -468,7 +466,7 @@ def oracle_tfmp_optimum(
     for req in ordered:
         route = fixed_route(grid, req.origin, req.destination)
         dwells = leg_dwells(grid, route, req.min_dwell)
-        plans = _schedules(grid, req, route, dwells, now, end, meter)
+        plans = _schedules(grid, req, route, dwells, now, meter)
         if not plans:
             return None, {}
         options.append((req, plans))
@@ -481,7 +479,6 @@ def _schedules(
     route: FixedRoute,
     dwells: list[int],
     now: int,
-    end: int,
     meter: _Meter,
 ) -> tuple[FlightPlan, ...]:
     """All entry-time vectors along the fixed route, as occupancy plans.
@@ -489,6 +486,7 @@ def _schedules(
     Holding beyond the minimum dwell is possible in sectors only; a leg that
     follows a vertiport must be entered the very next step.
     """
+    end = now + grid.horizon_steps
     d, a, eps = request.requested_departure, request.requested_arrival, request.flexibility
     last = len(route.legs) - 1
     suffix = [0] * (last + 1)

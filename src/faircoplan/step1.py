@@ -22,13 +22,14 @@ solved (``_whole_offer``). If no zone cell is offered to more flights than
 it has room for and the whole offer passes ``choice_violations``, the point
 with every choice and service column at 1 is feasible and reaches the
 objective's bound, so every optimum grants the whole offer: step 1 returns
-it, with its objective computed in integers, and builds no model. This
-settles 108 of the 394 step-1 batches of the 10-day desk8x8 campaign.
+it, with its objective computed in integers, and builds no model; that
+check is its only re-check. This settles 108 of the 394 step-1 batches of
+the 10-day desk8x8 campaign.
 
 The model is built from per-period tables over (flight, zone resource,
 period step), never cell by cell. It reads the snapshot only through one
 zone resource × step table, ``room_table``: remaining capacity
-(``OccupancySnapshot.remaining_table``), capped at the number of modelled
+(``OccupancySnapshot.remaining_table(now)``), capped at the number of modelled
 flights whose window covers the cell. A flight is offered the cells of its
 window mask with room, a cell's capacity row is written where more flights
 are offered it than it has room, and that room is the row's right-hand
@@ -68,15 +69,14 @@ class Step1Result:
     room: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-def choice_domains(
-    grid: AirspaceGrid, request: FlightRequest, now: int, horizon_end: int
-) -> dict[str, range]:
+def choice_domains(grid: AirspaceGrid, request: FlightRequest, now: int) -> dict[str, range]:
     """Permitted-time range per zone resource from the window constraints.
 
     Departure slots additionally need room for an adjacent choice at t+1,
     arrival slots for one at t-1, so their ranges stop one step short of the
     period edges.
     """
+    horizon_end = now + grid.horizon_steps
     d, a, eps = request.requested_departure, request.requested_arrival, request.flexibility
     # Every other zone resource: from departure to the end of the arrival window.
     others = range(max(d, now), min(a + eps - 1, horizon_end - 1) + 1)
@@ -97,14 +97,14 @@ def _validate(grid: AirspaceGrid, requests: list[FlightRequest]) -> None:
 
 
 def _dwell_linkage(model: milp.Model, name: str, dwell: int, columns: np.ndarray,
-                   start: int, horizon_end: int) -> None:
+                   start: int) -> None:
     """Minimum dwell of one run, a flight in one resource: the run may end at
     step t only once the trailing window of ``dwell`` steps is full.
 
     ``columns[i]`` is the column of the binary that marks the flight (or its
     offered choice) in the resource at step ``start + i``, or -1 at a step it
     cannot use; steps outside the array are unusable too. For each t up to
-    ``horizon_end - 1`` that follows a usable step, an auxiliary binary
+    the array's last step that follows a usable step, an auxiliary binary
     ``dw.{name}.{t}`` is 1 exactly when the window is not yet full, and then
     the run must go on at t. The window has ``dwell`` terms, so ``dwell`` is
     a tight constant for both indicator rows. A dwell of 1 needs nothing, so
@@ -114,7 +114,7 @@ def _dwell_linkage(model: milp.Model, name: str, dwell: int, columns: np.ndarray
     then the rows ``dwlo``, ``dwhi`` and ``dwrun`` for each step in the same
     order.
     """
-    before = np.flatnonzero(columns[:max(horizon_end - 1 - start, 0)] >= 0)
+    before = np.flatnonzero(columns[:-1] >= 0)
     steps = (start + 1 + before).tolist()
     aux = model.binaries([f"dw.{name}.{t}" for t in steps]) + np.arange(len(steps))
     # -1 for the dwell's steps before the array and the one after it; the
@@ -146,14 +146,15 @@ def _support_rows(model: milp.Model, heads: np.ndarray, tails: np.ndarray,
                    [0.0] * len(heads), labels)
 
 
-def _windows(grid: AirspaceGrid, requests: list[FlightRequest], now: int,
-             horizon_end: int) -> tuple[list[FlightRequest], np.ndarray]:
+def _windows(grid: AirspaceGrid, requests: list[FlightRequest],
+             now: int) -> tuple[list[FlightRequest], np.ndarray]:
     """The requests step 1 models, those whose windows fit the period, and
     their window masks over (flight, zone resource, period step), zone
     resources in sorted order."""
+    horizon_end = now + grid.horizon_steps
     modeled, spans = [], []
     for request in requests:
-        dom = choice_domains(grid, request, now, horizon_end)
+        dom = choice_domains(grid, request, now)
         if (request.requested_arrival + request.flexibility <= horizon_end
                 and len(dom[request.origin]) > 0 and len(dom[request.destination]) > 0):
             modeled.append(request)
@@ -163,10 +164,10 @@ def _windows(grid: AirspaceGrid, requests: list[FlightRequest], now: int,
     return modeled, (spans[..., :1] <= steps) & (steps < spans[..., 1:])
 
 
-def _room(grid: AirspaceGrid, snapshot: OccupancySnapshot, window: np.ndarray, now: int,
-          horizon_end: int) -> np.ndarray:
-    return np.minimum(snapshot.remaining_table(sorted(grid.zone), now, horizon_end),
-                      window.sum(axis=0))
+def _room(grid: AirspaceGrid, snapshot: OccupancySnapshot, window: np.ndarray,
+          now: int) -> np.ndarray:
+    zone_rows = [grid.row(rid) for rid in sorted(grid.zone)]
+    return np.minimum(snapshot.remaining_table(now)[zone_rows], window.sum(axis=0))
 
 
 def room_table(grid: AirspaceGrid, snapshot: OccupancySnapshot,
@@ -175,18 +176,14 @@ def room_table(grid: AirspaceGrid, snapshot: OccupancySnapshot,
     column j is the remaining capacity of zone resource ``sorted(grid.zone)[i]``
     at step ``now + j``, capped at the number of modelled flights whose
     window covers that cell. Snapshots with equal tables give the same model."""
-    horizon_end = now + grid.horizon_steps
-    return _room(grid, snapshot, _windows(grid, requests, now, horizon_end)[1], now,
-                 horizon_end)
+    return _room(grid, snapshot, _windows(grid, requests, now)[1], now)
 
 
 def recheck(grid: AirspaceGrid, snapshot: OccupancySnapshot, requests: list[FlightRequest],
             result: Step1Result, now: int = 0) -> None:
     """Raise ``RuntimeError`` unless ``result``'s choice sets pass
     ``choice_violations`` against ``snapshot``."""
-    problems = choice_violations(
-        grid, snapshot, requests, result.choice_sets, now, now + grid.horizon_steps
-    )
+    problems = choice_violations(grid, snapshot, requests, result.choice_sets, now)
     if problems:
         raise RuntimeError(
             "choice-setting solution failed re-check: " + "; ".join(problems[:5])
@@ -208,7 +205,7 @@ def _choice_sets(zone: list[str], modeled: list[FlightRequest], granted: np.ndar
 
 def _whole_offer(grid: AirspaceGrid, snapshot: OccupancySnapshot,
                  modeled: list[FlightRequest], offered: np.ndarray, room: np.ndarray,
-                 now: int, horizon_end: int) -> dict[str, ChoiceSet] | None:
+                 now: int) -> dict[str, ChoiceSet] | None:
     """Each modelled flight's choice set of every cell offered to it, where
     that is proven to be the model's optimum, else None.
 
@@ -222,22 +219,21 @@ def _whole_offer(grid: AirspaceGrid, snapshot: OccupancySnapshot,
     if (offered.sum(axis=0) > room).any():
         return None
     sets = _choice_sets(sorted(grid.zone), modeled, offered, now)
-    return None if choice_violations(grid, snapshot, modeled, sets, now, horizon_end) else sets
+    return None if choice_violations(grid, snapshot, modeled, sets, now) else sets
 
 
 def _solve_model(grid: AirspaceGrid, modeled: list[FlightRequest], offered: np.ndarray,
-                 room: np.ndarray, weight: float, now: int,
-                 horizon_end: int) -> tuple[np.ndarray, float]:
+                 room: np.ndarray, weight: float, now: int) -> tuple[np.ndarray, float]:
     """Build the choice-setting model (see the module docstring) and solve
     it: the granted cells, a table like ``offered``, and the objective."""
     zone = sorted(grid.zone)
     row = {rid: z for z, rid in enumerate(zone)}
-    steps = np.arange(now, horizon_end)
+    steps = range(now, now + grid.horizon_steps)
 
     model = milp.Model(name="choice-setting")
 
     # Choice columns by flight, then by (resource, timestep) cell, gaining 1.
-    cells = [f"{rid}.{t}" for rid in zone for t in range(now, horizon_end)]
+    cells = [f"{rid}.{t}" for rid in zone for t in steps]
     names: list[str] = []
     for request, flat in zip(modeled, offered.reshape(len(modeled), -1)):
         prefix = f"c.{request.flight_id}."
@@ -271,8 +267,7 @@ def _solve_model(grid: AirspaceGrid, modeled: list[FlightRequest], offered: np.n
                           [f"{kind}.{fid}.{t}" for t in (now + p).tolist()])
         for rid, dwell in request.dwell:
             if dwell > 1 and rid in grid.ring:
-                _dwell_linkage(model, f"{fid}.{rid}", dwell, column[f, row[rid]], now,
-                               horizon_end)
+                _dwell_linkage(model, f"{fid}.{rid}", dwell, column[f, row[rid]], now)
 
     # Service: y_f, gaining the weight, needs an offered departure slot and
     # an offered arrival slot (sum of the side's slot choices >= y_f), one
@@ -310,13 +305,12 @@ def solve_step1(
     now: int = 0,
 ) -> Step1Result:
     _validate(grid, requests)
-    horizon_end = now + grid.horizon_steps
 
     # Tables over (flight, zone resource, period step), zone resources in
     # sorted order. A flight is offered a cell inside its window that has
     # room.
-    modeled, window = _windows(grid, requests, now, horizon_end)
-    room = _room(grid, snapshot, window, now, horizon_end)
+    modeled, window = _windows(grid, requests, now)
+    room = _room(grid, snapshot, window, now)
     kept = {request.flight_id for request in modeled}
     deferred = [request.flight_id for request in requests if request.flight_id not in kept]
     unassigned = list(deferred)
@@ -336,9 +330,10 @@ def solve_step1(
     # weight plus granted choices, before stripping unassigned flights),
     # which is what the enumeration oracle optimizes too. Where the whole
     # offer is the optimum, it is that offer's gains, with no model solved.
-    chosen = _whole_offer(grid, snapshot, modeled, offered, room, now, horizon_end)
-    if chosen is None:
-        granted, objective = _solve_model(grid, modeled, offered, room, weight, now, horizon_end)
+    chosen = _whole_offer(grid, snapshot, modeled, offered, room, now)
+    solved = chosen is None
+    if solved:
+        granted, objective = _solve_model(grid, modeled, offered, room, weight, now)
         chosen = _choice_sets(sorted(grid.zone), modeled, granted, now)
     else:
         served = sum(1 for chset in chosen.values() if chset.departure_slots and chset.arrival_slots)
@@ -350,5 +345,8 @@ def solve_step1(
         sets[fid] = chset
 
     out = Step1Result(sets, tuple(unassigned), objective, tuple(deferred), room)
-    recheck(grid, snapshot, requests, out, now)
+    # A whole offer has passed ``choice_violations`` already; stripping the
+    # unserved flights only empties choice sets, which adds no violation.
+    if solved:
+        recheck(grid, snapshot, requests, out, now)
     return out

@@ -104,15 +104,14 @@ def solve_step2(
             f"{request.flight_id}: empty choice set; unassigned flights are "
             "carried over, not planned"
         )
-    horizon_end = now + grid.horizon_steps
-    domain = cell_domain(grid, snapshot, request, choices, now, horizon_end)
+    domain = cell_domain(grid, snapshot, request, choices, now)
     found = None if domain is None else _search(grid, request, domain, params)
     if found is None:
         return Step2Result(plan=None, tdc=None)
 
     optimum, plan = found
     problems = plan_violations(
-        grid, snapshot, request, plan, now, horizon_end, choices=choices
+        grid, snapshot, request, plan, now, choices=choices
     )
     if problems:
         raise RuntimeError(

@@ -113,13 +113,12 @@ def _joint_blocks(
     choice_sets: Mapping[str, ChoiceSet],
     params: DelayCostParams,
     now: int,
-    horizon_end: int,
 ) -> dict[str, ArcFragment]:
     """Each flight's arc fragment: built once per preparation, since it
     depends on no other flight."""
     flows: dict[str, ArcFragment] = {}
     for fid in sorted(flights):
-        domain = cell_domain(grid, base, requests[fid], choice_sets[fid], now, horizon_end)
+        domain = cell_domain(grid, base, requests[fid], choice_sets[fid], now)
         flow = None if domain is None else arc_fragment(grid, requests[fid], domain, params,
                                                         prefix=f"v.{fid}")
         if flow is None:
@@ -167,7 +166,6 @@ def _prepare(
     for fid in proposals:
         if fid not in by_id:
             raise ValueError(f"proposal {fid} has no matching request")
-    horizon_end = now + grid.horizon_steps
 
     report = detect_conflicts(grid, snapshot, proposals)
     zone_overloads = [c for c in report.conflicts if grid.is_zone(c.resource_id)]
@@ -191,7 +189,7 @@ def _prepare(
 
     base = snapshot.with_plans(kept.values())
     flows = _joint_blocks(grid, base, report.conflicting_flights, by_id, choice_sets,
-                          params, now, horizon_end)
+                          params, now)
     return Step3Input(by_id, report, kept, kept_tdc, base, flows)
 
 
@@ -241,8 +239,8 @@ def solve_step3(
     final = {**kept, **replans}
     # Every final plan against the period snapshot, then jointly: a replan
     # onto a cell the kept plans fill breaks joint capacity.
-    audit_batch(grid, snapshot, by_id, final, now, now + grid.horizon_steps,
-                "deconflicted", choice_sets=choice_sets)
+    audit_batch(grid, snapshot, by_id, final, now, "deconflicted",
+                choice_sets=choice_sets)
     for fid, plan in replans.items():
         tdc_by_flight[fid] = tdc(plan, by_id[fid], params)
 

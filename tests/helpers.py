@@ -36,8 +36,7 @@ def trajectory_model(grid, snapshot, request, choices, params, now=0):
     for exercising the flow step 3 solves. Its ``fragment`` is the model,
     named ``trajectory.{fid}``; its ``plan`` reads a solved point. None when
     the flight cannot fly."""
-    horizon_end = now + grid.horizon_steps
-    domain = cell_domain(grid, snapshot, request, choices, now, horizon_end)
+    domain = cell_domain(grid, snapshot, request, choices, now)
     flow = None if domain is None else arc_fragment(grid, request, domain, params,
                                                     prefix=f"u.{request.flight_id}")
     if flow is not None:

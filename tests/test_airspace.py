@@ -80,6 +80,13 @@ class TestGridConstruction:
         with pytest.raises(ConfigError):
             make_grid(1, 3, ((0, 0), (0, 2)), overrides=(("r9999", 0, 1),))
 
+    def test_duplicate_override_rejected(self):
+        # Kept as a dict, the second entry would silently reopen the closure.
+        with pytest.raises(ConfigError, match=r"two capacity overrides for \(r0001, t=2\)"):
+            make_grid(1, 3, ((0, 0), (0, 2)), overrides=(("r0001", 2, 0), ("r0001", 2, 5)))
+        grid = make_grid(1, 3, ((0, 0), (0, 2)), overrides=(("r0001", 2, 0), ("r0001", 3, 5)))
+        assert (grid.capacity("r0001", 2), grid.capacity("r0001", 3)) == (0, 5)
+
     def test_hop_distances(self):
         grid = make_grid(2, 3, ((0, 0), (1, 2)))
         dist = grid.hop_distances(rid(grid, 0, 0))
@@ -143,11 +150,11 @@ class TestMinStay:
         choices = solve_step1(grid, snap, [request], 0).choice_sets["f0"]
         assert solve_step2(grid, snap, request, choices, params).plan == want
         assert solve_tfmp(grid, snap, [request], params).plans == {"f0": want}
-        assert plan_violations(grid, snap, request, want, 0, 14) == []
+        assert plan_violations(grid, snap, request, want, 0) == []
         # One step in r0003, the step made up in r0002: only that run is short.
         short = FlightPlan("f0", ((1, "r0000"), (2, "r0001"), (3, "r0002"), (4, "r0002"),
                                   (5, "r0003"), (6, "r0004"), (7, "r0005"), (8, "r0006")))
-        assert plan_violations(grid, snap, request, short, 0, 14) == [
+        assert plan_violations(grid, snap, request, short, 0) == [
             "f0: run of 1 in r0003 at t=5 below dwell 2"]
 
 
@@ -230,15 +237,24 @@ class TestLedger:
 
     def test_remaining_table_equals_remaining_cell_by_cell(self):
         # A closed cell (r0001 at t=1) that two plans overfill must clip to 0,
-        # and overrides inside and outside the block must land cell by cell.
-        overrides = (("r0001", 1, 0), ("r0001", 3, 3), ("r0000", 5, 0), ("r0002", 0, 5))
+        # and overrides inside the period (t = 1..8) and outside it (r0002
+        # at t=0 and r0000 at t=9) must land cell by cell.
+        overrides = (("r0001", 1, 0), ("r0001", 3, 3), ("r0000", 5, 0), ("r0002", 0, 5),
+                     ("r0000", 9, 0))
         grid = make_grid(1, 3, ((0, 0), (0, 2)), vp_capacity=3, overrides=overrides)
         snap = OccupancyLedger(grid).snapshot().with_plans(
             [corridor_plan("f0"), corridor_plan("f1"), corridor_plan("f2", 2)])
-        ids = ("r0002", "r0000", "r0001")
-        table = snap.remaining_table(ids, 1, 10)
-        assert table.shape == (3, 9)
-        assert table.tolist() == [[snap.remaining(rid, t) for t in range(1, 10)] for rid in ids]
+        table = snap.remaining_table(1)
+        assert table.shape == (3, grid.horizon_steps)
+        assert [grid.row(rid) for rid in grid.resource_ids] == [0, 1, 2]
+        assert table.tolist() == [[snap.remaining(rid, t) for t in range(1, 9)]
+                                  for rid in grid.resource_ids]
         # r0001 at 1: closed, two plans; r0000 at 5: closed; r0001 at 3: 3 - f2.
-        assert table[2, 0] == 0 and table[1, 4] == 0 and table[2, 2] == 2
-        assert snap.remaining_table(ids, 4, 4).shape == (3, 0)
+        assert table[1, 0] == 0 and table[0, 4] == 0 and table[1, 2] == 2
+        # Outside the period: r0002 is widened to 5 at t=0 and r0000 closed
+        # at t=9, and the table holds neither.
+        assert snap.remaining("r0002", 0) == 5 and snap.remaining("r0000", 9) == 0
+        assert table[2].tolist() == [3, 1, 3, 2, 3, 3, 3, 3] and table[0, 7] == 3
+        # Read once per period and kept, read-only; another period has its own.
+        assert snap.remaining_table(1) is table and not table.flags.writeable
+        assert snap.remaining_table(2)[0, 7] == 0

@@ -155,7 +155,7 @@ class TestCachedFragments:
         by_id = {req.flight_id: req for req in requests}
         schedules = {
             fid: baseline._schedule(grid, req, fixed_route(grid, req.origin, req.destination),
-                                    PARAMS, 0, grid.horizon_steps)
+                                    PARAMS, 0)
             for fid, req in by_id.items()}
         reads = Counter()
 
@@ -440,11 +440,12 @@ class TestRelaxationFirst:
                          "deconfliction": {True}}
 
 
-def full_window_schedule(grid, request, route, params, now, horizon_end):
+def full_window_schedule(grid, request, route, params, now):
     """The reference formulation: ``baseline._schedule`` as it was before it
     declared only each leg's free entry window. Every leg's binaries run to
-    the horizon's end, its rows and occupancy terms with them. It declares
-    no windows, so HiGHS solves every attempt."""
+    the horizon's end, its rows and occupancy terms with them, so each leg's
+    window, which ``plan`` walks, ends there too."""
+    horizon_end = now + grid.horizon_steps
     fid = request.flight_id
     dwells = baseline.leg_dwells(grid, route, request.min_dwell)
     d, a, eps = request.requested_departure, request.requested_arrival, request.flexibility
@@ -499,9 +500,9 @@ def full_window_schedule(grid, request, route, params, now, horizon_end):
             occupancy = cells[(route.legs[i], t)] = {base[i] + t: 1.0}
             if t >= after:
                 occupancy[gone + t] = -1.0
-    return baseline._Schedule(request, route, fragment,
-                              tuple((lo, col + lo) for lo, col in zip(entry_lo, base)), cells,
-                              ())
+    return baseline._Schedule(request, route, fragment, cells,
+                              tuple((rid, lo, horizon_end - 1, stay) for rid, lo, stay
+                                    in zip(route.legs, entry_lo, [*dwells, 1])))
 
 
 def corridor_flights():
@@ -549,7 +550,8 @@ def declared_windows(schedule):
 
 def pinned_status(schedule, leg, t):
     """The status of the flight's fragment alone with w(leg, t) pinned at 0."""
-    lo, col = schedule.starts[leg]
+    _, lo, _, _ = schedule.windows[leg]
+    col = sum(hi - first + 1 for _, first, hi, _ in schedule.windows[:leg])
     model = milp.Model(name="pinned")
     shift = model.append(schedule.fragment)
     model.add({shift + col + t - lo: 1.0}, "=", 0.0, "pin")
@@ -560,9 +562,8 @@ class TestLatestEntry:
     @pytest.mark.parametrize("case", FLIGHTS, ids=lambda case: case[1].flight_id)
     def test_each_leg_declares_exactly_its_free_entry_window(self, case):
         grid, request, now = case
-        horizon_end = now + grid.horizon_steps
         route = fixed_route(grid, request.origin, request.destination)
-        schedule = baseline._schedule(grid, request, route, PARAMS, now, horizon_end)
+        schedule = baseline._schedule(grid, request, route, PARAMS, now)
         assert schedule is not None
         dwells = baseline.leg_dwells(grid, route, request.min_dwell)
         windows = declared_windows(schedule)
@@ -573,7 +574,7 @@ class TestLatestEntry:
                 earliest = max(earliest, request.requested_arrival)
             # One run of steps from the earliest entry to the latest.
             assert steps == list(range(earliest, steps[-1] + 1))
-            assert schedule.starts[i][0] == earliest
+            assert schedule.windows[i][1] == earliest
             earliest += dwells[i] if i < len(dwells) else 0
             latest = steps[-1]
             # Entering leg i only after its latest entry breaks the
@@ -586,8 +587,7 @@ class TestLatestEntry:
     def test_cells_hold_the_occupancy_of_the_earliest_and_latest_schedules(self, case):
         grid, request, now = case
         route = fixed_route(grid, request.origin, request.destination)
-        schedule = baseline._schedule(grid, request, route, PARAMS, now,
-                                      now + grid.horizon_steps)
+        schedule = baseline._schedule(grid, request, route, PARAMS, now)
         windows = declared_windows(schedule)
         for entries in ([steps[0] for steps in windows], [steps[-1] for steps in windows]):
             # Entered-by: 1 from each leg's entry on.
@@ -617,6 +617,9 @@ class TestLatestEntry:
         outcomes = {}
         for build in (baseline._schedule, full_window_schedule):
             monkeypatch.setattr(baseline, "_schedule", build)
+            if build is full_window_schedule:
+                # No energetic bound: HiGHS solves every attempt.
+                monkeypatch.setattr(blocks, "_exceeds_room", lambda *args: False)
             outcomes[build] = [solve_tfmp(*args) for args in calls]
         for free, full in zip(*outcomes.values(), strict=True):
             assert (free.objective is None) == (full.objective is None)

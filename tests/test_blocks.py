@@ -104,7 +104,7 @@ def test_cell_domain_equals_a_cell_by_cell_reference(now):
                 granted = {(rid, t) for rid, t in offered if rid != destination} | {
                     (origin, depart), (destination, request.requested_arrival)}
             choices = ChoiceSet("f0", origin, destination, granted)
-            domain = cell_domain(grid, snap, request, choices, now, horizon_end)
+            domain = cell_domain(grid, snap, request, choices, now)
             if domain is None:
                 continue
             departures, arrivals = domain[origin], domain[destination]

@@ -39,7 +39,7 @@ def check(grid, snapshot, requests, choices):
     allocation = {r.flight_id: ChoiceSet(r.flight_id, r.origin, r.destination,
                                          frozenset(choices[r.flight_id]))
                   for r in requests if r.flight_id in choices}
-    return choice_violations(grid, snapshot, requests, allocation, NOW, END)
+    return choice_violations(grid, snapshot, requests, allocation, NOW)
 
 
 def test_valid_allocation_has_no_violation(grid, empty):
@@ -52,7 +52,7 @@ def test_step1_grants_pass(grid, empty):
     requests = [request(grid), request(grid, "f1", dwell=(("r0001", 2),))]
     s1 = solve_step1(grid, empty, requests, NOW)
     assert s1.unassigned == ()
-    assert choice_violations(grid, empty, requests, s1.choice_sets, NOW, END) == []
+    assert choice_violations(grid, empty, requests, s1.choice_sets, NOW) == []
 
 
 def test_non_zone_choice(grid, empty):

@@ -171,6 +171,18 @@ class TestOverrides:
         assert capsys.readouterr() == ("", "error: hub r0018 has no other vertiport to fly to\n")
         assert not out.exists()
 
+    def test_duplicate_capacity_override_is_one_error_line(self, scenario_path, tmp_path,
+                                                           capsys):
+        text = scenario_path.read_text(encoding="utf-8")
+        assert text.count("capacity_overrides: []") == 1
+        scenario_path.write_text(text.replace(
+            "capacity_overrides: []", "capacity_overrides: [[r0001, 2, 0], [r0001, 2, 5]]"),
+            encoding="utf-8")
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--config", str(scenario_path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: two capacity overrides for (r0001, t=2)\n")
+        assert not out.exists()
+
     def test_invalid_scenario_file_exits_2_without_a_traceback(self, scenario_path,
                                                               tmp_path):
         with scenario_path.open("a", encoding="utf-8") as handle:

@@ -13,6 +13,7 @@ import pytest
 
 from faircoplan import baseline, milp, sim, step1, step3
 from faircoplan.airspace import (
+    AirspaceGrid,
     ConfigError,
     GridConfig,
     OccupancyLedger,
@@ -34,7 +35,7 @@ from faircoplan.sim import (
     scenario_grid,
 )
 
-from helpers import make_grid, make_request
+from helpers import make_grid, make_request, record_solves
 from test_milp import input_digest
 
 DESK = Path(__file__).resolve().parent.parent / "configs" / "desk8x8.yaml"
@@ -437,6 +438,51 @@ def spy_on_steps(monkeypatch) -> list[dict]:
     for step in ("solve_step1", "solve_step2"):
         monkeypatch.setattr(sim, step, counted(step))
     return calls
+
+
+def test_a_negotiated_period_reads_its_snapshot_table_once(monkeypatch):
+    # Step 1, its whole-offer check and its re-check included, and step 2
+    # read the period's ledger snapshot through one remaining-capacity
+    # table, built once: one ``capacity_table`` per period. Step 3 reads
+    # another snapshot, the proposals' ``base``, and is not counted.
+    periods: list[dict] = []
+    reading = [False]
+    solved = record_solves(monkeypatch, "choice-setting")
+    real_table = AirspaceGrid.capacity_table
+    real_step1, real_step2, real_step3 = sim.solve_step1, sim.solve_step2, sim.solve_step3
+
+    def capacity_table(self, *args):
+        if reading[0]:
+            periods[-1]["tables"] += 1
+        return real_table(self, *args)
+
+    def solve_step1(*args):
+        periods.append({"tables": 0, "step2": 0})
+        reading[0] = True
+        before = len(solved)
+        out = real_step1(*args)
+        periods[-1]["solved"] = len(solved) > before
+        return out
+
+    def solve_step2(*args):
+        periods[-1]["step2"] += 1
+        return real_step2(*args)
+
+    def solve_step3(*args, **kwargs):
+        reading[0] = False
+        return real_step3(*args, **kwargs)
+
+    monkeypatch.setattr(AirspaceGrid, "capacity_table", capacity_table)
+    for name, spy in (("solve_step1", solve_step1), ("solve_step2", solve_step2),
+                      ("solve_step3", solve_step3)):
+        monkeypatch.setattr(sim, name, spy)
+    config = load_scenario(DESK)
+    run_day(scenario_grid(config), config, 0, "coplan")
+    assert [period["tables"] for period in periods] == [1] * len(periods)
+    # Periods whose step 1 solves a model (and re-checks it) and periods it
+    # settles, each with step 2 run.
+    assert sum(period["solved"] and period["step2"] > 0 for period in periods) >= 5
+    assert sum(not period["solved"] and period["step2"] > 0 for period in periods) >= 5
 
 
 def spy_on_step3(monkeypatch) -> dict[str, int]:

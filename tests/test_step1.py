@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from faircoplan import milp, sim
+from faircoplan import milp, sim, step1
 from faircoplan.airspace import OccupancyLedger, OccupancySnapshot
 from faircoplan.oracle import oracle_step1_optimum
 from faircoplan.serialize import load_scenario
-from faircoplan.step1 import choice_domains, room_table, solve_step1
+from faircoplan.step1 import choice_domains, recheck, room_table, solve_step1
 
 from helpers import (
     assert_same_model, blocked, make_grid, make_request, record_solves, solve_every_step1_model,
@@ -34,22 +34,22 @@ def empty(corridor):
 class TestWindows:
     def test_departure_window_has_flexibility_plus_one_slots(self, corridor):
         request = make_request(corridor, "f0", "r0000", "r0002", 0)
-        dom = choice_domains(corridor, request, 0, 8)
+        dom = choice_domains(corridor, request, 0)
         assert list(dom["r0000"]) == [0, 1, 2, 3]
 
     def test_arrival_window_has_flexibility_slots(self, corridor):
         request = make_request(corridor, "f0", "r0000", "r0002", 0)
-        dom = choice_domains(corridor, request, 0, 8)
+        dom = choice_domains(corridor, request, 0)
         assert list(dom["r0002"]) == [2, 3, 4]
 
     def test_intermediate_window_spans_departure_to_arrival_edge(self, corridor):
         request = make_request(corridor, "f0", "r0000", "r0002", 0)
-        dom = choice_domains(corridor, request, 0, 8)
+        dom = choice_domains(corridor, request, 0)
         assert list(dom["r0001"]) == [0, 1, 2, 3, 4]
 
     def test_now_truncates_windows(self, corridor):
         request = make_request(corridor, "f0", "r0000", "r0002", 0)
-        dom = choice_domains(corridor, request, 2, 10)
+        dom = choice_domains(corridor, request, 2)
         assert dom["r0000"].start == 2
         assert dom["r0002"].start == 3
 
@@ -270,8 +270,7 @@ class TestRoomTable:
         for grid, snapshot, requests, now in desk_step1_inputs:
             model, room = step1_model(grid, snapshot, requests, now)
             zone = sorted(grid.zone)
-            stop = now + grid.horizon_steps
-            remaining = snapshot.remaining_table(zone, now, stop)
+            remaining = snapshot.remaining_table(now)[[grid.row(rid) for rid in zone]]
             assert np.array_equal(room, room_table(grid, snapshot, requests, now))
             # One more place where the table already shows every flight that
             # could use the cell: the table and the model stay as they were.
@@ -363,7 +362,8 @@ class TestModelLayout:
 class TestWholeOffer:
     # Where no zone cell is offered to more flights than it has room for
     # and the whole offer passes the re-check, step 1 grants it with no
-    # model: every optimum agrees with it on what step 1 reads.
+    # model: every optimum agrees with it on what step 1 reads. That check
+    # is the batch's only one, and what step 1 returns passes it still.
     def test_desk_days_as_highs_solves_them(self):
         calls = []
         real_solve_step1 = sim.solve_step1
@@ -376,14 +376,28 @@ class TestWholeOffer:
             patch.setattr(sim, "solve_step1", spy)
             sim.run_campaign(replace(load_scenario(DESK), days=2), modes=("fair-coplan", "coplan"))
         settled = fallback = 0
+        checks = []
+        real_check = step1.choice_violations
+
+        def check(*args):
+            checks.append(args)
+            return real_check(*args)
+
         for call in calls:
-            got, models = step1_solves(*call)
+            checks.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(step1, "choice_violations", check)
+                got, models = step1_solves(*call)
             want, solved = step1_solves(*call, shortcut=False)
             assert (got.choice_sets, got.unassigned, got.deferred, repr(got.objective)) == \
                 (want.choice_sets, want.unassigned, want.deferred, repr(want.objective))
             assert list(got.choice_sets) == list(want.choice_sets)
             assert np.array_equal(got.room, want.room)
-            settled += bool(solved) and not models
+            if solved and not models:
+                settled += 1
+                assert len(checks) == 1
+                grid, snapshot, requests, now = call
+                recheck(grid, snapshot, requests, got, now)
             # An uncrowded batch whose whole offer fails the re-check.
             fallback += bool(models) and not any(
                 con.label.startswith("cap.") for con in models[0].constraints)

@@ -206,8 +206,7 @@ class TestInfeasible:
 
         monkeypatch.setattr(milp.Model, "__init__", refuse)
         monkeypatch.setattr(milp, "solve", refuse)
-        assert cell_domain(corridor, snap, request, cramped, 0,
-                           corridor.horizon_steps) is None
+        assert cell_domain(corridor, snap, request, cramped, 0) is None
         out = solve_step2(corridor, snap, request, cramped, PARAMS)
         assert out.infeasible
 
@@ -219,7 +218,7 @@ class TestAudit:
         choices = granted(corridor, snap, request)
         out = solve_step2(corridor, snap, request, choices, PARAMS)
         assert plan_violations(corridor, snap, request, out.plan, 0,
-                               corridor.horizon_steps, choices=choices) == []
+                               choices=choices) == []
 
 
 def every_free_zone_cell(grid, snap, request, now=0):
@@ -316,8 +315,7 @@ class TestExactSearch:
         choices = every_free_zone_cell(grid, snap, request)
         out = solve_step2(grid, snap, request, choices, PARAMS)
         assert len(out.plan.steps) == 1094
-        assert plan_violations(grid, snap, request, out.plan, 0,
-                               grid.horizon_steps, choices=choices) == []
+        assert plan_violations(grid, snap, request, out.plan, 0, choices=choices) == []
 
     def test_long_plan_from_the_arc_fragment_solved_lp_first(self):
         # The 1,094-step plan above, from its arc fragment: the backward

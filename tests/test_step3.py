@@ -371,13 +371,12 @@ class TestCachedFragments:
         assert out.dropped == ("f0",) and len(stage) == len(calls) == 1
         attempts = list(solved)
         assert len(attempts) == out.attempts == 2
-        grid_, base, _, by_id, choice_sets_, params, now, horizon_end = stage[0]
+        grid_, base, _, by_id, choice_sets_, params, now = stage[0]
         name, _, _, requests_, snapshot, extend = calls[0]
         assert (extend is None) == (gamma == 0.0)
         for active, (model, result) in zip([("f0", "f1"), ("f1",)], attempts, strict=True):
             solved.clear()
-            fresh_blocks = blocks(grid_, base, active, by_id, choice_sets_, params,
-                                  now, horizon_end)
+            fresh_blocks = blocks(grid_, base, active, by_id, choice_sets_, params, now)
             fresh_out = joint(name, fresh_blocks, active, requests_, snapshot, extend)
             fresh, fresh_result = solved[0]
             assert_same_model(model, fresh)
