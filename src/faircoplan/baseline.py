@@ -47,17 +47,35 @@ The drop list, the accepted model and its solve are those HiGHS alone
 gives, so no campaign record changes. Over 24 full15x15 periods the bound settles
 2,399 of 2,415 attempts, and HiGHS solves 16 models, not 2,415; on the
 10-day desk8x8 campaign it settles 515 of the 558 infeasible attempts.
+
+Before any block is built, a batch whose earliest schedules fit is filed
+at them with no model (``_earliest_optimum``). The earliest schedule
+enters each leg at its earliest entry. With alpha > 0, a flight is
+cheapest only where it lands at its earliest landing; where that landing
+is its earliest departure plus its minimum stays, the order rows force
+every earlier entry to its earliest too, in the LP relaxation as in the
+MILP, so the earliest schedule is the flight's one cost-minimal point. If
+the batch's earliest schedules together fit remaining capacity
+(``checker.detect_conflicts``), their union minimizes every flight's
+term: it is the model's unique optimum, the point HiGHS would return, so
+no campaign record changes. The batch is one attempt with no solve, its
+objective the schedules' delay cost, and its plans are re-checked once,
+each on its own (``checker.audit_plans``). With alpha = 0, or a requested
+arrival later than that landing, holding is tied and HiGHS decides. This
+settles 14 of the 53 batches of the two desk-campaign days, 52 of the 270
+of the 10-day desk8x8 campaign, and none on full15x15, where every batch
+is crowded.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import milp
 from .airspace import AirspaceGrid, OccupancySnapshot
-from .blocks import Window, solve_joint
-from .checker import audit_batch, audit_objective
-from .flights import DelayCostParams, FlightPlan, FlightRequest, tdc
+from .blocks import DropOutcome, Window, solve_joint
+from .checker import audit_batch, audit_objective, audit_plans, detect_conflicts
+from .flights import DelayCostParams, FlightPlan, FlightRequest, slot_tdc, tdc
 
 __all__ = [
     "BaselineResult",
@@ -100,6 +118,11 @@ def fixed_route(grid: AirspaceGrid, origin: str, destination: str) -> FixedRoute
 
 @dataclass
 class BaselineResult:
+    """One period's fixed-route batch. ``attempts`` counts the drop loop's
+    iterations and ``solves`` the models handed to HiGHS; the other
+    ``attempts - solves`` were settled by a proof: each by the energetic
+    bound, or the one attempt of a batch filed at its earliest schedules."""
+
     plans: dict[str, FlightPlan]
     deferred: tuple[str, ...]
     dropped: tuple[str, ...]
@@ -155,11 +178,16 @@ class _Schedule:
             if entry is None:
                 raise RuntimeError(f"{self.request.flight_id}: leg {i} never entered")
             entries.append(entry)
-        legs = self.route.legs
-        steps = [(t, legs[i]) for i in range(len(legs) - 1)
-                 for t in range(entries[i], entries[i + 1])]
-        steps.append((entries[-1], self.route.destination))
-        return FlightPlan(self.request.flight_id, tuple(steps))
+        return _route_plan(self.request.flight_id, self.route, entries)
+
+
+def _route_plan(flight_id: str, route: FixedRoute, entries: Sequence[int]) -> FlightPlan:
+    """The plan that enters leg i of ``route`` at ``entries[i]`` and holds it
+    until the next entry; the destination is held on its entry step only."""
+    legs = route.legs
+    steps = [(t, legs[i]) for i in range(len(legs) - 1) for t in range(entries[i], entries[i + 1])]
+    steps.append((entries[-1], route.destination))
+    return FlightPlan(flight_id, tuple(steps))
 
 
 def _pairs(first: range, second: range) -> list[int]:
@@ -169,26 +197,23 @@ def _pairs(first: range, second: range) -> list[int]:
     return pairs
 
 
-def _schedule(
+def _windows(
     grid: AirspaceGrid,
     request: FlightRequest,
     route: FixedRoute,
-    params: DelayCostParams,
     now: int,
-) -> _Schedule | None:
-    """The flight's block; None if it cannot fit the horizon.
+) -> tuple[Window, ...] | None:
+    """Each leg's (resource, earliest entry, latest entry, minimum stay),
+    the stay 1 at the destination; None if the flight cannot fit the
+    horizon and is deferred.
 
     Unlike the negotiated lane, no arrival window has to fit: the flight
     just needs a departure slot in its window from which it lands by the
     last step of the horizon, and a requested arrival inside the horizon.
-
-    Only each leg's free entry window, from its earliest to its latest
-    entry, is declared. The model is the cumulative one over the whole
-    horizon with the binaries its own rows force to 1 removed, in the LP
-    relaxation as in the MILP, so both have the same feasible points and
-    optima, and every verdict is the same.
+    The earliest entries are the requested departure (or ``now``, if later)
+    plus the minimum stays, the last leg's raised to the requested arrival.
+    Past its latest entry every feasible schedule has entered the leg.
     """
-    fid = request.flight_id
     dwells = leg_dwells(grid, route, request.min_dwell)
     d, a, eps = request.requested_departure, request.requested_arrival, request.flexibility
     horizon_end = now + grid.horizon_steps
@@ -196,7 +221,6 @@ def _schedule(
     depart_by = min(d + eps, horizon_end - 1 - sum(dwells))
     if max(d, now) > depart_by or a > horizon_end - 1:
         return None
-    exact = [grid.resource(rid).kind == "vertiport" for rid in route.legs[:-1]]
 
     entry_lo = [max(d, now)]
     for dwell in dwells:
@@ -218,9 +242,33 @@ def _schedule(
     for i in reversed(range(last)):
         entry_hi[i] = entry_hi[i + 1] - dwells[i]
     entry_hi[0] = min(entry_hi[0], depart_by)
-    for i in range(last):
-        if exact[i]:
+    for i, rid in enumerate(route.legs[:-1]):
+        if grid.resource(rid).kind == "vertiport":
             entry_hi[i + 1] = min(entry_hi[i + 1], entry_hi[i] + dwells[i])
+    return tuple(zip(route.legs, entry_lo, entry_hi, [*dwells, 1]))
+
+
+def _schedule(
+    grid: AirspaceGrid,
+    request: FlightRequest,
+    route: FixedRoute,
+    windows: tuple[Window, ...],
+    params: DelayCostParams,
+) -> _Schedule:
+    """The flight's block over its legs' ``windows`` (``_windows``).
+
+    Only each leg's free entry window, from its earliest to its latest
+    entry, is declared. The model is the cumulative one over the whole
+    horizon with the binaries its own rows force to 1 removed, in the LP
+    relaxation as in the MILP, so both have the same feasible points and
+    optima, and every verdict is the same.
+    """
+    fid = request.flight_id
+    _, entry_lo, entry_hi, stays = zip(*windows)
+    dwells = stays[:-1]
+    d, a, eps = request.requested_departure, request.requested_arrival, request.flexibility
+    last = len(route.legs) - 1
+    exact = [grid.resource(rid).kind == "vertiport" for rid in route.legs[:-1]]
 
     # Weighted delay: each unentered step past the requested time costs.
     # Steps before the earliest possible entry are unavoidable and enter
@@ -296,8 +344,50 @@ def _schedule(
         cells.update({(rid, t): {j: 1.0} for t, j in zip(range(lo, after), entered)})
         cells.update({(rid, t): {j: 1.0, gone + t: -1.0}
                       for t, j in zip(range(after, end), entered[after - lo:])})
-    return _Schedule(request, route, fragment, cells,
-                     tuple(zip(route.legs, entry_lo, entry_hi, [*dwells, 1])))
+    return _Schedule(request, route, fragment, cells, windows)
+
+
+def _earliest_optimum(
+    grid: AirspaceGrid,
+    snapshot: OccupancySnapshot,
+    requests: Mapping[str, FlightRequest],
+    flights: Mapping[str, tuple[FixedRoute, tuple[Window, ...]]],
+    params: DelayCostParams,
+) -> DropOutcome | None:
+    """The batch ``flights``, each a (route, ``_windows``) pair, filed at
+    its earliest schedules, where those are proven to be the model's unique
+    optimum; else None, and the model decides.
+
+    The earliest schedule enters each leg at its earliest entry. Call a
+    flight tight when its earliest landing is its earliest departure plus
+    its minimum stays. With alpha > 0, a flight's delay term is least only
+    where it lands at its earliest landing. For a tight flight the order
+    rows then force every earlier leg's entry to its earliest too, and
+    monotonicity sets every column to 1, in the LP relaxation as in the
+    MILP: the earliest schedule is the one point that minimizes the
+    flight's term. If the earliest schedules fit remaining capacity
+    together (``detect_conflicts``), their union minimizes every term at
+    once, so it is the joint model's unique optimum, the point HiGHS
+    returns. The objective is their delay cost, from each flight's earliest
+    departure and landing; the batch is one attempt with no solve.
+
+    With alpha = 0 airborne holding costs nothing and ties the landing, and
+    a request whose arrival is later than its earliest departure plus the
+    stays leaves its inner legs free, so neither is proven.
+    """
+    if params.alpha <= 0.0 or not flights:
+        return None
+    plans: dict[str, FlightPlan] = {}
+    objective = 0.0
+    for fid, (route, windows) in flights.items():
+        entries = [lo for _, lo, _, _ in windows]
+        if entries[-1] != entries[0] + sum(stay for *_, stay in windows[:-1]):
+            return None
+        plans[fid] = _route_plan(fid, route, entries)
+        objective += slot_tdc(requests[fid], params, entries[0], entries[-1])
+    if detect_conflicts(grid, snapshot, plans).has_conflicts:
+        return None
+    return DropOutcome(plans, objective, (), 1, 0)
 
 
 def solve_tfmp(
@@ -313,23 +403,31 @@ def solve_tfmp(
             raise ValueError(f"duplicate flight id {req.flight_id}")
         by_id[req.flight_id] = req
 
-    schedules: dict[str, _Schedule] = {}
+    flights: dict[str, tuple[FixedRoute, tuple[Window, ...]]] = {}
     deferred = []
     for fid in sorted(by_id):
         req = by_id[fid]
-        schedule = _schedule(grid, req, fixed_route(grid, req.origin, req.destination),
-                             params, now)
-        if schedule is None:
+        route = fixed_route(grid, req.origin, req.destination)
+        windows = _windows(grid, req, route, now)
+        if windows is None:
             deferred.append(fid)
         else:
-            schedules[fid] = schedule
+            flights[fid] = (route, windows)
 
-    outcome = solve_joint("fixed-route-schedule", schedules, list(schedules), by_id, snapshot)
+    outcome = _earliest_optimum(grid, snapshot, by_id, flights, params)
+    if outcome is not None:
+        # The proof has checked joint capacity: each plan is re-checked alone.
+        audit_plans(grid, snapshot, by_id, outcome.plans, now, "fixed-route")
+    else:
+        schedules = {fid: _schedule(grid, by_id[fid], route, windows, params)
+                     for fid, (route, windows) in flights.items()}
+        outcome = solve_joint("fixed-route-schedule", schedules, list(schedules), by_id,
+                              snapshot)
+        if outcome.objective is not None:
+            audit_batch(grid, snapshot, by_id, outcome.plans, now, "fixed-route")
     plans = outcome.plans
-    tdc_by_flight: dict[str, float] = {}
+    tdc_by_flight = {fid: tdc(plan, by_id[fid], params) for fid, plan in plans.items()}
     if outcome.objective is not None:
-        audit_batch(grid, snapshot, by_id, plans, now, "fixed-route")
-        tdc_by_flight = {fid: tdc(plan, by_id[fid], params) for fid, plan in plans.items()}
         audit_objective("fixed-route", outcome.objective, sum(tdc_by_flight.values()))
 
     return BaselineResult(

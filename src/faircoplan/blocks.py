@@ -34,7 +34,10 @@ the same victim, so the victim is dropped with no model built. The bound
 is computed in integers and tested only on resources with a crowded cell;
 elsewhere each step's holders fit its room, so no sum can exceed it. Over
 24 full15x15 periods of tfmp it settles 2,399 of the 2,415 attempts, so
-HiGHS solves 16 models; on the two desk-campaign days it settles 32 of 81.
+HiGHS solves 16 models; on the two desk-campaign days it settles 32 of 67.
+The baseline calls ``solve_joint`` only for a batch its earliest-schedule
+proof leaves open (``baseline._earliest_optimum``): 14 of the two days' 81
+attempts are batches that proof settled with no block built.
 """
 from __future__ import annotations
 
@@ -122,7 +125,9 @@ class DropOutcome(NamedTuple):
     ``objective`` is that solve's optimum; both are empty (``{}``, None)
     when every flight was dropped. ``attempts`` counts the loop's
     iterations and ``solves`` the models it handed to HiGHS; the energetic
-    bound settled the other ``attempts - solves``.
+    bound settled the other ``attempts - solves``. The baseline also
+    reports a batch filed at its earliest schedules, with no loop, as one
+    attempt and no solve (``baseline._earliest_optimum``).
     """
 
     plans: dict[str, FlightPlan]

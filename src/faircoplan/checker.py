@@ -13,9 +13,12 @@ Each feasibility rule is stated here once:
   deconflicts and audits each period's new plans before they are filed.
 
 ``audit_batch`` is the one re-check after a joint solve (deconfliction and
-the fixed-route schedule): ``plan_violations`` on every plan, then
-``detect_conflicts`` on the batch; any problem raises. ``audit_objective``
-is the one check of its optimum against the cost recomputed from its plans.
+the fixed-route schedule): ``audit_plans`` (``plan_violations`` on every
+plan), then ``detect_conflicts`` on the batch; any problem raises. A
+fixed-route batch filed at its earliest schedules with no solve has passed
+``detect_conflicts`` in its proof, so it takes ``audit_plans`` alone.
+``audit_objective`` is the one check of a batch's optimum against the cost
+recomputed from its plans.
 
 So a disagreement between a solver and the enumeration oracle can only come
 from model construction, never from two diverging notions of feasibility.
@@ -40,6 +43,7 @@ __all__ = [
     "ConflictReport",
     "audit_batch",
     "audit_objective",
+    "audit_plans",
     "choice_violations",
     "detect_conflicts",
     "plan_violations",
@@ -252,7 +256,7 @@ def detect_conflicts(
     return ConflictReport(tuple(conflicts), frozenset(involved))
 
 
-def audit_batch(
+def audit_plans(
     grid: AirspaceGrid,
     snapshot: OccupancySnapshot,
     requests: Mapping[str, FlightRequest],
@@ -262,7 +266,8 @@ def audit_batch(
     *,
     choice_sets: Mapping[str, ChoiceSet] | None = None,
 ) -> None:
-    """Re-check a solved batch: each plan on its own, then joint capacity.
+    """Re-check each plan of a batch on its own (``plan_violations``); the
+    first flight with a problem raises.
 
     ``what`` names the batch in the error ("deconflicted", "fixed-route").
     With ``choice_sets`` each plan is held to its own choice set on zone
@@ -277,6 +282,21 @@ def audit_batch(
             raise RuntimeError(
                 f"{fid}: {what} plan failed re-check: " + "; ".join(problems[:5])
             )
+
+
+def audit_batch(
+    grid: AirspaceGrid,
+    snapshot: OccupancySnapshot,
+    requests: Mapping[str, FlightRequest],
+    plans: Mapping[str, FlightPlan],
+    now: int,
+    what: str,
+    *,
+    choice_sets: Mapping[str, ChoiceSet] | None = None,
+) -> None:
+    """Re-check a solved batch: each plan on its own (``audit_plans``), then
+    joint capacity; any problem raises."""
+    audit_plans(grid, snapshot, requests, plans, now, what, choice_sets=choice_sets)
     report = detect_conflicts(grid, snapshot, plans)
     if report.has_conflicts:
         raise RuntimeError(

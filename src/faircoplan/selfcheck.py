@@ -168,6 +168,15 @@ def build_catalog() -> list[TinyInstance]:
         now=2,
     ))
 
+    # f0 may land a step after its earliest landing, so its earliest
+    # schedule is not the only cost-minimal one: it may depart on time and
+    # hold in either ring cell. The fixed-route lane leaves it to HiGHS.
+    long = make_grid(1, 4, ((0, 0), (0, 3)))
+    out.append(TinyInstance(
+        "corridor-slack", long,
+        (FlightRequest("f0", "op", rid(long, 0, 0), rid(long, 0, 3), 0, 4, flexibility=2),),
+    ))
+
     out.append(TinyInstance(
         "corridor-blocked",
         make_grid(1, 3, ((0, 0), (0, 2)), overrides=blocked(corridor, 0, 1)),
@@ -393,8 +402,8 @@ def check_instance(inst: TinyInstance) -> list[CaseResult]:
 
         baseline = solve_tfmp(grid, snap, list(inst.requests), params, now)
         try:
-            want_total, _ = oracle_tfmp_optimum(grid, snap, inst.requests,
-                                                params, now)
+            want_total, want_plans = oracle_tfmp_optimum(grid, snap, inst.requests,
+                                                         params, now)
         except OracleSizeError:
             want_total = "skip"
         if want_total != "skip":
@@ -406,6 +415,13 @@ def check_instance(inst: TinyInstance) -> list[CaseResult]:
                      want_total is not None
                      and _same(baseline.total_tdc, want_total),
                      f"milp={baseline.total_tdc:g} oracle={want_total}")
+                # A batch filed with no solve is its earliest schedules,
+                # proven the unique optimum: the oracle's plans are those.
+                if baseline.solves == 0:
+                    differ = sorted(fid for fid in by_id
+                                    if baseline.plans.get(fid) != want_plans.get(fid))
+                    case("schedule-baseline-plans", not differ,
+                         f"plans differ from the oracle's for {differ}" if differ else "")
     except Exception as exc:  # noqa: BLE001 - a crash is a failed case
         case("pipeline", False, repr(exc))
     return cases

@@ -1,7 +1,8 @@
 """Shared builders for compact test airspaces and flights: the self-check's
 own tiny-instance builders, so tests and the oracle suite build alike, and
-the single-flight trajectory MILP, step 3's arc fragment; and a patch that
-makes step 1 solve its model for every batch."""
+the single-flight trajectory MILP, step 3's arc fragment; and patches that
+make step 1 solve its model, and the fixed-route lane hand its drop loop,
+every batch."""
 from __future__ import annotations
 
 import os
@@ -11,12 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from faircoplan import milp, step1
+from faircoplan import baseline, milp, step1
 from faircoplan.selfcheck import blocked, make_grid, make_request, rid
 from faircoplan.blocks import arc_fragment, cell_domain
 
 __all__ = ["assert_same_model", "blocked", "make_grid", "make_request", "record_solves",
-           "rid", "run_python", "solve_every_step1_model", "trajectory_model"]
+           "rid", "run_python", "solve_every_step1_model", "solve_every_tfmp_batch",
+           "trajectory_model"]
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -81,3 +83,11 @@ def solve_every_step1_model(patch):
     out: ``solve_step1`` then builds and solves its model for every batch,
     also one whose whole offer it would grant with no model."""
     patch.setattr(step1, "_whole_offer", lambda *args: None)
+
+
+def solve_every_tfmp_batch(patch):
+    """With ``patch`` (a ``pytest.MonkeyPatch``), take the fixed-route
+    lane's earliest-schedule proof out: ``solve_tfmp`` then builds its
+    blocks and runs ``blocks.solve_joint`` for every batch, also one it
+    would file at its earliest schedules with no model."""
+    patch.setattr(baseline, "_earliest_optimum", lambda *args: None)

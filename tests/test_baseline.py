@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,11 +19,22 @@ from faircoplan.selfcheck import CASES, SEED, build_catalog, random_instance
 from faircoplan.serialize import load_scenario
 from faircoplan.sim import generate_demand, scenario_grid
 
-from helpers import assert_same_model, make_grid, make_request, record_solves
+from helpers import (
+    assert_same_model, make_grid, make_request, record_solves, solve_every_tfmp_batch,
+)
 
 PARAMS = DelayCostParams(alpha=0.3)
 DESK = Path(__file__).resolve().parent.parent / "configs" / "desk8x8.yaml"
 FULL = DESK.with_name("full15x15.yaml")
+
+
+def block(grid, request, now=0):
+    """The flight's fixed-route block, as ``solve_tfmp`` builds it; None if
+    it is deferred."""
+    route = fixed_route(grid, request.origin, request.destination)
+    windows = baseline._windows(grid, request, route, now)
+    return None if windows is None else baseline._schedule(grid, request, route, windows,
+                                                           PARAMS)
 
 
 class TestFixedRoute:
@@ -129,10 +141,15 @@ class TestCachedFragments:
         assert (out.dropped, out.attempts, out.solves) == (("f0", "f3", "f2"), 4, 1)
         accepted = solved.pop()
         assert solved == []
-        fresh_out = solve_tfmp(grid, snap, [r for r in requests if r.flight_id == "f1"],
-                               PARAMS)
+        # Alone, f1's earliest schedule fits, so a fresh stage call files it
+        # with no model; with that proof out, HiGHS solves the accepted model.
+        alone = [r for r in requests if r.flight_id == "f1"]
+        proven = solve_tfmp(grid, snap, alone, PARAMS)
+        assert (proven.attempts, proven.solves, solved) == (1, 0, [])
+        solve_every_tfmp_batch(monkeypatch)
+        fresh_out = solve_tfmp(grid, snap, alone, PARAMS)
         assert_same_attempt(accepted, solved.pop())
-        assert fresh_out.plans == out.plans != {}
+        assert fresh_out.plans == proven.plans == out.plans != {}
         # With the bound patched out HiGHS solves all four: the three the
         # bound settled are infeasible, and each model equals a fresh stage
         # call's.
@@ -153,10 +170,7 @@ class TestCachedFragments:
         # flights can hold is read from the snapshot once.
         grid, requests, snap = self.cascade()
         by_id = {req.flight_id: req for req in requests}
-        schedules = {
-            fid: baseline._schedule(grid, req, fixed_route(grid, req.origin, req.destination),
-                                    PARAMS, 0)
-            for fid, req in by_id.items()}
+        schedules = {fid: block(grid, req) for fid, req in by_id.items()}
         reads = Counter()
 
         class CountingSnapshot:
@@ -246,6 +260,9 @@ class TestEnergeticBound:
         # Desk days 0-1 with the bound patched out: HiGHS solves every
         # attempt, and each the bound settles is infeasible. Their number is
         # the attempts less the solves of the same days with the bound in.
+        # The earliest-schedule proof is out in both runs, so every batch
+        # reaches the drop loop.
+        solve_every_tfmp_batch(monkeypatch)
         config = load_scenario(DESK)
         grid = scenario_grid(config)
         skipped = []
@@ -286,7 +303,9 @@ class TestEnergeticBound:
 
     def test_selfcheck_attempts_it_settles_have_no_oracle_schedule(self, monkeypatch):
         # On the self-check's fixed-route instances, brute force finds no
-        # joint schedule for any attempt the bound settled.
+        # joint schedule for any attempt the bound settled. The
+        # earliest-schedule proof is out, so every batch reaches the loop.
+        solve_every_tfmp_batch(monkeypatch)
         solved = record_solves(monkeypatch, "fixed-route-schedule")
         settled = 0
         instances = build_catalog()[:CASES]
@@ -318,6 +337,121 @@ class TestEnergeticBound:
             "2405da89001327dae82a7e9b1aed8c862db0ec91cdd3c7b5192383e3c42b362f")
 
 
+def highs_runs(monkeypatch):
+    """From now on, one entry per ``milp.run_highs`` call."""
+    runs = []
+    real = milp.run_highs
+
+    def spy(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(milp, "run_highs", spy)
+    return runs
+
+
+class TestEarliestOptimum:
+    # With alpha > 0, a tight flight (earliest landing = earliest departure
+    # plus its minimum stays) has one cost-minimal schedule, its earliest;
+    # if those fit together they are the batch's unique optimum, filed with
+    # no block, model or HiGHS call.
+    def test_every_desk_batch_it_settles_matches_highs(self, monkeypatch):
+        # Desk days 0-1: each batch the proof settles, re-solved through
+        # the drop loop on fresh blocks, has the same plans and objective,
+        # in one attempt that HiGHS accepts.
+        settled = []
+        real = baseline._earliest_optimum
+
+        def spy(*args):
+            outcome = real(*args)
+            if outcome is not None:
+                settled.append((args, outcome))
+            return outcome
+
+        batches = []
+        real_tfmp = sim.solve_tfmp
+
+        def count(*args):
+            out = real_tfmp(*args)
+            batches.append(out)
+            return out
+
+        monkeypatch.setattr(baseline, "_earliest_optimum", spy)
+        monkeypatch.setattr(sim, "solve_tfmp", count)
+        config = load_scenario(DESK)
+        grid = scenario_grid(config)
+        for day in (0, 1):
+            sim.run_day(grid, config, day, "tfmp")
+        assert (len(settled), len(batches)) == (14, 53)
+        assert sum(out.solves == 0 and out.plans != {} for out in batches) == 14
+        for (grid, snapshot, requests, flights, params), outcome in settled:
+            schedules = {fid: baseline._schedule(grid, requests[fid], route, windows, params)
+                         for fid, (route, windows) in flights.items()}
+            joint = solve_joint("fixed-route-schedule", schedules, list(schedules), requests,
+                                snapshot)
+            assert (joint.plans, joint.dropped, joint.attempts, joint.solves) == (
+                outcome.plans, (), 1, 1)
+            assert list(joint.plans) == list(outcome.plans)
+            assert joint.objective == pytest.approx(outcome.objective, rel=0, abs=1e-9)
+            assert (outcome.dropped, outcome.attempts, outcome.solves) == ((), 1, 0)
+
+    def test_lone_on_time_flight_runs_no_highs(self, monkeypatch):
+        grid = make_grid(1, 3, ((0, 0), (0, 2)))
+        request = make_request(grid, "f0", "r0000", "r0002", 0)
+        runs = highs_runs(monkeypatch)
+        out = solve_tfmp(grid, OccupancyLedger(grid).snapshot(), [request], PARAMS)
+        assert runs == []
+        assert (out.attempts, out.solves, out.dropped) == (1, 0, ())
+        assert out.plans["f0"].steps == ((0, "r0000"), (1, "r0001"), (2, "r0002"))
+        assert out.objective == out.total_tdc == 0.0
+
+    @staticmethod
+    def refused():
+        """(params, grid, requests) batches the proof leaves to HiGHS."""
+        grid = make_grid(1, 3, ((0, 0), (0, 2)))
+        on_time = make_request(grid, "f0", "r0000", "r0002", 0)
+        # Requested to land a step after its earliest landing, the flight is
+        # not tight: its earliest schedule need not be its only optimum.
+        slack = replace(on_time, requested_arrival=on_time.requested_arrival + 1)
+        both = [make_request(grid, f"f{i}", "r0000", "r0002", 0) for i in range(2)]
+        return {
+            # Airborne holding costs nothing: the landing is tied.
+            "alpha-0": (DelayCostParams(alpha=0.0), grid, [on_time]),
+            "late-arrival": (PARAMS, grid, [slack]),
+            # Both earliest plans hold the capacity-one ring cell at step 1.
+            "overload": (PARAMS, grid, both),
+        }
+
+    @pytest.mark.parametrize("case", ["alpha-0", "late-arrival", "overload"])
+    def test_refused_batches_go_to_highs(self, monkeypatch, case):
+        params, grid, requests = self.refused()[case]
+        snap = OccupancyLedger(grid).snapshot()
+        runs = highs_runs(monkeypatch)
+        out = solve_tfmp(grid, snap, requests, params)
+        assert (out.attempts, out.solves, out.dropped) == (1, 1, ())
+        assert len(runs) >= 1
+        want, _ = oracle_tfmp_optimum(grid, snap, requests, params)
+        assert out.total_tdc == pytest.approx(want)
+
+    def test_alpha_one_agrees_with_highs(self, monkeypatch):
+        # No ground weight: the landing alone forces the earliest schedule.
+        # Three flights whose earliest plans share no ring cell at a step.
+        grid = make_grid(1, 4, ((0, 0), (0, 3)), horizon=10)
+        params = DelayCostParams(alpha=1.0)
+        requests = [make_request(grid, "f0", "r0000", "r0003", 0),
+                    make_request(grid, "f1", "r0003", "r0000", 4, dwell=(("r0001", 2),)),
+                    make_request(grid, "f2", "r0000", "r0003", 2)]
+        snap = OccupancyLedger(grid).snapshot()
+        out = solve_tfmp(grid, snap, requests, params)
+        assert (out.attempts, out.solves) == (1, 0)
+        solve_every_tfmp_batch(monkeypatch)
+        solved = solve_tfmp(grid, snap, requests, params)
+        assert (solved.attempts, solved.solves) == (1, 1)
+        assert solved.plans == out.plans and list(solved.plans) == list(out.plans)
+        assert solved.tdc_by_flight == out.tdc_by_flight
+        assert solved.objective == pytest.approx(out.objective, rel=0, abs=1e-9)
+
+
 class TestCapacityAudit:
     def test_overloading_extraction_breaks_capacity(self, monkeypatch):
         grid = make_grid(1, 3, ((0, 0), (0, 2)))
@@ -336,13 +470,21 @@ class TestCapacityAudit:
         with pytest.raises(RuntimeError, match="fixed-route batch breaks capacity"):
             solve_tfmp(grid, OccupancyLedger(grid).snapshot(), requests, PARAMS)
 
-    def test_extraction_that_skips_a_cell_fails_recheck(self, monkeypatch):
+    @pytest.mark.parametrize("proof", [True, False], ids=["proven", "highs"])
+    def test_extraction_that_skips_a_cell_fails_recheck(self, monkeypatch, proof):
+        # The lone on-time flight is filed at its earliest schedule with no
+        # model, or, with that proof out, from HiGHS's point; both read the
+        # plan through the one extraction, corrupted here.
         grid = make_grid(1, 3, ((0, 0), (0, 2)))
         request = make_request(grid, "f0", "r0000", "r0002", 0)
-        monkeypatch.setattr(baseline._Schedule, "plan", lambda schedule, x: FlightPlan(
-            schedule.request.flight_id, ((0, "r0000"), (1, "r0002"))))
+        if not proof:
+            solve_every_tfmp_batch(monkeypatch)
+        solved = record_solves(monkeypatch, "fixed-route-schedule")
+        monkeypatch.setattr(baseline, "_route_plan", lambda fid, route, entries: FlightPlan(
+            fid, ((0, "r0000"), (1, "r0002"))))
         with pytest.raises(RuntimeError, match="f0: fixed-route plan failed re-check"):
             solve_tfmp(grid, OccupancyLedger(grid).snapshot(), [request], PARAMS)
+        assert len(solved) == (0 if proof else 1)
 
 
 class TestDeferral:
@@ -440,12 +582,14 @@ class TestRelaxationFirst:
                          "deconfliction": {True}}
 
 
-def full_window_schedule(grid, request, route, params, now):
+def full_window_schedule(grid, request, route, windows, params):
     """The reference formulation: ``baseline._schedule`` as it was before it
     declared only each leg's free entry window. Every leg's binaries run to
     the horizon's end, its rows and occupancy terms with them, so each leg's
-    window, which ``plan`` walks, ends there too."""
-    horizon_end = now + grid.horizon_steps
+    window, which ``plan`` walks, ends there too. Of ``windows`` it reads
+    only the period: the last leg's latest entry is its last step."""
+    horizon_end = windows[-1][2] + 1
+    now = horizon_end - grid.horizon_steps
     fid = request.flight_id
     dwells = baseline.leg_dwells(grid, route, request.min_dwell)
     d, a, eps = request.requested_departure, request.requested_arrival, request.flexibility
@@ -563,7 +707,7 @@ class TestLatestEntry:
     def test_each_leg_declares_exactly_its_free_entry_window(self, case):
         grid, request, now = case
         route = fixed_route(grid, request.origin, request.destination)
-        schedule = baseline._schedule(grid, request, route, PARAMS, now)
+        schedule = block(grid, request, now)
         assert schedule is not None
         dwells = baseline.leg_dwells(grid, route, request.min_dwell)
         windows = declared_windows(schedule)
@@ -586,8 +730,7 @@ class TestLatestEntry:
     @pytest.mark.parametrize("case", FLIGHTS, ids=lambda case: case[1].flight_id)
     def test_cells_hold_the_occupancy_of_the_earliest_and_latest_schedules(self, case):
         grid, request, now = case
-        route = fixed_route(grid, request.origin, request.destination)
-        schedule = baseline._schedule(grid, request, route, PARAMS, now)
+        schedule = block(grid, request, now)
         windows = declared_windows(schedule)
         for entries in ([steps[0] for steps in windows], [steps[-1] for steps in windows]):
             # Entered-by: 1 from each leg's entry on.
@@ -614,6 +757,9 @@ class TestLatestEntry:
         sim.run_day(grid, config, 0, "tfmp")
         monkeypatch.undo()
         assert calls
+        # Every batch is built and solved, also one the earliest-schedule
+        # proof would file with no model.
+        solve_every_tfmp_batch(monkeypatch)
         outcomes = {}
         for build in (baseline._schedule, full_window_schedule):
             monkeypatch.setattr(baseline, "_schedule", build)

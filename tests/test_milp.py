@@ -29,7 +29,7 @@ from faircoplan.step3 import solve_step3
 
 from helpers import (
     assert_same_model, blocked, make_grid, make_request, run_python, solve_every_step1_model,
-    trajectory_model,
+    solve_every_tfmp_batch, trajectory_model,
 )
 
 
@@ -385,9 +385,10 @@ def scipy_milp(arrays, options):
 def desk_day_solves() -> list[tuple]:
     """``(model, milp._arrays(model), result)`` for every model solved on
     desk day 0, in all three lanes: 48 choice-setting, 5 deconfliction and
-    54 fixed-route models. The fixed-route drop loop's energetic bound and
-    step 1's whole-offer shortcut are patched out, so HiGHS solves every
-    attempt and every step-1 batch, those they settle included."""
+    54 fixed-route models. The fixed-route drop loop's energetic bound, the
+    fixed-route earliest-schedule proof and step 1's whole-offer shortcut
+    are patched out, so HiGHS solves every attempt and every batch, those
+    they settle included."""
     solved = []
     real_solve = milp.solve
 
@@ -400,6 +401,7 @@ def desk_day_solves() -> list[tuple]:
         patch.setattr(milp, "solve", spy)
         patch.setattr(blocks, "_exceeds_room", lambda rid, spans, room: False)
         solve_every_step1_model(patch)
+        solve_every_tfmp_batch(patch)
         config = load_scenario(DESK)
         grid = sim.scenario_grid(config)
         for mode in sim.MODES:

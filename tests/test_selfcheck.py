@@ -46,6 +46,21 @@ class TestCatalog:
             assert all(case.passed for case in cases), name
 
 
+    def test_tfmp_plans_meet_the_oracles_where_the_proof_settles(self, monkeypatch):
+        # A lone on-time flight is filed at its earliest schedule with no
+        # model, and its plan is compared with the oracle's; a flight that
+        # may land a step late is left to HiGHS, and only its cost is.
+        catalog = {inst.name: inst for inst in build_catalog()}
+        solved = record_solves(monkeypatch, "fixed-route-schedule")
+        for name, models in (("corridor", 0), ("corridor-slack", 1)):
+            cases = {case.name: case for case in check_instance(catalog[name])}
+            assert len(solved) == models, name
+            assert f"{name}/schedule-baseline" in cases
+            assert (f"{name}/schedule-baseline-plans" in cases) == (models == 0)
+            assert all(case.passed for case in cases.values()), name
+            solved.clear()
+
+
 class TestRandomInstances:
     def test_same_seed_same_instance(self):
         a, b = random_instance(42), random_instance(42)
