@@ -48,21 +48,26 @@ gives, so no campaign record changes. Over 24 full15x15 periods the bound settle
 2,399 of 2,415 attempts, and HiGHS solves 16 models, not 2,415; on the
 10-day desk8x8 campaign it settles 515 of the 558 infeasible attempts.
 
-Before any block is built, a batch whose earliest schedules fit is filed
-at them with no model (``_earliest_optimum``). The earliest schedule
-enters each leg at its earliest entry. With alpha > 0, a flight is
-cheapest only where it lands at its earliest landing; where that landing
-is its earliest departure plus its minimum stays, the order rows force
-every earlier entry to its earliest too, in the LP relaxation as in the
-MILP, so the earliest schedule is the flight's one cost-minimal point. If
-the batch's earliest schedules together fit remaining capacity
-(``checker.detect_conflicts``), their union minimizes every flight's
-term: it is the model's unique optimum, the point HiGHS would return, so
-no campaign record changes. The batch is one attempt with no solve, its
-objective the schedules' delay cost, and its plans are re-checked once,
-each on its own (``checker.audit_plans``). With alpha = 0, or a requested
-arrival later than that landing, holding is tied and HiGHS decides. This
-settles 14 of the 53 batches of the two desk-campaign days, 52 of the 270
+Before any block is built, a batch is filed at its flights' cheapest
+schedules with no model where each is proven unique and they fit together
+(``_cheapest_optimum``). Each flight's cheapest schedule is found alone,
+over its entry windows and the snapshot's room: with alpha above 1e-6, a
+flight whose earliest landing is its earliest departure plus its minimum
+stays is cheapest only at its earliest schedule, taken at once where it
+has room; else a forward pass over the legs counts, for each reachable
+entry, the departures that reach it and whether two schedules do. A
+flight's rows alone are totally unimodular (each is a difference of two
+binaries or fixes one), so its unique cheapest schedule is its unique LP
+optimum. A ``cap`` row restricts each flight at least as much as its own
+rows do, so if the cheapest schedules together fit remaining capacity
+(``checker.detect_conflicts``) their union is the joint model's unique
+optimum, the point HiGHS would return, and no campaign record changes.
+The batch is one attempt with no solve, its objective the schedules'
+delay cost, and its plans are re-checked once, each on its own
+(``checker.audit_plans``). A flight with two cheapest schedules, or
+another (departure, landing) pair within 1e-6 of its least cost, leaves
+the batch to HiGHS, whose optimum is exact only to its tolerances. This
+settles 24 of the 53 batches of the two desk-campaign days, 101 of the 270
 of the 10-day desk8x8 campaign, and none on full15x15, where every batch
 is crowded.
 """
@@ -121,7 +126,8 @@ class BaselineResult:
     """One period's fixed-route batch. ``attempts`` counts the drop loop's
     iterations and ``solves`` the models handed to HiGHS; the other
     ``attempts - solves`` were settled by a proof: each by the energetic
-    bound, or the one attempt of a batch filed at its earliest schedules."""
+    bound, or the one attempt of a batch filed at its flights' cheapest
+    schedules (``_cheapest_optimum``)."""
 
     plans: dict[str, FlightPlan]
     deferred: tuple[str, ...]
@@ -347,7 +353,89 @@ def _schedule(
     return _Schedule(request, route, fragment, cells, windows)
 
 
-def _earliest_optimum(
+# Two (departure, landing) pairs whose delay costs differ by no more than
+# this are tied: their floats need not order them as their rationals do.
+_NEAR_TIE = 1e-6
+
+
+def _cheapest_entries(
+    grid: AirspaceGrid,
+    snapshot: OccupancySnapshot,
+    request: FlightRequest,
+    windows: tuple[Window, ...],
+    params: DelayCostParams,
+) -> tuple[list[int], float] | None:
+    """Each leg's entry in the flight's unique cheapest schedule over its
+    legs' ``windows`` and the snapshot's room, with its delay cost; None if
+    it has no schedule or its cheapest is not unique.
+
+    A schedule enters each leg in its window, stays at least the leg's
+    minimum (exactly, at a vertiport) and holds each step with room; the
+    destination needs room on its entry step. Its cost is ``slot_tdc`` of
+    its departure and landing. The cheapest is unique when one schedule
+    reaches the least cost and every other reachable (departure, landing)
+    pair costs more than it by over ``_NEAR_TIE``.
+
+    A tight flight, whose earliest landing is its earliest departure plus
+    the minimum stays, lands at its earliest only on its earliest schedule,
+    and any other schedule lands later, for alpha more per step: with
+    alpha over ``_NEAR_TIE``, where the earliest schedule has room it is
+    the answer. Otherwise a forward pass over the legs maps each entry of
+    leg i that a schedule reaches to two bitmasks over departures (bit k
+    for departure ``lo[0] + k``): those that reach it, and those that
+    reach it by two or more schedules. The entries are read back from the
+    landing.
+    """
+    legs, lo, hi, stays = zip(*windows)
+    last = len(windows) - 1
+    room = snapshot.remaining
+    if (params.alpha > _NEAR_TIE and lo[last] == lo[0] + sum(stays[:last])
+            and room(legs[last], lo[last]) >= 1
+            and all(room(legs[i], t) >= 1 for i in range(last) for t in range(lo[i], lo[i + 1]))):
+        return list(lo), slot_tdc(request, params, lo[0], lo[last])
+
+    layer = {e: (1 << (e - lo[0]), 0) for e in range(lo[0], hi[0] + 1)}
+    layers, moves = [layer], []
+    for i in range(last):
+        rid, stay, stop = legs[i], stays[i], hi[i + 1]
+        exact = grid.resource(rid).kind == "vertiport"
+        # held[t]: the first step from t on, up to stop, the leg has no
+        # room; a flight entering at e can hold the leg until held[e].
+        held = {stop: stop}
+        for t in range(stop - 1, lo[i] - 1, -1):
+            held[t] = held[t + 1] if room(rid, t) >= 1 else t
+        # Each entry's next entries: after its stay, in the next window,
+        # with room on every step between.
+        step: dict[int, range] = {}
+        layer = {}
+        for e, (reach, repeated) in layers[-1].items():
+            step[e] = range(max(e + stay, lo[i + 1]),
+                            (min(held[e], e + stay) if exact else held[e]) + 1)
+            for nxt in step[e]:
+                seen = layer.get(nxt)
+                layer[nxt] = (reach, repeated) if seen is None else (
+                    seen[0] | reach, seen[1] | repeated | (seen[0] & reach))
+        if not layer:
+            return None
+        moves.append(step)
+        layers.append(layer)
+
+    pairs = sorted((slot_tdc(request, params, lo[0] + k, land), land, k)
+                   for land, (reach, _) in layer.items() if room(legs[last], land) >= 1
+                   for k in range(reach.bit_length()) if reach >> k & 1)
+    if not pairs:
+        return None
+    cost, land, k = pairs[0]
+    if layer[land][1] >> k & 1 or (len(pairs) > 1 and pairs[1][0] <= cost + _NEAR_TIE):
+        return None
+    entries = [land]
+    for i in reversed(range(last)):
+        entries.append(next(e for e, (reach, _) in layers[i].items()
+                            if reach >> k & 1 and entries[-1] in moves[i][e]))
+    return entries[::-1], cost
+
+
+def _cheapest_optimum(
     grid: AirspaceGrid,
     snapshot: OccupancySnapshot,
     requests: Mapping[str, FlightRequest],
@@ -355,36 +443,33 @@ def _earliest_optimum(
     params: DelayCostParams,
 ) -> DropOutcome | None:
     """The batch ``flights``, each a (route, ``_windows``) pair, filed at
-    its earliest schedules, where those are proven to be the model's unique
-    optimum; else None, and the model decides.
+    each flight's unique cheapest schedule (``_cheapest_entries``) where
+    those fit together; else None, and the model decides.
 
-    The earliest schedule enters each leg at its earliest entry. Call a
-    flight tight when its earliest landing is its earliest departure plus
-    its minimum stays. With alpha > 0, a flight's delay term is least only
-    where it lands at its earliest landing. For a tight flight the order
-    rows then force every earlier leg's entry to its earliest too, and
-    monotonicity sets every column to 1, in the LP relaxation as in the
-    MILP: the earliest schedule is the one point that minimizes the
-    flight's term. If the earliest schedules fit remaining capacity
-    together (``detect_conflicts``), their union minimizes every term at
-    once, so it is the joint model's unique optimum, the point HiGHS
-    returns. The objective is their delay cost, from each flight's earliest
-    departure and landing; the batch is one attempt with no solve.
-
-    With alpha = 0 airborne holding costs nothing and ties the landing, and
-    a request whose arrival is later than its earliest departure plus the
-    stays leaves its inner legs free, so neither is proven.
+    For one flight alone, every row of its block, and each ``cap`` row on
+    a cell with no room, holds at most one +1 and one -1 term, or is a
+    single fixed entry: the system is totally unimodular, so its LP
+    relaxation has integral vertices, and a unique cheapest schedule is
+    its unique LP optimum. In the joint model each flight's occupancy is
+    nonnegative under its order rows, so a ``cap`` row restricts each
+    flight at least as much as its own system does. If the flights'
+    cheapest schedules fit remaining capacity together
+    (``detect_conflicts``), their union is then the joint LP's unique
+    optimum, the point the relaxation-first solve files. The objective is
+    their delay cost; the batch is one attempt with no solve. The first
+    flight with no schedule or a tied cheapest one refuses the batch.
     """
-    if params.alpha <= 0.0 or not flights:
+    if not flights:
         return None
     plans: dict[str, FlightPlan] = {}
     objective = 0.0
     for fid, (route, windows) in flights.items():
-        entries = [lo for _, lo, _, _ in windows]
-        if entries[-1] != entries[0] + sum(stay for *_, stay in windows[:-1]):
+        cheapest = _cheapest_entries(grid, snapshot, requests[fid], windows, params)
+        if cheapest is None:
             return None
+        entries, cost = cheapest
         plans[fid] = _route_plan(fid, route, entries)
-        objective += slot_tdc(requests[fid], params, entries[0], entries[-1])
+        objective += cost
     if detect_conflicts(grid, snapshot, plans).has_conflicts:
         return None
     return DropOutcome(plans, objective, (), 1, 0)
@@ -414,7 +499,7 @@ def solve_tfmp(
         else:
             flights[fid] = (route, windows)
 
-    outcome = _earliest_optimum(grid, snapshot, by_id, flights, params)
+    outcome = _cheapest_optimum(grid, snapshot, by_id, flights, params)
     if outcome is not None:
         # The proof has checked joint capacity: each plan is re-checked alone.
         audit_plans(grid, snapshot, by_id, outcome.plans, now, "fixed-route")

@@ -15,8 +15,9 @@ Each feasibility rule is stated here once:
 ``audit_batch`` is the one re-check after a joint solve (deconfliction and
 the fixed-route schedule): ``audit_plans`` (``plan_violations`` on every
 plan), then ``detect_conflicts`` on the batch; any problem raises. A
-fixed-route batch filed at its earliest schedules with no solve has passed
-``detect_conflicts`` in its proof, so it takes ``audit_plans`` alone.
+fixed-route batch filed at its flights' cheapest schedules with no solve
+has passed ``detect_conflicts`` in its proof, so it takes ``audit_plans``
+alone.
 ``audit_objective`` is the one check of a batch's optimum against the cost
 recomputed from its plans.
 

@@ -176,6 +176,17 @@ def build_catalog() -> list[TinyInstance]:
         "corridor-slack", long,
         (FlightRequest("f0", "op", rid(long, 0, 0), rid(long, 0, 3), 0, 4, flexibility=2),),
     ))
+    # f0's earliest schedule enters the second ring cell at step 2, where it
+    # is closed, so its cheapest schedule holds the first ring cell a step,
+    # the one place it can: the fixed-route lane files that held schedule
+    # with no model. In the twin the destination pad is closed at step 3
+    # instead, so f0 can hold in either ring cell: tied, left to HiGHS.
+    for name, closed in (("corridor-held", (rid(long, 0, 2), 2, 0)),
+                         ("corridor-held-tie", (rid(long, 0, 3), 3, 0))):
+        out.append(TinyInstance(
+            name, make_grid(1, 4, ((0, 0), (0, 3)), overrides=(closed,)),
+            (make_request(long, "f0", rid(long, 0, 0), rid(long, 0, 3), 0, flexibility=2),),
+        ))
 
     out.append(TinyInstance(
         "corridor-blocked",
@@ -415,8 +426,9 @@ def check_instance(inst: TinyInstance) -> list[CaseResult]:
                      want_total is not None
                      and _same(baseline.total_tdc, want_total),
                      f"milp={baseline.total_tdc:g} oracle={want_total}")
-                # A batch filed with no solve is its earliest schedules,
-                # proven the unique optimum: the oracle's plans are those.
+                # A batch filed with no solve is its flights' cheapest
+                # schedules, proven the unique optimum: the oracle's plans
+                # are those.
                 if baseline.solves == 0:
                     differ = sorted(fid for fid in by_id
                                     if baseline.plans.get(fid) != want_plans.get(fid))

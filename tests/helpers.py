@@ -87,7 +87,7 @@ def solve_every_step1_model(patch):
 
 def solve_every_tfmp_batch(patch):
     """With ``patch`` (a ``pytest.MonkeyPatch``), take the fixed-route
-    lane's earliest-schedule proof out: ``solve_tfmp`` then builds its
+    lane's cheapest-schedule proof out: ``solve_tfmp`` then builds its
     blocks and runs ``blocks.solve_joint`` for every batch, also one it
-    would file at its earliest schedules with no model."""
-    patch.setattr(baseline, "_earliest_optimum", lambda *args: None)
+    would file at its flights' cheapest schedules with no model."""
+    patch.setattr(baseline, "_cheapest_optimum", lambda *args: None)

@@ -12,6 +12,7 @@ from faircoplan import baseline, blocks, milp, sim
 from faircoplan.airspace import OccupancyLedger, OccupancySnapshot
 from faircoplan.baseline import FixedRoute, fixed_route, solve_tfmp
 from faircoplan.blocks import solve_joint
+from faircoplan.checker import detect_conflicts
 from faircoplan.cli import run_cli
 from faircoplan.flights import DelayCostParams, FlightPlan
 from faircoplan.oracle import oracle_tfmp_optimum
@@ -260,7 +261,7 @@ class TestEnergeticBound:
         # Desk days 0-1 with the bound patched out: HiGHS solves every
         # attempt, and each the bound settles is infeasible. Their number is
         # the attempts less the solves of the same days with the bound in.
-        # The earliest-schedule proof is out in both runs, so every batch
+        # The cheapest-schedule proof is out in both runs, so every batch
         # reaches the drop loop.
         solve_every_tfmp_batch(monkeypatch)
         config = load_scenario(DESK)
@@ -304,7 +305,7 @@ class TestEnergeticBound:
     def test_selfcheck_attempts_it_settles_have_no_oracle_schedule(self, monkeypatch):
         # On the self-check's fixed-route instances, brute force finds no
         # joint schedule for any attempt the bound settled. The
-        # earliest-schedule proof is out, so every batch reaches the loop.
+        # cheapest-schedule proof is out, so every batch reaches the loop.
         solve_every_tfmp_batch(monkeypatch)
         solved = record_solves(monkeypatch, "fixed-route-schedule")
         settled = 0
@@ -350,22 +351,37 @@ def highs_runs(monkeypatch):
     return runs
 
 
-class TestEarliestOptimum:
-    # With alpha > 0, a tight flight (earliest landing = earliest departure
-    # plus its minimum stays) has one cost-minimal schedule, its earliest;
-    # if those fit together they are the batch's unique optimum, filed with
-    # no block, model or HiGHS call.
+def earliest_plans(grid, snapshot, flights, params):
+    """The batch's earliest schedules where the narrower earliest-schedule
+    rule proves them its unique optimum: alpha > 0, each flight tight (its
+    earliest landing is its earliest departure plus its minimum stays) and
+    the schedules fitting together; else None."""
+    if params.alpha <= 0.0 or not flights:
+        return None
+    plans = {}
+    for fid, (route, windows) in flights.items():
+        _, entries, _, stays = zip(*windows)
+        if entries[-1] != entries[0] + sum(stays[:-1]):
+            return None
+        plans[fid] = baseline._route_plan(fid, route, entries)
+    return None if detect_conflicts(grid, snapshot, plans).has_conflicts else plans
+
+
+class TestCheapestOptimum:
+    # Each flight's cheapest schedule, found alone over its windows and the
+    # snapshot's room, is its block's unique LP optimum when no other
+    # schedule reaches its cost; if those fit together they are the batch's
+    # unique optimum, filed with no block, model or HiGHS call.
     def test_every_desk_batch_it_settles_matches_highs(self, monkeypatch):
         # Desk days 0-1: each batch the proof settles, re-solved through
         # the drop loop on fresh blocks, has the same plans and objective,
         # in one attempt that HiGHS accepts.
-        settled = []
-        real = baseline._earliest_optimum
+        calls = []
+        real = baseline._cheapest_optimum
 
         def spy(*args):
             outcome = real(*args)
-            if outcome is not None:
-                settled.append((args, outcome))
+            calls.append((args, outcome))
             return outcome
 
         batches = []
@@ -376,14 +392,15 @@ class TestEarliestOptimum:
             batches.append(out)
             return out
 
-        monkeypatch.setattr(baseline, "_earliest_optimum", spy)
+        monkeypatch.setattr(baseline, "_cheapest_optimum", spy)
         monkeypatch.setattr(sim, "solve_tfmp", count)
         config = load_scenario(DESK)
         grid = scenario_grid(config)
         for day in (0, 1):
             sim.run_day(grid, config, day, "tfmp")
-        assert (len(settled), len(batches)) == (14, 53)
-        assert sum(out.solves == 0 and out.plans != {} for out in batches) == 14
+        settled = [(args, outcome) for args, outcome in calls if outcome is not None]
+        assert (len(settled), len(batches)) == (24, 53)
+        assert sum(out.solves == 0 and out.plans != {} for out in batches) == 24
         for (grid, snapshot, requests, flights, params), outcome in settled:
             schedules = {fid: baseline._schedule(grid, requests[fid], route, windows, params)
                          for fid, (route, windows) in flights.items()}
@@ -394,6 +411,13 @@ class TestEarliestOptimum:
             assert list(joint.plans) == list(outcome.plans)
             assert joint.objective == pytest.approx(outcome.objective, rel=0, abs=1e-9)
             assert (outcome.dropped, outcome.attempts, outcome.solves) == ((), 1, 0)
+        # Every batch the earliest-schedule rule settles is still settled, at
+        # the same plans in the same order.
+        earliest = [(plans, outcome) for (grid, snapshot, _, flights, params), outcome in calls
+                    if (plans := earliest_plans(grid, snapshot, flights, params)) is not None]
+        assert len(earliest) == 14
+        for plans, outcome in earliest:
+            assert outcome is not None and list(outcome.plans.items()) == list(plans.items())
 
     def test_lone_on_time_flight_runs_no_highs(self, monkeypatch):
         grid = make_grid(1, 3, ((0, 0), (0, 2)))
@@ -405,24 +429,64 @@ class TestEarliestOptimum:
         assert out.plans["f0"].steps == ((0, "r0000"), (1, "r0001"), (2, "r0002"))
         assert out.objective == out.total_tdc == 0.0
 
+    def test_late_arrival_holds_at_its_one_cheapest_schedule(self, monkeypatch):
+        # Requested to land a step after its earliest landing, the flight is
+        # not tight, but its one cost-free schedule departs on time and holds
+        # the ring cell a step: the only ring cell on its route.
+        grid = make_grid(1, 3, ((0, 0), (0, 2)))
+        on_time = make_request(grid, "f0", "r0000", "r0002", 0)
+        slack = replace(on_time, requested_arrival=on_time.requested_arrival + 1)
+        snap = OccupancyLedger(grid).snapshot()
+        runs = highs_runs(monkeypatch)
+        out = solve_tfmp(grid, snap, [slack], PARAMS)
+        assert runs == []
+        assert (out.attempts, out.solves, out.dropped) == (1, 0, ())
+        assert out.plans["f0"].steps == ((0, "r0000"), (1, "r0001"), (2, "r0001"),
+                                         (3, "r0002"))
+        want, want_plans = oracle_tfmp_optimum(grid, snap, [slack], PARAMS)
+        assert out.plans == want_plans
+        assert out.objective == out.total_tdc == pytest.approx(want) == 0.0
+
+    def test_blocked_earliest_schedule_holds_in_its_one_free_sector(self, monkeypatch):
+        # The second ring cell is closed at step 2, where the earliest
+        # schedule enters it: the cheapest schedule holds the first ring
+        # cell a step, the only place it can, and HiGHS agrees.
+        grid = make_grid(1, 4, ((0, 0), (0, 3)), overrides=(("r0002", 2, 0),))
+        request = make_request(grid, "f0", "r0000", "r0003", 0)
+        snap = OccupancyLedger(grid).snapshot()
+        runs = highs_runs(monkeypatch)
+        out = solve_tfmp(grid, snap, [request], PARAMS)
+        assert runs == []
+        assert (out.attempts, out.solves) == (1, 0)
+        assert out.plans["f0"].steps == ((0, "r0000"), (1, "r0001"), (2, "r0001"),
+                                         (3, "r0002"), (4, "r0003"))
+        solve_every_tfmp_batch(monkeypatch)
+        solved = solve_tfmp(grid, snap, [request], PARAMS)
+        assert (solved.attempts, solved.solves) == (1, 1) and runs != []
+        assert solved.plans == out.plans
+        assert solved.objective == pytest.approx(out.objective, rel=0, abs=1e-9)
+
     @staticmethod
     def refused():
         """(params, grid, requests) batches the proof leaves to HiGHS."""
         grid = make_grid(1, 3, ((0, 0), (0, 2)))
         on_time = make_request(grid, "f0", "r0000", "r0002", 0)
-        # Requested to land a step after its earliest landing, the flight is
-        # not tight: its earliest schedule need not be its only optimum.
-        slack = replace(on_time, requested_arrival=on_time.requested_arrival + 1)
         both = [make_request(grid, f"f{i}", "r0000", "r0002", 0) for i in range(2)]
+        # The destination pad is closed at the earliest landing, so the
+        # flight holds one step in either ring cell of its route.
+        held = make_grid(1, 4, ((0, 0), (0, 3)), overrides=(("r0003", 3, 0),))
+        # Landing a step past the requested arrival costs 1e-7: a near-tie.
+        slack = replace(on_time, requested_arrival=on_time.requested_arrival + 1)
         return {
             # Airborne holding costs nothing: the landing is tied.
             "alpha-0": (DelayCostParams(alpha=0.0), grid, [on_time]),
-            "late-arrival": (PARAMS, grid, [slack]),
-            # Both earliest plans hold the capacity-one ring cell at step 1.
+            "hold-tie": (PARAMS, held, [make_request(held, "f0", "r0000", "r0003", 0)]),
+            "near-tie": (DelayCostParams(alpha=1e-7), grid, [slack]),
+            # Both cheapest plans hold the capacity-one ring cell at step 1.
             "overload": (PARAMS, grid, both),
         }
 
-    @pytest.mark.parametrize("case", ["alpha-0", "late-arrival", "overload"])
+    @pytest.mark.parametrize("case", ["alpha-0", "hold-tie", "overload"])
     def test_refused_batches_go_to_highs(self, monkeypatch, case):
         params, grid, requests = self.refused()[case]
         snap = OccupancyLedger(grid).snapshot()
@@ -432,6 +496,25 @@ class TestEarliestOptimum:
         assert len(runs) >= 1
         want, _ = oracle_tfmp_optimum(grid, snap, requests, params)
         assert out.total_tdc == pytest.approx(want)
+
+    @pytest.mark.parametrize("tight", [False, True], ids=["late-arrival", "on-time"])
+    def test_near_tie_goes_to_highs(self, monkeypatch, tight):
+        # The cheapest schedule is unique, but landing later costs only 1e-7
+        # more per step: HiGHS's answer need only lie within its tolerances
+        # of the exact optimum (here it holds the ring cell longer), so
+        # filing the exact cheapest schedule could move the record. An
+        # on-time flight is tight, and its earliest schedule fits, but that
+        # shortcut too needs alpha above the near-tie margin.
+        params, grid, requests = self.refused()["near-tie"]
+        if tight:
+            requests = [make_request(grid, "f0", "r0000", "r0002", 0)]
+        snap = OccupancyLedger(grid).snapshot()
+        runs = highs_runs(monkeypatch)
+        out = solve_tfmp(grid, snap, requests, params)
+        assert (out.attempts, out.solves, out.dropped) == (1, 1, ())
+        assert len(runs) >= 1
+        want, _ = oracle_tfmp_optimum(grid, snap, requests, params)
+        assert want <= out.total_tdc <= want + baseline._NEAR_TIE
 
     def test_alpha_one_agrees_with_highs(self, monkeypatch):
         # No ground weight: the landing alone forces the earliest schedule.
@@ -757,7 +840,7 @@ class TestLatestEntry:
         sim.run_day(grid, config, 0, "tfmp")
         monkeypatch.undo()
         assert calls
-        # Every batch is built and solved, also one the earliest-schedule
+        # Every batch is built and solved, also one the cheapest-schedule
         # proof would file with no model.
         solve_every_tfmp_batch(monkeypatch)
         outcomes = {}

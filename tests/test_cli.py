@@ -331,9 +331,11 @@ class TestOracleCheck:
         assert err == "error: --cases must be >= 1\n"
 
     def test_negative_seed_is_an_error(self, capsys):
-        # Case 36 is the first random instance past the 35-case catalog,
-        # and numpy rejects a negative seed.
-        assert run_cli(["oracle-check", "--cases", "36", "--seed", "-5"]) == 2
+        # One case past the catalog is the first random instance, and numpy
+        # rejects a negative seed.
+        from faircoplan.selfcheck import build_catalog
+        cases = str(len(build_catalog()) + 1)
+        assert run_cli(["oracle-check", "--cases", cases, "--seed", "-5"]) == 2
         out = capsys.readouterr()
         assert out.err == "error: --seed must be >= 0\n" and out.out == ""
 

@@ -386,7 +386,7 @@ def desk_day_solves() -> list[tuple]:
     """``(model, milp._arrays(model), result)`` for every model solved on
     desk day 0, in all three lanes: 48 choice-setting, 5 deconfliction and
     54 fixed-route models. The fixed-route drop loop's energetic bound, the
-    fixed-route earliest-schedule proof and step 1's whole-offer shortcut
+    fixed-route cheapest-schedule proof and step 1's whole-offer shortcut
     are patched out, so HiGHS solves every attempt and every batch, those
     they settle included."""
     solved = []

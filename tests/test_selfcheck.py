@@ -48,11 +48,14 @@ class TestCatalog:
 
     def test_tfmp_plans_meet_the_oracles_where_the_proof_settles(self, monkeypatch):
         # A lone on-time flight is filed at its earliest schedule with no
-        # model, and its plan is compared with the oracle's; a flight that
-        # may land a step late is left to HiGHS, and only its cost is.
+        # model, and one whose earliest schedule is blocked at the one
+        # schedule that holds where it can; each plan is compared with the
+        # oracle's. A flight that may hold in either of two ring cells is
+        # left to HiGHS, and only its cost is.
         catalog = {inst.name: inst for inst in build_catalog()}
         solved = record_solves(monkeypatch, "fixed-route-schedule")
-        for name, models in (("corridor", 0), ("corridor-slack", 1)):
+        for name, models in (("corridor", 0), ("corridor-held", 0), ("corridor-slack", 1),
+                             ("corridor-held-tie", 1)):
             cases = {case.name: case for case in check_instance(catalog[name])}
             assert len(solved) == models, name
             assert f"{name}/schedule-baseline" in cases
